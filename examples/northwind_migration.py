@@ -17,10 +17,10 @@ Run:  python examples/northwind_migration.py
 """
 
 from repro import BoundedChecker, check_equivalence, infer_sdt, to_sql_text, transpile
+from repro.backends import load_backend
 from repro.sql import to_cte_sql
 from repro.benchmarks.curated import curated_benchmarks
 from repro.execution.datagen import MockDataGenerator
-from repro.execution.sqlite_backend import SqliteDatabase, time_query
 from repro.transformer.residual import residual_transformer
 
 
@@ -58,12 +58,10 @@ def main() -> None:
     induced, target = generator.paired_instances(
         2000, residual, benchmark.relational_schema
     )
-    with SqliteDatabase.from_database(induced) as backend:
-        backend.create_indexes()
-        transpiled_seconds = time_query(backend, sql_text)
-    with SqliteDatabase.from_database(target) as backend:
-        backend.create_indexes()
-        manual_seconds = time_query(backend, benchmark.sql_text)
+    with load_backend("sqlite-memory", induced) as backend:
+        transpiled_seconds = backend.time(sql_text)
+    with load_backend("sqlite-memory", target) as backend:
+        manual_seconds = backend.time(benchmark.sql_text)
     print(
         f"\nSQLite execution at 2k rows/table: transpiled "
         f"{transpiled_seconds * 1000:.1f} ms vs manual {manual_seconds * 1000:.1f} ms"

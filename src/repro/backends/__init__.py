@@ -22,8 +22,8 @@ The subsystem has four layers:
   (``run_many`` fans batches across worker threads), multi-engine.
 * :mod:`repro.backends.async_service` — :class:`AsyncGraphitiService`:
   the asyncio serving layer over the same pools and caches (``await
-  run``/``run_many``, semaphore backpressure, executor offload for the
-  blocking drivers; sync and async callers coexist on one pool).
+  run``/``run_many``: each query awaits one executor call of the sync
+  pipeline, on an executor of ``max_concurrency`` threads).
 * :mod:`repro.backends.sharding` — :class:`ShardedGraphitiService` /
   :class:`AsyncShardedGraphitiService`: hash-partitioned horizontal
   sharding with scatter-gather execution (fragmentable plans fan out to

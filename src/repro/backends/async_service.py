@@ -1,35 +1,33 @@
-"""The :class:`AsyncGraphitiService`: asyncio-native serving over the pool.
+"""The :class:`AsyncGraphitiService`: asyncio serving over the sync pipeline.
 
-:class:`~repro.backends.service.GraphitiService` serves concurrent traffic
-by *blocking* worker threads on pool checkout and engine execution.  That
-is the right shape for a fixed batch (``run_many``), but a high-fan-out
-server — thousands of in-flight requests, most of them waiting — wastes a
-thread per waiter.  This module keeps the exact same pipeline and swaps
-the waiting discipline:
+There is one serving pipeline — :meth:`GraphitiService._serve
+<repro.backends.service.GraphitiService._serve>` — and every guard and
+recovery step of serving lives there; this module adds none.  Each awaited
+:meth:`~AsyncGraphitiService.run` opens its ``query`` span on the event
+loop and then awaits *one* executor call of that pipeline, so:
 
-* **prepare stays sync** — transpilation is cached, GIL-bound, and
-  microseconds-fast after the first hit, so it runs inline on the event
-  loop, sharing the service's LRU *and* persistent store;
-* **execution awaits** — the blocking DB driver call is offloaded to a
-  small thread-pool executor, so the event loop never stalls on a query;
-* **checkout awaits** — the pool's non-blocking protocol
-  (:meth:`~repro.backends.pool.ConnectionPool.try_checkout` /
-  :meth:`~repro.backends.pool.ConnectionPool.try_reserve` /
-  :meth:`~repro.backends.pool.ConnectionPool.add_waiter`) lets a
-  coroutine wait for a free member on an :class:`asyncio.Event` wired to
-  checkin wakeups, while sync callers keep blocking on the same pool's
-  condition variable — one pool, both worlds;
-* **backpressure, not queueing** — an :class:`asyncio.Semaphore` caps the
-  number of in-flight executions (``max_concurrency``), and an exhausted
-  pool raises :class:`~repro.backends.pool.PoolTimeout` after
-  ``checkout_timeout`` seconds instead of queueing unboundedly.
+* **the loop never blocks** — prepare, checkout, and the engine call all
+  run on an executor thread;
+* **backpressure is the executor** — it has exactly ``max_concurrency``
+  threads, so at most that many queries are in flight; the rest queue;
+* **an exhausted pool raises** :class:`~repro.backends.pool.PoolTimeout`
+  after ``checkout_timeout`` seconds (or the budget's remaining clock,
+  whichever is tighter) instead of queueing without bound;
+* **spans parent as on the sync path** — the executor call runs in a copy
+  of the caller's :mod:`contextvars` context, so ``pool.checkout``,
+  ``execute``, and ``parallel.*`` spans land under the awaiting query's
+  span;
+* **cancellation never strands a member** — cancelling the awaiting task
+  abandons the result, but the executor thread finishes its engine call
+  and checks the member back in itself.
 
-The async service can own its :class:`GraphitiService` (pass a
-:class:`~repro.graph.schema.GraphSchema`) or wrap an existing one (pass
-the service), in which case caches, pools, and statistics are shared with
-sync callers — ``await async_service.run(q)`` and ``service.run(q)`` are
-interchangeable and feed the same :class:`~repro.backends.service.QueryStat`
-accounting.
+The cost model is one executor thread per in-flight query.
+
+The async service can own its service (pass a
+:class:`~repro.graph.schema.GraphSchema`) or wrap an existing one — a
+:class:`GraphitiService` or a
+:class:`~repro.backends.sharding.ShardedGraphitiService` — in which case
+caches, pools, and statistics are shared with sync callers.
 
 Typical use::
 
@@ -43,74 +41,61 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-import time
-import weakref
+import contextvars
+import functools
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.common.budget import BudgetTracker, QueryBudget, QueryBudgetExceeded
+from repro.common.budget import QueryBudget
 from repro.graph.schema import GraphSchema
 from repro.relational.instance import Database, Table
 
-from repro.backends.guards import CircuitOpen
-from repro.backends.pool import ConnectionPool, PoolClosed, PoolTimeout
 from repro.backends.service import GraphitiService, PreparedQuery
 
-#: Default cap on concurrently executing queries per event loop.
+#: Default cap on concurrently executing queries (executor threads).
 DEFAULT_MAX_CONCURRENCY = 8
 
-#: Default seconds an awaited checkout may wait before raising PoolTimeout.
+#: Default seconds a pool checkout may wait before raising PoolTimeout.
 DEFAULT_CHECKOUT_TIMEOUT = 30.0
 
 
-class _MemberLost(Exception):
-    """Internal: the member died mid-query and was evicted (``__cause__``
-    holds the engine error) — a retry on a healthy member may succeed."""
-
-
-class _SpawnFailed(Exception):
-    """Internal: spawning a fresh member failed (``__cause__`` holds the
-    engine error) — transient from the caller's viewpoint."""
-
-
 class AsyncGraphitiService:
-    """Async facade over :class:`GraphitiService`: ``await run(cypher)``.
+    """Async facade over a serving pipeline: ``await run(cypher)``.
 
     Parameters
     ----------
     service_or_schema:
-        An existing :class:`GraphitiService` to share (its caches, pools,
-        and stats serve sync and async callers side by side), or a
-        :class:`GraphSchema` from which to build an owned service
-        (``**service_kwargs`` forwarded; the owned service is closed with
-        this object).
+        An existing service to share — :class:`GraphitiService` or
+        :class:`~repro.backends.sharding.ShardedGraphitiService` — or a
+        :class:`GraphSchema` from which to build an owned
+        :attr:`service_class` (``**service_kwargs`` forwarded; the owned
+        service is closed with this object).
     max_concurrency:
-        Ceiling on simultaneously *executing* queries per event loop —
-        the backpressure valve.  Also sizes the offload executor.
+        Number of executor threads, and so the ceiling on simultaneously
+        executing queries — the backpressure valve.
     checkout_timeout:
-        Seconds an awaited pool checkout may wait when the pool is
-        exhausted at capacity before raising
-        :class:`~repro.backends.pool.PoolTimeout` (``None``: wait
-        forever).
-    executor:
-        An optional shared :class:`ThreadPoolExecutor` for the blocking
-        driver calls; by default the service lazily creates (and owns)
-        one sized ``max_concurrency + 1``.
+        Seconds a pool checkout may wait when the pool is exhausted at
+        capacity before raising :class:`~repro.backends.pool.PoolTimeout`
+        (``None``: wait forever).
     """
+
+    #: What a :class:`GraphSchema` argument builds.
+    service_class: type = GraphitiService
 
     def __init__(
         self,
-        service_or_schema: GraphitiService | GraphSchema,
+        service_or_schema: Any,
         *,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
         checkout_timeout: float | None = DEFAULT_CHECKOUT_TIMEOUT,
-        executor: ThreadPoolExecutor | None = None,
         **service_kwargs: Any,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
-        if isinstance(service_or_schema, GraphitiService):
+        if isinstance(service_or_schema, GraphSchema):
+            self._service = self.service_class(service_or_schema, **service_kwargs)
+            self._owns_service = True
+        else:
             if service_kwargs:
                 raise TypeError(
                     "service keyword arguments only apply when constructing "
@@ -118,405 +103,19 @@ class AsyncGraphitiService:
                 )
             self._service = service_or_schema
             self._owns_service = False
-        else:
-            self._service = GraphitiService(service_or_schema, **service_kwargs)
-            self._owns_service = True
         self.max_concurrency = max_concurrency
         self.checkout_timeout = checkout_timeout
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_concurrency, thread_name_prefix="graphiti-async"
+        )
         self._closed = False
-        # asyncio primitives bind to the running loop on first use, so one
-        # semaphore cannot serve several asyncio.run() lifetimes; keep one
-        # per loop, dropped automatically when the loop is garbage collected.
-        self._semaphores: weakref.WeakKeyDictionary[
-            asyncio.AbstractEventLoop, asyncio.Semaphore
-        ] = weakref.WeakKeyDictionary()
-
-    # -- plumbing ----------------------------------------------------------
 
     @property
-    def service(self) -> GraphitiService:
+    def service(self):
         """The wrapped synchronous service (shared caches, pools, stats)."""
         return self._service
 
-    def _semaphore(self) -> asyncio.Semaphore:
-        loop = asyncio.get_running_loop()
-        semaphore = self._semaphores.get(loop)
-        if semaphore is None:
-            semaphore = asyncio.Semaphore(self.max_concurrency)
-            self._semaphores[loop] = semaphore
-        return semaphore
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise RuntimeError("AsyncGraphitiService is closed")
-        if self._executor is None:
-            # +1 so a long bulk load cannot starve query execution slots.
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_concurrency + 1,
-                thread_name_prefix="graphiti-async",
-            )
-        return self._executor
-
-    async def _offload(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run blocking *fn* on the executor without stalling the loop.
-
-        NOTE: cancelling the awaiting task raises here *immediately* even
-        while the executor thread is still inside *fn* — asyncio marks the
-        wrapper future cancelled and only best-effort-cancels the
-        concurrent one.  Callers whose *fn* holds pool state must therefore
-        not clean up in a ``finally`` around this await; they defer cleanup
-        to the concurrent future's done-callback instead (see
-        :meth:`_execute` / :meth:`_spawn_reserved`).
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._ensure_executor(), fn, *args)
-
-    async def _acquire(self, pool: ConnectionPool, timeout: float | None = None):
-        """An exclusive pool member, without ever blocking the event loop.
-
-        Fast path: pop an idle member.  Growth path: reserve a slot and
-        spawn the member on the executor (spawning may repeat a bulk
-        load).  Exhausted path: register a waiter callback that trips an
-        :class:`asyncio.Event` from whichever thread checks a member in,
-        and await it — re-polling on every wakeup, since a woken waiter
-        races blocking ``checkout`` callers for the freed member.
-
-        *timeout* overrides ``checkout_timeout`` (a budget's remaining
-        wall clock is tighter than the configured ceiling).
-        """
-        loop = asyncio.get_running_loop()
-        if timeout is None:
-            timeout = self.checkout_timeout
-        started = loop.time()
-        deadline = None if timeout is None else started + timeout
-        while True:
-            member = pool.try_checkout()
-            if member is not None:
-                return member
-            if pool.try_reserve():
-                return await self._spawn_reserved(pool)
-            event = asyncio.Event()
-            token = pool.add_waiter(
-                lambda: loop.call_soon_threadsafe(event.set)
-            )
-            try:
-                # Close the race with a checkin that happened between the
-                # failed try_checkout above and the waiter registration.
-                member = pool.try_checkout()
-                if member is not None:
-                    return member
-                remaining = None if deadline is None else deadline - loop.time()
-                if remaining is not None and remaining <= 0:
-                    raise pool.timeout_error(timeout, loop.time() - started)
-                try:
-                    await asyncio.wait_for(event.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    raise pool.timeout_error(
-                        timeout, loop.time() - started
-                    ) from None
-            except BaseException:
-                # Exiting without retrying: if our wakeup hint was already
-                # consumed (callback popped — fired, or in flight on the
-                # loop), hand it to the next waiter so the freed member it
-                # advertises is not stranded behind sleeping waiters.
-                if not pool.remove_waiter(token):
-                    pool.wake_waiter()
-                raise
-            else:
-                pool.remove_waiter(token)
-
-    async def _spawn_reserved(self, pool: ConnectionPool):
-        """Run a reserved spawn on the executor, leak-proofed.
-
-        The reservation made by ``try_reserve`` obliges ``spawn_reserved``
-        to run exactly once, and the spawned member arrives *checked out*.
-        The await can fail with the spawn never started (service closed,
-        or the dispatch cancelled while queued) — then the reservation
-        must be released — or with the executor thread still mid-spawn
-        (cancellation is delivered immediately, not on thread completion)
-        — then cleanup must wait for the thread: a done-callback on the
-        concurrent future checks the orphaned member back in, or releases
-        the reservation if the queued job was chain-cancelled.
-        """
-        future = self._ensure_executor().submit(pool.spawn_reserved)
-        try:
-            return await asyncio.wrap_future(future)
-        except BaseException:
-            if future.cancel():
-                # Never started: the reservation is still held — release it.
-                pool.cancel_reservation()
-            else:
-
-                def reclaim(done) -> None:
-                    if done.cancelled():
-                        pool.cancel_reservation()
-                    elif done.exception() is None:
-                        pool.checkin(done.result())  # orphan goes back
-                    # spawn_reserved raised: it released the slot itself.
-
-                # Fires immediately if already finished, else on the
-                # executor thread the moment the spawn completes.
-                future.add_done_callback(reclaim)
-            raise
-
-    async def _execute(
-        self,
-        pool: ConnectionPool,
-        prepared: PreparedQuery,
-        backend: str | None = None,
-        span=None,
-        tracker: BudgetTracker | None = None,
-    ) -> Table:
-        """Checkout → offloaded execute → record → guaranteed checkin.
-
-        One *attempt*: the retry/breaker loop lives in
-        :meth:`_run_prepared`.  The checkin must *never* run while the
-        executor thread is still driving the member (one backend = one
-        connection = one thread at a time), but cancelling the awaiting
-        task raises immediately even mid-query.  So the member is
-        reclaimed via the concurrent future: right away when the job
-        finished or was cancelled before starting, otherwise from a
-        done-callback the moment the engine call returns.
-
-        A failed member is checked in ``damaged=True``: the pool pings it
-        and either retains (genuine query error — re-raised as-is) or
-        evicts it (connection dead — re-raised as :class:`_MemberLost` so
-        the caller knows a retry on a healthy member may succeed).
-
-        *span*, when given, is the caller's per-query span — the explicit
-        parent the ``execute`` span (opened on an executor thread, where
-        the context variable is useless) hangs under.
-        """
-        name = backend or pool.backend_name
-        tracer = self._service.tracer
-        async with self._semaphore():
-            # The async path never enters pool.checkout, so it opens the
-            # pool.checkout span itself — same name, same tree position as
-            # the sync path's, marked with the waiting discipline.
-            started = time.perf_counter()
-            with tracer.span(
-                "pool.checkout", backend=name, waiting="async"
-            ) as checkout_span:
-                try:
-                    member = await self._acquire(
-                        pool,
-                        timeout=(
-                            None if tracker is None else tracker.remaining_seconds()
-                        ),
-                    )
-                except (PoolClosed, PoolTimeout, asyncio.CancelledError):
-                    raise
-                except Exception as error:
-                    # Spawning a member failed: the engine refused a fresh
-                    # connection — transient from the caller's viewpoint.
-                    raise _SpawnFailed(name) from error
-                checkout_span.set(
-                    "waited_ms", round((time.perf_counter() - started) * 1000.0, 3)
-                )
-            future = self._ensure_executor().submit(
-                self._execute_recorded, member, prepared, name, span, tracker
-            )
-            try:
-                result = await asyncio.wrap_future(future)
-            except QueryBudgetExceeded:
-                # The guard aborted the statement (thread is done); validate
-                # on checkin so the member rejoins only if healthy.
-                pool.checkin(member, damaged=True)
-                raise
-            except Exception as error:
-                # The engine call completed (by raising): the thread no
-                # longer owns the member, so classify it inline — ping is a
-                # sub-millisecond SELECT 1.
-                retained = pool.checkin(member, damaged=True)
-                if retained:
-                    raise
-                raise _MemberLost(name) from error
-            except BaseException:
-                if future.cancel() or future.done():
-                    pool.checkin(member)  # never ran, or already finished
-                else:
-                    # Cancelled mid-execution: the thread still owns the
-                    # member; hand it back only once the engine call ends.
-                    future.add_done_callback(lambda done: pool.checkin(member))
-                raise
-            else:
-                pool.checkin(member)
-                return result
-
-    def _execute_recorded(
-        self,
-        member,
-        prepared: PreparedQuery,
-        backend: str | None = None,
-        parent=None,
-        tracker: BudgetTracker | None = None,
-    ) -> Table:
-        # Runs on an executor thread; timing and stats mirror the sync path.
-        # The explicit parent crosses the loop→executor boundary (context
-        # variables do not follow submitted jobs).
-        name = backend or self._service.default_backend
-        with self._service.tracer.span("execute", parent=parent, backend=name) as span:
-            start = time.perf_counter()
-            # budget= only when bounded: keeps stubbed/monkeypatched
-            # engines with the pre-budget signature working.
-            result = (
-                member.execute(prepared.sql_text)
-                if tracker is None
-                else member.execute(prepared.sql_text, budget=tracker)
-            )
-            elapsed = time.perf_counter() - start
-            span.set("rows", len(result.rows))
-        self._service.record_execution(prepared.cypher_text, elapsed, backend=name)
-        return result
-
-    async def _run_prepared(
-        self,
-        pool: ConnectionPool,
-        name: str,
-        cypher_text: str,
-        prepared: PreparedQuery,
-        tracker: BudgetTracker | None,
-        span=None,
-    ) -> Table:
-        """One plan's execution with the same recovery discipline as the
-        sync service: breaker gate, budget-bounded checkout, eviction-aware
-        retry with backoff (awaited, never blocking the loop)."""
-        service = self._service
-        breaker = service.breaker(name)
-        retry = service.retry_policy
-        attempt = 1
-        while True:
-            if tracker is not None:
-                tracker.check_timeout(stage="service")
-            try:
-                probe = breaker.allow()
-            except CircuitOpen:
-                service._breaker_rejections.inc(backend=name)
-                raise
-            # Everything past allow() must settle the breaker or release
-            # the half-open probe slot, or an exit without a verdict (pool
-            # timeout, task cancellation) wedges the breaker shedding
-            # forever.
-            try:
-                try:
-                    result = await self._execute(
-                        pool, prepared, name, span, tracker
-                    )
-                except QueryBudgetExceeded as error:
-                    # The guard aborted the statement, not the engine: the
-                    # breaker must not open on a caller's tight budget.
-                    breaker.record_success()
-                    service._budget_exceeded.inc(
-                        backend=name, dimension=error.dimension
-                    )
-                    raise error.annotate(backend=name, cypher_text=cypher_text)
-                except (PoolClosed, PoolTimeout):
-                    raise  # pool congestion is not engine failure
-                except (_MemberLost, _SpawnFailed) as error:
-                    breaker.record_failure()
-                    if retry.should_retry(attempt) and not (
-                        tracker is not None and tracker.timed_out()
-                    ):
-                        service._query_retries.inc(backend=name)
-                        await asyncio.sleep(retry.delay_for(attempt))
-                        attempt += 1
-                        continue
-                    cause = error.__cause__
-                    raise (cause if cause is not None else error) from None
-                except Exception:
-                    # A genuine query error on a retained (pinged-healthy)
-                    # member: the connection just proved alive, so the
-                    # breaker records success — it watches engine health,
-                    # not query validity.
-                    breaker.record_success()
-                    raise
-                else:
-                    breaker.record_success()
-                    return result
-            finally:
-                breaker.release_probe(probe)
-
     # -- execution ---------------------------------------------------------
-
-    async def _serve(
-        self,
-        cypher_text: str,
-        name: str,
-        opt_level: int | None,
-        budget: QueryBudget | None,
-        span=None,
-    ) -> tuple[Table, PreparedQuery]:
-        """Prepare + guarded execution with the budget downgrade — the
-        async twin of :meth:`GraphitiService._serve`."""
-        service = self._service
-        budget = service._effective_budget(budget)
-        tracker = budget.start() if budget is not None else None
-        depth_cap = (
-            budget.max_depth
-            if budget is not None and budget.allow_downgrade
-            else None
-        )
-        prepared = service.prepare(
-            cypher_text, service.dialect_of(name), opt_level=opt_level,
-            depth_cap=depth_cap,
-        )
-        pool = service.pool(name)
-        try:
-            runner = service._parallel_runner(prepared)
-            if runner is not None:
-                # Partition-parallel scatter: the sync runner already fans
-                # out over its own executor and pooled connections (with
-                # the full per-partition retry/breaker discipline), so the
-                # event loop only needs one offloaded call for the whole
-                # scatter-gather.  The explicit parent= keeps the
-                # parallel.* spans under this query's span even though
-                # they open on executor threads.
-                result = await self._offload(
-                    lambda: service._run_parallel(
-                        pool, name, cypher_text, prepared, runner, tracker,
-                        parent=span,
-                    )
-                )
-            else:
-                result = await self._run_prepared(
-                    pool, name, cypher_text, prepared, tracker, span
-                )
-            if depth_cap is None:
-                # Same adaptive seam as the sync path: actuals accumulate
-                # on the shared cache entry, divergence re-plans it.
-                service.observe_execution(prepared, len(result.rows), name)
-            return result, prepared
-        except QueryBudgetExceeded as error:
-            assert budget is not None and tracker is not None
-            downgradable = (
-                budget.allow_downgrade
-                and prepared.plan is not None
-                and any(
-                    traversal.choice == "unrolled"
-                    for traversal in prepared.plan.traversals
-                )
-            )
-            if not downgradable:
-                raise
-            service._budget_downgrades.inc(backend=name)
-            tracker.reset_work()
-            with service.tracer.span(
-                "query.downgrade", backend=name, reason=error.dimension, parent=span
-            ):
-                downgraded = service.prepare(
-                    cypher_text, service.dialect_of(name), opt_level=opt_level,
-                    force_recursive=True, depth_cap=depth_cap,
-                )
-                try:
-                    result = await self._run_prepared(
-                        pool, name, cypher_text, downgraded, tracker, span
-                    )
-                    return result, downgraded
-                except QueryBudgetExceeded as final:
-                    final.attempted_downgrade = True
-                    raise
 
     async def run(
         self,
@@ -525,25 +124,48 @@ class AsyncGraphitiService:
         opt_level: int | None = None,
         budget: QueryBudget | None = None,
     ) -> Table:
-        """Execute *cypher_text* on *backend*; the engine call is awaited.
+        """Execute *cypher_text* on *backend* through the sync pipeline,
+        awaited on the executor.
 
         Any number of coroutines may call this concurrently; executions
-        beyond ``max_concurrency`` wait their turn (backpressure), and an
+        beyond ``max_concurrency`` queue for an executor thread, and an
         exhausted pool raises :class:`PoolTimeout` after
         ``checkout_timeout`` seconds rather than queueing without bound.
-
-        *budget* (default: the wrapped service's ``default_budget``)
-        carries the same semantics as the sync path: structured
-        :class:`~repro.common.budget.QueryBudgetExceeded` on overrun after
-        an attempted plan downgrade, eviction-aware retries, per-backend
-        circuit breaking.
+        *budget* behaves exactly as on :meth:`GraphitiService.run`.
         """
         name = backend or self._service.default_backend
-        with self._service.tracer.span(
-            "query", backend=name, cypher=cypher_text, mode="async"
-        ) as span:
-            result, prepared = await self._serve(
-                cypher_text, name, opt_level, budget, span
+        return await self._run(
+            cypher_text, name, opt_level, budget, cypher=cypher_text, mode="async"
+        )
+
+    async def _run(
+        self,
+        cypher_text: str,
+        name: str,
+        opt_level: int | None,
+        budget: QueryBudget | None,
+        **attributes: object,
+    ) -> Table:
+        if self._closed:
+            raise RuntimeError("AsyncGraphitiService is closed")
+        service = self._service
+        # The budget's clock starts now, so time queued for an executor
+        # thread counts against its timeout.
+        serve = functools.partial(
+            service._serve,
+            cypher_text,
+            name,
+            opt_level,
+            budget,
+            checkout_timeout=self.checkout_timeout,
+            tracker=service._start_budget(budget),
+        )
+        with service.tracer.span("query", backend=name, **attributes) as span:
+            # The pipeline runs in a copy of this task's context, so the
+            # spans it opens on the executor thread parent under this one.
+            context = contextvars.copy_context()
+            result, prepared = await asyncio.get_running_loop().run_in_executor(
+                self._executor, context.run, serve
             )
             span.set("opt_level", prepared.opt_level)
             span.set("rows", len(result.rows))
@@ -560,54 +182,34 @@ class AsyncGraphitiService:
         """Execute a batch concurrently; ``results[i]`` answers ``texts[i]``.
 
         At most ``min(concurrency, max_concurrency)`` queries are in
-        flight at once (the pool's capacity is raised to match), each on
-        its own pooled connection via the executor.  All transpilation
-        happens up front on the calling task — cached and fast — so the
-        awaited work is pure engine execution.  If any query fails, the
-        remaining ones finish (their connections are checked back in) and
-        the first failure is re-raised.
+        flight at once (the pool's capacity is raised to match).  All
+        transpilation happens up front, so the awaited work is pure
+        execution.  If any query fails, the remaining ones finish (their
+        connections are checked back in) and the first failure is
+        re-raised.
         """
         texts = list(cypher_texts)
         if not texts:
             return []
-        name = backend or self._service.default_backend
-        tracer = self._service.tracer
+        service = self._service
+        name = backend or service.default_backend
         fan_out = max(1, min(concurrency, self.max_concurrency, len(texts)))
-        with tracer.span(
+        with service.tracer.span(
             "query.batch",
             backend=name,
             queries=len(texts),
             concurrency=fan_out,
             mode="async",
-        ) as batch_span:
-            dialect = self._service.dialect_of(name)
-            effective = self._service._effective_budget(budget)
-            depth_cap = (
-                effective.max_depth
-                if effective is not None and effective.allow_downgrade
-                else None
-            )
-            for text in dict.fromkeys(texts):  # warm the cache: each once
-                self._service.prepare(
-                    text, dialect, opt_level=opt_level, depth_cap=depth_cap
-                )
-            self._service.pool(name, min_capacity=fan_out)
-            batch_slots = asyncio.Semaphore(fan_out)
+        ):
+            service._prepare_batch(texts, name, opt_level, budget, fan_out)
+            slots = asyncio.Semaphore(fan_out)
 
             async def one(index: int, text: str) -> Table:
-                async with batch_slots:
-                    # parent= pins each branch's subtree to the batch span;
-                    # sibling gather branches each set their own task-local
-                    # current span, so their children never interleave.
-                    # Each query gets its own fresh budget tracker.
-                    with tracer.span(
-                        "query", parent=batch_span, backend=name, index=index
-                    ) as span:
-                        result, _ = await self._serve(
-                            text, name, opt_level, budget, span
-                        )
-                        span.set("rows", len(result.rows))
-                        return result
+                # Each gather branch is a task with its own copy of the
+                # context, so its query span parents under the batch span
+                # and never interleaves with a sibling's.
+                async with slots:
+                    return await self._run(text, name, opt_level, budget, index=index)
 
             outcomes = await asyncio.gather(
                 *(one(index, text) for index, text in enumerate(texts)),
@@ -618,22 +220,22 @@ class AsyncGraphitiService:
                 raise outcome
         return list(outcomes)
 
-    # -- data / pool management (offloaded: loading is blocking I/O) -------
+    # -- data / pool management (blocking I/O, off the query executor) -----
 
     async def warm_pool(
         self, backend: str | None = None, members: int | None = None
     ) -> None:
         """Eagerly spawn pool members without stalling the event loop."""
-        await self._offload(self._service.warm_pool, backend, members)
+        await asyncio.to_thread(self._service.warm_pool, backend, members)
 
     async def load_database(self, database: Database) -> None:
-        await self._offload(self._service.load_database, database)
+        await asyncio.to_thread(self._service.load_database, database)
 
     async def load_graph(self, graph: object) -> None:
-        await self._offload(self._service.load_graph, graph)
+        await asyncio.to_thread(self._service.load_graph, graph)
 
     async def load_mock(self, rows_per_table: int, seed: int = 42) -> None:
-        await self._offload(self._service.load_mock, rows_per_table, seed)
+        await asyncio.to_thread(self._service.load_mock, rows_per_table, seed)
 
     async def reference(
         self,
@@ -642,7 +244,7 @@ class AsyncGraphitiService:
         budget: QueryBudget | None = None,
     ) -> Table:
         """The reference bag-semantics evaluation (offloaded: it's slow)."""
-        return await self._offload(
+        return await asyncio.to_thread(
             self._service.reference, cypher_text, opt_level, budget
         )
 
@@ -677,21 +279,18 @@ class AsyncGraphitiService:
     def close(self) -> None:
         """Release the executor (and the inner service when owned).
 
-        Safe to call from sync code; an owned executor's threads are only
-        idle once no coroutine is mid-execution, so close after awaiting
-        outstanding work (the async context manager does).
+        Waits for in-flight executions — including ones whose awaiting
+        task was cancelled — so every member is checked back in first.
         """
         if self._closed:
             return
         self._closed = True
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._executor.shutdown(wait=True)
         if self._owns_service:
             self._service.close()
 
     async def aclose(self) -> None:
-        await asyncio.get_running_loop().run_in_executor(None, self.close)
+        await asyncio.to_thread(self.close)
 
     async def __aenter__(self) -> "AsyncGraphitiService":
         return self

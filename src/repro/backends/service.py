@@ -84,6 +84,24 @@ DEFAULT_BACKEND = "sqlite-memory"
 MAX_LATENCY_SAMPLES = 512
 
 
+def _depth_cap(budget: QueryBudget | None) -> int | None:
+    """The traversal depth cap an (effective) *budget* plans under."""
+    if budget is None or not budget.allow_downgrade:
+        return None
+    return budget.max_depth
+
+
+def _checkout_timeout(
+    tracker: BudgetTracker | None, ceiling: float | None
+) -> float | None:
+    """The tighter of the budget's remaining clock and *ceiling* (each
+    ``None`` when unbounded)."""
+    remaining = None if tracker is None else tracker.remaining_seconds()
+    if remaining is None:
+        return ceiling
+    return remaining if ceiling is None else min(remaining, ceiling)
+
+
 def schema_fingerprint(graph_schema: GraphSchema) -> str:
     """A stable digest of *graph_schema*'s node/edge types and keys."""
     parts = []
@@ -774,6 +792,12 @@ class GraphitiService:
             return None
         return budget
 
+    def _start_budget(self, budget: QueryBudget | None) -> BudgetTracker | None:
+        """Start the clock of *budget* (or :attr:`default_budget`) for one
+        query — ``None`` when the query is unbounded."""
+        budget = self._effective_budget(budget)
+        return budget.start() if budget is not None else None
+
     def breaker(self, backend: str | None = None) -> CircuitBreaker:
         """The circuit breaker guarding *backend* (created on first use).
 
@@ -802,24 +826,32 @@ class GraphitiService:
         name: str,
         opt_level: int | None,
         budget: QueryBudget | None,
+        checkout_timeout: float | None = None,
+        tracker: BudgetTracker | None = None,
     ) -> tuple[Table, PreparedQuery]:
         """Prepare + pooled execution with budget enforcement, transparent
-        retry, circuit breaking, and the plan downgrade (shared by
-        :meth:`run` and :meth:`run_many`)."""
-        budget = self._effective_budget(budget)
-        tracker = budget.start() if budget is not None else None
-        depth_cap = (
-            budget.max_depth
-            if budget is not None and budget.allow_downgrade
-            else None
-        )
+        retry, circuit breaking, and the plan downgrade — the one serving
+        pipeline behind :meth:`run`, :meth:`run_many`, and the async
+        service.  *checkout_timeout* caps each pool checkout's wait (the
+        async service's ``checkout_timeout``); the budget's remaining
+        clock caps it further.  *tracker* is a budget clock the caller
+        already started (from :meth:`_start_budget`, which then stands in
+        for *budget*): the async service starts it when ``run`` is
+        awaited, so time queued for an executor thread counts against the
+        timeout."""
+        if tracker is None:
+            tracker = self._start_budget(budget)
+        budget = tracker.budget if tracker is not None else None
+        depth_cap = _depth_cap(budget)
         prepared = self.prepare(
             cypher_text, self.dialect_of(name), opt_level=opt_level,
             depth_cap=depth_cap,
         )
         pool = self._pool(name)
         try:
-            result = self._execute_prepared(pool, name, cypher_text, prepared, tracker)
+            result = self._execute_prepared(
+                pool, name, cypher_text, prepared, tracker, checkout_timeout
+            )
             if depth_cap is None:
                 # Depth-capped plans are budget variants — their row counts
                 # say nothing about the normal plan's estimate.
@@ -852,7 +884,8 @@ class GraphitiService:
                 try:
                     return (
                         self._run_prepared(
-                            pool, name, cypher_text, downgraded, tracker
+                            pool, name, cypher_text, downgraded, tracker,
+                            checkout_timeout=checkout_timeout,
                         ),
                         downgraded,
                     )
@@ -867,15 +900,20 @@ class GraphitiService:
         cypher_text: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """Serial pooled execution — or the partition-parallel scatter,
         when this service's degree and the cost gate both say yes."""
         runner = self._parallel_runner(prepared)
         if runner is not None:
             return self._run_parallel(
-                pool, name, cypher_text, prepared, runner, tracker
+                pool, name, cypher_text, prepared, runner, tracker,
+                checkout_timeout,
             )
-        return self._run_prepared(pool, name, cypher_text, prepared, tracker)
+        return self._run_prepared(
+            pool, name, cypher_text, prepared, tracker,
+            checkout_timeout=checkout_timeout,
+        )
 
     def execute_fragment(
         self,
@@ -883,6 +921,7 @@ class GraphitiService:
         cypher_text: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None = None,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """Execute an externally prepared plan under this service's own
         parallel gate — the shard coordinator's seam: each shard serves
@@ -890,7 +929,8 @@ class GraphitiService:
         large enough to clear the threshold partition-scans it."""
         name = backend or self.default_backend
         return self._execute_prepared(
-            self._pool(name), name, cypher_text, prepared, tracker
+            self._pool(name), name, cypher_text, prepared, tracker,
+            checkout_timeout,
         )
 
     def _run_prepared(
@@ -901,15 +941,16 @@ class GraphitiService:
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
         record: bool = True,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """One plan's pooled execution: breaker gate, checkout (bounded by
-        the budget's remaining time), engine guards, damage-aware checkin,
-        and bounded backoff retry when the member turns out to be dead.
+        *checkout_timeout* and the budget's remaining time), engine guards,
+        damage-aware checkin, and bounded backoff retry when the member
+        turns out to be dead or cannot be spawned.
 
         *record* is off for partition executions — the parallel runner
         accounts the query's wall clock once, not per partition."""
         breaker = self.breaker(name)
-        retry = self.retry_policy
         attempt = 1
         while True:
             if tracker is not None:
@@ -925,9 +966,7 @@ class GraphitiService:
             try:
                 try:
                     member = pool.checkout(
-                        timeout=(
-                            None if tracker is None else tracker.remaining_seconds()
-                        )
+                        timeout=_checkout_timeout(tracker, checkout_timeout)
                     )
                 except (PoolClosed, PoolTimeout):
                     raise  # pool congestion is not engine failure: no breaker charge
@@ -935,9 +974,7 @@ class GraphitiService:
                     # Spawning a member failed — the engine refused a fresh
                     # connection, which is exactly what the breaker watches.
                     breaker.record_failure()
-                    if retry.should_retry(attempt):
-                        self._query_retries.inc(backend=name)
-                        self._retry_sleep(retry.delay_for(attempt))
+                    if self._retry_after(attempt, tracker, name):
                         attempt += 1
                         continue
                     raise
@@ -973,11 +1010,7 @@ class GraphitiService:
                         breaker.record_success()
                         raise
                     breaker.record_failure()
-                    if retry.should_retry(attempt) and not (
-                        tracker is not None and tracker.timed_out()
-                    ):
-                        self._query_retries.inc(backend=name)
-                        self._retry_sleep(retry.delay_for(attempt))
+                    if self._retry_after(attempt, tracker, name):
                         attempt += 1
                         continue
                     raise
@@ -989,6 +1022,21 @@ class GraphitiService:
                     return result
             finally:
                 breaker.release_probe(probe)
+
+    def _retry_after(
+        self, attempt: int, tracker: BudgetTracker | None, name: str
+    ) -> bool:
+        """Back off before retrying a transient failure of *attempt* —
+        or ``False`` when the retry policy is spent or the budget's clock
+        already ran out (then the engine error is the honest answer)."""
+        retry = self.retry_policy
+        if not retry.should_retry(attempt) or (
+            tracker is not None and tracker.timed_out()
+        ):
+            return False
+        self._query_retries.inc(backend=name)
+        self._retry_sleep(retry.delay_for(attempt))
+        return True
 
     # -- intra-query parallelism (partition-parallel scans) ------------------
 
@@ -1061,7 +1109,7 @@ class GraphitiService:
         prepared: PreparedQuery,
         runner: FragmentExecutor,
         tracker: BudgetTracker | None,
-        parent=None,
+        checkout_timeout: float | None = None,
     ) -> Table:
         """Scatter *prepared* over rowid partitions and gather.
 
@@ -1078,21 +1126,13 @@ class GraphitiService:
         self._parallel_queries.inc(backend=name, kind=decision.kind or "unknown")
         self._parallel_partitions.observe(float(degree), backend=name)
         start = time.perf_counter()
-        attributes = dict(
+        with self._tracer.span(
+            "parallel.scan",
             backend=name,
             degree=degree,
             relation=decision.relation,
             kind=decision.kind,
-        )
-        # parent=None would force a root span — only re-parent explicitly
-        # when the caller crossed a thread boundary (the async offload);
-        # on the sync path the span attaches to the current query span.
-        scan_context = (
-            self._tracer.span("parallel.scan", **attributes)
-            if parent is None
-            else self._tracer.span("parallel.scan", parent=parent, **attributes)
-        )
-        with scan_context as scan_span:
+        ) as scan_span:
 
             def run_partition(index: int) -> Table:
                 partition = replace(prepared, sql_text=runner.statements[index])
@@ -1103,7 +1143,8 @@ class GraphitiService:
                     index=index,
                 ) as span:
                     partial = self._run_prepared(
-                        pool, name, cypher_text, partition, tracker, record=False
+                        pool, name, cypher_text, partition, tracker,
+                        record=False, checkout_timeout=checkout_timeout,
                     )
                     span.set("rows", len(partial.rows))
                     return partial
@@ -1112,7 +1153,7 @@ class GraphitiService:
                 run_partition, executor=self._partition_pool(degree)
             )
             with self._tracer.span(
-                "parallel.gather", parent=scan_span, backend=name, partitions=degree
+                "parallel.gather", backend=name, partitions=degree
             ) as gather_span:
                 result = runner.gather(partials)
                 gather_span.set("rows", len(result.rows))
@@ -1300,16 +1341,7 @@ class GraphitiService:
         with self._tracer.span(
             "query.batch", backend=name, queries=len(texts), workers=workers
         ) as batch_span:
-            dialect = self.dialect_of(name)
-            effective = self._effective_budget(budget)
-            depth_cap = (
-                effective.max_depth
-                if effective is not None and effective.allow_downgrade
-                else None
-            )
-            for text in dict.fromkeys(texts):  # warm the cache: each once
-                self.prepare(text, dialect, opt_level=opt_level, depth_cap=depth_cap)
-            self._pool(name, min_capacity=workers)
+            self._prepare_batch(texts, name, opt_level, budget, workers)
             results: list[Table | None] = [None] * len(texts)
 
             def execute_one(index: int) -> None:
@@ -1334,6 +1366,23 @@ class GraphitiService:
             )
         assert all(table is not None for table in results)
         return results  # type: ignore[return-value]
+
+    def _prepare_batch(
+        self,
+        texts: Sequence[str],
+        name: str,
+        opt_level: int | None,
+        budget: QueryBudget | None,
+        workers: int,
+    ) -> None:
+        """Before a batch fans out (sync or async): transpile each text
+        once up front — cached and GIL-bound anyway — and raise the pool's
+        capacity to the fan-out."""
+        dialect = self.dialect_of(name)
+        depth_cap = _depth_cap(self._effective_budget(budget))
+        for text in dict.fromkeys(texts):
+            self.prepare(text, dialect, opt_level=opt_level, depth_cap=depth_cap)
+        self._pool(name, min_capacity=workers)
 
     def reference(
         self,
@@ -1441,7 +1490,7 @@ class GraphitiService:
         """Account one execution of *cypher_text* (thread-safe).
 
         Public so serving layers that execute on their own schedule — the
-        async service runs queries on executor threads — feed the same
+        shard coordinator times a whole scatter-gather — feed the same
         :class:`QueryStat` accounting as :meth:`run`/:meth:`run_many`.
         """
         self._record(cypher_text, seconds, backend=backend)

@@ -180,6 +180,13 @@ class BudgetTracker:
         self.rows_produced = 0
         self.depth_reached = 0
 
+    def sibling(self) -> "BudgetTracker":
+        """A tracker for another independent fragment of the same query:
+        the same budget, clock, and start time, its own row/depth counts."""
+        other = BudgetTracker(self.budget, clock=self._clock)
+        other.started_at = self.started_at
+        return other
+
     @property
     def elapsed_seconds(self) -> float:
         return self._clock() - self.started_at

@@ -305,6 +305,226 @@ class TestBackpressure:
                 async_svc.close()
 
 
+@pytest.fixture
+def gated_executes(monkeypatch):
+    """Hold every EMP query inside the engine until ``release`` is set,
+    tracking how many run at once (``peak``)."""
+    from repro.backends.sqlite import SqliteMemoryBackend
+
+    original = SqliteMemoryBackend.execute
+    state = {"active": 0, "peak": 0}
+    lock = threading.Lock()
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+
+    def gated(self, sql_text, *args, **kwargs):
+        if '"EMP"' not in sql_text:
+            return original(self, sql_text, *args, **kwargs)
+        with lock:
+            state["active"] += 1
+            state["peak"] = max(state["peak"], state["active"])
+        entered.release()
+        try:
+            assert release.wait(timeout=30)
+            return original(self, sql_text, *args, **kwargs)
+        finally:
+            with lock:
+                state["active"] -= 1
+
+    monkeypatch.setattr(SqliteMemoryBackend, "execute", gated)
+    state.update(entered=entered, release=release)
+    return state
+
+
+async def wait_entered(gate, count: int) -> None:
+    loop = asyncio.get_running_loop()
+    for _ in range(count):
+        assert await loop.run_in_executor(None, gate["entered"].acquire, True, 30)
+
+
+class TestExecutorBound:
+    def test_independent_runs_bounded_by_executor_threads(
+        self, emp_dept_schema, gated_executes
+    ):
+        """Separately awaited runs — no batch semaphore involved — are
+        still capped at max_concurrency in flight by the executor."""
+        with GraphitiService(emp_dept_schema, pool_size=4) as service:
+            service.load_mock(10, seed=5)
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
+
+            async def drive():
+                tasks = [asyncio.ensure_future(async_svc.run(SCAN)) for _ in range(6)]
+                await wait_entered(gated_executes, 2)
+                gated_executes["release"].set()
+                return await asyncio.gather(*tasks)
+
+            try:
+                results = asyncio.run(drive())
+                assert [len(table) for table in results] == [10] * 6
+                assert gated_executes["peak"] == 2
+                assert service.pool().size <= 2
+            finally:
+                gated_executes["release"].set()
+                async_svc.close()
+
+    def test_run_many_concurrency_below_max_is_honoured(
+        self, emp_dept_schema, gated_executes
+    ):
+        with GraphitiService(emp_dept_schema, pool_size=4) as service:
+            service.load_mock(10, seed=5)
+            async_svc = AsyncGraphitiService(service, max_concurrency=4)
+
+            async def drive():
+                batch = asyncio.ensure_future(
+                    async_svc.run_many([SCAN] * 4, concurrency=1)
+                )
+                await wait_entered(gated_executes, 1)
+                gated_executes["release"].set()
+                return await batch
+
+            try:
+                assert len(asyncio.run(drive())) == 4
+                assert gated_executes["peak"] == 1
+            finally:
+                gated_executes["release"].set()
+                async_svc.close()
+
+    def test_caller_context_reaches_the_engine_thread(
+        self, service, async_service, monkeypatch
+    ):
+        """The pipeline runs in a copy of the awaiting task's context, so
+        context variables set by the caller are visible to the engine call
+        — each task seeing its own value."""
+        import contextvars
+
+        from repro.backends.sqlite import SqliteMemoryBackend
+
+        request = contextvars.ContextVar("request", default=None)
+        seen = []
+        original = SqliteMemoryBackend.execute
+
+        def recording(self, sql_text, *args, **kwargs):
+            if '"EMP"' in sql_text:
+                seen.append(request.get())
+            return original(self, sql_text, *args, **kwargs)
+
+        monkeypatch.setattr(SqliteMemoryBackend, "execute", recording)
+
+        async def tagged(tag: str):
+            request.set(tag)
+            return await async_service.run(SCAN)
+
+        async def main():
+            await asyncio.gather(tagged("a"), tagged("b"))
+
+        asyncio.run(main())
+        assert sorted(seen) == ["a", "b"]
+        assert request.get() is None
+
+
+class TestCheckoutDeadline:
+    """The budget's remaining clock caps the pool wait on both paths —
+    they share one pipeline."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_budget_clock_caps_the_checkout_wait(self, emp_dept_schema, mode):
+        from repro.common.budget import QueryBudget
+
+        budget = QueryBudget(timeout_seconds=0.2)
+        with GraphitiService(emp_dept_schema, pool_size=1) as service:
+            service.load_mock(10, seed=5)
+            # checkout_timeout (30 s) is far looser than the budget.
+            async_svc = AsyncGraphitiService(
+                service, max_concurrency=2, checkout_timeout=30.0
+            )
+            pool = service.pool()
+            hog = pool.checkout()
+            started = time.monotonic()
+            try:
+                with pytest.raises(PoolTimeout):
+                    if mode == "sync":
+                        service.run(SCAN, budget=budget)
+                    else:
+                        asyncio.run(
+                            asyncio.wait_for(
+                                async_svc.run(SCAN, budget=budget), timeout=20
+                            )
+                        )
+                assert time.monotonic() - started < 10
+            finally:
+                pool.checkin(hog)
+                async_svc.close()
+
+
+class TestBudgetClock:
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    def test_time_queued_for_an_executor_thread_counts(
+        self, emp_dept_schema, gated_executes, num_shards
+    ):
+        """The budget's clock starts when ``run`` is awaited: a query that
+        spends its whole timeout queued behind ``max_concurrency`` fails
+        as soon as it reaches the pipeline instead of running in full."""
+        from repro.backends import ShardedGraphitiService
+        from repro.common.budget import QueryBudget, QueryBudgetExceeded
+
+        if num_shards is None:
+            service = GraphitiService(emp_dept_schema, pool_size=2)
+        else:
+            service = ShardedGraphitiService(emp_dept_schema, num_shards=num_shards)
+        with service:
+            service.load_mock(10, seed=5)
+            async_svc = AsyncGraphitiService(service, max_concurrency=1)
+
+            async def drive():
+                holder = asyncio.ensure_future(async_svc.run(SCAN))
+                await wait_entered(gated_executes, num_shards or 1)
+                queued = asyncio.ensure_future(
+                    async_svc.run(SCAN, budget=QueryBudget(timeout_seconds=0.2))
+                )
+                await asyncio.sleep(0.5)
+                gated_executes["release"].set()
+                assert len(await holder) == 10
+                with pytest.raises(QueryBudgetExceeded) as info:
+                    await queued
+                return info.value
+
+            try:
+                error = asyncio.run(drive())
+                assert error.dimension == "timeout"
+                assert error.stage == "service"
+                assert gated_executes["peak"] == (num_shards or 1)
+            finally:
+                gated_executes["release"].set()
+                async_svc.close()
+
+
+class TestPoolMetrics:
+    def test_awaited_runs_feed_the_checkout_wait_histogram(
+        self, service, async_service
+    ):
+        """Every awaited run checks its member out through the pool's own
+        checkout, so the wait histogram counts each one and the state
+        gauges return to the idle baseline afterwards."""
+        backend = service.default_backend
+        metrics = service.metrics
+        waits = metrics.histogram("repro_pool_checkout_wait_seconds")
+        service.pool()  # created before the count is read
+        before = waits.count(backend=backend)
+        runs = 6
+
+        async def main() -> None:
+            for _ in range(runs // 2):
+                await asyncio.gather(async_service.run(SCAN), async_service.run(JOIN))
+
+        asyncio.run(main())
+        assert waits.count(backend=backend) == before + runs
+        pool = service.pool()
+        assert metrics.gauge("repro_pool_in_use").value(backend=backend) == 0
+        assert metrics.gauge("repro_pool_waiters").value(backend=backend) == 0
+        assert metrics.gauge("repro_pool_size").value(backend=backend) == pool.size
+        assert pool.idle_count == pool.size
+
+
 class TestLifecycle:
     def test_owned_service_mode(self, emp_dept_schema):
         async def main():
@@ -342,6 +562,13 @@ class TestLifecycle:
         svc = AsyncGraphitiService(service)
         svc.close()
         svc.close()
+
+    def test_run_after_close_raises_and_shared_service_survives(self, service):
+        svc = AsyncGraphitiService(service)
+        svc.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            asyncio.run(svc.run(SCAN))
+        assert len(service.run(SCAN)) == 40
 
     def test_sync_delegates(self, service, async_service):
         assert async_service.backends() == service.backends()

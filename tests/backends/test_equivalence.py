@@ -17,10 +17,12 @@ from repro.sql.parser import parse_sql
 from repro.sql.pretty import to_sql_text
 from repro.sql.semantics import evaluate_query
 
+JOIN_SQL = "SELECT e.name, d.dname FROM emp AS e JOIN dept AS d ON e.dept = d.dno"
+
 CURATED_SQL = [
     "SELECT e.name FROM emp AS e",
     "SELECT DISTINCT e.name FROM emp AS e",
-    "SELECT e.name, d.dname FROM emp AS e JOIN dept AS d ON e.dept = d.dno",
+    JOIN_SQL,
     "SELECT e.name, d.dname FROM emp AS e LEFT JOIN dept AS d ON e.dept = d.dno",
     "SELECT e.dept, COUNT(*) AS c FROM emp AS e GROUP BY e.dept",
     "SELECT e.name FROM emp AS e WHERE e.dept IN (SELECT d.dno FROM dept AS d)",
@@ -28,6 +30,19 @@ CURATED_SQL = [
     "(SELECT e.id FROM emp AS e WHERE e.dept = d.dno)",
     "SELECT e.name FROM emp AS e UNION ALL SELECT d.dname FROM dept AS d",
     "SELECT e.id AS k, e.name AS n FROM emp AS e ORDER BY k DESC LIMIT 3",
+    # Renderer cross-validation corpus: filters, NULL tests, cross joins,
+    # HAVING, arithmetic, set UNION, and CTEs.
+    "SELECT e.name, e.dept FROM emp AS e WHERE e.dept = 10",
+    "SELECT e.dept FROM emp AS e WHERE e.id = 3",
+    "SELECT e.name, d.dname FROM emp AS e, dept AS d",
+    "SELECT d.dname, COUNT(*) AS c FROM emp AS e JOIN dept AS d "
+    "ON e.dept = d.dno GROUP BY d.dname HAVING COUNT(*) > 1",
+    "SELECT e.id + 1 AS bumped FROM emp AS e",
+    "SELECT e.name FROM emp AS e WHERE e.dept IS NULL",
+    "SELECT e.name FROM emp AS e WHERE e.dept IN (10, 30)",
+    "SELECT e.name FROM emp AS e UNION SELECT d.dname FROM dept AS d",
+    "WITH t AS (SELECT e.id AS i, e.dept AS dd FROM emp AS e WHERE e.id > 1) "
+    "SELECT t.i FROM t WHERE t.dd = 10",
 ]
 
 
@@ -61,8 +76,7 @@ class TestCrossBackendSql:
         )
 
     def test_backends_agree_pairwise(self, db):
-        sql = CURATED_SQL[2]
-        query = parse_sql(sql)
+        query = parse_sql(JOIN_SQL)
         results = {}
         for name in available_backends():
             with load_backend(name, db) as backend:

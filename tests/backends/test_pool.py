@@ -1,9 +1,9 @@
 """ConnectionPool behaviour: checkout/checkin, lazy growth, clones, close,
-and the non-blocking protocol async callers ride on (try_checkout /
-try_reserve + spawn_reserved / waiter callbacks)."""
+and pool discipline under the asyncio serving layer."""
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -197,130 +197,137 @@ class TestClose:
         assert not errors
 
 
-class TestNonBlockingProtocol:
-    """The seam async callers use instead of the blocking ``checkout``."""
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.002)
+    return True
 
-    def test_try_checkout_pops_idle_member(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
-            member = pool.try_checkout()
-            assert member is not None
-            assert member.execute(QUERY).rows[0][0] == 30
-            pool.checkin(member)
 
-    def test_try_checkout_returns_none_when_busy(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            assert pool.try_checkout() is None  # no block, no spawn
-            pool.checkin(member)
+class TestBlockedCheckout:
+    """Wake-ups of checkouts blocked at capacity — the only wait the pool
+    has, shared by threaded callers and the async service's executor."""
 
-    def test_try_reserve_and_spawn_grow_the_pool(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
-            first = pool.checkout()
-            assert pool.try_reserve() is True
-            second = pool.spawn_reserved()  # arrives checked out
-            assert second is not first
-            assert pool.size == 2
-            assert pool.try_reserve() is False  # at capacity now
-            pool.checkin(first)
-            pool.checkin(second)
-
-    def test_try_checkout_after_close_raises(self, emp_dept_db):
+    def test_close_wakes_blocked_checkout(self, emp_dept_db):
+        """A blocked checkout fails fast with PoolClosed when the pool
+        closes instead of sleeping out its timeout."""
         pool = ConnectionPool("sqlite-memory", emp_dept_db, capacity=1)
+        member = pool.checkout()
+        errors = []
+
+        def blocked_checkout():
+            try:
+                pool.checkout(timeout=30)
+            except Exception as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=blocked_checkout)
+        thread.start()
+        assert wait_until(lambda: pool.snapshot()["waiters"] == 1)
         pool.close()
-        with pytest.raises(PoolClosed):
-            pool.try_checkout()
-        with pytest.raises(PoolClosed):
-            pool.try_reserve()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], PoolClosed)
+        pool.checkin(member)
 
-    def test_waiter_fires_on_checkin(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            fired = threading.Event()
-            pool.add_waiter(fired.set)
-            assert not fired.is_set()
-            pool.checkin(member)
-            assert fired.wait(timeout=5)
-
-    def test_waiter_fires_on_close(self, emp_dept_db):
+    def test_one_checkin_wakes_one_blocked_checkout(self, emp_dept_db):
+        """One freed member goes to one waiter; the other stays blocked
+        until the next checkin."""
         pool = ConnectionPool("sqlite-memory", emp_dept_db, capacity=1)
-        fired = threading.Event()
-        pool.add_waiter(fired.set)
-        pool.close()
-        assert fired.wait(timeout=5)
+        member = pool.checkout()
+        acquired = []
+        release = threading.Event()
 
-    def test_cancel_reservation_restores_capacity(self, emp_dept_db):
-        """A reservation whose spawn never runs (cancelled dispatch) must
-        release its slot, or the pool can never grow to capacity again."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
-            first = pool.checkout()
-            assert pool.try_reserve() is True
-            assert pool.try_reserve() is False  # slot held
-            pool.cancel_reservation()
-            assert pool.try_reserve() is True  # slot is back
-            second = pool.spawn_reserved()
-            pool.checkin(first)
-            pool.checkin(second)
-
-    def test_remove_waiter_reports_consumed_hint(self, emp_dept_db):
-        """remove_waiter returns False once the callback was popped for
-        firing — the signal a timed-out waiter uses to hand its hint on."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            fired = threading.Event()
-            token = pool.add_waiter(fired.set)
-            pool.checkin(member)
-            assert fired.wait(timeout=5)
-            assert pool.remove_waiter(token) is False  # already consumed
-            live = pool.add_waiter(lambda: None)
-            assert pool.remove_waiter(live) is True
-
-    def test_wake_waiter_hands_hint_to_next_in_line(self, emp_dept_db):
-        """The lost-wakeup fix: a woken waiter that cannot use its hint
-        (timeout, cancellation) re-fires it so the next waiter proceeds."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            first, second = threading.Event(), threading.Event()
-            token = pool.add_waiter(first.set)
-            pool.add_waiter(second.set)
-            pool.checkin(member)  # wakes the first waiter only
-            assert first.wait(timeout=5)
-            assert not second.is_set()
-            # First waiter times out instead of retrying: pass the hint on.
-            assert pool.remove_waiter(token) is False
-            pool.wake_waiter()
-            assert second.wait(timeout=5)
-
-    def test_removed_waiter_never_fires(self, emp_dept_db):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            fired = threading.Event()
-            token = pool.add_waiter(fired.set)
-            pool.remove_waiter(token)
-            pool.remove_waiter(token)  # idempotent
-            pool.checkin(member)
-            assert not fired.is_set()
-
-    def test_waiter_exceptions_do_not_break_checkin(self, emp_dept_db):
-        """A dead event loop's callback raising must not poison the pool."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            pool.add_waiter(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-            pool.checkin(member)  # must not raise
-            assert pool.idle_count == 1
-
-    def test_waiters_fire_once_per_registration(self, emp_dept_db):
-        """One freed member wakes one waiter (FIFO), not the whole herd."""
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=1) as pool:
-            member = pool.checkout()
-            first, second = threading.Event(), threading.Event()
-            pool.add_waiter(first.set)
-            pool.add_waiter(second.set)
-            pool.checkin(member)
-            assert first.wait(timeout=5)
-            assert not second.is_set()
-            other = pool.checkout()
+        def blocked_checkout():
+            other = pool.checkout(timeout=10)
+            acquired.append(other)
+            release.wait(timeout=10)
             pool.checkin(other)
-            assert second.wait(timeout=5)
+
+        threads = [threading.Thread(target=blocked_checkout) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        assert wait_until(lambda: pool.snapshot()["waiters"] == 2)
+        pool.checkin(member)
+        assert wait_until(lambda: len(acquired) == 1)
+        assert pool.snapshot()["waiters"] == 1
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert acquired == [member, member]
+        assert pool.size == 1
+        pool.close()
+
+    def test_timed_out_checkout_does_not_swallow_the_wakeup(self, emp_dept_db):
+        """A waiter that gave up must not consume the notification meant
+        for one still waiting."""
+        pool = ConnectionPool("sqlite-memory", emp_dept_db, capacity=1)
+        member = pool.checkout()
+        acquired = []
+
+        def patient_checkout():
+            other = pool.checkout(timeout=10)
+            acquired.append(other)
+            pool.checkin(other)
+
+        thread = threading.Thread(target=patient_checkout)
+        thread.start()
+        assert wait_until(lambda: pool.snapshot()["waiters"] == 1)
+        with pytest.raises(PoolTimeout):
+            pool.checkout(timeout=0.05)
+        pool.checkin(member)
+        thread.join(timeout=10)
+        assert acquired == [member]
+        pool.close()
+
+    def test_failed_spawn_wakes_blocked_checkout(self, emp_dept_db, monkeypatch):
+        """A spawn that fails frees its slot and wakes a checkout blocked
+        behind it, which then spawns into the slot itself."""
+        from repro.backends import pool as pool_module
+
+        original = pool_module.load_backend
+        gate = threading.Event()
+        calls = []
+
+        def first_spawn_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                gate.wait(timeout=10)
+                raise RuntimeError("engine exploded")
+            return original(*args, **kwargs)
+
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
+            first = pool.checkout()
+            monkeypatch.setattr(
+                "repro.backends.pool.load_backend", first_spawn_fails
+            )
+            errors, acquired = [], []
+
+            def failing_spawn():
+                try:
+                    pool.checkout(timeout=10)
+                except RuntimeError as error:
+                    errors.append(error)
+
+            def blocked_checkout():
+                acquired.append(pool.checkout(timeout=10))
+
+            spawner = threading.Thread(target=failing_spawn)
+            spawner.start()
+            assert wait_until(lambda: len(calls) == 1)
+            waiter = threading.Thread(target=blocked_checkout)
+            waiter.start()
+            assert wait_until(lambda: pool.snapshot()["waiters"] == 1)
+            gate.set()
+            spawner.join(timeout=10)
+            waiter.join(timeout=10)
+            assert [str(error) for error in errors] == ["engine exploded"]
+            assert len(acquired) == 1 and acquired[0] is not first
+            assert pool.size == 2
+            pool.checkin(first)
+            pool.checkin(acquired[0])
 
 
 class TestAsyncEdgeCases:
@@ -412,10 +419,9 @@ class TestAsyncEdgeCases:
 
     def test_spawn_reserved_slot_released_on_failure(self, emp_dept_db, monkeypatch):
         """A failed spawn must release its reserved slot so capacity is not
-        leaked (the async layer spawns on executor threads)."""
+        leaked (async queries spawn through checkout on executor threads)."""
         with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
             first = pool.checkout()
-            assert pool.try_reserve() is True
 
             def broken_load(*args, **kwargs):
                 raise RuntimeError("engine exploded")
@@ -424,10 +430,12 @@ class TestAsyncEdgeCases:
                 "repro.backends.pool.load_backend", broken_load
             )
             with pytest.raises(RuntimeError, match="engine exploded"):
-                pool.spawn_reserved()
-            # The slot is free again: a new reservation must succeed.
-            assert pool.try_reserve() is True
+                pool.checkout(timeout=5)
+            # The slot is free again: the next checkout spawns into it
+            # instead of timing out at a capacity the failure still holds.
             monkeypatch.undo()
-            second = pool.spawn_reserved()
+            second = pool.checkout(timeout=5)
+            assert second is not first
+            assert pool.size == 2
             pool.checkin(first)
             pool.checkin(second)

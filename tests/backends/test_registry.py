@@ -108,6 +108,20 @@ class TestLoadBackend:
         backend.close()
         assert not os.path.exists(path)
 
+    @pytest.mark.parametrize("name", ["sqlite-memory", "sqlite-file"])
+    def test_context_manager_closes_connection(self, name, database):
+        with load_backend(name, database) as backend:
+            assert backend.execute("SELECT 1 AS one").rows == [(1,)]
+        assert backend.connection is None
+        assert not backend.ping()
+
+    def test_create_indexes_without_declared_keys_is_a_no_op(self, database):
+        with load_backend("sqlite-memory", database, indexes=False) as backend:
+            backend.create_indexes()  # no key constraints declared
+            backend.create_indexes()  # and idempotent
+            result = backend.execute('SELECT COUNT(*) AS c FROM "t"')
+            assert result.rows == [(3,)]
+
     def test_explain_returns_plan_text(self, database):
         with load_backend("sqlite-memory", database) as backend:
             plan = backend.explain('SELECT "a" FROM "t"')

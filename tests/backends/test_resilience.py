@@ -29,6 +29,8 @@ from repro.backends import (
     available_backends,
     injected_faults,
 )
+from repro.backends.faults import active_plan
+from repro.common.budget import QueryBudget
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
@@ -210,6 +212,47 @@ class TestSpawnFailure:
                 assert svc.metrics.counter("repro_query_retries_total").value(
                     backend="faulty"
                 ) >= 1
+
+
+class _SpawnClockBudget(QueryBudget):
+    """A timeout budget whose clock reads the fault plan's spawn count:
+    one "second" passes per member creation, so a 0.5 s budget expires
+    exactly when the doomed spawn fails — deterministically."""
+
+    def start(self, clock=None):
+        plan = active_plan()
+        return super().start(clock=lambda: float(plan.spawns))
+
+
+class TestSpawnFailureUnderExpiredBudget:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_engine_error_raised_without_a_retry(self, social_schema, mode):
+        """A spawn that fails after the budget's clock ran out is not
+        retried (no backoff sleep that could only end in a timeout): the
+        engine's own error surfaces at once, on both serving paths."""
+        with injected_faults(fail_spawns=(2,)) as plan:
+            with faulty_service(social_schema) as svc:
+                pool = svc.pool()
+                hog = pool.checkout()  # the next checkout must spawn
+                budget = _SpawnClockBudget(timeout_seconds=0.5)
+                try:
+                    with pytest.raises(FaultInjected):
+                        if mode == "sync":
+                            svc.run(SCAN, budget=budget)
+                        else:
+
+                            async def main():
+                                async with AsyncGraphitiService(svc) as async_svc:
+                                    await async_svc.run(SCAN, budget=budget)
+
+                            asyncio.run(main())
+                finally:
+                    pool.checkin(hog)
+                assert plan.events == [("fail_spawn", 2)]
+                assert svc.metrics.counter("repro_query_retries_total").total() == 0
+                snapshot = svc.pool_snapshots()["faulty"]
+                assert snapshot["in_use"] == 0
+                assert snapshot["idle"] == snapshot["size"] == 1
 
 
 class TestCircuitBreakerUnit:

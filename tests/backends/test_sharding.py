@@ -30,7 +30,9 @@ from collections import Counter
 import pytest
 
 from repro.backends import (
+    AsyncGraphitiService,
     AsyncShardedGraphitiService,
+    PoolTimeout,
     ShardPartitioner,
     ShardedGraphitiService,
     stable_shard_hash,
@@ -436,3 +438,53 @@ class TestAsyncShardedService:
         asyncio.run(drive())
         # Still serving after the async wrapper exited.
         assert len(sharded_service.run("MATCH (u:USER) RETURN u.uid")) == ROWS
+
+    def test_plain_async_wrapper_serves_a_sharded_coordinator(self, sharded_service):
+        """AsyncGraphitiService wraps either service: the coordinator's
+        ``_serve`` has the same signature as the unsharded one."""
+        queries = [
+            "MATCH (u:USER) RETURN u.age, Count(*)",
+            "MATCH (a:USER)-[f:FOLLOWS]->(b:USER) RETURN a.uname",  # fallback
+        ]
+
+        async def drive():
+            async with AsyncGraphitiService(sharded_service) as service:
+                return await service.run_many(queries, concurrency=2)
+
+        for text, table in zip(queries, asyncio.run(drive())):
+            assert tables_equivalent(sharded_service.reference(text), table)
+
+    def test_owned_mode_builds_a_sharded_coordinator(self):
+        async def drive():
+            async with AsyncShardedGraphitiService(
+                SOCIAL.graph_schema, num_shards=2, pool_size=2
+            ) as service:
+                await service.load_mock(10, seed=42)
+                assert isinstance(service.sharded, ShardedGraphitiService)
+                assert service.sharded.num_shards == 2
+                return await service.run("MATCH (u:USER) RETURN u.uid")
+
+        assert len(asyncio.run(drive())) == 10
+
+    def test_checkout_timeout_reaches_the_shards(self):
+        """The async checkout_timeout rides the coordinator's
+        execute_fragment seam: one exhausted shard pool raises PoolTimeout
+        instead of stalling the scatter."""
+        with ShardedGraphitiService(
+            SOCIAL.graph_schema, num_shards=2, pool_size=1
+        ) as sharded:
+            sharded.load_mock(10, seed=42)
+            shard_pool = sharded._shards[1].pool()
+            hog = shard_pool.checkout()
+            service = AsyncShardedGraphitiService(sharded, checkout_timeout=0.1)
+            try:
+                with pytest.raises(PoolTimeout):
+                    asyncio.run(
+                        asyncio.wait_for(
+                            service.run("MATCH (u:USER) RETURN u.uid"), timeout=20
+                        )
+                    )
+            finally:
+                shard_pool.checkin(hog)
+                service.close()
+            assert len(sharded.run("MATCH (u:USER) RETURN u.uid")) == 10

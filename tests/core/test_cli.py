@@ -114,3 +114,22 @@ class TestMisc:
 
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
+
+
+class TestRunAsyncBatch:
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_async_batch_serves_plain_and_sharded(self, shards, capsys):
+        """``--async-workers`` wraps whichever service ``--shards`` built."""
+        code = main(
+            [
+                "run", "--example", "emp-dept", "--rows", "12",
+                "--cypher", "MATCH (n:EMP) RETURN n.name",
+                "--cypher", "MATCH (m:DEPT) RETURN m.dname",
+                "--async-workers", "2", "--shards", str(shards),
+            ]
+        )
+        assert code in (0, None)
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "24 rows on sqlite-memory" in summary
+        assert "(2 queries, async concurrency 2)" in summary
+        assert (", 2 shards" in summary) == (shards == 2)

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.backends import load_backend
 from repro.checkers.generation import InstanceGenerator
 from repro.core.sdt import infer_sdt
 from repro.core.transpile import transpile
 from repro.cypher.parser import parse_cypher
-from repro.execution.sqlite_backend import run_sql_text
 from repro.relational.instance import Table, tables_equivalent
 from repro.sql.pretty import to_cte_sql
 from repro.sql.semantics import evaluate_query
@@ -18,7 +18,8 @@ def cross_validate(text, schema, query, seeds=6):
     for _ in range(seeds):
         instance = generator.random_instance(3)
         reference = evaluate_query(query, instance)
-        rendered = run_sql_text(text, instance)
+        with load_backend("sqlite-memory", instance, indexes=False) as backend:
+            rendered = backend.execute(text)
         bag = Table(reference.attributes, list(reference.rows))
         assert tables_equivalent(bag, rendered), text
 
