@@ -2,8 +2,8 @@
 """Aggregate every tracked ``BENCH_*.json`` into one trajectory table.
 
 Each tracked benchmark baseline at the repo root (optimizer latency,
-traversal plans, serving throughput, sharded scatter-gather, adaptive
-re-planning, partition-parallel scans, ...) carries a ``meta`` block and
+traversal plans, serving throughput, adaptive re-planning,
+partition-parallel scans, ...) carries a ``meta`` block and
 a scalar-friendly ``summary``.  This script prints them side by side so
 one CI log line answers "what did every perf lane look like on this
 run" without opening five JSON files.

@@ -24,17 +24,12 @@ The subsystem has four layers:
   the asyncio serving layer over the same pools and caches (``await
   run``/``run_many``: each query awaits one executor call of the sync
   pipeline, on an executor of ``max_concurrency`` threads).
-* :mod:`repro.backends.sharding` — :class:`ShardedGraphitiService` /
-  :class:`AsyncShardedGraphitiService`: hash-partitioned horizontal
-  sharding with scatter-gather execution (fragmentable plans fan out to
-  per-shard services and merge at the coordinator; everything else falls
-  back transparently to an unsharded backend).
 * :mod:`repro.backends.executor` — intra-query parallelism:
   :func:`plan_parallelism` gates fragmentable scans on estimated row
   counts, :class:`FragmentExecutor` splits the scanned relation into
   disjoint rowid ranges and scatter-gathers them over pooled
-  connections, and :func:`run_indexed` is the shared batch fan-out loop
-  both ``run_many`` implementations use.
+  connections, and :func:`run_indexed` is the shared fan-out loop behind
+  ``run_many`` batches and the partition scatter.
 * :mod:`repro.backends.guards` — :class:`RetryPolicy` (bounded backoff
   with jitter) and :class:`CircuitBreaker` (per-backend load shedding),
   the recovery primitives both serving layers compose.
@@ -91,12 +86,6 @@ from repro.backends.executor import (
     plan_parallelism,
     run_indexed,
 )
-from repro.backends.sharding import (
-    AsyncShardedGraphitiService,
-    ShardPartitioner,
-    ShardedGraphitiService,
-    stable_shard_hash,
-)
 from repro.backends.guards import (
     NO_RETRY,
     CircuitBreaker,
@@ -142,10 +131,6 @@ __all__ = [
     "default_cache_dir",
     "CacheInfo",
     "AsyncGraphitiService",
-    "AsyncShardedGraphitiService",
-    "ShardPartitioner",
-    "ShardedGraphitiService",
-    "stable_shard_hash",
     "GraphitiService",
     "PARALLEL_ROW_THRESHOLD",
     "FragmentExecutor",

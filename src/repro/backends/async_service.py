@@ -24,10 +24,9 @@ loop and then awaits *one* executor call of that pipeline, so:
 The cost model is one executor thread per in-flight query.
 
 The async service can own its service (pass a
-:class:`~repro.graph.schema.GraphSchema`) or wrap an existing one — a
-:class:`GraphitiService` or a
-:class:`~repro.backends.sharding.ShardedGraphitiService` — in which case
-caches, pools, and statistics are shared with sync callers.
+:class:`~repro.graph.schema.GraphSchema`) or wrap an existing
+:class:`GraphitiService`, in which case caches, pools, and statistics are
+shared with sync callers.
 
 Typical use::
 
@@ -65,11 +64,10 @@ class AsyncGraphitiService:
     Parameters
     ----------
     service_or_schema:
-        An existing service to share — :class:`GraphitiService` or
-        :class:`~repro.backends.sharding.ShardedGraphitiService` — or a
-        :class:`GraphSchema` from which to build an owned
-        :attr:`service_class` (``**service_kwargs`` forwarded; the owned
-        service is closed with this object).
+        An existing :class:`GraphitiService` to share, or a
+        :class:`GraphSchema` from which to build an owned one
+        (``**service_kwargs`` forwarded; the owned service is closed with
+        this object).
     max_concurrency:
         Number of executor threads, and so the ceiling on simultaneously
         executing queries — the backpressure valve.
@@ -79,12 +77,9 @@ class AsyncGraphitiService:
         (``None``: wait forever).
     """
 
-    #: What a :class:`GraphSchema` argument builds.
-    service_class: type = GraphitiService
-
     def __init__(
         self,
-        service_or_schema: Any,
+        service_or_schema: GraphitiService | GraphSchema,
         *,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
         checkout_timeout: float | None = DEFAULT_CHECKOUT_TIMEOUT,
@@ -93,7 +88,7 @@ class AsyncGraphitiService:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         if isinstance(service_or_schema, GraphSchema):
-            self._service = self.service_class(service_or_schema, **service_kwargs)
+            self._service = GraphitiService(service_or_schema, **service_kwargs)
             self._owns_service = True
         else:
             if service_kwargs:

@@ -1,18 +1,15 @@
 """Intra-query parallelism: partition-parallel scans over one connection pool.
 
-The sharding coordinator (:mod:`repro.backends.sharding`) scales *across*
-processes by hash-partitioning the data; this module scales *within* one
-node without moving a single row.  The same fragment classifier
-(:mod:`repro.sql.fragment`) that decides whether a plan can scatter over
-shards also tells us whether it can scatter over **rowid range partitions**
-of the scanned base table:
+One query's scan is split into **rowid range partitions** of the scanned
+base table and the partitions run concurrently on pooled connections,
+without moving a single row.  The fragment classifier
+(:mod:`repro.sql.fragment`) decides whether a plan can scatter that way:
 
 * ``shard_local`` fragments bag-union — each input row lives in exactly
   one rowid range, so the union of per-partition results is the answer;
 * ``merge_aggregable`` fragments fold — partitions compute partial
   aggregates (Avg decomposed into Sum+Count) and
-  :func:`~repro.sql.fragment.merge_partials` combines them, exactly as
-  the shard coordinator does.
+  :func:`~repro.sql.fragment.merge_partials` combines them.
 
 Partition SQL is built by rewriting the fragment's scanned relation to a
 synthetic CTE that selects the same columns restricted to one rowid range::
@@ -37,9 +34,9 @@ scan buys nothing and pays thread + merge overhead.  The verdict, either
 way, is recorded in :attr:`~repro.sql.planner.PlanReport.parallelism` so
 ``repro explain`` shows the chosen degree or the reason it stayed serial.
 
-The module also hosts :func:`run_indexed`, the one batch fan-out loop the
-service and the shard coordinator both use for ``run_many`` — in-order
-results and first-failure propagation live in a single place.
+The module also hosts :func:`run_indexed`, the one fan-out loop behind
+``run_many`` batches and the partition scatter — in-order results and
+first-failure propagation live in a single place.
 """
 
 from __future__ import annotations
@@ -66,8 +63,8 @@ PARALLEL_ROW_THRESHOLD = 2048.0
 
 #: Name of the synthetic range-restricted CTE each partition scans.  The
 #: double underscore keeps it out of the way of induced relation names
-#: (Cypher identifiers cannot start with ``_``), mirroring the
-#: ``__shard_avg_*`` aliases of the fragment seam.
+#: (Cypher identifiers cannot start with ``_``), mirroring the hidden Avg
+#: aliases of the fragment seam.
 PARTITION_CTE = "__partition"
 
 
@@ -295,7 +292,7 @@ class FragmentExecutor:
     verdict, and the rendered per-partition SQL.  Execution mechanics —
     pooled connections, retry, budgets, spans — stay with the serving
     layer, which passes a ``run_partition(index) -> Table`` callback to
-    :meth:`scatter_gather`.
+    :meth:`scatter` and merges the partials with :meth:`gather`.
     """
 
     fragment: FragmentPlan
@@ -343,20 +340,13 @@ class FragmentExecutor:
     def gather(self, partials: list[Table]) -> Table:
         """Merge per-partition partials into the query's answer.
 
-        Reuses the shard coordinator's rules: bag union for shard-local
-        fragments (DISTINCT re-applied), distributive folds and the Avg
-        Sum/Count recomposition for merge-aggregable ones, ORDER
-        BY/LIMIT re-applied over the merged rows.
+        Applies the :func:`~repro.sql.fragment.merge_partials` rules: bag
+        union for shard-local fragments (DISTINCT re-applied),
+        distributive folds and the Avg Sum/Count recomposition for
+        merge-aggregable ones, ORDER BY/LIMIT re-applied over the merged
+        rows.
         """
         return merge_partials(self.fragment, partials)
-
-    def scatter_gather(
-        self,
-        run_partition: Callable[[int], Table],
-        executor: ThreadPoolExecutor | None = None,
-    ) -> Table:
-        """:meth:`scatter` then :meth:`gather`, for callers without spans."""
-        return self.gather(self.scatter(run_partition, executor=executor))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +362,14 @@ def run_indexed(
 ) -> None:
     """Run ``execute_one(0..total-1)``, fanned across *workers* threads.
 
-    The single batch loop behind ``GraphitiService.run_many``,
-    ``ShardedGraphitiService.run_many``, and the partition scatter, so
-    their semantics cannot drift: callers write results into their own
-    index-addressed list (in-order by construction), every submitted call
-    runs to completion even when a sibling fails, and the first failure
-    (in index order) propagates.  With *executor* the work runs on the
-    caller's persistent pool; otherwise a throwaway pool is used.
-    ``workers == 1`` (or a single item) degenerates to an inline loop.
+    The single fan-out loop behind ``GraphitiService.run_many`` and the
+    partition scatter, so their semantics cannot drift: callers write
+    results into their own index-addressed list (in-order by
+    construction), every submitted call runs to completion even when a
+    sibling fails, and the first failure (in index order) propagates.
+    With *executor* the work runs on the caller's persistent pool;
+    otherwise a throwaway pool is used.  ``workers == 1`` (or a single
+    item) degenerates to an inline loop.
     """
     if total <= 0:
         return

@@ -1,11 +1,11 @@
 """Partition-parallel scan benchmark: per-query latency serial vs N-way.
 
 The tracked intra-query parallelism baseline (``BENCH_parallel.json``,
-alongside the optimizer-latency, concurrency, sharding, and adaptive
-ones).  Where ``BENCH_sharding.json`` measures *inter*-query scaling of a
-batch across shards, this one measures *intra*-query scaling: the same
-single query served serially and partition-scattered at degree 2/4/8 over
-the same loaded data, on the same connection pool.
+alongside the optimizer-latency, concurrency, and adaptive ones).  Where
+``BENCH_throughput.json`` measures *inter*-query scaling of a batch across
+worker threads, this one measures *intra*-query scaling: the same single
+query served serially and partition-scattered at degree 2/4/8 over the
+same loaded data, on the same connection pool.
 
 The workload is fragment-shaped — one scan-heavy headline query
 (``large-scan``: a selective filter whose cost is the full table scan,

@@ -334,8 +334,8 @@ class GraphitiService:
     *parallel_row_threshold* (default
     :data:`repro.backends.executor.PARALLEL_ROW_THRESHOLD`) are split
     into K disjoint rowid range partitions, scattered over pooled
-    connections, and merged with the shard coordinator's rules — see
-    :mod:`repro.backends.executor`.
+    connections, and merged with the :mod:`repro.sql.fragment` rules —
+    see :mod:`repro.backends.executor`.
     """
 
     def __init__(
@@ -849,9 +849,19 @@ class GraphitiService:
         )
         pool = self._pool(name)
         try:
-            result = self._execute_prepared(
-                pool, name, cypher_text, prepared, tracker, checkout_timeout
-            )
+            # Serial pooled execution — or the partition-parallel scatter,
+            # when this service's degree and the cost gate both say yes.
+            runner = self._parallel_runner(prepared)
+            if runner is not None:
+                result = self._run_parallel(
+                    pool, name, cypher_text, prepared, runner, tracker,
+                    checkout_timeout,
+                )
+            else:
+                result = self._run_prepared(
+                    pool, name, cypher_text, prepared, tracker,
+                    checkout_timeout=checkout_timeout,
+                )
             if depth_cap is None:
                 # Depth-capped plans are budget variants — their row counts
                 # say nothing about the normal plan's estimate.
@@ -892,46 +902,6 @@ class GraphitiService:
                 except QueryBudgetExceeded as final:
                     final.attempted_downgrade = True
                     raise
-
-    def _execute_prepared(
-        self,
-        pool: ConnectionPool,
-        name: str,
-        cypher_text: str,
-        prepared: PreparedQuery,
-        tracker: BudgetTracker | None,
-        checkout_timeout: float | None = None,
-    ) -> Table:
-        """Serial pooled execution — or the partition-parallel scatter,
-        when this service's degree and the cost gate both say yes."""
-        runner = self._parallel_runner(prepared)
-        if runner is not None:
-            return self._run_parallel(
-                pool, name, cypher_text, prepared, runner, tracker,
-                checkout_timeout,
-            )
-        return self._run_prepared(
-            pool, name, cypher_text, prepared, tracker,
-            checkout_timeout=checkout_timeout,
-        )
-
-    def execute_fragment(
-        self,
-        backend: str | None,
-        cypher_text: str,
-        prepared: PreparedQuery,
-        tracker: BudgetTracker | None = None,
-        checkout_timeout: float | None = None,
-    ) -> Table:
-        """Execute an externally prepared plan under this service's own
-        parallel gate — the shard coordinator's seam: each shard serves
-        its fragment through here, so a shard whose local slice is still
-        large enough to clear the threshold partition-scans it."""
-        name = backend or self.default_backend
-        return self._execute_prepared(
-            self._pool(name), name, cypher_text, prepared, tracker,
-            checkout_timeout,
-        )
 
     def _run_prepared(
         self,
@@ -1045,7 +1015,7 @@ class GraphitiService:
     ) -> tuple[ParallelDecision, FragmentExecutor | None]:
         """The partition gate's verdict (and executor, when it opened) for
         *prepared* under this service's degree — computed once per
-        prepared query and cached; records the verdict in
+        prepared query and data load, and cached; records the verdict in
         ``PlanReport.parallelism`` so ``repro explain`` shows it."""
         key = (
             prepared.fingerprint,
@@ -1059,7 +1029,8 @@ class GraphitiService:
             stats = self._stats
             feedback = self._feedback.get(prepared.cypher_text)
             row_scale = feedback.row_scale if feedback is not None else 1.0
-        if state is None:
+        computed = state is None
+        if computed:
             dialect = dialect_for(prepared.dialect)
             fragment = fragment_query(prepared.sql_ast, self.sdt.schema)
             decision = plan_parallelism(
@@ -1085,10 +1056,13 @@ class GraphitiService:
             with self._lock:
                 self._parallel_states[key] = state
         decision, runner = state
-        # Written once per prepared query (the plan object travels with the
-        # cache entry) — rebuilding the dict on every serve would tax the
-        # gated-serial hot path.
-        if prepared.plan is not None and prepared.plan.parallelism is None:
+        # Written when the verdict is computed — below opt level 2 a reload
+        # keeps the same cache entry, whose old verdict is now stale — or
+        # when the entry has none yet; rebuilding the dict on every serve
+        # would tax the gated-serial hot path.
+        if prepared.plan is not None and (
+            computed or prepared.plan.parallelism is None
+        ):
             prepared.plan.parallelism = decision.to_dict()
         return state
 
@@ -1489,9 +1463,8 @@ class GraphitiService:
     ) -> None:
         """Account one execution of *cypher_text* (thread-safe).
 
-        Public so serving layers that execute on their own schedule — the
-        shard coordinator times a whole scatter-gather — feed the same
-        :class:`QueryStat` accounting as :meth:`run`/:meth:`run_many`.
+        Public so callers that time executions on their own schedule feed
+        the same :class:`QueryStat` accounting as :meth:`run`/:meth:`run_many`.
         """
         self._record(cypher_text, seconds, backend=backend)
 

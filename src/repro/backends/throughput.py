@@ -100,7 +100,7 @@ def available_cpus() -> int:
 def speedup_note(cpu_count: int | None = None) -> str:
     """The single-CPU qualifier every concurrency bench records in its meta.
 
-    Parallel speedups (worker threads, async gather, shard scatter) need
+    Parallel speedups (worker threads, async gather, partition scans) need
     hardware: on a single-CPU host the lanes time-slice one core and
     speedups hover near 1.0, so the reports qualify their numbers with
     this shared note instead of each bench wording its own.

@@ -235,15 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "instead of worker threads (0, the default, stays sync)",
     )
     run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="hash-partition the data across N shards and serve by "
-        "scatter-gather (0, the default, stays unsharded; non-fragmentable "
-        "queries fall back to one backend transparently)",
-    )
-    run_parser.add_argument(
         "--parallel",
         type=int,
         default=1,
@@ -320,14 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optimization level: 0 raw, 1 rule rewrites, 2 cost-based (default 2)",
     )
     explain_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="trace through an N-shard scatter-gather coordinator (the plan "
-        "section then shows the fragment classification and merge rules)",
-    )
-    explain_parser.add_argument(
         "--parallel",
         type=int,
         default=1,
@@ -389,15 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "both (default both)",
     )
     throughput_parser.add_argument(
-        "--shards",
-        action="append",
-        type=int,
-        dest="shard_counts",
-        metavar="N",
-        help="measure the sharded scatter-gather lane at N shards instead "
-        "(repeatable; writes BENCH_sharding.json unless --out is given)",
-    )
-    throughput_parser.add_argument(
         "--parallel",
         action="append",
         type=int,
@@ -410,9 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         type=Path,
         default=None,
-        help="output JSON path (default ./BENCH_throughput.json, "
-        "./BENCH_sharding.json with --shards, or ./BENCH_parallel.json "
-        "with --parallel)",
+        help="output JSON path (default ./BENCH_throughput.json, or "
+        "./BENCH_parallel.json with --parallel)",
     )
 
     backends_parser = subparsers.add_parser(
@@ -426,14 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     backends_parser.add_argument(
         "--rows", type=int, default=500, help="mock rows per table for --stats"
-    )
-    backends_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --stats: serve the workload through an N-shard "
-        "coordinator and report per-shard pool/cache counters",
     )
     backends_parser.add_argument(
         "--json",
@@ -509,7 +474,6 @@ def _command_run(arguments) -> int:
         )
     workers = max(1, arguments.workers)
     async_workers = max(0, arguments.async_workers)
-    shards = max(0, getattr(arguments, "shards", 0))
     parallel = max(1, getattr(arguments, "parallel", 1))
     adaptive_kwargs = {}
     feedback_ratio = getattr(arguments, "feedback_ratio", None)
@@ -518,35 +482,15 @@ def _command_run(arguments) -> int:
         adaptive_kwargs["feedback_ratio"] = (
             feedback_ratio if feedback_ratio > 1.0 else None
         )
-    if shards > 0:
-        from repro.backends import ShardedGraphitiService
-
-        def make_service():
-            return ShardedGraphitiService(
-                schema,
-                num_shards=shards,
-                default_backend=arguments.backend,
-                opt_level=arguments.opt,
-                pool_size=max(4, workers, async_workers, parallel),
-                persistent_cache=arguments.persistent_cache or None,
-                parallelism=parallel,
-                **adaptive_kwargs,
-            )
-
-    else:
-
-        def make_service():
-            return GraphitiService(
-                schema,
-                default_backend=arguments.backend,
-                opt_level=arguments.opt,
-                pool_size=max(4, workers, async_workers, parallel),
-                persistent_cache=arguments.persistent_cache or None,
-                parallelism=parallel,
-                **adaptive_kwargs,
-            )
-
-    with make_service() as service:
+    with GraphitiService(
+        schema,
+        default_backend=arguments.backend,
+        opt_level=arguments.opt,
+        pool_size=max(4, workers, async_workers, parallel),
+        persistent_cache=arguments.persistent_cache or None,
+        parallelism=parallel,
+        **adaptive_kwargs,
+    ) as service:
         service.load_mock(arguments.rows, seed=arguments.seed)
         try:
             if arguments.show_sql:
@@ -590,10 +534,9 @@ def _command_run(arguments) -> int:
             batch = f" ({len(queries)} queries, async concurrency {async_workers})"
         else:
             batch = f" ({len(queries)} queries, {workers} workers)"
-        sharded = f", {shards} shards" if shards > 0 else ""
         par = f", parallel {parallel}" if parallel > 1 else ""
         print(
-            f"-- {total_rows} rows on {arguments.backend}{sharded}{par}{batch} "
+            f"-- {total_rows} rows on {arguments.backend}{par}{batch} "
             f"({seconds * 1000:.2f} ms)"
         )
         if arguments.persistent_cache:
@@ -613,26 +556,13 @@ def _command_explain(arguments) -> int:
     from repro.observability.explain import explain_query
 
     schema = _load_graph_schema(arguments)
-    shards = max(0, getattr(arguments, "shards", 0))
     parallel = max(1, getattr(arguments, "parallel", 1))
-    if shards > 0:
-        from repro.backends import ShardedGraphitiService
-
-        service_context = ShardedGraphitiService(
-            schema,
-            num_shards=shards,
-            default_backend=arguments.backend,
-            opt_level=arguments.opt,
-            parallelism=parallel,
-        )
-    else:
-        service_context = GraphitiService(
-            schema,
-            default_backend=arguments.backend,
-            opt_level=arguments.opt,
-            parallelism=parallel,
-        )
-    with service_context as service:
+    with GraphitiService(
+        schema,
+        default_backend=arguments.backend,
+        opt_level=arguments.opt,
+        parallelism=parallel,
+    ) as service:
         service.load_mock(arguments.rows, seed=arguments.seed)
         try:
             report = explain_query(
@@ -671,8 +601,6 @@ def _command_bench_throughput(arguments) -> int:
 
     if getattr(arguments, "parallel_degrees", None):
         return _bench_throughput_parallel(arguments)
-    if arguments.shard_counts:
-        return _bench_throughput_sharded(arguments)
     from repro.backends.throughput import MODES, format_report, run_bench
 
     out_path = arguments.out or Path("BENCH_throughput.json")
@@ -726,34 +654,6 @@ def _bench_throughput_parallel(arguments) -> int:
     return 0 if ok else 1
 
 
-def _bench_throughput_sharded(arguments) -> int:
-    """The ``--shards`` lane: sharded scatter-gather vs a single backend."""
-    from repro.backends import BackendUnavailable
-    from repro.backends.shard_bench import format_report, run_bench
-
-    out_path = arguments.out or Path("BENCH_sharding.json")
-    backend = arguments.backends[0] if arguments.backends else "sqlite-memory"
-    try:
-        report = run_bench(
-            rows_per_table=arguments.rows,
-            batch_size=arguments.batch,
-            repeats=arguments.repeats,
-            shard_counts=tuple(arguments.shard_counts),
-            backend=backend,
-            out_path=out_path,
-        )
-    except BackendUnavailable as error:
-        raise SystemExit(str(error))
-    print("\n".join(format_report(report)))
-    print(f"wrote {out_path}")
-    summary = report["summary"]
-    ok = (
-        summary["all_results_valid"]
-        and summary["all_batches_consistent_with_single"]
-    )
-    return 0 if ok else 1
-
-
 def _command_bench_backends(arguments) -> int:
     from repro.backends import BackendUnavailable, available_backends, compare_backends
 
@@ -795,11 +695,7 @@ def _command_backends(arguments) -> int:
             print(f"{entry['name']:15} [{status}]  dialect={entry['dialect']}{detail}")
     stats_document = None
     if getattr(arguments, "stats", False):
-        stats_document = _collect_backend_stats(
-            arguments.rows,
-            echo=not as_json,
-            shards=max(0, getattr(arguments, "shards", 0)),
-        )
+        stats_document = _collect_backend_stats(arguments.rows, echo=not as_json)
     if as_json:
         document = {"backends": registry}
         if stats_document is not None:
@@ -808,29 +704,18 @@ def _command_backends(arguments) -> int:
     return 0
 
 
-def _collect_backend_stats(
-    rows_per_table: int, echo: bool = True, shards: int = 0
-) -> dict:
+def _collect_backend_stats(rows_per_table: int, echo: bool = True) -> dict:
     """Run the standard workload twice; report cache + timing counters.
 
     The second round should be all cache hits — the visible proof that the
     optimizer's (costlier) level-2 planning is paid once per query text.
     Returns the machine-readable document (``repro backends --stats --json``);
-    with *echo* the human-format tables are printed as before.  With
-    *shards* > 0 the workload is served through an N-shard scatter-gather
-    coordinator and the document gains a ``sharding`` section with the
-    partition layout and per-shard pool/cache counters.
+    with *echo* the human-format tables are printed as before.
     """
     from repro.backends import GraphitiService
     from repro.backends.comparison import DEFAULT_SCHEMA, DEFAULT_WORKLOAD
 
-    if shards > 0:
-        from repro.backends import ShardedGraphitiService
-
-        service_context = ShardedGraphitiService(DEFAULT_SCHEMA, num_shards=shards)
-    else:
-        service_context = GraphitiService(DEFAULT_SCHEMA)
-    with service_context as service:
+    with GraphitiService(DEFAULT_SCHEMA) as service:
         service.load_mock(rows_per_table)
         for _ in range(2):
             for text in DEFAULT_WORKLOAD.values():
@@ -891,11 +776,6 @@ def _collect_backend_stats(
             "queries": queries,
             "metrics": snapshot,
         }
-        if shards > 0:
-            document["sharding"] = {
-                "partition": service.partition_report(),
-                "per_shard": service.shard_stats(),
-            }
         if echo:
             print()
             print(f"== transpilation cache (opt level {service.opt_level}) ==")
@@ -913,22 +793,6 @@ def _collect_backend_stats(
                     f"p95={row['p95_ms']:7.2f} ms  "
                     f"last={row['last_ms']:7.2f} ms"
                 )
-            if shards > 0:
-                partition = document["sharding"]["partition"]
-                print()
-                print(f"== sharding ({partition['shards']} shards) ==")
-                print(
-                    f"rows per shard: {partition['rows_per_shard']} "
-                    f"(total {partition['total_rows']}); cross-shard edges: "
-                    f"{partition['cross_shard_edges']}"
-                )
-                for entry in document["sharding"]["per_shard"]:
-                    cache = entry["cache"]
-                    print(
-                        f"shard {entry['shard']}: rows={entry['rows']}  "
-                        f"queries={entry['queries']}  "
-                        f"cache hits={cache['hits']} misses={cache['misses']}"
-                    )
         return document
 
 

@@ -173,34 +173,6 @@ def _render_plan(
                 f"{parallelism.get('requested')}) — "
                 f"{parallelism.get('reason')}"
             )
-    sharding = getattr(plan, "sharding", None)
-    if sharding:
-        kind = sharding.get("kind")
-        shards = sharding.get("shards")
-        fan_out = f" across {shards} shard(s)" if shards else ""
-        if kind == "non_fragmentable":
-            lines.append(
-                f"sharding: fallback to unsharded backend — "
-                f"{sharding.get('reason')}"
-            )
-        else:
-            lines.append(f"sharding: {kind}{fan_out} — {sharding.get('reason')}")
-            merged = sharding.get("merged_aggregates")
-            if merged:
-                rules = ", ".join(
-                    f"{column['alias']}←{column['merge']}" for column in merged
-                )
-                lines.append(f"  merge rules: {rules}")
-            if sharding.get("distinct"):
-                lines.append("  coordinator re-applies DISTINCT after union")
-            order = sharding.get("order")
-            if order:
-                limit = order.get("limit")
-                suffix = f", limit {limit}" if limit is not None else ""
-                lines.append(
-                    f"  coordinator re-sorts on output column(s) "
-                    f"{order.get('indexes')}{suffix}"
-                )
     return lines
 
 

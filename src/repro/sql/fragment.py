@@ -1,49 +1,48 @@
-"""Query fragmentation for scatter-gather execution over hash shards.
+"""Query fragmentation for scatter-gather execution over row partitions.
 
-The sharding coordinator (:mod:`repro.backends.sharding`) hash-partitions
-node rows by primary key and co-partitions edge rows with their ``SRC``
-endpoint, so every base-table row lives on exactly one shard.  A query is
-*fragmentable* when running it unchanged (or lightly rewritten) on each
-shard and combining the partial results reproduces the reference answer
-over the whole database.  This module is the planner seam that decides —
-statically, on the optimized algebra — which of three regimes a plan
-falls into:
+Partition-parallel execution (:mod:`repro.backends.executor`) splits the
+scanned base table into disjoint partitions, so every base-table row lives
+in exactly one partition.  A query is *fragmentable* when running it
+unchanged (or lightly rewritten) on each partition and combining the
+partial results reproduces the reference answer over the whole table.
+This module is the planner seam that decides — statically, on the
+optimized algebra — which of three regimes a plan falls into, and the
+gather step (:func:`merge_partials`) that combines the partials:
 
 ``shard_local``
     The plan scans exactly one base relation and computes no aggregate:
     every output row is derived from a single input row, and each input
-    row lives on exactly one shard, so the bag union of the per-shard
-    results *is* the global result.  A root ``DISTINCT`` or ``ORDER
-    BY``/``LIMIT`` is re-applied at the coordinator (per-shard ``ORDER BY
-    x LIMIT k`` is kept as sound top-k pruning: the global top-k is a
-    subset of the union of per-shard top-ks).
+    row lives in exactly one partition, so the bag union of the
+    per-partition results *is* the global result.  A root ``DISTINCT`` or
+    ``ORDER BY``/``LIMIT`` is re-applied after the union (per-partition
+    ``ORDER BY x LIMIT k`` is kept as sound top-k pruning: the global
+    top-k is a subset of the union of per-partition top-ks).
 
 ``merge_aggregable``
     A root ``GroupBy`` whose aggregates are all distributive
     (``Count``/``Sum``/``Min``/``Max``) or algebraic (``Avg``, decomposed
-    into per-shard ``Sum`` + ``Count`` columns) over a single scanned
-    relation.  Shards compute partial aggregates per group; the
-    coordinator re-groups partials by the group-key columns and folds
-    them.  The folds reproduce the paper's aggregate quirk exactly
-    (see :mod:`repro.common.aggregates`): a partial is ``NULL`` when the
-    group's argument was ``NULL`` on every row of that shard, and the
-    merged value is ``NULL`` only when *every* shard's partial is ``NULL``
-    — including ``Count``.
+    into per-partition ``Sum`` + ``Count`` columns) over a single scanned
+    relation.  Partitions compute partial aggregates per group; the
+    gather re-groups partials by the group-key columns and folds them.
+    The folds reproduce the paper's aggregate quirk exactly (see
+    :mod:`repro.common.aggregates`): a partial is ``NULL`` when the
+    group's argument was ``NULL`` on every row of that partition, and the
+    merged value is ``NULL`` only when *every* partition's partial is
+    ``NULL`` — including ``Count``.
 
 ``non_fragmentable``
-    Everything else — joins and subqueries (row provenance spans shards
-    once more than one scan participates), recursive traversals (the
-    fixpoint needs the full edge relation, including the cross-shard
-    edge table), CTEs (a binding scanned twice is a self-join), HAVING,
-    DISTINCT aggregates, bare ``LIMIT`` without ``ORDER BY``
-    (nondeterministic), and anything whose output the classifier cannot
-    prove reconstructible.  The coordinator then routes the query,
-    unchanged, to a single unsharded fallback backend: same results,
-    with the reason recorded in the :class:`~repro.sql.planner.PlanReport`.
+    Everything else — joins and subqueries (row provenance spans
+    partitions once more than one scan participates), recursive
+    traversals (the fixpoint needs the full edge relation), CTEs (a
+    binding scanned twice is a self-join), HAVING, DISTINCT aggregates,
+    bare ``LIMIT`` without ``ORDER BY`` (nondeterministic), and anything
+    whose output the classifier cannot prove reconstructible.  Such a
+    query runs serially, unchanged, with the reason recorded in the
+    :class:`~repro.sql.planner.PlanReport`.
 
 Classification is a property of the plan alone — it does not depend on
-the shard count — so it is computed once per prepared query and cached
-alongside it.
+the partition count — so the serving layer computes it once per prepared
+query and caches it with the partition gate's verdict.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ SHARD_LOCAL = "shard_local"
 MERGE_AGGREGABLE = "merge_aggregable"
 NON_FRAGMENTABLE = "non_fragmentable"
 
-#: Alias prefix for the per-shard Sum/Count columns an Avg decomposes into.
+#: Alias prefix for the per-partition Sum/Count columns an Avg decomposes into.
 #: Double-underscore keeps them out of the way of user-visible aliases
 #: (Cypher identifiers cannot start with ``_``).
 _AVG_SUM = "__shard_avg_sum_"
@@ -69,13 +68,13 @@ _AVG_COUNT = "__shard_avg_count_"
 
 @dataclass(frozen=True)
 class MergeColumn:
-    """How the coordinator reconstructs one output column from partials.
+    """How the gather reconstructs one output column from partials.
 
     *kind* is ``"key"`` (group key: all partials in a merged group agree,
     take any), ``"sum"`` (``Count``/``Sum``: fold partials by addition),
     ``"min"``/``"max"``, or ``"avg"`` (divide the merged hidden ``Sum``
     partial by the merged hidden ``Count`` partial).  *source* is the
-    column's position in the *shard* result; for ``"avg"`` the
+    column's position in the *partition* result; for ``"avg"`` the
     decomposed pair lives at *source* (sum) and *count_source* (count).
     """
 
@@ -87,25 +86,18 @@ class MergeColumn:
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """A root ``ORDER BY``/``LIMIT`` the coordinator re-applies post-union."""
+    """A root ``ORDER BY``/``LIMIT`` the gather re-applies post-union."""
 
     indexes: tuple[int, ...]
     ascending: tuple[bool, ...]
     limit: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "indexes": list(self.indexes),
-            "ascending": list(self.ascending),
-            "limit": self.limit,
-        }
-
 
 @dataclass(frozen=True)
 class FragmentPlan:
-    """The classifier's verdict plus everything the coordinator needs.
+    """The classifier's verdict plus everything the gather needs.
 
-    For fragmentable plans, *shard_query* is the algebra each shard
+    For fragmentable plans, *shard_query* is the algebra each partition
     executes (possibly rewritten: Avg decomposed, ORDER BY stripped from
     aggregate fragments) and *attributes* names the final merged output
     columns.  *merge* and *key_indexes* drive the merge-aggregable fold;
@@ -125,20 +117,6 @@ class FragmentPlan:
     def fragmentable(self) -> bool:
         return self.kind != NON_FRAGMENTABLE
 
-    def to_dict(self) -> dict:
-        """JSON-friendly summary, embedded in ``PlanReport.sharding``."""
-        document: dict = {"kind": self.kind, "reason": self.reason}
-        if self.fragmentable:
-            document["distinct"] = self.distinct
-            document["merged_aggregates"] = [
-                {"alias": column.alias, "merge": column.kind}
-                for column in self.merge
-                if column.kind != "key"
-            ]
-            if self.order is not None:
-                document["order"] = self.order.to_dict()
-        return document
-
 
 def _non_fragmentable(reason: str) -> FragmentPlan:
     return FragmentPlan(NON_FRAGMENTABLE, reason)
@@ -156,24 +134,24 @@ def fragment_query(query: ast.Query, schema: RelationalSchema) -> FragmentPlan:
         if isinstance(node, ast.RecursiveQuery):
             return _non_fragmentable(
                 "recursive traversal needs the full edge relation "
-                "(cross-shard edges break per-shard fixpoints)"
+                "(a per-partition fixpoint misses cross-partition paths)"
             )
         if isinstance(node, ast.WithQuery):
             return _non_fragmentable(
-                "CTE binding may be scanned more than once (self-join across shards)"
+                "CTE binding may be scanned more than once (self-join across partitions)"
             )
         if isinstance(node, ast.Relation):
             scans += 1
         if isinstance(node, ast.Aggregate) and node.distinct:
             return _non_fragmentable(
-                "DISTINCT aggregate cannot be folded from per-shard partials"
+                "DISTINCT aggregate cannot be folded from per-partition partials"
             )
     if scans == 0:
         return _non_fragmentable("plan scans no base relation")
     if scans > 1:
         return _non_fragmentable(
             f"plan scans {scans} base relations; join/subquery provenance "
-            "spans shard boundaries"
+            "spans partition boundaries"
         )
 
     body, order, order_error = _peel_root_order(query, schema)
@@ -186,7 +164,7 @@ def fragment_query(query: ast.Query, schema: RelationalSchema) -> FragmentPlan:
             )
         if isinstance(node, ast.Projection) and node.distinct and node is not body:
             return _non_fragmentable(
-                "DISTINCT below the plan root would drop cross-shard duplicates late"
+                "DISTINCT below the plan root would drop cross-partition duplicates late"
             )
 
     if isinstance(body, ast.GroupBy):
@@ -195,18 +173,18 @@ def fragment_query(query: ast.Query, schema: RelationalSchema) -> FragmentPlan:
     for node in iter_nodes(body):
         if isinstance(node, (ast.GroupBy, ast.Aggregate)):
             return _non_fragmentable(
-                "aggregation below the plan root cannot be merged at the coordinator"
+                "aggregation below the plan root cannot be merged after the gather"
             )
 
     attributes = output_attributes(query, schema)
     if attributes is None:
         return _non_fragmentable("output attributes are not statically determinable")
-    # Per-shard top-k is sound pruning for a root ORDER BY + LIMIT, so the
-    # shard query keeps the whole plan (including the OrderBy node); the
-    # coordinator re-sorts the union and re-applies the limit.
+    # Per-partition top-k is sound pruning for a root ORDER BY + LIMIT, so
+    # the partition query keeps the whole plan (including the OrderBy
+    # node); the gather re-sorts the union and re-applies the limit.
     return FragmentPlan(
         SHARD_LOCAL,
-        "single-relation scan: per-shard results union to the global bag",
+        "single-relation scan: per-partition results union to the global bag",
         shard_query=query,
         attributes=attributes,
         distinct=isinstance(body, ast.Projection) and body.distinct,
@@ -224,7 +202,7 @@ def _peel_root_order(
         if query.limit is not None:
             return query, None, (
                 "LIMIT without ORDER BY keys selects nondeterministic rows "
-                "across shards"
+                "across partitions"
             )
         return query.query, None, None
     inner_attributes = output_attributes(query.query, schema)
@@ -293,8 +271,8 @@ def _classify_group_by(
                 )
                 shard_columns.append(column)
             elif expression.function == "Avg":
-                # Algebraic decomposition: shards emit the Sum and Count
-                # partials under reserved aliases; the coordinator divides.
+                # Algebraic decomposition: partitions emit the Sum and Count
+                # partials under reserved aliases; the gather divides.
                 assert expression.argument is not None
                 merge.append(
                     MergeColumn(column.alias, "avg", source, count_source=source + 1)
@@ -328,12 +306,12 @@ def _classify_group_by(
     shard_query: ast.Query = ast.GroupBy(
         group.query, group.keys, tuple(shard_columns), group.having
     )
-    # A root ORDER BY is *not* kept in the shard query: ordering (and
+    # A root ORDER BY is *not* kept in the partition query: ordering (and
     # top-k pruning) by partial aggregate values would be unsound.  The
-    # coordinator sorts the merged groups instead.
+    # gather sorts the merged groups instead.
     return FragmentPlan(
         MERGE_AGGREGABLE,
-        "distributive aggregates over one relation: partials fold at the coordinator",
+        "distributive aggregates over one relation: partials fold at the gather",
         shard_query=shard_query,
         attributes=tuple(column.alias for column in group.columns),
         merge=tuple(merge),
@@ -343,12 +321,12 @@ def _classify_group_by(
 
 
 # ---------------------------------------------------------------------------
-# Gather (the coordinator-side merge)
+# Gather (the merge of partition results)
 # ---------------------------------------------------------------------------
 
 
 def merge_partials(plan: FragmentPlan, partials: list[Table]) -> Table:
-    """Combine per-shard result tables into the global answer for *plan*."""
+    """Combine per-partition result tables into the global answer for *plan*."""
     if not plan.fragmentable or plan.shard_query is None:
         raise ValueError("cannot merge partials of a non-fragmentable plan")
     assert plan.attributes is not None
@@ -371,7 +349,7 @@ def _merge_groups(plan: FragmentPlan, partials: list[Table]) -> list[tuple]:
     The folds skip NULL partials and yield NULL only when every partial is
     NULL — matching :func:`repro.common.aggregates.combine`, where an
     aggregate (Count included) over an all-NULL argument is NULL.  A group
-    a shard has no rows for simply contributes no partial, which is also
+    a partition has no rows for simply contributes no partial, which is also
     how the reference's Cypher grouping treats empty input (no groups).
     """
     groups: dict[tuple, list[tuple]] = {}

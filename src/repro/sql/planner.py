@@ -123,12 +123,6 @@ class PlanReport:
     joins: list[JoinPlan] = field(default_factory=list)
     cte_names: list[str] = field(default_factory=list)
     estimated_rows: float | None = None
-    #: Scatter-gather classification, filled in by the sharding coordinator
-    #: (:mod:`repro.sql.fragment`): kind (shard_local / merge_aggregable /
-    #: non_fragmentable), the reason, and the merge rules — so ``repro
-    #: explain`` shows the scatter plan.  ``None`` until a sharded service
-    #: prepares the query.
-    sharding: dict | None = None
     #: Adaptive-execution decision that produced this plan, filled in by
     #: the serving layer when estimate-vs-actual feedback triggered a
     #: re-plan (:meth:`repro.backends.service.GraphitiService
@@ -160,7 +154,6 @@ class PlanReport:
             "cte_names": list(self.cte_names),
             "estimated_rows": self.estimated_rows,
             "traversal_choice": self.traversal_choice,
-            "sharding": self.sharding,
             "feedback": self.feedback,
             "parallelism": self.parallelism,
         }

@@ -457,27 +457,21 @@ class TestCheckoutDeadline:
 
 
 class TestBudgetClock:
-    @pytest.mark.parametrize("num_shards", [None, 2])
     def test_time_queued_for_an_executor_thread_counts(
-        self, emp_dept_schema, gated_executes, num_shards
+        self, emp_dept_schema, gated_executes
     ):
         """The budget's clock starts when ``run`` is awaited: a query that
         spends its whole timeout queued behind ``max_concurrency`` fails
         as soon as it reaches the pipeline instead of running in full."""
-        from repro.backends import ShardedGraphitiService
         from repro.common.budget import QueryBudget, QueryBudgetExceeded
 
-        if num_shards is None:
-            service = GraphitiService(emp_dept_schema, pool_size=2)
-        else:
-            service = ShardedGraphitiService(emp_dept_schema, num_shards=num_shards)
-        with service:
+        with GraphitiService(emp_dept_schema, pool_size=2) as service:
             service.load_mock(10, seed=5)
             async_svc = AsyncGraphitiService(service, max_concurrency=1)
 
             async def drive():
                 holder = asyncio.ensure_future(async_svc.run(SCAN))
-                await wait_entered(gated_executes, num_shards or 1)
+                await wait_entered(gated_executes, 1)
                 queued = asyncio.ensure_future(
                     async_svc.run(SCAN, budget=QueryBudget(timeout_seconds=0.2))
                 )
@@ -492,7 +486,7 @@ class TestBudgetClock:
                 error = asyncio.run(drive())
                 assert error.dimension == "timeout"
                 assert error.stage == "service"
-                assert gated_executes["peak"] == (num_shards or 1)
+                assert gated_executes["peak"] == 1
             finally:
                 gated_executes["release"].set()
                 async_svc.close()

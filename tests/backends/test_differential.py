@@ -28,16 +28,16 @@ rendering (the opt-level parametrization covers both plan shapes).
 
 from __future__ import annotations
 
+import asyncio
+from pathlib import Path
+
 import pytest
 
-from repro.backends import (
-    GraphitiService,
-    ShardedGraphitiService,
-    available_backends,
-)
+from repro.backends import AsyncGraphitiService, GraphitiService, available_backends
 from repro.backends.comparison import DEFAULT_SCHEMA, DEFAULT_WORKLOAD
 from repro.backends.throughput import WORKLOAD as SOCIAL_WORKLOAD
 from repro.benchmarks.universes import COMPANY, SOCIAL
+from repro.common.budget import QueryBudget
 from repro.relational.instance import tables_equivalent
 from repro.sql.optimize import OPT_LEVELS
 
@@ -189,32 +189,42 @@ class TestDifferentialHarness:
         assert set(available_backends()) >= {"sqlite-memory", "sqlite-file"}
 
 
-#: Shard counts for the scatter-gather lane: 2 exercises the binary
-#: boundary cases, 3 an uneven partition.
-SHARD_COUNTS = (2, 3)
-
-
 @pytest.fixture(scope="module")
-def sharded_differential_services():
-    """One sharded coordinator per (universe, shard count), module-shared.
+def disk_cache_services(tmp_path_factory):
+    """One cold service per (universe, backend) over a warmed disk store.
 
-    The same corpus runs through :class:`ShardedGraphitiService`: single-
-    relation queries scatter across the shards and merge at the
-    coordinator, joins and variable-length traversals take the transparent
-    unsharded fallback — so this lane differentially validates *both* the
-    merge rules and the fallback routing against the reference evaluator,
-    over data whose edges genuinely cross shard boundaries (the traversal
-    corpus's FOLLOWS graph is partitioned with a populated cross-shard
-    edge ledger).
+    Per universe, a warm service prepares every corpus query at every opt
+    level in every available backend's dialect into its own persistent
+    store, then closes.  Each cold service opens that store over the same
+    seeded data with an empty in-memory LRU, so every plan it serves
+    round-tripped through the disk tier (pickled ``PreparedQuery``, plan
+    report, statistics-digest key) — the lane differentially validates
+    those plans against the reference evaluator.
     """
-    services: dict[tuple[str, int], ShardedGraphitiService] = {}
+    stores: dict[str, Path] = {}
+    services: dict[tuple[str, str], GraphitiService] = {}
 
-    def service_for(universe: str, num_shards: int) -> ShardedGraphitiService:
-        key = (universe, num_shards)
+    def store_for(universe: str) -> Path:
+        store = stores.get(universe)
+        if store is None:
+            schema, workload = CORPUS[universe]
+            store = tmp_path_factory.mktemp(universe) / "store.sqlite"
+            with GraphitiService(schema, persistent_cache=store) as warm:
+                warm.load_mock(ROWS_PER_TABLE, seed=SEEDS.get(universe, DEFAULT_SEED))
+                for backend in available_backends():
+                    dialect = warm.dialect_of(backend)
+                    for cypher in workload.values():
+                        for level in OPT_LEVELS:
+                            warm.prepare(cypher, dialect, opt_level=level)
+            stores[universe] = store
+        return store
+
+    def service_for(universe: str, backend: str) -> GraphitiService:
+        key = (universe, backend)
         service = services.get(key)
         if service is None:
             schema, _ = CORPUS[universe]
-            service = ShardedGraphitiService(schema, num_shards=num_shards)
+            service = GraphitiService(schema, persistent_cache=store_for(universe))
             service.load_mock(ROWS_PER_TABLE, seed=SEEDS.get(universe, DEFAULT_SEED))
             services[key] = service
         return service
@@ -224,41 +234,115 @@ def sharded_differential_services():
         service.close()
 
 
-class TestShardedDifferentialHarness:
+class TestDiskCacheDifferentialHarness:
     @pytest.mark.parametrize("backend_name", available_backends())
     @pytest.mark.parametrize("opt_level", sorted(OPT_LEVELS))
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize(("universe", "label"), CASES)
-    def test_sharded_matches_reference(
-        self,
-        universe,
-        label,
-        num_shards,
-        opt_level,
-        backend_name,
-        sharded_differential_services,
+    def test_disk_tier_matches_reference(
+        self, universe, label, opt_level, backend_name, disk_cache_services
     ):
         _, workload = CORPUS[universe]
         cypher = workload[label]
-        service = sharded_differential_services(universe, num_shards)
+        service = disk_cache_services(universe, backend_name)
         expected = service.reference(cypher)
         actual = service.run(cypher, backend=backend_name, opt_level=opt_level)
         assert tables_equivalent(expected, actual), (
-            f"{backend_name} (opt {opt_level}, {num_shards} shards) diverges "
-            f"from the reference evaluator on {cypher!r}"
-            f"\nreference:\n{expected}\nsharded:\n{actual}"
+            f"{backend_name} (opt {opt_level}, disk tier) diverges from the "
+            f"reference evaluator on {cypher!r}"
+            f"\nreference:\n{expected}\ndisk tier:\n{actual}"
+        )
+        # Every plan the cold service served came from the store.
+        assert service.persistent_cache_info().misses == 0
+
+
+#: A budget no corpus query comes near.  Its ``max_depth`` still plans every
+#: open-bound traversal depth-capped (``allow_downgrade`` defaults on), and
+#: 64 hops is more than the 15-row instances' FOLLOWS graph can need, so the
+#: capped plans must return exactly the uncapped answer.
+GENEROUS_BUDGET = QueryBudget(max_rows=100_000, max_depth=64, timeout_seconds=60.0)
+
+
+class TestBudgetDifferentialHarness:
+    """The corpus served under a generous budget: the depth-capped
+    traversal rendering, the engine's incremental row guard and its
+    wall-clock guard must all leave the answer unchanged."""
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("opt_level", sorted(OPT_LEVELS))
+    @pytest.mark.parametrize(("universe", "label"), CASES)
+    def test_budgeted_matches_reference(
+        self, universe, label, opt_level, backend_name, differential_services
+    ):
+        _, workload = CORPUS[universe]
+        cypher = workload[label]
+        service = differential_services(universe)
+        expected = service.reference(cypher)
+        actual = service.run(
+            cypher, backend=backend_name, opt_level=opt_level, budget=GENEROUS_BUDGET
+        )
+        assert tables_equivalent(expected, actual), (
+            f"{backend_name} (opt {opt_level}, budget) diverges from the "
+            f"reference evaluator on {cypher!r}"
+            f"\nreference:\n{expected}\nbudgeted:\n{actual}"
         )
 
-    def test_traversal_corpus_has_cross_shard_edges(
-        self, sharded_differential_services
+    def test_lane_actually_caps_depth(self, differential_services):
+        """Guard the lane itself: some traversal corpus query must be
+        planned depth-capped under the budget, or the parametrization
+        above would never exercise the capped rendering."""
+        service = differential_services("traversal")
+        _, workload = CORPUS["traversal"]
+        capped = False
+        for cypher in workload.values():
+            _, prepared = service.serve(cypher, budget=GENEROUS_BUDGET)
+            traversals = prepared.plan.traversals
+            if any(traversal.choice == "depth-capped" for traversal in traversals):
+                capped = True
+                break
+        assert capped, "no traversal query was planned depth-capped"
+
+
+@pytest.fixture(scope="module")
+def async_differential_services():
+    """One :class:`AsyncGraphitiService` per universe, module-shared, each
+    owning its service over the same seeded mock data as the sync lane."""
+    services: dict[str, AsyncGraphitiService] = {}
+
+    def service_for(universe: str) -> AsyncGraphitiService:
+        service = services.get(universe)
+        if service is None:
+            schema, _ = CORPUS[universe]
+            service = AsyncGraphitiService(schema)
+            asyncio.run(
+                service.load_mock(ROWS_PER_TABLE, seed=SEEDS.get(universe, DEFAULT_SEED))
+            )
+            services[universe] = service
+        return service
+
+    yield service_for
+    for service in services.values():
+        service.close()
+
+
+class TestAsyncDifferentialHarness:
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("opt_level", sorted(OPT_LEVELS))
+    @pytest.mark.parametrize(("universe", "label"), CASES)
+    def test_async_matches_reference(
+        self, universe, label, opt_level, backend_name, async_differential_services
     ):
-        """Guard the lane itself: the traversal universe's partition must
-        place FOLLOWS edges across shard boundaries, otherwise the lane
-        would never exercise the cross-shard path."""
-        for num_shards in SHARD_COUNTS:
-            service = sharded_differential_services("traversal", num_shards)
-            report = service.partition_report()
-            assert sum(report["cross_shard_edges"].values()) > 0
+        _, workload = CORPUS[universe]
+        cypher = workload[label]
+        service = async_differential_services(universe)
+        expected = service.service.reference(cypher)
+        actual = asyncio.run(
+            service.run(cypher, backend=backend_name, opt_level=opt_level)
+        )
+        assert tables_equivalent(expected, actual), (
+            f"{backend_name} (opt {opt_level}, async) diverges from the "
+            f"reference evaluator on {cypher!r}"
+            f"\nreference:\n{expected}\nasync:\n{actual}"
+        )
 
 
 #: Partition degrees for the intra-query parallel lane: 2 exercises the

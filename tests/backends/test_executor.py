@@ -5,8 +5,7 @@ the cost gate's serial reasons, partition SQL shape, and the shared
 ``run_indexed`` fan-out loop — plus service-level checks that the wired
 path produces reference-equivalent results, records its verdict in
 ``PlanReport.parallelism``, keeps the cache variants separate, charges one
-shared budget, reuses one persistent batch pool, and composes with
-sharding (each shard applies its own gate).
+shared budget, and reuses one persistent batch pool.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.backends import (
     GraphitiService,
     QueryBudget,
     QueryBudgetExceeded,
-    ShardedGraphitiService,
     partition_bounds,
     partition_statements,
     plan_parallelism,
@@ -396,6 +394,26 @@ class TestServedParallelism:
             # new row count.
             assert prepared.plan.parallelism["degree"] <= 3
 
+    def test_reload_refreshes_the_recorded_verdict_below_level_two(
+        self, social_schema
+    ):
+        # Below opt level 2 the cache key carries no stats digest, so the
+        # reload serves the same cache entry again: its recorded verdict
+        # must be the one re-gated over the new data, which the executor
+        # actually ran.
+        with parallel_service(
+            social_schema, rows=40, degree=4, opt_level=1
+        ) as svc:
+            _, first = svc.serve(SCAN)
+            assert first.plan.parallelism["degree"] == 4
+            svc.load_mock(3, seed=5)
+            result, prepared = svc.serve(SCAN)
+            assert prepared is first
+            assert tables_equivalent(result, svc.reference(SCAN))
+            verdict = prepared.plan.parallelism
+            assert verdict["degree"] == 3
+            assert verdict["estimated_rows"] == 3.0
+
 
 class TestPersistentBatchPool:
     def test_run_many_reuses_one_executor(self, social_schema):
@@ -430,33 +448,6 @@ class TestPersistentBatchPool:
         assert svc._batch_executor is None
         assert svc._partition_executor is None
         assert batch._shutdown and partition._shutdown
-
-
-class TestShardedComposition:
-    def test_each_shard_applies_its_own_gate(self, social_schema):
-        with ShardedGraphitiService(
-            social_schema,
-            num_shards=2,
-            parallelism=2,
-            parallel_row_threshold=0,
-        ) as svc:
-            svc.load_mock(40, seed=3)
-            result = svc.run(SCAN)
-            assert tables_equivalent(result, svc.reference(SCAN))
-            counter = svc.metrics.counter("repro_parallel_queries_total")
-            # Both shards partition-scanned their local fragment.
-            assert counter.total() == 2
-
-    def test_sharded_aggregate_composes(self, social_schema):
-        with ShardedGraphitiService(
-            social_schema,
-            num_shards=2,
-            parallelism=2,
-            parallel_row_threshold=0,
-        ) as svc:
-            svc.load_mock(40, seed=3)
-            result = svc.run(AGG)
-            assert tables_equivalent(result, svc.reference(AGG))
 
 
 class TestLargerCorpusEquivalence:

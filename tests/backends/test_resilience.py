@@ -137,39 +137,6 @@ class TestDieMidQuery:
                 ).value(backend="faulty") == 1
 
 
-class TestShardMemberDiesMidScatter:
-    def test_recovers_inside_the_shard_not_at_the_coordinator(self, social_schema):
-        """A shard member dying mid-scatter is a *per-shard* event: the
-        affected shard evicts the member and retries on a healthy one
-        through its own guarded pipeline, the scatter completes, and the
-        merged result is intact — no coordinator-wide failure, no breaker
-        trip."""
-        from repro.backends import ShardedGraphitiService
-
-        with injected_faults(die_on_executes=(1,)) as plan:
-            with ShardedGraphitiService(
-                social_schema, num_shards=2, default_backend="faulty"
-            ) as svc:
-                svc.load_mock(20, seed=2)
-                table = svc.run(SCAN)  # shard-local scan: scatters to both
-                assert len(table.rows) == 20
-                assert plan.events == [("die", 1)]
-                metrics = svc.metrics
-                # Exactly one retry and one eviction, attributed to the
-                # shard that lost its member; the other shard is untouched.
-                assert metrics.counter("repro_query_retries_total").value(
-                    backend="faulty"
-                ) == 1
-                assert metrics.counter("repro_pool_evictions_total").total() == 1
-                # Both shards still answered — the scatter never failed.
-                shard_queries = metrics.counter("repro_shard_queries_total")
-                assert shard_queries.value(shard="0") == 1
-                assert shard_queries.value(shard="1") == 1
-                assert svc.breaker("faulty").state == CircuitBreaker.CLOSED
-                # The coordinator still serves afterwards.
-                assert len(svc.run(SCAN).rows) == 20
-
-
 class TestQueryErrorsAreNotRetried:
     def test_healthy_member_error_propagates(self, social_schema):
         with injected_faults(error_on_executes=(1,)) as plan:

@@ -117,19 +117,17 @@ class TestMisc:
 
 
 class TestRunAsyncBatch:
-    @pytest.mark.parametrize("shards", [0, 2])
-    def test_async_batch_serves_plain_and_sharded(self, shards, capsys):
-        """``--async-workers`` wraps whichever service ``--shards`` built."""
+    def test_async_batch_serves_through_the_async_service(self, capsys):
+        """``--async-workers`` drives the batch through the asyncio layer."""
         code = main(
             [
                 "run", "--example", "emp-dept", "--rows", "12",
                 "--cypher", "MATCH (n:EMP) RETURN n.name",
                 "--cypher", "MATCH (m:DEPT) RETURN m.dname",
-                "--async-workers", "2", "--shards", str(shards),
+                "--async-workers", "2",
             ]
         )
         assert code in (0, None)
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert "24 rows on sqlite-memory" in summary
         assert "(2 queries, async concurrency 2)" in summary
-        assert (", 2 shards" in summary) == (shards == 2)
