@@ -215,7 +215,7 @@ class DbApiBackend(ExecutionBackend):
     """Shared implementation over a DB-API connection (qmark paramstyle).
 
     Subclasses provide :meth:`_open_connection` and may override the value
-    conversion hooks (:meth:`_to_db`, :meth:`_from_db`) and
+    conversion hooks (:meth:`_to_db`, :meth:`_from_db_rows`) and
     :meth:`_column_types` (typed-DDL engines infer types at load time, so
     they defer DDL to :meth:`bulk_load`; see the DuckDB backend).
     """
@@ -239,11 +239,19 @@ class DbApiBackend(ExecutionBackend):
             return None
         return value
 
-    def _from_db(self, value: Any) -> Value:
-        """Convert an engine result cell back into a repro value."""
-        if value is None:
-            return NULL
-        return value
+    def _from_db_rows(self, rows: list) -> list:
+        """Convert fetched engine rows (tuples) back into repro rows.
+
+        Converts a row at a time, not a cell at a time: SQL ``NULL``
+        (``None``) becomes :data:`~repro.common.values.NULL`, and a row
+        without one — most rows — passes through untouched.
+        """
+        return [
+            row
+            if None not in row
+            else tuple(NULL if value is None else value for value in row)
+            for row in rows
+        ]
 
     def _column_types(self) -> dict[str, dict[str, str]] | None:
         """DDL type hints per relation/attribute (``None`` = untyped)."""
@@ -354,9 +362,7 @@ class DbApiBackend(ExecutionBackend):
             attributes = tuple(
                 description[0] for description in cursor.description or ()
             )
-            rows = [
-                tuple(self._from_db(v) for v in row) for row in cursor.fetchall()
-            ]
+            rows = self._from_db_rows(cursor.fetchall())
             return Table(dedup_attributes(attributes), rows)
         guard = self._install_budget_guard(tracker)
         try:
@@ -396,9 +402,7 @@ class DbApiBackend(ExecutionBackend):
             batch = cursor.fetchmany(self._BUDGET_FETCH_SIZE)
             if not batch:
                 return rows
-            rows.extend(
-                tuple(self._from_db(v) for v in row) for row in batch
-            )
+            rows.extend(self._from_db_rows(batch))
             tracker.charge_rows(len(batch), stage="engine")
 
     def _install_budget_guard(self, tracker: BudgetTracker):

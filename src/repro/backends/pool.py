@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterator
 
 from repro.observability.metrics import MetricsRegistry
@@ -73,13 +75,22 @@ class PoolTimeout(RuntimeError):
 
 
 class _PoolMetrics:
-    """The pool's registry instruments, labelled by backend name."""
+    """The pool's registry instruments, labelled by backend name.
 
-    def __init__(self, registry: MetricsRegistry, backend_name: str) -> None:
-        self.backend = backend_name
+    The checkout counter and wait histogram are bound once, because every
+    query updates them.  The state gauges (size, in use, waiters) are not
+    updated at all: they read the pool when the registry is scraped,
+    through a weak reference, so a registry that outlives the pool (a
+    shared registry, a data reload) never keeps it or its loaded members
+    alive, and reads 0 once the pool is gone.  When two pools share a
+    registry and a backend name, the gauges report the last one created.
+    """
+
+    def __init__(self, registry: MetricsRegistry, pool: "ConnectionPool") -> None:
+        self.backend = pool.backend_name
         self.checkouts = registry.counter(
             "repro_pool_checkouts_total", "Pool checkouts completed."
-        )
+        ).labels(backend=self.backend)
         self.timeouts = registry.counter(
             "repro_pool_timeouts_total", "Pool checkouts that timed out."
         )
@@ -89,16 +100,7 @@ class _PoolMetrics:
         self.wait_seconds = registry.histogram(
             "repro_pool_checkout_wait_seconds",
             "Seconds a checkout waited for an exclusive member.",
-        )
-        self.size = registry.gauge(
-            "repro_pool_size", "Pool members created (idle + in use)."
-        )
-        self.in_use = registry.gauge(
-            "repro_pool_in_use", "Pool members currently checked out."
-        )
-        self.waiters = registry.gauge(
-            "repro_pool_waiters", "Callers currently waiting for a member."
-        )
+        ).labels(backend=self.backend)
         self.validation_failures = registry.counter(
             "repro_pool_validation_failures_total",
             "Members that failed a liveness probe (checkout or damaged checkin).",
@@ -107,10 +109,19 @@ class _PoolMetrics:
             "repro_pool_evictions_total",
             "Broken members evicted (closed and removed) from the pool.",
         )
+        ref = weakref.ref(pool)
+        for name, help_text, attribute in (
+            ("repro_pool_size", "Pool members created (idle + in use).", "_size"),
+            ("repro_pool_in_use", "Pool members currently checked out.", "_checked_out"),
+            ("repro_pool_waiters", "Callers currently waiting for a member.", "_blocked"),
+        ):
+            registry.gauge(name, help_text).set_function(
+                partial(_pool_state, ref, attribute), backend=self.backend
+            )
 
     def checkout(self, waited_seconds: float) -> None:
-        self.checkouts.inc(backend=self.backend)
-        self.wait_seconds.observe(waited_seconds, backend=self.backend)
+        self.checkouts.inc()
+        self.wait_seconds.observe(waited_seconds)
 
     def timeout(self) -> None:
         self.timeouts.inc(backend=self.backend)
@@ -124,10 +135,15 @@ class _PoolMetrics:
     def evicted(self) -> None:
         self.evictions.inc(backend=self.backend)
 
-    def state(self, size: int, in_use: int, waiters: int) -> None:
-        self.size.set(size, backend=self.backend)
-        self.in_use.set(in_use, backend=self.backend)
-        self.waiters.set(waiters, backend=self.backend)
+
+def _pool_state(ref: "weakref.ref[ConnectionPool]", attribute: str) -> int:
+    """One state counter of the pool behind *ref* (0 once it is gone).
+
+    Read without the pool lock: a single int read is atomic under the
+    GIL, the gauge describes a moving target anyway, and a scrape must
+    never wait on (or deadlock with) a checkout."""
+    pool = ref()
+    return 0 if pool is None else getattr(pool, attribute)
 
 
 class ConnectionPool:
@@ -157,7 +173,7 @@ class ConnectionPool:
         #: can attach a real tracer to an already-built pool (``repro
         #: explain`` swaps tracers per query).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._metrics = _PoolMetrics(registry, backend_name) if registry else None
+        self._metrics: _PoolMetrics | None = None
         self._database = database
         self._batch_size = batch_size
         self._indexes = indexes
@@ -190,6 +206,10 @@ class ConnectionPool:
             self._template = primary
             self._size = 1
             self._idle.append(first_clone)
+        # Bound once the primary has loaded, so the state gauges only ever
+        # report a pool that is serviceable.
+        if registry is not None:
+            self._metrics = _PoolMetrics(registry, self)
 
     # -- introspection -----------------------------------------------------
 
@@ -299,7 +319,6 @@ class ConnectionPool:
         span.set("spawned", spawned)
         if self._metrics is not None:
             self._metrics.checkout(waited)
-            self._update_state_gauges()
 
     def _timeout_locked(self, timeout: float | None, waited: float) -> PoolTimeout:
         """The diagnostic timeout error; caller holds the pool lock."""
@@ -331,12 +350,6 @@ class ConnectionPool:
                 "closed": self._closed,
             }
 
-    def _update_state_gauges(self) -> None:
-        # Advisory gauge refresh: reads are GIL-atomic ints, and the gauges
-        # describe a moving target anyway — not worth holding the pool lock.
-        if self._metrics is not None:
-            self._metrics.state(self._size, self._checked_out, self._blocked)
-
     def checkin(self, member: ExecutionBackend, damaged: bool = False) -> bool:
         """Return *member* to the idle set (closes it if the pool closed).
 
@@ -358,7 +371,6 @@ class ConnectionPool:
                 self._idle.append(member)
                 closing = None
             self._available.notify()
-        self._update_state_gauges()
         if closing is not None:
             closing.close()
             self._teardown_template_if_due()
@@ -410,7 +422,6 @@ class ConnectionPool:
             if self._metrics is not None:
                 self._metrics.evicted()
             self._available.notify()
-        self._update_state_gauges()
         try:
             member.close()
         except Exception:
@@ -508,7 +519,6 @@ class ConnectionPool:
                     else:
                         self._idle.append(member)
                         self._available.notify()
-            self._update_state_gauges()
         if discard:
             member.close()
             self._teardown_template_if_due()

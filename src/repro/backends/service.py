@@ -32,13 +32,14 @@ which legitimately change when fresh data changes the estimated join order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.common.budget import (
     BudgetTracker,
@@ -52,6 +53,8 @@ from repro.execution.datagen import MockDataGenerator
 from repro.graph.schema import GraphSchema
 from repro.observability.metrics import (
     RATIO_BUCKETS,
+    CounterChild,
+    HistogramChild,
     MetricsRegistry,
     SlowQueryLog,
 )
@@ -76,12 +79,17 @@ from repro.backends.executor import (
 )
 from repro.backends.guards import CircuitBreaker, CircuitOpen, RetryPolicy
 from repro.backends.pool import ConnectionPool, PoolClosed, PoolTimeout
-from repro.backends.registry import available_backends
+from repro.backends.registry import available_backends, backend_info
 
 DEFAULT_BACKEND = "sqlite-memory"
 
 #: Per-query latency samples kept for percentile reporting (most recent).
 MAX_LATENCY_SAMPLES = 512
+
+#: Cypher texts whose :class:`QueryStat` accounting is kept: the most
+#: recently recorded ones.  Literals are inlined into the text, so a
+#: stream of distinct literals would otherwise grow the map forever.
+MAX_TRACKED_QUERIES = 4096
 
 
 def _depth_cap(budget: QueryBudget | None) -> int | None:
@@ -272,6 +280,44 @@ class QueryStat:
         return self.percentile(0.95)
 
 
+class _QueryAccumulator:
+    """The running accounting behind one :class:`QueryStat` (mutated in
+    place under the service lock; :meth:`freeze` takes the snapshot)."""
+
+    __slots__ = ("order", "executions", "total_seconds", "last_seconds", "samples")
+
+    def __init__(self, order: int) -> None:
+        #: First-recorded position: ``query_stats()`` lists texts in it.
+        self.order = order
+        self.executions = 0
+        self.total_seconds = 0.0
+        self.last_seconds = 0.0
+        self.samples: deque[float] = deque(maxlen=MAX_LATENCY_SAMPLES)
+
+    def add(self, seconds: float) -> None:
+        self.executions += 1
+        self.total_seconds += seconds
+        self.last_seconds = seconds
+        self.samples.append(seconds)
+
+    def freeze(self, cypher_text: str) -> QueryStat:
+        return QueryStat(
+            cypher_text,
+            self.executions,
+            self.total_seconds,
+            self.last_seconds,
+            tuple(self.samples),
+        )
+
+
+class _BackendSeries(NamedTuple):
+    """The per-query metric series of one backend, bound once."""
+
+    queries: CounterChild
+    seconds: HistogramChild
+    estimate_error: HistogramChild
+
+
 class _LruCache:
     """A small, thread-safe LRU map with hit/miss accounting (stdlib only)."""
 
@@ -388,7 +434,9 @@ class GraphitiService:
         #: Guards the pool map, loaded data swap, and query statistics.
         self._lock = threading.RLock()
         self._pools: dict[str, ConnectionPool] = {}
-        self._query_stats: dict[str, QueryStat] = {}
+        #: Least recently recorded first; capped at MAX_TRACKED_QUERIES.
+        self._query_stats: OrderedDict[str, _QueryAccumulator] = OrderedDict()
+        self._query_order = itertools.count()
         # Telemetry: a metrics registry (shared if the caller passes one), a
         # slow-query ring buffer, and a tracer that defaults to the no-op —
         # instrumentation is always on, and costs ~nothing until a real
@@ -405,6 +453,11 @@ class GraphitiService:
         self._cache_lookups = self._registry.counter(
             "repro_transpile_cache_total",
             "Transpilation-cache lookups, by tier and result.",
+        )
+        # Every prepare looks up the memory tier: bind its two series once.
+        self._memory_hits = self._cache_lookups.labels(tier="memory", result="hit")
+        self._memory_misses = self._cache_lookups.labels(
+            tier="memory", result="miss"
         )
         # Resilience: per-call/service-default query budgets, bounded retry
         # on member death, and a per-backend circuit breaker that sheds
@@ -467,6 +520,8 @@ class GraphitiService:
             "Estimate-vs-actual q-error per observed execution.",
             buckets=RATIO_BUCKETS,
         )
+        #: Per-query series of each backend name, bound on first use.
+        self._backend_series: dict[str, _BackendSeries] = {}
         # Intra-query parallelism: fragmentable plans over large scans are
         # split into rowid range partitions and scattered over pooled
         # connections (see repro.backends.executor).  The gate's verdicts
@@ -646,9 +701,7 @@ class GraphitiService:
             with tracer.span("cache.lookup", tier="memory") as span:
                 cached = self._cache.get(key)
                 span.set("hit", cached is not None)
-            self._cache_lookups.inc(
-                tier="memory", result="hit" if cached is not None else "miss"
-            )
+            (self._memory_hits if cached is not None else self._memory_misses).inc()
             if cached is not None:
                 assert isinstance(cached, PreparedQuery)
                 prepare_span.set("cached", "memory")
@@ -1169,8 +1222,8 @@ class GraphitiService:
             return
         estimate = max(float(plan.estimated_rows), 1.0)
         actual = max(float(actual_rows), 1.0)
-        self._estimate_error.observe(
-            max(actual / estimate, estimate / actual), backend=name
+        self._series_for(name).estimate_error.observe(
+            max(actual / estimate, estimate / actual)
         )
         if executions < self.feedback_min_observations:
             return
@@ -1450,9 +1503,15 @@ class GraphitiService:
         return {name: pool.snapshot() for name, pool in sorted(pools.items())}
 
     def query_stats(self) -> tuple[QueryStat, ...]:
-        """Per-query execution accounting (insertion order), for ``--stats``."""
+        """Per-query execution accounting (insertion order), for ``--stats``.
+
+        Covers the :data:`MAX_TRACKED_QUERIES` most recently recorded texts.
+        """
         with self._lock:
-            return tuple(self._query_stats.values())
+            entries = sorted(
+                self._query_stats.items(), key=lambda item: item[1].order
+            )
+            return tuple(stat.freeze(text) for text, stat in entries)
 
     def reset_query_stats(self) -> None:
         with self._lock:
@@ -1472,26 +1531,33 @@ class GraphitiService:
         self, cypher_text: str, seconds: float, backend: str | None = None
     ) -> None:
         name = backend or self.default_backend
-        self._queries_total.inc(backend=name)
-        self._query_seconds.observe(seconds, backend=name)
+        series = self._series_for(name)
+        series.queries.inc()
+        series.seconds.observe(seconds)
         self.slow_queries.record(cypher_text, name, seconds)
+        stats = self._query_stats
         with self._lock:
-            previous = self._query_stats.get(cypher_text)
-            if previous is None:
-                self._query_stats[cypher_text] = QueryStat(
-                    cypher_text, 1, seconds, seconds, (seconds,)
-                )
+            stat = stats.get(cypher_text)
+            if stat is None:
+                stat = stats[cypher_text] = _QueryAccumulator(next(self._query_order))
+                if len(stats) > MAX_TRACKED_QUERIES:
+                    stats.popitem(last=False)
             else:
-                samples = previous.samples + (seconds,)
-                if len(samples) > MAX_LATENCY_SAMPLES:
-                    samples = samples[-MAX_LATENCY_SAMPLES:]
-                self._query_stats[cypher_text] = QueryStat(
-                    cypher_text,
-                    previous.executions + 1,
-                    previous.total_seconds + seconds,
-                    seconds,
-                    samples,
-                )
+                stats.move_to_end(cypher_text)
+            stat.add(seconds)
+
+    def _series_for(self, name: str) -> _BackendSeries:
+        """Backend *name*'s per-query series, bound on first use (two
+        racing threads both bind, harmlessly: children of one label set
+        share its storage)."""
+        series = self._backend_series.get(name)
+        if series is None:
+            series = self._backend_series[name] = _BackendSeries(
+                self._queries_total.labels(backend=name),
+                self._query_seconds.labels(backend=name),
+                self._estimate_error.labels(backend=name),
+            )
+        return series
 
     def backends(self) -> tuple[str, ...]:
         """Backends this service could run on here (registry availability)."""
@@ -1586,8 +1652,6 @@ class GraphitiService:
 
     def dialect_of(self, backend_name: str) -> SqlDialect:
         """The SQL dialect *backend_name*'s SQL text must be rendered in."""
-        from repro.backends.registry import backend_info
-
         return backend_info(backend_name).backend_class.dialect
 
     def _reset_pools(self) -> None:

@@ -10,7 +10,14 @@ so existing consumers keep working while new ones scrape one place.
 Design points (all stdlib):
 
 * every metric supports labels (``counter.inc(backend="duckdb")``);
-  a label-less series is just the empty label set;
+  a label-less series is just the empty label set.  Hot paths bind a
+  series once with :meth:`Counter.labels` / :meth:`Histogram.labels`
+  (as ``prometheus_client`` does) and update the returned child, which
+  skips the per-call label sort; the keyword forms go through the same
+  children, so there is one update path.  A bound series appears in the
+  exports on its first update, exactly as a keyword update would add it;
+* a gauge series can be computed when it is read
+  (:meth:`Gauge.set_function`) instead of being set on every change;
 * metrics are created idempotently through the registry
   (:meth:`MetricsRegistry.counter` returns the existing metric on a
   repeat call, and raises if the name is already taken by another type);
@@ -23,7 +30,11 @@ Design points (all stdlib):
   recent executions — the first place to look when p95 jumps.
 
 Thread-safety: one lock per metric family, taken for the few dict
-operations an update needs; the registry lock only guards creation.
+operations an update needs; the registry lock only guards creation.  A
+bound child shares its family's lock and storage, so child and keyword
+updates of one series serialise on that lock and never lose an update.
+Gauge functions run at read time outside the lock, on the reading
+thread: they must be safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -31,8 +42,10 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 #: Default histogram bucket upper bounds, in seconds (latency-shaped).
 DEFAULT_BUCKETS = (
@@ -107,8 +120,24 @@ class _Metric:
         self.help = help_text
         self._lock = threading.Lock()
 
-    def _key(self, labels: dict[str, object]) -> _LabelKey:
-        return _label_key(labels)
+
+class CounterChild:
+    """One label set of a :class:`Counter`, bound by :meth:`Counter.labels`."""
+
+    __slots__ = ("_name", "_lock", "_values", "_key")
+
+    def __init__(self, counter: "Counter", key: _LabelKey) -> None:
+        self._name = counter.name
+        self._lock = counter._lock
+        self._values = counter._values
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self._name!r} cannot decrease ({amount})")
+        key = self._key
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + amount
 
 
 class Counter(_Metric):
@@ -120,16 +149,16 @@ class Counter(_Metric):
         super().__init__(name, help_text)
         self._values: dict[_LabelKey, float] = {}
 
+    def labels(self, **labels: object) -> CounterChild:
+        """The series for *labels*, bound once for repeated updates."""
+        return CounterChild(self, _label_key(labels))
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease ({amount})")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels: object) -> float:
         with self._lock:
-            return self._values.get(self._key(labels), 0.0)
+            return self._values.get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum across every label set (convenience for views)."""
@@ -149,26 +178,74 @@ class Gauge(_Metric):
     def __init__(self, name: str, help_text: str = "") -> None:
         super().__init__(name, help_text)
         self._values: dict[_LabelKey, float] = {}
+        self._functions: dict[_LabelKey, Callable[[], float]] = {}
 
     def set(self, value: float, **labels: object) -> None:
+        key = _label_key(labels)
         with self._lock:
-            self._values[self._key(labels)] = float(value)
+            self._functions.pop(key, None)
+            self._values[key] = float(value)
+
+    def set_function(self, function: Callable[[], float], **labels: object) -> None:
+        """Report ``function()`` for *labels* whenever the gauge is read,
+        until a later :meth:`set`, :meth:`inc` or :meth:`dec` of the same
+        series stores a value in its place."""
+        key = _label_key(labels)
+        with self._lock:
+            self._values.pop(key, None)
+            self._functions[key] = function
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
+        key = _label_key(labels)
         with self._lock:
+            self._functions.pop(key, None)
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
+        key = _label_key(labels)
         with self._lock:
-            return self._values.get(self._key(labels), 0.0)
+            function = self._functions.get(key)
+            if function is None:
+                return self._values.get(key, 0.0)
+        return float(function())
 
     def series(self) -> list[tuple[_LabelKey, float]]:
         with self._lock:
-            return sorted(self._values.items())
+            values = dict(self._values)
+            functions = list(self._functions.items())
+        values.update((key, float(function())) for key, function in functions)
+        return sorted(values.items())
+
+
+class HistogramChild:
+    """One label set of a :class:`Histogram`, bound by :meth:`Histogram.labels`."""
+
+    __slots__ = ("_buckets", "_lock", "_series", "_key")
+
+    def __init__(self, histogram: "Histogram", key: _LabelKey) -> None:
+        self._buckets = histogram.buckets
+        self._lock = histogram._lock
+        self._series = histogram._series
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        buckets = self._buckets
+        index = bisect_left(buckets, value)
+        key = self._key
+        with self._lock:
+            entry = self._series.get(key)
+            if entry is None:
+                entry = self._series[key] = [[0] * len(buckets), 0, 0.0]
+            # ``NaN`` fails every comparison, so bisection alone would put
+            # it in the first bucket; the bound check leaves it in ``+Inf``
+            # only, like a value above the top bound.
+            if index < len(buckets) and value <= buckets[index]:
+                entry[0][index] += 1
+            entry[1] += 1
+            entry[2] += value
 
 
 class Histogram(_Metric):
@@ -184,29 +261,24 @@ class Histogram(_Metric):
     ) -> None:
         super().__init__(name, help_text)
         self.buckets = tuple(sorted(buckets))
-        # per label set: ([count per finite bucket], count, sum)
-        self._series: dict[_LabelKey, tuple[list[int], int, float]] = {}
+        # per label set: [[count per finite bucket], count, sum]
+        self._series: dict[_LabelKey, list] = {}
+
+    def labels(self, **labels: object) -> HistogramChild:
+        """The series for *labels*, bound once for repeated observations."""
+        return HistogramChild(self, _label_key(labels))
 
     def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            counts, count, total = self._series.get(
-                key, ([0] * len(self.buckets), 0, 0.0)
-            )
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
-                    break
-            self._series[key] = (counts, count + 1, total + value)
+        self.labels(**labels).observe(value)
 
     def count(self, **labels: object) -> int:
         with self._lock:
-            entry = self._series.get(self._key(labels))
+            entry = self._series.get(_label_key(labels))
             return entry[1] if entry else 0
 
     def sum(self, **labels: object) -> float:
         with self._lock:
-            entry = self._series.get(self._key(labels))
+            entry = self._series.get(_label_key(labels))
             return entry[2] if entry else 0.0
 
     def series(self) -> list[tuple[_LabelKey, tuple[list[int], int, float]]]:

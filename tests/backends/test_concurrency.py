@@ -164,6 +164,30 @@ class TestPercentiles:
         assert stat.p50_seconds == 0.0
         assert stat.p95_seconds == 0.0
 
+    def test_tracked_texts_are_bounded(self, service):
+        """A stream of distinct texts (inlined literals) keeps only the
+        most recently recorded MAX_TRACKED_QUERIES of them, and a text
+        recorded throughout the stream keeps exact counts."""
+        from repro.backends.service import MAX_TRACKED_QUERIES
+
+        hot = "MATCH (n:EMP) WHERE n.id = 0 RETURN n.name"
+        for index in range(100_000):
+            service.record_execution(f"MATCH (n:EMP) WHERE n.id = {index} RETURN n", 0.5)
+            if index % 50 == 0:
+                service.record_execution(hot, 0.25)
+        stats = service.query_stats()
+        assert len(stats) == MAX_TRACKED_QUERIES
+        by_text = {stat.cypher_text: stat for stat in stats}
+        assert by_text[hot].executions == 2_000
+        assert by_text[hot].total_seconds == 500.0
+        newest = by_text["MATCH (n:EMP) WHERE n.id = 99999 RETURN n"]
+        assert (newest.executions, newest.total_seconds, newest.samples) == (
+            1, 0.5, (0.5,)
+        )
+        assert "MATCH (n:EMP) WHERE n.id = 0 RETURN n" not in by_text
+        # Listed in first-recorded order, as before the cap.
+        assert stats[0].cypher_text == hot
+
     def test_sample_window_is_bounded(self, service):
         from repro.backends.service import MAX_LATENCY_SAMPLES
 

@@ -10,6 +10,7 @@ import pytest
 from repro.backends import ConnectionPool, PoolClosed, PoolTimeout, available_backends
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
+from repro.observability.metrics import MetricsRegistry
 from repro.sql.stats import collect_stats
 
 
@@ -328,6 +329,43 @@ class TestBlockedCheckout:
             assert pool.size == 2
             pool.checkin(first)
             pool.checkin(acquired[0])
+
+
+class TestStateGauges:
+    """Size, in-use and waiter gauges are read from the pool when scraped."""
+
+    def test_gauges_read_live_pool_state(self, emp_dept_db):
+        registry = MetricsRegistry()
+        pool = ConnectionPool(
+            "sqlite-memory", emp_dept_db, capacity=1, registry=registry
+        )
+
+        def gauge(name: str) -> float:
+            return registry.gauge(name).value(backend="sqlite-memory")
+
+        assert (gauge("repro_pool_size"), gauge("repro_pool_in_use")) == (1, 0)
+        member = pool.checkout()
+        assert gauge("repro_pool_in_use") == 1
+        assert 'repro_pool_in_use{backend="sqlite-memory"} 1' in (
+            registry.to_prometheus()
+        )
+        acquired = []
+
+        def blocked_checkout():
+            other = pool.checkout(timeout=10)
+            acquired.append(other)
+            pool.checkin(other)
+
+        thread = threading.Thread(target=blocked_checkout)
+        thread.start()
+        assert wait_until(lambda: gauge("repro_pool_waiters") == 1)
+        pool.checkin(member)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert acquired == [member]
+        assert gauge("repro_pool_in_use") == 0
+        assert gauge("repro_pool_waiters") == 0
+        pool.close()
 
 
 class TestAsyncEdgeCases:

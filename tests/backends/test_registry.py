@@ -17,6 +17,7 @@ from repro.backends import (
     registered_backends,
 )
 from repro.backends.registry import _REGISTRY
+from repro.common.budget import QueryBudget
 from repro.common.values import NULL
 from repro.relational.instance import Database
 from repro.relational.schema import Relation, RelationalSchema
@@ -89,10 +90,18 @@ class TestLoadBackend:
             result = backend.execute('SELECT "a" FROM "t" WHERE "b" IS NOT NULL')
             assert sorted(result.rows) == [(1,), (3,)]
 
-    def test_null_roundtrip(self, database):
+    @pytest.mark.parametrize(
+        "budget", [None, QueryBudget(max_rows=100)], ids=["plain", "budgeted"]
+    )
+    def test_null_roundtrip(self, database, budget):
+        """SQL NULL comes back as NULL on the plain and the budgeted fetch,
+        and rows without one come back unchanged beside it."""
         with load_backend("sqlite-memory", database) as backend:
-            result = backend.execute('SELECT "b" FROM "t" WHERE "a" = 2')
-            assert result.rows == [(NULL,)]
+            result = backend.execute(
+                'SELECT "a", "b" FROM "t" ORDER BY "a"', budget=budget
+            )
+            assert result.rows == [(1, "x"), (2, NULL), (3, "y")]
+            assert result.rows[1][1] is NULL
 
     def test_batched_loading_matches_unbatched(self, schema):
         big = Database.of(schema, t=[(i, f"v{i}") for i in range(257)])

@@ -11,7 +11,9 @@ bounds) and non-interleaved, even though the work raced on real threads.
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.backends import (
 )
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NOOP_TRACER, Tracer
 
 SCAN = "MATCH (n:EMP) RETURN n.name"
@@ -265,6 +268,27 @@ class TestRegistryAfterServing:
         cache = service.metrics.counter("repro_transpile_cache_total")
         assert cache.value(tier="memory", result="miss") == 1
         assert cache.value(tier="memory", result="hit") == 1
+
+    def test_registry_keeps_no_closed_pool_alive(self, emp_dept_schema):
+        """The pool's state gauges reach it through a weak reference: a
+        registry outliving the service holds neither the pool nor its
+        loaded data, and reads the gone pool as empty."""
+        registry = MetricsRegistry()
+        service = GraphitiService(emp_dept_schema, registry=registry)
+        service.load_mock(10, seed=3)
+        service.run(SCAN)
+        pool = weakref.ref(service.pool())
+        database = weakref.ref(service.database)
+        service.close()
+        del service
+        gc.collect()
+        assert pool() is None
+        assert database() is None
+        size = registry.gauge("repro_pool_size")
+        assert size.value(backend="sqlite-memory") == 0
+        assert 'repro_pool_size{backend="sqlite-memory"} 0' in (
+            registry.to_prometheus()
+        )
 
     def test_pool_snapshot_view(self, service):
         service.run(SCAN)

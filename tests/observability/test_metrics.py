@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import threading
 
 import pytest
@@ -40,18 +41,37 @@ class TestCounter:
             counter.inc(-1)
 
     def test_concurrent_increments_exact(self):
+        """Keyword updates, a bound counter child and a bound histogram
+        child, hammered together with rapid thread switching, lose no
+        update: child and keyword forms share one lock per family."""
         counter = Counter("c")
+        histogram = Histogram("h", buckets=(0.5,))
+        bound = counter.labels(backend="x")
+        bound_histogram = histogram.labels(backend="x")
 
         def hammer():
             for _ in range(500):
                 counter.inc(backend="x")
+                bound.inc()
+                bound_histogram.observe(0.25)
+                histogram.observe(1.0, backend="x")
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value(backend="x") == 4000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.value(backend="x") == 16 * 500 * 2
+        assert histogram.count(backend="x") == 16 * 500 * 2
+        assert histogram.sum(backend="x") == 16 * 500 * 1.25
+        ((_, (counts, _, _)),) = histogram.series()
+        assert counts == [16 * 500]
 
 
 class TestGauge:
@@ -61,6 +81,23 @@ class TestGauge:
         gauge.inc(pool="p")
         gauge.dec(2, pool="p")
         assert gauge.value(pool="p") == 4
+
+    def test_set_function_is_read_at_scrape_time(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("g")
+        state = {"value": 1}
+        gauge.set_function(lambda: state["value"], pool="p")
+        assert gauge.value(pool="p") == 1
+        state["value"] = 7
+        assert gauge.value(pool="p") == 7
+        assert 'g{pool="p"} 7' in registry.to_prometheus()
+
+    def test_set_replaces_an_earlier_set_function(self):
+        gauge = Gauge("g")
+        gauge.set_function(lambda: 99, pool="p")
+        gauge.set(3, pool="p")
+        assert gauge.value(pool="p") == 3
+        assert gauge.series() == [((("pool", "p"),), 3.0)]
 
 
 class TestHistogram:
@@ -77,6 +114,127 @@ class TestHistogram:
     def test_buckets_are_sorted(self):
         histogram = Histogram("h", buckets=(1.0, 0.1))
         assert histogram.buckets == (0.1, 1.0)
+
+
+def _record_fixed_sequence(registry: MetricsRegistry, bound: bool) -> None:
+    """One fixed sequence of updates, through the keyword forms or through
+    bound children: a value exactly on a bucket bound, one just above it,
+    one above the top bound, a negative value, and NaN."""
+    counter = registry.counter("repro_events_total", "Events.")
+    histogram = registry.histogram(
+        "repro_latency_seconds", "Latency.", buckets=(0.1, 1.0, 10.0)
+    )
+
+    def inc(amount: float, **labels: object) -> None:
+        if bound:
+            counter.labels(**labels).inc(amount)
+        else:
+            counter.inc(amount, **labels)
+
+    def observe(value: float, **labels: object) -> None:
+        if bound:
+            histogram.labels(**labels).observe(value)
+        else:
+            histogram.observe(value, **labels)
+
+    inc(1, backend="a")
+    inc(2.5, backend="a")
+    inc(1, result="hit", tier="memory")
+    inc(0, backend="b")
+    inc(3)
+    for value in (1.0, 1.0000001, 50.0, -2.0, 0.1):
+        observe(value, backend="a")
+    observe(math.nan, backend="nan")
+    observe(0.5, tier="memory", result="hit")
+
+
+#: The exports the fixed sequence must produce: series in label order,
+#: each value counted in the first bucket whose bound is at or above it,
+#: and NaN, like a value above the top bound, counted only in ``+Inf``.
+_FIXED_SEQUENCE_PROMETHEUS = """\
+# HELP repro_events_total Events.
+# TYPE repro_events_total counter
+repro_events_total 3
+repro_events_total{backend="a"} 3.5
+repro_events_total{backend="b"} 0
+repro_events_total{result="hit",tier="memory"} 1
+# HELP repro_latency_seconds Latency.
+# TYPE repro_latency_seconds histogram
+repro_latency_seconds_bucket{backend="a",le="0.1"} 2
+repro_latency_seconds_bucket{backend="a",le="1"} 3
+repro_latency_seconds_bucket{backend="a",le="10"} 4
+repro_latency_seconds_bucket{backend="a",le="+Inf"} 5
+repro_latency_seconds_sum{backend="a"} 50.1000001
+repro_latency_seconds_count{backend="a"} 5
+repro_latency_seconds_bucket{backend="nan",le="0.1"} 0
+repro_latency_seconds_bucket{backend="nan",le="1"} 0
+repro_latency_seconds_bucket{backend="nan",le="10"} 0
+repro_latency_seconds_bucket{backend="nan",le="+Inf"} 1
+repro_latency_seconds_sum{backend="nan"} nan
+repro_latency_seconds_count{backend="nan"} 1
+repro_latency_seconds_bucket{result="hit",tier="memory",le="0.1"} 0
+repro_latency_seconds_bucket{result="hit",tier="memory",le="1"} 1
+repro_latency_seconds_bucket{result="hit",tier="memory",le="10"} 1
+repro_latency_seconds_bucket{result="hit",tier="memory",le="+Inf"} 1
+repro_latency_seconds_sum{result="hit",tier="memory"} 0.5
+repro_latency_seconds_count{result="hit",tier="memory"} 1
+"""
+
+_FIXED_SEQUENCE_SNAPSHOT = {
+    "repro_events_total": {
+        "help": "Events.",
+        "type": "counter",
+        "series": [
+            {"labels": {}, "value": 3.0},
+            {"labels": {"backend": "a"}, "value": 3.5},
+            {"labels": {"backend": "b"}, "value": 0.0},
+            {"labels": {"result": "hit", "tier": "memory"}, "value": 1.0},
+        ],
+    },
+    "repro_latency_seconds": {
+        "help": "Latency.",
+        "type": "histogram",
+        "series": [
+            {
+                "labels": {"backend": "a"},
+                "count": 5,
+                "sum": 50.1000001,
+                "buckets": {"0.1": 2, "1": 1, "10": 1},
+            },
+            {
+                "labels": {"backend": "nan"},
+                "count": 1,
+                "sum": math.nan,
+                "buckets": {"0.1": 0, "1": 0, "10": 0},
+            },
+            {
+                "labels": {"result": "hit", "tier": "memory"},
+                "count": 1,
+                "sum": 0.5,
+                "buckets": {"0.1": 0, "1": 1, "10": 0},
+            },
+        ],
+    },
+}
+
+
+class TestBoundChildren:
+    @pytest.mark.parametrize("bound", [False, True], ids=["keyword", "bound"])
+    def test_keyword_and_bound_updates_export_identically(self, bound):
+        registry = MetricsRegistry()
+        _record_fixed_sequence(registry, bound)
+        assert registry.to_prometheus() == _FIXED_SEQUENCE_PROMETHEUS
+        # JSON text, so the NaN sum compares equal to itself.
+        assert json.dumps(registry.snapshot(), sort_keys=True) == json.dumps(
+            _FIXED_SEQUENCE_SNAPSHOT, sort_keys=True
+        )
+
+    def test_binding_alone_exports_nothing(self):
+        registry = MetricsRegistry()
+        registry.counter("c").labels(backend="a")
+        registry.histogram("h").labels(backend="a")
+        assert registry.snapshot()["c"]["series"] == []
+        assert registry.snapshot()["h"]["series"] == []
 
 
 class TestRegistry:
