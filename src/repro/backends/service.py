@@ -86,9 +86,10 @@ DEFAULT_BACKEND = "sqlite-memory"
 #: Per-query latency samples kept for percentile reporting (most recent).
 MAX_LATENCY_SAMPLES = 512
 
-#: Cypher texts whose :class:`QueryStat` accounting is kept: the most
-#: recently recorded ones.  Literals are inlined into the text, so a
-#: stream of distinct literals would otherwise grow the map forever.
+#: Cypher texts whose :class:`QueryStat` accounting and partition-gate
+#: verdicts are kept: the most recently used ones.  Literals are inlined
+#: into the text, so a stream of distinct literals would otherwise grow
+#: the maps forever.
 MAX_TRACKED_QUERIES = 4096
 
 
@@ -531,9 +532,10 @@ class GraphitiService:
         # never deadlock waiting for partition slots its siblings hold.
         self.parallelism = parallelism
         self.parallel_row_threshold = parallel_row_threshold
-        self._parallel_states: dict[
+        #: Least recently used first; capped at MAX_TRACKED_QUERIES.
+        self._parallel_states: OrderedDict[
             object, tuple[ParallelDecision, FragmentExecutor | None]
-        ] = {}
+        ] = OrderedDict()
         self._batch_executor: ThreadPoolExecutor | None = None
         self._batch_workers = 0
         self._partition_executor: ThreadPoolExecutor | None = None
@@ -1077,8 +1079,11 @@ class GraphitiService:
             prepared.opt_level,
             self.parallelism,
         )
+        states = self._parallel_states
         with self._lock:
-            state = self._parallel_states.get(key)
+            state = states.get(key)
+            if state is not None:
+                states.move_to_end(key)
             stats = self._stats
             feedback = self._feedback.get(prepared.cypher_text)
             row_scale = feedback.row_scale if feedback is not None else 1.0
@@ -1107,7 +1112,9 @@ class GraphitiService:
                 )
             state = (decision, runner)
             with self._lock:
-                self._parallel_states[key] = state
+                states[key] = state
+                if len(states) > MAX_TRACKED_QUERIES:
+                    states.popitem(last=False)
         decision, runner = state
         # Written when the verdict is computed — below opt level 2 a reload
         # keeps the same cache entry, whose old verdict is now stale — or

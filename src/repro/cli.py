@@ -40,13 +40,9 @@ Subcommands
 
         python -m repro bench-backends --rows 5000 --repeats 5
 
-``bench-throughput``
-    Measure concurrent-serving QPS (serial vs pooled worker threads vs the
-    asyncio lane; ``--mode`` picks lanes) and write the tracked baseline
-    ``BENCH_throughput.json``::
-
-        python -m repro bench-throughput --rows 2000 --batch 40
-        python -m repro bench-throughput --mode async
+    The serving benchmarks (concurrent QPS, adaptive re-planning,
+    partition-parallel scans) are scripts that drive the library from
+    outside, e.g. ``python benchmarks/bench_throughput.py --mode async``.
 
 ``explain``
     Trace one query through the serving stack — parse, transpile, planner,
@@ -120,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         "run": _command_run,
         "explain": _command_explain,
         "bench-backends": _command_bench_backends,
-        "bench-throughput": _command_bench_throughput,
         "backends": _command_backends,
         "tables": _command_tables,
         "suite": _command_suite,
@@ -345,49 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="backend to include (repeatable; default: every available one)",
     )
 
-    throughput_parser = subparsers.add_parser(
-        "bench-throughput",
-        help="measure concurrent-serving QPS and write BENCH_throughput.json",
-    )
-    throughput_parser.add_argument(
-        "--rows", type=int, default=2000, help="mock rows per table (default 2000)"
-    )
-    throughput_parser.add_argument(
-        "--batch", type=int, default=40, help="queries per batch (default 40)"
-    )
-    throughput_parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best reported)"
-    )
-    throughput_parser.add_argument(
-        "--backend",
-        action="append",
-        dest="backends",
-        help="backend to include (repeatable; default: every available one)",
-    )
-    throughput_parser.add_argument(
-        "--mode",
-        choices=("threads", "async", "both"),
-        default="both",
-        help="measurement lanes: worker threads, the asyncio service, or "
-        "both (default both)",
-    )
-    throughput_parser.add_argument(
-        "--parallel",
-        action="append",
-        type=int,
-        dest="parallel_degrees",
-        metavar="N",
-        help="measure the partition-parallel scan lane at degree N instead "
-        "(repeatable; writes BENCH_parallel.json unless --out is given)",
-    )
-    throughput_parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="output JSON path (default ./BENCH_throughput.json, or "
-        "./BENCH_parallel.json with --parallel)",
-    )
-
     backends_parser = subparsers.add_parser(
         "backends", help="list registered execution backends"
     )
@@ -594,64 +546,6 @@ def _run_batch_async(
             )
 
     return asyncio.run(drive())
-
-
-def _command_bench_throughput(arguments) -> int:
-    from repro.backends import BackendUnavailable
-
-    if getattr(arguments, "parallel_degrees", None):
-        return _bench_throughput_parallel(arguments)
-    from repro.backends.throughput import MODES, format_report, run_bench
-
-    out_path = arguments.out or Path("BENCH_throughput.json")
-    modes = MODES if arguments.mode == "both" else (arguments.mode,)
-    try:
-        report = run_bench(
-            rows_per_table=arguments.rows,
-            batch_size=arguments.batch,
-            repeats=arguments.repeats,
-            backends=tuple(arguments.backends) if arguments.backends else None,
-            out_path=out_path,
-            modes=modes,
-        )
-    except BackendUnavailable as error:
-        raise SystemExit(str(error))
-    print("\n".join(format_report(report)))
-    print(f"wrote {out_path}")
-    summary = report["summary"]
-    ok = (
-        summary["all_concurrent_results_valid"]
-        and summary["all_batches_consistent_with_serial"]
-    )
-    return 0 if ok else 1
-
-
-def _bench_throughput_parallel(arguments) -> int:
-    """The ``--parallel`` lane: partition-parallel scans vs serial."""
-    from repro.backends import BackendUnavailable
-    from repro.backends.parallel_bench import format_report, run_bench
-
-    out_path = arguments.out or Path("BENCH_parallel.json")
-    backend = arguments.backends[0] if arguments.backends else "sqlite-memory"
-    try:
-        report = run_bench(
-            rows_per_table=arguments.rows,
-            repeats=arguments.repeats,
-            degrees=tuple(arguments.parallel_degrees),
-            backend=backend,
-            out_path=out_path,
-        )
-    except BackendUnavailable as error:
-        raise SystemExit(str(error))
-    print("\n".join(format_report(report)))
-    print(f"wrote {out_path}")
-    summary = report["summary"]
-    ok = (
-        summary["all_results_valid"]
-        and summary["all_parallel_consistent_with_serial"]
-        and summary["overhead_within_3x_budget"]
-    )
-    return 0 if ok else 1
 
 
 def _command_bench_backends(arguments) -> int:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.common.values import Value
-from repro.core.sdt import SOURCE_ATTRIBUTE, TARGET_ATTRIBUTE, SdtResult
+from repro.core.sdt import SOURCE_ATTRIBUTE, TARGET_ATTRIBUTE, SdtResult, infer_sdt
 from repro.graph.schema import GraphSchema
 from repro.relational.instance import Database
 from repro.relational.schema import RelationalSchema
@@ -85,3 +85,41 @@ class MockDataGenerator:
             base = _FIRST_NAMES[index % len(_FIRST_NAMES)]
             return f"{base}{index}"
         return self.rng.randrange(0, max(10, self.string_pool_size))
+
+
+def build_skewed_database(
+    users: int, hubs: int, hub_edges: int, posts: int = 10
+) -> Database:
+    """A hub-skewed instance of the social universe: *hubs* users own all
+    ``FOLLOWS`` fan-out (a dense hub→hub core plus one spoke per remaining
+    user), so per-hop fan-out is ``hub_edges/hubs`` while the *mean*
+    fan-out the NDV statistics see is only ``edges/users`` — the data
+    that mis-plans bounded traversals under uniform statistics."""
+    # Imported here: the benchmark-suite package is heavy, and only this
+    # generator needs it.
+    from repro.benchmarks.universes import SOCIAL
+
+    sdt = infer_sdt(SOCIAL.graph_schema)
+    database = Database(sdt.schema)
+    user_table = sdt.table_for("USER")
+    post_table = sdt.table_for("POST")
+    follows = sdt.table_for("FOLLOWS")
+    wrote = sdt.table_for("WROTE")
+    likes = sdt.table_for("LIKES")
+    for uid in range(1, users + 1):
+        database.insert(user_table, [uid, f"user{uid}", 20 + uid % 50])
+    for pid in range(1, posts + 1):
+        database.insert(post_table, [pid, f"post{pid}", pid % 7])
+    fid = 0
+    for index in range(hub_edges):
+        fid += 1
+        source = (index % hubs) + 1
+        target = ((index * 7 + index // hubs) % hubs) + 1
+        database.insert(follows, [fid, source, target])
+    for uid in range(hubs + 1, users + 1):
+        fid += 1
+        database.insert(follows, [fid, uid, (uid % hubs) + 1])
+    for pid in range(1, posts + 1):
+        database.insert(wrote, [pid, (pid % users) + 1, pid])
+        database.insert(likes, [pid, (pid * 3 % users) + 1, pid])
+    return database

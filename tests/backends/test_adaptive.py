@@ -11,19 +11,18 @@ a bumped feedback epoch that re-keys exactly that query's cache entries.
 import pytest
 
 from repro.backends import GraphitiService
-from repro.backends.adaptive_bench import (
-    ADAPTIVE_QUERY,
-    build_skewed_database,
-)
 from repro.benchmarks.universes import SOCIAL
 from repro.core.sdt import infer_sdt
-from repro.execution.datagen import MockDataGenerator
+from repro.execution.datagen import MockDataGenerator, build_skewed_database
 from repro.observability.explain import explain_query
 from repro.relational.instance import tables_equivalent
 from repro.sql.stats import collect_stats
 
 JOIN_QUERY = "MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) RETURN n.name, m.dname"
 SCAN_QUERY = "MATCH (n:EMP) RETURN n.name"
+#: A bounded traversal whose unrolled chains explode on a hub-skewed graph
+#: while the distinct-pair output stays small.
+ADAPTIVE_QUERY = "MATCH (a:USER)-[:FOLLOWS*1..3]->(b:USER) RETURN a.uid, b.uid"
 
 
 @pytest.fixture
@@ -183,7 +182,7 @@ class TestReplan:
 
 
 class TestSkewConvergence:
-    """End-to-end on the bench's hub-skewed graph: stale uniform stats pick
+    """End-to-end on a hub-skewed graph: stale uniform stats pick
     the unrolled traversal, feedback converges on the recursive plan."""
 
     def test_feedback_flips_unrolled_to_recursive(self):

@@ -35,7 +35,6 @@ import pytest
 
 from repro.backends import AsyncGraphitiService, GraphitiService, available_backends
 from repro.backends.comparison import DEFAULT_SCHEMA, DEFAULT_WORKLOAD
-from repro.backends.throughput import WORKLOAD as SOCIAL_WORKLOAD
 from repro.benchmarks.universes import COMPANY, SOCIAL
 from repro.common.budget import QueryBudget
 from repro.relational.instance import tables_equivalent
@@ -45,6 +44,28 @@ from repro.sql.optimize import OPT_LEVELS
 #: reference evaluator nested-loops its joins; variety comes from the
 #: corpus, not the data volume.
 ROWS_PER_TABLE = 15
+
+SOCIAL_WORKLOAD: dict[str, str] = {
+    "one-hop-agg": (
+        "MATCH (a:USER)-[w:WROTE]->(p:POST) RETURN a.uname, Count(*)"
+    ),
+    "two-hop-agg": (
+        "MATCH (a:USER)-[f:FOLLOWS]->(b:USER)-[w:WROTE]->(p:POST) "
+        "RETURN b.uname, Count(*)"
+    ),
+    "two-hop-filter": (
+        "MATCH (a:USER)-[f:FOLLOWS]->(b:USER)-[w:WROTE]->(p:POST) "
+        "WHERE p.score = 10 RETURN a.uname, p.title"
+    ),
+    "diamond-count": (
+        "MATCH (a:USER)-[f:FOLLOWS]->(b:USER)-[w:WROTE]->(p:POST) "
+        "MATCH (c:USER)-[l:LIKES]->(p:POST) RETURN Count(*)"
+    ),
+    "three-hop-count": (
+        "MATCH (a:USER)-[f:FOLLOWS]->(b:USER)-[g:FOLLOWS]->(c:USER)"
+        "-[w:WROTE]->(p:POST) RETURN Count(*)"
+    ),
+}
 
 COMPANY_WORKLOAD: dict[str, str] = {
     "scan-filter": "MATCH (e:EMP) WHERE e.salary = 5 RETURN e.ename",
@@ -302,21 +323,33 @@ class TestBudgetDifferentialHarness:
         assert capped, "no traversal query was planned depth-capped"
 
 
+#: Service settings of the async lanes: the plain one, and one that also
+#: crosses partition parallelism (gate forced open) with a generous budget.
+ASYNC_LANES = {
+    "async": {},
+    "crossed": {
+        "parallelism": 2,
+        "parallel_row_threshold": 0,
+        "default_budget": GENEROUS_BUDGET,
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def async_differential_services():
-    """One :class:`AsyncGraphitiService` per universe, module-shared, each
-    owning its service over the same seeded mock data as the sync lane."""
-    services: dict[str, AsyncGraphitiService] = {}
+    """One :class:`AsyncGraphitiService` per (universe, lane), module-shared,
+    each owning its service over the same seeded mock data as the sync lane."""
+    services: dict[tuple[str, str], AsyncGraphitiService] = {}
 
-    def service_for(universe: str) -> AsyncGraphitiService:
-        service = services.get(universe)
+    def service_for(universe: str, lane: str) -> AsyncGraphitiService:
+        service = services.get((universe, lane))
         if service is None:
             schema, _ = CORPUS[universe]
-            service = AsyncGraphitiService(schema)
+            service = AsyncGraphitiService(schema, **ASYNC_LANES[lane])
             asyncio.run(
                 service.load_mock(ROWS_PER_TABLE, seed=SEEDS.get(universe, DEFAULT_SEED))
             )
-            services[universe] = service
+            services[universe, lane] = service
         return service
 
     yield service_for
@@ -325,6 +358,8 @@ def async_differential_services():
 
 
 class TestAsyncDifferentialHarness:
+    LANE = "async"
+
     @pytest.mark.parametrize("backend_name", available_backends())
     @pytest.mark.parametrize("opt_level", sorted(OPT_LEVELS))
     @pytest.mark.parametrize(("universe", "label"), CASES)
@@ -333,16 +368,45 @@ class TestAsyncDifferentialHarness:
     ):
         _, workload = CORPUS[universe]
         cypher = workload[label]
-        service = async_differential_services(universe)
+        service = async_differential_services(universe, self.LANE)
         expected = service.service.reference(cypher)
         actual = asyncio.run(
             service.run(cypher, backend=backend_name, opt_level=opt_level)
         )
         assert tables_equivalent(expected, actual), (
-            f"{backend_name} (opt {opt_level}, async) diverges from the "
+            f"{backend_name} (opt {opt_level}, {self.LANE}) diverges from the "
             f"reference evaluator on {cypher!r}"
             f"\nreference:\n{expected}\nasync:\n{actual}"
         )
+
+
+class TestCrossedDifferentialHarness(TestAsyncDifferentialHarness):
+    """The async lane again, while the sync pipeline under it scatters
+    fragmentable plans over partitions and plans traversals depth-capped
+    under its default budget."""
+
+    LANE = "crossed"
+
+    def test_lane_scatters_and_caps_depth(self, async_differential_services):
+        """Guard the lane itself: serving the corpus through it must both
+        scatter some query over partitions and plan some traversal
+        depth-capped, or the parametrization would miss a crossing."""
+        scattered = capped = False
+        for universe, (_, workload) in CORPUS.items():
+            service = async_differential_services(universe, self.LANE)
+            for cypher in workload.values():
+                asyncio.run(service.run(cypher))
+                # The same cache entry the async run used: no explicit
+                # budget, so the service's default budget sets the cap.
+                _, prepared = service.service.serve(cypher)
+                capped = capped or any(
+                    traversal.choice == "depth-capped"
+                    for traversal in prepared.plan.traversals
+                )
+            counter = service.service.metrics.counter("repro_parallel_queries_total")
+            scattered = scattered or counter.total() > 0
+        assert scattered, "no corpus query scattered over partitions"
+        assert capped, "no traversal query was planned depth-capped"
 
 
 #: Partition degrees for the intra-query parallel lane: 2 exercises the
@@ -423,3 +487,4 @@ class TestParallelDifferentialHarness:
                     scattered = True
                     break
             assert scattered, f"no {universe} query engaged the parallel gate"
+

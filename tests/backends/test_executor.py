@@ -414,6 +414,47 @@ class TestServedParallelism:
             assert verdict["degree"] == 3
             assert verdict["estimated_rows"] == 3.0
 
+    def test_gate_verdicts_are_bounded(self, social_schema, monkeypatch):
+        """A stream of distinct texts (inlined literals) keeps only the
+        MAX_TRACKED_QUERIES most recently used gate verdicts: one served
+        throughout the stream is never evicted, and an evicted one is
+        recomputed identically on its next serve."""
+        from repro.backends import service as service_module
+
+        cap = 16
+        monkeypatch.setattr(service_module, "MAX_TRACKED_QUERIES", cap)
+        texts = [
+            f"MATCH (a:USER) WHERE a.uid <> {index} RETURN a.uid, a.age"
+            for index in range(200)
+        ]
+
+        def state_of(svc, text):
+            states = svc._parallel_states.items()
+            return next((state for key, state in states if key[1] == text), None)
+
+        with parallel_service(social_schema, rows=30, degree=2) as svc:
+            svc.run(SCAN)
+            hot_state = state_of(svc, SCAN)
+            verdicts = []
+            for index, text in enumerate(texts):
+                result, prepared = svc.serve(text)
+                assert tables_equivalent(result, svc.reference(text))
+                assert len(svc._parallel_states) <= cap
+                verdicts.append(dict(prepared.plan.parallelism))
+                if index % 8 == 0:
+                    svc.run(SCAN)
+            assert len(svc._parallel_states) == cap
+            assert all(verdict["parallel"] for verdict in verdicts)
+            assert state_of(svc, SCAN) is hot_state
+            newest = texts[-1]
+            assert state_of(svc, newest) is not None
+            _, prepared = svc.serve(newest)
+            assert prepared.plan.parallelism == verdicts[-1]
+            assert state_of(svc, texts[0]) is None
+            result, prepared = svc.serve(texts[0])
+            assert tables_equivalent(result, svc.reference(texts[0]))
+            assert prepared.plan.parallelism == verdicts[0]
+
 
 class TestPersistentBatchPool:
     def test_run_many_reuses_one_executor(self, social_schema):
