@@ -16,8 +16,8 @@ The service wires the whole paper pipeline behind one object so callers
   bulk-loaded connections, so one loaded dataset serves any number of
   engines — and any number of *threads* — side by side.
 
-The service is thread-safe: the LRU, the query-statistics counters, and
-the pool map are lock-protected, and every execution path checks a
+The service is thread-safe: the LRU, the per-query-text records, and the
+pool map are lock-protected, and every execution path checks a
 connection out of a pool for exclusive use.  :meth:`GraphitiService.run_many`
 fans a batch of Cypher texts across a worker-thread pool (results come back
 in batch order), which is where pooled connections turn into throughput —
@@ -39,7 +39,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.common.budget import (
     BudgetTracker,
@@ -86,11 +86,19 @@ DEFAULT_BACKEND = "sqlite-memory"
 #: Per-query latency samples kept for percentile reporting (most recent).
 MAX_LATENCY_SAMPLES = 512
 
-#: Cypher texts whose :class:`QueryStat` accounting and partition-gate
-#: verdicts are kept: the most recently used ones.  Literals are inlined
-#: into the text, so a stream of distinct literals would otherwise grow
-#: the maps forever.
+#: Cypher texts whose state (:class:`QueryStat` accounting, feedback
+#: decision, partition-gate verdicts) is kept: the most recently used ones,
+#: as inlined literals would otherwise grow the map forever.  An evicted
+#: text's decision falls back to epoch 0: it re-learns from the uncorrected
+#: plan, at most :data:`MAX_REPLANS` times.  Every plan returns the
+#: reference evaluator's bag, so eviction costs only speed.
 MAX_TRACKED_QUERIES = 4096
+
+#: Executions before a plan's running mean may trigger a feedback re-plan.
+FEEDBACK_MIN_OBSERVATIONS = 2
+
+#: Feedback re-plans per Cypher text, so noisy actuals cannot oscillate.
+MAX_REPLANS = 4
 
 
 def _depth_cap(budget: QueryBudget | None) -> int | None:
@@ -281,15 +289,30 @@ class QueryStat:
         return self.percentile(0.95)
 
 
-class _QueryAccumulator:
-    """The running accounting behind one :class:`QueryStat` (mutated in
-    place under the service lock; :meth:`freeze` takes the snapshot)."""
+class _QueryState:
+    """Everything the service keeps for one Cypher text: the running
+    accounting behind its :class:`QueryStat` (:meth:`freeze` takes the
+    snapshot), its feedback decision, and the partition gate's verdicts.
+    Mutated in place under the service lock."""
 
-    __slots__ = ("order", "executions", "total_seconds", "last_seconds", "samples")
+    __slots__ = (
+        "order", "executions", "total_seconds", "last_seconds", "samples",
+        "feedback", "gates",
+    )
 
-    def __init__(self, order: int) -> None:
-        #: First-recorded position: ``query_stats()`` lists texts in it.
-        self.order = order
+    def __init__(self) -> None:
+        #: ``None`` until a feedback re-plan triggers.
+        self.feedback: _FeedbackDecision | None = None
+        #: The gate's ``(decision, executor)`` per ``(dialect, opt level)``;
+        #: the schema and the degree are fixed for a service.
+        self.gates: dict[
+            tuple[str, int], tuple[ParallelDecision, FragmentExecutor | None]
+        ] = {}
+        self.reset_stats()
+
+    def reset_stats(self) -> None:
+        #: Position of the first recorded execution (``query_stats()`` order).
+        self.order: int | None = None
         self.executions = 0
         self.total_seconds = 0.0
         self.last_seconds = 0.0
@@ -404,10 +427,6 @@ class GraphitiService:
         breaker_cooldown_seconds: float = 5.0,
         validate_on_checkout: bool = True,
         feedback_ratio: float | None = 8.0,
-        feedback_min_observations: int = 2,
-        max_replans: int = 4,
-        stats_sample_threshold: int | None = None,
-        stats_sample_size: int | None = None,
         parallelism: int = 1,
         parallel_row_threshold: float | None = None,
     ) -> None:
@@ -432,11 +451,12 @@ class GraphitiService:
         self._database = Database(self.sdt.schema)
         self._stats: DatabaseStats | None = None
         self._stats_digest = ""
-        #: Guards the pool map, loaded data swap, and query statistics.
+        #: Guards the pool map, loaded data swap, and per-text records.
         self._lock = threading.RLock()
         self._pools: dict[str, ConnectionPool] = {}
-        #: Least recently recorded first; capped at MAX_TRACKED_QUERIES.
-        self._query_stats: OrderedDict[str, _QueryAccumulator] = OrderedDict()
+        #: One record per Cypher text, least recently used first; capped at
+        #: MAX_TRACKED_QUERIES by :meth:`_query_state`.
+        self._query_states: OrderedDict[str, _QueryState] = OrderedDict()
         self._query_order = itertools.count()
         # Telemetry: a metrics registry (shared if the caller passes one), a
         # slow-query ring buffer, and a tracer that defaults to the no-op —
@@ -496,7 +516,7 @@ class GraphitiService:
         # Adaptive execution: estimate-vs-actual feedback.  A level-2 plan
         # whose running observed rows diverge from ``estimated_rows`` by at
         # least ``feedback_ratio`` (q-error, so symmetric) after
-        # ``feedback_min_observations`` executions is re-planned: stats are
+        # FEEDBACK_MIN_OBSERVATIONS executions is re-planned: stats are
         # re-collected from the live data, and when that alone cannot
         # explain the miss, corrections (forced recursive traversal, a
         # base-row scale) apply under a bumped feedback epoch that
@@ -507,11 +527,6 @@ class GraphitiService:
                 f"got {feedback_ratio}"
             )
         self.feedback_ratio = feedback_ratio
-        self.feedback_min_observations = max(feedback_min_observations, 1)
-        self.max_replans = max_replans
-        self.stats_sample_threshold = stats_sample_threshold
-        self.stats_sample_size = stats_sample_size
-        self._feedback: dict[str, _FeedbackDecision] = {}
         self._replans_total = self._registry.counter(
             "repro_plan_replans_total",
             "Feedback-triggered query re-plans, by backend and reason.",
@@ -526,16 +541,12 @@ class GraphitiService:
         # Intra-query parallelism: fragmentable plans over large scans are
         # split into rowid range partitions and scattered over pooled
         # connections (see repro.backends.executor).  The gate's verdicts
-        # and rendered partition SQL are cached per prepared query; the
+        # and rendered partition SQL are cached on each text's record; the
         # two persistent thread pools (batch fan-out vs partition fan-out)
         # are deliberately separate so a run_many worker mid-batch can
         # never deadlock waiting for partition slots its siblings hold.
         self.parallelism = parallelism
         self.parallel_row_threshold = parallel_row_threshold
-        #: Least recently used first; capped at MAX_TRACKED_QUERIES.
-        self._parallel_states: OrderedDict[
-            object, tuple[ParallelDecision, FragmentExecutor | None]
-        ] = OrderedDict()
         self._batch_executor: ThreadPoolExecutor | None = None
         self._batch_workers = 0
         self._partition_executor: ThreadPoolExecutor | None = None
@@ -576,35 +587,30 @@ class GraphitiService:
 
         Statistics are collected here, once, and handed down to every pool
         member — backends never re-scan the same data.  Large tables are
-        reservoir sampled (see :func:`repro.sql.stats.collect_stats`; tune
-        with ``stats_sample_threshold``/``stats_sample_size``).  Pass
-        *stats* to supply precomputed (possibly stale) statistics instead —
-        the adaptive-execution benchmark uses this to plan against numbers
-        the data has outgrown and watch feedback correct them.
+        reservoir sampled (see :func:`repro.sql.stats.collect_stats`).  Pass
+        *stats* to supply precomputed statistics instead — custom sampling
+        (``stats=collect_stats(database, sample_threshold=...)``), or
+        stale numbers: the adaptive-execution benchmark plans against
+        numbers the data has outgrown and watches feedback correct them.
         """
         if database.schema.relations != self.sdt.schema.relations:
             raise ValueError(
                 "database schema does not match the induced schema of this service"
             )
         if stats is None:
-            stats = self._collect_stats(database)
+            stats = collect_stats(database)
         with self._lock:
             self._reset_pools()
             self._database = database
             self._stats = stats
             self._stats_digest = stats_digest(stats)
             # Fresh data: divergence verdicts reached on the old data no
-            # longer mean anything, and neither do partition bounds.
-            self._feedback.clear()
-            self._parallel_states.clear()
-
-    def _collect_stats(self, database: Database) -> DatabaseStats:
-        kwargs: dict = {}
-        if self.stats_sample_threshold is not None:
-            kwargs["sample_threshold"] = self.stats_sample_threshold
-        if self.stats_sample_size is not None:
-            kwargs["sample_size"] = self.stats_sample_size
-        return collect_stats(database, **kwargs)
+            # longer mean anything, and neither do partition bounds.  The
+            # decision is detached, not reset in place, so a re-plan that
+            # holds it across its stats refresh corrects an orphan.
+            for state in self._query_states.values():
+                state.feedback = None
+                state.gates.clear()
 
     def refresh_stats(self) -> bool:
         """Re-collect statistics from the live data; ``True`` if the digest
@@ -616,7 +622,7 @@ class GraphitiService:
         """
         with self._lock:
             database = self._database
-        stats = self._collect_stats(database)
+        stats = collect_stats(database)
         digest = stats_digest(stats)
         with self._lock:
             changed = digest != self._stats_digest
@@ -625,7 +631,8 @@ class GraphitiService:
             if changed:
                 # Parallel gate verdicts and partition bounds derive from
                 # row counts; re-derive them from the fresh numbers.
-                self._parallel_states.clear()
+                for state in self._query_states.values():
+                    state.gates.clear()
         return changed
 
     def load_graph(self, graph: object) -> None:
@@ -670,11 +677,12 @@ class GraphitiService:
             raise ValueError(f"unknown optimization level {level!r}")
         with self._lock:  # a racing load_database must not tear stats/digest
             stats, digest = self._stats, self._stats_digest
-            decision = (
-                self._feedback.get(cypher_text)
+            state = (
+                self._query_states.get(cypher_text)
                 if level >= 2 and self.feedback_ratio is not None
                 else None
             )
+            decision = state.feedback if state is not None else None
         if level < 2:
             digest = ""
         variant = ""
@@ -906,7 +914,7 @@ class GraphitiService:
         try:
             # Serial pooled execution — or the partition-parallel scatter,
             # when this service's degree and the cost gate both say yes.
-            runner = self._parallel_runner(prepared)
+            runner = self._parallel_for(prepared)
             if runner is not None:
                 result = self._run_parallel(
                     pool, name, cypher_text, prepared, runner, tracker,
@@ -1043,7 +1051,7 @@ class GraphitiService:
                     pool.checkin(member)
                     breaker.record_success()
                     if record:
-                        self._record(cypher_text, elapsed, backend=name)
+                        self.record_execution(cypher_text, elapsed, backend=name)
                     return result
             finally:
                 breaker.release_probe(probe)
@@ -1065,29 +1073,22 @@ class GraphitiService:
 
     # -- intra-query parallelism (partition-parallel scans) ------------------
 
-    def _parallel_for(
-        self, prepared: PreparedQuery
-    ) -> tuple[ParallelDecision, FragmentExecutor | None]:
-        """The partition gate's verdict (and executor, when it opened) for
-        *prepared* under this service's degree — computed once per
-        prepared query and data load, and cached; records the verdict in
-        ``PlanReport.parallelism`` so ``repro explain`` shows it."""
-        key = (
-            prepared.fingerprint,
-            prepared.cypher_text,
-            prepared.dialect,
-            prepared.opt_level,
-            self.parallelism,
-        )
-        states = self._parallel_states
+    def _parallel_for(self, prepared: PreparedQuery) -> FragmentExecutor | None:
+        """*prepared*'s partition executor, or ``None`` to stay serial.
+
+        The gate's verdict under this service's degree is computed once per
+        text, dialect, opt level, data load and feedback epoch; it is
+        recorded in ``PlanReport.parallelism`` so ``repro explain`` shows it."""
+        if self.parallelism < 2:
+            return None
+        key = (prepared.dialect, prepared.opt_level)
         with self._lock:
-            state = states.get(key)
-            if state is not None:
-                states.move_to_end(key)
+            state = self._query_state(prepared.cypher_text)
+            gate = state.gates.get(key)
             stats = self._stats
-            feedback = self._feedback.get(prepared.cypher_text)
+            feedback = state.feedback
             row_scale = feedback.row_scale if feedback is not None else 1.0
-        computed = state is None
+        computed = gate is None
         if computed:
             dialect = dialect_for(prepared.dialect)
             fragment = fragment_query(prepared.sql_ast, self.sdt.schema)
@@ -1110,12 +1111,10 @@ class GraphitiService:
                     stats=stats,
                     dialect=dialect,
                 )
-            state = (decision, runner)
+            gate = (decision, runner)
             with self._lock:
-                states[key] = state
-                if len(states) > MAX_TRACKED_QUERIES:
-                    states.popitem(last=False)
-        decision, runner = state
+                state.gates[key] = gate
+        decision, runner = gate
         # Written when the verdict is computed — below opt level 2 a reload
         # keeps the same cache entry, whose old verdict is now stale — or
         # when the entry has none yet; rebuilding the dict on every serve
@@ -1124,15 +1123,6 @@ class GraphitiService:
             computed or prepared.plan.parallelism is None
         ):
             prepared.plan.parallelism = decision.to_dict()
-        return state
-
-    def _parallel_runner(
-        self, prepared: PreparedQuery
-    ) -> FragmentExecutor | None:
-        """*prepared*'s partition executor, or ``None`` to stay serial."""
-        if self.parallelism < 2:
-            return None
-        _, runner = self._parallel_for(prepared)
         return runner
 
     def _run_parallel(
@@ -1191,7 +1181,7 @@ class GraphitiService:
             ) as gather_span:
                 result = runner.gather(partials)
                 gather_span.set("rows", len(result.rows))
-        self._record(cypher_text, time.perf_counter() - start, backend=name)
+        self.record_execution(cypher_text, time.perf_counter() - start, backend=name)
         return result
 
     # -- adaptive execution (estimate-vs-actual feedback) -------------------
@@ -1208,9 +1198,9 @@ class GraphitiService:
         later ``repro explain`` shows the observed history even on cache
         hits), records the q-error, and — when the running mean diverges
         from the plan's estimate by ``feedback_ratio`` or more after
-        ``feedback_min_observations`` executions — re-plans the query (see
-        :meth:`_replan`).  Called by the serving paths (sync and async);
-        harmless to call directly.
+        :data:`FEEDBACK_MIN_OBSERVATIONS` executions — re-plans the query
+        (see :meth:`_replan`).  Called by the serving paths (sync and
+        async); harmless to call directly.
         """
         name = backend or self.default_backend
         plan = prepared.plan
@@ -1218,7 +1208,8 @@ class GraphitiService:
             prepared.feedback.observe(actual_rows)
             executions = prepared.feedback.executions
             mean_rows = prepared.feedback.mean_rows
-            decision = self._feedback.get(prepared.cypher_text)
+            state = self._query_states.get(prepared.cypher_text)
+            decision = state.feedback if state is not None else None
             current_epoch = decision.epoch if decision is not None else 0
         if (
             self.feedback_ratio is None
@@ -1232,7 +1223,7 @@ class GraphitiService:
         self._series_for(name).estimate_error.observe(
             max(actual / estimate, estimate / actual)
         )
-        if executions < self.feedback_min_observations:
+        if executions < FEEDBACK_MIN_OBSERVATIONS:
             return
         running = max(mean_rows, 1.0)
         divergence = max(running / estimate, estimate / running)
@@ -1269,10 +1260,11 @@ class GraphitiService:
         estimate = max(float(plan.estimated_rows), 1.0)
         reason = "underestimate" if observed_rows >= estimate else "overestimate"
         with self._lock:
-            decision = self._feedback.setdefault(cypher_text, _FeedbackDecision())
+            state = self._query_state(cypher_text)
+            decision = state.feedback = state.feedback or _FeedbackDecision()
             if decision.epoch != prepared.feedback_epoch:
                 return  # lost the race: another thread re-planned first
-            if decision.replans >= self.max_replans:
+            if decision.replans >= MAX_REPLANS:
                 return  # refusing to oscillate forever on noisy actuals
         with self._tracer.span(
             "optimize.feedback",
@@ -1286,6 +1278,8 @@ class GraphitiService:
                     return
                 decision.epoch += 1
                 decision.replans += 1
+                # The gate's verdicts priced the superseded estimate.
+                state.gates.clear()
                 if stats_changed:
                     # Fresh statistics take precedence over blind nudges.
                     decision.force_recursive = False
@@ -1332,10 +1326,11 @@ class GraphitiService:
 
     def feedback_state(self, cypher_text: str) -> dict | None:
         """The adaptive layer's decision record for *cypher_text* (or
-        ``None`` when no re-plan ever triggered) — introspection for tests,
-        benchmarks, and ``repro explain``."""
+        ``None`` when no re-plan triggered since the last load or the text's
+        eviction) — introspection for tests, benchmarks, ``repro explain``."""
         with self._lock:
-            decision = self._feedback.get(cypher_text)
+            state = self._query_states.get(cypher_text)
+            decision = state.feedback if state is not None else None
             if decision is None:
                 return None
             return {
@@ -1461,7 +1456,7 @@ class GraphitiService:
         prepared = self.prepare(cypher_text, self.dialect_of(name), opt_level=opt_level)
         with self._pool(name).connection() as engine:
             seconds = engine.time(prepared.sql_text, repeats=repeats)
-        self._record(cypher_text, seconds, backend=name)
+        self.record_execution(cypher_text, seconds, backend=name)
         return seconds
 
     # -- pooling -----------------------------------------------------------
@@ -1510,19 +1505,22 @@ class GraphitiService:
         return {name: pool.snapshot() for name, pool in sorted(pools.items())}
 
     def query_stats(self) -> tuple[QueryStat, ...]:
-        """Per-query execution accounting (insertion order), for ``--stats``.
+        """Per-query execution accounting (first-recorded order), for ``--stats``.
 
-        Covers the :data:`MAX_TRACKED_QUERIES` most recently recorded texts.
+        Covers the :data:`MAX_TRACKED_QUERIES` most recently used texts.
         """
         with self._lock:
             entries = sorted(
-                self._query_stats.items(), key=lambda item: item[1].order
+                (item for item in self._query_states.items() if item[1].executions),
+                key=lambda item: item[1].order,
             )
-            return tuple(stat.freeze(text) for text, stat in entries)
+            return tuple(state.freeze(text) for text, state in entries)
 
     def reset_query_stats(self) -> None:
+        """Zero every text's execution accounting; its feedback and gates stay."""
         with self._lock:
-            self._query_stats.clear()
+            for state in self._query_states.values():
+                state.reset_stats()
 
     def record_execution(
         self, cypher_text: str, seconds: float, backend: str | None = None
@@ -1532,26 +1530,30 @@ class GraphitiService:
         Public so callers that time executions on their own schedule feed
         the same :class:`QueryStat` accounting as :meth:`run`/:meth:`run_many`.
         """
-        self._record(cypher_text, seconds, backend=backend)
-
-    def _record(
-        self, cypher_text: str, seconds: float, backend: str | None = None
-    ) -> None:
         name = backend or self.default_backend
         series = self._series_for(name)
         series.queries.inc()
         series.seconds.observe(seconds)
         self.slow_queries.record(cypher_text, name, seconds)
-        stats = self._query_stats
         with self._lock:
-            stat = stats.get(cypher_text)
-            if stat is None:
-                stat = stats[cypher_text] = _QueryAccumulator(next(self._query_order))
-                if len(stats) > MAX_TRACKED_QUERIES:
-                    stats.popitem(last=False)
-            else:
-                stats.move_to_end(cypher_text)
-            stat.add(seconds)
+            state = self._query_state(cypher_text)
+            if state.order is None:
+                state.order = next(self._query_order)
+            state.add(seconds)
+
+    def _query_state(self, cypher_text: str) -> _QueryState:
+        """*cypher_text*'s record, created if missing and marked most
+        recently used; past :data:`MAX_TRACKED_QUERIES` the least recently
+        used record is evicted.  The caller holds ``self._lock``."""
+        states = self._query_states
+        state = states.get(cypher_text)
+        if state is None:
+            state = states[cypher_text] = _QueryState()
+            if len(states) > MAX_TRACKED_QUERIES:
+                states.popitem(last=False)
+        else:
+            states.move_to_end(cypher_text)
+        return state
 
     def _series_for(self, name: str) -> _BackendSeries:
         """Backend *name*'s per-query series, bound on first use (two
@@ -1665,6 +1667,3 @@ class GraphitiService:
         for pool in self._pools.values():
             pool.close()
         self._pools.clear()
-
-    def _loaded_backends(self) -> Iterator[str]:
-        return iter(self._pools)

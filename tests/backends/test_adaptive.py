@@ -11,6 +11,7 @@ a bumped feedback epoch that re-keys exactly that query's cache entries.
 import pytest
 
 from repro.backends import GraphitiService
+from repro.backends import service as service_module
 from repro.benchmarks.universes import SOCIAL
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator, build_skewed_database
@@ -145,8 +146,11 @@ class TestReplan:
         assert state["epoch"] == 1
         assert state["replans"] == 1
 
-    def test_max_replans_caps_oscillation(self, emp_dept_schema, emp_dept_graph):
-        with GraphitiService(emp_dept_schema, max_replans=1) as svc:
+    def test_max_replans_caps_oscillation(
+        self, emp_dept_schema, emp_dept_graph, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MAX_REPLANS", 1)
+        with GraphitiService(emp_dept_schema) as svc:
             svc.load_graph(emp_dept_graph)
             prepared = svc.prepare(SCAN_QUERY)
             for _ in range(2):
@@ -157,6 +161,50 @@ class TestReplan:
             for _ in range(2):
                 svc.observe_execution(corrected, 1)
             assert svc.feedback_state(SCAN_QUERY)["replans"] == 1
+
+    def test_reload_during_a_replan_leaves_no_correction(
+        self, service, monkeypatch
+    ):
+        """A reload that lands while a re-plan refreshes stats detaches the
+        decision the re-plan holds: no correction learned on the old data
+        survives into the new."""
+        refresh_stats = service.refresh_stats
+
+        def reload_then_refresh():
+            service.load_mock(30, seed=4)
+            return refresh_stats()
+
+        monkeypatch.setattr(service, "refresh_stats", reload_then_refresh)
+        self.trigger(service)
+        assert service.feedback_state(SCAN_QUERY) is None
+        assert service.prepare(SCAN_QUERY).feedback_epoch == 0
+
+    def test_per_text_state_is_bounded(self, service, monkeypatch):
+        """A stream of distinct re-planning texts keeps at most
+        MAX_TRACKED_QUERIES records; an evicted text falls back to epoch 0,
+        still answers correctly, and re-learns its correction."""
+        cap = 16
+        monkeypatch.setattr(service_module, "MAX_TRACKED_QUERIES", cap)
+        texts = [
+            f"MATCH (n:EMP) WHERE n.id <> {index} RETURN n.name"
+            for index in range(200)
+        ]
+        for text in texts:
+            _, prepared = service.serve(text)
+            for _ in range(2):
+                service.observe_execution(prepared, 1_000_000)
+            assert len(service._query_states) <= cap
+        assert service.feedback_state(texts[-1])["epoch"] == 1
+        assert len(service._query_states) == cap
+        first = texts[0]
+        assert service.feedback_state(first) is None
+        result, prepared = service.serve(first)
+        assert prepared.feedback_epoch == 0
+        assert tables_equivalent(result, service.reference(first))
+        for _ in range(2):
+            service.observe_execution(prepared, 1_000_000)
+        state = service.feedback_state(first)
+        assert (state["epoch"], state["replans"]) == (1, 1)
 
     def test_changed_digest_resets_corrections(self, service):
         grow_table(service)  # live data outgrew the loaded stats

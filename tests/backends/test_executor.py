@@ -383,11 +383,11 @@ class TestServedParallelism:
     def test_reload_invalidates_partitioning(self, social_schema):
         with parallel_service(social_schema, rows=40, degree=4) as svc:
             svc.run(SCAN)
-            assert svc._parallel_states
+            assert svc._query_states[SCAN].gates
             # New data, new row counts: stale partition bounds must not
             # survive the reload.
             svc.load_mock(3, seed=5)
-            assert not svc._parallel_states
+            assert not svc._query_states[SCAN].gates
             result, prepared = svc.serve(SCAN)
             assert tables_equivalent(result, svc.reference(SCAN))
             # Re-gated over the tiny table: the degree is clamped to the
@@ -414,6 +414,25 @@ class TestServedParallelism:
             assert verdict["degree"] == 3
             assert verdict["estimated_rows"] == 3.0
 
+    def test_replan_regates_under_the_corrected_estimate(self):
+        """A feedback re-plan that rescales a text's estimate re-derives its
+        gate verdict: the old one priced the uncorrected estimate."""
+        with GraphitiService(
+            SOCIAL.graph_schema, parallelism=2, parallel_row_threshold=100
+        ) as svc:
+            svc.load_mock(30, seed=3)
+            _, prepared = svc.serve(SCAN)
+            assert "threshold" in prepared.plan.parallelism["reason"]
+            for _ in range(2):
+                svc.observe_execution(prepared, 1_000_000)
+            state = svc.feedback_state(SCAN)
+            assert (state["epoch"], state["row_scale"]) == (1, 1024.0)
+            result, corrected = svc.serve(SCAN)
+            assert corrected.feedback_epoch == 1
+            verdict = corrected.plan.parallelism
+            assert verdict["parallel"] and verdict["degree"] == 2
+            assert tables_equivalent(result, svc.reference(SCAN))
+
     def test_gate_verdicts_are_bounded(self, social_schema, monkeypatch):
         """A stream of distinct texts (inlined literals) keeps only the
         MAX_TRACKED_QUERIES most recently used gate verdicts: one served
@@ -429,8 +448,8 @@ class TestServedParallelism:
         ]
 
         def state_of(svc, text):
-            states = svc._parallel_states.items()
-            return next((state for key, state in states if key[1] == text), None)
+            record = svc._query_states.get(text)
+            return None if record is None else next(iter(record.gates.values()), None)
 
         with parallel_service(social_schema, rows=30, degree=2) as svc:
             svc.run(SCAN)
@@ -439,11 +458,11 @@ class TestServedParallelism:
             for index, text in enumerate(texts):
                 result, prepared = svc.serve(text)
                 assert tables_equivalent(result, svc.reference(text))
-                assert len(svc._parallel_states) <= cap
+                assert len(svc._query_states) <= cap
                 verdicts.append(dict(prepared.plan.parallelism))
                 if index % 8 == 0:
                     svc.run(SCAN)
-            assert len(svc._parallel_states) == cap
+            assert len(svc._query_states) == cap
             assert all(verdict["parallel"] for verdict in verdicts)
             assert state_of(svc, SCAN) is hot_state
             newest = texts[-1]
