@@ -22,14 +22,17 @@ The subsystem has four layers:
   (``run_many`` fans batches across worker threads), multi-engine.
 * :mod:`repro.backends.async_service` — :class:`AsyncGraphitiService`:
   the asyncio serving layer over the same pools and caches (``await
-  run``/``run_many``: each query awaits one executor call of the sync
-  pipeline, on an executor of ``max_concurrency`` threads).
+  run``/``run_many``: each query calls the sync pipeline inline on the
+  loop when the measured executor hop would cost more than the query,
+  and otherwise awaits one call of it on an executor of
+  ``max_concurrency`` threads).
 * :mod:`repro.backends.executor` — intra-query parallelism:
   :func:`plan_parallelism` gates fragmentable scans on estimated row
   counts, :class:`FragmentExecutor` splits the scanned relation into
   disjoint rowid ranges and scatter-gathers them over pooled
-  connections, and :func:`run_indexed` is the shared fan-out loop behind
-  ``run_many`` batches and the partition scatter.
+  connections, :func:`run_indexed` is the shared fan-out loop behind
+  ``run_many`` batches and the partition scatter, and :class:`HopClock`
+  measures an executor round trip's fixed cost.
 * :mod:`repro.backends.guards` — :class:`RetryPolicy` (bounded backoff
   with jitter) and :class:`CircuitBreaker` (per-backend load shedding),
   the recovery primitives both serving layers compose.

@@ -4,24 +4,59 @@ There is one serving pipeline — :meth:`GraphitiService._serve
 <repro.backends.service.GraphitiService._serve>` — and every guard and
 recovery step of serving lives there; this module adds none.  Each awaited
 :meth:`~AsyncGraphitiService.run` opens its ``query`` span on the event
-loop and then awaits *one* executor call of that pipeline, so:
+loop and then calls that pipeline in one of two places.
 
-* **the loop never blocks** — prepare, checkout, and the engine call all
-  run on an executor thread;
+**Inline, on the loop**, when the executor hop would cost more than the
+query.  A thread round trip costs tens of microseconds, and a warm point
+lookup spends a few of them in the engine.  All of these must hold:
+
+1. the text's prepared entry is a memory-cache hit, so nothing is parsed
+   or optimized on the loop;
+2. the partition gate's verdict is serial;
+3. the entry has :data:`~repro.backends.service.FEEDBACK_MIN_OBSERVATIONS`
+   observations: its feedback re-plan check has already run, and cannot
+   fire later, because its rows are fixed for the loaded data;
+4. the text's mean recorded engine time is below the measured hop;
+5. an idle pool member can be taken without waiting or spawning.
+
+Once the hop is known, every run first yields to the loop once, so
+concurrent clients take turns and other tasks run between inline
+queries.  Nothing on the loop waits or sleeps: a step that could (a pool
+wait or spawn, a retry backoff, a budget downgrade's re-prepare) moves
+the rest of the query to the executor, under the same budget clock.
+
+**On the executor** otherwise, as one executor call of the pipeline.
+
+The hop is measured, not configured.  A
+:class:`~repro.backends.executor.HopClock` times executor round trips from
+the loop, minus the work inside them, counting only trips that found an
+idle thread, and keeps the smallest: contention only ever adds to a trip.
+Until :data:`~repro.backends.executor.HOP_SAMPLES` trips were counted,
+every query is offloaded.  So an inline query holds the loop about as long
+as the hop would have, going by its text's observed time.  **Known
+limit:** inlining bets on that observed time.  A one-off engine stall on an
+inline query blocks the loop for its length; a budget timeout still aborts
+the statement.
+
+Both placements share the rest:
+
 * **backpressure is the executor** — it has exactly ``max_concurrency``
-  threads, so at most that many queries are in flight; the rest queue;
+  threads, so at most that many offloaded queries are in flight; the rest
+  queue.  Inline queries take no executor slot;
 * **an exhausted pool raises** :class:`~repro.backends.pool.PoolTimeout`
   after ``checkout_timeout`` seconds (or the budget's remaining clock,
   whichever is tighter) instead of queueing without bound;
-* **spans parent as on the sync path** — the executor call runs in a copy
-  of the caller's :mod:`contextvars` context, so ``pool.checkout``,
-  ``execute``, and ``parallel.*`` spans land under the awaiting query's
-  span;
-* **cancellation never strands a member** — cancelling the awaiting task
-  abandons the result, but the executor thread finishes its engine call
-  and checks the member back in itself.
-
-The cost model is one executor thread per in-flight query.
+* **spans parent as on the sync path** — an inline call runs in the
+  task's own :mod:`contextvars` context and an executor call in a copy of
+  it, so ``pool.checkout``, ``execute``, and ``parallel.*`` spans land
+  under the awaiting query's span;
+* **cancellation never strands a member** — an inline query has no
+  ``await`` between its checkout and its checkin; cancelling an offloaded
+  one abandons the result, but the executor thread finishes its engine
+  call and checks the member back in itself;
+* **every verdict is counted** — the ``query`` span's ``placement``
+  attribute and ``repro_async_placement_total{backend,placement}`` say
+  where the query finished: ``inline`` or ``executor``.
 
 The async service can own its service (pass a
 :class:`~repro.graph.schema.GraphSchema`) or wrap an existing
@@ -41,21 +76,39 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import functools
+import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.common.budget import QueryBudget
 from repro.graph.schema import GraphSchema
+from repro.observability.metrics import CounterChild
 from repro.relational.instance import Database, Table
 
-from repro.backends.service import GraphitiService, PreparedQuery
+from repro.backends.executor import HopClock
+from repro.backends.service import (
+    FEEDBACK_MIN_OBSERVATIONS,
+    GraphitiService,
+    PreparedQuery,
+    _depth_cap,
+    _OffLoop,
+)
 
 #: Default cap on concurrently executing queries (executor threads).
 DEFAULT_MAX_CONCURRENCY = 8
 
 #: Default seconds a pool checkout may wait before raising PoolTimeout.
 DEFAULT_CHECKOUT_TIMEOUT = 30.0
+
+_T = TypeVar("_T")
+
+
+def _timed(context: contextvars.Context, work: Callable[[], _T]) -> tuple[_T, float]:
+    """``work()`` in *context*, and the seconds it took (on the worker)."""
+    start = time.perf_counter()
+    outcome = context.run(work)
+    return outcome, time.perf_counter() - start
 
 
 class AsyncGraphitiService:
@@ -70,7 +123,7 @@ class AsyncGraphitiService:
         this object).
     max_concurrency:
         Number of executor threads, and so the ceiling on simultaneously
-        executing queries — the backpressure valve.
+        executing offloaded queries — the backpressure valve.
     checkout_timeout:
         Seconds a pool checkout may wait when the pool is exhausted at
         capacity before raising :class:`~repro.backends.pool.PoolTimeout`
@@ -103,6 +156,15 @@ class AsyncGraphitiService:
         self._executor = ThreadPoolExecutor(
             max_workers=max_concurrency, thread_name_prefix="graphiti-async"
         )
+        #: The executor hop as the loop sees it (see the module docstring).
+        self._hop = HopClock(max_concurrency)
+        self._placement_total = self._service.metrics.counter(
+            "repro_async_placement_total",
+            "Awaited queries by where they finished: inline on the event "
+            "loop, or on the executor.",
+        )
+        #: Per backend name, the ``(inline, executor)`` series, bound once.
+        self._placements: dict[str, tuple[CounterChild, CounterChild]] = {}
         self._closed = False
 
     @property
@@ -119,14 +181,17 @@ class AsyncGraphitiService:
         opt_level: int | None = None,
         budget: QueryBudget | None = None,
     ) -> Table:
-        """Execute *cypher_text* on *backend* through the sync pipeline,
-        awaited on the executor.
+        """Execute *cypher_text* on *backend* through the sync pipeline:
+        inline on the loop when the executor hop would cost more than the
+        query, awaited on the executor otherwise (see the module
+        docstring for the gate).
 
-        Any number of coroutines may call this concurrently; executions
-        beyond ``max_concurrency`` queue for an executor thread, and an
-        exhausted pool raises :class:`PoolTimeout` after
-        ``checkout_timeout`` seconds rather than queueing without bound.
-        *budget* behaves exactly as on :meth:`GraphitiService.run`.
+        Any number of coroutines may call this concurrently; offloaded
+        executions beyond ``max_concurrency`` queue for an executor
+        thread, while inline ones take no executor slot.  An exhausted
+        pool raises :class:`PoolTimeout` after ``checkout_timeout``
+        seconds rather than queueing without bound.  *budget* behaves
+        exactly as on :meth:`GraphitiService.run`.
         """
         name = backend or self._service.default_backend
         return await self._run(
@@ -146,25 +211,77 @@ class AsyncGraphitiService:
         service = self._service
         # The budget's clock starts now, so time queued for an executor
         # thread counts against its timeout.
-        serve = functools.partial(
-            service._serve,
-            cypher_text,
-            name,
-            opt_level,
-            budget,
-            checkout_timeout=self.checkout_timeout,
-            tracker=service._start_budget(budget),
-        )
+        tracker = service._start_budget(budget)
         with service.tracer.span("query", backend=name, **attributes) as span:
-            # The pipeline runs in a copy of this task's context, so the
-            # spans it opens on the executor thread parent under this one.
-            context = contextvars.copy_context()
-            result, prepared = await asyncio.get_running_loop().run_in_executor(
-                self._executor, context.run, serve
+            served = None
+            entry = None
+            hop = self._hop.seconds
+            if hop is not None:
+                # One turn for every other ready task first: back-to-back
+                # inline queries would otherwise starve them.
+                await asyncio.sleep(0)
+                if self._closed:
+                    raise RuntimeError("AsyncGraphitiService is closed")
+                entry = service._prepare(
+                    cypher_text,
+                    service.dialect_of(name),
+                    opt_level,
+                    depth_cap=_depth_cap(tracker.budget if tracker else None),
+                    memory_only=True,
+                )
+            serve = partial(
+                service._serve, cypher_text, name, opt_level, budget,
+                self.checkout_timeout, tracker, entry,
             )
+            inline = entry is not None and self._fits_inline(entry, hop)
+            try:
+                if inline:
+                    try:
+                        served = serve(on_loop=True)
+                    except _OffLoop as leave:
+                        serve, inline = leave.resume, False
+                if served is None:
+                    served = await self._offload(serve)
+            finally:
+                self._placement_series(name)[0 if inline else 1].inc()
+                span.set("placement", "inline" if inline else "executor")
+            result, prepared = served
             span.set("opt_level", prepared.opt_level)
             span.set("rows", len(result.rows))
         return result
+
+    def _fits_inline(self, entry: PreparedQuery, hop: float) -> bool:
+        """Gate conditions 3 and 4 (see the module docstring); the cache
+        lookup was 1, and the pipeline itself enforces 2 and 5."""
+        if entry.feedback.executions < FEEDBACK_MIN_OBSERVATIONS:
+            return False
+        observed = self._service._observed_seconds(entry.cypher_text)
+        return observed is not None and observed < hop
+
+    async def _offload(self, work: Callable[[], _T]) -> _T:
+        """Await *work* on the executor, in a copy of this task's context
+        so the spans it opens parent under this task's, timing the hop."""
+        hop = self._hop
+        idle = hop.start()
+        started = time.perf_counter()
+        try:
+            outcome, seconds = await asyncio.get_running_loop().run_in_executor(
+                self._executor, _timed, contextvars.copy_context(), work
+            )
+        except BaseException:
+            hop.finish(idle, None)
+            raise
+        hop.finish(idle, time.perf_counter() - started, seconds)
+        return outcome
+
+    def _placement_series(self, name: str) -> tuple[CounterChild, CounterChild]:
+        series = self._placements.get(name)
+        if series is None:
+            series = self._placements[name] = (
+                self._placement_total.labels(backend=name, placement="inline"),
+                self._placement_total.labels(backend=name, placement="executor"),
+            )
+        return series
 
     async def run_many(
         self,
@@ -178,10 +295,10 @@ class AsyncGraphitiService:
 
         At most ``min(concurrency, max_concurrency)`` queries are in
         flight at once (the pool's capacity is raised to match).  All
-        transpilation happens up front, so the awaited work is pure
-        execution.  If any query fails, the remaining ones finish (their
-        connections are checked back in) and the first failure is
-        re-raised.
+        transpilation happens up front, on the executor, so the awaited
+        work is pure execution.  If any query fails, the remaining ones
+        finish (their connections are checked back in) and the first
+        failure is re-raised.
         """
         texts = list(cypher_texts)
         if not texts:
@@ -196,7 +313,9 @@ class AsyncGraphitiService:
             concurrency=fan_out,
             mode="async",
         ):
-            service._prepare_batch(texts, name, opt_level, budget, fan_out)
+            await self._offload(
+                partial(service._prepare_batch, texts, name, opt_level, budget, fan_out)
+            )
             slots = asyncio.Semaphore(fan_out)
 
             async def one(index: int, text: str) -> Table:

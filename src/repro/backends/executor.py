@@ -36,11 +36,13 @@ way, is recorded in :attr:`~repro.sql.planner.PlanReport.parallelism` so
 
 The module also hosts :func:`run_indexed`, the one fan-out loop behind
 ``run_many`` batches and the partition scatter — in-order results and
-first-failure propagation live in a single place.
+first-failure propagation live in a single place — and :class:`HopClock`,
+the measured fixed cost of one round trip through an executor.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -396,7 +398,70 @@ def _drain(futures: list[Future]) -> None:
         raise first_error
 
 
+# ---------------------------------------------------------------------------
+# The hop: fixed cost of one round trip through an executor
+# ---------------------------------------------------------------------------
+
+#: Round trips that found an idle worker behind a :class:`HopClock`
+#: estimate; it stays unknown until that many were seen.
+HOP_SAMPLES = 32
+
+
+class HopClock:
+    """The fixed cost of one round trip through an executor, as measured
+    by the side that submits the work and waits for it.
+
+    Each trip reports its round trip (submit to result in hand) and the
+    time the work itself took on the worker; the difference is the hop:
+    hand-off, thread wake-up, and the wake-up of the waiting side.  Only
+    trips that found an idle worker count, since a queued trip measures
+    the queue.  Workers are taken to be spawned on demand and kept, as
+    :class:`~concurrent.futures.ThreadPoolExecutor` does, so one is idle
+    while fewer trips are in flight than ever overlapped (up to
+    *workers*).
+
+    :attr:`seconds` is the smallest of the first :data:`HOP_SAMPLES`
+    counted trips, and ``None`` until then.  Anything that slows a trip
+    only adds to it: other threads holding the interpreter lock can
+    stretch the median to milliseconds, and an inflated hop would let
+    slow work skip the executor.  Thread-safe.
+    """
+
+    def __init__(self, workers: int, samples: int = HOP_SAMPLES) -> None:
+        self.workers = workers
+        self.samples = samples
+        #: The measured hop in seconds (``None`` until measured).
+        self.seconds: float | None = None
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self._threads = 0
+        self._counted = 0
+        self._least = float("inf")
+
+    def start(self) -> bool:
+        """Note one trip submitted; ``True`` when an idle worker took it."""
+        with self._lock:
+            idle = self._in_flight < self._threads
+            self._in_flight += 1
+            self._threads = min(max(self._threads, self._in_flight), self.workers)
+            return idle
+
+    def finish(self, idle: bool, round_trip: float | None, work: float = 0.0) -> None:
+        """Note one trip finished (``round_trip=None``: it failed or was
+        abandoned, so it measured nothing)."""
+        with self._lock:
+            self._in_flight -= 1
+            if not idle or round_trip is None or self.seconds is not None:
+                return
+            self._least = min(self._least, max(round_trip - work, 0.0))
+            self._counted += 1
+            if self._counted >= self.samples:
+                self.seconds = self._least
+
+
 __all__ = [
+    "HOP_SAMPLES",
+    "HopClock",
     "PARALLEL_ROW_THRESHOLD",
     "PARTITION_CTE",
     "ParallelDecision",

@@ -19,8 +19,9 @@ Checkout/checkin follow the classic discipline: a member is used by at
 most one thread at a time, ``checkout`` blocks (with optional timeout)
 when all members are busy and the pool is at capacity, and the
 :meth:`connection` context manager guarantees checkin on all paths.
-Async callers use the same blocking ``checkout``: the async service runs
-each query's whole pipeline on an executor thread.
+Async callers use the same blocking ``checkout`` on an executor thread;
+a query the async service serves inline on its event loop takes an idle
+member with :meth:`ConnectionPool.take_idle`, which never waits or spawns.
 """
 
 from __future__ import annotations
@@ -312,6 +313,25 @@ class ConnectionPool:
                     continue  # dead member evicted; retry under the deadline
                 self._note_checkout(time.perf_counter() - started, span, spawned)
                 return member
+
+    def take_idle(self) -> ExecutionBackend | None:
+        """An idle member for exclusive use, or ``None`` when getting one
+        would mean waiting for a checkin or spawning a member (or the pool
+        is closed).  Never blocks: the async service takes its inline
+        queries' members here.  A member it returns was liveness-probed
+        and counted exactly as :meth:`checkout` does; check it in the same
+        way."""
+        started = time.perf_counter()
+        with self.tracer.span("pool.checkout", backend=self.backend_name) as span:
+            while True:
+                with self._lock:
+                    if self._closed or not self._idle:
+                        return None
+                    member = self._idle.pop()
+                    self._checked_out += 1
+                if self._admit(member):
+                    self._note_checkout(time.perf_counter() - started, span, False)
+                    return member
 
     def _note_checkout(self, waited: float, span, spawned: bool) -> None:
         """Account one successful checkout (metrics + span attributes)."""

@@ -38,8 +38,9 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.common.budget import (
     BudgetTracker,
@@ -99,6 +100,23 @@ FEEDBACK_MIN_OBSERVATIONS = 2
 
 #: Feedback re-plans per Cypher text, so noisy actuals cannot oscillate.
 MAX_REPLANS = 4
+
+
+class _OffLoop(Exception):
+    """An on-loop serve reached a step that may wait or sleep: a pool wait
+    or spawn, a retry backoff, a partition scatter, or a budget
+    downgrade's re-prepare.  ``resume()`` finishes the query from that
+    step on a worker thread, under the same budget clock; *attempt* is
+    the try the pooled execution resumes at."""
+
+    def __init__(
+        self,
+        attempt: int = 1,
+        resume: Callable[[], tuple[Table, "PreparedQuery"]] | None = None,
+    ) -> None:
+        super().__init__("serve must leave the event loop")
+        self.attempt = attempt
+        self.resume = resume
 
 
 def _depth_cap(budget: QueryBudget | None) -> int | None:
@@ -352,12 +370,13 @@ class _LruCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[object, object] = OrderedDict()
 
-    def get(self, key: object) -> object | None:
+    def get(self, key: object, count_miss: bool = True) -> object | None:
         with self._lock:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
@@ -669,6 +688,25 @@ class GraphitiService:
         and therefore distinct cache entries in both tiers — a downgraded
         plan must never shadow the normal one.
         """
+        prepared = self._prepare(
+            cypher_text, dialect, opt_level, force_recursive, depth_cap
+        )
+        assert prepared is not None
+        return prepared
+
+    def _prepare(
+        self,
+        cypher_text: str,
+        dialect: str | SqlDialect | None,
+        opt_level: int | None,
+        force_recursive: bool = False,
+        depth_cap: int | None = None,
+        memory_only: bool = False,
+    ) -> PreparedQuery | None:
+        """:meth:`prepare`; with *memory_only*, ``None`` on a memory-tier
+        miss instead of the disk tier and the pipeline.  That miss is not
+        counted: the full prepare that follows counts the lookup, so every
+        served query counts one (the async service's placement lookup)."""
         if dialect is None:
             dialect = self.dialect_of(self.default_backend)
         dialect = dialect_for(dialect)
@@ -709,13 +747,17 @@ class GraphitiService:
             "query.prepare", dialect=dialect.name, opt_level=level
         ) as prepare_span:
             with tracer.span("cache.lookup", tier="memory") as span:
-                cached = self._cache.get(key)
+                cached = self._cache.get(key, count_miss=not memory_only)
                 span.set("hit", cached is not None)
-            (self._memory_hits if cached is not None else self._memory_misses).inc()
             if cached is not None:
                 assert isinstance(cached, PreparedQuery)
+                self._memory_hits.inc()
                 prepare_span.set("cached", "memory")
                 return cached
+            if memory_only:
+                prepare_span.set("cached", "deferred")
+                return None
+            self._memory_misses.inc()
             if self._persistent is not None:
                 disk_key = cache_key(
                     self.fingerprint, cypher_text, dialect.name, level, digest,
@@ -891,6 +933,9 @@ class GraphitiService:
         budget: QueryBudget | None,
         checkout_timeout: float | None = None,
         tracker: BudgetTracker | None = None,
+        prepared: PreparedQuery | None = None,
+        on_loop: bool = False,
+        attempt: int = 1,
     ) -> tuple[Table, PreparedQuery]:
         """Prepare + pooled execution with budget enforcement, transparent
         retry, circuit breaking, and the plan downgrade — the one serving
@@ -901,21 +946,32 @@ class GraphitiService:
         already started (from :meth:`_start_budget`, which then stands in
         for *budget*): the async service starts it when ``run`` is
         awaited, so time queued for an executor thread counts against the
-        timeout."""
+        timeout.
+
+        The async service's hooks: *prepared* is the entry the caller
+        already looked up, so the lookup is not repeated.  *on_loop*
+        serves on the caller's event loop, where nothing may wait or
+        sleep: the first step that could raises :class:`_OffLoop`, whose
+        ``resume()`` finishes the query on a worker thread.  *attempt* is
+        the try a resumed execution starts at (above 1, after the backoff
+        that follows the failed try)."""
         if tracker is None:
             tracker = self._start_budget(budget)
         budget = tracker.budget if tracker is not None else None
         depth_cap = _depth_cap(budget)
-        prepared = self.prepare(
-            cypher_text, self.dialect_of(name), opt_level=opt_level,
-            depth_cap=depth_cap,
-        )
+        if prepared is None:
+            prepared = self.prepare(
+                cypher_text, self.dialect_of(name), opt_level=opt_level,
+                depth_cap=depth_cap,
+            )
         pool = self._pool(name)
         try:
             # Serial pooled execution — or the partition-parallel scatter,
             # when this service's degree and the cost gate both say yes.
             runner = self._parallel_for(prepared)
             if runner is not None:
+                if on_loop:
+                    raise _OffLoop()
                 result = self._run_parallel(
                     pool, name, cypher_text, prepared, runner, tracker,
                     checkout_timeout,
@@ -923,13 +979,20 @@ class GraphitiService:
             else:
                 result = self._run_prepared(
                     pool, name, cypher_text, prepared, tracker,
-                    checkout_timeout=checkout_timeout,
+                    checkout_timeout=checkout_timeout, on_loop=on_loop,
+                    attempt=attempt,
                 )
             if depth_cap is None:
                 # Depth-capped plans are budget variants — their row counts
                 # say nothing about the normal plan's estimate.
                 self.observe_execution(prepared, len(result.rows), name)
             return result, prepared
+        except _OffLoop as leave:
+            leave.resume = partial(
+                self._serve, cypher_text, name, opt_level, budget,
+                checkout_timeout, tracker, prepared, attempt=leave.attempt,
+            )
+            raise
         except QueryBudgetExceeded as error:
             assert budget is not None and tracker is not None
             downgradable = (
@@ -942,29 +1005,48 @@ class GraphitiService:
             )
             if not downgradable:
                 raise
-            # Downgrade: the unrolled join chains blew the budget — re-plan
-            # with the recursive CTE (incremental frontier, far smaller
-            # intermediates) and retry once under the remaining budget.
-            self._budget_downgrades.inc(backend=name)
-            tracker.reset_work()
-            with self._tracer.span(
-                "query.downgrade", backend=name, reason=error.dimension
-            ):
-                downgraded = self.prepare(
-                    cypher_text, self.dialect_of(name), opt_level=opt_level,
-                    force_recursive=True, depth_cap=depth_cap,
+            downgrade = partial(
+                self._downgrade, cypher_text, name, opt_level, depth_cap, pool,
+                tracker, checkout_timeout, error,
+            )
+            if on_loop:
+                raise _OffLoop(resume=downgrade) from error
+            return downgrade()
+
+    def _downgrade(
+        self,
+        cypher_text: str,
+        name: str,
+        opt_level: int | None,
+        depth_cap: int | None,
+        pool: ConnectionPool,
+        tracker: BudgetTracker,
+        checkout_timeout: float | None,
+        error: QueryBudgetExceeded,
+    ) -> tuple[Table, PreparedQuery]:
+        """The unrolled join chains blew the budget: re-plan with the
+        recursive CTE (incremental frontier, far smaller intermediates)
+        and retry once under the remaining budget."""
+        self._budget_downgrades.inc(backend=name)
+        tracker.reset_work()
+        with self._tracer.span(
+            "query.downgrade", backend=name, reason=error.dimension
+        ):
+            downgraded = self.prepare(
+                cypher_text, self.dialect_of(name), opt_level=opt_level,
+                force_recursive=True, depth_cap=depth_cap,
+            )
+            try:
+                return (
+                    self._run_prepared(
+                        pool, name, cypher_text, downgraded, tracker,
+                        checkout_timeout=checkout_timeout,
+                    ),
+                    downgraded,
                 )
-                try:
-                    return (
-                        self._run_prepared(
-                            pool, name, cypher_text, downgraded, tracker,
-                            checkout_timeout=checkout_timeout,
-                        ),
-                        downgraded,
-                    )
-                except QueryBudgetExceeded as final:
-                    final.attempted_downgrade = True
-                    raise
+            except QueryBudgetExceeded as final:
+                final.attempted_downgrade = True
+                raise
 
     def _run_prepared(
         self,
@@ -975,6 +1057,8 @@ class GraphitiService:
         tracker: BudgetTracker | None,
         record: bool = True,
         checkout_timeout: float | None = None,
+        on_loop: bool = False,
+        attempt: int = 1,
     ) -> Table:
         """One plan's pooled execution: breaker gate, checkout (bounded by
         *checkout_timeout* and the budget's remaining time), engine guards,
@@ -982,10 +1066,14 @@ class GraphitiService:
         turns out to be dead or cannot be spawned.
 
         *record* is off for partition executions — the parallel runner
-        accounts the query's wall clock once, not per partition."""
+        accounts the query's wall clock once, not per partition.
+        *on_loop* takes only an idle member and raises :class:`_OffLoop`
+        where a checkout would wait or spawn, or a retry would back off.
+        *attempt* above 1 resumes the retries: its backoff is slept first."""
         breaker = self.breaker(name)
-        attempt = 1
         while True:
+            if attempt > 1:
+                self._retry_sleep(self.retry_policy.delay_for(attempt - 1))
             if tracker is not None:
                 tracker.check_timeout(stage="service")
             try:
@@ -997,20 +1085,28 @@ class GraphitiService:
             # the half-open probe slot, or an exit without a verdict (pool
             # timeout, cancellation) wedges the breaker shedding forever.
             try:
-                try:
-                    member = pool.checkout(
-                        timeout=_checkout_timeout(tracker, checkout_timeout)
-                    )
-                except (PoolClosed, PoolTimeout):
-                    raise  # pool congestion is not engine failure: no breaker charge
-                except Exception:
-                    # Spawning a member failed — the engine refused a fresh
-                    # connection, which is exactly what the breaker watches.
-                    breaker.record_failure()
-                    if self._retry_after(attempt, tracker, name):
-                        attempt += 1
-                        continue
-                    raise
+                if on_loop:
+                    member = pool.take_idle()
+                    if member is None:
+                        raise _OffLoop(attempt)
+                else:
+                    try:
+                        member = pool.checkout(
+                            timeout=_checkout_timeout(tracker, checkout_timeout)
+                        )
+                    except (PoolClosed, PoolTimeout):
+                        # Pool congestion is not engine failure: no breaker
+                        # charge.
+                        raise
+                    except Exception:
+                        # Spawning a member failed — the engine refused a
+                        # fresh connection, which is exactly what the
+                        # breaker watches.
+                        breaker.record_failure()
+                        if self._retry_after(attempt, tracker, name):
+                            attempt += 1
+                            continue
+                        raise
                 try:
                     with self._tracer.span("execute", backend=name) as exec_span:
                         start = time.perf_counter()
@@ -1045,6 +1141,8 @@ class GraphitiService:
                     breaker.record_failure()
                     if self._retry_after(attempt, tracker, name):
                         attempt += 1
+                        if on_loop:
+                            raise _OffLoop(attempt)
                         continue
                     raise
                 else:
@@ -1059,16 +1157,16 @@ class GraphitiService:
     def _retry_after(
         self, attempt: int, tracker: BudgetTracker | None, name: str
     ) -> bool:
-        """Back off before retrying a transient failure of *attempt* —
-        or ``False`` when the retry policy is spent or the budget's clock
-        already ran out (then the engine error is the honest answer)."""
+        """Whether to retry a transient failure of *attempt* (counted) —
+        ``False`` when the retry policy is spent or the budget's clock
+        already ran out (then the engine error is the honest answer).
+        The next try sleeps the backoff before it starts."""
         retry = self.retry_policy
         if not retry.should_retry(attempt) or (
             tracker is not None and tracker.timed_out()
         ):
             return False
         self._query_retries.inc(backend=name)
-        self._retry_sleep(retry.delay_for(attempt))
         return True
 
     # -- intra-query parallelism (partition-parallel scans) ------------------
@@ -1540,6 +1638,15 @@ class GraphitiService:
             if state.order is None:
                 state.order = next(self._query_order)
             state.add(seconds)
+
+    def _observed_seconds(self, cypher_text: str) -> float | None:
+        """Mean recorded execution seconds of *cypher_text* (``None``
+        before its first, or after :meth:`reset_query_stats`)."""
+        with self._lock:
+            state = self._query_states.get(cypher_text)
+            if state is None or not state.executions:
+                return None
+            return state.total_seconds / state.executions
 
     def _query_state(self, cypher_text: str) -> _QueryState:
         """*cypher_text*'s record, created if missing and marked most

@@ -13,6 +13,7 @@ extra carries it for CI, but it is not a runtime dependency).
 """
 
 import asyncio
+import itertools
 import threading
 import time
 
@@ -23,7 +24,9 @@ from repro.backends import (
     GraphitiService,
     PoolTimeout,
 )
-from repro.relational.instance import tables_equivalent
+from repro.backends.executor import HOP_SAMPLES, HopClock
+from repro.backends.service import FEEDBACK_MIN_OBSERVATIONS
+from repro.relational.instance import Table, tables_equivalent
 
 SCAN = "MATCH (n:EMP) RETURN n.name"
 JOIN = "MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) RETURN n.name, m.dname"
@@ -578,3 +581,369 @@ class TestLifecycle:
         second = asyncio.run(async_service.run_many(BATCH, concurrency=4))
         for left, right in zip(first, second):
             assert tables_equivalent(left, right)
+
+
+# -- placement: inline on the loop, or on the executor ------------------------
+
+POINT = "MATCH (n:EMP) WHERE n.id = 3 RETURN n.name"
+
+
+def placements(service) -> dict[str, float]:
+    counter = service.metrics.counter("repro_async_placement_total")
+    backend = service.default_backend
+    return {
+        where: counter.value(backend=backend, placement=where)
+        for where in ("inline", "executor")
+    }
+
+
+def warm(service, text: str, runs: int = FEEDBACK_MIN_OBSERVATIONS) -> None:
+    """Serve *text* until its entry has the observations inlining needs."""
+    for _ in range(runs):
+        service.run(text)
+
+
+def force_hop(async_svc, seconds: float) -> None:
+    """Stand in for the measured executor hop."""
+    async_svc._hop.seconds = seconds
+
+
+@pytest.fixture
+def engine_threads(monkeypatch):
+    """The thread of every engine call (SQLite backends)."""
+    from repro.backends.sqlite import SqliteMemoryBackend
+
+    original = SqliteMemoryBackend.execute
+    seen: list[threading.Thread] = []
+
+    def recording(self, sql_text, *args, **kwargs):
+        seen.append(threading.current_thread())
+        return original(self, sql_text, *args, **kwargs)
+
+    monkeypatch.setattr(SqliteMemoryBackend, "execute", recording)
+    return seen
+
+
+async def run_beside_probe(async_svc, text: str, **kwargs):
+    """Await one run while a probe coroutine counts its turns on the loop;
+    return the table and the probe's turn count."""
+    turns = 0
+    done = False
+
+    async def probe() -> None:
+        nonlocal turns
+        while not done:
+            await asyncio.sleep(0)
+            turns += 1
+
+    watcher = asyncio.ensure_future(probe())
+    try:
+        table = await asyncio.wait_for(async_svc.run(text, **kwargs), timeout=30)
+    finally:
+        done = True
+        await watcher
+    return table, turns
+
+
+class TestHopClock:
+    def test_the_smallest_trip_that_found_an_idle_worker(self):
+        clock = HopClock(workers=2, samples=3)
+        first = clock.start()  # no worker spawned yet: it queued
+        assert first is False
+        clock.finish(first, 0.000_001)
+        for round_trip in (0.000_190, 0.000_090, 0.005_000):
+            idle = clock.start()
+            assert idle is True
+            clock.finish(idle, round_trip, work=0.000_040)
+        assert clock.seconds == pytest.approx(0.000_050)
+
+    def test_trips_beyond_the_spawned_workers_queue(self):
+        clock = HopClock(workers=1, samples=1)
+        clock.finish(clock.start(), None)  # the worker now exists
+        holder = clock.start()
+        assert holder is True
+        queued = clock.start()  # the only worker is busy
+        assert queued is False
+        clock.finish(queued, 0.000_001)
+        assert clock.seconds is None  # a queued trip measures the queue
+        clock.finish(holder, 0.000_060, work=0.000_010)
+        assert clock.seconds == pytest.approx(0.000_050)
+
+    def test_unknown_until_enough_trips(self, service, async_service):
+        assert async_service._hop.seconds is None
+        asyncio.run(async_service.run(POINT))
+        assert async_service._hop.seconds is None
+
+
+class TestPlacement:
+    def test_warm_point_text_goes_inline_after_calibration(
+        self, service, async_service
+    ):
+        """The hop is measured from offloaded runs; once it is known, a
+        warm point text is served inline, and every run counts once."""
+        runs = HOP_SAMPLES * 2
+
+        async def main() -> None:
+            for _ in range(runs):
+                await async_service.run(POINT)
+
+        asyncio.run(main())
+        assert async_service._hop.seconds is not None
+        counts = placements(service)
+        assert counts["inline"] > 0
+        assert counts["inline"] + counts["executor"] == runs
+
+    def test_inline_run_is_marked_on_the_query_span(self, service, async_service):
+        from repro.observability.tracing import Tracer
+
+        warm(service, POINT)
+        force_hop(async_service, 1.0)
+        tracer = Tracer()
+        service.set_tracer(tracer)
+        try:
+            table = asyncio.run(async_service.run(POINT))
+        finally:
+            service.set_tracer(None)
+        root = tracer.last_trace()
+        assert root.attributes["placement"] == "inline"
+        assert root.find("pool.checkout") is not None
+        assert root.find("execute") is not None
+        assert tables_equivalent(table, service.reference(POINT))
+
+    def test_counter_sums_to_the_runs(self, service, async_service):
+        warm(service, POINT)
+        service.warm_pool(members=4)  # an idle member for every inline run
+        force_hop(async_service, 1.0)
+        batch = [POINT, SCAN, POINT, JOIN, POINT, POINT]
+        asyncio.run(async_service.run_many(batch, concurrency=2))
+        counts = placements(service)
+        assert counts["inline"] >= 4
+        assert counts["inline"] + counts["executor"] == len(batch)
+
+    def test_awaited_runs_count_one_memory_lookup_each(
+        self, service, async_service
+    ):
+        """Inline or offloaded, N awaited runs of a warm text add exactly N
+        memory hits: the placement lookup is the run's one lookup."""
+        warm(service, POINT)
+        runs = 10
+        for hop in (None, 1.0):
+            force_hop(async_service, hop)
+            before = service.cache_info()
+
+            async def main() -> None:
+                for _ in range(runs):
+                    await async_service.run(POINT)
+
+            asyncio.run(main())
+            after = service.cache_info()
+            assert after.hits - before.hits == runs
+            assert after.misses == before.misses
+        assert placements(service)["inline"] == runs
+
+    def test_a_first_run_misses_once(self, service, async_service):
+        force_hop(async_service, 1.0)
+        before = service.cache_info()
+        asyncio.run(async_service.run(POINT))
+        after = service.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (0, 1)
+        assert placements(service) == {"inline": 0, "executor": 1}
+
+    def test_clients_take_turns_with_other_tasks(self, service, async_service):
+        """Two clients of warm inline texts progress together, and a probe
+        coroutine gets a turn between one client's inline queries."""
+        warm(service, POINT)
+        warm(service, DEPT_SCAN)
+        force_hop(async_service, 1.0)
+        runs = 40
+        events: list[str] = []
+        done = False
+
+        async def client(tag: str, text: str) -> None:
+            for _ in range(runs):
+                await async_service.run(text)
+                events.append(tag)
+
+        async def probe() -> None:
+            while not done:
+                await asyncio.sleep(0)
+                events.append("p")
+
+        async def main() -> None:
+            nonlocal done
+            watcher = asyncio.ensure_future(probe())
+            try:
+                await asyncio.gather(client("a", POINT), client("b", DEPT_SCAN))
+            finally:
+                done = True
+                await watcher
+
+        asyncio.run(main())
+        assert placements(service)["inline"] == 2 * runs
+        served = [event for event in events if event != "p"]
+        # Neither client runs ahead: their completions alternate.
+        assert max(len(list(streak)) for _, streak in itertools.groupby(served)) <= 2
+        # Between two of one client's inline queries the probe ran.
+        for tag in ("a", "b"):
+            positions = [i for i, event in enumerate(events) if event == tag]
+            for left, right in zip(positions, positions[1:]):
+                assert "p" in events[left:right], (tag, left, right)
+
+
+class TestOffloadMatrix:
+    """Each of these runs on the executor, with the loop free meanwhile."""
+
+    def check_offloaded(self, service, async_svc, engine_threads, text, **kwargs):
+        before = placements(service)
+        engine_threads.clear()
+
+        async def main():
+            loop_thread = threading.current_thread()
+            table, turns = await run_beside_probe(async_svc, text, **kwargs)
+            return table, turns, loop_thread
+
+        table, turns, loop_thread = asyncio.run(main())
+        after = placements(service)
+        assert after["executor"] - before["executor"] == 1
+        assert after["inline"] == before["inline"]
+        assert engine_threads and loop_thread not in engine_threads
+        assert turns >= 1
+        return table
+
+    def test_first_run(self, service, async_service, engine_threads):
+        force_hop(async_service, 1.0)
+        table = self.check_offloaded(service, async_service, engine_threads, POINT)
+        assert tables_equivalent(table, service.reference(POINT))
+
+    def test_entry_short_of_observations(self, service, async_service, engine_threads):
+        warm(service, POINT, runs=FEEDBACK_MIN_OBSERVATIONS - 1)
+        force_hop(async_service, 1.0)
+        self.check_offloaded(service, async_service, engine_threads, POINT)
+
+    def test_memory_miss(self, service, async_service, engine_threads):
+        warm(service, POINT)
+        service.clear_cache()
+        force_hop(async_service, 1.0)
+        self.check_offloaded(service, async_service, engine_threads, POINT)
+
+    def test_entry_gated_parallel(self, emp_dept_schema, engine_threads):
+        with GraphitiService(
+            emp_dept_schema, parallelism=2, parallel_row_threshold=0
+        ) as service:
+            service.load_mock(40, seed=11)
+            warm(service, SCAN)
+            async_svc = AsyncGraphitiService(service, max_concurrency=4)
+            force_hop(async_svc, 1.0)
+            parallel = service.metrics.counter("repro_parallel_queries_total")
+            before = parallel.total()
+            try:
+                table = self.check_offloaded(
+                    service, async_svc, engine_threads, SCAN
+                )
+            finally:
+                async_svc.close()
+            assert parallel.total() == before + 1
+            assert tables_equivalent(table, service.reference(SCAN))
+
+    def test_slow_text(self, service, async_service, engine_threads):
+        warm(service, POINT)
+        force_hop(async_service, service._observed_seconds(POINT) / 2)
+        self.check_offloaded(service, async_service, engine_threads, POINT)
+
+    def test_pool_member_held_by_another_thread(
+        self, emp_dept_schema, engine_threads
+    ):
+        with GraphitiService(emp_dept_schema, pool_size=1) as service:
+            service.load_mock(40, seed=11)
+            warm(service, POINT)
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
+            force_hop(async_svc, 1.0)
+            pool = service.pool()
+            hog = pool.checkout()
+            releaser = threading.Timer(0.2, pool.checkin, (hog,))
+            releaser.start()
+            try:
+                table = self.check_offloaded(
+                    service, async_svc, engine_threads, POINT
+                )
+            finally:
+                releaser.join(timeout=30)
+                async_svc.close()
+            assert not releaser.is_alive()
+            assert tables_equivalent(table, service.reference(POINT))
+            assert pool.in_use == 0
+
+    def test_large_join_is_offloaded_on_every_run(self, emp_dept_schema):
+        """A 2,000-row join never fits under a realistic hop."""
+        with GraphitiService(emp_dept_schema) as service:
+            service.load_mock(2000, seed=3)
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
+            force_hop(async_svc, 100e-6)
+
+            async def main() -> list[Table]:
+                return [await async_svc.run(JOIN) for _ in range(6)]
+
+            try:
+                tables = asyncio.run(main())
+            finally:
+                async_svc.close()
+            assert all(len(table.rows) == 2000 for table in tables)
+            assert placements(service) == {"inline": 0, "executor": 6}
+
+
+class TestNothingBlocksTheLoop:
+    def test_batch_prepare_runs_off_the_loop(self, service, async_service, monkeypatch):
+        from repro.backends import service as service_module
+
+        original = service_module.parse_cypher
+        threads: list[threading.Thread] = []
+
+        def spying(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "parse_cypher", spying)
+
+        async def main():
+            loop_thread = threading.current_thread()
+            await async_service.run_many(BATCH, concurrency=2)
+            return loop_thread
+
+        loop_thread = asyncio.run(main())
+        assert len(threads) == len(BATCH)
+        assert loop_thread not in threads
+
+    def test_replan_never_runs_on_the_loop(self, emp_dept_schema, monkeypatch):
+        """A diverging text re-plans, and its stats refresh runs on an
+        executor thread, however often the text is served."""
+        from repro.execution.datagen import MockDataGenerator
+        from repro.sql.stats import collect_stats
+
+        with GraphitiService(emp_dept_schema, opt_level=2) as service:
+            generator = MockDataGenerator(emp_dept_schema, service.sdt, seed=4)
+            stale = collect_stats(generator.induced_instance(2))
+            service.load_database(generator.induced_instance(60), stats=stale)
+            original = service.refresh_stats
+            threads: list[threading.Thread] = []
+
+            def spying():
+                threads.append(threading.current_thread())
+                return original()
+
+            monkeypatch.setattr(service, "refresh_stats", spying)
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
+            force_hop(async_svc, 1.0)
+
+            async def main():
+                loop_thread = threading.current_thread()
+                tables = [await async_svc.run(SCAN) for _ in range(12)]
+                return loop_thread, tables
+
+            try:
+                loop_thread, tables = asyncio.run(main())
+            finally:
+                async_svc.close()
+            assert service.feedback_state(SCAN)["replans"] >= 1
+            assert threads and loop_thread not in threads
+            assert all(len(table.rows) == 60 for table in tables)
+            assert placements(service)["inline"] > 0

@@ -35,6 +35,7 @@ from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
 from repro.observability.metrics import MetricsRegistry
+from repro.relational.instance import tables_equivalent
 
 
 @pytest.fixture
@@ -135,6 +136,103 @@ class TestDieMidQuery:
                 assert sync_svc.metrics.counter(
                     "repro_query_retries_total"
                 ).value(backend="faulty") == 1
+
+
+class TestInlineDeath:
+    def test_retry_backs_off_on_an_executor_thread(self, social_schema, monkeypatch):
+        """A member killed while a query runs inline on the event loop: the
+        query moves to the executor, whose thread sleeps the backoff and
+        retries on a healthy member, and the answer is the reference's."""
+        original = FaultInjectingBackend.execute
+        executes: list[threading.Thread] = []
+
+        def recording(self, sql_text, budget=None):
+            executes.append(threading.current_thread())
+            return original(self, sql_text, budget)
+
+        monkeypatch.setattr(FaultInjectingBackend, "execute", recording)
+        with injected_faults(die_on_executes=(3,)) as plan:
+            with faulty_service(social_schema) as sync_svc:
+                # Two observations, so the third run qualifies for the loop.
+                sync_svc.run(SCAN)
+                sync_svc.run(SCAN)
+                sleeps: list[threading.Thread] = []
+                sync_svc._retry_sleep = lambda seconds: sleeps.append(
+                    threading.current_thread()
+                )
+
+                async def main():
+                    async with AsyncGraphitiService(sync_svc) as svc:
+                        svc._hop.seconds = 1.0  # stands in for the measured hop
+                        return threading.current_thread(), await svc.run(SCAN)
+
+                loop_thread, table = asyncio.run(main())
+                assert plan.events == [("die", 3)]
+                # The killed execute ran on the loop; the retry did not.
+                assert executes[2] is loop_thread
+                assert executes[3] is not loop_thread
+                assert len(sleeps) == 1 and sleeps[0] is not loop_thread
+                assert tables_equivalent(table, sync_svc.reference(SCAN))
+                metrics = sync_svc.metrics
+                assert metrics.counter("repro_query_retries_total").value(
+                    backend="faulty"
+                ) == 1
+                assert metrics.counter("repro_async_placement_total").value(
+                    backend="faulty", placement="executor"
+                ) == 1
+                assert sync_svc.pool_snapshots()["faulty"]["in_use"] == 0
+
+
+    def test_budget_downgrade_re_prepares_on_an_executor_thread(
+        self, social_schema, monkeypatch
+    ):
+        """A budget tripped inline: the downgrade's re-prepare and its
+        second plan run on the executor, under the same budget."""
+        from repro.backends.sqlite import SqliteMemoryBackend
+        from repro.common.budget import QueryBudgetExceeded
+
+        hops = "MATCH (a:USER)-[:FOLLOWS*1..2]->(b:USER) RETURN a.uid, b.uid"
+        original = SqliteMemoryBackend.execute
+        executes: list[threading.Thread] = []
+
+        def recording(self, sql_text, *args, **kwargs):
+            executes.append(threading.current_thread())
+            return original(self, sql_text, *args, **kwargs)
+
+        # No feedback: the warm-up's divergence would re-plan it recursive.
+        with GraphitiService(social_schema, feedback_ratio=None) as svc:
+            svc.load_mock(40, seed=5)
+            svc.run(hops)
+            svc.run(hops)
+            plan = svc.prepare(hops, svc.dialect_of("sqlite-memory")).plan
+            assert [t.choice for t in plan.traversals] == ["unrolled"]
+            prepares: list[threading.Thread] = []
+            prepare = svc.prepare
+
+            def spying(*args, **kwargs):
+                prepares.append(threading.current_thread())
+                return prepare(*args, **kwargs)
+
+            monkeypatch.setattr(svc, "prepare", spying)
+            monkeypatch.setattr(SqliteMemoryBackend, "execute", recording)
+
+            async def main():
+                async with AsyncGraphitiService(svc) as async_svc:
+                    async_svc._hop.seconds = 1.0  # stands in for the measured hop
+                    loop_thread = threading.current_thread()
+                    with pytest.raises(QueryBudgetExceeded) as info:
+                        await async_svc.run(hops, budget=QueryBudget(max_rows=1))
+                    return loop_thread, info.value
+
+            loop_thread, error = asyncio.run(main())
+            assert error.attempted_downgrade
+            assert executes[0] is loop_thread  # the unrolled plan, inline
+            assert len(executes) == 2 and executes[1] is not loop_thread
+            assert len(prepares) == 1 and prepares[0] is not loop_thread
+            assert svc.metrics.counter("repro_budget_downgrades_total").value(
+                backend="sqlite-memory"
+            ) == 1
+            assert svc.pool().in_use == 0
 
 
 class TestQueryErrorsAreNotRetried:
