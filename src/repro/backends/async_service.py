@@ -16,14 +16,16 @@ lookup spends a few of them in the engine.  All of these must hold:
 3. the entry has :data:`~repro.backends.service.FEEDBACK_MIN_OBSERVATIONS`
    observations: its feedback re-plan check has already run, and cannot
    fire later, because its rows are fixed for the loaded data;
-4. the text's mean recorded engine time is below the measured hop;
+4. the mean engine time of this entry on this backend, since the data
+   was loaded, is below the measured hop (a reload, a re-plan, or another
+   backend starts with no timing, so the query is offloaded until timed);
 5. an idle pool member can be taken without waiting or spawning.
 
-Once the hop is known, every run first yields to the loop once, so
-concurrent clients take turns and other tasks run between inline
-queries.  Nothing on the loop waits or sleeps: a step that could (a pool
-wait or spawn, a retry backoff, a budget downgrade's re-prepare) moves
-the rest of the query to the executor, under the same budget clock.
+An inline query first yields to the loop once, so concurrent clients
+take turns and other tasks run between inline queries.  Nothing on the
+loop waits or sleeps: a step that could (a pool wait or spawn, a retry
+backoff, a budget downgrade's re-prepare) moves the rest of the query to
+the executor, under the same budget clock.
 
 **On the executor** otherwise, as one executor call of the pipeline.
 
@@ -32,11 +34,11 @@ The hop is measured, not configured.  A
 the loop, minus the work inside them, counting only trips that found an
 idle thread, and keeps the smallest: contention only ever adds to a trip.
 Until :data:`~repro.backends.executor.HOP_SAMPLES` trips were counted,
-every query is offloaded.  So an inline query holds the loop about as long
-as the hop would have, going by its text's observed time.  **Known
-limit:** inlining bets on that observed time.  A one-off engine stall on an
-inline query blocks the loop for its length; a budget timeout still aborts
-the statement.
+every query is offloaded.  An inline query holds the loop for the
+pipeline's own fixed cost plus an engine call whose mean time so far was
+below the hop.  **Known limit:** inlining bets on that observed time.  A
+one-off engine stall on an inline query blocks the loop for its length; a
+budget timeout still aborts the statement.
 
 Both placements share the rest:
 
@@ -217,11 +219,6 @@ class AsyncGraphitiService:
             entry = None
             hop = self._hop.seconds
             if hop is not None:
-                # One turn for every other ready task first: back-to-back
-                # inline queries would otherwise starve them.
-                await asyncio.sleep(0)
-                if self._closed:
-                    raise RuntimeError("AsyncGraphitiService is closed")
                 entry = service._prepare(
                     cypher_text,
                     service.dialect_of(name),
@@ -233,7 +230,13 @@ class AsyncGraphitiService:
                 service._serve, cypher_text, name, opt_level, budget,
                 self.checkout_timeout, tracker, entry,
             )
-            inline = entry is not None and self._fits_inline(entry, hop)
+            inline = entry is not None and self._fits_inline(entry, name, hop)
+            if inline:
+                # One turn for every other ready task first: back-to-back
+                # inline queries would otherwise starve them.
+                await asyncio.sleep(0)
+                if self._closed:
+                    raise RuntimeError("AsyncGraphitiService is closed")
             try:
                 if inline:
                     try:
@@ -250,12 +253,12 @@ class AsyncGraphitiService:
             span.set("rows", len(result.rows))
         return result
 
-    def _fits_inline(self, entry: PreparedQuery, hop: float) -> bool:
+    def _fits_inline(self, entry: PreparedQuery, name: str, hop: float) -> bool:
         """Gate conditions 3 and 4 (see the module docstring); the cache
         lookup was 1, and the pipeline itself enforces 2 and 5."""
         if entry.feedback.executions < FEEDBACK_MIN_OBSERVATIONS:
             return False
-        observed = self._service._observed_seconds(entry.cypher_text)
+        observed = self._service._engine_seconds(entry, name)
         return observed is not None and observed < hop
 
     async def _offload(self, work: Callable[[], _T]) -> _T:

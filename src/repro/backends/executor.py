@@ -427,9 +427,8 @@ class HopClock:
     slow work skip the executor.  Thread-safe.
     """
 
-    def __init__(self, workers: int, samples: int = HOP_SAMPLES) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.samples = samples
         #: The measured hop in seconds (``None`` until measured).
         self.seconds: float | None = None
         self._lock = threading.Lock()
@@ -455,7 +454,7 @@ class HopClock:
                 return
             self._least = min(self._least, max(round_trip - work, 0.0))
             self._counted += 1
-            if self._counted >= self.samples:
+            if self._counted >= HOP_SAMPLES:
                 self.seconds = self._least
 
 

@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -88,11 +89,11 @@ DEFAULT_BACKEND = "sqlite-memory"
 MAX_LATENCY_SAMPLES = 512
 
 #: Cypher texts whose state (:class:`QueryStat` accounting, feedback
-#: decision, partition-gate verdicts) is kept: the most recently used ones,
-#: as inlined literals would otherwise grow the map forever.  An evicted
-#: text's decision falls back to epoch 0: it re-learns from the uncorrected
-#: plan, at most :data:`MAX_REPLANS` times.  Every plan returns the
-#: reference evaluator's bag, so eviction costs only speed.
+#: decision, partition-gate verdicts, engine timing) is kept: the most
+#: recently used ones, as inlined literals would otherwise grow the map
+#: forever.  An evicted text's decision falls back to epoch 0: it re-learns
+#: from the uncorrected plan, at most :data:`MAX_REPLANS` times.  Every plan
+#: returns the reference evaluator's bag, so eviction costs only speed.
 MAX_TRACKED_QUERIES = 4096
 
 #: Executions before a plan's running mean may trigger a feedback re-plan.
@@ -307,15 +308,34 @@ class QueryStat:
         return self.percentile(0.95)
 
 
+class _EngineTiming:
+    """The engine seconds of one prepared entry on one backend, since the
+    data was loaded (the async service's inline gate reads their mean).
+    The entry is held by a weak reference, so an evicted entry is not kept
+    alive; a re-planned or re-keyed entry, or another backend, starts a
+    new timing."""
+
+    __slots__ = ("backend", "entry", "runs", "seconds")
+
+    def __init__(self, backend: str, entry: PreparedQuery, seconds: float) -> None:
+        self.backend = backend
+        self.entry = weakref.ref(entry)
+        self.runs = 1
+        self.seconds = seconds
+
+    def of(self, backend: str, entry: PreparedQuery) -> bool:
+        return self.backend == backend and self.entry() is entry
+
+
 class _QueryState:
     """Everything the service keeps for one Cypher text: the running
     accounting behind its :class:`QueryStat` (:meth:`freeze` takes the
-    snapshot), its feedback decision, and the partition gate's verdicts.
-    Mutated in place under the service lock."""
+    snapshot), its feedback decision, the partition gate's verdicts, and
+    its latest engine timing.  Mutated in place under the service lock."""
 
     __slots__ = (
         "order", "executions", "total_seconds", "last_seconds", "samples",
-        "feedback", "gates",
+        "feedback", "gates", "timing",
     )
 
     def __init__(self) -> None:
@@ -326,6 +346,8 @@ class _QueryState:
         self.gates: dict[
             tuple[str, int], tuple[ParallelDecision, FragmentExecutor | None]
         ] = {}
+        #: The timing of the entry and backend that ran last.
+        self.timing: _EngineTiming | None = None
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -624,12 +646,14 @@ class GraphitiService:
             self._stats = stats
             self._stats_digest = stats_digest(stats)
             # Fresh data: divergence verdicts reached on the old data no
-            # longer mean anything, and neither do partition bounds.  The
-            # decision is detached, not reset in place, so a re-plan that
-            # holds it across its stats refresh corrects an orphan.
+            # longer mean anything, and neither do partition bounds or
+            # engine timings.  The decision is detached, not reset in
+            # place, so a re-plan that holds it across its stats refresh
+            # corrects an orphan.
             for state in self._query_states.values():
                 state.feedback = None
                 state.gates.clear()
+                state.timing = None
 
     def refresh_stats(self) -> bool:
         """Re-collect statistics from the live data; ``True`` if the digest
@@ -1149,7 +1173,7 @@ class GraphitiService:
                     pool.checkin(member)
                     breaker.record_success()
                     if record:
-                        self.record_execution(cypher_text, elapsed, backend=name)
+                        self._record(cypher_text, elapsed, name, prepared)
                     return result
             finally:
                 breaker.release_probe(probe)
@@ -1615,7 +1639,8 @@ class GraphitiService:
             return tuple(state.freeze(text) for text, state in entries)
 
     def reset_query_stats(self) -> None:
-        """Zero every text's execution accounting; its feedback and gates stay."""
+        """Zero every text's execution accounting; its feedback, gates and
+        engine timing stay."""
         with self._lock:
             for state in self._query_states.values():
                 state.reset_stats()
@@ -1628,7 +1653,17 @@ class GraphitiService:
         Public so callers that time executions on their own schedule feed
         the same :class:`QueryStat` accounting as :meth:`run`/:meth:`run_many`.
         """
-        name = backend or self.default_backend
+        self._record(cypher_text, seconds, backend or self.default_backend)
+
+    def _record(
+        self,
+        cypher_text: str,
+        seconds: float,
+        name: str,
+        prepared: PreparedQuery | None = None,
+    ) -> None:
+        """:meth:`record_execution`; *prepared* is the entry whose engine
+        call on *name* took *seconds*, which also feeds its timing."""
         series = self._series_for(name)
         series.queries.inc()
         series.seconds.observe(seconds)
@@ -1638,15 +1673,23 @@ class GraphitiService:
             if state.order is None:
                 state.order = next(self._query_order)
             state.add(seconds)
+            if prepared is not None:
+                timing = state.timing
+                if timing is not None and timing.of(name, prepared):
+                    timing.runs += 1
+                    timing.seconds += seconds
+                else:
+                    state.timing = _EngineTiming(name, prepared, seconds)
 
-    def _observed_seconds(self, cypher_text: str) -> float | None:
-        """Mean recorded execution seconds of *cypher_text* (``None``
-        before its first, or after :meth:`reset_query_stats`)."""
+    def _engine_seconds(self, prepared: PreparedQuery, name: str) -> float | None:
+        """Mean engine seconds of *prepared* on backend *name* since the
+        data was loaded (``None`` before its first execution there)."""
         with self._lock:
-            state = self._query_states.get(cypher_text)
-            if state is None or not state.executions:
+            state = self._query_states.get(prepared.cypher_text)
+            timing = state.timing if state is not None else None
+            if timing is None or not timing.of(name, prepared):
                 return None
-            return state.total_seconds / state.executions
+            return timing.seconds / timing.runs
 
     def _query_state(self, cypher_text: str) -> _QueryState:
         """*cypher_text*'s record, created if missing and marked most

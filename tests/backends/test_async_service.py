@@ -588,9 +588,9 @@ class TestLifecycle:
 POINT = "MATCH (n:EMP) WHERE n.id = 3 RETURN n.name"
 
 
-def placements(service) -> dict[str, float]:
+def placements(service, backend: str | None = None) -> dict[str, float]:
     counter = service.metrics.counter("repro_async_placement_total")
-    backend = service.default_backend
+    backend = backend or service.default_backend
     return {
         where: counter.value(backend=backend, placement=where)
         for where in ("inline", "executor")
@@ -611,7 +611,7 @@ def force_hop(async_svc, seconds: float) -> None:
 @pytest.fixture
 def engine_threads(monkeypatch):
     """The thread of every engine call (SQLite backends)."""
-    from repro.backends.sqlite import SqliteMemoryBackend
+    from repro.backends.sqlite import SqliteFileBackend, SqliteMemoryBackend
 
     original = SqliteMemoryBackend.execute
     seen: list[threading.Thread] = []
@@ -620,7 +620,8 @@ def engine_threads(monkeypatch):
         seen.append(threading.current_thread())
         return original(self, sql_text, *args, **kwargs)
 
-    monkeypatch.setattr(SqliteMemoryBackend, "execute", recording)
+    for backend in (SqliteMemoryBackend, SqliteFileBackend):
+        monkeypatch.setattr(backend, "execute", recording)
     return seen
 
 
@@ -647,19 +648,26 @@ async def run_beside_probe(async_svc, text: str, **kwargs):
 
 class TestHopClock:
     def test_the_smallest_trip_that_found_an_idle_worker(self):
-        clock = HopClock(workers=2, samples=3)
+        clock = HopClock(workers=2)
         first = clock.start()  # no worker spawned yet: it queued
         assert first is False
         clock.finish(first, 0.000_001)
-        for round_trip in (0.000_190, 0.000_090, 0.005_000):
+        trips = itertools.cycle((0.000_190, 0.000_090, 0.005_000))
+        for round_trip in itertools.islice(trips, HOP_SAMPLES):
+            assert clock.seconds is None
             idle = clock.start()
             assert idle is True
             clock.finish(idle, round_trip, work=0.000_040)
         assert clock.seconds == pytest.approx(0.000_050)
+        # Measured once: later trips leave it alone.
+        clock.finish(clock.start(), 0.000_041, work=0.000_040)
+        assert clock.seconds == pytest.approx(0.000_050)
 
     def test_trips_beyond_the_spawned_workers_queue(self):
-        clock = HopClock(workers=1, samples=1)
+        clock = HopClock(workers=1)
         clock.finish(clock.start(), None)  # the worker now exists
+        for _ in range(HOP_SAMPLES - 1):
+            clock.finish(clock.start(), 0.000_080, work=0.000_010)
         holder = clock.start()
         assert holder is True
         queued = clock.start()  # the only worker is busy
@@ -794,7 +802,8 @@ class TestOffloadMatrix:
     """Each of these runs on the executor, with the loop free meanwhile."""
 
     def check_offloaded(self, service, async_svc, engine_threads, text, **kwargs):
-        before = placements(service)
+        backend = kwargs.get("backend")
+        before = placements(service, backend)
         engine_threads.clear()
 
         async def main():
@@ -803,7 +812,7 @@ class TestOffloadMatrix:
             return table, turns, loop_thread
 
         table, turns, loop_thread = asyncio.run(main())
-        after = placements(service)
+        after = placements(service, backend)
         assert after["executor"] - before["executor"] == 1
         assert after["inline"] == before["inline"]
         assert engine_threads and loop_thread not in engine_threads
@@ -847,8 +856,51 @@ class TestOffloadMatrix:
 
     def test_slow_text(self, service, async_service, engine_threads):
         warm(service, POINT)
-        force_hop(async_service, service._observed_seconds(POINT) / 2)
+        observed = service._engine_seconds(
+            service.prepare(POINT), service.default_backend
+        )
+        force_hop(async_service, observed / 2)
         self.check_offloaded(service, async_service, engine_threads, POINT)
+
+    def test_another_backend_is_timed_first(
+        self, service, async_service, engine_threads
+    ):
+        """An entry timed on one backend has no timing on another, which
+        shares its dialect: the first run there is offloaded, the next
+        one (now timed) goes inline."""
+        warm(service, POINT)
+        force_hop(async_service, 1.0)
+        self.check_offloaded(
+            service, async_service, engine_threads, POINT, backend="sqlite-file"
+        )
+        asyncio.run(async_service.run(POINT, backend="sqlite-file"))
+        assert placements(service, "sqlite-file") == {"inline": 1, "executor": 1}
+
+    def test_another_plan_of_the_text_has_its_own_timing(
+        self, service, async_service, engine_threads, monkeypatch
+    ):
+        """Timings name their entry: a slow level-0 plan of a join timed
+        cheap at level 2 is timed on its own runs, not on the cheap
+        history."""
+        from repro.backends.sqlite import SqliteMemoryBackend
+
+        warm(service, JOIN, runs=200)
+        name = service.default_backend
+        hop = 4 * service._engine_seconds(service.prepare(JOIN), name)
+        slow_sql = service.prepare(JOIN, opt_level=0).sql_text
+        assert slow_sql != service.prepare(JOIN).sql_text
+        execute = SqliteMemoryBackend.execute
+
+        def stalling(self, sql_text, *args, **kwargs):
+            if sql_text == slow_sql:
+                time.sleep(10 * hop)
+            return execute(self, sql_text, *args, **kwargs)
+
+        monkeypatch.setattr(SqliteMemoryBackend, "execute", stalling)
+        for _ in range(FEEDBACK_MIN_OBSERVATIONS):
+            service.run(JOIN, opt_level=0)
+        force_hop(async_service, hop)
+        self.check_offloaded(service, async_service, engine_threads, JOIN, opt_level=0)
 
     def test_pool_member_held_by_another_thread(
         self, emp_dept_schema, engine_threads
@@ -889,6 +941,42 @@ class TestOffloadMatrix:
                 async_svc.close()
             assert all(len(table.rows) == 2000 for table in tables)
             assert placements(service) == {"inline": 0, "executor": 6}
+
+    @pytest.mark.parametrize("opt_level", [1, 2])
+    def test_cheap_history_does_not_survive_a_reload(
+        self, emp_dept_schema, engine_threads, opt_level
+    ):
+        """A join timed on five rows goes inline; after a reload to 2,000
+        rows it is offloaded on every run, however long its cheap history.
+        At level 2 the reload re-keys the entry; below it the entry
+        survives, and only its timing is dropped."""
+        from repro.execution.datagen import MockDataGenerator
+
+        with GraphitiService(emp_dept_schema, opt_level=opt_level) as service:
+            generator = MockDataGenerator(emp_dept_schema, service.sdt, seed=3)
+            service.load_database(generator.induced_instance(5))
+            warm(service, JOIN, runs=200)
+            name = service.default_backend
+            cheap = service._engine_seconds(service.prepare(JOIN), name)
+            hop = 4 * cheap
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
+            force_hop(async_svc, hop)
+
+            async def main(runs: int) -> list[Table]:
+                return [await async_svc.run(JOIN) for _ in range(runs)]
+
+            try:
+                asyncio.run(main(2))
+                assert placements(service) == {"inline": 2, "executor": 0}
+                service.load_database(generator.induced_instance(2000))
+                engine_threads.clear()
+                tables = asyncio.run(main(6))
+            finally:
+                async_svc.close()
+            assert all(len(table.rows) == 2000 for table in tables)
+            assert placements(service) == {"inline": 2, "executor": 6}
+            assert len(engine_threads) == 6
+            assert service._engine_seconds(service.prepare(JOIN), name) > hop
 
 
 class TestNothingBlocksTheLoop:
