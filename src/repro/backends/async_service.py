@@ -46,8 +46,9 @@ Both placements share the rest:
   threads, so at most that many offloaded queries are in flight; the rest
   queue.  Inline queries take no executor slot;
 * **an exhausted pool raises** :class:`~repro.backends.pool.PoolTimeout`
-  after ``checkout_timeout`` seconds (or the budget's remaining clock,
-  whichever is tighter) instead of queueing without bound;
+  after :data:`~repro.backends.service.CHECKOUT_TIMEOUT` seconds (or the
+  budget's remaining clock, whichever is tighter) instead of queueing
+  without bound, as on the sync path;
 * **spans parent as on the sync path** — an inline call runs in the
   task's own :mod:`contextvars` context and an executor call in a copy of
   it, so ``pool.checkout``, ``execute``, and ``parallel.*`` spans land
@@ -100,9 +101,6 @@ from repro.backends.service import (
 #: Default cap on concurrently executing queries (executor threads).
 DEFAULT_MAX_CONCURRENCY = 8
 
-#: Default seconds a pool checkout may wait before raising PoolTimeout.
-DEFAULT_CHECKOUT_TIMEOUT = 30.0
-
 _T = TypeVar("_T")
 
 
@@ -126,10 +124,6 @@ class AsyncGraphitiService:
     max_concurrency:
         Number of executor threads, and so the ceiling on simultaneously
         executing offloaded queries — the backpressure valve.
-    checkout_timeout:
-        Seconds a pool checkout may wait when the pool is exhausted at
-        capacity before raising :class:`~repro.backends.pool.PoolTimeout`
-        (``None``: wait forever).
     """
 
     def __init__(
@@ -137,7 +131,6 @@ class AsyncGraphitiService:
         service_or_schema: GraphitiService | GraphSchema,
         *,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-        checkout_timeout: float | None = DEFAULT_CHECKOUT_TIMEOUT,
         **service_kwargs: Any,
     ) -> None:
         if max_concurrency < 1:
@@ -154,7 +147,6 @@ class AsyncGraphitiService:
             self._service = service_or_schema
             self._owns_service = False
         self.max_concurrency = max_concurrency
-        self.checkout_timeout = checkout_timeout
         self._executor = ThreadPoolExecutor(
             max_workers=max_concurrency, thread_name_prefix="graphiti-async"
         )
@@ -190,10 +182,9 @@ class AsyncGraphitiService:
 
         Any number of coroutines may call this concurrently; offloaded
         executions beyond ``max_concurrency`` queue for an executor
-        thread, while inline ones take no executor slot.  An exhausted
-        pool raises :class:`PoolTimeout` after ``checkout_timeout``
-        seconds rather than queueing without bound.  *budget* behaves
-        exactly as on :meth:`GraphitiService.run`.
+        thread, while inline ones take no executor slot.  *budget*, and
+        the :class:`PoolTimeout` an exhausted pool raises, behave exactly
+        as on :meth:`GraphitiService.run`.
         """
         name = backend or self._service.default_backend
         return await self._run(
@@ -227,8 +218,8 @@ class AsyncGraphitiService:
                     memory_only=True,
                 )
             serve = partial(
-                service._serve, cypher_text, name, opt_level, budget,
-                self.checkout_timeout, tracker, entry,
+                service._serve, cypher_text, name, opt_level, budget, tracker,
+                entry,
             )
             inline = entry is not None and self._fits_inline(entry, name, hop)
             if inline:
@@ -364,32 +355,6 @@ class AsyncGraphitiService:
         return await asyncio.to_thread(
             self._service.reference, cypher_text, opt_level, budget
         )
-
-    # -- sync delegates (cheap, loop-safe) ----------------------------------
-
-    def prepare(
-        self,
-        cypher_text: str,
-        dialect: object | None = None,
-        opt_level: int | None = None,
-    ) -> PreparedQuery:
-        """Cached transpilation — sync on purpose: micro-fast after first hit."""
-        return self._service.prepare(cypher_text, dialect, opt_level=opt_level)
-
-    def transpile_to_sql(
-        self, cypher_text: str, dialect: object | None = None,
-        opt_level: int | None = None,
-    ) -> str:
-        return self._service.transpile_to_sql(cypher_text, dialect, opt_level)
-
-    def backends(self) -> tuple[str, ...]:
-        return self._service.backends()
-
-    def cache_info(self):
-        return self._service.cache_info()
-
-    def query_stats(self):
-        return self._service.query_stats()
 
     # -- lifecycle ---------------------------------------------------------
 

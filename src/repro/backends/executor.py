@@ -323,19 +323,16 @@ class FragmentExecutor:
         return cls(fragment, decision, tuple(statements))
 
     def scatter(
-        self,
-        run_partition: Callable[[int], Table],
-        executor: ThreadPoolExecutor | None = None,
+        self, run_partition: Callable[[int], Table], executor: ThreadPoolExecutor
     ) -> list[Table]:
-        """Run every partition concurrently; partials in partition order."""
+        """Run every partition concurrently on *executor*; partials in
+        partition order."""
         partials: list[Table | None] = [None] * len(self.statements)
 
         def one(index: int) -> None:
             partials[index] = run_partition(index)
 
-        run_indexed(
-            len(self.statements), one, self.decision.degree, executor=executor
-        )
+        run_indexed(len(self.statements), one, executor)
         assert all(partial is not None for partial in partials)
         return partials  # type: ignore[return-value]
 
@@ -359,31 +356,23 @@ class FragmentExecutor:
 def run_indexed(
     total: int,
     execute_one: Callable[[int], None],
-    workers: int,
-    executor: ThreadPoolExecutor | None = None,
+    executor: ThreadPoolExecutor | None,
 ) -> None:
-    """Run ``execute_one(0..total-1)``, fanned across *workers* threads.
+    """Run ``execute_one(0..total-1)``, fanned across *executor*'s threads.
 
     The single fan-out loop behind ``GraphitiService.run_many`` and the
     partition scatter, so their semantics cannot drift: callers write
     results into their own index-addressed list (in-order by
     construction), every submitted call runs to completion even when a
     sibling fails, and the first failure (in index order) propagates.
-    With *executor* the work runs on the caller's persistent pool;
-    otherwise a throwaway pool is used.  ``workers == 1`` (or a single
-    item) degenerates to an inline loop.
+    The work runs on the caller's persistent pool; with no *executor* (or
+    a single item) it degenerates to an inline loop.
     """
-    if total <= 0:
-        return
-    if workers <= 1 or total == 1:
+    if executor is None or total <= 1:
         for index in range(total):
             execute_one(index)
         return
-    if executor is None:
-        with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
-            _drain([pool.submit(execute_one, i) for i in range(total)])
-    else:
-        _drain([executor.submit(execute_one, i) for i in range(total)])
+    _drain([executor.submit(execute_one, i) for i in range(total)])
 
 
 def _drain(futures: list[Future]) -> None:

@@ -155,8 +155,6 @@ class ConnectionPool:
         backend_name: str,
         database: Database,
         capacity: int = 4,
-        batch_size: int = 1000,
-        indexes: bool = True,
         stats: dict[str, TableStats] | None = None,
         registry: MetricsRegistry | None = None,
         tracer=None,
@@ -176,8 +174,6 @@ class ConnectionPool:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._metrics: _PoolMetrics | None = None
         self._database = database
-        self._batch_size = batch_size
-        self._indexes = indexes
         self._stats = stats
         self._capacity = capacity
         self._lock = threading.Lock()
@@ -271,8 +267,8 @@ class ConnectionPool:
         spawn.  The probe runs outside the pool lock so a slow one never
         serialises other checkouts.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         started = time.perf_counter()
+        deadline = None if timeout is None else started + timeout
         with self.tracer.span("pool.checkout", backend=self.backend_name) as span:
             spawned = False
             while True:
@@ -296,7 +292,7 @@ class ConnectionPool:
                         # faster thread must still time out after *timeout*
                         # seconds total.
                         remaining = (
-                            None if deadline is None else deadline - time.monotonic()
+                            None if deadline is None else deadline - time.perf_counter()
                         )
                         if remaining is not None and remaining <= 0:
                             raise self._timeout_locked(
@@ -499,13 +495,7 @@ class ConnectionPool:
     # -- internals ---------------------------------------------------------
 
     def _load_member(self) -> ExecutionBackend:
-        return load_backend(
-            self.backend_name,
-            self._database,
-            batch_size=self._batch_size,
-            indexes=self._indexes,
-            stats=self._stats,
-        )
+        return load_backend(self.backend_name, self._database, stats=self._stats)
 
     def _spawn_reserved(self, checkout: bool = False) -> ExecutionBackend:
         """Create the member a caller reserved a slot for (``_spawning``)."""

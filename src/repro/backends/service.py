@@ -102,6 +102,24 @@ FEEDBACK_MIN_OBSERVATIONS = 2
 #: Feedback re-plans per Cypher text, so noisy actuals cannot oscillate.
 MAX_REPLANS = 4
 
+#: Prepared queries the in-memory transpilation LRU keeps.
+CACHE_SIZE = 128
+
+#: Transparent retries (and their backoff) after a pool member died
+#: mid-query or could not be spawned.
+RETRY_POLICY = RetryPolicy()
+
+#: Consecutive engine failures that open a backend's circuit breaker.
+BREAKER_THRESHOLD = 5
+
+#: Seconds an open circuit sheds calls before it admits a probe.
+BREAKER_COOLDOWN_SECONDS = 5.0
+
+#: Seconds a serving checkout (sync or async) may wait on a pool exhausted
+#: at capacity before raising PoolTimeout; a budget's remaining clock caps
+#: it further.
+CHECKOUT_TIMEOUT = 30.0
+
 
 class _OffLoop(Exception):
     """An on-loop serve reached a step that may wait or sleep: a pool wait
@@ -127,15 +145,13 @@ def _depth_cap(budget: QueryBudget | None) -> int | None:
     return budget.max_depth
 
 
-def _checkout_timeout(
-    tracker: BudgetTracker | None, ceiling: float | None
-) -> float | None:
-    """The tighter of the budget's remaining clock and *ceiling* (each
-    ``None`` when unbounded)."""
+def _checkout_timeout(tracker: BudgetTracker | None) -> float:
+    """The tighter of the budget's remaining clock (``None`` when
+    unbounded) and :data:`CHECKOUT_TIMEOUT`."""
     remaining = None if tracker is None else tracker.remaining_seconds()
     if remaining is None:
-        return ceiling
-    return remaining if ceiling is None else min(remaining, ceiling)
+        return CHECKOUT_TIMEOUT
+    return min(remaining, CHECKOUT_TIMEOUT)
 
 
 def schema_fingerprint(graph_schema: GraphSchema) -> str:
@@ -447,26 +463,22 @@ class GraphitiService:
     into K disjoint rowid range partitions, scattered over pooled
     connections, and merged with the :mod:`repro.sql.fragment` rules —
     see :mod:`repro.backends.executor`.
+
+    The serving policies no caller varies are module constants, read where
+    they are used: :data:`CACHE_SIZE`, :data:`RETRY_POLICY`,
+    :data:`BREAKER_THRESHOLD`, :data:`BREAKER_COOLDOWN_SECONDS` and
+    :data:`CHECKOUT_TIMEOUT`.
     """
 
     def __init__(
         self,
         graph_schema: GraphSchema,
         default_backend: str = DEFAULT_BACKEND,
-        cache_size: int = 128,
-        batch_size: int = 1000,
-        indexes: bool = True,
         opt_level: int = DEFAULT_OPT_LEVEL,
         pool_size: int = 4,
         persistent_cache: PersistentQueryCache | str | Path | bool | None = None,
         registry: MetricsRegistry | None = None,
-        tracer=None,
-        slow_query_seconds: float = 0.25,
         default_budget: QueryBudget | None = None,
-        retry_policy: RetryPolicy | None = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown_seconds: float = 5.0,
-        validate_on_checkout: bool = True,
         feedback_ratio: float | None = 8.0,
         parallelism: int = 1,
         parallel_row_threshold: float | None = None,
@@ -481,11 +493,9 @@ class GraphitiService:
         self.sdt = infer_sdt(graph_schema)
         self.fingerprint = schema_fingerprint(graph_schema)
         self.default_backend = default_backend
-        self.batch_size = batch_size
-        self.indexes = indexes
         self.opt_level = opt_level
         self.pool_size = pool_size
-        self._cache = _LruCache(cache_size)
+        self._cache = _LruCache(CACHE_SIZE)
         self._persistent, self._owns_persistent = self._open_persistent(
             persistent_cache
         )
@@ -500,12 +510,12 @@ class GraphitiService:
         self._query_states: OrderedDict[str, _QueryState] = OrderedDict()
         self._query_order = itertools.count()
         # Telemetry: a metrics registry (shared if the caller passes one), a
-        # slow-query ring buffer, and a tracer that defaults to the no-op —
-        # instrumentation is always on, and costs ~nothing until a real
-        # Tracer is attached (``repro explain``, the smoke script).
+        # slow-query ring buffer, and the no-op tracer — instrumentation is
+        # always on, and costs ~nothing until :meth:`set_tracer` attaches a
+        # real Tracer (``repro explain``, the smoke script).
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
-        self.slow_queries = SlowQueryLog(threshold_seconds=slow_query_seconds)
+        self._tracer = NOOP_TRACER
+        self.slow_queries = SlowQueryLog()
         self._queries_total = self._registry.counter(
             "repro_queries_total", "Query executions recorded, by backend."
         )
@@ -525,12 +535,6 @@ class GraphitiService:
         # on member death, and a per-backend circuit breaker that sheds
         # load fast while an engine is down.
         self.default_budget = default_budget
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
-        self.validate_on_checkout = validate_on_checkout
         self._breakers: dict[str, CircuitBreaker] = {}
         #: Injectable backoff sleep (tests swap in a recorder; no real waits).
         self._retry_sleep = time.sleep
@@ -588,10 +592,9 @@ class GraphitiService:
         # never deadlock waiting for partition slots its siblings hold.
         self.parallelism = parallelism
         self.parallel_row_threshold = parallel_row_threshold
-        self._batch_executor: ThreadPoolExecutor | None = None
-        self._batch_workers = 0
-        self._partition_executor: ThreadPoolExecutor | None = None
-        self._partition_workers = 0
+        #: The fan-out executors by kind, with their worker counts (see
+        #: :meth:`_executor`).
+        self._executors: dict[str, tuple[ThreadPoolExecutor, int]] = {}
         self._parallel_queries = self._registry.counter(
             "repro_parallel_queries_total",
             "Queries served by partition-parallel scatter, by backend and "
@@ -887,10 +890,13 @@ class GraphitiService:
         the service has attempted a cheaper plan, when the budget allows
         downgrading.  A member that dies mid-query is evicted and the
         query transparently retried on a healthy member (bounded by
-        ``retry_policy``); a backend whose engine keeps failing trips its
-        circuit breaker, shedding further calls with
+        :data:`RETRY_POLICY`); a backend whose engine keeps failing trips
+        its circuit breaker, shedding further calls with
         :class:`~repro.backends.guards.CircuitOpen` until a cooldown
-        probe succeeds.
+        probe succeeds.  A pool exhausted at capacity raises
+        :class:`~repro.backends.pool.PoolTimeout` after
+        :data:`CHECKOUT_TIMEOUT` seconds (or the budget's remaining
+        clock, whichever is tighter).
         """
         return self.serve(cypher_text, backend, opt_level, budget)[0]
 
@@ -931,8 +937,9 @@ class GraphitiService:
         """The circuit breaker guarding *backend* (created on first use).
 
         One breaker per backend name, shared by every query path (sync and
-        async); its state transitions are counted in
-        ``repro_breaker_transitions_total``.
+        async), under :data:`BREAKER_THRESHOLD` and
+        :data:`BREAKER_COOLDOWN_SECONDS`; its state transitions are
+        counted in ``repro_breaker_transitions_total``.
         """
         name = backend or self.default_backend
         with self._lock:
@@ -940,8 +947,8 @@ class GraphitiService:
             if breaker is None:
                 breaker = CircuitBreaker(
                     backend_name=name,
-                    failure_threshold=self.breaker_threshold,
-                    cooldown_seconds=self.breaker_cooldown_seconds,
+                    failure_threshold=BREAKER_THRESHOLD,
+                    cooldown_seconds=BREAKER_COOLDOWN_SECONDS,
                     on_transition=lambda state, name=name: (
                         self._breaker_transitions.inc(backend=name, state=state)
                     ),
@@ -955,7 +962,6 @@ class GraphitiService:
         name: str,
         opt_level: int | None,
         budget: QueryBudget | None,
-        checkout_timeout: float | None = None,
         tracker: BudgetTracker | None = None,
         prepared: PreparedQuery | None = None,
         on_loop: bool = False,
@@ -964,13 +970,12 @@ class GraphitiService:
         """Prepare + pooled execution with budget enforcement, transparent
         retry, circuit breaking, and the plan downgrade — the one serving
         pipeline behind :meth:`run`, :meth:`run_many`, and the async
-        service.  *checkout_timeout* caps each pool checkout's wait (the
-        async service's ``checkout_timeout``); the budget's remaining
-        clock caps it further.  *tracker* is a budget clock the caller
-        already started (from :meth:`_start_budget`, which then stands in
-        for *budget*): the async service starts it when ``run`` is
-        awaited, so time queued for an executor thread counts against the
-        timeout.
+        service.  Each pool checkout waits at most :data:`CHECKOUT_TIMEOUT`
+        seconds, capped further by the budget's remaining clock.
+        *tracker* is a budget clock the caller already started (from
+        :meth:`_start_budget`, which then stands in for *budget*): the
+        async service starts it when ``run`` is awaited, so time queued for
+        an executor thread counts against the timeout.
 
         The async service's hooks: *prepared* is the entry the caller
         already looked up, so the lookup is not repeated.  *on_loop*
@@ -997,14 +1002,12 @@ class GraphitiService:
                 if on_loop:
                     raise _OffLoop()
                 result = self._run_parallel(
-                    pool, name, cypher_text, prepared, runner, tracker,
-                    checkout_timeout,
+                    pool, name, cypher_text, prepared, runner, tracker
                 )
             else:
                 result = self._run_prepared(
                     pool, name, cypher_text, prepared, tracker,
-                    checkout_timeout=checkout_timeout, on_loop=on_loop,
-                    attempt=attempt,
+                    on_loop=on_loop, attempt=attempt,
                 )
             if depth_cap is None:
                 # Depth-capped plans are budget variants — their row counts
@@ -1013,8 +1016,8 @@ class GraphitiService:
             return result, prepared
         except _OffLoop as leave:
             leave.resume = partial(
-                self._serve, cypher_text, name, opt_level, budget,
-                checkout_timeout, tracker, prepared, attempt=leave.attempt,
+                self._serve, cypher_text, name, opt_level, budget, tracker,
+                prepared, attempt=leave.attempt,
             )
             raise
         except QueryBudgetExceeded as error:
@@ -1031,7 +1034,7 @@ class GraphitiService:
                 raise
             downgrade = partial(
                 self._downgrade, cypher_text, name, opt_level, depth_cap, pool,
-                tracker, checkout_timeout, error,
+                tracker, error,
             )
             if on_loop:
                 raise _OffLoop(resume=downgrade) from error
@@ -1045,7 +1048,6 @@ class GraphitiService:
         depth_cap: int | None,
         pool: ConnectionPool,
         tracker: BudgetTracker,
-        checkout_timeout: float | None,
         error: QueryBudgetExceeded,
     ) -> tuple[Table, PreparedQuery]:
         """The unrolled join chains blew the budget: re-plan with the
@@ -1062,10 +1064,7 @@ class GraphitiService:
             )
             try:
                 return (
-                    self._run_prepared(
-                        pool, name, cypher_text, downgraded, tracker,
-                        checkout_timeout=checkout_timeout,
-                    ),
+                    self._run_prepared(pool, name, cypher_text, downgraded, tracker),
                     downgraded,
                 )
             except QueryBudgetExceeded as final:
@@ -1080,14 +1079,13 @@ class GraphitiService:
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
         record: bool = True,
-        checkout_timeout: float | None = None,
         on_loop: bool = False,
         attempt: int = 1,
     ) -> Table:
         """One plan's pooled execution: breaker gate, checkout (bounded by
-        *checkout_timeout* and the budget's remaining time), engine guards,
-        damage-aware checkin, and bounded backoff retry when the member
-        turns out to be dead or cannot be spawned.
+        :data:`CHECKOUT_TIMEOUT` and the budget's remaining time), engine
+        guards, damage-aware checkin, and bounded backoff retry when the
+        member turns out to be dead or cannot be spawned.
 
         *record* is off for partition executions — the parallel runner
         accounts the query's wall clock once, not per partition.
@@ -1097,7 +1095,7 @@ class GraphitiService:
         breaker = self.breaker(name)
         while True:
             if attempt > 1:
-                self._retry_sleep(self.retry_policy.delay_for(attempt - 1))
+                self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
             if tracker is not None:
                 tracker.check_timeout(stage="service")
             try:
@@ -1115,9 +1113,7 @@ class GraphitiService:
                         raise _OffLoop(attempt)
                 else:
                     try:
-                        member = pool.checkout(
-                            timeout=_checkout_timeout(tracker, checkout_timeout)
-                        )
+                        member = pool.checkout(timeout=_checkout_timeout(tracker))
                     except (PoolClosed, PoolTimeout):
                         # Pool congestion is not engine failure: no breaker
                         # charge.
@@ -1173,7 +1169,7 @@ class GraphitiService:
                     pool.checkin(member)
                     breaker.record_success()
                     if record:
-                        self._record(cypher_text, elapsed, name, prepared)
+                        self._record(cypher_text, elapsed, name, prepared, pool)
                     return result
             finally:
                 breaker.release_probe(probe)
@@ -1185,8 +1181,7 @@ class GraphitiService:
         ``False`` when the retry policy is spent or the budget's clock
         already ran out (then the engine error is the honest answer).
         The next try sleeps the backoff before it starts."""
-        retry = self.retry_policy
-        if not retry.should_retry(attempt) or (
+        if not RETRY_POLICY.should_retry(attempt) or (
             tracker is not None and tracker.timed_out()
         ):
             return False
@@ -1255,7 +1250,6 @@ class GraphitiService:
         prepared: PreparedQuery,
         runner: FragmentExecutor,
         tracker: BudgetTracker | None,
-        checkout_timeout: float | None = None,
     ) -> Table:
         """Scatter *prepared* over rowid partitions and gather.
 
@@ -1289,14 +1283,13 @@ class GraphitiService:
                     index=index,
                 ) as span:
                     partial = self._run_prepared(
-                        pool, name, cypher_text, partition, tracker,
-                        record=False, checkout_timeout=checkout_timeout,
+                        pool, name, cypher_text, partition, tracker, record=False
                     )
                     span.set("rows", len(partial.rows))
                     return partial
 
             partials = runner.scatter(
-                run_partition, executor=self._partition_pool(degree)
+                run_partition, self._executor("partition", degree)
             )
             with self._tracer.span(
                 "parallel.gather", backend=name, partitions=degree
@@ -1512,8 +1505,7 @@ class GraphitiService:
             run_indexed(
                 len(texts),
                 execute_one,
-                workers,
-                executor=None if workers == 1 else self._batch_pool(workers),
+                None if workers == 1 else self._executor("batch", workers),
             )
         assert all(table is not None for table in results)
         return results  # type: ignore[return-value]
@@ -1661,9 +1653,12 @@ class GraphitiService:
         seconds: float,
         name: str,
         prepared: PreparedQuery | None = None,
+        pool: ConnectionPool | None = None,
     ) -> None:
         """:meth:`record_execution`; *prepared* is the entry whose engine
-        call on *name* took *seconds*, which also feeds its timing."""
+        call on *name*, on a member of *pool*, took *seconds*.  That also
+        feeds the entry's timing, unless a reload replaced *pool* since:
+        the call ran on the old data."""
         series = self._series_for(name)
         series.queries.inc()
         series.seconds.observe(seconds)
@@ -1673,7 +1668,7 @@ class GraphitiService:
             if state.order is None:
                 state.order = next(self._query_order)
             state.add(seconds)
-            if prepared is not None:
+            if prepared is not None and self._pools.get(name) is pool:
                 timing = state.timing
                 if timing is not None and timing.of(name, prepared):
                     timing.runs += 1
@@ -1726,15 +1721,11 @@ class GraphitiService:
 
     def close(self) -> None:
         with self._lock:
-            batch, self._batch_executor = self._batch_executor, None
-            partition, self._partition_executor = self._partition_executor, None
-            self._batch_workers = self._partition_workers = 0
+            executors, self._executors = self._executors, {}
         # Shut the persistent executors down before the pools: in-flight
         # work still holds checked-out members.
-        if batch is not None:
-            batch.shutdown(wait=True)
-        if partition is not None:
-            partition.shutdown(wait=True)
+        for executor, _ in executors.values():
+            executor.shutdown(wait=True)
         with self._lock:
             self._reset_pools()
         if self._owns_persistent and self._persistent is not None:
@@ -1748,46 +1739,31 @@ class GraphitiService:
 
     # -- internals ---------------------------------------------------------
 
-    def _batch_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent ``run_many`` fan-out executor, grown on demand.
+    def _executor(self, kind: str, workers: int) -> ThreadPoolExecutor:
+        """The persistent fan-out executor of *kind* — ``"batch"`` for
+        :meth:`run_many`, ``"partition"`` for the scatter — grown on demand.
 
-        One pool for the service's lifetime (shut down in :meth:`close`)
-        instead of a throwaway per batch; when a batch asks for more
-        workers than the pool has, it is replaced by a larger one — the
-        old pool's threads drain their queue and exit on their own.
+        One pool per kind for the service's lifetime (shut down in
+        :meth:`close`) instead of a throwaway per call; when a caller asks
+        for more workers than the pool has, it is replaced by a larger
+        one — the old pool's threads drain their queue and exit on their
+        own.  The kinds are separate on purpose: a batch worker scattering
+        partitions must never compete with (or wait behind) its own
+        siblings for fan-out slots — shared pools deadlock when every
+        batch thread blocks on partition futures no free thread can run.
         """
         with self._lock:
-            if self._batch_executor is None or self._batch_workers < workers:
-                old = self._batch_executor
-                self._batch_workers = max(4, workers, self._batch_workers)
-                self._batch_executor = ThreadPoolExecutor(
-                    max_workers=self._batch_workers,
-                    thread_name_prefix="graphiti-batch",
-                )
-                if old is not None:
-                    old.shutdown(wait=False)
-            return self._batch_executor
-
-    def _partition_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent partition fan-out executor, grown on demand.
-
-        Separate from :meth:`_batch_pool` on purpose: a batch worker
-        scattering partitions must never compete with (or wait behind)
-        its own siblings for fan-out slots — shared pools deadlock when
-        every batch thread blocks on partition futures no free thread
-        can run.
-        """
-        with self._lock:
-            if self._partition_executor is None or self._partition_workers < workers:
-                old = self._partition_executor
-                self._partition_workers = max(4, workers, self._partition_workers)
-                self._partition_executor = ThreadPoolExecutor(
-                    max_workers=self._partition_workers,
-                    thread_name_prefix="graphiti-partition",
-                )
-                if old is not None:
-                    old.shutdown(wait=False)
-            return self._partition_executor
+            current = self._executors.get(kind)
+            if current is not None and current[1] >= workers:
+                return current[0]
+            size = max(4, workers)
+            executor = ThreadPoolExecutor(
+                max_workers=size, thread_name_prefix=f"graphiti-{kind}"
+            )
+            self._executors[kind] = (executor, size)
+            if current is not None:
+                current[0].shutdown(wait=False)
+            return executor
 
     def _pool(self, name: str, min_capacity: int = 1) -> ConnectionPool:
         with self._lock:
@@ -1797,12 +1773,9 @@ class GraphitiService:
                     name,
                     self._database,
                     capacity=max(self.pool_size, min_capacity),
-                    batch_size=self.batch_size,
-                    indexes=self.indexes,
                     stats=self._stats,
                     registry=self._registry,
                     tracer=self._tracer,
-                    validate_on_checkout=self.validate_on_checkout,
                 )
                 self._pools[name] = pool
             elif pool.capacity < min_capacity:

@@ -24,6 +24,7 @@ from repro.backends import (
     GraphitiService,
     PoolTimeout,
 )
+from repro.backends import service as service_module
 from repro.backends.executor import HOP_SAMPLES, HopClock
 from repro.backends.service import FEEDBACK_MIN_OBSERVATIONS
 from repro.relational.instance import Table, tables_equivalent
@@ -211,14 +212,15 @@ class TestBackpressure:
             finally:
                 async_svc.close()
 
-    def test_checkout_timeout_raises_instead_of_hanging(self, emp_dept_schema):
+    def test_checkout_timeout_raises_instead_of_hanging(
+        self, emp_dept_schema, monkeypatch
+    ):
         """Pool exhausted at capacity: an awaited checkout must raise
-        PoolTimeout after checkout_timeout seconds, not wait forever."""
+        PoolTimeout after CHECKOUT_TIMEOUT seconds, not wait forever."""
+        monkeypatch.setattr(service_module, "CHECKOUT_TIMEOUT", 0.1)
         with GraphitiService(emp_dept_schema, pool_size=1) as service:
             service.load_mock(10, seed=5)
-            async_svc = AsyncGraphitiService(
-                service, max_concurrency=2, checkout_timeout=0.1
-            )
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
             pool = service.pool()
             hog = pool.checkout()  # the only member the capacity allows
             try:
@@ -436,10 +438,8 @@ class TestCheckoutDeadline:
         budget = QueryBudget(timeout_seconds=0.2)
         with GraphitiService(emp_dept_schema, pool_size=1) as service:
             service.load_mock(10, seed=5)
-            # checkout_timeout (30 s) is far looser than the budget.
-            async_svc = AsyncGraphitiService(
-                service, max_concurrency=2, checkout_timeout=30.0
-            )
+            # CHECKOUT_TIMEOUT (30 s) is far looser than the budget.
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
             pool = service.pool()
             hog = pool.checkout()
             started = time.monotonic()
@@ -566,13 +566,6 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             asyncio.run(svc.run(SCAN))
         assert len(service.run(SCAN)) == 40
-
-    def test_sync_delegates(self, service, async_service):
-        assert async_service.backends() == service.backends()
-        sql = async_service.transpile_to_sql(SCAN)
-        assert "SELECT" in sql
-        assert async_service.prepare(SCAN).sql_text == sql
-        assert async_service.cache_info().hits >= 0
 
     def test_usable_across_event_loops(self, service, async_service):
         """asyncio primitives are loop-bound; the service must survive
@@ -901,6 +894,47 @@ class TestOffloadMatrix:
             service.run(JOIN, opt_level=0)
         force_hop(async_service, hop)
         self.check_offloaded(service, async_service, engine_threads, JOIN, opt_level=0)
+
+    def test_a_run_that_straddles_a_reload_leaves_no_timing(
+        self, emp_dept_schema, engine_threads, monkeypatch
+    ):
+        """A reload that lands between a run's engine call and its record
+        drops that call's timing: it ran on the old data.  Below level 2
+        the reloaded text keeps its entry, so the old timing would
+        otherwise gate the next run inline."""
+        from repro.backends.pool import ConnectionPool
+        from repro.execution.datagen import MockDataGenerator
+
+        with GraphitiService(emp_dept_schema, opt_level=1) as service:
+            generator = MockDataGenerator(emp_dept_schema, service.sdt, seed=3)
+            service.load_database(generator.induced_instance(5))
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
+            force_hop(async_svc, 1.0)
+            checkin = ConnectionPool.checkin
+            checkins = itertools.count(1)
+
+            def reloading_checkin(pool, member, damaged=False):
+                retained = checkin(pool, member, damaged)
+                if next(checkins) == 3:
+                    service.load_database(generator.induced_instance(300))
+                return retained
+
+            monkeypatch.setattr(ConnectionPool, "checkin", reloading_checkin)
+
+            async def main() -> None:
+                for _ in range(3):
+                    await async_svc.run(JOIN)
+
+            try:
+                asyncio.run(main())
+                name = service.default_backend
+                assert service._engine_seconds(service.prepare(JOIN), name) is None
+                table = self.check_offloaded(
+                    service, async_svc, engine_threads, JOIN
+                )
+            finally:
+                async_svc.close()
+            assert len(table.rows) == 300
 
     def test_pool_member_held_by_another_thread(
         self, emp_dept_schema, engine_threads

@@ -11,6 +11,7 @@ shared budget, and reuses one persistent batch pool.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -266,7 +267,7 @@ class TestPartitionStatements:
 class TestRunIndexed:
     def test_inline_when_single_worker(self):
         seen: list[int] = []
-        run_indexed(4, seen.append, 1)
+        run_indexed(4, seen.append, None)
         assert seen == [0, 1, 2, 3]
 
     def test_fans_out_on_threads(self):
@@ -277,7 +278,8 @@ class TestRunIndexed:
             with lock:
                 seen.add(index)
 
-        run_indexed(16, record, 4)
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            run_indexed(16, record, executor)
         assert seen == set(range(16))
 
     def test_first_error_in_index_order_wins(self):
@@ -285,8 +287,9 @@ class TestRunIndexed:
             if index in (1, 3):
                 raise RuntimeError(f"boom {index}")
 
-        with pytest.raises(RuntimeError, match="boom 1"):
-            run_indexed(4, explode, 2)
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            with pytest.raises(RuntimeError, match="boom 1"):
+                run_indexed(4, explode, executor)
 
     def test_siblings_complete_even_when_one_fails(self):
         done: set[int] = set()
@@ -298,13 +301,12 @@ class TestRunIndexed:
             with lock:
                 done.add(index)
 
-        with pytest.raises(RuntimeError):
-            run_indexed(5, work, 2)
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            with pytest.raises(RuntimeError):
+                run_indexed(5, work, executor)
         assert done == {1, 2, 3, 4}
 
     def test_reuses_a_caller_supplied_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
         seen: list[int] = []
         lock = threading.Lock()
 
@@ -313,11 +315,11 @@ class TestRunIndexed:
                 seen.append(index)
 
         with ThreadPoolExecutor(max_workers=2) as executor:
-            run_indexed(6, record, 2, executor=executor)
+            run_indexed(6, record, executor)
         assert sorted(seen) == list(range(6))
 
     def test_zero_items_is_a_no_op(self):
-        run_indexed(0, lambda i: pytest.fail("should not run"), 4)
+        run_indexed(0, lambda i: pytest.fail("should not run"), None)
 
 
 class TestServedParallelism:
@@ -475,38 +477,44 @@ class TestServedParallelism:
             assert prepared.plan.parallelism == verdicts[0]
 
 
+def executor_of(svc, kind: str):
+    """The service's persistent fan-out executor of *kind*, or ``None``."""
+    entry = svc._executors.get(kind)
+    return entry[0] if entry is not None else None
+
+
 class TestPersistentBatchPool:
     def test_run_many_reuses_one_executor(self, social_schema):
         with parallel_service(social_schema, rows=30, degree=1) as svc:
             svc.run_many([SCAN, AGG], workers=2)
-            first = svc._batch_executor
+            first = executor_of(svc, "batch")
             assert first is not None
             svc.run_many([AGG, SCAN], workers=2)
-            assert svc._batch_executor is first  # persistent, not per-batch
+            assert executor_of(svc, "batch") is first  # persistent, not per-batch
 
     def test_pool_grows_but_never_shrinks(self, social_schema):
         with parallel_service(social_schema, rows=30, degree=1) as svc:
             svc.run_many([SCAN, AGG], workers=2)
             svc.run_many([SCAN, AGG, JOIN] * 3, workers=8)
-            grown = svc._batch_executor
+            grown = executor_of(svc, "batch")
             assert grown._max_workers >= 8
             svc.run_many([SCAN, AGG], workers=2)
-            assert svc._batch_executor is grown
+            assert executor_of(svc, "batch") is grown
 
     def test_serial_batches_skip_the_pool(self, social_schema):
         with parallel_service(social_schema, rows=30, degree=1) as svc:
             svc.run_many([SCAN, AGG], workers=1)
-            assert svc._batch_executor is None
+            assert executor_of(svc, "batch") is None
 
     def test_close_shuts_both_pools_down(self, social_schema):
         svc = parallel_service(social_schema, rows=40, degree=2)
         svc.run_many([SCAN, AGG], workers=2)
         svc.run(SCAN)  # engages the partition pool
-        batch, partition = svc._batch_executor, svc._partition_executor
+        batch, partition = executor_of(svc, "batch"), executor_of(svc, "partition")
         assert batch is not None and partition is not None
         svc.close()
-        assert svc._batch_executor is None
-        assert svc._partition_executor is None
+        assert executor_of(svc, "batch") is None
+        assert executor_of(svc, "partition") is None
         assert batch._shutdown and partition._shutdown
 
 

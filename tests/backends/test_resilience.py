@@ -29,6 +29,7 @@ from repro.backends import (
     available_backends,
     injected_faults,
 )
+from repro.backends import service as service_module
 from repro.backends.faults import active_plan
 from repro.common.budget import QueryBudget
 from repro.core.sdt import infer_sdt
@@ -111,12 +112,15 @@ class TestDieMidQuery:
                 assert snapshot["waiters"] == 0
                 assert snapshot["idle"] == snapshot["size"] >= 1
 
-    def test_retries_exhausted_surfaces_the_engine_error(self, social_schema):
+    def test_retries_exhausted_surfaces_the_engine_error(
+        self, social_schema, monkeypatch
+    ):
         # Three tries, three dead members: the last engine error propagates.
+        monkeypatch.setattr(
+            service_module, "RETRY_POLICY", RetryPolicy(max_attempts=3, base_delay=0.0)
+        )
         with injected_faults(die_on_executes=(1, 2, 3)) as plan:
-            with faulty_service(
-                social_schema, retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0)
-            ) as svc:
+            with faulty_service(social_schema) as svc:
                 with pytest.raises(Exception) as exc:
                     svc.run(SCAN)
                 assert not isinstance(exc.value, FaultInjected)
@@ -434,15 +438,22 @@ class TestCircuitBreakerUnit:
             breaker.allow()  # the newer probe's slot is still held
 
 
+def breaker_policy(monkeypatch, cooldown_seconds: float) -> None:
+    """No retries, and a circuit that opens after two engine failures."""
+    monkeypatch.setattr(service_module, "RETRY_POLICY", NO_RETRY)
+    monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(
+        service_module, "BREAKER_COOLDOWN_SECONDS", cooldown_seconds
+    )
+
+
 class TestServiceBreaker:
-    def test_repeated_engine_failure_opens_the_circuit(self, social_schema):
+    def test_repeated_engine_failure_opens_the_circuit(
+        self, social_schema, monkeypatch
+    ):
+        breaker_policy(monkeypatch, cooldown_seconds=60.0)
         with injected_faults(die_on_executes=(1, 2)) as plan:
-            with faulty_service(
-                social_schema,
-                retry_policy=NO_RETRY,
-                breaker_threshold=2,
-                breaker_cooldown_seconds=60.0,
-            ) as svc:
+            with faulty_service(social_schema) as svc:
                 for _ in range(2):
                     with pytest.raises(Exception):
                         svc.run(SCAN)
@@ -460,14 +471,10 @@ class TestServiceBreaker:
                     backend="faulty", state="open"
                 ) == 1
 
-    def test_breaker_recovers_after_cooldown(self, social_schema):
+    def test_breaker_recovers_after_cooldown(self, social_schema, monkeypatch):
+        breaker_policy(monkeypatch, cooldown_seconds=0.05)
         with injected_faults(die_on_executes=(1, 2)):
-            with faulty_service(
-                social_schema,
-                retry_policy=NO_RETRY,
-                breaker_threshold=2,
-                breaker_cooldown_seconds=0.05,
-            ) as svc:
+            with faulty_service(social_schema) as svc:
                 for _ in range(2):
                     with pytest.raises(Exception):
                         svc.run(SCAN)
@@ -482,17 +489,15 @@ class TestServiceBreaker:
                     "repro_breaker_transitions_total"
                 ).value(backend="faulty", state="closed") == 1
 
-    def test_half_open_probe_query_error_does_not_wedge(self, social_schema):
+    def test_half_open_probe_query_error_does_not_wedge(
+        self, social_schema, monkeypatch
+    ):
         """A genuine query error on a retained member during HALF_OPEN used
         to leave the probe slot held forever, permanently shedding the
         backend; the connection proved alive, so the circuit re-closes."""
+        breaker_policy(monkeypatch, cooldown_seconds=0.05)
         with injected_faults(die_on_executes=(1, 2), error_on_executes=(3,)):
-            with faulty_service(
-                social_schema,
-                retry_policy=NO_RETRY,
-                breaker_threshold=2,
-                breaker_cooldown_seconds=0.05,
-            ) as svc:
+            with faulty_service(social_schema) as svc:
                 for _ in range(2):
                     with pytest.raises(Exception):
                         svc.run(SCAN)
@@ -505,15 +510,11 @@ class TestServiceBreaker:
                 assert len(table.rows) == 20
 
     def test_async_half_open_probe_query_error_does_not_wedge(
-        self, social_schema
+        self, social_schema, monkeypatch
     ):
+        breaker_policy(monkeypatch, cooldown_seconds=0.05)
         with injected_faults(die_on_executes=(1, 2), error_on_executes=(3,)):
-            with faulty_service(
-                social_schema,
-                retry_policy=NO_RETRY,
-                breaker_threshold=2,
-                breaker_cooldown_seconds=0.05,
-            ) as sync_svc:
+            with faulty_service(social_schema) as sync_svc:
 
                 async def main():
                     async with AsyncGraphitiService(sync_svc) as svc:

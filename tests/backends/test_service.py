@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backends import GraphitiService, schema_fingerprint
+from repro.backends import service as service_module
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
 from repro.relational.instance import Database, tables_equivalent
 
@@ -40,8 +41,9 @@ class TestTranspilationCache:
         assert sqlite_sql != mysql_sql
         assert "`" in mysql_sql
 
-    def test_cache_evicts_least_recently_used(self, emp_dept_schema):
-        with GraphitiService(emp_dept_schema, cache_size=2) as svc:
+    def test_cache_evicts_least_recently_used(self, emp_dept_schema, monkeypatch):
+        monkeypatch.setattr(service_module, "CACHE_SIZE", 2)
+        with GraphitiService(emp_dept_schema) as svc:
             svc.transpile_to_sql(SCAN_QUERY)
             svc.transpile_to_sql(JOIN_QUERY)
             svc.transpile_to_sql("MATCH (m:DEPT) RETURN m.dname")
@@ -109,7 +111,7 @@ class TestLoading:
             service.load_database(wrong)
 
     def test_load_mock_populates_all_tables(self, emp_dept_schema):
-        with GraphitiService(emp_dept_schema, batch_size=7) as svc:
+        with GraphitiService(emp_dept_schema) as svc:
             svc.load_mock(20)
             assert svc.database.total_rows() == 60  # 2 node + 1 edge tables
             result = svc.run(SCAN_QUERY)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import threading
+import time
 import weakref
 
 import pytest
@@ -23,9 +24,10 @@ from repro.backends import (
     GraphitiService,
     PoolTimeout,
 )
+from repro.backends import service as service_module
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, SlowQueryLog
 from repro.observability.tracing import NOOP_TRACER, Tracer
 
 SCAN = "MATCH (n:EMP) RETURN n.name"
@@ -229,12 +231,13 @@ class TestPoolTimeoutDiagnostics:
         assert error.idle == 0
         assert error.waited_seconds >= 0.05
 
-    def test_async_timeout_carries_the_same_diagnostics(self, emp_dept_schema):
+    def test_async_timeout_carries_the_same_diagnostics(
+        self, emp_dept_schema, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "CHECKOUT_TIMEOUT", 0.05)
         with GraphitiService(emp_dept_schema, pool_size=1) as service:
             service.load_mock(10, seed=5)
-            async_svc = AsyncGraphitiService(
-                service, max_concurrency=2, checkout_timeout=0.05
-            )
+            async_svc = AsyncGraphitiService(service, max_concurrency=2)
             pool = service.pool()
             hog = pool.checkout()
             try:
@@ -247,6 +250,29 @@ class TestPoolTimeoutDiagnostics:
         assert error.capacity == 1
         assert error.in_use == 1
         assert error.waited_seconds is not None
+        assert "capacity 1" in str(error)
+
+    def test_sync_run_gives_up_at_the_checkout_ceiling(
+        self, emp_dept_schema, monkeypatch
+    ):
+        """A sync run on a pool exhausted at capacity raises PoolTimeout
+        after CHECKOUT_TIMEOUT seconds, as an awaited one does, instead of
+        waiting forever."""
+        monkeypatch.setattr(service_module, "CHECKOUT_TIMEOUT", 0.1)
+        with GraphitiService(emp_dept_schema, pool_size=1) as service:
+            service.load_mock(10, seed=5)
+            pool = service.pool()
+            hog = pool.checkout()
+            started = time.monotonic()
+            try:
+                with pytest.raises(PoolTimeout) as excinfo:
+                    service.run(SCAN)
+            finally:
+                pool.checkin(hog)
+        assert time.monotonic() - started < 5
+        error = excinfo.value
+        assert error.capacity == 1
+        assert error.in_use == 1
         assert "capacity 1" in str(error)
 
 
@@ -299,7 +325,8 @@ class TestRegistryAfterServing:
         assert not snapshot["closed"]
 
     def test_slow_query_log_records_over_threshold(self, emp_dept_schema):
-        with GraphitiService(emp_dept_schema, slow_query_seconds=0.0) as svc:
+        with GraphitiService(emp_dept_schema) as svc:
+            svc.slow_queries = SlowQueryLog(threshold_seconds=0.0)
             svc.load_mock(10, seed=3)
             svc.run(SCAN)
             entries = svc.slow_queries.entries()
