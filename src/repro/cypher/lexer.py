@@ -5,64 +5,91 @@ identifiers, numbers, single-quoted strings, punctuation, and a handful of
 multi-character operators.  Keywords are recognised case-insensitively at
 parse time (the lexer only produces ``IDENT`` tokens and leaves keyword
 classification to the parsers).
+
+Only the comment syntax differs: Cypher comments start with ``//``, while
+``--`` is part of a relationship pattern (``-->``, ``<--``, ``--``) or two
+minus signs; SQL accepts ``--`` and ``//``.  Each parser passes its own
+token pattern (:data:`CYPHER_SYNTAX`, :data:`SQL_SYNTAX`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.common.errors import ParseError
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|--[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|<>|!=|<|>|=|\+|-|\*|/|%|\(|\)|\[|\]|\{|\}|,|:|\.\.|\.|;)
-    """,
-    re.VERBOSE,
-)
+
+def _token_pattern(comment: str) -> re.Pattern[str]:
+    return re.compile(
+        rf"""
+        (?P<ws>\s+)
+      | (?P<comment>{comment})
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op><=|>=|<>|!=|<|>|=|\+|-|\*|/|%|\(|\)|\[|\]|\{{|\}}|,|:|\.\.|\.|;)
+        """,
+        re.VERBOSE,
+    )
 
 
-@dataclass(frozen=True)
+CYPHER_SYNTAX = _token_pattern(r"//[^\n]*")
+SQL_SYNTAX = _token_pattern(r"//[^\n]*|--[^\n]*")
+
+
 class Token:
-    kind: str  # "number" | "string" | "ident" | "op" | "eof"
-    text: str
-    line: int
-    column: int
+    """One token: its kind (``"number"``, ``"string"``, ``"ident"``,
+    ``"op"`` or ``"eof"``), its source text, and its 1-based position."""
+
+    __slots__ = ("kind", "text", "line", "column", "keyword")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        #: The upper-cased text of an identifier, folded once for keyword
+        #: matching; empty for every other kind.
+        self.keyword = text.upper() if kind == "ident" else ""
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.line}, {self.column})"
 
     def is_keyword(self, *words: str) -> bool:
-        return self.kind == "ident" and self.text.upper() in words
+        return self.keyword in words
 
     def is_op(self, *ops: str) -> bool:
         return self.kind == "op" and self.text in ops
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split *source* into tokens, raising :class:`ParseError` on junk."""
+def tokenize(source: str, syntax: re.Pattern[str] = CYPHER_SYNTAX) -> list[Token]:
+    """Split *source* into tokens, raising :class:`ParseError` on junk.
+
+    *syntax* is the token pattern of the source language: Cypher's by
+    default, :data:`SQL_SYNTAX` for SQL.
+    """
     tokens: list[Token] = []
+    match_at = syntax.match
     line = 1
     line_start = 0
     position = 0
-    while position < len(source):
-        match = _TOKEN_RE.match(source, position)
+    end = len(source)
+    while position < end:
+        match = match_at(source, position)
         if match is None:
             raise ParseError(
                 f"unexpected character {source[position]!r}",
                 line=line,
                 column=position - line_start + 1,
             )
-        text = match.group(0)
-        kind = match.lastgroup or "op"
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, position - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = position + text.rfind("\n") + 1
+        kind = match.lastgroup
+        if kind != "comment":  # a comment stops before its newline
+            text = match.group()
+            if kind != "ws":
+                tokens.append(Token(kind, text, line, position - line_start + 1))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = position + text.rfind("\n") + 1
         position = match.end()
     tokens.append(Token("eof", "", line, position - line_start + 1))
     return tokens
@@ -76,17 +103,18 @@ class TokenStream:
         self.position = 0
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if not offset:  # the cursor never passes the trailing eof token
+            return self.tokens[self.position]
+        return self.tokens[min(self.position + offset, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.position]
         if token.kind != "eof":
             self.position += 1
         return token
 
     def at_keyword(self, *words: str) -> bool:
-        return self.peek().is_keyword(*words)
+        return self.tokens[self.position].keyword in words
 
     def take_keyword(self, *words: str) -> bool:
         if self.at_keyword(*words):
@@ -105,7 +133,8 @@ class TokenStream:
         return self.advance()
 
     def at_op(self, *ops: str) -> bool:
-        return self.peek().is_op(*ops)
+        token = self.tokens[self.position]
+        return token.kind == "op" and token.text in ops
 
     def take_op(self, *ops: str) -> bool:
         if self.at_op(*ops):
@@ -134,7 +163,8 @@ class TokenStream:
         return self.advance()
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof" or self.peek().is_op(";")
+        token = self.tokens[self.position]
+        return token.kind == "eof" or token.is_op(";")
 
     def error(self, message: str) -> ParseError:
         token = self.peek()

@@ -24,7 +24,14 @@ from itertools import count
 from repro.common.errors import ParseError
 from repro.common.values import NULL, Value
 from repro.cypher import ast
-from repro.cypher.lexer import Token, TokenStream, number_value, string_value, tokenize
+from repro.cypher.lexer import (
+    CYPHER_SYNTAX,
+    Token,
+    TokenStream,
+    number_value,
+    string_value,
+    tokenize,
+)
 from repro.graph.schema import GraphSchema
 
 _AGGREGATES = {"COUNT": "Count", "SUM": "Sum", "AVG": "Avg", "MIN": "Min", "MAX": "Max"}
@@ -38,7 +45,7 @@ _KEYWORDS = {
 
 def parse_cypher(source: str, schema: GraphSchema | None = None) -> ast.Query:
     """Parse Cypher text into a Featherweight Cypher AST."""
-    stream = TokenStream(tokenize(source))
+    stream = TokenStream(tokenize(source, CYPHER_SYNTAX))
     parser = _Parser(stream, schema)
     query = parser.parse_query()
     if not stream.at_end():
@@ -104,8 +111,8 @@ class _Parser:
         token = self.stream.peek()
         if (
             token.kind == "ident"
-            and token.text.upper() not in _KEYWORDS
-            and token.text.upper() not in _AGGREGATES
+            and token.keyword not in _KEYWORDS
+            and token.keyword not in _AGGREGATES
             and not self.stream.peek(1).is_op(".")
         ):
             self.stream.advance()
@@ -186,7 +193,7 @@ class _Parser:
         new_names: list[str] = []
         while True:
             token = self.stream.expect_ident("variable in WITH")
-            if token.text.upper() in _KEYWORDS or self.stream.at_op("."):
+            if token.keyword in _KEYWORDS or self.stream.at_op("."):
                 raise self.stream.error(
                     "featherweight WITH carries only bare variables "
                     "(expressions in WITH are outside the supported fragment)"
@@ -603,7 +610,7 @@ class _Parser:
         if token.is_keyword("FALSE"):
             self.stream.advance()
             return ast.Literal(False)
-        if token.kind == "ident" and token.text.upper() in _AGGREGATES:
+        if token.kind == "ident" and token.keyword in _AGGREGATES:
             return self._parse_aggregate(allow_aggregates)
         if token.kind == "ident":
             self.stream.advance()
@@ -623,7 +630,7 @@ class _Parser:
 
     def _parse_aggregate(self, allow_aggregates: bool) -> ast.Expression:
         token = self.stream.advance()
-        function = _AGGREGATES[token.text.upper()]
+        function = _AGGREGATES[token.keyword]
         if not self.stream.at_op("("):
             raise self.stream.error(f"{token.text} must be called like a function")
         if not allow_aggregates:
@@ -636,8 +643,8 @@ class _Parser:
         token = self.stream.peek()
         if (
             token.kind == "ident"
-            and token.text.upper() not in _KEYWORDS
-            and token.text.upper() not in _AGGREGATES
+            and token.keyword not in _KEYWORDS
+            and token.keyword not in _AGGREGATES
             and not self.stream.peek(1).is_op(".")
             and self.stream.peek(1).is_op(")")
         ):

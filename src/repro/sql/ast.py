@@ -23,6 +23,7 @@ same 3VL value domain as the Cypher side.
 from __future__ import annotations
 
 import enum
+import functools
 import typing
 from dataclasses import dataclass
 
@@ -429,39 +430,110 @@ def map_children(
 
     The single structural-recursion helper behind the optimizer's rewrite,
     planning, pruning, and CSE passes — node types are enumerated once here,
-    so a new ``Query`` variant only needs one traversal updated.  Leaf nodes
+    so a new ``Query`` variant only needs one traversal updated.  When every
+    child (and attached predicate) comes back as the very same object,
+    *query* itself is returned, so a walk that changes nothing allocates
+    nothing and callers can test for change with ``is``.  Leaf nodes
     (``Relation``) are returned unchanged.
     """
-    pf = predicate_fn if predicate_fn is not None else (lambda p: p)
+    if isinstance(query, Relation):
+        return query
     if isinstance(query, Projection):
-        return Projection(query_fn(query.query), query.columns, query.distinct)
+        child = query_fn(query.query)
+        if child is query.query:
+            return query
+        return Projection(child, query.columns, query.distinct)
     if isinstance(query, Selection):
-        return Selection(query_fn(query.query), pf(query.predicate))
+        child = query_fn(query.query)
+        predicate = query.predicate if predicate_fn is None else predicate_fn(query.predicate)
+        if child is query.query and predicate is query.predicate:
+            return query
+        return Selection(child, predicate)
     if isinstance(query, Renaming):
-        return Renaming(query.name, query_fn(query.query))
+        child = query_fn(query.query)
+        if child is query.query:
+            return query
+        return Renaming(query.name, child)
     if isinstance(query, Join):
-        return Join(
-            query.kind, query_fn(query.left), query_fn(query.right), pf(query.predicate)
-        )
+        left = query_fn(query.left)
+        right = query_fn(query.right)
+        predicate = query.predicate if predicate_fn is None else predicate_fn(query.predicate)
+        if left is query.left and right is query.right and predicate is query.predicate:
+            return query
+        return Join(query.kind, left, right, predicate)
     if isinstance(query, UnionOp):
-        return UnionOp(query_fn(query.left), query_fn(query.right), query.all)
+        left = query_fn(query.left)
+        right = query_fn(query.right)
+        if left is query.left and right is query.right:
+            return query
+        return UnionOp(left, right, query.all)
     if isinstance(query, GroupBy):
-        return GroupBy(query_fn(query.query), query.keys, query.columns, pf(query.having))
+        child = query_fn(query.query)
+        having = query.having if predicate_fn is None else predicate_fn(query.having)
+        if child is query.query and having is query.having:
+            return query
+        return GroupBy(child, query.keys, query.columns, having)
     if isinstance(query, WithQuery):
-        return WithQuery(query.name, query_fn(query.definition), query_fn(query.body))
+        definition = query_fn(query.definition)
+        body = query_fn(query.body)
+        if definition is query.definition and body is query.body:
+            return query
+        return WithQuery(query.name, definition, body)
     if isinstance(query, OrderBy):
-        return OrderBy(query_fn(query.query), query.keys, query.ascending, query.limit)
+        child = query_fn(query.query)
+        if child is query.query:
+            return query
+        return OrderBy(child, query.keys, query.ascending, query.limit)
     if isinstance(query, RecursiveQuery):
+        base = query_fn(query.base)
+        step = query_fn(query.step)
+        body = query_fn(query.body)
+        if base is query.base and step is query.step and body is query.body:
+            return query
         return RecursiveQuery(
-            query.name,
-            query.columns,
-            query_fn(query.base),
-            query_fn(query.step),
-            query_fn(query.body),
-            query.union_all,
-            query.reach,
+            query.name, query.columns, base, step, body, query.union_all, query.reach
         )
     return query
+
+
+def map_predicate(
+    predicate: Predicate,
+    query_fn: typing.Callable[["Query"], "Query"],
+    predicate_fn: typing.Callable[["Predicate"], "Predicate"] | None = None,
+) -> Predicate:
+    """Rebuild *predicate* with *query_fn* applied to the subquery of every
+    ``InQuery``/``ExistsQuery`` reachable through ``And``, ``Or`` and
+    ``Not`` — the predicate counterpart of :func:`map_children`, with the
+    same contract: *predicate* itself comes back when nothing under it
+    changed.
+
+    *predicate_fn*, when given, is applied to the direct operands of a
+    connective instead of this recursion, so a rewrite can act at every
+    connective on the way up.  Atoms (comparisons, ``IsNull``, ``InValues``,
+    Boolean literals) are returned unchanged.
+    """
+    if isinstance(predicate, (And, Or, Not)):
+        if predicate_fn is None:
+            predicate_fn = functools.partial(map_predicate, query_fn=query_fn)
+        if isinstance(predicate, Not):
+            operand = predicate_fn(predicate.operand)
+            return predicate if operand is predicate.operand else Not(operand)
+        left = predicate_fn(predicate.left)
+        right = predicate_fn(predicate.right)
+        if left is predicate.left and right is predicate.right:
+            return predicate
+        return type(predicate)(left, right)
+    if isinstance(predicate, InQuery):
+        query = query_fn(predicate.query)
+        if query is predicate.query:
+            return predicate
+        return InQuery(predicate.operands, query, predicate.negated)
+    if isinstance(predicate, ExistsQuery):
+        query = query_fn(predicate.query)
+        if query is predicate.query:
+            return predicate
+        return ExistsQuery(query, predicate.negated)
+    return predicate
 
 
 def conjuncts(predicate: Predicate) -> list[Predicate]:

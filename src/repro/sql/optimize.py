@@ -6,7 +6,7 @@ levels:
 
 * **level 0** — no rewriting at all (the raw transpiler output);
 * **level 1** — the semantics-preserving local rewrites below, applied
-  bottom-up to a fixpoint;
+  in one bottom-up pass until none fires anywhere;
 * **level 2** — level 1 plus the cost-based passes of
   :mod:`repro.sql.planner`: recursion unrolling (bounded variable-length
   traversals become UNIONs of k-hop join chains when statistics say the
@@ -34,9 +34,12 @@ untouched, so the pass is always safe.  The test suite cross-validates the
 optimizer against the reference evaluator on the whole benchmark suite at
 every level.
 
-Each rewrite pass reports whether it changed anything through a shared
-flag, so the fixpoint loop stops on the first unchanged pass without the
-O(n²) whole-tree equality comparison per iteration it used to do.
+The rules run as one bottom-up normalizer: a node's children (and attached
+predicates) are normalized first, then the rules fire at the node until
+none does, and a node a rule builds — the pushdown's new inner selection —
+is settled before its parent retries.  Tree walks hand back a node itself
+when nothing under it changed, so a walk allocates only where a rule fires
+and callers detect "no change" with ``is``.
 """
 
 from __future__ import annotations
@@ -54,16 +57,8 @@ OPT_LEVELS = (0, 1, 2)
 DEFAULT_OPT_LEVEL = 2
 
 
-class _Flag:
-    """Mutable changed-marker threaded through one rewrite pass."""
-
-    __slots__ = ("changed",)
-
-    def __init__(self) -> None:
-        self.changed = False
-
-    def mark(self) -> None:
-        self.changed = True
+#: Rule applications at one node before the normalizer stops rewriting it.
+_MAX_REWRITES_PER_NODE = 50
 
 
 def optimize(
@@ -109,7 +104,7 @@ def optimize(
         query = cap_recursions(query, depth_cap, report=report)
     if level == 0:
         return query
-    query = _fixpoint(query)
+    query = _normalize(query)
     if level == 1 or schema is None:
         return query
 
@@ -122,14 +117,16 @@ def optimize(
     )
 
     estimator = CardinalityEstimator(schema, stats, row_scale=row_scale)
-    query = expand_recursions(
+    # A pass that returns its input (``is``) leaves the tree normal.
+    expanded = expand_recursions(
         query, estimator, report=report, force_recursive=force_recursive
     )
-    query = _fixpoint(query)
-    query = plan_joins(query, schema, estimator, report=report)
-    query = _fixpoint(query)
-    query = prune_columns(query, schema)
-    query = _fixpoint(query)
+    if expanded is not query:
+        query = _normalize(expanded)
+    query = _normalize(plan_joins(query, schema, estimator, report=report))
+    pruned = prune_columns(query, schema)
+    if pruned is not query:
+        query = _normalize(pruned)
     query = common_subplans(query, schema, report=report)
     if report is not None:
         try:
@@ -139,39 +136,57 @@ def optimize(
     return query
 
 
-def _fixpoint(query: ast.Query) -> ast.Query:
-    """Apply the level-1 rewrite rules bottom-up until nothing fires."""
-    for _ in range(50):  # safety guard; rules strictly shrink in practice
-        flag = _Flag()
-        query = _rewrite(query, flag)
-        if not flag.changed:
+def _normalize(query: ast.Query) -> ast.Query:
+    """The level-1 normal form of *query* in one bottom-up pass: normalize
+    the children (and attached predicates) first, then settle the node."""
+    return _settle(ast.map_children(query, _normalize, _normalize_predicate))
+
+
+def _normalize_predicate(predicate: ast.Predicate) -> ast.Predicate:
+    """Normalize every subquery under *predicate* and drop ``TRUE`` conjuncts."""
+    predicate = ast.map_predicate(predicate, _normalize, _normalize_predicate)
+    if isinstance(predicate, ast.And):
+        if predicate.left == ast.TRUE:
+            return predicate.right
+        if predicate.right == ast.TRUE:
+            return predicate.left
+    return predicate
+
+
+def _settle(query: ast.Query) -> ast.Query:
+    """Apply the rules at *query*, whose children are already normal, until
+    none fires.  Every rule keeps that invariant for the node it returns, so
+    nothing below needs revisiting; the bound is a termination guard only
+    (each rule shrinks the tree or moves a selection down)."""
+    for _ in range(_MAX_REWRITES_PER_NODE):
+        rewritten = _apply_rule(query)
+        if rewritten is None:
             break
+        query = rewritten
     return query
 
 
 # ---------------------------------------------------------------------------
-# One bottom-up rewriting pass
+# The rules at one node
 # ---------------------------------------------------------------------------
 
 
-def _rewrite(query: ast.Query, flag: _Flag) -> ast.Query:
-    query = _rewrite_children(query, flag)
+def _apply_rule(query: ast.Query) -> ast.Query | None:
+    """The first level-1 rule that fires at *query*, applied; ``None`` when
+    none does."""
     if isinstance(query, ast.Selection):
         if query.predicate == ast.TRUE:
-            flag.mark()
             return query.query
         inner = query.query
         if isinstance(inner, ast.Selection):
-            flag.mark()
             return ast.Selection(inner.query, ast.And(inner.predicate, query.predicate))
         if isinstance(inner, ast.Projection) and not inner.distinct:
             substituted = _substitute_predicate(query.predicate, inner.columns)
             if substituted is not None:
-                flag.mark()
-                return ast.Projection(
-                    ast.Selection(inner.query, substituted), inner.columns
-                )
-        return query
+                # The new inner selection is settled before its parent retries.
+                pushed = _settle(ast.Selection(inner.query, substituted))
+                return ast.Projection(pushed, inner.columns)
+        return None
     if isinstance(query, ast.Projection):
         inner = query.query
         if (
@@ -181,9 +196,8 @@ def _rewrite(query: ast.Query, flag: _Flag) -> ast.Query:
         ):
             columns = _substitute_columns(query.columns, inner.columns)
             if columns is not None:
-                flag.mark()
                 return ast.Projection(inner.query, columns, query.distinct)
-        return query
+        return None
     if isinstance(query, ast.Renaming):
         inner = query.query
         if isinstance(inner, ast.Projection) and not inner.distinct:
@@ -194,9 +208,8 @@ def _rewrite(query: ast.Query, flag: _Flag) -> ast.Query:
                 )
                 for column in inner.columns
             )
-            flag.mark()
             return ast.Projection(inner.query, renamed)
-        return query
+        return None
     if isinstance(query, ast.GroupBy):
         inner = query.query
         if (
@@ -208,51 +221,15 @@ def _rewrite(query: ast.Query, flag: _Flag) -> ast.Query:
             for key in query.keys:
                 substituted = _substitute_expression(key, inner.columns)
                 if substituted is None:
-                    return query
+                    return None
                 keys.append(substituted)
             columns = _substitute_columns(query.columns, inner.columns)
             having = _substitute_predicate(query.having, inner.columns)
             if columns is None or having is None:
-                return query
-            flag.mark()
+                return None
             return ast.GroupBy(inner.query, tuple(keys), columns, having)
-        return query
-    return query
-
-
-def _rewrite_children(query: ast.Query, flag: _Flag) -> ast.Query:
-    return ast.map_children(
-        query,
-        lambda q: _rewrite(q, flag),
-        lambda p: _rewrite_predicate(p, flag),
-    )
-
-
-def _rewrite_predicate(predicate: ast.Predicate, flag: _Flag) -> ast.Predicate:
-    if isinstance(predicate, ast.And):
-        left = _rewrite_predicate(predicate.left, flag)
-        right = _rewrite_predicate(predicate.right, flag)
-        if left == ast.TRUE:
-            flag.mark()
-            return right
-        if right == ast.TRUE:
-            flag.mark()
-            return left
-        return ast.And(left, right)
-    if isinstance(predicate, ast.Or):
-        return ast.Or(
-            _rewrite_predicate(predicate.left, flag),
-            _rewrite_predicate(predicate.right, flag),
-        )
-    if isinstance(predicate, ast.Not):
-        return ast.Not(_rewrite_predicate(predicate.operand, flag))
-    if isinstance(predicate, ast.InQuery):
-        return ast.InQuery(
-            predicate.operands, _rewrite(predicate.query, flag), predicate.negated
-        )
-    if isinstance(predicate, ast.ExistsQuery):
-        return ast.ExistsQuery(_rewrite(predicate.query, flag), predicate.negated)
-    return predicate
+        return None
+    return None
 
 
 # ---------------------------------------------------------------------------

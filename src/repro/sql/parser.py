@@ -22,7 +22,14 @@ from __future__ import annotations
 
 from repro.common.errors import ParseError
 from repro.common.values import NULL, Value
-from repro.cypher.lexer import Token, TokenStream, number_value, string_value, tokenize
+from repro.cypher.lexer import (
+    SQL_SYNTAX,
+    Token,
+    TokenStream,
+    number_value,
+    string_value,
+    tokenize,
+)
 from repro.sql import ast
 
 _AGGREGATES = {"COUNT": "Count", "SUM": "Sum", "AVG": "Avg", "MIN": "Min", "MAX": "Max"}
@@ -37,7 +44,7 @@ _KEYWORDS = {
 
 def parse_sql(source: str) -> ast.Query:
     """Parse SQL text into a Featherweight SQL algebra tree."""
-    stream = TokenStream(tokenize(source))
+    stream = TokenStream(tokenize(source, SQL_SYNTAX))
     parser = _Parser(stream)
     query = parser.parse_query()
     if not stream.at_end():
@@ -99,7 +106,7 @@ class _Parser:
                     name = self.stream.expect_ident("output name").text
                 elif (
                     self.stream.peek().kind == "ident"
-                    and self.stream.peek().text.upper() not in _KEYWORDS
+                    and self.stream.peek().keyword not in _KEYWORDS
                 ):
                     name = self.stream.advance().text
                 items.append((expression, name))
@@ -254,7 +261,7 @@ class _Parser:
             alias = self.stream.expect_ident("table alias").text
         elif (
             self.stream.peek().kind == "ident"
-            and self.stream.peek().text.upper() not in _KEYWORDS
+            and self.stream.peek().keyword not in _KEYWORDS
         ):
             alias = self.stream.advance().text
         return ast.Renaming(alias, ast.Relation(name))
@@ -406,7 +413,7 @@ class _Parser:
         if token.is_keyword("FALSE"):
             self.stream.advance()
             return ast.Literal(False)
-        if token.kind == "ident" and token.text.upper() in _AGGREGATES:
+        if token.kind == "ident" and token.keyword in _AGGREGATES:
             if self.stream.peek(1).is_op("("):
                 return self._parse_aggregate()
         if token.kind == "ident":
@@ -425,7 +432,7 @@ class _Parser:
 
     def _parse_aggregate(self) -> ast.Expression:
         token = self.stream.advance()
-        function = _AGGREGATES[token.text.upper()]
+        function = _AGGREGATES[token.keyword]
         self.stream.expect_op("(")
         distinct = self.stream.take_keyword("DISTINCT")
         if self.stream.take_op("*"):

@@ -212,54 +212,6 @@ class CardinalityEstimator:
         count = table.distinct_of(column)
         return float(max(count, 1)) if count is not None else None
 
-    # -- provenance ---------------------------------------------------------
-
-    def provenance(self, query: ast.Query) -> dict[str, tuple[str, str]]:
-        """Best-effort attribute → (relation, column) map for *query*."""
-        if isinstance(query, ast.Relation):
-            try:
-                relation = self.schema.relation(query.name)
-            except Exception:
-                return {}
-            return {a: (query.name, a) for a in relation.attributes}
-        if isinstance(query, (ast.Selection, ast.OrderBy)):
-            return self.provenance(query.query)
-        if isinstance(query, ast.Renaming):
-            inner_attrs = output_attributes(query.query, self.schema)
-            inner_prov = self.provenance(query.query)
-            if inner_attrs is None:
-                return {}
-            return {
-                f"{query.name}.{ast.flatten_attribute(a)}": inner_prov[a]
-                for a in inner_attrs
-                if a in inner_prov
-            }
-        if isinstance(query, ast.Join):
-            merged = self.provenance(query.left)
-            merged.update(self.provenance(query.right))
-            return merged
-        if isinstance(query, (ast.Projection, ast.GroupBy)):
-            inner = self.provenance(query.query)
-            out: dict[str, tuple[str, str]] = {}
-            for column in query.columns:
-                expression = column.expression
-                if isinstance(expression, ast.AttributeRef):
-                    source = inner.get(expression.name)
-                    if source is None:
-                        locals_ = [
-                            a
-                            for a in inner
-                            if a.rsplit(".", 1)[-1] == expression.name
-                        ]
-                        if len(locals_) == 1:
-                            source = inner[locals_[0]]
-                    if source is not None:
-                        out[column.alias] = source
-            return out
-        if isinstance(query, ast.WithQuery):
-            return self.provenance(query.body)
-        return {}
-
     # -- cardinalities ------------------------------------------------------
 
     def cardinality(self, query: ast.Query) -> float:
@@ -270,73 +222,100 @@ class CardinalityEstimator:
         every join order containing it tie at zero and the greedy
         reorderer's choice becomes arbitrary.
         """
-        estimate = self._cardinality(query)
-        if math.isnan(estimate):
-            return DEFAULT_ROW_COUNT
-        return max(estimate, 1.0)
+        return self._estimate(query)[0]
 
-    def _cardinality(self, query: ast.Query) -> float:
+    def provenance(self, query: ast.Query) -> dict[str, tuple[str, str]]:
+        """Best-effort attribute → (relation, column) map for *query*."""
+        return self._estimate(query)[1]
+
+    def _estimate(self, query: ast.Query) -> tuple[float, dict[str, tuple[str, str]]]:
+        """:meth:`cardinality` and :meth:`provenance` of *query* from one
+        bottom-up walk: every subtree's rows and provenance are computed
+        once, and the rows are clamped at every level."""
+        estimate, provenance = self._estimate_node(query)
+        if math.isnan(estimate):
+            return DEFAULT_ROW_COUNT, provenance
+        return max(estimate, 1.0), provenance
+
+    def _estimate_node(
+        self, query: ast.Query
+    ) -> tuple[float, dict[str, tuple[str, str]]]:
         if isinstance(query, ast.Relation):
-            return self.base_rows(query.name)
+            try:
+                attributes = self.schema.relation(query.name).attributes
+            except Exception:
+                attributes = ()  # a CTE reference
+            return (
+                self.base_rows(query.name),
+                {a: (query.name, a) for a in attributes},
+            )
         if isinstance(query, ast.Selection):
-            inner = self.cardinality(query.query)
-            return max(
-                inner * self.selectivity(query.predicate, self.provenance(query.query)),
-                1.0,
+            inner, provenance = self._estimate(query.query)
+            return (
+                max(inner * self.selectivity(query.predicate, provenance), 1.0),
+                provenance,
             )
         if isinstance(query, ast.Projection):
-            inner = self.cardinality(query.query)
-            return max(inner * 0.5, 1.0) if query.distinct else inner
+            inner, provenance = self._estimate(query.query)
+            projected = _projected_provenance(provenance, query.columns)
+            return (max(inner * 0.5, 1.0) if query.distinct else inner), projected
         if isinstance(query, ast.Renaming):
-            return self.cardinality(query.query)
+            inner, provenance = self._estimate(query.query)
+            attributes = output_attributes(query.query, self.schema) or ()
+            renamed = {
+                f"{query.name}.{ast.flatten_attribute(a)}": provenance[a]
+                for a in attributes
+                if a in provenance
+            }
+            return inner, renamed
         if isinstance(query, ast.Join):
-            left = self.cardinality(query.left)
-            right = self.cardinality(query.right)
+            left, provenance = self._estimate(query.left)
+            right, right_provenance = self._estimate(query.right)
+            # Each subtree's map has this node as its only reader.
+            provenance.update(right_provenance)
             if query.kind is ast.JoinKind.CROSS:
-                return left * right
-            provenance = self.provenance(query.left)
-            provenance.update(self.provenance(query.right))
+                return left * right, provenance
             joined = left * right * self.selectivity(query.predicate, provenance)
             if query.kind is ast.JoinKind.INNER:
-                return max(joined, 1.0)
+                return max(joined, 1.0), provenance
             if query.kind is ast.JoinKind.LEFT:
-                return max(joined, left)
+                return max(joined, left), provenance
             if query.kind is ast.JoinKind.RIGHT:
-                return max(joined, right)
-            return max(joined, left + right)
+                return max(joined, right), provenance
+            return max(joined, left + right), provenance
         if isinstance(query, ast.UnionOp):
-            total = self.cardinality(query.left) + self.cardinality(query.right)
-            return total if query.all else max(total * 0.5, 1.0)
+            total = self._estimate(query.left)[0] + self._estimate(query.right)[0]
+            return (total if query.all else max(total * 0.5, 1.0)), {}
         if isinstance(query, ast.GroupBy):
-            inner = self.cardinality(query.query)
+            inner, provenance = self._estimate(query.query)
+            projected = _projected_provenance(provenance, query.columns)
             if not query.keys:
-                return 1.0
+                return 1.0, projected
             groups = 1.0
-            provenance = self.provenance(query.query)
             for key in query.keys:
                 if isinstance(key, ast.AttributeRef):
                     distinct = self.distinct_values(key.name, provenance)
                     groups *= distinct if distinct is not None else inner ** 0.5
                 else:
                     groups *= inner ** 0.5
-            return max(min(groups, inner), 1.0)
+            return max(min(groups, inner), 1.0), projected
         if isinstance(query, ast.WithQuery):
-            return self.cardinality(query.body)
+            return self._estimate(query.body)
         if isinstance(query, ast.RecursiveQuery):
             # A traversal fixpoint yields at most distinct endpoint pairs;
             # estimate one extra hop's growth per bounded hop (capped).
-            base = self.cardinality(query.base)
+            base = self._estimate(query.base)[0]
             info = query.reach
             hops = info.max_hops if info is not None and info.max_hops else 4
-            return max(base * float(min(hops, 4)), 1.0)
+            return max(base * float(min(hops, 4)), 1.0), {}
         if isinstance(query, ast.OrderBy):
-            inner = self.cardinality(query.query)
+            inner, provenance = self._estimate(query.query)
             if query.limit is not None:
                 # LIMIT 0 still floors at one row — a zero estimate would
                 # poison every join order containing this subtree.
-                return min(inner, float(max(query.limit, 1)))
-            return inner
-        return DEFAULT_ROW_COUNT
+                return min(inner, float(max(query.limit, 1))), provenance
+            return inner, provenance
+        return DEFAULT_ROW_COUNT, {}
 
     # -- selectivities ------------------------------------------------------
 
@@ -394,6 +373,25 @@ class CardinalityEstimator:
         if predicate.op == "<>":
             return NOT_EQUAL_SELECTIVITY
         return RANGE_SELECTIVITY
+
+
+def _projected_provenance(
+    inner: dict[str, tuple[str, str]], columns: tuple[ast.OutputColumn, ...]
+) -> dict[str, tuple[str, str]]:
+    """Provenance of a projection's (or aggregation's) output columns:
+    each plain attribute reference keeps its input attribute's source."""
+    out: dict[str, tuple[str, str]] = {}
+    for column in columns:
+        expression = column.expression
+        if isinstance(expression, ast.AttributeRef):
+            source = inner.get(expression.name)
+            if source is None:
+                locals_ = [a for a in inner if a.rsplit(".", 1)[-1] == expression.name]
+                if len(locals_) == 1:
+                    source = inner[locals_[0]]
+            if source is not None:
+                out[column.alias] = source
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,33 +590,13 @@ def _rewrite_recursions(
     :func:`expand_recursions` and :func:`cap_recursions`."""
 
     def walk_query(node: ast.Query) -> ast.Query:
-        if isinstance(node, ast.RecursiveQuery):
-            rebuilt = ast.RecursiveQuery(
-                node.name,
-                node.columns,
-                walk_query(node.base),
-                walk_query(node.step),
-                walk_query(node.body),
-                node.union_all,
-                node.reach,
-            )
+        rebuilt = ast.map_children(node, walk_query, walk_predicate)
+        if isinstance(rebuilt, ast.RecursiveQuery):
             return visit(rebuilt)
-        return ast.map_children(node, walk_query, walk_predicate)
+        return rebuilt
 
     def walk_predicate(predicate: ast.Predicate) -> ast.Predicate:
-        if isinstance(predicate, ast.And):
-            return ast.And(walk_predicate(predicate.left), walk_predicate(predicate.right))
-        if isinstance(predicate, ast.Or):
-            return ast.Or(walk_predicate(predicate.left), walk_predicate(predicate.right))
-        if isinstance(predicate, ast.Not):
-            return ast.Not(walk_predicate(predicate.operand))
-        if isinstance(predicate, ast.InQuery):
-            return ast.InQuery(
-                predicate.operands, walk_query(predicate.query), predicate.negated
-            )
-        if isinstance(predicate, ast.ExistsQuery):
-            return ast.ExistsQuery(walk_query(predicate.query), predicate.negated)
-        return predicate
+        return ast.map_predicate(predicate, walk_query)
 
     return walk_query(query)
 
@@ -855,25 +833,7 @@ class _Planner:
     def _plan_predicate(
         self, predicate: ast.Predicate, ctes: dict[str, tuple[str, ...]]
     ) -> ast.Predicate:
-        if isinstance(predicate, ast.And):
-            return ast.And(
-                self._plan_predicate(predicate.left, ctes),
-                self._plan_predicate(predicate.right, ctes),
-            )
-        if isinstance(predicate, ast.Or):
-            return ast.Or(
-                self._plan_predicate(predicate.left, ctes),
-                self._plan_predicate(predicate.right, ctes),
-            )
-        if isinstance(predicate, ast.Not):
-            return ast.Not(self._plan_predicate(predicate.operand, ctes))
-        if isinstance(predicate, ast.InQuery):
-            return ast.InQuery(
-                predicate.operands, self.plan(predicate.query, ctes), predicate.negated
-            )
-        if isinstance(predicate, ast.ExistsQuery):
-            return ast.ExistsQuery(self.plan(predicate.query, ctes), predicate.negated)
-        return predicate
+        return ast.map_predicate(predicate, lambda q: self.plan(q, ctes))
 
     # -- one region ---------------------------------------------------------
 
@@ -1075,17 +1035,11 @@ class _Planner:
         """Fallback when a region cannot be analysed: keep its exact shape
         (every predicate stays where it was) while still planning the
         non-join subtrees underneath."""
-        if isinstance(node, ast.Selection):
-            return ast.Selection(
-                self._rebuild_original(node.query, ctes),
-                self._plan_predicate(node.predicate, ctes),
-            )
-        if self._is_region(node):
-            return ast.Join(
-                node.kind,
-                self._rebuild_original(node.left, ctes),
-                self._rebuild_original(node.right, ctes),
-                self._plan_predicate(node.predicate, ctes),
+        if isinstance(node, ast.Selection) or self._is_region(node):
+            return ast.map_children(
+                node,
+                lambda q: self._rebuild_original(q, ctes),
+                lambda p: self._plan_predicate(p, ctes),
             )
         return self.plan(node, ctes)
 
@@ -1130,57 +1084,59 @@ def _union(*sets: set[str] | None) -> set[str] | None:
 
 
 def _prune(query: ast.Query, required: set[str] | None) -> ast.Query:
+    """*query* narrowed to *required*; the node itself when neither its
+    children nor its columns changed."""
     if isinstance(query, ast.Projection):
-        if query.distinct or required is None:
-            kept = query.columns
-        else:
-            kept = tuple(c for c in query.columns if _needed(c.alias, required))
-            if not kept:
-                kept = (query.columns[0],)
-        return ast.Projection(
-            _prune(query.query, _columns_refs(kept)), kept, query.distinct
-        )
-    if isinstance(query, ast.Selection):
-        child = _union(required, _predicate_refs(query.predicate))
-        return ast.Selection(_prune(query.query, child), query.predicate)
-    if isinstance(query, ast.Join):
-        child = _union(required, _predicate_refs(query.predicate))
-        return ast.Join(
-            query.kind,
-            _prune(query.left, child),
-            _prune(query.right, child),
-            query.predicate,
-        )
-    if isinstance(query, ast.Renaming):
-        return ast.Renaming(query.name, _prune(query.query, None))
-    if isinstance(query, ast.UnionOp):
-        # Bag union is positional; pruning either side independently would
-        # misalign columns, so both sides keep everything.
-        return ast.UnionOp(
-            _prune(query.left, None), _prune(query.right, None), query.all
-        )
+        kept = _kept_columns(query.columns, None if query.distinct else required)
+        child = _prune(query.query, _columns_refs(kept))
+        if child is query.query and kept is query.columns:
+            return query
+        return ast.Projection(child, kept, query.distinct)
     if isinstance(query, ast.GroupBy):
-        if required is None:
-            kept = query.columns
-        else:
-            kept = tuple(c for c in query.columns if _needed(c.alias, required))
-            if not kept:
-                kept = (query.columns[0],)
+        kept = _kept_columns(query.columns, required)
         key_refs = _union(*(_expression_refs(k) for k in query.keys)) if query.keys else set()
-        child = _union(key_refs, _columns_refs(kept), _predicate_refs(query.having))
-        return ast.GroupBy(_prune(query.query, child), query.keys, kept, query.having)
-    if isinstance(query, ast.WithQuery):
-        return ast.WithQuery(
-            query.name, _prune(query.definition, None), _prune(query.body, required)
+        child = _prune(
+            query.query,
+            _union(key_refs, _columns_refs(kept), _predicate_refs(query.having)),
         )
+        if child is query.query and kept is query.columns:
+            return query
+        return ast.GroupBy(child, query.keys, kept, query.having)
+    if isinstance(query, (ast.Selection, ast.Join)):
+        child_required = _union(required, _predicate_refs(query.predicate))
+        return ast.map_children(query, lambda q: _prune(q, child_required))
+    if isinstance(query, (ast.Renaming, ast.UnionOp)):
+        # Bag union is positional; pruning either side independently would
+        # misalign columns, so both sides (like a renaming's input) keep
+        # everything.
+        return ast.map_children(query, lambda q: _prune(q, None))
+    if isinstance(query, ast.WithQuery):
+        definition = _prune(query.definition, None)
+        body = _prune(query.body, required)
+        if definition is query.definition and body is query.body:
+            return query
+        return ast.WithQuery(query.name, definition, body)
     if isinstance(query, ast.OrderBy):
-        child = (
+        child_required = (
             None
             if required is None
             else _union(required, *(_expression_refs(k) for k in query.keys))
         )
-        return ast.OrderBy(_prune(query.query, child), query.keys, query.ascending, query.limit)
+        return ast.map_children(query, lambda q: _prune(q, child_required))
     return query
+
+
+def _kept_columns(
+    columns: tuple[ast.OutputColumn, ...], required: set[str] | None
+) -> tuple[ast.OutputColumn, ...]:
+    """The columns *required* names (at least the first one); *columns*
+    itself when all are kept or *required* is ``None`` (keep everything)."""
+    if required is None:
+        return columns
+    kept = tuple(c for c in columns if _needed(c.alias, required))
+    if len(kept) == len(columns):
+        return columns
+    return kept or (columns[0],)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import GraphitiService
+from repro.benchmarks.universes import SOCIAL
 from repro.common.errors import ParseError
 from repro.cypher.lexer import tokenize
 from repro.cypher.parser import parse_cypher
+from repro.relational.instance import tables_equivalent
 from repro.sql.parser import parse_sql
 
 MULTI_LINE = "MATCH (a:USER)  // the author\n\tWHERE a.uname = 'it\\'s\nme'\nRETURN a.uid"
@@ -66,3 +69,43 @@ class TestComments:
         assert parse_sql("SELECT e.name FROM EMP AS e // trailing") == parse_sql(
             "SELECT e.name FROM EMP AS e"
         )
+
+
+class TestBracketlessRelationships:
+    """``--`` is a relationship or two minus signs in Cypher, not a comment."""
+
+    @pytest.fixture(scope="class")
+    def social(self):
+        service = GraphitiService(SOCIAL.graph_schema)
+        service.load_mock(20, seed=1)
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize(
+        ("bare", "bracketed"),
+        [
+            ("-->", "-[:FOLLOWS]->"),
+            ("<--", "<-[:FOLLOWS]-"),
+            ("--", "-[:FOLLOWS]-"),
+        ],
+    )
+    def test_matches_bracketed_form(self, social, bare, bracketed):
+        template = "MATCH (a:USER){}(b:USER)\nRETURN a.uid, b.uid"
+        bare_text, full_text = template.format(bare), template.format(bracketed)
+        executed = social.run(bare_text)
+        assert executed.rows
+        assert tables_equivalent(executed, social.run(full_text))
+        assert tables_equivalent(social.reference(bare_text), social.reference(full_text))
+
+    def test_one_line_arrow_parses(self):
+        schema = SOCIAL.graph_schema
+        assert parse_cypher("MATCH (a:USER)-->(b:USER) RETURN a.uid", schema) == (
+            parse_cypher("MATCH (a:USER)-[:FOLLOWS]->(b:USER) RETURN a.uid", schema)
+        )
+
+    def test_double_minus_is_subtraction(self, social):
+        table = social.run("MATCH (a:USER) WHERE a.uid = 3--1\nRETURN a.uid")
+        assert [tuple(row) for row in table.rows] == [(4,)]
+
+    def test_cypher_tokens_keep_double_minus(self):
+        assert [t.text for t in tokenize("a -- b")] == ["a", "-", "-", "b", ""]

@@ -145,6 +145,13 @@ class TestAnalysis:
     def test_map_children_rebuilds_all_three_children(self):
         query = closure_query()
         marked = []
-        rebuilt = ast.map_children(query, lambda q: (marked.append(q), q)[1])
-        assert rebuilt == query
-        assert len(marked) == 3
+        same = ast.map_children(query, lambda q: (marked.append(q), q)[1])
+        assert same is query  # nothing changed: the node itself comes back
+        assert [id(q) for q in marked] == [id(query.base), id(query.step), id(query.body)]
+        for slot in ("base", "step", "body"):
+            old, new = getattr(query, slot), ast.Relation("other")
+            rebuilt = ast.map_children(query, lambda q: new if q is old else q)
+            assert getattr(rebuilt, slot) is new
+            for field in ("name", "columns", "base", "step", "body", "union_all", "reach"):
+                if field != slot:
+                    assert getattr(rebuilt, field) is getattr(query, field)
