@@ -1,13 +1,15 @@
-"""Plan snapshots: one digest per (query text, opt level) of what gets served.
+"""Plan snapshots: two digests per (query text, opt level) of what gets served.
 
-A digest covers the SQL the serving pipeline renders for the sqlite,
-duckdb and ansi dialects plus the ``PlanReport`` it attaches, for every
-text of the 410-benchmark suite and of the differential corpus
+The *sql* digest covers the SQL the serving pipeline renders for the
+sqlite, duckdb and ansi dialects; the *plan* digest covers the
+``PlanReport`` it attaches to each.  Both are taken for every text of the
+410-benchmark suite and of the differential corpus
 (``tests/backends/test_differential.py``) at opt levels 0, 1 and 2.  The
 level-2 statistics come from ``load_mock(ROWS_PER_TABLE, seed=SEED)`` per
 universe.  ``tests/sql/test_plan_snapshots.py`` compares the current
 pipeline against the committed fixture, so an optimizer change that is
-meant to be plan-neutral is checked to the byte.
+meant to be plan-neutral is checked to the byte, and a rendering change
+is checked to leave every ``PlanReport`` alone.
 
 Run from the repository root::
 
@@ -33,6 +35,8 @@ from repro.benchmarks.suite import benchmark_suite  # noqa: E402
 FIXTURE = REPO_ROOT / "tests" / "sql" / "plan_snapshots.json"
 DIALECTS = ("sqlite", "duckdb", "ansi")
 LEVELS = (0, 1, 2)
+#: The two halves of a snapshot: the rendered SQL and the ``PlanReport``.
+HALVES = ("sql", "plan")
 ROWS_PER_TABLE = 20
 SEED = 7
 
@@ -54,40 +58,57 @@ def snapshot_cases() -> dict[str, list[tuple[str, object, str]]]:
     return groups
 
 
-def render(service: GraphitiService, text: str, level: int) -> list[list]:
-    """``[dialect, SQL, PlanReport dict]`` for every snapshot dialect."""
-    rendered = []
+def render(service: GraphitiService, text: str, level: int) -> dict[str, list]:
+    """Half → ``[[dialect, SQL or PlanReport dict], ...]`` over the dialects."""
+    halves: dict[str, list] = {half: [] for half in HALVES}
     for dialect in DIALECTS:
         prepared = service.prepare(text, dialect=dialect, opt_level=level)
-        rendered.append([dialect, prepared.sql_text, prepared.plan.to_dict()])
-    return rendered
+        halves["sql"].append([dialect, prepared.sql_text])
+        halves["plan"].append([dialect, prepared.plan.to_dict()])
+    return halves
 
 
-def digest(rendered: list[list]) -> str:
-    payload = json.dumps(rendered, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+def digest(payload: list) -> str:
+    encoded = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(encoded).hexdigest()[:16]
 
 
-def group_digests(cases: list[tuple[str, object, str]]) -> dict[str, str]:
-    """``"<case id>@<level>"`` → digest for one universe's cases."""
-    digests: dict[str, str] = {}
+def group_digests(cases: list[tuple[str, object, str]]) -> dict[str, dict[str, str]]:
+    """Half → ``"<case id>@<level>"`` → digest for one universe's cases."""
+    digests: dict[str, dict[str, str]] = {half: {} for half in HALVES}
     with GraphitiService(cases[0][1]) as service:
         service.load_mock(ROWS_PER_TABLE, seed=SEED)
         for case_id, _, text in cases:
             for level in LEVELS:
-                digests[f"{case_id}@{level}"] = digest(render(service, text, level))
+                for half, payload in render(service, text, level).items():
+                    digests[half][f"{case_id}@{level}"] = digest(payload)
     return digests
 
 
-def all_digests() -> dict[str, str]:
-    digests: dict[str, str] = {}
+def all_digests() -> dict[str, dict[str, str]]:
+    digests: dict[str, dict[str, str]] = {half: {} for half in HALVES}
     for cases in snapshot_cases().values():
-        digests.update(group_digests(cases))
+        for half, group in group_digests(cases).items():
+            digests[half].update(group)
     return digests
 
 
-def load_fixture() -> dict[str, str]:
-    return json.loads(FIXTURE.read_text())["digests"]
+def load_fixture() -> dict[str, dict[str, str]]:
+    document = json.loads(FIXTURE.read_text())
+    return {half: document[half] for half in HALVES}
+
+
+def changed_halves(
+    actual: dict[str, dict[str, str]], expected: dict[str, dict[str, str]]
+) -> list[tuple[str, str]]:
+    """``(key, half)`` for every digest of *actual* that *expected* lacks or
+    holds differently, sorted by key."""
+    return sorted(
+        (key, half)
+        for half in HALVES
+        for key, value in actual[half].items()
+        if expected[half].get(key) != value
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,18 +122,22 @@ def main(argv: list[str] | None = None) -> int:
             "seed": SEED,
             "dialects": list(DIALECTS),
             "levels": list(LEVELS),
-            "digests": dict(sorted(digests.items())),
+            **{half: dict(sorted(digests[half].items())) for half in HALVES},
         }
         FIXTURE.write_text(json.dumps(document, indent=1) + "\n")
-        print(f"wrote {len(digests)} digests to {FIXTURE.relative_to(REPO_ROOT)}")
+        print(
+            f"wrote {len(digests['sql'])} SQL and {len(digests['plan'])} plan "
+            f"digests to {FIXTURE.relative_to(REPO_ROOT)}"
+        )
         return 0
     expected = load_fixture()
-    changed = sorted(
-        k for k in digests.keys() | expected.keys() if digests.get(k) != expected.get(k)
-    )
-    for key in changed:
-        print(f"mismatch: {key}")
-    print(f"{len(digests) - len(changed)} of {len(digests)} digests match")
+    changed = changed_halves(digests, expected) + changed_halves(expected, digests)
+    changed = sorted(set(changed))
+    for key, half in changed:
+        print(f"mismatch: {key} ({half})")
+    for half in HALVES:
+        differing = sum(1 for _, changed_half in changed if changed_half == half)
+        print(f"{half}: {differing} of {len(digests[half])} digests differ")
     return 1 if changed else 0
 
 
