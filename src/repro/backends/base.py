@@ -37,7 +37,7 @@ from repro.common.budget import (
 )
 from repro.common.values import NULL, Value, is_null
 from repro.relational.instance import Database, Table
-from repro.relational.schema import RelationalSchema
+from repro.relational.schema import ForeignKey, RelationalSchema
 from repro.sql.dialect import SQLITE, SqlDialect
 from repro.sql.pretty import create_table_ddl
 from repro.sql.stats import TableStats, collect_stats
@@ -329,17 +329,28 @@ class DbApiBackend(ExecutionBackend):
         self._commit()
 
     def create_indexes(self) -> None:
+        """One index per declared key.  A foreign-key index carries the
+        relation's other foreign keys as trailing columns, so an edge
+        table gets ``(SRC, TGT)`` and ``(TGT, SRC)``: a join or a
+        traversal step from either endpoint reads the other one from the
+        index without visiting the table row."""
         self._ensure_connected()
         quote = self.dialect.quote
+        constraints = self.schema.constraints
         counter = 0
-        for constraint in (
-            *self.schema.constraints.primary_keys,
-            *self.schema.constraints.foreign_keys,
-        ):
+        for constraint in (*constraints.primary_keys, *constraints.foreign_keys):
             counter += 1
+            columns = [constraint.attribute]
+            if isinstance(constraint, ForeignKey):
+                columns += [
+                    fk.attribute
+                    for fk in constraints.foreign_keys_of(constraint.relation)
+                    if fk.attribute not in columns
+                ]
             self.connection.execute(
                 f"CREATE INDEX IF NOT EXISTS {quote(f'idx{counter}')} "
-                f"ON {quote(constraint.relation)} ({quote(constraint.attribute)})"
+                f"ON {quote(constraint.relation)} "
+                f"({', '.join(quote(column) for column in columns)})"
             )
         self._commit()
 

@@ -201,7 +201,14 @@ class _Parser:
             old = token.text
             new = old
             if self.stream.take_keyword("AS"):
-                new = self.stream.expect_ident("new variable name").text
+                token = self.stream.expect_ident("new variable name")
+                new = token.text
+            if new in new_names:
+                raise ParseError(
+                    f"duplicate variable {new!r} in WITH",
+                    line=token.line,
+                    column=token.column,
+                )
             old_names.append(old)
             new_names.append(new)
             if not self.stream.take_op(","):
@@ -443,10 +450,19 @@ class _Parser:
         from repro.cypher.pretty import _expression as render
 
         while True:
+            token = self.stream.peek()
             expression = self._parse_expression(allow_aggregates=True)
             name = render(expression)
             if self.stream.take_keyword("AS"):
-                name = self.stream.expect_ident("output name").text
+                token = self.stream.expect_ident("output name")
+                name = token.text
+            if name in names:
+                # Cypher rejects a repeated result column name.
+                raise ParseError(
+                    f"duplicate output name {name!r} in RETURN",
+                    line=token.line,
+                    column=token.column,
+                )
             expressions.append(expression)
             names.append(name)
             if not self.stream.take_op(","):

@@ -15,12 +15,14 @@ operator becomes one ``SELECT`` layer over aliased subqueries.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import count
 
 from repro.common.errors import SemanticsError
 from repro.common.values import is_null
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
+from repro.sql.analysis import iter_nodes
 from repro.sql.dialect import SQLITE, SqlDialect, dialect_for
 
 
@@ -186,6 +188,51 @@ class _Rendered:
         self.columns = columns
 
 
+class _Binding(_Rendered):
+    """A ``WITH`` name in scope, as its references render.
+
+    A reference reads *table* and takes output column ``columns[i]`` from
+    its attribute ``physical[i]``.  A real CTE reads itself, so *table* is
+    its own name; an inlined renaming view reads its base relation under
+    the CTE's name, and no ``WITH`` clause is emitted for it.  *text* is
+    the reference as a standalone ``SELECT``.
+    """
+
+    __slots__ = ("name", "table", "physical")
+
+    def __init__(
+        self,
+        name: str,
+        columns: list[str],
+        dialect: SqlDialect,
+        table: str | None = None,
+        physical: list[str] | None = None,
+    ) -> None:
+        self.name = name
+        self.table = name if table is None else table
+        self.physical = columns if physical is None else physical
+        quote = dialect.quote
+        select = ", ".join(
+            f"{quote(name)}.{quote(attribute)} AS {quote(column)}"
+            for attribute, column in zip(self.physical, columns)
+        )
+        super().__init__(f"SELECT {select} FROM {self.from_sql(dialect)}", columns)
+
+    def from_sql(self, dialect: SqlDialect, alias: str | None = None) -> str:
+        """The FROM item of a reference, renamed to *alias* when given.
+
+        A bare reference to a real CTE is its bare name (the only legal
+        spelling of a recursive self-reference); a bare reference to a
+        view keeps the CTE name as its alias, so it cannot collide with
+        another bare scan of the base relation in the same FROM.
+        """
+        if alias is None:
+            if self.table == self.name:
+                return dialect.quote(self.name)
+            alias = self.name
+        return f"{dialect.quote(self.table)} AS {dialect.quote(alias)}"
+
+
 class _FromScope:
     """Scope over a flattened FROM clause: column → rendered fragment."""
 
@@ -265,7 +312,7 @@ class _Renderer:
 
     # -- flattened FROM clauses ----------------------------------------------
 
-    def _as_source(self, query: ast.Query, ctes: dict[str, _Rendered]) -> "_Source | None":
+    def _as_source(self, query: ast.Query, ctes: dict[str, _Binding]) -> "_Source | None":
         """Flatten *query* into a FROM clause when it is a join tree over
         (renamed, possibly filtered) base relations; ``None`` when a
         subselect is required.
@@ -294,14 +341,17 @@ class _Renderer:
             # recursive self-reference is only legal as a bare table name
             # in the recursive select's FROM clause, never in a subquery.)
             cte = ctes.get(query.name)
-            attributes = (
-                tuple(cte.columns)
-                if cte is not None
-                else self.schema.relation(query.name).attributes
-            )
+            if cte is not None:
+                fragments = {
+                    column: f"{self._q(query.name)}.{self._q(attribute)}"
+                    for column, attribute in zip(cte.columns, cte.physical)
+                }
+                return _Source(
+                    cte.from_sql(self.dialect), _FromScope(fragments), self.dialect
+                )
             fragments = {
                 attribute: f"{self._q(query.name)}.{self._q(attribute)}"
-                for attribute in attributes
+                for attribute in self.schema.relation(query.name).attributes
             }
             return _Source(self._q(query.name), _FromScope(fragments), self.dialect)
         if isinstance(query, ast.Renaming) and isinstance(query.query, ast.Relation):
@@ -309,10 +359,10 @@ class _Renderer:
             if cte is not None:
                 fragments = {
                     f"{query.name}.{column.replace('.', '_')}":
-                        f"{self._q(query.name)}.{self._q(column)}"
-                    for column in cte.columns
+                        f"{self._q(query.name)}.{self._q(attribute)}"
+                    for column, attribute in zip(cte.columns, cte.physical)
                 }
-                from_sql = f"{self._q(query.query.name)} AS {self._q(query.name)}"
+                from_sql = cte.from_sql(self.dialect, query.name)
                 return _Source(from_sql, _FromScope(fragments), self.dialect)
             relation = self.schema.relation(query.query.name)
             fragments = {
@@ -358,7 +408,7 @@ class _Renderer:
             return _Source(from_sql, scope, self.dialect, pending)
         return None
 
-    def _source_of(self, query: ast.Query, ctes: dict[str, _Rendered]) -> "_Source":
+    def _source_of(self, query: ast.Query, ctes: dict[str, _Binding]) -> "_Source":
         """A source for any query: flattened when possible, else a subselect."""
         source = self._as_source(query, ctes)
         if source is not None:
@@ -373,7 +423,7 @@ class _Renderer:
         )
 
     def _split_selection(
-        self, query: ast.Query, ctes: dict[str, _Rendered]
+        self, query: ast.Query, ctes: dict[str, _Binding]
     ) -> tuple["_Source", str]:
         """Source plus rendered WHERE text ("" when no selection applies)."""
         if isinstance(query, ast.Selection):
@@ -391,7 +441,7 @@ class _Renderer:
 
     # -- queries -----------------------------------------------------------
 
-    def render(self, query: ast.Query, ctes: dict[str, _Rendered]) -> _Rendered:
+    def render(self, query: ast.Query, ctes: dict[str, _Binding]) -> _Rendered:
         if isinstance(query, ast.Relation):
             return self._render_relation(query, ctes)
         if isinstance(query, ast.Projection):
@@ -414,7 +464,7 @@ class _Renderer:
             return self._render_order_by(query, ctes)
         raise SemanticsError(f"cannot render query node {type(query).__name__}")
 
-    def _render_relation(self, query: ast.Relation, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_relation(self, query: ast.Relation, ctes: dict[str, _Binding]) -> _Rendered:
         cte = ctes.get(query.name)
         if cte is not None:
             return cte
@@ -423,7 +473,7 @@ class _Renderer:
         select = ", ".join(f"{self._q(a)}" for a in columns)
         return _Rendered(f"SELECT {select} FROM {self._q(query.name)}", columns)
 
-    def _render_projection(self, query: ast.Projection, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_projection(self, query: ast.Projection, ctes: dict[str, _Binding]) -> _Rendered:
         source, where = self._split_selection(query.query, ctes)
         parts = [
             f"{self._expression(c.expression, source.scope)} AS {self._q(c.alias)}"
@@ -435,7 +485,7 @@ class _Renderer:
             text += f" WHERE {where}"
         return _Rendered(text, [c.alias for c in query.columns])
 
-    def _render_selection(self, query: ast.Selection, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_selection(self, query: ast.Selection, ctes: dict[str, _Binding]) -> _Rendered:
         source = self._source_of(query.query, ctes)
         predicate = self._predicate(query.predicate, source.scope, ctes)
         where = self._where_of(source, predicate)
@@ -444,7 +494,7 @@ class _Renderer:
         )
         return _Rendered(text, source.columns)
 
-    def _render_renaming(self, query: ast.Renaming, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_renaming(self, query: ast.Renaming, ctes: dict[str, _Binding]) -> _Rendered:
         if isinstance(query.query, ast.Relation) and query.query.name in ctes:
             # ρ_T over a CTE renders in one layer too: FROM cte AS T.  The
             # bare reference is mandatory for recursive self-references.
@@ -452,11 +502,11 @@ class _Renderer:
             new_columns = [f"{query.name}.{c.replace('.', '_')}" for c in cte.columns]
             parts = [
                 f"{self._q(query.name)}.{self._q(old)} AS {self._q(new)}"
-                for old, new in zip(cte.columns, new_columns)
+                for old, new in zip(cte.physical, new_columns)
             ]
             text = (
-                f"SELECT {', '.join(parts)} FROM {self._q(query.query.name)} "
-                f"AS {self._q(query.name)}"
+                f"SELECT {', '.join(parts)} FROM "
+                f"{cte.from_sql(self.dialect, query.name)}"
             )
             return _Rendered(text, new_columns)
         if isinstance(query.query, ast.Relation) and query.query.name not in ctes:
@@ -482,7 +532,7 @@ class _Renderer:
         text = f"SELECT {', '.join(parts)} FROM ({inner.text}) AS {alias}"
         return _Rendered(text, new_columns)
 
-    def _render_join(self, query: ast.Join, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_join(self, query: ast.Join, ctes: dict[str, _Binding]) -> _Rendered:
         flattened = self._as_source(query, ctes)
         if flattened is not None:
             text = f"SELECT {flattened.select_all()} FROM {flattened.from_sql}"
@@ -521,7 +571,7 @@ class _Renderer:
             )
         return _Rendered(f"SELECT {select} FROM {join_sql}", columns)
 
-    def _render_with(self, query: ast.WithQuery, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_with(self, query: ast.WithQuery, ctes: dict[str, _Binding]) -> _Rendered:
         """``With(Q1, R, Q2)`` as a real ``WITH R AS (...)`` clause.
 
         Every later reference to *R* renders as a scan of the CTE name, so
@@ -529,19 +579,61 @@ class _Renderer:
         this).  Directly nested ``WithQuery`` bodies fold into one comma-
         separated WITH clause; a WITH-prefixed subquery is legal wherever
         the body would otherwise appear (SQLite, DuckDB, MySQL 8, ANSI).
+
+        A renaming view (see :meth:`_renaming_view`) emits no clause: each
+        reference reads the base relation itself, so an engine neither
+        materializes a copy of it nor loses the base table's indexes.
         """
-        definition = self.render(query.definition, ctes)
-        reference = "SELECT " + ", ".join(
-            f"{self._q(query.name)}.{self._q(c)} AS {self._q(c)}"
-            for c in definition.columns
-        ) + f" FROM {self._q(query.name)}"
         extended = dict(ctes)
-        extended[query.name] = _Rendered(reference, definition.columns)
+        view = self._renaming_view(query, ctes)
+        if view is not None:
+            extended[query.name] = view
+            return self.render(query.body, extended)
+        definition = self.render(query.definition, ctes)
+        extended[query.name] = _Binding(query.name, definition.columns, self.dialect)
         body = self.render(query.body, extended)
         clause = f"{self._q(query.name)} AS ({definition.text})"
         return _Rendered(_fold_with(clause, body.text, recursive=False), body.columns)
 
-    def _render_recursive(self, query: ast.RecursiveQuery, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _renaming_view(
+        self, query: ast.WithQuery, ctes: dict[str, _Binding]
+    ) -> _Binding | None:
+        """The binding of a CTE that only selects and renames attributes of
+        one base relation, or ``None``.
+
+        That is a non-distinct projection of plain attribute references
+        over a relation no CTE in scope shadows, and whose name no ``WITH``
+        inside the body rebinds (the inlined reads would bind to it).
+        """
+        definition = query.definition
+        if not (
+            isinstance(definition, ast.Projection)
+            and not definition.distinct
+            and isinstance(definition.query, ast.Relation)
+            and definition.query.name not in ctes
+            and self.schema.has_relation(definition.query.name)
+        ):
+            return None
+        base = definition.query.name
+        attributes = self.schema.relation(base).attributes
+        physical = []
+        for column in definition.columns:
+            expression = column.expression
+            if not isinstance(expression, ast.AttributeRef) or expression.name not in attributes:
+                return None
+            physical.append(expression.name)
+        for node in iter_nodes(query.body):
+            if isinstance(node, (ast.WithQuery, ast.RecursiveQuery)) and node.name == base:
+                return None
+        return _Binding(
+            query.name,
+            [column.alias for column in definition.columns],
+            self.dialect,
+            table=base,
+            physical=physical,
+        )
+
+    def _render_recursive(self, query: ast.RecursiveQuery, ctes: dict[str, _Binding]) -> _Rendered:
         """``WithRec(R, base, step, body)`` as ``WITH RECURSIVE R(...) AS
         (base UNION step) body``.
 
@@ -551,16 +643,8 @@ class _Renderer:
         sit inside a subquery).
         """
         base = self.render(query.base, ctes)
-        reference = (
-            "SELECT "
-            + ", ".join(
-                f"{self._q(query.name)}.{self._q(c)} AS {self._q(c)}"
-                for c in query.columns
-            )
-            + f" FROM {self._q(query.name)}"
-        )
         extended = dict(ctes)
-        extended[query.name] = _Rendered(reference, list(query.columns))
+        extended[query.name] = _Binding(query.name, list(query.columns), self.dialect)
         step = self.render(query.step, extended)
         body = self.render(query.body, extended)
         keyword = "UNION ALL" if query.union_all else "UNION"
@@ -571,9 +655,9 @@ class _Renderer:
         )
         return _Rendered(_fold_with(clause, body.text, recursive=True), body.columns)
 
-    def _render_union(self, query: ast.UnionOp, ctes: dict[str, _Rendered]) -> _Rendered:
-        left = self.render(query.left, ctes)
-        right = self.render(query.right, ctes)
+    def _render_union(self, query: ast.UnionOp, ctes: dict[str, _Binding]) -> _Rendered:
+        left = self.render(self._union_operand(query.left, query.all), ctes)
+        right = self.render(self._union_operand(query.right, query.all), ctes)
         keyword = "UNION ALL" if query.all else "UNION"
         left_alias = self._fresh()
         right_alias = self._fresh()
@@ -585,7 +669,17 @@ class _Renderer:
         ) + f" FROM ({right.text}) AS {right_alias}"
         return _Rendered(f"{left_sql} {keyword} {right_sql}", left.columns)
 
-    def _render_group_by(self, query: ast.GroupBy, ctes: dict[str, _Rendered]) -> _Rendered:
+    @staticmethod
+    def _union_operand(operand: ast.Query, union_all: bool) -> ast.Query:
+        """*operand* as a union renders it: a distinct ``UNION`` removes
+        duplicates itself, so a distinct projection directly under one
+        drops its own ``DISTINCT`` (one temp B-tree instead of two).
+        ``UNION ALL`` operands keep theirs."""
+        if not union_all and isinstance(operand, ast.Projection) and operand.distinct:
+            return replace(operand, distinct=False)
+        return operand
+
+    def _render_group_by(self, query: ast.GroupBy, ctes: dict[str, _Binding]) -> _Rendered:
         source, where = self._split_selection(query.query, ctes)
         parts = [
             f"{self._expression(c.expression, source.scope)} AS {self._q(c.alias)}"
@@ -602,7 +696,7 @@ class _Renderer:
             text += f" HAVING {having}"
         return _Rendered(text, [c.alias for c in query.columns])
 
-    def _render_order_by(self, query: ast.OrderBy, ctes: dict[str, _Rendered]) -> _Rendered:
+    def _render_order_by(self, query: ast.OrderBy, ctes: dict[str, _Binding]) -> _Rendered:
         source = self._source_of(query.query, ctes)
         text = f"SELECT {source.select_all()} FROM {source.from_sql}"
         if source.predicates:
@@ -647,7 +741,7 @@ class _Renderer:
         )
 
     def _predicate(
-        self, predicate: ast.Predicate, scope: "_Scope", ctes: dict[str, _Rendered]
+        self, predicate: ast.Predicate, scope: "_Scope", ctes: dict[str, _Binding]
     ) -> str:
         if isinstance(predicate, ast.BoolLit):
             return self.dialect.boolean(predicate.value)

@@ -93,6 +93,7 @@ TRAVERSAL_WORKLOAD: dict[str, str] = {
     ),
     "zero-hop": "MATCH (a:USER)-[:FOLLOWS*0..2]->(b:USER) RETURN a.uid, b.uid",
     "reversed": "MATCH (a:USER)<-[:FOLLOWS*2..]-(b:USER) RETURN a.uid, b.uid",
+    "reversed-bounded": "MATCH (a:USER)<-[:FOLLOWS*1..2]-(b:USER) RETURN a.uid, b.uid",
     "undirected": "MATCH (a:USER)-[:FOLLOWS*1..2]-(b:USER) RETURN a.uid, b.uid",
     "back-to-self": "MATCH (a:USER)-[:FOLLOWS*2..3]->(a:USER) RETURN a.uid",
     "mixed-hops": (

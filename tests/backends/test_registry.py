@@ -17,6 +17,8 @@ from repro.backends import (
     registered_backends,
 )
 from repro.backends.registry import _REGISTRY
+from repro.backends.service import GraphitiService
+from repro.benchmarks.universes import SOCIAL
 from repro.common.budget import QueryBudget
 from repro.common.values import NULL
 from repro.relational.instance import Database
@@ -130,6 +132,28 @@ class TestLoadBackend:
             backend.create_indexes()  # and idempotent
             result = backend.execute('SELECT COUNT(*) AS c FROM "t"')
             assert result.rows == [(3,)]
+
+    def test_edge_key_indexes_cover_a_one_hop_join(self):
+        """Each foreign-key index carries the relation's other foreign keys,
+        so the edge of a one-hop join is read from the index alone."""
+        service = GraphitiService(SOCIAL.graph_schema)
+        service.load_mock(30, seed=3)
+        sql = service.transpile_to_sql(
+            "MATCH (a:USER)-[f:FOLLOWS]->(b:USER) RETURN a.uname, b.uname"
+        )
+        with load_backend("sqlite-memory", service.database) as backend:
+            edge_steps = [
+                line for line in backend.explain(sql).splitlines() if " f " in f"{line} "
+            ]
+            indexes = backend.connection.execute(
+                "SELECT sql FROM sqlite_master WHERE type = 'index'"
+            ).fetchall()
+        service.close()
+        assert edge_steps and all("USING COVERING INDEX" in line for line in edge_steps)
+        constraints = service.sdt.schema.constraints
+        assert len(indexes) == len(constraints.primary_keys) + len(constraints.foreign_keys)
+        assert ('CREATE INDEX "idx6" ON "FOLLOWS" ("SRC", "TGT")',) in indexes
+        assert ('CREATE INDEX "idx7" ON "FOLLOWS" ("TGT", "SRC")',) in indexes
 
     def test_explain_returns_plan_text(self, database):
         with load_backend("sqlite-memory", database) as backend:

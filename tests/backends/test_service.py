@@ -1,9 +1,13 @@
 """GraphitiService behaviour: caching, loading, multi-backend execution."""
 
+import re
+
 import pytest
 
 from repro.backends import GraphitiService, schema_fingerprint
 from repro.backends import service as service_module
+from repro.benchmarks.universes import SOCIAL
+from repro.common.errors import ParseError
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
 from repro.relational.instance import Database, tables_equivalent
 
@@ -203,3 +207,40 @@ class TestQueryStats:
         service.run(SCAN_QUERY)
         service.reset_query_stats()
         assert service.query_stats() == ()
+
+
+class TestDuplicateOutputNames:
+    """Cypher rejects a repeated result column name; the engine and the
+    reference evaluator must not disagree about it (the engine used to
+    rename the second column, the reference to raise a schema error)."""
+
+    @pytest.fixture(scope="class")
+    def social(self):
+        with GraphitiService(SOCIAL.graph_schema) as svc:
+            svc.load_mock(30, seed=3)
+            yield svc
+
+    @pytest.mark.parametrize(
+        ("text", "name", "column"),
+        [
+            ("MATCH (a:USER) RETURN a.uid, a.uid", "'a.uid' in RETURN", 30),
+            ("MATCH (a:USER) RETURN a.uid AS x, a.age AS x", "'x' in RETURN", 44),
+            ("MATCH (a:USER) RETURN Count(*), Count(*)", "'Count(*)' in RETURN", 33),
+            ("MATCH (a:USER) WITH a, a RETURN a.uid", "'a' in WITH", 24),
+            ("MATCH (a:USER)\nWITH a AS b, a AS b RETURN b.uid", "'b' in WITH", 19),
+        ],
+    )
+    def test_every_entry_point_raises_a_positioned_parse_error(
+        self, social, text, name, column
+    ):
+        line = text.count("\n") + 1
+        for entry_point in (social.run, social.reference, social.transpile_to_sql):
+            with pytest.raises(ParseError, match=f"duplicate .*{re.escape(name)}") as raised:
+                entry_point(text)
+            assert (raised.value.line, raised.value.column) == (line, column)
+
+    def test_distinct_names_over_the_same_expression_still_serve(self, social):
+        text = "MATCH (a:USER) RETURN a.uid, a.uid AS x"
+        actual = social.run(text)
+        assert actual.attributes == ("a.uid", "x")
+        assert tables_equivalent(social.reference(text), actual)

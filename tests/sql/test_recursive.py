@@ -117,20 +117,27 @@ class TestRendering:
                 assert tables_equivalent(expected, backend.execute(text))
 
     def test_nonrecursive_with_folds_into_recursive_clause(self):
-        wrapped = ast.WithQuery(
-            "hop",
-            ast.Projection(
-                ast.Relation("EDGE"),
-                (
-                    ast.OutputColumn("src", ast.AttributeRef("SRC")),
-                    ast.OutputColumn("tgt", ast.AttributeRef("TGT")),
+        def wrapped(distinct: bool) -> ast.WithQuery:
+            return ast.WithQuery(
+                "hop",
+                ast.Projection(
+                    ast.Relation("EDGE"),
+                    (
+                        ast.OutputColumn("src", ast.AttributeRef("SRC")),
+                        ast.OutputColumn("tgt", ast.AttributeRef("TGT")),
+                    ),
+                    distinct=distinct,
                 ),
-            ),
-            closure_query(),
-        )
-        text = to_sql_text(wrapped, SCHEMA, optimized=False)
-        assert text.startswith('WITH RECURSIVE "hop" AS (')
+                closure_query(),
+            )
+
+        text = to_sql_text(wrapped(distinct=True), SCHEMA, optimized=False)
+        assert text.startswith('WITH RECURSIVE "hop" AS (SELECT DISTINCT ')
         assert text.count("WITH") == 1  # one folded clause list
+        # A plain renaming of EDGE is inlined: no "hop" clause at all.
+        text = to_sql_text(wrapped(distinct=False), SCHEMA, optimized=False)
+        assert '"hop"' not in text
+        assert text.startswith('WITH RECURSIVE "reach"("src", "tgt") AS (')
 
 
 class TestAnalysis:
