@@ -198,7 +198,7 @@ class _Binding(_Rendered):
     the reference as a standalone ``SELECT``.
     """
 
-    __slots__ = ("name", "table", "physical")
+    __slots__ = ("name", "table", "physical", "_quote")
 
     def __init__(
         self,
@@ -211,14 +211,14 @@ class _Binding(_Rendered):
         self.name = name
         self.table = name if table is None else table
         self.physical = columns if physical is None else physical
-        quote = dialect.quote
+        self._quote = quote = dialect.quote
         select = ", ".join(
             f"{quote(name)}.{quote(attribute)} AS {quote(column)}"
             for attribute, column in zip(self.physical, columns)
         )
-        super().__init__(f"SELECT {select} FROM {self.from_sql(dialect)}", columns)
+        super().__init__(f"SELECT {select} FROM {self.from_sql()}", columns)
 
-    def from_sql(self, dialect: SqlDialect, alias: str | None = None) -> str:
+    def from_sql(self, alias: str | None = None) -> str:
         """The FROM item of a reference, renamed to *alias* when given.
 
         A bare reference to a real CTE is its bare name (the only legal
@@ -228,9 +228,9 @@ class _Binding(_Rendered):
         """
         if alias is None:
             if self.table == self.name:
-                return dialect.quote(self.name)
+                return self._quote(self.name)
             alias = self.name
-        return f"{dialect.quote(self.table)} AS {dialect.quote(alias)}"
+        return f"{self._quote(self.table)} AS {self._quote(alias)}"
 
 
 class _FromScope:
@@ -346,9 +346,7 @@ class _Renderer:
                     column: f"{self._q(query.name)}.{self._q(attribute)}"
                     for column, attribute in zip(cte.columns, cte.physical)
                 }
-                return _Source(
-                    cte.from_sql(self.dialect), _FromScope(fragments), self.dialect
-                )
+                return _Source(cte.from_sql(), _FromScope(fragments), self.dialect)
             fragments = {
                 attribute: f"{self._q(query.name)}.{self._q(attribute)}"
                 for attribute in self.schema.relation(query.name).attributes
@@ -362,7 +360,7 @@ class _Renderer:
                         f"{self._q(query.name)}.{self._q(attribute)}"
                     for column, attribute in zip(cte.columns, cte.physical)
                 }
-                from_sql = cte.from_sql(self.dialect, query.name)
+                from_sql = cte.from_sql(query.name)
                 return _Source(from_sql, _FromScope(fragments), self.dialect)
             relation = self.schema.relation(query.query.name)
             fragments = {
@@ -504,10 +502,7 @@ class _Renderer:
                 f"{self._q(query.name)}.{self._q(old)} AS {self._q(new)}"
                 for old, new in zip(cte.physical, new_columns)
             ]
-            text = (
-                f"SELECT {', '.join(parts)} FROM "
-                f"{cte.from_sql(self.dialect, query.name)}"
-            )
+            text = f"SELECT {', '.join(parts)} FROM {cte.from_sql(query.name)}"
             return _Rendered(text, new_columns)
         if isinstance(query.query, ast.Relation) and query.query.name not in ctes:
             # ρ_T over a base relation renders in one layer: FROM t AS T.
@@ -619,7 +614,10 @@ class _Renderer:
         physical = []
         for column in definition.columns:
             expression = column.expression
-            if not isinstance(expression, ast.AttributeRef) or expression.name not in attributes:
+            if not (
+                isinstance(expression, ast.AttributeRef)
+                and expression.name in attributes
+            ):
                 return None
             physical.append(expression.name)
         for node in iter_nodes(query.body):

@@ -24,6 +24,7 @@ SCHEMA = RelationalSchema.of(
 )
 #: Parallel (1, 2) edges, a self-loop on 3 and a cycle 1 → 2 → 3 → 1.
 PAIRS = [(1, 2), (1, 2), (2, 3), (3, 1), (3, 3)]
+EDGE = ast.Relation("EDGE")
 
 
 def ref(name: str) -> ast.AttributeRef:
@@ -38,17 +39,17 @@ def pairs(query: ast.Query, source: str, target: str, distinct: bool) -> ast.Pro
     )
 
 
-def renaming_view(body: ast.Query, name: str = "hop") -> ast.WithQuery:
+def renaming_view(body: ast.Query) -> ast.WithQuery:
     """``WITH hop AS (SELECT SRC AS src, TGT AS tgt FROM EDGE) body``."""
-    return ast.WithQuery(name, pairs(ast.Relation("EDGE"), "SRC", "TGT", False), body)
+    return ast.WithQuery("hop", pairs(EDGE, "SRC", "TGT", False), body)
 
 
-def two_hops(cte: str = "hop") -> ast.Query:
-    """Pairs joined end to start over two aliases of *cte*."""
+def two_hops() -> ast.Query:
+    """Pairs of ``hop`` joined end to start, as ``h1`` and ``h2``."""
     return ast.Join(
         ast.JoinKind.INNER,
-        ast.Renaming("h1", ast.Relation(cte)),
-        ast.Renaming("h2", ast.Relation(cte)),
+        ast.Renaming("h1", ast.Relation("hop")),
+        ast.Renaming("h2", ast.Relation("hop")),
         ast.Comparison("=", ref("h2.src"), ref("h1.tgt")),
     )
 
@@ -59,6 +60,25 @@ def loops() -> ast.Projection:
         ast.Relation("NODE"),
         (ast.OutputColumn("SRC", ref("id")), ast.OutputColumn("TGT", ref("id"))),
     )
+
+
+#: CTE definitions that are not renaming views, so they keep their clause.
+KEPT_DEFINITIONS = {
+    "filter": pairs(
+        ast.Selection(EDGE, ast.Comparison("<", ref("SRC"), ref("TGT"))), "SRC", "TGT", False
+    ),
+    "distinct": pairs(EDGE, "SRC", "TGT", True),
+    "computed-column": ast.Projection(
+        EDGE,
+        (
+            ast.OutputColumn("src", ref("SRC")),
+            ast.OutputColumn("tgt", ast.BinaryOp("+", ref("TGT"), ast.Literal(0))),
+        ),
+    ),
+    "union": ast.UnionOp(
+        pairs(EDGE, "SRC", "TGT", False), pairs(EDGE, "TGT", "SRC", False), all=True
+    ),
+}
 
 
 def render(query: ast.Query) -> str:
@@ -80,9 +100,8 @@ def assert_engine_matches_reference(query: ast.Query) -> None:
 
 class TestUnionOperands:
     def union(self, all: bool) -> ast.UnionOp:
-        edge = ast.Relation("EDGE")
         return ast.UnionOp(
-            pairs(edge, "SRC", "TGT", True), pairs(edge, "TGT", "SRC", True), all=all
+            pairs(EDGE, "SRC", "TGT", True), pairs(EDGE, "TGT", "SRC", True), all=all
         )
 
     def test_distinct_union_operands_drop_distinct(self):
@@ -100,7 +119,7 @@ class TestUnionOperands:
         assert_engine_matches_reference(query)
 
     def test_lone_distinct_projection_keeps_distinct(self):
-        query = pairs(ast.Relation("EDGE"), "SRC", "TGT", True)
+        query = pairs(EDGE, "SRC", "TGT", True)
         assert render(query).startswith("SELECT DISTINCT ")
         assert_engine_matches_reference(query)
 
@@ -130,7 +149,7 @@ class TestRenamingView:
     def test_bare_reference_beside_a_bare_base_scan(self):
         # Without the alias, `FROM "EDGE" CROSS JOIN "EDGE"` would not parse.
         body = ast.Projection(
-            ast.Join(ast.JoinKind.CROSS, ast.Relation("hop"), ast.Relation("EDGE"), ast.TRUE),
+            ast.Join(ast.JoinKind.CROSS, ast.Relation("hop"), EDGE, ast.TRUE),
             (ast.OutputColumn("a", ref("src")), ast.OutputColumn("b", ref("TGT"))),
         )
         query = renaming_view(body)
@@ -161,41 +180,10 @@ class TestRenamingView:
         assert 'FROM "reach" AS "r" JOIN "EDGE" AS "e"' in text
         assert_engine_matches_reference(query)
 
-    @pytest.mark.parametrize(
-        "definition",
-        [
-            pytest.param(
-                pairs(
-                    ast.Selection(ast.Relation("EDGE"), ast.Comparison("<", ref("SRC"), ref("TGT"))),
-                    "SRC",
-                    "TGT",
-                    False,
-                ),
-                id="filter",
-            ),
-            pytest.param(pairs(ast.Relation("EDGE"), "SRC", "TGT", True), id="distinct"),
-            pytest.param(
-                ast.Projection(
-                    ast.Relation("EDGE"),
-                    (
-                        ast.OutputColumn("src", ref("SRC")),
-                        ast.OutputColumn("tgt", ast.BinaryOp("+", ref("TGT"), ast.Literal(0))),
-                    ),
-                ),
-                id="computed-column",
-            ),
-            pytest.param(
-                ast.UnionOp(
-                    pairs(ast.Relation("EDGE"), "SRC", "TGT", False),
-                    pairs(ast.Relation("EDGE"), "TGT", "SRC", False),
-                    all=True,
-                ),
-                id="union",
-            ),
-        ],
-    )
-    def test_other_definitions_keep_their_clause(self, definition):
-        query = ast.WithQuery("hop", definition, pairs(two_hops(), "h1.src", "h2.tgt", True))
+    @pytest.mark.parametrize("kind", sorted(KEPT_DEFINITIONS))
+    def test_other_definitions_keep_their_clause(self, kind):
+        body = pairs(two_hops(), "h1.src", "h2.tgt", True)
+        query = ast.WithQuery("hop", KEPT_DEFINITIONS[kind], body)
         text = render(query)
         assert text.startswith('WITH "hop" AS (')
         assert 'FROM "hop" AS "h1" JOIN "hop" AS "h2"' in text
