@@ -95,6 +95,7 @@ from repro.backends.service import (
     GraphitiService,
     PreparedQuery,
     _depth_cap,
+    _note_served,
     _OffLoop,
 )
 
@@ -204,7 +205,11 @@ class AsyncGraphitiService:
         service = self._service
         # The budget's clock starts now, so time queued for an executor
         # thread counts against its timeout.
-        tracker = service._start_budget(budget)
+        tracker = (
+            None
+            if budget is None and service.default_budget is None
+            else service._start_budget(budget)
+        )
         with service.tracer.span("query", backend=name, **attributes) as span:
             served = None
             entry = None
@@ -214,7 +219,7 @@ class AsyncGraphitiService:
                     cypher_text,
                     service.dialect_of(name),
                     opt_level,
-                    depth_cap=_depth_cap(tracker.budget if tracker else None),
+                    depth_cap=None if tracker is None else _depth_cap(tracker.budget),
                     memory_only=True,
                 )
             serve = partial(
@@ -238,10 +243,11 @@ class AsyncGraphitiService:
                     served = await self._offload(serve)
             finally:
                 self._placement_series(name)[0 if inline else 1].inc()
-                span.set("placement", "inline" if inline else "executor")
+                if span.recording:
+                    span.set("placement", "inline" if inline else "executor")
             result, prepared = served
-            span.set("opt_level", prepared.opt_level)
-            span.set("rows", len(result.rows))
+            if span.recording:
+                _note_served(span, result, prepared)
         return result
 
     def _fits_inline(self, entry: PreparedQuery, name: str, hop: float) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from repro.common.budget import (
@@ -366,14 +367,15 @@ class DbApiBackend(ExecutionBackend):
         sql_text: str,
         budget: "QueryBudget | BudgetTracker | None" = None,
     ) -> Table:
-        self._ensure_connected()
-        tracker = as_tracker(budget)
+        if self.connection is None or not self._schema_created:
+            self._ensure_connected()
+        tracker = None if budget is None else as_tracker(budget)
         if tracker is None:
             cursor = self.connection.execute(sql_text)
-            attributes = tuple(
-                description[0] for description in cursor.description or ()
-            )
+            attributes = tuple(map(itemgetter(0), cursor.description or ()))
             rows = self._from_db_rows(cursor.fetchall())
+            if len(set(attributes)) == len(attributes):
+                return Table(attributes, rows)
             return Table(dedup_attributes(attributes), rows)
         guard = self._install_budget_guard(tracker)
         try:

@@ -101,6 +101,12 @@ class CircuitBreaker:
     cooldown passes), ``"half_open"`` (exactly one probe call admitted;
     its success re-closes the circuit, its failure re-opens it and
     restarts the cooldown).
+
+    Every state change happens under the lock.  A closed circuit answers
+    :meth:`allow`, and a success with no failure streak to reset, from a
+    lock-free read instead: under the GIL one attribute read is atomic,
+    and a call that reads "closed" just before another thread opens the
+    circuit is ordered as if it had arrived just before that failure.
     """
 
     CLOSED = "closed"
@@ -145,6 +151,8 @@ class CircuitBreaker:
         error) frees the slot instead of wedging the breaker HALF_OPEN
         with every later :meth:`allow` shed forever.
         """
+        if self._state == self.CLOSED:
+            return None
         with self._lock:
             if self._state == self.CLOSED:
                 return None
@@ -182,6 +190,10 @@ class CircuitBreaker:
                 self._probing = False
 
     def record_success(self) -> None:
+        # Closed with no streak: nothing to reset, nor a probe to settle
+        # (only a success re-closes the circuit, and it frees the slot).
+        if self._state == self.CLOSED and not self._failures:
+            return
         with self._lock:
             self._failures = 0
             self._probing = False

@@ -182,7 +182,8 @@ class ConnectionPool:
         self._spawning = 0
         self._size = 0
         self._checked_out = 0
-        #: Callers currently blocked inside :meth:`checkout`'s wait.
+        #: Callers currently blocked inside :meth:`checkout`'s wait;
+        #: :meth:`checkin` notifies only while it is nonzero.
         self._blocked = 0
         self._closed = False
         # Serialises clone_for_pool calls on the template: a backend is a
@@ -273,7 +274,7 @@ class ConnectionPool:
             spawned = False
             while True:
                 member = None
-                with self._available:
+                with self._lock:
                     while True:
                         if self._closed:
                             raise PoolClosed(
@@ -331,8 +332,9 @@ class ConnectionPool:
 
     def _note_checkout(self, waited: float, span, spawned: bool) -> None:
         """Account one successful checkout (metrics + span attributes)."""
-        span.set("waited_ms", round(waited * 1000.0, 3))
-        span.set("spawned", spawned)
+        if span.recording:
+            span.set("waited_ms", round(waited * 1000.0, 3))
+            span.set("spawned", spawned)
         if self._metrics is not None:
             self._metrics.checkout(waited)
 
@@ -378,7 +380,7 @@ class ConnectionPool:
         if damaged and not self._member_alive(member):
             self._discard_checked_out(member)
             return False
-        with self._available:
+        with self._lock:
             self._checked_out -= 1
             if self._closed:
                 self._size -= 1
@@ -386,7 +388,10 @@ class ConnectionPool:
             else:
                 self._idle.append(member)
                 closing = None
-            self._available.notify()
+            # A waiter counts itself in _blocked under this lock before it
+            # waits, so none can miss the wake-up skipped here.
+            if self._blocked:
+                self._available.notify()
         if closing is not None:
             closing.close()
             self._teardown_template_if_due()

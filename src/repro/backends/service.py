@@ -16,9 +16,10 @@ The service wires the whole paper pipeline behind one object so callers
   bulk-loaded connections, so one loaded dataset serves any number of
   engines — and any number of *threads* — side by side.
 
-The service is thread-safe: the LRU, the per-query-text records, and the
-pool map are lock-protected, and every execution path checks a
-connection out of a pool for exclusive use.  :meth:`GraphitiService.run_many`
+The service is thread-safe: the LRU and the per-query-text records are
+lock-protected, so is every change to the pool map (a serve reads it
+without the lock), and every execution path checks a connection out of
+a pool for exclusive use.  :meth:`GraphitiService.run_many`
 fans a batch of Cypher texts across a worker-thread pool (results come back
 in batch order), which is where pooled connections turn into throughput —
 see ``benchmarks/bench_throughput.py`` for the tracked numbers.
@@ -145,13 +146,23 @@ def _depth_cap(budget: QueryBudget | None) -> int | None:
     return budget.max_depth
 
 
-def _checkout_timeout(tracker: BudgetTracker | None) -> float:
+def _checkout_timeout(tracker: BudgetTracker) -> float:
     """The tighter of the budget's remaining clock (``None`` when
     unbounded) and :data:`CHECKOUT_TIMEOUT`."""
-    remaining = None if tracker is None else tracker.remaining_seconds()
+    remaining = tracker.remaining_seconds()
     if remaining is None:
         return CHECKOUT_TIMEOUT
     return min(remaining, CHECKOUT_TIMEOUT)
+
+
+def _note_served(span, result: Table, prepared: "PreparedQuery") -> None:
+    """The attributes of a recording ``query`` span once *prepared* has
+    served *result* (sync and async alike)."""
+    span.set("opt_level", prepared.opt_level)
+    span.set("rows", len(result.rows))
+    plan = prepared.plan
+    if plan is not None and plan.estimated_rows is not None:
+        span.set("estimated_rows", round(plan.estimated_rows, 1))
 
 
 def schema_fingerprint(graph_schema: GraphSchema) -> str:
@@ -502,9 +513,13 @@ class GraphitiService:
         self._database = Database(self.sdt.schema)
         self._stats: DatabaseStats | None = None
         self._stats_digest = ""
-        #: Guards the pool map, loaded data swap, and per-text records.
+        #: Guards the loaded data swap, the per-text records, and every
+        #: change to the pool and breaker maps (their readers go lock-free:
+        #: under the GIL one dict read is atomic).
         self._lock = threading.RLock()
         self._pools: dict[str, ConnectionPool] = {}
+        #: Set by :meth:`close`: from then on a closed pool is not replaced.
+        self._closed = False
         #: One record per Cypher text, least recently used first; capped at
         #: MAX_TRACKED_QUERIES by :meth:`_query_state`.
         self._query_states: OrderedDict[str, _QueryState] = OrderedDict()
@@ -775,14 +790,17 @@ class GraphitiService:
         ) as prepare_span:
             with tracer.span("cache.lookup", tier="memory") as span:
                 cached = self._cache.get(key, count_miss=not memory_only)
-                span.set("hit", cached is not None)
+                if span.recording:
+                    span.set("hit", cached is not None)
             if cached is not None:
                 assert isinstance(cached, PreparedQuery)
                 self._memory_hits.inc()
-                prepare_span.set("cached", "memory")
+                if prepare_span.recording:
+                    prepare_span.set("cached", "memory")
                 return cached
             if memory_only:
-                prepare_span.set("cached", "deferred")
+                if prepare_span.recording:
+                    prepare_span.set("cached", "deferred")
                 return None
             self._memory_misses.inc()
             if self._persistent is not None:
@@ -915,10 +933,8 @@ class GraphitiService:
         name = backend or self.default_backend
         with self._tracer.span("query", backend=name, cypher=cypher_text) as span:
             result, prepared = self._serve(cypher_text, name, opt_level, budget)
-            span.set("opt_level", prepared.opt_level)
-            span.set("rows", len(result.rows))
-            if prepared.plan is not None and prepared.plan.estimated_rows is not None:
-                span.set("estimated_rows", round(prepared.plan.estimated_rows, 1))
+            if span.recording:
+                _note_served(span, result, prepared)
         return result, prepared
 
     def _effective_budget(self, budget: QueryBudget | None) -> QueryBudget | None:
@@ -942,6 +958,9 @@ class GraphitiService:
         counted in ``repro_breaker_transitions_total``.
         """
         name = backend or self.default_backend
+        breaker = self._breakers.get(name)
+        if breaker is not None:
+            return breaker
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is None:
@@ -984,20 +1003,21 @@ class GraphitiService:
         ``resume()`` finishes the query on a worker thread.  *attempt* is
         the try a resumed execution starts at (above 1, after the backoff
         that follows the failed try)."""
-        if tracker is None:
+        if tracker is None and (
+            budget is not None or self.default_budget is not None
+        ):
             tracker = self._start_budget(budget)
         budget = tracker.budget if tracker is not None else None
-        depth_cap = _depth_cap(budget)
+        depth_cap = None if budget is None else _depth_cap(budget)
         if prepared is None:
-            prepared = self.prepare(
-                cypher_text, self.dialect_of(name), opt_level=opt_level,
-                depth_cap=depth_cap,
+            prepared = self._prepare(
+                cypher_text, self.dialect_of(name), opt_level, depth_cap=depth_cap
             )
         pool = self._pool(name)
         try:
             # Serial pooled execution — or the partition-parallel scatter,
             # when this service's degree and the cost gate both say yes.
-            runner = self._parallel_for(prepared)
+            runner = None if self.parallelism < 2 else self._parallel_for(prepared)
             if runner is not None:
                 if on_loop:
                     raise _OffLoop()
@@ -1091,11 +1111,13 @@ class GraphitiService:
         accounts the query's wall clock once, not per partition.
         *on_loop* takes only an idle member and raises :class:`_OffLoop`
         where a checkout would wait or spawn, or a retry would back off.
-        *attempt* above 1 resumes the retries: its backoff is slept first."""
+        *attempt* above 1 resumes the retries: its backoff is slept first.
+        A checkout on a pool that a reload closed meanwhile moves to the
+        pool that replaced it: no breaker charge, backoff or retry."""
         breaker = self.breaker(name)
+        if attempt > 1:
+            self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
         while True:
-            if attempt > 1:
-                self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
             if tracker is not None:
                 tracker.check_timeout(stage="service")
             try:
@@ -1113,8 +1135,20 @@ class GraphitiService:
                         raise _OffLoop(attempt)
                 else:
                     try:
-                        member = pool.checkout(timeout=_checkout_timeout(tracker))
-                    except (PoolClosed, PoolTimeout):
+                        member = pool.checkout(
+                            timeout=CHECKOUT_TIMEOUT
+                            if tracker is None
+                            else _checkout_timeout(tracker)
+                        )
+                    except PoolClosed:
+                        # A reload closed the pool after this query read
+                        # the map: neither an engine fault nor a retry.
+                        replacement = self._replacement(name, pool)
+                        if replacement is None:
+                            raise
+                        pool = replacement
+                        continue
+                    except PoolTimeout:
                         # Pool congestion is not engine failure: no breaker
                         # charge.
                         raise
@@ -1125,6 +1159,7 @@ class GraphitiService:
                         breaker.record_failure()
                         if self._retry_after(attempt, tracker, name):
                             attempt += 1
+                            self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
                             continue
                         raise
                 try:
@@ -1138,7 +1173,8 @@ class GraphitiService:
                             else member.execute(prepared.sql_text, budget=tracker)
                         )
                         elapsed = time.perf_counter() - start
-                        exec_span.set("rows", len(result.rows))
+                        if exec_span.recording:
+                            exec_span.set("rows", len(result.rows))
                 except QueryBudgetExceeded as error:
                     # The guard aborted the statement, not the connection —
                     # validate on checkin so the member rejoins the idle set
@@ -1163,6 +1199,7 @@ class GraphitiService:
                         attempt += 1
                         if on_loop:
                             raise _OffLoop(attempt)
+                        self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
                         continue
                     raise
                 else:
@@ -1172,7 +1209,21 @@ class GraphitiService:
                         self._record(cypher_text, elapsed, name, prepared, pool)
                     return result
             finally:
-                breaker.release_probe(probe)
+                if probe is not None:
+                    breaker.release_probe(probe)
+
+    def _replacement(
+        self, name: str, pool: ConnectionPool
+    ) -> ConnectionPool | None:
+        """The pool serving *name* in place of *pool*, whose checkout
+        raised :class:`PoolClosed` — ``None`` when nothing replaced it: the
+        service closed, or *pool* was closed while still in service.  A
+        reload takes its pools out of the map before closing them, so a
+        query that read the map just before lands here."""
+        with self._lock:
+            if self._closed or self._pools.get(name) is pool:
+                return None
+            return self._pool(name)
 
     def _retry_after(
         self, attempt: int, tracker: BudgetTracker | None, name: str
@@ -1180,7 +1231,7 @@ class GraphitiService:
         """Whether to retry a transient failure of *attempt* (counted) —
         ``False`` when the retry policy is spent or the budget's clock
         already ran out (then the engine error is the honest answer).
-        The next try sleeps the backoff before it starts."""
+        The caller sleeps the backoff before the next try."""
         if not RETRY_POLICY.should_retry(attempt) or (
             tracker is not None and tracker.timed_out()
         ):
@@ -1195,9 +1246,8 @@ class GraphitiService:
 
         The gate's verdict under this service's degree is computed once per
         text, dialect, opt level, data load and feedback epoch; it is
-        recorded in ``PlanReport.parallelism`` so ``repro explain`` shows it."""
-        if self.parallelism < 2:
-            return None
+        recorded in ``PlanReport.parallelism`` so ``repro explain`` shows it.
+        Only a service with a degree of 2 or more asks."""
         key = (prepared.dialect, prepared.opt_level)
         with self._lock:
             state = self._query_state(prepared.cypher_text)
@@ -1662,7 +1712,8 @@ class GraphitiService:
         series = self._series_for(name)
         series.queries.inc()
         series.seconds.observe(seconds)
-        self.slow_queries.record(cypher_text, name, seconds)
+        if seconds >= self.slow_queries.threshold_seconds:
+            self.slow_queries.record(cypher_text, name, seconds)
         with self._lock:
             state = self._query_state(cypher_text)
             if state.order is None:
@@ -1727,6 +1778,7 @@ class GraphitiService:
         for executor, _ in executors.values():
             executor.shutdown(wait=True)
         with self._lock:
+            self._closed = True
             self._reset_pools()
         if self._owns_persistent and self._persistent is not None:
             self._persistent.close()
@@ -1766,6 +1818,11 @@ class GraphitiService:
             return executor
 
     def _pool(self, name: str, min_capacity: int = 1) -> ConnectionPool:
+        """Backend *name*'s pool, created on first use, its capacity raised
+        to *min_capacity*; locks only to create or grow it."""
+        pool = self._pools.get(name)
+        if pool is not None and (min_capacity == 1 or pool.capacity >= min_capacity):
+            return pool
         with self._lock:
             pool = self._pools.get(name)
             if pool is None:
@@ -1787,6 +1844,9 @@ class GraphitiService:
         return backend_info(backend_name).backend_class.dialect
 
     def _reset_pools(self) -> None:
-        for pool in self._pools.values():
+        """Close every pool, taking each out of the map first: a lock-free
+        reader then either finds no pool (and makes one for the current
+        data) or one it will see raise :class:`PoolClosed`."""
+        while self._pools:
+            _, pool = self._pools.popitem()
             pool.close()
-        self._pools.clear()

@@ -20,8 +20,11 @@ Parenting works two ways, and both are concurrency-correct:
 The cost discipline: instrumented code always calls ``tracer.span(...)``,
 but the default tracer is :data:`NOOP_TRACER`, whose ``span`` returns one
 shared, attribute-dropping context manager — no allocation, no clock
-reads, no lock.  The throughput benchmark's traced-vs-untraced lane keeps
-this honest (see ``BENCH_throughput.json`` → ``tracing_overhead``).
+reads, no lock.  Attributes computed after a span opens are guarded by
+the span's ``recording`` flag (``if span.recording: span.set(...)``), so
+the no-op span does not even pay for working them out.  The throughput
+benchmark's traced-vs-untraced lane keeps this honest (see
+``BENCH_throughput.json`` → ``tracing_overhead``).
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ class Span:
         "start",
         "end",
     )
+
+    #: Whether :meth:`set` keeps what it is given (see :class:`_NoopSpan`).
+    recording = True
 
     def __init__(
         self,
@@ -250,6 +256,9 @@ class _NoopSpan:
     """The shared do-nothing span: absorbs every recording call."""
 
     __slots__ = ()
+
+    #: Callers skip computing attributes this span would drop.
+    recording = False
 
     def set(self, key: str, value: object) -> None:
         pass

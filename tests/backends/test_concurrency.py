@@ -7,11 +7,14 @@ caller (cross-query result corruption is the classic symptom of a shared
 connection being used from two threads).
 """
 
+import asyncio
 import threading
+import time
 
 import pytest
 
-from repro.backends import GraphitiService
+from repro.backends import AsyncGraphitiService, GraphitiService, PoolClosed
+from repro.graph.schema import EdgeType, GraphSchema, NodeType
 from repro.relational.instance import tables_equivalent
 
 SCAN = "MATCH (n:EMP) RETURN n.name"
@@ -196,3 +199,118 @@ class TestPercentiles:
         stat = {s.cypher_text: s for s in service.query_stats()}[DEPT_SCAN]
         assert stat.executions == MAX_LATENCY_SAMPLES + 25
         assert len(stat.samples) == MAX_LATENCY_SAMPLES
+
+
+COUNT_USERS = "MATCH (n:USER) RETURN Count(*)"
+
+
+@pytest.fixture
+def social_service():
+    schema = GraphSchema.of(
+        [NodeType("USER", ("uid",))],
+        [EdgeType("FOLLOWS", "USER", "USER", ("fid",))],
+    )
+    with GraphitiService(schema) as svc:
+        svc.load_mock(50)
+        yield svc
+
+
+class TestServeRacingReload:
+    """``load_database`` closes the pools a serve may already hold.  The
+    serve moves to the pool that replaced its own — every answer comes
+    from a complete load, and none raises ``PoolClosed``."""
+
+    SECONDS = 1.0
+
+    def reload_while(self, service, serve) -> tuple[int, list, list]:
+        """*serve(stop, answers, errors)* on this thread while another
+        reloads the same 50 rows every millisecond for :attr:`SECONDS`."""
+        stop = threading.Event()
+        reloads = []
+
+        def reload() -> None:
+            while not stop.is_set():
+                service.load_mock(50)
+                reloads.append(1)
+                time.sleep(0.001)
+
+        reloader = threading.Thread(target=reload)
+        timer = threading.Timer(self.SECONDS, stop.set)
+        answers, errors = [], []
+        reloader.start()
+        timer.start()
+        try:
+            serve(stop, answers, errors)
+        finally:
+            stop.set()
+            timer.cancel()
+            reloader.join(timeout=30)
+        assert not reloader.is_alive()
+        return len(reloads), answers, errors
+
+    def test_sync_serves(self, social_service):
+        def serve(stop, answers, errors) -> None:
+            def client() -> None:
+                while not stop.is_set():
+                    try:
+                        answers.append(social_service.run(COUNT_USERS).rows)
+                    except Exception as error:
+                        errors.append(error)
+
+            clients = [threading.Thread(target=client) for _ in range(3)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+
+        reloads, answers, errors = self.reload_while(social_service, serve)
+        assert reloads >= 10
+        assert errors == []
+        assert answers and all(rows == [(50,)] for rows in answers)
+
+    def test_async_serves(self, social_service):
+        async_svc = AsyncGraphitiService(social_service, max_concurrency=3)
+        async_svc._hop.seconds = 1.0  # inline whenever the gate allows
+
+        def serve(stop, answers, errors) -> None:
+            async def client() -> None:
+                while not stop.is_set():
+                    try:
+                        answers.append((await async_svc.run(COUNT_USERS)).rows)
+                    except Exception as error:
+                        errors.append(error)
+
+            async def main() -> None:
+                await asyncio.gather(*(client() for _ in range(3)))
+
+            asyncio.run(main())
+
+        try:
+            reloads, answers, errors = self.reload_while(social_service, serve)
+        finally:
+            async_svc.close()
+        assert reloads >= 10
+        assert errors == []
+        assert answers and all(rows == [(50,)] for rows in answers)
+
+    def test_only_a_replaced_pool_is_left_behind(self, social_service):
+        """A pool the service closed and replaced is swapped for the new
+        one; a pool closed while still in service, or by ``close()``,
+        still raises."""
+        service = social_service
+        name = service.default_backend
+        prepared = service.prepare(COUNT_USERS)
+        stale = service.pool()
+        service.load_mock(50)
+        table = service._run_prepared(stale, name, COUNT_USERS, prepared, None)
+        assert table.rows == [(50,)]
+        assert service.pool() is not stale
+        service.pool().close()
+        with pytest.raises(PoolClosed):
+            service.run(COUNT_USERS)
+        service.load_mock(50)
+        stale = service.pool()
+        service.close()
+        with pytest.raises(PoolClosed):
+            service._run_prepared(stale, name, COUNT_USERS, prepared, None)

@@ -2,6 +2,7 @@
 and pool discipline under the asyncio serving layer."""
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -329,6 +330,45 @@ class TestBlockedCheckout:
             assert pool.size == 2
             pool.checkin(first)
             pool.checkin(acquired[0])
+
+
+class TestContendedCheckin:
+    """``checkin`` notifies only when ``_blocked`` counts a waiting
+    checkout; under contention no waiter may miss its wake-up."""
+
+    def test_eight_threads_on_two_members(self, emp_dept_db):
+        threads, pairs = 8, 2000
+        registry = MetricsRegistry()
+        pool = ConnectionPool(
+            "sqlite-memory", emp_dept_db, capacity=2, registry=registry
+        )
+        errors = []
+
+        def churn():
+            try:
+                for _ in range(pairs):
+                    pool.checkin(pool.checkout(timeout=5.0))
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(worker.is_alive() for worker in workers)
+            assert errors == []
+            assert pool.in_use == 0
+            checkouts = registry.counter("repro_pool_checkouts_total")
+            assert checkouts.value(backend="sqlite-memory") == threads * pairs
+        finally:
+            pool.close()
 
 
 class TestStateGauges:

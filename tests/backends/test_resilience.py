@@ -397,6 +397,24 @@ class TestCircuitBreakerUnit:
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.CLOSED
 
+    def test_success_on_another_thread_resets_the_streak(self):
+        """A closed circuit settles a success without its lock, but a
+        streak one short of the threshold must still be reset by it."""
+        threshold = service_module.BREAKER_THRESHOLD
+        breaker, _, transitions = self.make(failure_threshold=threshold)
+        for _ in range(threshold - 1):
+            breaker.record_failure()
+        other = threading.Thread(target=breaker.record_success)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        for _ in range(threshold - 1):
+            breaker.record_failure()
+            assert breaker.allow() is None  # still closed
+        breaker.record_failure()
+        assert breaker.state == CircuitBreaker.OPEN
+        assert transitions == [CircuitBreaker.OPEN]
+
     def test_closed_allow_returns_no_probe_token(self):
         breaker, _, _ = self.make()
         assert breaker.allow() is None

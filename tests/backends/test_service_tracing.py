@@ -206,6 +206,53 @@ class TestAsyncSpanParenting:
         assert_balanced(root)
 
 
+class TestRecordingSpanAttributes:
+    """The serving path works out a span's attributes only when the span
+    records (``span.recording``): the no-op span never pays for them, and
+    a real tracer still gets every one — on a warm sync serve, and on a
+    warm async serve run inline on the event loop."""
+
+    def assert_recorded(self, root, service, rows: int) -> None:
+        estimate = service.prepare(JOIN).plan.estimated_rows
+        assert root.name == "query"
+        assert root.attributes["opt_level"] == 2
+        assert root.attributes["rows"] == rows
+        assert root.attributes["estimated_rows"] == round(estimate, 1)
+        assert root.find("query.prepare").attributes["cached"] == "memory"
+        assert root.find("cache.lookup").attributes["hit"] is True
+        checkout = root.find("pool.checkout").attributes
+        assert checkout["spawned"] is False
+        assert checkout["waited_ms"] >= 0.0
+        assert root.find("execute").attributes["rows"] == rows
+        assert_balanced(root)
+
+    def test_sync_serve(self, service):
+        service.run(JOIN)
+        tracer = Tracer()
+        service.set_tracer(tracer)
+        try:
+            result = service.run(JOIN)
+        finally:
+            service.set_tracer(None)
+        self.assert_recorded(tracer.last_trace(), service, len(result.rows))
+
+    def test_inline_async_serve(self, service):
+        for _ in range(service_module.FEEDBACK_MIN_OBSERVATIONS):
+            service.run(JOIN)
+        async_svc = AsyncGraphitiService(service, max_concurrency=2)
+        async_svc._hop.seconds = 1.0  # stands in for the measured hop
+        tracer = Tracer()
+        service.set_tracer(tracer)
+        try:
+            result = asyncio.run(async_svc.run(JOIN))
+        finally:
+            service.set_tracer(None)
+            async_svc.close()
+        root = tracer.last_trace()
+        assert root.attributes["placement"] == "inline"
+        self.assert_recorded(root, service, len(result.rows))
+
+
 class TestPoolTimeoutDiagnostics:
     """Satellite: PoolTimeout must say capacity / in-use / waiters / wait."""
 
