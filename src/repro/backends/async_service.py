@@ -205,11 +205,7 @@ class AsyncGraphitiService:
         service = self._service
         # The budget's clock starts now, so time queued for an executor
         # thread counts against its timeout.
-        tracker = (
-            None
-            if budget is None and service.default_budget is None
-            else service._start_budget(budget)
-        )
+        tracker = service._start_budget(budget)
         with service.tracer.span("query", backend=name, **attributes) as span:
             served = None
             entry = None
@@ -219,7 +215,7 @@ class AsyncGraphitiService:
                     cypher_text,
                     service.dialect_of(name),
                     opt_level,
-                    depth_cap=None if tracker is None else _depth_cap(tracker.budget),
+                    depth_cap=_depth_cap(tracker.budget if tracker else None),
                     memory_only=True,
                 )
             serve = partial(

@@ -268,11 +268,9 @@ class DbApiBackend(ExecutionBackend):
         if self.connection is None:
             self.connection = self._open_connection()
 
-    def _ensure_schema(self) -> None:
+    def _create_schema(self) -> None:
         # Deferred past connect() so typed-DDL engines can first observe
         # the data they are about to load (infer_column_types).
-        if self._schema_created:
-            return
         for statement in create_table_ddl(
             self.schema, self.dialect, self._column_types()
         ):
@@ -294,7 +292,8 @@ class DbApiBackend(ExecutionBackend):
     def _ensure_connected(self) -> None:
         if self.connection is None:
             self.connect()
-        self._ensure_schema()
+        if not self._schema_created:
+            self._create_schema()
 
     # -- loading -----------------------------------------------------------
 
@@ -367,9 +366,8 @@ class DbApiBackend(ExecutionBackend):
         sql_text: str,
         budget: "QueryBudget | BudgetTracker | None" = None,
     ) -> Table:
-        if self.connection is None or not self._schema_created:
-            self._ensure_connected()
-        tracker = None if budget is None else as_tracker(budget)
+        self._ensure_connected()
+        tracker = as_tracker(budget)
         if tracker is None:
             cursor = self.connection.execute(sql_text)
             attributes = tuple(map(itemgetter(0), cursor.description or ()))

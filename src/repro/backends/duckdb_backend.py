@@ -9,7 +9,7 @@ it instead of failing.
 DuckDB demands typed DDL, while the repro's values are dynamically typed —
 so :meth:`DuckDbBackend.bulk_load` samples the data it is about to load and
 creates the tables with inferred column types before the first insert
-(schema DDL is deferred until then; see ``DbApiBackend._ensure_schema``).
+(schema DDL is deferred until then; see ``DbApiBackend._create_schema``).
 """
 
 from __future__ import annotations

@@ -518,7 +518,7 @@ class GraphitiService:
         #: under the GIL one dict read is atomic).
         self._lock = threading.RLock()
         self._pools: dict[str, ConnectionPool] = {}
-        #: Set by :meth:`close`: from then on a closed pool is not replaced.
+        #: Set by :meth:`close`: from then on :meth:`_pool` makes no pool.
         self._closed = False
         #: One record per Cypher text, least recently used first; capped at
         #: MAX_TRACKED_QUERIES by :meth:`_query_state`.
@@ -730,8 +730,10 @@ class GraphitiService:
         and therefore distinct cache entries in both tiers — a downgraded
         plan must never shadow the normal one.
         """
+        if dialect is None:
+            dialect = self.dialect_of(self.default_backend)
         prepared = self._prepare(
-            cypher_text, dialect, opt_level, force_recursive, depth_cap
+            cypher_text, dialect_for(dialect), opt_level, force_recursive, depth_cap
         )
         assert prepared is not None
         return prepared
@@ -739,19 +741,17 @@ class GraphitiService:
     def _prepare(
         self,
         cypher_text: str,
-        dialect: str | SqlDialect | None,
+        dialect: SqlDialect,
         opt_level: int | None,
         force_recursive: bool = False,
         depth_cap: int | None = None,
         memory_only: bool = False,
     ) -> PreparedQuery | None:
-        """:meth:`prepare`; with *memory_only*, ``None`` on a memory-tier
-        miss instead of the disk tier and the pipeline.  That miss is not
-        counted: the full prepare that follows counts the lookup, so every
-        served query counts one (the async service's placement lookup)."""
-        if dialect is None:
-            dialect = self.dialect_of(self.default_backend)
-        dialect = dialect_for(dialect)
+        """:meth:`prepare` in a resolved *dialect*; with *memory_only*,
+        ``None`` on a memory-tier miss instead of the disk tier and the
+        pipeline.  That miss is not counted: the full prepare that follows
+        counts the lookup, so every served query counts one (the async
+        service's placement lookup)."""
         level = self.opt_level if opt_level is None else opt_level
         if level not in OPT_LEVELS:
             raise ValueError(f"unknown optimization level {level!r}")
@@ -1003,62 +1003,74 @@ class GraphitiService:
         ``resume()`` finishes the query on a worker thread.  *attempt* is
         the try a resumed execution starts at (above 1, after the backoff
         that follows the failed try)."""
-        if tracker is None and (
-            budget is not None or self.default_budget is not None
-        ):
+        if tracker is None:
             tracker = self._start_budget(budget)
         budget = tracker.budget if tracker is not None else None
-        depth_cap = None if budget is None else _depth_cap(budget)
+        depth_cap = _depth_cap(budget)
         if prepared is None:
             prepared = self._prepare(
                 cypher_text, self.dialect_of(name), opt_level, depth_cap=depth_cap
             )
         pool = self._pool(name)
-        try:
-            # Serial pooled execution — or the partition-parallel scatter,
-            # when this service's degree and the cost gate both say yes.
-            runner = None if self.parallelism < 2 else self._parallel_for(prepared)
-            if runner is not None:
-                if on_loop:
-                    raise _OffLoop()
-                result = self._run_parallel(
-                    pool, name, cypher_text, prepared, runner, tracker
+        while True:
+            try:
+                # Serial pooled execution — or the partition-parallel
+                # scatter, when this service's degree and the cost gate
+                # both say yes.
+                runner = (
+                    None if self.parallelism < 2 else self._parallel_for(prepared)
                 )
-            else:
-                result = self._run_prepared(
-                    pool, name, cypher_text, prepared, tracker,
-                    on_loop=on_loop, attempt=attempt,
+                if runner is not None:
+                    if on_loop:
+                        raise _OffLoop()
+                    result = self._run_parallel(
+                        pool, name, cypher_text, prepared, runner, tracker
+                    )
+                else:
+                    result = self._run_prepared(
+                        pool, name, cypher_text, prepared, tracker,
+                        on_loop=on_loop, attempt=attempt,
+                    )
+                if depth_cap is None:
+                    # Depth-capped plans are budget variants — their row
+                    # counts say nothing about the normal plan's estimate.
+                    self.observe_execution(prepared, len(result.rows), name)
+                return result, prepared
+            except PoolClosed:
+                # A reload closed the pool after this query read the map,
+                # so any partition already served came from the old load:
+                # the whole query runs again on the pool that replaced it,
+                # with no breaker charge, backoff or retry count.  A pool
+                # closed while still in service, or by close(), raises.
+                replacement = self._pool(name)
+                if replacement is pool:
+                    raise
+                pool, attempt = replacement, 1
+            except _OffLoop as leave:
+                leave.resume = partial(
+                    self._serve, cypher_text, name, opt_level, budget, tracker,
+                    prepared, attempt=leave.attempt,
                 )
-            if depth_cap is None:
-                # Depth-capped plans are budget variants — their row counts
-                # say nothing about the normal plan's estimate.
-                self.observe_execution(prepared, len(result.rows), name)
-            return result, prepared
-        except _OffLoop as leave:
-            leave.resume = partial(
-                self._serve, cypher_text, name, opt_level, budget, tracker,
-                prepared, attempt=leave.attempt,
-            )
-            raise
-        except QueryBudgetExceeded as error:
-            assert budget is not None and tracker is not None
-            downgradable = (
-                budget.allow_downgrade
-                and prepared.plan is not None
-                and any(
-                    traversal.choice == "unrolled"
-                    for traversal in prepared.plan.traversals
-                )
-            )
-            if not downgradable:
                 raise
-            downgrade = partial(
-                self._downgrade, cypher_text, name, opt_level, depth_cap, pool,
-                tracker, error,
-            )
-            if on_loop:
-                raise _OffLoop(resume=downgrade) from error
-            return downgrade()
+            except QueryBudgetExceeded as error:
+                assert budget is not None and tracker is not None
+                downgradable = (
+                    budget.allow_downgrade
+                    and prepared.plan is not None
+                    and any(
+                        traversal.choice == "unrolled"
+                        for traversal in prepared.plan.traversals
+                    )
+                )
+                if not downgradable:
+                    raise
+                downgrade = partial(
+                    self._downgrade, cypher_text, name, opt_level, depth_cap,
+                    pool, tracker, error,
+                )
+                if on_loop:
+                    raise _OffLoop(resume=downgrade) from error
+                return downgrade()
 
     def _downgrade(
         self,
@@ -1111,13 +1123,11 @@ class GraphitiService:
         accounts the query's wall clock once, not per partition.
         *on_loop* takes only an idle member and raises :class:`_OffLoop`
         where a checkout would wait or spawn, or a retry would back off.
-        *attempt* above 1 resumes the retries: its backoff is slept first.
-        A checkout on a pool that a reload closed meanwhile moves to the
-        pool that replaced it: no breaker charge, backoff or retry."""
+        *attempt* above 1 resumes the retries: its backoff is slept first."""
         breaker = self.breaker(name)
-        if attempt > 1:
-            self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
         while True:
+            if attempt > 1:
+                self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
             if tracker is not None:
                 tracker.check_timeout(stage="service")
             try:
@@ -1140,15 +1150,7 @@ class GraphitiService:
                             if tracker is None
                             else _checkout_timeout(tracker)
                         )
-                    except PoolClosed:
-                        # A reload closed the pool after this query read
-                        # the map: neither an engine fault nor a retry.
-                        replacement = self._replacement(name, pool)
-                        if replacement is None:
-                            raise
-                        pool = replacement
-                        continue
-                    except PoolTimeout:
+                    except (PoolClosed, PoolTimeout):
                         # Pool congestion is not engine failure: no breaker
                         # charge.
                         raise
@@ -1159,7 +1161,6 @@ class GraphitiService:
                         breaker.record_failure()
                         if self._retry_after(attempt, tracker, name):
                             attempt += 1
-                            self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
                             continue
                         raise
                 try:
@@ -1199,7 +1200,6 @@ class GraphitiService:
                         attempt += 1
                         if on_loop:
                             raise _OffLoop(attempt)
-                        self._retry_sleep(RETRY_POLICY.delay_for(attempt - 1))
                         continue
                     raise
                 else:
@@ -1209,21 +1209,7 @@ class GraphitiService:
                         self._record(cypher_text, elapsed, name, prepared, pool)
                     return result
             finally:
-                if probe is not None:
-                    breaker.release_probe(probe)
-
-    def _replacement(
-        self, name: str, pool: ConnectionPool
-    ) -> ConnectionPool | None:
-        """The pool serving *name* in place of *pool*, whose checkout
-        raised :class:`PoolClosed` — ``None`` when nothing replaced it: the
-        service closed, or *pool* was closed while still in service.  A
-        reload takes its pools out of the map before closing them, so a
-        query that read the map just before lands here."""
-        with self._lock:
-            if self._closed or self._pools.get(name) is pool:
-                return None
-            return self._pool(name)
+                breaker.release_probe(probe)
 
     def _retry_after(
         self, attempt: int, tracker: BudgetTracker | None, name: str
@@ -1231,7 +1217,7 @@ class GraphitiService:
         """Whether to retry a transient failure of *attempt* (counted) —
         ``False`` when the retry policy is spent or the budget's clock
         already ran out (then the engine error is the honest answer).
-        The caller sleeps the backoff before the next try."""
+        The next try sleeps the backoff before it starts."""
         if not RETRY_POLICY.should_retry(attempt) or (
             tracker is not None and tracker.timed_out()
         ):
@@ -1712,8 +1698,7 @@ class GraphitiService:
         series = self._series_for(name)
         series.queries.inc()
         series.seconds.observe(seconds)
-        if seconds >= self.slow_queries.threshold_seconds:
-            self.slow_queries.record(cypher_text, name, seconds)
+        self.slow_queries.record(cypher_text, name, seconds)
         with self._lock:
             state = self._query_state(cypher_text)
             if state.order is None:
@@ -1819,13 +1804,16 @@ class GraphitiService:
 
     def _pool(self, name: str, min_capacity: int = 1) -> ConnectionPool:
         """Backend *name*'s pool, created on first use, its capacity raised
-        to *min_capacity*; locks only to create or grow it."""
+        to *min_capacity*; locks only to create or grow it.  A closed
+        service makes no pool: :class:`PoolClosed`."""
         pool = self._pools.get(name)
         if pool is not None and (min_capacity == 1 or pool.capacity >= min_capacity):
             return pool
         with self._lock:
             pool = self._pools.get(name)
             if pool is None:
+                if self._closed:
+                    raise PoolClosed(f"service is closed: no pool for {name!r}")
                 pool = ConnectionPool(
                     name,
                     self._database,
@@ -1846,7 +1834,8 @@ class GraphitiService:
     def _reset_pools(self) -> None:
         """Close every pool, taking each out of the map first: a lock-free
         reader then either finds no pool (and makes one for the current
-        data) or one it will see raise :class:`PoolClosed`."""
+        data) or one it will see raise :class:`PoolClosed`, which
+        :meth:`_serve` answers by serving again on the replacement."""
         while self._pools:
             _, pool = self._pools.popitem()
             pool.close()

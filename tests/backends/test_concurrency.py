@@ -8,6 +8,7 @@ connection being used from two threads).
 """
 
 import asyncio
+import itertools
 import threading
 import time
 
@@ -203,34 +204,52 @@ class TestPercentiles:
 
 COUNT_USERS = "MATCH (n:USER) RETURN Count(*)"
 
+SOCIAL_SCHEMA = GraphSchema.of(
+    [NodeType("USER", ("uid",))],
+    [EdgeType("FOLLOWS", "USER", "USER", ("fid",))],
+)
+
 
 @pytest.fixture
 def social_service():
-    schema = GraphSchema.of(
-        [NodeType("USER", ("uid",))],
-        [EdgeType("FOLLOWS", "USER", "USER", ("fid",))],
-    )
-    with GraphitiService(schema) as svc:
+    with GraphitiService(SOCIAL_SCHEMA) as svc:
         svc.load_mock(50)
         yield svc
 
 
+@pytest.fixture
+def scatter_service():
+    """Every ``COUNT_USERS`` scatters over two rowid partitions."""
+    with GraphitiService(
+        SOCIAL_SCHEMA, parallelism=2, parallel_row_threshold=0
+    ) as svc:
+        svc.load_mock(50)
+        yield svc
+
+
+def scattered(service) -> float:
+    return service.metrics.counter("repro_parallel_queries_total").total()
+
+
 class TestServeRacingReload:
     """``load_database`` closes the pools a serve may already hold.  The
-    serve moves to the pool that replaced its own — every answer comes
-    from a complete load, and none raises ``PoolClosed``."""
+    serve runs again, whole, on the pool that replaced its own — every
+    answer comes from one complete load, and none raises ``PoolClosed``."""
 
     SECONDS = 1.0
 
-    def reload_while(self, service, serve) -> tuple[int, list, list]:
+    def reload_while(
+        self, service, serve, sizes=(50,)
+    ) -> tuple[int, list, list]:
         """*serve(stop, answers, errors)* on this thread while another
-        reloads the same 50 rows every millisecond for :attr:`SECONDS`."""
+        reloads ``load_mock`` with each of *sizes* in turn, one every
+        millisecond, for :attr:`SECONDS`."""
         stop = threading.Event()
         reloads = []
 
         def reload() -> None:
             while not stop.is_set():
-                service.load_mock(50)
+                service.load_mock(sizes[len(reloads) % len(sizes)])
                 reloads.append(1)
                 time.sleep(0.001)
 
@@ -248,12 +267,13 @@ class TestServeRacingReload:
         assert not reloader.is_alive()
         return len(reloads), answers, errors
 
-    def test_sync_serves(self, social_service):
+    @staticmethod
+    def threads_serving(service):
         def serve(stop, answers, errors) -> None:
             def client() -> None:
                 while not stop.is_set():
                     try:
-                        answers.append(social_service.run(COUNT_USERS).rows)
+                        answers.append(service.run(COUNT_USERS).rows)
                     except Exception as error:
                         errors.append(error)
 
@@ -264,7 +284,12 @@ class TestServeRacingReload:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in clients)
 
-        reloads, answers, errors = self.reload_while(social_service, serve)
+        return serve
+
+    def test_sync_serves(self, social_service):
+        reloads, answers, errors = self.reload_while(
+            social_service, self.threads_serving(social_service)
+        )
         assert reloads >= 10
         assert errors == []
         assert answers and all(rows == [(50,)] for rows in answers)
@@ -294,23 +319,63 @@ class TestServeRacingReload:
         assert errors == []
         assert answers and all(rows == [(50,)] for rows in answers)
 
-    def test_only_a_replaced_pool_is_left_behind(self, social_service):
-        """A pool the service closed and replaced is swapped for the new
-        one; a pool closed while still in service, or by ``close()``,
-        still raises."""
+    def test_scattered_serves_take_one_load(self, scatter_service):
+        """Partitions merged from two loads would count part of each: with
+        50 and 10 rows, a 50-row split finished on the 10-row data counts
+        25 or 35."""
+        reloads, answers, errors = self.reload_while(
+            scatter_service, self.threads_serving(scatter_service), sizes=(50, 10)
+        )
+        assert reloads >= 10
+        assert errors == []
+        assert scattered(scatter_service) > 0
+        assert answers and all(rows in ([(50,)], [(10,)]) for rows in answers)
+
+    def test_a_scatter_spanning_a_reload_serves_again(
+        self, scatter_service, monkeypatch
+    ):
+        """One partition finishes on the old load; the reload then lands
+        before the other checks out.  The answer is the new load's."""
+        service = scatter_service
+        assert service.run(COUNT_USERS).rows == [(50,)]
+        pool = service.pool()
+        checkout = pool.checkout
+        calls = itertools.count()
+        first_out = threading.Event()
+
+        def checkout_across_reload(timeout=None):
+            if next(calls) == 0:
+                member = checkout(timeout=timeout)
+                first_out.set()
+                return member
+            assert first_out.wait(timeout=10)
+            service.load_mock(10)
+            return checkout(timeout=timeout)
+
+        monkeypatch.setattr(pool, "checkout", checkout_across_reload)
+        assert service.run(COUNT_USERS).rows == [(10,)]
+        assert next(calls) == 2
+        assert scattered(service) == 3
+
+    def test_only_a_replaced_pool_is_left_behind(self, social_service, monkeypatch):
+        """A serve whose pool a reload replaced runs on the new pool; a
+        pool closed while still in service, or a closed service, raises."""
         service = social_service
-        name = service.default_backend
-        prepared = service.prepare(COUNT_USERS)
-        stale = service.pool()
-        service.load_mock(50)
-        table = service._run_prepared(stale, name, COUNT_USERS, prepared, None)
-        assert table.rows == [(50,)]
-        assert service.pool() is not stale
+        pool = service.pool()
+        checkout = pool.checkout
+
+        def checkout_after_reload(timeout=None):
+            service.load_mock(20)  # lands after the serve read the map
+            return checkout(timeout=timeout)
+
+        monkeypatch.setattr(pool, "checkout", checkout_after_reload)
+        assert service.run(COUNT_USERS).rows == [(20,)]
+        assert service.pool() is not pool
         service.pool().close()
         with pytest.raises(PoolClosed):
             service.run(COUNT_USERS)
         service.load_mock(50)
-        stale = service.pool()
         service.close()
         with pytest.raises(PoolClosed):
-            service._run_prepared(stale, name, COUNT_USERS, prepared, None)
+            service.run(COUNT_USERS)
+        assert service.pool_snapshots() == {}

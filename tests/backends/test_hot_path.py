@@ -31,10 +31,10 @@ from repro.benchmarks.universes import SOCIAL
 #: The ``point-hot`` template of ``servebench/workloads.py``.
 POINT = "MATCH (n:USER) WHERE n.uid = 7 RETURN n.uname, n.age"
 
-#: Calls into ``repro`` per warm serve (54 sync and 62 inline async on
-#: CPython 3.11).
-SYNC_CEILING = 56
-ASYNC_CEILING = 64
+#: Calls into ``repro`` per warm serve: the counts on CPython 3.10 and
+#: 3.11 (78 sync and 87 inline async before the hot path was trimmed).
+SYNC_CEILING = 60
+ASYNC_CEILING = 71
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
