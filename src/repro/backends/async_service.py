@@ -94,7 +94,6 @@ from repro.backends.service import (
     FEEDBACK_MIN_OBSERVATIONS,
     GraphitiService,
     PreparedQuery,
-    _depth_cap,
     _note_served,
     _OffLoop,
 )
@@ -208,20 +207,12 @@ class AsyncGraphitiService:
         tracker = service._start_budget(budget)
         with service.tracer.span("query", backend=name, **attributes) as span:
             served = None
-            entry = None
-            hop = self._hop.seconds
-            if hop is not None:
-                entry = service._prepare(
-                    cypher_text,
-                    service.dialect_of(name),
-                    opt_level,
-                    depth_cap=_depth_cap(tracker.budget if tracker else None),
-                    memory_only=True,
-                )
-            serve = partial(
-                service._serve, cypher_text, name, opt_level, budget, tracker,
-                entry,
+            key = service._plan_key(
+                cypher_text, service.dialect_of(name), opt_level, tracker
             )
+            hop = self._hop.seconds
+            entry = None if hop is None else service._prepare(key, memory_only=True)
+            serve = partial(service._serve, key, name, tracker, entry)
             inline = entry is not None and self._fits_inline(entry, name, hop)
             if inline:
                 # One turn for every other ready task first: back-to-back

@@ -3,11 +3,12 @@
 The in-memory LRU in :class:`~repro.backends.service.GraphitiService` makes
 *repeated* queries cheap within one process; this module makes them cheap
 across processes.  Prepared queries (optimised SQL AST + rendered text) are
-pickled into a small SQLite store keyed by the same logical key the LRU
-uses — ``(schema fingerprint, cypher text, dialect, opt level, statistics
-digest)`` — so a cold process skips parse → transpile → optimize → render
-entirely for any query any previous process prepared over the same schema
-and statistics.
+pickled into a small SQLite store keyed by the same :class:`PlanKey` the
+LRU uses — schema fingerprint, Cypher text, dialect, opt level, statistics
+digest, forced recursion, depth cap, feedback epoch, row scale and
+parallel degree — so a cold process skips parse → transpile → optimize →
+render entirely for any query any previous process prepared over the same
+schema and statistics.
 
 The statistics component is a *content digest* (not the process-local epoch
 counter): two processes that load the same data derive the same digest and
@@ -31,6 +32,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 #: Bump when the pickled payload or key layout changes incompatibly.
 #: 2: PreparedQuery grew a ``plan`` (PlanReport) field — version-1 pickles
@@ -38,7 +40,10 @@ from pathlib import Path
 #: 3: PreparedQuery grew ``feedback`` (ExecutionFeedback) and
 #: ``feedback_epoch`` fields for adaptive execution — version-2 pickles
 #: lack both and would fail on attribute access.
-SCHEMA_VERSION = 3
+#: 4: a variant plan's key names each non-default :class:`PlanKey` field
+#: (``|depth_cap=2|parallelism=3``) where one ``fr1:dc2:fb1.0.1:par3``
+#: string was; plain plans keep their keys.
+SCHEMA_VERSION = 4
 
 CACHE_FILE_NAME = "transpilations.sqlite"
 
@@ -53,26 +58,41 @@ def default_cache_dir() -> Path:
     return base / "graphiti-repro"
 
 
-def cache_key(
-    fingerprint: str,
-    cypher_text: str,
-    dialect_name: str,
-    opt_level: int,
-    stats_digest: str,
-    variant: str = "",
-) -> str:
-    """The store's primary key: stable, compact, collision-resistant.
+class PlanKey(NamedTuple):
+    """Everything a prepared plan depends on, and the key of both cache
+    tiers: :meth:`GraphitiService._plan_key
+    <repro.backends.service.GraphitiService._plan_key>` builds it, and a
+    miss plans from its fields alone.  The fields after ``stats_digest``
+    are the plan variants, all at their defaults for a plain plan."""
+
+    fingerprint: str
+    text: str
+    dialect: str
+    level: int
+    stats_digest: str  # empty below level 2, whose plans read no statistics
+    force_recursive: bool = False  # a budget downgrade, or feedback
+    depth_cap: int | None = None  # a ``max_depth`` budget's traversal cap
+    feedback_epoch: int = 0
+    row_scale: float = 1.0  # the feedback's base-row correction
+    parallelism: int = 1  # the service's partition-parallel degree
+
+
+def cache_key(*fields: object) -> str:
+    """The store's primary key for the :class:`PlanKey` of *fields*
+    (``cache_key(*key)``): stable, compact, collision-resistant.
 
     The Cypher text is hashed (queries can be long and multi-line); the
-    other components are short and kept readable for debugging.  *variant*
-    distinguishes budget-downgraded plans (forced-recursive, depth-capped)
-    from the normal plan for the same query — empty for the common case,
-    so pre-existing entries keep their keys.
+    other fields are short and kept readable for debugging.  A variant
+    field appears only when it differs from its default, so a plain
+    plan's key names just the five fields before them.
     """
-    cypher_digest = hashlib.sha256(cypher_text.encode("utf-8")).hexdigest()[:32]
-    parts = [fingerprint, cypher_digest, dialect_name, str(opt_level), stats_digest]
-    if variant:
-        parts.append(variant)
+    key = PlanKey(*fields)
+    hashed = hashlib.sha256(key.text.encode("utf-8")).hexdigest()[:32]
+    parts = [key.fingerprint, hashed, key.dialect, str(key.level), key.stats_digest]
+    for name, default in PlanKey._field_defaults.items():
+        value = getattr(key, name)
+        if value != default:
+            parts.append(f"{name}={value!r}")
     return "|".join(parts)
 
 

@@ -6,11 +6,13 @@ The service wires the whole paper pipeline behind one object so callers
 * the induced relational schema and standard transformer are computed once
   per service (``infer_sdt``);
 * transpilation + dialect rendering is memoised in two tiers — a
-  process-local LRU keyed by ``(schema fingerprint, Cypher text, dialect,
-  opt level, statistics digest)``, and an optional persistent on-disk store
-  (:class:`~repro.backends.cache.PersistentQueryCache`) under the same
-  logical key, so even a *cold process* skips parsing, translation,
-  optimisation, and rendering for previously prepared queries;
+  process-local LRU and an optional persistent on-disk store
+  (:class:`~repro.backends.cache.PersistentQueryCache`), both keyed by one
+  :class:`~repro.backends.cache.PlanKey`: schema fingerprint, Cypher text,
+  dialect, opt level, statistics digest, forced recursion, depth cap,
+  feedback epoch, row scale and parallel degree.  Even a *cold process*
+  skips parsing, translation, optimisation, and rendering for previously
+  prepared queries;
 * execution backends are resolved through the registry and served from
   per-backend :class:`~repro.backends.pool.ConnectionPool`\\ s of warmed,
   bulk-loaded connections, so one loaded dataset serves any number of
@@ -48,6 +50,7 @@ from repro.common.budget import (
     BudgetTracker,
     QueryBudget,
     QueryBudgetExceeded,
+    as_tracker,
 )
 from repro.core.sdt import infer_sdt
 from repro.core.transpile import transpile
@@ -73,7 +76,7 @@ from repro.sql.semantics import evaluate_query as evaluate_sql
 from repro.sql.stats import DatabaseStats, collect_stats
 from repro.transformer.semantics import transform_graph
 
-from repro.backends.cache import PersistentQueryCache, cache_key
+from repro.backends.cache import PersistentQueryCache, PlanKey, cache_key
 from repro.backends.executor import (
     FragmentExecutor,
     ParallelDecision,
@@ -137,13 +140,6 @@ class _OffLoop(Exception):
         super().__init__("serve must leave the event loop")
         self.attempt = attempt
         self.resume = resume
-
-
-def _depth_cap(budget: QueryBudget | None) -> int | None:
-    """The traversal depth cap an (effective) *budget* plans under."""
-    if budget is None or not budget.allow_downgrade:
-        return None
-    return budget.max_depth
 
 
 def _checkout_timeout(tracker: BudgetTracker) -> float:
@@ -246,11 +242,12 @@ class ExecutionFeedback:
 class _FeedbackDecision:
     """Per-Cypher-text adaptive-execution state (service-internal).
 
-    ``epoch`` is a cache-key component: bumping it invalidates exactly
-    this query's entries (both tiers) without touching anything else.
-    ``force_recursive``/``row_scale`` are the corrections applied when the
-    stats digest did not change; ``last`` summarises the most recent
-    re-plan for ``repro explain``.
+    ``epoch`` and the corrections ``force_recursive``/``row_scale``
+    (applied when the stats digest did not change) are
+    :class:`~repro.backends.cache.PlanKey` fields: bumping the epoch
+    invalidates exactly this query's entries (both tiers) without touching
+    anything else.  ``last`` summarises the most recent re-plan for
+    ``repro explain``.
     """
 
     epoch: int = 0
@@ -714,79 +711,73 @@ class GraphitiService:
         cypher_text: str,
         dialect: str | SqlDialect | None = None,
         opt_level: int | None = None,
-        force_recursive: bool = False,
-        depth_cap: int | None = None,
     ) -> PreparedQuery:
         """Parse, transpile, optimize, and render *cypher_text* (cached).
 
         Lookup order: in-memory LRU, then the persistent store (when
-        enabled), then the full pipeline.  *opt_level* overrides the
-        service default for this query.  The cache key includes the level
-        and (at level 2) the statistics digest, since reloaded data can
-        legitimately change the chosen join order.
-
-        *force_recursive* and *depth_cap* are the budget downgrades (see
-        :func:`repro.sql.optimize.optimize`); they produce distinct plans
-        and therefore distinct cache entries in both tiers — a downgraded
-        plan must never shadow the normal one.
+        enabled), then the full pipeline, both tiers keyed by the query's
+        :class:`~repro.backends.cache.PlanKey` (see :meth:`_plan_key`).
+        *dialect* is a registered dialect or its name (default: the
+        default backend's); *opt_level* overrides the service default.
         """
         if dialect is None:
             dialect = self.dialect_of(self.default_backend)
-        prepared = self._prepare(
-            cypher_text, dialect_for(dialect), opt_level, force_recursive, depth_cap
-        )
+        prepared = self._prepare(self._plan_key(cypher_text, dialect, opt_level, None))
         assert prepared is not None
         return prepared
 
-    def _prepare(
+    def _plan_key(
         self,
-        cypher_text: str,
-        dialect: SqlDialect,
+        text: str,
+        dialect: str | SqlDialect,
         opt_level: int | None,
+        tracker: BudgetTracker | None,
         force_recursive: bool = False,
-        depth_cap: int | None = None,
-        memory_only: bool = False,
-    ) -> PreparedQuery | None:
-        """:meth:`prepare` in a resolved *dialect*; with *memory_only*,
-        ``None`` on a memory-tier miss instead of the disk tier and the
-        pipeline.  That miss is not counted: the full prepare that follows
-        counts the lookup, so every served query counts one (the async
-        service's placement lookup)."""
+    ) -> PlanKey:
+        """The key of *text*'s plan in *dialect* (a dialect or its name) at
+        *opt_level* (default: the service's) under the budget clock
+        *tracker* (``None`` when unbounded): the only place a
+        :class:`~repro.backends.cache.PlanKey` is built.
+
+        A budget that allows downgrades caps traversals at its
+        ``max_depth``; *force_recursive* is the downgrade after a budget
+        trip.  At level 2 the text's feedback decision joins the key, so
+        bumping its epoch re-keys exactly this text's entries."""
         level = self.opt_level if opt_level is None else opt_level
         if level not in OPT_LEVELS:
             raise ValueError(f"unknown optimization level {level!r}")
-        with self._lock:  # a racing load_database must not tear stats/digest
-            stats, digest = self._stats, self._stats_digest
-            state = (
-                self._query_states.get(cypher_text)
-                if level >= 2 and self.feedback_ratio is not None
-                else None
-            )
-            decision = state.feedback if state is not None else None
-        if level < 2:
-            digest = ""
-        variant = ""
-        if force_recursive or depth_cap is not None:
-            variant = f"fr{int(force_recursive)}:dc{depth_cap}"
-        # Feedback corrections ride a dedicated cache-key component: bumping
-        # the epoch re-keys exactly this query's entries in both tiers, so
-        # the superseded plan can never shadow the corrected one.
-        epoch = decision.epoch if decision is not None else 0
-        fb_force = decision.force_recursive if decision is not None else False
-        fb_scale = decision.row_scale if decision is not None else 1.0
-        replan_note = decision.last if decision is not None else None
-        if epoch:
-            variant += f":fb{epoch}.{int(fb_force)}.{fb_scale:.4g}"
-        # The parallel degree is a plan-choice input like budgets and
-        # feedback: a parallel-enabled service's entries (whose PlanReport
-        # records the gate's verdict) must never shadow a serial service's
-        # in the shared persistent store, and vice versa.
-        if self.parallelism > 1:
-            variant += f":par{self.parallelism}"
-        key = (self.fingerprint, cypher_text, dialect.name, level, digest, variant)
+        digest, epoch, row_scale = "", 0, 1.0
+        if level >= 2:
+            with self._lock:  # loads and re-plans change these under it
+                digest = self._stats_digest
+                state = self._query_states.get(text)
+                decision = state.feedback if state is not None else None
+                if decision is not None:
+                    epoch, row_scale = decision.epoch, decision.row_scale
+                    force_recursive = force_recursive or decision.force_recursive
+        depth_cap = None
+        if tracker is not None and tracker.budget.allow_downgrade:
+            depth_cap = tracker.budget.max_depth
+        name = dialect if isinstance(dialect, str) else dialect.name
+        # tuple.__new__, not PlanKey(...): the NamedTuple's own __new__ is
+        # a Python-level call, and every serve builds a key.
+        return tuple.__new__(PlanKey, (
+            self.fingerprint, text, name, level, digest,
+            force_recursive, depth_cap, epoch, row_scale, self.parallelism,
+        ))
+
+    def _prepare(
+        self, key: PlanKey, memory_only: bool = False
+    ) -> PreparedQuery | None:
+        """*key*'s entry: from the memory LRU, the persistent store (when
+        enabled), or the pipeline, which plans from *key*'s fields alone.
+        With *memory_only*, ``None`` on a memory-tier miss instead of the
+        disk tier and the pipeline.  That miss is not counted: the full
+        prepare that follows counts the lookup, so every served query
+        counts one (the async service's placement lookup)."""
         tracer = self._tracer
         with tracer.span(
-            "query.prepare", dialect=dialect.name, opt_level=level
+            "query.prepare", dialect=key.dialect, opt_level=key.level
         ) as prepare_span:
             with tracer.span("cache.lookup", tier="memory") as span:
                 cached = self._cache.get(key, count_miss=not memory_only)
@@ -803,11 +794,9 @@ class GraphitiService:
                     prepare_span.set("cached", "deferred")
                 return None
             self._memory_misses.inc()
+            dialect = dialect_for(key.dialect)
             if self._persistent is not None:
-                disk_key = cache_key(
-                    self.fingerprint, cypher_text, dialect.name, level, digest,
-                    variant=variant,
-                )
+                disk_key = cache_key(*key)
                 with tracer.span("cache.lookup", tier="disk") as span:
                     stored = self._persistent.get(disk_key)
                     span.set("hit", isinstance(stored, PreparedQuery))
@@ -820,46 +809,54 @@ class GraphitiService:
                     prepare_span.set("cached", "disk")
                     return stored
             prepare_span.set("cached", "no")
+            with self._lock:  # one load's statistics with their digest
+                stats, digest = self._stats, self._stats_digest
+                state = self._query_states.get(key.text)
+                decision = state.feedback if state is not None else None
             with tracer.span("query.parse"):
-                query = parse_cypher(cypher_text, self.graph_schema)
+                query = parse_cypher(key.text, self.graph_schema)
             with tracer.span("query.transpile"):
                 raw = transpile(query, self.graph_schema, self.sdt)
             report = PlanReport()
-            with tracer.span("optimize.planner", opt_level=level) as span:
+            with tracer.span("optimize.planner", opt_level=key.level) as span:
                 translated = optimize(
                     raw,
-                    level=level,
+                    level=key.level,
                     schema=self.sdt.schema,
                     stats=stats,
                     report=report,
-                    force_recursive=force_recursive or fb_force,
-                    depth_cap=depth_cap,
-                    row_scale=fb_scale,
+                    force_recursive=key.force_recursive,
+                    depth_cap=key.depth_cap,
+                    row_scale=key.row_scale,
                 )
-                if epoch and replan_note is not None:
-                    report.feedback = dict(replan_note)
+                if decision is not None and decision.epoch == key.feedback_epoch:
+                    if decision.last is not None:
+                        report.feedback = dict(decision.last)
                 if report.traversal_choice is not None:
                     span.set("traversals", report.traversal_choice)
                 span.set("joins_planned", len(report.joins))
                 if report.estimated_rows is not None:
                     span.set("estimated_rows", round(report.estimated_rows, 1))
-            with tracer.span("query.render", dialect=dialect.name):
+            with tracer.span("query.render", dialect=key.dialect):
                 rendered = to_sql_text(
                     translated, self.sdt.schema, optimized=False, dialect=dialect
                 )
             prepared = PreparedQuery(
-                cypher_text,
+                key.text,
                 translated,
                 rendered,
-                dialect.name,
-                self.fingerprint,
-                level,
+                key.dialect,
+                key.fingerprint,
+                key.level,
                 report,
-                feedback_epoch=epoch,
+                feedback_epoch=key.feedback_epoch,
             )
-            self._cache.put(key, prepared)
-            if self._persistent is not None:
-                self._persistent.put(disk_key, cypher_text, prepared)
+            # A reload since the key was built replaced the statistics its
+            # digest names: the plan serves this query but is keyed nowhere.
+            if key.level < 2 or digest == key.stats_digest:
+                self._cache.put(key, prepared)
+                if self._persistent is not None:
+                    self._persistent.put(disk_key, key.text, prepared)
             return prepared
 
     def transpile_to_sql(
@@ -932,22 +929,17 @@ class GraphitiService:
         explain`` relies on this to stay truthful)."""
         name = backend or self.default_backend
         with self._tracer.span("query", backend=name, cypher=cypher_text) as span:
-            result, prepared = self._serve(cypher_text, name, opt_level, budget)
+            tracker = self._start_budget(budget)
+            key = self._plan_key(cypher_text, self.dialect_of(name), opt_level, tracker)
+            result, prepared = self._serve(key, name, tracker)
             if span.recording:
                 _note_served(span, result, prepared)
         return result, prepared
 
-    def _effective_budget(self, budget: QueryBudget | None) -> QueryBudget | None:
-        budget = budget if budget is not None else self.default_budget
-        if budget is None or budget.unlimited:
-            return None
-        return budget
-
     def _start_budget(self, budget: QueryBudget | None) -> BudgetTracker | None:
         """Start the clock of *budget* (or :attr:`default_budget`) for one
         query — ``None`` when the query is unbounded."""
-        budget = self._effective_budget(budget)
-        return budget.start() if budget is not None else None
+        return as_tracker(budget if budget is not None else self.default_budget)
 
     def breaker(self, backend: str | None = None) -> CircuitBreaker:
         """The circuit breaker guarding *backend* (created on first use).
@@ -977,11 +969,9 @@ class GraphitiService:
 
     def _serve(
         self,
-        cypher_text: str,
+        key: PlanKey,
         name: str,
-        opt_level: int | None,
-        budget: QueryBudget | None,
-        tracker: BudgetTracker | None = None,
+        tracker: BudgetTracker | None,
         prepared: PreparedQuery | None = None,
         on_loop: bool = False,
         attempt: int = 1,
@@ -989,12 +979,12 @@ class GraphitiService:
         """Prepare + pooled execution with budget enforcement, transparent
         retry, circuit breaking, and the plan downgrade — the one serving
         pipeline behind :meth:`run`, :meth:`run_many`, and the async
-        service.  Each pool checkout waits at most :data:`CHECKOUT_TIMEOUT`
-        seconds, capped further by the budget's remaining clock.
-        *tracker* is a budget clock the caller already started (from
-        :meth:`_start_budget`, which then stands in for *budget*): the
-        async service starts it when ``run`` is awaited, so time queued for
-        an executor thread counts against the timeout.
+        service.  The caller starts the budget clock *tracker* (``None``
+        when unbounded) and builds the plan *key* under it: the async
+        service does so when ``run`` is awaited, so time queued for an
+        executor thread counts against the timeout.  Each pool checkout
+        waits at most :data:`CHECKOUT_TIMEOUT` seconds, capped further by
+        the budget's remaining clock.
 
         The async service's hooks: *prepared* is the entry the caller
         already looked up, so the lookup is not repeated.  *on_loop*
@@ -1003,14 +993,8 @@ class GraphitiService:
         ``resume()`` finishes the query on a worker thread.  *attempt* is
         the try a resumed execution starts at (above 1, after the backoff
         that follows the failed try)."""
-        if tracker is None:
-            tracker = self._start_budget(budget)
-        budget = tracker.budget if tracker is not None else None
-        depth_cap = _depth_cap(budget)
         if prepared is None:
-            prepared = self._prepare(
-                cypher_text, self.dialect_of(name), opt_level, depth_cap=depth_cap
-            )
+            prepared = self._prepare(key)
         pool = self._pool(name)
         while True:
             try:
@@ -1023,15 +1007,12 @@ class GraphitiService:
                 if runner is not None:
                     if on_loop:
                         raise _OffLoop()
-                    result = self._run_parallel(
-                        pool, name, cypher_text, prepared, runner, tracker
-                    )
+                    result = self._run_parallel(pool, name, prepared, runner, tracker)
                 else:
                     result = self._run_prepared(
-                        pool, name, cypher_text, prepared, tracker,
-                        on_loop=on_loop, attempt=attempt,
+                        pool, name, prepared, tracker, on_loop=on_loop, attempt=attempt
                     )
-                if depth_cap is None:
+                if key.depth_cap is None:
                     # Depth-capped plans are budget variants — their row
                     # counts say nothing about the normal plan's estimate.
                     self.observe_execution(prepared, len(result.rows), name)
@@ -1048,14 +1029,13 @@ class GraphitiService:
                 pool, attempt = replacement, 1
             except _OffLoop as leave:
                 leave.resume = partial(
-                    self._serve, cypher_text, name, opt_level, budget, tracker,
-                    prepared, attempt=leave.attempt,
+                    self._serve, key, name, tracker, prepared, attempt=leave.attempt
                 )
                 raise
             except QueryBudgetExceeded as error:
-                assert budget is not None and tracker is not None
+                assert tracker is not None
                 downgradable = (
-                    budget.allow_downgrade
+                    tracker.budget.allow_downgrade
                     and prepared.plan is not None
                     and any(
                         traversal.choice == "unrolled"
@@ -1064,20 +1044,15 @@ class GraphitiService:
                 )
                 if not downgradable:
                     raise
-                downgrade = partial(
-                    self._downgrade, cypher_text, name, opt_level, depth_cap,
-                    pool, tracker, error,
-                )
+                downgrade = partial(self._downgrade, key, name, pool, tracker, error)
                 if on_loop:
                     raise _OffLoop(resume=downgrade) from error
                 return downgrade()
 
     def _downgrade(
         self,
-        cypher_text: str,
+        key: PlanKey,
         name: str,
-        opt_level: int | None,
-        depth_cap: int | None,
         pool: ConnectionPool,
         tracker: BudgetTracker,
         error: QueryBudgetExceeded,
@@ -1090,15 +1065,13 @@ class GraphitiService:
         with self._tracer.span(
             "query.downgrade", backend=name, reason=error.dimension
         ):
-            downgraded = self.prepare(
-                cypher_text, self.dialect_of(name), opt_level=opt_level,
-                force_recursive=True, depth_cap=depth_cap,
+            downgraded = self._prepare(
+                self._plan_key(
+                    key.text, key.dialect, key.level, tracker, force_recursive=True
+                )
             )
             try:
-                return (
-                    self._run_prepared(pool, name, cypher_text, downgraded, tracker),
-                    downgraded,
-                )
+                return self._run_prepared(pool, name, downgraded, tracker), downgraded
             except QueryBudgetExceeded as final:
                 final.attempted_downgrade = True
                 raise
@@ -1107,7 +1080,6 @@ class GraphitiService:
         self,
         pool: ConnectionPool,
         name: str,
-        cypher_text: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
         record: bool = True,
@@ -1185,7 +1157,9 @@ class GraphitiService:
                     self._budget_exceeded.inc(
                         backend=name, dimension=error.dimension
                     )
-                    raise error.annotate(backend=name, cypher_text=cypher_text)
+                    raise error.annotate(
+                        backend=name, cypher_text=prepared.cypher_text
+                    )
                 except Exception:
                     retained = pool.checkin(member, damaged=True)
                     if retained:
@@ -1206,7 +1180,9 @@ class GraphitiService:
                     pool.checkin(member)
                     breaker.record_success()
                     if record:
-                        self._record(cypher_text, elapsed, name, prepared, pool)
+                        self._record(
+                            prepared.cypher_text, elapsed, name, prepared, pool
+                        )
                     return result
             finally:
                 breaker.release_probe(probe)
@@ -1282,7 +1258,6 @@ class GraphitiService:
         self,
         pool: ConnectionPool,
         name: str,
-        cypher_text: str,
         prepared: PreparedQuery,
         runner: FragmentExecutor,
         tracker: BudgetTracker | None,
@@ -1319,7 +1294,7 @@ class GraphitiService:
                     index=index,
                 ) as span:
                     partial = self._run_prepared(
-                        pool, name, cypher_text, partition, tracker, record=False
+                        pool, name, partition, tracker, record=False
                     )
                     span.set("rows", len(partial.rows))
                     return partial
@@ -1332,7 +1307,9 @@ class GraphitiService:
             ) as gather_span:
                 result = runner.gather(partials)
                 gather_span.set("rows", len(result.rows))
-        self.record_execution(cypher_text, time.perf_counter() - start, backend=name)
+        self.record_execution(
+            prepared.cypher_text, time.perf_counter() - start, backend=name
+        )
         return result
 
     # -- adaptive execution (estimate-vs-actual feedback) -------------------
@@ -1522,6 +1499,7 @@ class GraphitiService:
             "query.batch", backend=name, queries=len(texts), workers=workers
         ) as batch_span:
             self._prepare_batch(texts, name, opt_level, budget, workers)
+            dialect = self.dialect_of(name)
             results: list[Table | None] = [None] * len(texts)
 
             def execute_one(index: int) -> None:
@@ -1534,7 +1512,9 @@ class GraphitiService:
                 with self._tracer.span(
                     "query", parent=batch_span, backend=name, index=index
                 ) as span:
-                    table, _ = self._serve(text, name, opt_level, budget)
+                    tracker = self._start_budget(budget)
+                    key = self._plan_key(text, dialect, opt_level, tracker)
+                    table, _ = self._serve(key, name, tracker)
                     results[index] = table
                     span.set("rows", len(table.rows))
 
@@ -1556,11 +1536,13 @@ class GraphitiService:
     ) -> None:
         """Before a batch fans out (sync or async): transpile each text
         once up front — cached and GIL-bound anyway — and raise the pool's
-        capacity to the fan-out."""
+        capacity to the fan-out.  The keys are those its queries will
+        serve under *budget*: a ``max_depth`` budget prepares the
+        depth-capped plans."""
         dialect = self.dialect_of(name)
-        depth_cap = _depth_cap(self._effective_budget(budget))
+        tracker = self._start_budget(budget)
         for text in dict.fromkeys(texts):
-            self.prepare(text, dialect, opt_level=opt_level, depth_cap=depth_cap)
+            self._prepare(self._plan_key(text, dialect, opt_level, tracker))
         self._pool(name, min_capacity=workers)
 
     def reference(
@@ -1576,9 +1558,10 @@ class GraphitiService:
         layer never downgrades plans; it raises directly.
         """
         prepared = self.prepare(cypher_text, opt_level=opt_level)
-        effective = self._effective_budget(budget)
         try:
-            return evaluate_sql(prepared.sql_ast, self._database, budget=effective)
+            return evaluate_sql(
+                prepared.sql_ast, self._database, budget=self._start_budget(budget)
+            )
         except QueryBudgetExceeded as error:
             self._budget_exceeded.inc(backend="reference", dimension=error.dimension)
             raise error.annotate(backend="reference", cypher_text=cypher_text)

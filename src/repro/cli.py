@@ -654,11 +654,10 @@ def _collect_backend_stats(rows_per_table: int, echo: bool = True) -> dict:
             "meta": {
                 "rows_per_table": rows_per_table,
                 "rounds": 2,
-                # Deprecation note: "cache" and "queries" are kept as
-                # backward-compatible views; new consumers should read the
-                # "metrics" section (the full registry snapshot).
-                "note": "'cache'/'queries' are compatibility views over "
-                "the 'metrics' registry snapshot",
+                # "cache" stays for old consumers; new ones read "metrics".
+                "note": "'cache' is a compatibility view over the 'metrics' "
+                "registry snapshot; 'queries' is per-text accounting "
+                "(query_stats()) that no registry series holds",
             },
             "opt_level": service.opt_level,
             "cache": {

@@ -18,6 +18,7 @@ import pytest
 from repro.backends import (
     FragmentExecutor,
     GraphitiService,
+    PersistentQueryCache,
     QueryBudget,
     QueryBudgetExceeded,
     partition_bounds,
@@ -359,16 +360,24 @@ class TestServedParallelism:
             assert not verdict["parallel"]
             assert "threshold" in verdict["reason"]
 
-    def test_cache_variants_keep_degrees_apart(self, social_schema):
-        # The same Cypher prepared at parallelism 1 and 3 must hit
-        # different cache entries — plan choice is part of the key.
-        with GraphitiService(social_schema) as serial_svc:
-            serial_svc.load_mock(30, seed=3)
-            serial = serial_svc.prepare(SCAN)
-        with parallel_service(social_schema, rows=30, degree=3) as svc:
-            parallel = svc.prepare(SCAN)
-        assert serial.sql_text == parallel.sql_text  # body identical...
-        assert serial is not parallel  # ...but distinct cache entries
+    def test_cache_variants_keep_degrees_apart(self, social_schema, tmp_path):
+        # One store, the same data: the degree is part of the key, so a
+        # degree-3 service must not serve a serial service's entry, while
+        # a second serial service does.
+        with PersistentQueryCache(tmp_path / "store.sqlite") as store:
+            with GraphitiService(social_schema, persistent_cache=store) as first:
+                first.load_mock(30, seed=3)
+                serial = first.prepare(SCAN)
+            with parallel_service(
+                social_schema, rows=30, degree=3, persistent_cache=store
+            ) as svc:
+                parallel = svc.prepare(SCAN)
+            assert (store.hits, store.misses) == (0, 2)
+            with GraphitiService(social_schema, persistent_cache=store) as second:
+                second.load_mock(30, seed=3)
+                second.prepare(SCAN)
+            assert (store.hits, store.misses) == (1, 2)
+        assert serial.sql_text == parallel.sql_text  # body identical
 
     def test_budget_is_shared_across_partitions(self, social_schema):
         with parallel_service(social_schema, rows=40, degree=4) as svc:

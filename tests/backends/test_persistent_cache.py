@@ -1,15 +1,35 @@
 """The persistent transpilation cache: cross-process reuse and invalidation."""
 
+import hashlib
 import pickle
 
 import pytest
 
 from repro.backends import GraphitiService, PersistentQueryCache
-from repro.backends.cache import cache_key, default_cache_dir
+from repro.backends.cache import PlanKey, cache_key, default_cache_dir
+from repro.backends.service import _FeedbackDecision, _LruCache
+from repro.benchmarks.universes import SOCIAL
 from repro.relational.instance import tables_equivalent
 
 SCAN = "MATCH (n:EMP) RETURN n.name"
 JOIN = "MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) RETURN n.name, m.dname"
+HOPS = "MATCH (a:USER)-[:FOLLOWS*1..2]->(b:USER) RETURN a.uid, b.uid"
+
+#: A plain plan's key, and per :class:`PlanKey` field a value it does not
+#: hold.
+PLAIN = PlanKey("fp", "q", "sqlite", 2, "digest")
+OTHER = {
+    "fingerprint": "fp2",
+    "text": "q2",
+    "dialect": "duckdb",
+    "level": 1,
+    "stats_digest": "digest2",
+    "force_recursive": True,
+    "depth_cap": 2,
+    "feedback_epoch": 1,
+    "row_scale": 8.0,
+    "parallelism": 3,
+}
 
 
 @pytest.fixture
@@ -193,3 +213,72 @@ class TestServiceWiring:
             service.load_mock(5)
             service.transpile_to_sql(SCAN)
         assert (tmp_path / "transpilations.sqlite").exists()
+
+
+class TestPlanKey:
+    """Every plan input is a key field, in both tiers: two plans that may
+    differ never share an entry."""
+
+    def test_every_field_has_a_case(self):
+        assert tuple(OTHER) == PlanKey._fields
+
+    @pytest.mark.parametrize("field", OTHER)
+    def test_each_field_keys_both_tiers(self, field):
+        variant = PLAIN._replace(**{field: OTHER[field]})
+        assert cache_key(*variant) != cache_key(*PLAIN)
+        memory = _LruCache(maxsize=4)
+        memory.put(PLAIN, "plain")
+        memory.put(variant, "variant")
+        assert memory.get(PLAIN) == "plain"
+        assert memory.get(variant) == "variant"
+        assert memory.info().currsize == 2
+
+    def test_a_plain_plan_keeps_its_disk_key(self):
+        hashed = hashlib.sha256(b"q").hexdigest()[:32]
+        assert cache_key(*PLAIN) == f"fp|{hashed}|sqlite|2|digest"
+
+    def test_a_key_of_replaced_statistics_is_served_but_stored_nowhere(
+        self, emp_dept_schema, store_path
+    ):
+        """A reload lands between building a key and its miss: the plan
+        comes from statistics the key does not name, so neither tier may
+        keep it under that key."""
+        with fresh_service(emp_dept_schema, store_path, rows=10) as service:
+            stale = service._plan_key(JOIN, "sqlite", None, None)
+            service.load_mock(25, seed=5)
+            served = service._prepare(stale)
+            assert service.cache_info().currsize == 0
+            assert len(service._persistent) == 0
+            # Planned with the statistics now loaded, as the fresh key is.
+            fresh = service.prepare(JOIN)
+            assert served.plan.estimated_rows == fresh.plan.estimated_rows
+            assert service._plan_key(JOIN, "sqlite", None, None) != stale
+
+    @pytest.mark.parametrize(
+        "corrections", [{"force_recursive": True}, {"row_scale": 8.0}]
+    )
+    def test_feedback_corrections_at_one_epoch_do_not_share_an_entry(
+        self, store_path, corrections
+    ):
+        """Two services share a store and their data, and sit at feedback
+        epoch 1: the second one's corrections give it its own plan."""
+        plans = []
+        with PersistentQueryCache(store_path) as store:
+            for decision in (
+                _FeedbackDecision(epoch=1),
+                _FeedbackDecision(epoch=1, **corrections),
+            ):
+                with GraphitiService(
+                    SOCIAL.graph_schema, persistent_cache=store
+                ) as service:
+                    service.load_mock(40, seed=5)
+                    with service._lock:
+                        service._query_state(HOPS).feedback = decision
+                    plans.append(service.prepare(HOPS).plan)
+            assert (store.hits, store.misses) == (0, 2)
+            assert len(store) == 2
+        uncorrected, corrected = plans
+        assert (corrected.traversal_choice, corrected.estimated_rows) != (
+            uncorrected.traversal_choice,
+            uncorrected.estimated_rows,
+        )

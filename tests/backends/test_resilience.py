@@ -211,13 +211,16 @@ class TestInlineDeath:
             plan = svc.prepare(hops, svc.dialect_of("sqlite-memory")).plan
             assert [t.choice for t in plan.traversals] == ["unrolled"]
             prepares: list[threading.Thread] = []
-            prepare = svc.prepare
+            prepare = svc._prepare
 
-            def spying(*args, **kwargs):
-                prepares.append(threading.current_thread())
-                return prepare(*args, **kwargs)
+            def spying(key, memory_only=False):
+                # The loop's placement lookup is memory-only; the
+                # downgrade's re-prepare is a full one.
+                if not memory_only:
+                    prepares.append(threading.current_thread())
+                return prepare(key, memory_only)
 
-            monkeypatch.setattr(svc, "prepare", spying)
+            monkeypatch.setattr(svc, "_prepare", spying)
             monkeypatch.setattr(SqliteMemoryBackend, "execute", recording)
 
             async def main():
