@@ -12,13 +12,14 @@ lookup spends a few of them in the engine.  All of these must hold:
 
 1. the text's prepared entry is a memory-cache hit, so nothing is parsed
    or optimized on the loop;
-2. the partition gate's verdict is serial;
+2. the entry's partition gate verdict is serial (it carries no executor);
 3. the entry has :data:`~repro.backends.service.FEEDBACK_MIN_OBSERVATIONS`
    observations: its feedback re-plan check has already run, and cannot
    fire later, because its rows are fixed for the loaded data;
-4. the mean engine time of this entry on this backend, since the data
-   was loaded, is below the measured hop (a reload, a re-plan, or another
-   backend starts with no timing, so the query is offloaded until timed);
+4. the mean engine time of this entry on this backend's current pool,
+   which the entry keeps per backend, is below the measured hop (a
+   reload's new pool, a re-planned entry, or a backend it never ran on
+   starts with no timing, so the query is offloaded until timed);
 5. an idle pool member can be taken without waiting or spawning.
 
 An inline query first yields to the loop once, so concurrent clients

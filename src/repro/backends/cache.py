@@ -43,7 +43,10 @@ from typing import NamedTuple
 #: 4: a variant plan's key names each non-default :class:`PlanKey` field
 #: (``|depth_cap=2|parallelism=3``) where one ``fr1:dc2:fb1.0.1:par3``
 #: string was; plain plans keep their keys.
-SCHEMA_VERSION = 4
+#: 5: PreparedQuery grew ``runner`` (the partition gate's executor, never
+#: stored) and ExecutionFeedback ``timings``; a partition-parallel key
+#: carries the statistics digest at every level.
+SCHEMA_VERSION = 5
 
 CACHE_FILE_NAME = "transpilations.sqlite"
 
@@ -69,7 +72,9 @@ class PlanKey(NamedTuple):
     text: str
     dialect: str
     level: int
-    stats_digest: str  # empty below level 2, whose plans read no statistics
+    #: Empty unless the entry reads statistics: at level 2, and at a
+    #: partition degree of 2 or more (the gate prices row counts).
+    stats_digest: str
     force_recursive: bool = False  # a budget downgrade, or feedback
     depth_cap: int | None = None  # a ``max_depth`` budget's traversal cap
     feedback_epoch: int = 0

@@ -26,6 +26,7 @@ member with :meth:`ConnectionPool.take_idle`, which never waits or spawns.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import weakref
@@ -40,6 +41,9 @@ from repro.sql.stats import TableStats
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.registry import load_backend
+
+#: Numbers each pool this process builds (:attr:`ConnectionPool.number`).
+_POOL_NUMBERS = itertools.count(1)
 
 
 class PoolClosed(RuntimeError):
@@ -163,6 +167,9 @@ class ConnectionPool:
         if capacity < 1:
             raise ValueError(f"pool capacity must be >= 1, got {capacity}")
         self.backend_name = backend_name
+        #: Unique among this process's pools: a timing tagged with it
+        #: names the load it ran on, as a reload builds a new pool.
+        self.number = next(_POOL_NUMBERS)
         #: Liveness-probe idle members before handing them out; a member
         #: that fails is evicted and the checkout moves on to the next one
         #: (or spawns a replacement).  The probe is a single ``SELECT 1``;

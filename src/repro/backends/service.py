@@ -18,6 +18,13 @@ The service wires the whole paper pipeline behind one object so callers
   bulk-loaded connections, so one loaded dataset serves any number of
   engines — and any number of *threads* — side by side.
 
+Everything derived from one plan lives on its cache entry, so the key that
+names the plan also scopes it: the partition gate's verdict (the entry's
+:class:`~repro.backends.executor.FragmentExecutor`, or none), the observed
+rows, and the engine seconds per backend, tagged with the pool they ran
+on.  Per Cypher text the service keeps only its :class:`QueryStat`
+accounting and its feedback decision.
+
 The service is thread-safe: the LRU and the per-query-text records are
 lock-protected, so is every change to the pool map (a serve reads it
 without the lock), and every execution path checks a connection out of
@@ -28,8 +35,10 @@ see ``benchmarks/bench_throughput.py`` for the tracked numbers.
 
 The schema fingerprint in the cache key makes cache entries safe to share
 between services over the *same* schema and impossible to confuse between
-different ones; the statistics digest does the same for level-2 plans,
-which legitimately change when fresh data changes the estimated join order.
+different ones; the statistics digest does the same for the entries that
+read statistics: level-2 plans, whose join order fresh data can change,
+and on a partition-parallel service every plan, whose gate verdict and
+partition bounds derive from row counts.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ import hashlib
 import itertools
 import threading
 import time
-import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -77,12 +85,7 @@ from repro.sql.stats import DatabaseStats, collect_stats
 from repro.transformer.semantics import transform_graph
 
 from repro.backends.cache import PersistentQueryCache, PlanKey, cache_key
-from repro.backends.executor import (
-    FragmentExecutor,
-    ParallelDecision,
-    plan_parallelism,
-    run_indexed,
-)
+from repro.backends.executor import FragmentExecutor, plan_parallelism, run_indexed
 from repro.backends.guards import CircuitBreaker, CircuitOpen, RetryPolicy
 from repro.backends.pool import ConnectionPool, PoolClosed, PoolTimeout
 from repro.backends.registry import available_backends, backend_info
@@ -93,11 +96,11 @@ DEFAULT_BACKEND = "sqlite-memory"
 MAX_LATENCY_SAMPLES = 512
 
 #: Cypher texts whose state (:class:`QueryStat` accounting, feedback
-#: decision, partition-gate verdicts, engine timing) is kept: the most
-#: recently used ones, as inlined literals would otherwise grow the map
-#: forever.  An evicted text's decision falls back to epoch 0: it re-learns
-#: from the uncorrected plan, at most :data:`MAX_REPLANS` times.  Every plan
-#: returns the reference evaluator's bag, so eviction costs only speed.
+#: decision) is kept: the most recently used ones, as inlined literals
+#: would otherwise grow the map forever.  An evicted text's decision falls
+#: back to epoch 0: it re-learns from the uncorrected plan, at most
+#: :data:`MAX_REPLANS` times.  Every plan returns the reference evaluator's
+#: bag, so eviction costs only speed.
 MAX_TRACKED_QUERIES = 4096
 
 #: Executions before a plan's running mean may trigger a feedback re-plan.
@@ -209,7 +212,7 @@ class CacheInfo:
 
 @dataclass
 class ExecutionFeedback:
-    """Observed actual row counts for one cached plan.
+    """Observed actual row counts, and engine seconds, for one cached plan.
 
     Mutable on purpose: the same object lives in the LRU entry, so every
     execution of a cache-hit plan accumulates here and a later ``repro
@@ -220,6 +223,11 @@ class ExecutionFeedback:
     executions: int = 0
     total_rows: int = 0
     last_rows: int | None = None
+    #: Per backend name, ``(pool number, runs, seconds)`` of the engine
+    #: calls on that pool (the async service's inline gate reads the mean).
+    #: A call on another pool starts over, so a reload's new pool starts
+    #: untimed; each update replaces the tuple whole.
+    timings: dict[str, tuple[int, int, float]] = field(default_factory=dict)
 
     def observe(self, rows: int) -> None:
         self.executions += 1
@@ -287,6 +295,9 @@ class PreparedQuery:
     #: the *current* epoch may trigger a re-plan — a stale entry observed
     #: after the plan already changed must not bump the epoch again.
     feedback_epoch: int = 0
+    #: The partition gate's executor, or ``None`` to serve serially; the
+    #: gate sets it after the store is written, so it is never persisted.
+    runner: FragmentExecutor | None = None
 
 
 @dataclass(frozen=True)
@@ -332,46 +343,20 @@ class QueryStat:
         return self.percentile(0.95)
 
 
-class _EngineTiming:
-    """The engine seconds of one prepared entry on one backend, since the
-    data was loaded (the async service's inline gate reads their mean).
-    The entry is held by a weak reference, so an evicted entry is not kept
-    alive; a re-planned or re-keyed entry, or another backend, starts a
-    new timing."""
-
-    __slots__ = ("backend", "entry", "runs", "seconds")
-
-    def __init__(self, backend: str, entry: PreparedQuery, seconds: float) -> None:
-        self.backend = backend
-        self.entry = weakref.ref(entry)
-        self.runs = 1
-        self.seconds = seconds
-
-    def of(self, backend: str, entry: PreparedQuery) -> bool:
-        return self.backend == backend and self.entry() is entry
-
-
 class _QueryState:
-    """Everything the service keeps for one Cypher text: the running
-    accounting behind its :class:`QueryStat` (:meth:`freeze` takes the
-    snapshot), its feedback decision, the partition gate's verdicts, and
-    its latest engine timing.  Mutated in place under the service lock."""
+    """What the service keeps for one Cypher text: the running accounting
+    behind its :class:`QueryStat` (:meth:`freeze` takes the snapshot) and
+    its feedback decision.  What derives from one plan lives on its cache
+    entry.  Mutated in place under the service lock."""
 
     __slots__ = (
         "order", "executions", "total_seconds", "last_seconds", "samples",
-        "feedback", "gates", "timing",
+        "feedback",
     )
 
     def __init__(self) -> None:
         #: ``None`` until a feedback re-plan triggers.
         self.feedback: _FeedbackDecision | None = None
-        #: The gate's ``(decision, executor)`` per ``(dialect, opt level)``;
-        #: the schema and the degree are fixed for a service.
-        self.gates: dict[
-            tuple[str, int], tuple[ParallelDecision, FragmentExecutor | None]
-        ] = {}
-        #: The timing of the entry and backend that ran last.
-        self.timing: _EngineTiming | None = None
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -597,8 +582,8 @@ class GraphitiService:
         self._backend_series: dict[str, _BackendSeries] = {}
         # Intra-query parallelism: fragmentable plans over large scans are
         # split into rowid range partitions and scattered over pooled
-        # connections (see repro.backends.executor).  The gate's verdicts
-        # and rendered partition SQL are cached on each text's record; the
+        # connections (see repro.backends.executor).  The gate's verdict
+        # and rendered partition SQL are cached on each entry; the
         # two persistent thread pools (batch fan-out vs partition fan-out)
         # are deliberately separate so a run_many worker mid-batch can
         # never deadlock waiting for partition slots its siblings hold.
@@ -661,18 +646,18 @@ class GraphitiService:
             self._stats = stats
             self._stats_digest = stats_digest(stats)
             # Fresh data: divergence verdicts reached on the old data no
-            # longer mean anything, and neither do partition bounds or
-            # engine timings.  The decision is detached, not reset in
+            # longer mean anything.  The decision is detached, not reset in
             # place, so a re-plan that holds it across its stats refresh
-            # corrects an orphan.
+            # corrects an orphan.  A new digest re-keys every entry the
+            # partition gate priced, and the new pools time entries anew.
             for state in self._query_states.values():
                 state.feedback = None
-                state.gates.clear()
-                state.timing = None
 
     def refresh_stats(self) -> bool:
         """Re-collect statistics from the live data; ``True`` if the digest
-        changed (which invalidates exactly the level-2 cache entries).
+        changed, which re-keys exactly the entries that read statistics:
+        level-2 plans and, at a partition degree of 2 or more, every plan
+        (the gate's verdict and bounds derive from row counts).
 
         Unlike :meth:`load_database` this does **not** reset the pools —
         the data inside the engines is unchanged; only the planner's
@@ -686,11 +671,6 @@ class GraphitiService:
             changed = digest != self._stats_digest
             self._stats = stats
             self._stats_digest = digest
-            if changed:
-                # Parallel gate verdicts and partition bounds derive from
-                # row counts; re-derive them from the fresh numbers.
-                for state in self._query_states.values():
-                    state.gates.clear()
         return changed
 
     def load_graph(self, graph: object) -> None:
@@ -742,7 +722,9 @@ class GraphitiService:
         A budget that allows downgrades caps traversals at its
         ``max_depth``; *force_recursive* is the downgrade after a budget
         trip.  At level 2 the text's feedback decision joins the key, so
-        bumping its epoch re-keys exactly this text's entries."""
+        bumping its epoch re-keys exactly this text's entries.  The
+        statistics digest joins it wherever the entry reads statistics:
+        at level 2, and at a partition degree of 2 or more."""
         level = self.opt_level if opt_level is None else opt_level
         if level not in OPT_LEVELS:
             raise ValueError(f"unknown optimization level {level!r}")
@@ -755,6 +737,8 @@ class GraphitiService:
                 if decision is not None:
                     epoch, row_scale = decision.epoch, decision.row_scale
                     force_recursive = force_recursive or decision.force_recursive
+        elif self.parallelism >= 2:
+            digest = self._stats_digest  # for the partition gate
         depth_cap = None
         if tracker is not None and tracker.budget.allow_downgrade:
             depth_cap = tracker.budget.max_depth
@@ -770,7 +754,8 @@ class GraphitiService:
         self, key: PlanKey, memory_only: bool = False
     ) -> PreparedQuery | None:
         """*key*'s entry: from the memory LRU, the persistent store (when
-        enabled), or the pipeline, which plans from *key*'s fields alone.
+        enabled), or the pipeline, which plans from *key*'s fields alone
+        and writes the store before :meth:`_admit` gates the entry.
         With *memory_only*, ``None`` on a memory-tier miss instead of the
         disk tier and the pipeline.  That miss is not counted: the full
         prepare that follows counts the lookup, so every served query
@@ -795,6 +780,15 @@ class GraphitiService:
                 return None
             self._memory_misses.inc()
             dialect = dialect_for(key.dialect)
+            with self._lock:  # one load's statistics with their digest
+                stats, digest = self._stats, self._stats_digest
+                state = self._query_states.get(key.text)
+                decision = state.feedback if state is not None else None
+            # A reload since the key was built replaced the statistics its
+            # digest names: the entry serves this query but is keyed nowhere.
+            keyed = digest == key.stats_digest or (
+                key.level < 2 and key.parallelism < 2
+            )
             if self._persistent is not None:
                 disk_key = cache_key(*key)
                 with tracer.span("cache.lookup", tier="disk") as span:
@@ -805,14 +799,9 @@ class GraphitiService:
                     result="hit" if isinstance(stored, PreparedQuery) else "miss",
                 )
                 if isinstance(stored, PreparedQuery):
-                    self._cache.put(key, stored)
                     prepare_span.set("cached", "disk")
-                    return stored
+                    return self._admit(key, stored, stats, keyed)
             prepare_span.set("cached", "no")
-            with self._lock:  # one load's statistics with their digest
-                stats, digest = self._stats, self._stats_digest
-                state = self._query_states.get(key.text)
-                decision = state.feedback if state is not None else None
             with tracer.span("query.parse"):
                 query = parse_cypher(key.text, self.graph_schema)
             with tracer.span("query.transpile"):
@@ -851,13 +840,52 @@ class GraphitiService:
                 report,
                 feedback_epoch=key.feedback_epoch,
             )
-            # A reload since the key was built replaced the statistics its
-            # digest names: the plan serves this query but is keyed nowhere.
-            if key.level < 2 or digest == key.stats_digest:
-                self._cache.put(key, prepared)
-                if self._persistent is not None:
-                    self._persistent.put(disk_key, key.text, prepared)
-            return prepared
+            if keyed and self._persistent is not None:
+                self._persistent.put(disk_key, key.text, prepared)
+            return self._admit(key, prepared, stats, keyed)
+
+    def _admit(
+        self,
+        key: PlanKey,
+        prepared: PreparedQuery,
+        stats: DatabaseStats | None,
+        keyed: bool,
+    ) -> PreparedQuery:
+        """*prepared* past the partition gate, then into the memory tier
+        when *keyed*.  At a degree of 2 or more the gate prices the entry
+        once, before it first serves, under *key*'s degree and row scale
+        and the *stats* its digest names: the verdict lands in
+        ``PlanReport.parallelism`` (``repro explain`` shows it), and an
+        open gate gives the entry the executor that scatters it.  The
+        store never sees that executor: it is written before this runs,
+        so no serve changes an entry while it is pickled."""
+        if key.parallelism >= 2:
+            dialect = dialect_for(key.dialect)
+            fragment = fragment_query(prepared.sql_ast, self.sdt.schema)
+            decision = plan_parallelism(
+                fragment,
+                schema=self.sdt.schema,
+                stats=stats,
+                degree=key.parallelism,
+                dialect=dialect,
+                row_scale=key.row_scale,
+                threshold=self.parallel_row_threshold,
+            )
+            if prepared.plan is not None:
+                prepared.plan.parallelism = decision.to_dict()
+            if decision.parallel:
+                assert stats is not None
+                runner = FragmentExecutor.build(
+                    fragment,
+                    decision,
+                    schema=self.sdt.schema,
+                    stats=stats,
+                    dialect=dialect,
+                )
+                prepared = replace(prepared, runner=runner)
+        if keyed:
+            self._cache.put(key, prepared)
+        return prepared
 
     def transpile_to_sql(
         self,
@@ -999,11 +1027,8 @@ class GraphitiService:
         while True:
             try:
                 # Serial pooled execution — or the partition-parallel
-                # scatter, when this service's degree and the cost gate
-                # both say yes.
-                runner = (
-                    None if self.parallelism < 2 else self._parallel_for(prepared)
-                )
+                # scatter, when the gate gave the entry an executor.
+                runner = prepared.runner
                 if runner is not None:
                     if on_loop:
                         raise _OffLoop()
@@ -1012,10 +1037,7 @@ class GraphitiService:
                     result = self._run_prepared(
                         pool, name, prepared, tracker, on_loop=on_loop, attempt=attempt
                     )
-                if key.depth_cap is None:
-                    # Depth-capped plans are budget variants — their row
-                    # counts say nothing about the normal plan's estimate.
-                    self.observe_execution(prepared, len(result.rows), name)
+                self.observe_execution(prepared, len(result.rows), name)
                 return result, prepared
             except PoolClosed:
                 # A reload closed the pool after this query read the map,
@@ -1203,57 +1225,6 @@ class GraphitiService:
 
     # -- intra-query parallelism (partition-parallel scans) ------------------
 
-    def _parallel_for(self, prepared: PreparedQuery) -> FragmentExecutor | None:
-        """*prepared*'s partition executor, or ``None`` to stay serial.
-
-        The gate's verdict under this service's degree is computed once per
-        text, dialect, opt level, data load and feedback epoch; it is
-        recorded in ``PlanReport.parallelism`` so ``repro explain`` shows it.
-        Only a service with a degree of 2 or more asks."""
-        key = (prepared.dialect, prepared.opt_level)
-        with self._lock:
-            state = self._query_state(prepared.cypher_text)
-            gate = state.gates.get(key)
-            stats = self._stats
-            feedback = state.feedback
-            row_scale = feedback.row_scale if feedback is not None else 1.0
-        computed = gate is None
-        if computed:
-            dialect = dialect_for(prepared.dialect)
-            fragment = fragment_query(prepared.sql_ast, self.sdt.schema)
-            decision = plan_parallelism(
-                fragment,
-                schema=self.sdt.schema,
-                stats=stats,
-                degree=self.parallelism,
-                dialect=dialect,
-                row_scale=row_scale,
-                threshold=self.parallel_row_threshold,
-            )
-            runner = None
-            if decision.parallel:
-                assert stats is not None
-                runner = FragmentExecutor.build(
-                    fragment,
-                    decision,
-                    schema=self.sdt.schema,
-                    stats=stats,
-                    dialect=dialect,
-                )
-            gate = (decision, runner)
-            with self._lock:
-                state.gates[key] = gate
-        decision, runner = gate
-        # Written when the verdict is computed — below opt level 2 a reload
-        # keeps the same cache entry, whose old verdict is now stale — or
-        # when the entry has none yet; rebuilding the dict on every serve
-        # would tax the gated-serial hot path.
-        if prepared.plan is not None and (
-            computed or prepared.plan.parallelism is None
-        ):
-            prepared.plan.parallelism = decision.to_dict()
-        return runner
-
     def _run_parallel(
         self,
         pool: ConnectionPool,
@@ -1327,7 +1298,9 @@ class GraphitiService:
         hits), records the q-error, and — when the running mean diverges
         from the plan's estimate by ``feedback_ratio`` or more after
         :data:`FEEDBACK_MIN_OBSERVATIONS` executions — re-plans the query
-        (see :meth:`_replan`).  Called by the serving paths (sync and
+        (see :meth:`_replan`).  A depth-capped plan is a budget variant:
+        the cap truncates its rows, so they are recorded on its entry and
+        compared with nothing.  Called by the serving paths (sync and
         async); harmless to call directly.
         """
         name = backend or self.default_backend
@@ -1346,6 +1319,9 @@ class GraphitiService:
             or plan.estimated_rows is None
         ):
             return
+        for traversal in plan.traversals:
+            if traversal.choice == "depth-capped":
+                return
         estimate = max(float(plan.estimated_rows), 1.0)
         actual = max(float(actual_rows), 1.0)
         self._series_for(name).estimate_error.observe(
@@ -1406,8 +1382,6 @@ class GraphitiService:
                     return
                 decision.epoch += 1
                 decision.replans += 1
-                # The gate's verdicts priced the superseded estimate.
-                state.gates.clear()
                 if stats_changed:
                     # Fresh statistics take precedence over blind nudges.
                     decision.force_recursive = False
@@ -1650,8 +1624,8 @@ class GraphitiService:
             return tuple(state.freeze(text) for text, state in entries)
 
     def reset_query_stats(self) -> None:
-        """Zero every text's execution accounting; its feedback, gates and
-        engine timing stay."""
+        """Zero every text's execution accounting; its feedback decision
+        stays."""
         with self._lock:
             for state in self._query_states.values():
                 state.reset_stats()
@@ -1675,9 +1649,8 @@ class GraphitiService:
         pool: ConnectionPool | None = None,
     ) -> None:
         """:meth:`record_execution`; *prepared* is the entry whose engine
-        call on *name*, on a member of *pool*, took *seconds*.  That also
-        feeds the entry's timing, unless a reload replaced *pool* since:
-        the call ran on the old data."""
+        call on *name*, on a member of *pool*, took *seconds*, which also
+        feeds the entry's timing on that pool."""
         series = self._series_for(name)
         series.queries.inc()
         series.seconds.observe(seconds)
@@ -1687,23 +1660,24 @@ class GraphitiService:
             if state.order is None:
                 state.order = next(self._query_order)
             state.add(seconds)
-            if prepared is not None and self._pools.get(name) is pool:
-                timing = state.timing
-                if timing is not None and timing.of(name, prepared):
-                    timing.runs += 1
-                    timing.seconds += seconds
-                else:
-                    state.timing = _EngineTiming(name, prepared, seconds)
+            if prepared is not None:
+                assert pool is not None
+                timings = prepared.feedback.timings
+                timing = timings.get(name)
+                if timing is None or timing[0] != pool.number:
+                    timing = (pool.number, 0, 0.0)
+                timings[name] = (pool.number, timing[1] + 1, timing[2] + seconds)
 
     def _engine_seconds(self, prepared: PreparedQuery, name: str) -> float | None:
-        """Mean engine seconds of *prepared* on backend *name* since the
-        data was loaded (``None`` before its first execution there)."""
-        with self._lock:
-            state = self._query_states.get(prepared.cypher_text)
-            timing = state.timing if state is not None else None
-            if timing is None or not timing.of(name, prepared):
-                return None
-            return timing.seconds / timing.runs
+        """Mean engine seconds of *prepared* on backend *name*'s current
+        pool, that is since the data was loaded (``None`` before its first
+        execution there).  Lock-free: a timing is replaced whole, and a
+        call that ran on a replaced pool names that pool."""
+        timing = prepared.feedback.timings.get(name)
+        pool = self._pools.get(name)
+        if timing is None or pool is None or timing[0] != pool.number:
+            return None
+        return timing[2] / timing[1]
 
     def _query_state(self, cypher_text: str) -> _QueryState:
         """*cypher_text*'s record, created if missing and marked most

@@ -41,8 +41,8 @@ gather step (:func:`merge_partials`) that combines the partials:
     :class:`~repro.sql.planner.PlanReport`.
 
 Classification is a property of the plan alone — it does not depend on
-the partition count — so the serving layer computes it once per prepared
-query and caches it with the partition gate's verdict.
+the partition count — so the serving layer computes it once per cache
+entry, when the partition gate prices that entry.
 """
 
 from __future__ import annotations

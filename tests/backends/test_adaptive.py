@@ -10,7 +10,7 @@ a bumped feedback epoch that re-keys exactly that query's cache entries.
 
 import pytest
 
-from repro.backends import GraphitiService
+from repro.backends import GraphitiService, QueryBudget
 from repro.backends import service as service_module
 from repro.benchmarks.universes import SOCIAL
 from repro.core.sdt import infer_sdt
@@ -227,6 +227,28 @@ class TestReplan:
             for entry in series
         )
         assert snapshot["repro_estimate_error"]["series"]
+
+
+class TestDepthCappedVariants:
+    OPEN = "MATCH (a:USER)-[:FOLLOWS*]->(b:USER) RETURN a.uid, b.uid"
+    POINT = "MATCH (a:USER) WHERE a.uid = 7 RETURN a.uid, a.age"
+
+    def test_only_capped_rows_are_kept_from_the_estimate(self):
+        """A depth-capped plan's rows are truncated by the cap, so however
+        far they fall from the estimate they re-plan nothing; a plan the
+        cap leaves alone is observed as usual under the same budget."""
+        with GraphitiService(SOCIAL.graph_schema) as svc:
+            svc.load_mock(40, seed=5)
+            result, capped = svc.serve(self.OPEN, budget=QueryBudget(max_depth=1))
+            choices = [traversal.choice for traversal in capped.plan.traversals]
+            assert "depth-capped" in choices
+            assert len(result.rows) < len(svc.reference(self.OPEN).rows)
+            for _ in range(2):
+                svc.observe_execution(capped, len(result.rows))
+            assert svc.feedback_state(self.OPEN) is None
+            for _ in range(3):
+                _, point = svc.serve(self.POINT, budget=QueryBudget(max_depth=3))
+            assert point.feedback.executions == 3
 
 
 class TestSkewConvergence:

@@ -14,6 +14,7 @@ extra carries it for CI, but it is not a runtime dependency).
 
 import asyncio
 import itertools
+import sys
 import threading
 import time
 
@@ -741,6 +742,33 @@ class TestPlacement:
             assert after.hits - before.hits == runs
             assert after.misses == before.misses
         assert placements(service)["inline"] == runs
+
+    def test_a_run_on_another_backend_keeps_this_ones_timing(
+        self, service, async_service
+    ):
+        """An entry is timed per backend: one run on ``sqlite-file``, which
+        shares the dialect and so the entry, leaves its ``sqlite-memory``
+        timing in place, and the next run there goes inline."""
+        warm(service, POINT)
+        service.run(POINT, backend="sqlite-file")
+        force_hop(async_service, 1.0)
+        asyncio.run(async_service.run(POINT))
+        assert placements(service) == {"inline": 1, "executor": 0}
+
+    def test_threads_serving_one_entry_lose_no_timing(self, service):
+        """Every engine call of an entry counts in its timing, however
+        many threads serve it at once: the update is a read-modify-write,
+        made under the service lock."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service.run_many([POINT] * 3000, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        entry = service.prepare(POINT)
+        number, runs, _ = entry.feedback.timings[service.default_backend]
+        assert runs == entry.feedback.executions == 3000
+        assert number == service.pool().number
 
     def test_a_first_run_misses_once(self, service, async_service):
         force_hop(async_service, 1.0)

@@ -379,6 +379,27 @@ class TestServedParallelism:
             assert (store.hits, store.misses) == (1, 2)
         assert serial.sql_text == parallel.sql_text  # body identical
 
+    def test_the_store_keeps_no_executor(self, social_schema, tmp_path):
+        """A disk hit is gated under the reading service's own threshold:
+        the store holds the plan without the executor the writer's gate
+        built, so a service whose threshold keeps the scan serial serves
+        the stored entry serially."""
+        with PersistentQueryCache(tmp_path / "store.sqlite") as store:
+            with parallel_service(
+                social_schema, rows=30, degree=2, persistent_cache=store
+            ) as writer:
+                _, opened = writer.serve(SCAN)
+            assert opened.runner is not None
+            with GraphitiService(
+                social_schema, parallelism=2, persistent_cache=store
+            ) as reader:
+                reader.load_mock(30, seed=3)
+                result, served = reader.serve(SCAN)
+                assert tables_equivalent(result, reader.reference(SCAN))
+            assert (store.hits, store.misses) == (1, 1)
+        assert served.runner is None
+        assert "threshold" in served.plan.parallelism["reason"]
+
     def test_budget_is_shared_across_partitions(self, social_schema):
         with parallel_service(social_schema, rows=40, degree=4) as svc:
             # 40 total rows across partitions, budget 10: some single
@@ -393,25 +414,27 @@ class TestServedParallelism:
 
     def test_reload_invalidates_partitioning(self, social_schema):
         with parallel_service(social_schema, rows=40, degree=4) as svc:
-            svc.run(SCAN)
-            assert svc._query_states[SCAN].gates
+            _, first = svc.serve(SCAN)
+            assert first.runner is not None
             # New data, new row counts: stale partition bounds must not
             # survive the reload.
             svc.load_mock(3, seed=5)
-            assert not svc._query_states[SCAN].gates
             result, prepared = svc.serve(SCAN)
+            assert prepared is not first
             assert tables_equivalent(result, svc.reference(SCAN))
             # Re-gated over the tiny table: the degree is clamped to the
             # new row count.
             assert prepared.plan.parallelism["degree"] <= 3
+            assert prepared.runner.decision.degree <= 3
 
     def test_reload_refreshes_the_recorded_verdict_below_level_two(
         self, social_schema
     ):
-        # Below opt level 2 the cache key carries no stats digest, so the
-        # reload serves the same cache entry again: its recorded verdict
-        # must be the one re-gated over the new data, which the executor
-        # actually ran.
+        # Below opt level 2 a parallel service's key still carries the
+        # stats digest, as the gate reads statistics: the reload serves a
+        # new entry, whose recorded verdict is the one gated over the new
+        # data, which the executor actually ran.  The old entry keeps the
+        # verdict it served under.
         with parallel_service(
             social_schema, rows=40, degree=4, opt_level=1
         ) as svc:
@@ -419,11 +442,13 @@ class TestServedParallelism:
             assert first.plan.parallelism["degree"] == 4
             svc.load_mock(3, seed=5)
             result, prepared = svc.serve(SCAN)
-            assert prepared is first
+            assert prepared is not first
             assert tables_equivalent(result, svc.reference(SCAN))
             verdict = prepared.plan.parallelism
             assert verdict["degree"] == 3
             assert verdict["estimated_rows"] == 3.0
+            assert prepared.runner.decision.degree == 3
+            assert first.plan.parallelism["degree"] == 4
 
     def test_replan_regates_under_the_corrected_estimate(self):
         """A feedback re-plan that rescales a text's estimate re-derives its
@@ -444,44 +469,59 @@ class TestServedParallelism:
             assert verdict["parallel"] and verdict["degree"] == 2
             assert tables_equivalent(result, svc.reference(SCAN))
 
+    def test_a_level_two_replan_leaves_the_level_one_verdict(self):
+        """Each entry is gated under its own key's row scale: a level-2
+        re-plan that scales the text's estimate 1024-fold opens the gate
+        for the corrected level-2 entry only; level 1 stays serial."""
+        with GraphitiService(
+            SOCIAL.graph_schema, parallelism=2, parallel_row_threshold=100
+        ) as svc:
+            svc.load_mock(30, seed=3)
+            _, level_one = svc.serve(SCAN, opt_level=1)
+            assert not level_one.plan.parallelism["parallel"]
+            _, prepared = svc.serve(SCAN)
+            for _ in range(2):
+                svc.observe_execution(prepared, 1_000_000)
+            assert svc.feedback_state(SCAN)["row_scale"] == 1024.0
+            assert svc.serve(SCAN)[1].plan.parallelism["parallel"]
+            result, again = svc.serve(SCAN, opt_level=1)
+            verdict = again.plan.parallelism
+            assert not verdict["parallel"]
+            assert verdict["estimated_rows"] == 30.0
+            assert again.runner is None
+            assert tables_equivalent(result, svc.reference(SCAN, opt_level=1))
+
     def test_gate_verdicts_are_bounded(self, social_schema, monkeypatch):
         """A stream of distinct texts (inlined literals) keeps only the
-        MAX_TRACKED_QUERIES most recently used gate verdicts: one served
-        throughout the stream is never evicted, and an evicted one is
-        recomputed identically on its next serve."""
+        CACHE_SIZE most recently used entries, and with them their gate
+        verdicts: one served throughout the stream is never evicted, and
+        an evicted one is gated identically on its next serve."""
         from repro.backends import service as service_module
 
         cap = 16
-        monkeypatch.setattr(service_module, "MAX_TRACKED_QUERIES", cap)
+        monkeypatch.setattr(service_module, "CACHE_SIZE", cap)
         texts = [
             f"MATCH (a:USER) WHERE a.uid <> {index} RETURN a.uid, a.age"
             for index in range(200)
         ]
 
-        def state_of(svc, text):
-            record = svc._query_states.get(text)
-            return None if record is None else next(iter(record.gates.values()), None)
-
         with parallel_service(social_schema, rows=30, degree=2) as svc:
-            svc.run(SCAN)
-            hot_state = state_of(svc, SCAN)
-            verdicts = []
+            _, hot = svc.serve(SCAN)
+            entries = []
             for index, text in enumerate(texts):
                 result, prepared = svc.serve(text)
                 assert tables_equivalent(result, svc.reference(text))
-                assert len(svc._query_states) <= cap
-                verdicts.append(dict(prepared.plan.parallelism))
+                assert svc.cache_info().currsize <= cap
+                entries.append(prepared)
                 if index % 8 == 0:
                     svc.run(SCAN)
-            assert len(svc._query_states) == cap
+            assert svc.cache_info().currsize == cap
+            verdicts = [dict(entry.plan.parallelism) for entry in entries]
             assert all(verdict["parallel"] for verdict in verdicts)
-            assert state_of(svc, SCAN) is hot_state
-            newest = texts[-1]
-            assert state_of(svc, newest) is not None
-            _, prepared = svc.serve(newest)
-            assert prepared.plan.parallelism == verdicts[-1]
-            assert state_of(svc, texts[0]) is None
+            assert svc.serve(SCAN)[1] is hot
+            assert svc.serve(texts[-1])[1] is entries[-1]
             result, prepared = svc.serve(texts[0])
+            assert prepared is not entries[0]
             assert tables_equivalent(result, svc.reference(texts[0]))
             assert prepared.plan.parallelism == verdicts[0]
 

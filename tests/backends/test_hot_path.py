@@ -33,8 +33,8 @@ POINT = "MATCH (n:USER) WHERE n.uid = 7 RETURN n.uname, n.age"
 
 #: Calls into ``repro`` per warm serve: the counts on CPython 3.10 and
 #: 3.11 (78 sync and 87 inline async before the hot path was trimmed).
-SYNC_CEILING = 60
-ASYNC_CEILING = 68
+SYNC_CEILING = 59
+ASYNC_CEILING = 66
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
