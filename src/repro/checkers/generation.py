@@ -27,6 +27,7 @@ from repro.common.values import NULL, Value
 from repro.relational.instance import Database
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast as sq
+from repro.sql.analysis import iter_nodes
 from repro.transformer.dsl import Constant, Transformer
 
 #: Attribute-name (local, unqualified) → constants compared against it.
@@ -36,7 +37,8 @@ ConstantSeeds = dict[str, set[Value]]
 def collect_constant_seeds(
     queries: list[sq.Query], transformers: list[Transformer]
 ) -> ConstantSeeds:
-    """Harvest literals that flow into comparisons with attributes."""
+    """Harvest literals that flow into comparisons with attributes, anywhere
+    in *queries*: subquery bodies and recursive CTEs included."""
     seeds: ConstantSeeds = {}
 
     def note(attribute: str, value: Value) -> None:
@@ -47,84 +49,27 @@ def collect_constant_seeds(
             seeds.setdefault(suffix, set()).add(value)
         seeds.setdefault(local, set()).add(value)
 
-    def walk_expression(expr: sq.Expression) -> None:
-        if isinstance(expr, sq.BinaryOp):
-            # Literals inside arithmetic (e.g. ``DeptNo + 5``) matter for
-            # counterexamples even though they face no attribute directly.
-            for side in (expr.left, expr.right):
-                if isinstance(side, sq.Literal):
-                    seeds.setdefault("", set()).add(side.value)
-            walk_expression(expr.left)
-            walk_expression(expr.right)
-        elif isinstance(expr, sq.CastPredicate):
-            walk_predicate(expr.predicate)
-        elif isinstance(expr, sq.Aggregate) and expr.argument is not None:
-            walk_expression(expr.argument)
-
-    def walk_predicate(predicate: sq.Predicate) -> None:
-        if isinstance(predicate, sq.Comparison):
-            if isinstance(predicate.left, sq.AttributeRef) and isinstance(
-                predicate.right, sq.Literal
-            ):
-                note(predicate.left.name, predicate.right.value)
-            if isinstance(predicate.right, sq.AttributeRef) and isinstance(
-                predicate.left, sq.Literal
-            ):
-                note(predicate.right.name, predicate.left.value)
-            walk_expression(predicate.left)
-            walk_expression(predicate.right)
-        elif isinstance(predicate, sq.InValues):
-            if isinstance(predicate.operand, sq.AttributeRef):
-                for value in predicate.values:
-                    note(predicate.operand.name, value)
-        elif isinstance(predicate, (sq.And, sq.Or)):
-            walk_predicate(predicate.left)
-            walk_predicate(predicate.right)
-        elif isinstance(predicate, sq.Not):
-            walk_predicate(predicate.operand)
-        elif isinstance(predicate, sq.InQuery):
-            walk_query(predicate.query)
-        elif isinstance(predicate, sq.ExistsQuery):
-            walk_query(predicate.query)
-        elif isinstance(predicate, sq.IsNull):
-            walk_expression(predicate.operand)
-
-    def walk_query(query: sq.Query) -> None:
-        if isinstance(query, sq.Relation):
-            return
-        if isinstance(query, sq.Projection):
-            for column in query.columns:
-                walk_expression(column.expression)
-            walk_query(query.query)
-        elif isinstance(query, sq.Selection):
-            walk_predicate(query.predicate)
-            walk_query(query.query)
-        elif isinstance(query, sq.Renaming):
-            walk_query(query.query)
-        elif isinstance(query, sq.Join):
-            walk_predicate(query.predicate)
-            walk_query(query.left)
-            walk_query(query.right)
-        elif isinstance(query, sq.UnionOp):
-            walk_query(query.left)
-            walk_query(query.right)
-        elif isinstance(query, sq.GroupBy):
-            for key in query.keys:
-                walk_expression(key)
-            for column in query.columns:
-                walk_expression(column.expression)
-            walk_predicate(query.having)
-            walk_query(query.query)
-        elif isinstance(query, sq.WithQuery):
-            walk_query(query.definition)
-            walk_query(query.body)
-        elif isinstance(query, sq.OrderBy):
-            for key in query.keys:
-                walk_expression(key)
-            walk_query(query.query)
-
     for query in queries:
-        walk_query(query)
+        for node in iter_nodes(query):
+            if isinstance(node, sq.Comparison):
+                if isinstance(node.left, sq.AttributeRef) and isinstance(
+                    node.right, sq.Literal
+                ):
+                    note(node.left.name, node.right.value)
+                if isinstance(node.right, sq.AttributeRef) and isinstance(
+                    node.left, sq.Literal
+                ):
+                    note(node.right.name, node.left.value)
+            elif isinstance(node, sq.InValues):
+                if isinstance(node.operand, sq.AttributeRef):
+                    for value in node.values:
+                        note(node.operand.name, value)
+            elif isinstance(node, sq.BinaryOp):
+                # Literals inside arithmetic (e.g. ``DeptNo + 5``) matter for
+                # counterexamples even though they face no attribute directly.
+                for side in (node.left, node.right):
+                    if isinstance(side, sq.Literal):
+                        seeds.setdefault("", set()).add(side.value)
     for transformer in transformers:
         for rule in transformer:
             for atom in (*rule.body, rule.head):

@@ -44,6 +44,7 @@ from typing import Callable
 from repro.common.errors import TranspileError
 from repro.core.sdt import SOURCE_ATTRIBUTE, TARGET_ATTRIBUTE, SdtResult
 from repro.cypher import ast as cy
+from repro.cypher.analysis import has_aggregate, var_length_step_error
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
 from repro.sql import ast as sq
 
@@ -108,14 +109,14 @@ class Transpiler:
             for expr in query.expressions
         ]
         columns = sq.columns_of(expressions, query.names)
-        if not any(self._has_aggregate(e) for e in query.expressions):
+        if not any(has_aggregate(e) for e in query.expressions):
             # Q-Ret: plain projection with renaming.
             return sq.Projection(clause.query, columns, distinct=query.distinct)
         # Q-Agg: group by the non-aggregate output expressions.
         grouping = tuple(
             translated
             for translated, original in zip(expressions, query.expressions)
-            if not self._has_aggregate(original)
+            if not has_aggregate(original)
         )
         grouped: sq.Query = sq.GroupBy(clause.query, grouping, columns, sq.TRUE)
         if query.distinct:
@@ -434,8 +435,6 @@ class Transpiler:
         ``min_hops = 0`` unions the node table's identity pairs around the
         fixpoint (and skips it entirely for ``*0..0``).
         """
-        from repro.cypher.analysis import var_length_step_error
-
         problem = var_length_step_error(edge=edge, left=left_node, right=right_node, schema=self.graph_schema)
         if problem is not None:
             raise TranspileError(problem)
@@ -715,16 +714,6 @@ class Transpiler:
 
     def _fresh_table(self, stem: str) -> str:
         return f"{stem}{next(self._fresh)}"
-
-    @staticmethod
-    def _has_aggregate(expression: cy.Expression) -> bool:
-        if isinstance(expression, cy.Aggregate):
-            return True
-        if isinstance(expression, cy.BinaryOp):
-            return Transpiler._has_aggregate(expression.left) or Transpiler._has_aggregate(
-                expression.right
-            )
-        return False
 
 
 def _conjoin(predicates: list[sq.Predicate]) -> sq.Predicate:

@@ -39,6 +39,11 @@ from repro.common.values import (
     value_lt,
 )
 from repro.cypher import ast
+from repro.cypher.analysis import (
+    has_aggregate,
+    pattern_bindable_variables,
+    var_length_step_error,
+)
 from repro.graph.instance import Edge, Node, PropertyGraph
 from repro.relational.instance import Row, Table
 
@@ -135,7 +140,7 @@ def _check_union_arity(left: Table, right: Table) -> None:
 def _eval_return(query: ast.Return, graph: PropertyGraph) -> Table:
     bindings = evaluate_clause(query.clause, graph)
     attributes = tuple(query.names)
-    if not any(_has_aggregate(e) for e in query.expressions):
+    if not any(has_aggregate(e) for e in query.expressions):
         rows = [
             tuple(eval_expression(expr, graph, [binding]) for expr in query.expressions)
             for binding in bindings
@@ -151,7 +156,7 @@ def _eval_aggregated_return(
     query: ast.Return, graph: PropertyGraph, bindings: list[Binding]
 ) -> list[Row]:
     """Grouping per Appendix A: group by the non-aggregate expressions."""
-    grouping = [e for e in query.expressions if not _has_aggregate(e)]
+    grouping = [e for e in query.expressions if not has_aggregate(e)]
     groups: dict[tuple, list[Binding]] = {}
     order: list[tuple] = []
     for binding in bindings:
@@ -251,7 +256,9 @@ def _eval_match(clause: ast.Match, graph: PropertyGraph) -> list[Binding]:
 def _eval_opt_match(clause: ast.OptMatch, graph: PropertyGraph) -> list[Binding]:
     previous = evaluate_clause(clause.previous, graph)
     pattern_matches = match_pattern(clause.pattern, graph)
-    pattern_vars = _pattern_variables(clause.pattern)
+    # A variable-length edge variable is not bindable, so OPTIONAL MATCH
+    # does not nullify it.
+    pattern_vars = pattern_bindable_variables(clause.pattern)
     results: list[Binding] = []
     for left in previous:
         matched: list[Binding] = []
@@ -284,17 +291,6 @@ def _eval_with(clause: ast.With, graph: PropertyGraph) -> list[Binding]:
             labels[new] = label_map[old]
         results.append(Binding.of(elements, labels))
     return results
-
-
-def _pattern_variables(pattern: ast.PathPattern) -> dict[str, str]:
-    """Variable → label for every *bindable* pattern variable.
-
-    Variable-length edge variables name a traversal, not an element, and
-    never enter the binding (so OPTIONAL MATCH does not nullify them).
-    """
-    from repro.cypher.analysis import pattern_bindable_variables
-
-    return pattern_bindable_variables(pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +377,6 @@ def _match_var_length(
     capped depth)`` — depth saturates at ``max(lo, 1)`` when the upper
     bound is open — so it terminates on any graph, cyclic or not.
     """
-    from repro.cypher.analysis import var_length_step_error
-
     problem = var_length_step_error(left, edge, right, graph.schema)
     if problem is not None:
         raise SemanticsError(problem)
@@ -492,14 +486,6 @@ def _eval_aggregate(
         eval_expression(aggregate.argument, graph, [binding]) for binding in group
     ]
     return combine(aggregate.function, values, aggregate.distinct)
-
-
-def _has_aggregate(expression: ast.Expression) -> bool:
-    if isinstance(expression, ast.Aggregate):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return _has_aggregate(expression.left) or _has_aggregate(expression.right)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
 """Static analysis over Featherweight SQL ASTs.
 
-``ast_size`` is the Table-1 metric; the ``uses_*`` predicates decide
-backend-fragment membership (the Mediator-style deductive verifier rejects
-aggregation and outer joins, matching the paper's Section 6.2).
+``ast_size`` is the Table-1 metric; ``has_aggregate`` is the translation
+rules' ``hasAgg(E)``; the ``uses_*`` predicates decide backend-fragment
+membership (the Mediator-style deductive verifier rejects aggregation and
+outer joins, matching the paper's Section 6.2).
+
+The walks that only need to reach every node (``ast_size``,
+``referenced_relations``, ``iter_nodes`` and everything built on it) take
+a node's children from :func:`repro.sql.ast.children`, so no function here
+lists which fields of which node are children.  ``output_attributes``
+keeps its own per-node dispatch, because each node's output scope is what
+it computes.
 """
 
 from __future__ import annotations
@@ -16,58 +24,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def ast_size(node: object) -> int:
-    """Number of AST nodes in a query/expression/predicate."""
-    if isinstance(node, ast.Relation):
-        return 1
-    if isinstance(node, ast.Projection):
-        return 1 + ast_size(node.query) + sum(
-            ast_size(c.expression) for c in node.columns
-        )
-    if isinstance(node, ast.Selection):
-        return 1 + ast_size(node.query) + ast_size(node.predicate)
-    if isinstance(node, ast.Renaming):
-        return 1 + ast_size(node.query)
-    if isinstance(node, ast.Join):
-        return 1 + ast_size(node.left) + ast_size(node.right) + ast_size(node.predicate)
-    if isinstance(node, ast.UnionOp):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.GroupBy):
-        return (
-            1
-            + ast_size(node.query)
-            + sum(ast_size(k) for k in node.keys)
-            + sum(ast_size(c.expression) for c in node.columns)
-            + ast_size(node.having)
-        )
-    if isinstance(node, ast.WithQuery):
-        return 1 + ast_size(node.definition) + ast_size(node.body)
-    if isinstance(node, ast.RecursiveQuery):
-        return 1 + ast_size(node.base) + ast_size(node.step) + ast_size(node.body)
-    if isinstance(node, ast.OrderBy):
-        return 1 + ast_size(node.query) + sum(ast_size(k) for k in node.keys)
-    if isinstance(node, (ast.AttributeRef, ast.Literal, ast.BoolLit)):
-        return 1
-    if isinstance(node, ast.Aggregate):
-        return 1 + (ast_size(node.argument) if node.argument is not None else 0)
-    if isinstance(node, ast.BinaryOp):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.CastPredicate):
-        return 1 + ast_size(node.predicate)
-    if isinstance(node, ast.Comparison):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.IsNull):
-        return 1 + ast_size(node.operand)
+    """Number of AST nodes in a query/expression/predicate; each value of an
+    ``IN`` list counts as one node."""
+    size = 1 + sum(map(ast_size, ast.children(node)))
     if isinstance(node, ast.InValues):
-        return 1 + ast_size(node.operand) + len(node.values)
-    if isinstance(node, ast.InQuery):
-        return 1 + sum(ast_size(e) for e in node.operands) + ast_size(node.query)
-    if isinstance(node, ast.ExistsQuery):
-        return 1 + ast_size(node.query)
-    if isinstance(node, (ast.And, ast.Or)):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.Not):
-        return 1 + ast_size(node.operand)
-    raise TypeError(f"not a SQL AST node: {type(node).__name__}")
+        size += len(node.values)
+    return size
 
 
 def referenced_relations(query: ast.Query) -> set[str]:
@@ -75,74 +37,29 @@ def referenced_relations(query: ast.Query) -> set[str]:
     names: set[str] = set()
     cte_names: set[str] = set()
 
-    def walk_query(node: ast.Query) -> None:
+    def walk(node: object) -> None:
         if isinstance(node, ast.Relation):
             if node.name not in cte_names:
                 names.add(node.name)
-        elif isinstance(node, ast.Projection):
-            for column in node.columns:
-                walk_expression(column.expression)
-            walk_query(node.query)
-        elif isinstance(node, ast.Selection):
-            walk_predicate(node.predicate)
-            walk_query(node.query)
-        elif isinstance(node, ast.Renaming):
-            walk_query(node.query)
-        elif isinstance(node, ast.Join):
-            walk_predicate(node.predicate)
-            walk_query(node.left)
-            walk_query(node.right)
-        elif isinstance(node, ast.UnionOp):
-            walk_query(node.left)
-            walk_query(node.right)
-        elif isinstance(node, ast.GroupBy):
-            for key in node.keys:
-                walk_expression(key)
-            for column in node.columns:
-                walk_expression(column.expression)
-            walk_predicate(node.having)
-            walk_query(node.query)
-        elif isinstance(node, ast.WithQuery):
-            walk_query(node.definition)
-            cte_names.add(node.name)
-            walk_query(node.body)
-        elif isinstance(node, ast.RecursiveQuery):
-            walk_query(node.base)
-            cte_names.add(node.name)
-            walk_query(node.step)
-            walk_query(node.body)
-        elif isinstance(node, ast.OrderBy):
-            walk_query(node.query)
+            return
+        for child in ast.children(node):
+            walk(child)
+            if isinstance(node, (ast.WithQuery, ast.RecursiveQuery)):
+                # The name is bound once its definition (or base) is walked.
+                cte_names.add(node.name)
 
-    def walk_expression(node: ast.Expression) -> None:
-        if isinstance(node, ast.BinaryOp):
-            walk_expression(node.left)
-            walk_expression(node.right)
-        elif isinstance(node, ast.CastPredicate):
-            walk_predicate(node.predicate)
-        elif isinstance(node, ast.Aggregate) and node.argument is not None:
-            walk_expression(node.argument)
-
-    def walk_predicate(node: ast.Predicate) -> None:
-        if isinstance(node, ast.Comparison):
-            walk_expression(node.left)
-            walk_expression(node.right)
-        elif isinstance(node, (ast.And, ast.Or)):
-            walk_predicate(node.left)
-            walk_predicate(node.right)
-        elif isinstance(node, ast.Not):
-            walk_predicate(node.operand)
-        elif isinstance(node, ast.InQuery):
-            walk_query(node.query)
-        elif isinstance(node, ast.ExistsQuery):
-            walk_query(node.query)
-        elif isinstance(node, ast.IsNull):
-            walk_expression(node.operand)
-        elif isinstance(node, ast.InValues):
-            walk_expression(node.operand)
-
-    walk_query(query)
+    walk(query)
     return names
+
+
+def has_aggregate(expression: ast.Expression) -> bool:
+    """``hasAgg(E)`` from the translation rules: an aggregate reached through
+    arithmetic alone (a ``Cast`` predicate is not looked into)."""
+    if isinstance(expression, ast.Aggregate):
+        return True
+    if isinstance(expression, ast.BinaryOp):
+        return has_aggregate(expression.left) or has_aggregate(expression.right)
+    return False
 
 
 def output_attributes(
@@ -238,65 +155,10 @@ def _any_node(root: object, test) -> bool:
 
 
 def iter_nodes(node: object):
-    """Depth-first iteration over every AST node reachable from *node*."""
-    yield node
-    if isinstance(node, ast.Projection):
-        yield from iter_nodes(node.query)
-        for column in node.columns:
-            yield from iter_nodes(column.expression)
-    elif isinstance(node, ast.Selection):
-        yield from iter_nodes(node.query)
-        yield from iter_nodes(node.predicate)
-    elif isinstance(node, ast.Renaming):
-        yield from iter_nodes(node.query)
-    elif isinstance(node, ast.Join):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-        yield from iter_nodes(node.predicate)
-    elif isinstance(node, ast.UnionOp):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-    elif isinstance(node, ast.GroupBy):
-        yield from iter_nodes(node.query)
-        for key in node.keys:
-            yield from iter_nodes(key)
-        for column in node.columns:
-            yield from iter_nodes(column.expression)
-        yield from iter_nodes(node.having)
-    elif isinstance(node, ast.WithQuery):
-        yield from iter_nodes(node.definition)
-        yield from iter_nodes(node.body)
-    elif isinstance(node, ast.RecursiveQuery):
-        yield from iter_nodes(node.base)
-        yield from iter_nodes(node.step)
-        yield from iter_nodes(node.body)
-    elif isinstance(node, ast.OrderBy):
-        yield from iter_nodes(node.query)
-        for key in node.keys:
-            yield from iter_nodes(key)
-    elif isinstance(node, ast.BinaryOp):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-    elif isinstance(node, ast.CastPredicate):
-        yield from iter_nodes(node.predicate)
-    elif isinstance(node, ast.Aggregate):
-        if node.argument is not None:
-            yield from iter_nodes(node.argument)
-    elif isinstance(node, ast.Comparison):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-    elif isinstance(node, (ast.And, ast.Or)):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-    elif isinstance(node, ast.Not):
-        yield from iter_nodes(node.operand)
-    elif isinstance(node, ast.IsNull):
-        yield from iter_nodes(node.operand)
-    elif isinstance(node, ast.InValues):
-        yield from iter_nodes(node.operand)
-    elif isinstance(node, ast.InQuery):
-        for operand in node.operands:
-            yield from iter_nodes(operand)
-        yield from iter_nodes(node.query)
-    elif isinstance(node, ast.ExistsQuery):
-        yield from iter_nodes(node.query)
+    """Depth-first, pre-order iteration over every AST node reachable from
+    *node*, subquery bodies included."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(ast.children(node)))

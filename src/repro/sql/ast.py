@@ -18,6 +18,11 @@ resolution while keeping the algebra purely positional-free.
 
 All nodes are frozen dataclasses; attribute lists and predicates reuse the
 same 3VL value domain as the Cypher side.
+
+Which fields of a node are its children is written down in this module
+only: :func:`map_children` and :func:`map_predicate` rebuild queries,
+:func:`map_refs` rebuilds expressions and predicates around their
+attribute references, and :func:`children` reads the children of any node.
 """
 
 from __future__ import annotations
@@ -428,13 +433,17 @@ def map_children(
     """Rebuild *query* with *query_fn* applied to each direct child query
     (and *predicate_fn*, when given, to each attached predicate).
 
-    The single structural-recursion helper behind the optimizer's rewrite,
-    planning, pruning, and CSE passes — node types are enumerated once here,
-    so a new ``Query`` variant only needs one traversal updated.  When every
-    child (and attached predicate) comes back as the very same object,
-    *query* itself is returned, so a walk that changes nothing allocates
-    nothing and callers can test for change with ``is``.  Leaf nodes
-    (``Relation``) are returned unchanged.
+    The structural-recursion helper behind the optimizer's rewrite,
+    planning, pruning, and CSE passes.  When every child (and attached
+    predicate) comes back as the very same object, *query* itself is
+    returned, so a walk that changes nothing allocates nothing and callers
+    can test for change with ``is``.  Leaf nodes (``Relation``) are returned
+    unchanged.
+
+    The child fields of a node type are listed in this module only.  A new
+    node type needs an entry in ``_CHILDREN`` (read by :func:`children`),
+    plus a branch here when it is a ``Query``, or a branch in
+    :func:`map_refs` when it is an ``Expression`` or a ``Predicate``.
     """
     if isinstance(query, Relation):
         return query
@@ -534,6 +543,112 @@ def map_predicate(
             return predicate
         return ExistsQuery(query, predicate.negated)
     return predicate
+
+
+def _no_children(node: object) -> tuple:
+    return ()
+
+
+#: Node type → its direct child nodes, in field declaration order; the
+#: columns of a projection or aggregation contribute their expressions.
+_CHILDREN: dict[type, typing.Callable[[typing.Any], tuple]] = {
+    Relation: _no_children,
+    Projection: lambda q: (q.query, *[c.expression for c in q.columns]),
+    Selection: lambda q: (q.query, q.predicate),
+    Renaming: lambda q: (q.query,),
+    Join: lambda q: (q.left, q.right, q.predicate),
+    UnionOp: lambda q: (q.left, q.right),
+    GroupBy: lambda q: (q.query, *q.keys, *[c.expression for c in q.columns], q.having),
+    WithQuery: lambda q: (q.definition, q.body),
+    OrderBy: lambda q: (q.query, *q.keys),
+    RecursiveQuery: lambda q: (q.base, q.step, q.body),
+    AttributeRef: _no_children,
+    Literal: _no_children,
+    Aggregate: lambda e: () if e.argument is None else (e.argument,),
+    BinaryOp: lambda e: (e.left, e.right),
+    CastPredicate: lambda e: (e.predicate,),
+    BoolLit: _no_children,
+    Comparison: lambda p: (p.left, p.right),
+    IsNull: lambda p: (p.operand,),
+    InValues: lambda p: (p.operand,),
+    InQuery: lambda p: (*p.operands, p.query),
+    ExistsQuery: lambda p: (p.query,),
+    And: lambda p: (p.left, p.right),
+    Or: lambda p: (p.left, p.right),
+    Not: lambda p: (p.operand,),
+}
+
+
+def children(node: object) -> tuple:
+    """The direct child nodes of any query, expression or predicate.
+
+    The read-only walk for analyses that only need to reach every node
+    (sizes, scanned relations, feature tests, constant seeding): a child
+    query, expression or predicate is a child wherever it sits, subquery
+    bodies included.  Raises ``TypeError`` for anything that is not a node.
+    """
+    get = _CHILDREN.get(type(node))
+    if get is None:
+        raise TypeError(f"not a SQL AST node: {type(node).__name__}")
+    return get(node)
+
+
+def map_refs(
+    node: "Expression | Predicate",
+    ref_fn: typing.Callable[[AttributeRef], "Expression | None"],
+) -> "Expression | Predicate | None":
+    """Rebuild the expression or predicate *node* with every
+    ``AttributeRef`` replaced by ``ref_fn(ref)``.
+
+    Returns ``None`` when *ref_fn* does, or when the walk reaches an
+    ``InQuery``/``ExistsQuery``: a subquery may be correlated with the
+    enclosing scope, so no reference map is safe across it.  Same identity
+    contract as :func:`map_children`: *node* itself comes back when every
+    reference under it did, so a *ref_fn* that records each reference and
+    returns it collects references without allocating a node.
+    """
+    if isinstance(node, AttributeRef):
+        return ref_fn(node)
+    if isinstance(node, (Literal, BoolLit)):
+        return node
+    if isinstance(node, (Comparison, BinaryOp, And, Or)):
+        left = map_refs(node.left, ref_fn)
+        right = None if left is None else map_refs(node.right, ref_fn)
+        if right is None:
+            return None
+        if left is node.left and right is node.right:
+            return node
+        if isinstance(node, (And, Or)):
+            return type(node)(left, right)
+        return type(node)(node.op, left, right)
+    if isinstance(node, (IsNull, InValues, Not)):
+        operand = map_refs(node.operand, ref_fn)
+        if operand is None:
+            return None
+        if operand is node.operand:
+            return node
+        if isinstance(node, IsNull):
+            return IsNull(operand, node.negated)
+        if isinstance(node, InValues):
+            return InValues(operand, node.values)
+        return Not(operand)
+    if isinstance(node, CastPredicate):
+        predicate = map_refs(node.predicate, ref_fn)
+        if predicate is None:
+            return None
+        return node if predicate is node.predicate else CastPredicate(predicate)
+    if isinstance(node, Aggregate):
+        if node.argument is None:
+            return node
+        argument = map_refs(node.argument, ref_fn)
+        if argument is None:
+            return None
+        if argument is node.argument:
+            return node
+        return Aggregate(node.function, argument, node.distinct)
+    if isinstance(node, (InQuery, ExistsQuery)):
+        return None
+    raise TypeError(f"not a SQL expression or predicate: {type(node).__name__}")
 
 
 def conjuncts(predicate: Predicate) -> list[Predicate]:

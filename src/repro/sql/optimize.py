@@ -47,6 +47,7 @@ from __future__ import annotations
 import typing
 
 from repro.sql import ast
+from repro.sql.analysis import has_aggregate
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.schema import RelationalSchema
@@ -181,7 +182,7 @@ def _apply_rule(query: ast.Query) -> ast.Query | None:
         if isinstance(inner, ast.Selection):
             return ast.Selection(inner.query, ast.And(inner.predicate, query.predicate))
         if isinstance(inner, ast.Projection) and not inner.distinct:
-            substituted = _substitute_predicate(query.predicate, inner.columns)
+            substituted = _substitute(query.predicate, inner.columns)
             if substituted is not None:
                 # The new inner selection is settled before its parent retries.
                 pushed = _settle(ast.Selection(inner.query, substituted))
@@ -219,12 +220,12 @@ def _apply_rule(query: ast.Query) -> ast.Query | None:
         ):
             keys = []
             for key in query.keys:
-                substituted = _substitute_expression(key, inner.columns)
+                substituted = _substitute(key, inner.columns)
                 if substituted is None:
                     return None
                 keys.append(substituted)
             columns = _substitute_columns(query.columns, inner.columns)
-            having = _substitute_predicate(query.having, inner.columns)
+            having = _substitute(query.having, inner.columns)
             if columns is None or having is None:
                 return None
             return ast.GroupBy(inner.query, tuple(keys), columns, having)
@@ -238,17 +239,7 @@ def _apply_rule(query: ast.Query) -> ast.Query | None:
 
 
 def _all_pure(columns: tuple[ast.OutputColumn, ...]) -> bool:
-    return all(not _has_aggregate(c.expression) for c in columns)
-
-
-def _has_aggregate(expression: ast.Expression) -> bool:
-    if isinstance(expression, ast.Aggregate):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return _has_aggregate(expression.left) or _has_aggregate(expression.right)
-    if isinstance(expression, ast.CastPredicate):
-        return False
-    return False
+    return all(not has_aggregate(c.expression) for c in columns)
 
 
 def _lookup(name: str, columns: tuple[ast.OutputColumn, ...]) -> ast.Expression | None:
@@ -261,32 +252,16 @@ def _lookup(name: str, columns: tuple[ast.OutputColumn, ...]) -> ast.Expression 
     return None
 
 
-def _substitute_expression(
-    expression: ast.Expression, columns: tuple[ast.OutputColumn, ...]
-) -> ast.Expression | None:
-    if isinstance(expression, ast.AttributeRef):
-        return _lookup(expression.name, columns)
-    if isinstance(expression, ast.Literal):
-        return expression
-    if isinstance(expression, ast.BinaryOp):
-        left = _substitute_expression(expression.left, columns)
-        right = _substitute_expression(expression.right, columns)
-        if left is None or right is None:
-            return None
-        return ast.BinaryOp(expression.op, left, right)
-    if isinstance(expression, ast.Aggregate):
-        if expression.argument is None:
-            return expression
-        argument = _substitute_expression(expression.argument, columns)
-        if argument is None:
-            return None
-        return ast.Aggregate(expression.function, argument, expression.distinct)
-    if isinstance(expression, ast.CastPredicate):
-        predicate = _substitute_predicate(expression.predicate, columns)
-        if predicate is None:
-            return None
-        return ast.CastPredicate(predicate)
-    return None
+def _substitute(
+    node: ast.Expression | ast.Predicate, columns: tuple[ast.OutputColumn, ...]
+) -> ast.Expression | ast.Predicate | None:
+    """The expression or predicate *node* with every reference replaced by
+    the inner projection column it names; ``None`` when a reference does
+    not resolve or a subquery is reached.  A subquery may be *correlated*
+    with the scope being rewritten, and moving it below a projection could
+    capture or lose references, so the enclosing rewrite is skipped, which
+    is always safe."""
+    return ast.map_refs(node, lambda ref: _lookup(ref.name, columns))
 
 
 def _substitute_columns(
@@ -294,54 +269,8 @@ def _substitute_columns(
 ) -> tuple[ast.OutputColumn, ...] | None:
     out = []
     for column in outer:
-        substituted = _substitute_expression(column.expression, inner)
+        substituted = _substitute(column.expression, inner)
         if substituted is None:
             return None
         out.append(ast.OutputColumn(column.alias, substituted))
     return tuple(out)
-
-
-def _substitute_predicate(
-    predicate: ast.Predicate, columns: tuple[ast.OutputColumn, ...]
-) -> ast.Predicate | None:
-    if isinstance(predicate, ast.BoolLit):
-        return predicate
-    if isinstance(predicate, ast.Comparison):
-        left = _substitute_expression(predicate.left, columns)
-        right = _substitute_expression(predicate.right, columns)
-        if left is None or right is None:
-            return None
-        return ast.Comparison(predicate.op, left, right)
-    if isinstance(predicate, ast.IsNull):
-        operand = _substitute_expression(predicate.operand, columns)
-        if operand is None:
-            return None
-        return ast.IsNull(operand, predicate.negated)
-    if isinstance(predicate, ast.InValues):
-        operand = _substitute_expression(predicate.operand, columns)
-        if operand is None:
-            return None
-        return ast.InValues(operand, predicate.values)
-    if isinstance(predicate, ast.And):
-        left = _substitute_predicate(predicate.left, columns)
-        right = _substitute_predicate(predicate.right, columns)
-        if left is None or right is None:
-            return None
-        return ast.And(left, right)
-    if isinstance(predicate, ast.Or):
-        left = _substitute_predicate(predicate.left, columns)
-        right = _substitute_predicate(predicate.right, columns)
-        if left is None or right is None:
-            return None
-        return ast.Or(left, right)
-    if isinstance(predicate, ast.Not):
-        operand = _substitute_predicate(predicate.operand, columns)
-        if operand is None:
-            return None
-        return ast.Not(operand)
-    if isinstance(predicate, (ast.InQuery, ast.ExistsQuery)):
-        # A subquery may be *correlated* with the scope being rewritten;
-        # moving it below a projection could capture or lose references.
-        # Bail out — the enclosing rewrite is skipped, which is always safe.
-        return None
-    return None

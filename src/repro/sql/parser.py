@@ -31,6 +31,7 @@ from repro.cypher.lexer import (
     tokenize,
 )
 from repro.sql import ast
+from repro.sql.analysis import has_aggregate
 
 _AGGREGATES = {"COUNT": "Count", "SUM": "Sum", "AVG": "Avg", "MIN": "Min", "MAX": "Max"}
 
@@ -144,14 +145,14 @@ class _Parser:
             if distinct:
                 raise self.stream.error("SELECT DISTINCT * is not supported; name columns")
             return source
-        has_aggregate = any(_expression_has_aggregate(e) for e, _ in items)
+        aggregated = any(has_aggregate(e) for e, _ in items)
         columns = tuple(ast.OutputColumn(name, expr) for expr, name in items)
-        if group_keys is None and not has_aggregate:
+        if group_keys is None and not aggregated:
             return ast.Projection(source, columns, distinct=distinct)
         keys = group_keys
         if keys is None:
             keys = ()
-        elif not group_keys and has_aggregate:
+        elif not group_keys and aggregated:
             keys = ()
         grouped: ast.Query = ast.GroupBy(source, tuple(keys), columns, having)
         if distinct:
@@ -473,13 +474,3 @@ def _default_name(expression: ast.Expression) -> str:
     if isinstance(expression, ast.AttributeRef):
         return expression.local_name
     return str(expression)
-
-
-def _expression_has_aggregate(expression: ast.Expression) -> bool:
-    if isinstance(expression, ast.Aggregate):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return _expression_has_aggregate(expression.left) or _expression_has_aggregate(
-            expression.right
-        )
-    return False

@@ -395,99 +395,20 @@ def _projected_provenance(
 
 
 # ---------------------------------------------------------------------------
-# Reference collection / substitution helpers
+# Reference collection
 # ---------------------------------------------------------------------------
 
 
-def _expression_refs(expression: ast.Expression) -> set[str] | None:
-    """Attribute names referenced by *expression*; ``None`` when a subquery
-    makes the reference set statically unknowable (correlation)."""
-    if isinstance(expression, ast.AttributeRef):
-        return {expression.name}
-    if isinstance(expression, ast.Literal):
-        return set()
-    if isinstance(expression, ast.Aggregate):
-        if expression.argument is None:
-            return set()
-        return _expression_refs(expression.argument)
-    if isinstance(expression, ast.BinaryOp):
-        left = _expression_refs(expression.left)
-        right = _expression_refs(expression.right)
-        if left is None or right is None:
-            return None
-        return left | right
-    if isinstance(expression, ast.CastPredicate):
-        return _predicate_refs(expression.predicate)
-    return None
+def _refs(node: ast.Expression | ast.Predicate) -> set[str] | None:
+    """Attribute names referenced by an expression or predicate; ``None``
+    when a subquery makes the set statically unknowable (correlation)."""
+    names: set[str] = set()
 
+    def note(ref: ast.AttributeRef) -> ast.AttributeRef:
+        names.add(ref.name)
+        return ref
 
-def _predicate_refs(predicate: ast.Predicate) -> set[str] | None:
-    """Attribute names referenced by *predicate* (``None`` on subqueries)."""
-    if isinstance(predicate, ast.BoolLit):
-        return set()
-    if isinstance(predicate, ast.Comparison):
-        left = _expression_refs(predicate.left)
-        right = _expression_refs(predicate.right)
-        if left is None or right is None:
-            return None
-        return left | right
-    if isinstance(predicate, ast.IsNull):
-        return _expression_refs(predicate.operand)
-    if isinstance(predicate, ast.InValues):
-        return _expression_refs(predicate.operand)
-    if isinstance(predicate, (ast.And, ast.Or)):
-        left = _predicate_refs(predicate.left)
-        right = _predicate_refs(predicate.right)
-        if left is None or right is None:
-            return None
-        return left | right
-    if isinstance(predicate, ast.Not):
-        return _predicate_refs(predicate.operand)
-    # InQuery/ExistsQuery bodies may be correlated with the current scope.
-    return None
-
-
-def _substitute_refs(node, mapping: dict[str, str]):
-    """Rewrite every AttributeRef through *mapping* (expression or predicate)."""
-    if isinstance(node, ast.AttributeRef):
-        return ast.AttributeRef(mapping.get(node.name, node.name))
-    if isinstance(node, (ast.Literal, ast.BoolLit)):
-        return node
-    if isinstance(node, ast.Aggregate):
-        if node.argument is None:
-            return node
-        return ast.Aggregate(
-            node.function, _substitute_refs(node.argument, mapping), node.distinct
-        )
-    if isinstance(node, ast.BinaryOp):
-        return ast.BinaryOp(
-            node.op,
-            _substitute_refs(node.left, mapping),
-            _substitute_refs(node.right, mapping),
-        )
-    if isinstance(node, ast.CastPredicate):
-        return ast.CastPredicate(_substitute_refs(node.predicate, mapping))
-    if isinstance(node, ast.Comparison):
-        return ast.Comparison(
-            node.op,
-            _substitute_refs(node.left, mapping),
-            _substitute_refs(node.right, mapping),
-        )
-    if isinstance(node, ast.IsNull):
-        return ast.IsNull(_substitute_refs(node.operand, mapping), node.negated)
-    if isinstance(node, ast.InValues):
-        return ast.InValues(_substitute_refs(node.operand, mapping), node.values)
-    if isinstance(node, ast.And):
-        return ast.And(
-            _substitute_refs(node.left, mapping), _substitute_refs(node.right, mapping)
-        )
-    if isinstance(node, ast.Or):
-        return ast.Or(
-            _substitute_refs(node.left, mapping), _substitute_refs(node.right, mapping)
-        )
-    if isinstance(node, ast.Not):
-        return ast.Not(_substitute_refs(node.operand, mapping))
-    return node
+    return None if ast.map_refs(node, note) is None else names
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +785,7 @@ class _Planner:
         # Hoisting an inner-join predicate that embeds a subquery to the
         # region top could change what its (correlated) references capture;
         # leave such regions untouched (shape preserved, leaves still planned).
-        if any(_predicate_refs(c) is None for c in inner_conjuncts):
+        if any(_refs(c) is None for c in inner_conjuncts):
             return self._rebuild_original(root, ctes)
 
         leaf_attrs = [output_attributes(leaf, self.schema, ctes) for leaf in leaves]
@@ -899,7 +820,7 @@ class _Planner:
         residual: list[ast.Predicate] = []
 
         for conjunct in top_conjuncts + inner_conjuncts:
-            refs = _predicate_refs(conjunct)
+            refs = _refs(conjunct)
             if refs is None:
                 residual.append(conjunct)
                 continue
@@ -914,7 +835,9 @@ class _Planner:
             if unresolved:
                 residual.append(conjunct)
                 continue
-            rewritten = _substitute_refs(conjunct, mapping)
+            rewritten = ast.map_refs(
+                conjunct, lambda ref: ast.AttributeRef(mapping[ref.name])
+            )
             leaf_set = frozenset(exact[mapping[name]] for name in refs)
             if len(leaf_set) == 0:
                 residual.append(rewritten)
@@ -1067,7 +990,7 @@ def _needed(alias: str, required: set[str]) -> bool:
 def _columns_refs(columns: tuple[ast.OutputColumn, ...]) -> set[str] | None:
     out: set[str] = set()
     for column in columns:
-        refs = _expression_refs(column.expression)
+        refs = _refs(column.expression)
         if refs is None:
             return None
         out |= refs
@@ -1094,16 +1017,16 @@ def _prune(query: ast.Query, required: set[str] | None) -> ast.Query:
         return ast.Projection(child, kept, query.distinct)
     if isinstance(query, ast.GroupBy):
         kept = _kept_columns(query.columns, required)
-        key_refs = _union(*(_expression_refs(k) for k in query.keys)) if query.keys else set()
+        key_refs = _union(*map(_refs, query.keys))
         child = _prune(
             query.query,
-            _union(key_refs, _columns_refs(kept), _predicate_refs(query.having)),
+            _union(key_refs, _columns_refs(kept), _refs(query.having)),
         )
         if child is query.query and kept is query.columns:
             return query
         return ast.GroupBy(child, query.keys, kept, query.having)
     if isinstance(query, (ast.Selection, ast.Join)):
-        child_required = _union(required, _predicate_refs(query.predicate))
+        child_required = _union(required, _refs(query.predicate))
         return ast.map_children(query, lambda q: _prune(q, child_required))
     if isinstance(query, (ast.Renaming, ast.UnionOp)):
         # Bag union is positional; pruning either side independently would
@@ -1120,7 +1043,7 @@ def _prune(query: ast.Query, required: set[str] | None) -> ast.Query:
         child_required = (
             None
             if required is None
-            else _union(required, *(_expression_refs(k) for k in query.keys))
+            else _union(required, *map(_refs, query.keys))
         )
         return ast.map_children(query, lambda q: _prune(q, child_required))
     return query
@@ -1248,7 +1171,7 @@ def _free_refs(query: ast.Query, schema: RelationalSchema) -> set[str] | None:
     if isinstance(query, ast.Selection):
         inner = _free_refs(query.query, schema)
         attrs = output_attributes(query.query, schema)
-        own = unresolved(_predicate_refs(query.predicate), attrs)
+        own = unresolved(_refs(query.predicate), attrs)
         return _union(inner, own)
     if isinstance(query, ast.Renaming):
         return _free_refs(query.query, schema)
@@ -1256,28 +1179,23 @@ def _free_refs(query: ast.Query, schema: RelationalSchema) -> set[str] | None:
         left = _free_refs(query.left, schema)
         right = _free_refs(query.right, schema)
         attrs = output_attributes(query, schema)
-        own = unresolved(_predicate_refs(query.predicate), attrs)
+        own = unresolved(_refs(query.predicate), attrs)
         return _union(left, right, own)
     if isinstance(query, ast.UnionOp):
         return _union(_free_refs(query.left, schema), _free_refs(query.right, schema))
     if isinstance(query, ast.GroupBy):
         inner = _free_refs(query.query, schema)
         attrs = output_attributes(query.query, schema)
-        key_refs = (
-            _union(*(_expression_refs(k) for k in query.keys)) if query.keys else set()
-        )
+        key_refs = _union(*map(_refs, query.keys))
         own = unresolved(
-            _union(key_refs, _columns_refs(query.columns), _predicate_refs(query.having)),
+            _union(key_refs, _columns_refs(query.columns), _refs(query.having)),
             attrs,
         )
         return _union(inner, own)
     if isinstance(query, ast.OrderBy):
         inner = _free_refs(query.query, schema)
         attrs = output_attributes(query.query, schema)
-        own = unresolved(
-            _union(*(_expression_refs(k) for k in query.keys)) if query.keys else set(),
-            attrs,
-        )
+        own = unresolved(_union(*map(_refs, query.keys)), attrs)
         return _union(inner, own)
     return None  # WithQuery bindings and unknown nodes: be conservative
 

@@ -27,6 +27,26 @@ class TestTable1:
         text = table1_statistics()[0].format()
         assert "SQL[" in text and "Cypher[" in text
 
+    def test_formatted_rows_are_pinned(self):
+        # AST sizes are the Table-1 metric; a walk that misses or double
+        # counts a node moves these figures.
+        assert [row.format() for row in table1_statistics()] == [
+            "StackOverflow     12  SQL[15-33 avg 24.2 med 24]  "
+            "Cypher[16-29 avg 19.9 med 19]  Transformer[2-5 avg 3.7 med 3]",
+            "Tutorial          26  SQL[15-37 avg 25.1 med 24]  "
+            "Cypher[16-36 avg 20.3 med 19]  Transformer[2-5 avg 3.9 med 4]",
+            "Academic           7  SQL[15-50 avg 30.3 med 24]  "
+            "Cypher[16-47 avg 25.6 med 19]  Transformer[2-5 avg 3.4 med 3]",
+            "VeriEQL           60  SQL[15-50 avg 24.9 med 23]  "
+            "Cypher[16-40 avg 19.9 med 19]  Transformer[2-5 avg 4.0 med 5]",
+            "Mediator         100  SQL[12-49 avg 31.3 med 37]  "
+            "Cypher[17-37 avg 27.0 med 29]  Transformer[2-5 avg 4.0 med 5]",
+            "GPT-Translate    205  SQL[12-50 avg 26.8 med 25]  "
+            "Cypher[15-40 avg 20.9 med 19]  Transformer[2-5 avg 4.1 med 5]",
+            "Total            410  SQL[12-50 avg 27.5 med 24]  "
+            "Cypher[15-47 avg 22.3 med 19]  Transformer[2-5 avg 4.0 med 5]",
+        ]
+
 
 class TestTable3:
     def test_matches_paper_totals(self):

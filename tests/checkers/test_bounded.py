@@ -8,6 +8,7 @@ from repro.checkers.generation import InstanceGenerator, collect_constant_seeds
 from repro.checkers.random_testing import RandomTester
 from repro.core.equivalence import check_equivalence
 from repro.cypher.parser import parse_cypher
+from repro.sql import ast as sq
 from repro.sql.parser import parse_sql
 
 
@@ -42,6 +43,28 @@ class TestGeneration:
             [parse_sql("SELECT e.id FROM emp AS e WHERE e.name IN ('x', 'y')")], []
         )
         assert seeds["name"] == {"x", "y"}
+
+    def test_literals_under_a_recursion_seeded(self):
+        def hop(source: sq.Query) -> sq.Query:
+            return sq.Projection(
+                source,
+                (
+                    sq.OutputColumn("src", sq.AttributeRef("SRC")),
+                    sq.OutputColumn("tgt", sq.AttributeRef("TGT")),
+                ),
+            )
+
+        base = hop(
+            sq.Selection(
+                sq.Relation("FOLLOWS"),
+                sq.Comparison("=", sq.AttributeRef("SRC"), sq.Literal(5)),
+            )
+        )
+        query = sq.RecursiveQuery(
+            "reach", ("src", "tgt"), base, hop(sq.Relation("reach")), sq.Relation("reach")
+        )
+        seeds = collect_constant_seeds([query], [])
+        assert 5 in seeds["SRC"]
 
 
 class TestVerdicts:

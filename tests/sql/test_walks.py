@@ -3,7 +3,10 @@
 ``map_children`` and ``map_predicate`` hand back the very node they were
 given when nothing under it changed, and share every untouched field when
 one child did; the optimizer's passes detect "no change" with ``is`` and
-skip work on it.  The level-1 normalizer runs in one bottom-up pass, so its
+skip work on it.  ``map_refs`` keeps the same contract over expressions
+and predicates and gives up at a subquery.  ``children`` lists the child
+fields of every node kind, so ``iter_nodes`` and ``ast_size`` reach every
+node.  The level-1 normalizer runs in one bottom-up pass, so its
 output must be a normal form: no level-1 rule fires at any node of an
 optimized plan.
 """
@@ -17,6 +20,7 @@ import pytest
 from repro.backends import GraphitiService
 from repro.benchmarks.suite import benchmark_suite
 from repro.sql import ast
+from repro.sql.analysis import ast_size, iter_nodes
 from repro.sql.optimize import _apply_rule, _normalize
 
 
@@ -220,3 +224,222 @@ def test_optimized_suite_plans_are_normal(plan_of, level):
         if _normalize(plan) is not plan:
             firing.append(f"{case.id}: renormalizing changes the plan")
     assert not firing, "\n".join(firing)
+
+
+# ---------------------------------------------------------------------------
+# The read-only walk (children, iter_nodes) and the reference walk (map_refs)
+# ---------------------------------------------------------------------------
+
+
+def _recursive() -> ast.RecursiveQuery:
+    return ast.RecursiveQuery("r", ("a",), _relation("B"), _relation("r"), _relation("r"))
+
+
+#: One instance of every expression kind, each child a distinct object.
+EXPRESSIONS = {
+    "AttributeRef": lambda: _ref("a"),
+    "Literal": lambda: ast.Literal(1),
+    "Aggregate": lambda: ast.Aggregate("Sum", _ref("a"), distinct=True),
+    "BinaryOp": lambda: ast.BinaryOp("+", _ref("a"), ast.Literal(1)),
+    "CastPredicate": lambda: ast.CastPredicate(_comparison()),
+}
+
+#: One instance of every node kind.
+NODES = {**QUERIES, "RecursiveQuery": _recursive, **EXPRESSIONS, **PREDICATES}
+
+#: Per kind, the fields ``children`` reads, in the order it lists them; a
+#: tuple field contributes its elements, an ``OutputColumn`` its expression.
+CHILD_FIELDS = {
+    "Relation": (),
+    "Projection": ("query", "columns"),
+    "Selection": ("query", "predicate"),
+    "Renaming": ("query",),
+    "Join": ("left", "right", "predicate"),
+    "UnionOp": ("left", "right"),
+    "GroupBy": ("query", "keys", "columns", "having"),
+    "WithQuery": ("definition", "body"),
+    "OrderBy": ("query", "keys"),
+    "RecursiveQuery": ("base", "step", "body"),
+    "AttributeRef": (),
+    "Literal": (),
+    "Aggregate": ("argument",),
+    "BinaryOp": ("left", "right"),
+    "CastPredicate": ("predicate",),
+    "BoolLit": (),
+    "Comparison": ("left", "right"),
+    "IsNull": ("operand",),
+    "InValues": ("operand",),
+    "InQuery": ("operands", "query"),
+    "ExistsQuery": ("query",),
+    "And": ("left", "right"),
+    "Or": ("left", "right"),
+    "Not": ("operand",),
+}
+
+
+def _expected_children(node) -> list:
+    found = []
+    for name in CHILD_FIELDS[type(node).__name__]:
+        value = getattr(node, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if item is not None:
+                found.append(item.expression if isinstance(item, ast.OutputColumn) else item)
+    return found
+
+
+def _every_kind(made: list) -> ast.Query:
+    """A query holding at least one node of every kind, no node shared; each
+    node built is appended to *made*."""
+
+    def node(kind, *fields):
+        built = kind(*fields)
+        made.append(built)
+        return built
+
+    def ref():
+        return node(ast.AttributeRef, "a")
+
+    subquery = node(ast.Projection, node(ast.Relation, "S"), (ast.OutputColumn("a", ref()),))
+    predicate = node(
+        ast.And,
+        node(
+            ast.Or,
+            node(ast.Comparison, "=", ref(), node(ast.Literal, 1)),
+            node(ast.Not, node(ast.IsNull, ref())),
+        ),
+        node(
+            ast.Or,
+            node(ast.InValues, node(ast.BinaryOp, "+", ref(), node(ast.Literal, 2)), (1, 2)),
+            node(
+                ast.And,
+                node(ast.InQuery, (ref(),), subquery),
+                node(ast.ExistsQuery, node(ast.Relation, "E")),
+            ),
+        ),
+    )
+    grouped = node(
+        ast.GroupBy,
+        node(ast.Selection, node(ast.Renaming, "t", node(ast.Relation, "R")), predicate),
+        (ref(),),
+        (
+            ast.OutputColumn("n", node(ast.Aggregate, "Count", None)),
+            ast.OutputColumn(
+                "s",
+                node(ast.Aggregate, "Sum", node(ast.CastPredicate, node(ast.BoolLit, True))),
+            ),
+        ),
+        node(ast.BoolLit, True),
+    )
+    joined = node(
+        ast.Join,
+        ast.JoinKind.INNER,
+        grouped,
+        node(ast.UnionOp, node(ast.Relation, "L"), node(ast.Relation, "R")),
+        node(ast.BoolLit, True),
+    )
+    recursion = node(
+        ast.RecursiveQuery, "h", ("a",), node(ast.Relation, "B"), node(ast.Relation, "h"), joined
+    )
+    scoped = node(ast.WithQuery, "w", node(ast.Relation, "D"), recursion)
+    return node(ast.OrderBy, scoped, (ref(),), (True,))
+
+
+class TestChildren:
+    def test_every_node_kind_is_covered(self):
+        kinds = {
+            t.__name__
+            for union in (ast.Query, ast.Expression, ast.Predicate)
+            for t in union.__args__
+        }
+        assert set(NODES) == kinds
+        assert set(CHILD_FIELDS) == kinds
+
+    @pytest.mark.parametrize("kind", sorted(NODES))
+    def test_lists_every_child_in_field_order(self, kind):
+        node = NODES[kind]()
+        listed = ast.children(node)
+        expected = _expected_children(node)
+        assert len(listed) == len(expected)
+        assert all(a is b for a, b in zip(listed, expected))
+
+    def test_rejects_non_nodes(self):
+        with pytest.raises(TypeError):
+            ast.children(ast.OutputColumn("a", _ref("a")))
+
+    def test_iter_nodes_reaches_every_node(self):
+        made: list = []
+        tree = _every_kind(made)
+        assert {type(node).__name__ for node in made} == set(NODES)
+        visited = list(iter_nodes(tree))
+        assert visited[0] is tree
+        assert sorted(map(id, visited)) == sorted(map(id, made))
+        # Each value of an IN list counts as one node of the Table-1 metric.
+        assert ast_size(tree) == len(made) + 2
+
+
+#: One subquery-free instance of every expression and predicate kind.
+REF_NODES = {
+    **EXPRESSIONS,
+    "BoolLit": PREDICATES["BoolLit"],
+    "Comparison": _comparison,
+    "IsNull": PREDICATES["IsNull"],
+    "InValues": PREDICATES["InValues"],
+    "And": lambda: ast.And(_comparison(), ast.IsNull(_ref("b"))),
+    "Or": lambda: ast.Or(ast.IsNull(_ref("b")), _comparison()),
+    "Not": lambda: ast.Not(_comparison()),
+}
+
+
+def _ref_names(node) -> list[str]:
+    return [n.name for n in iter_nodes(node) if isinstance(n, ast.AttributeRef)]
+
+
+class TestMapRefs:
+    def test_every_expression_and_predicate_kind_is_covered(self):
+        kinds = {t.__name__ for t in ast.Expression.__args__ + ast.Predicate.__args__}
+        assert set(REF_NODES) | {"InQuery", "ExistsQuery"} == kinds
+
+    @pytest.mark.parametrize("kind", sorted(REF_NODES))
+    def test_identity_returns_the_same_node(self, kind):
+        node = REF_NODES[kind]()
+        assert ast.map_refs(node, lambda ref: ref) is node
+
+    @pytest.mark.parametrize("kind", sorted(set(REF_NODES) - {"AttributeRef"}))
+    def test_rebuild_replaces_refs_and_keeps_other_fields(self, kind):
+        node = REF_NODES[kind]()
+        rebuilt = ast.map_refs(node, lambda ref: _ref(ref.name + "2"))
+        assert type(rebuilt) is type(node)
+        assert _ref_names(rebuilt) == [name + "2" for name in _ref_names(node)]
+        for field in dataclasses.fields(node):
+            if field.name not in CHILD_FIELDS[kind]:
+                assert getattr(rebuilt, field.name) == getattr(node, field.name)
+        if not _ref_names(node):
+            assert rebuilt is node
+
+    def test_shares_unchanged_subtrees(self):
+        predicate = ast.And(_comparison(), ast.Not(ast.IsNull(_ref("b"), negated=True)))
+        rebuilt = ast.map_refs(predicate, lambda ref: _ref("c") if ref.name == "b" else ref)
+        assert rebuilt.left is predicate.left
+        assert rebuilt.right.operand.operand == _ref("c")
+        assert rebuilt.right.operand.negated
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            PREDICATES["InQuery"],
+            PREDICATES["ExistsQuery"],
+            PREDICATES["And"],
+            PREDICATES["Or"],
+            PREDICATES["Not"],
+            lambda: ast.CastPredicate(ast.ExistsQuery(_subquery())),
+        ],
+        ids=["InQuery", "ExistsQuery", "And", "Or", "Not", "CastPredicate"],
+    )
+    def test_none_at_a_subquery(self, make):
+        assert ast.map_refs(make(), lambda ref: ref) is None
+
+    @pytest.mark.parametrize("kind", sorted(REF_NODES))
+    def test_none_when_ref_fn_returns_none(self, kind):
+        node = REF_NODES[kind]()
+        rebuilt = ast.map_refs(node, lambda ref: None)
+        assert rebuilt is (None if _ref_names(node) else node)
