@@ -11,13 +11,21 @@ Paper quirks faithfully preserved:
 * an aggregate over a group whose argument is NULL on **every** row yields
   NULL (including ``Count``, which standard SQL would report as 0);
 * ``Avg = Sum / Count`` with true division.
+
+The Cypher and SQL evaluators and the partition gather share three
+operations from here: :func:`combine` (the aggregate folds, which the
+gather also applies to per-partition partials), :func:`dedup`
+(first-occurrence ``DISTINCT``) and :func:`group_by` (first-seen
+grouping).  Comparison and ``ORDER BY`` are in :mod:`repro.common.values`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from repro.common.values import NULL, Value, is_null
+
+T = TypeVar("T")
 
 
 def combine(function: str, values: Iterable[Value], distinct: bool = False) -> Value:
@@ -35,7 +43,7 @@ def combine(function: str, values: Iterable[Value], distinct: bool = False) -> V
         return NULL
     non_null = [v for v in collected if not is_null(v)]
     if distinct:
-        non_null = _dedup(non_null)
+        non_null = dedup(non_null)
     try:
         if function == "Count":
             return len(non_null)
@@ -67,11 +75,19 @@ def _sum(values: list[Value]) -> Value:
     return total
 
 
-def _dedup(values: list[Value]) -> list[Value]:
-    seen: set[Value] = set()
-    out: list[Value] = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return out
+def dedup(items: Iterable[T]) -> list[T]:
+    """First-occurrence ``DISTINCT``: *items* in input order, each kept at
+    its first occurrence only (``NULL`` equals ``NULL`` here)."""
+    return list(dict.fromkeys(items))
+
+
+def group_by(
+    items: Iterable[T], key: Callable[[T], Hashable]
+) -> dict[Hashable, list[T]]:
+    """First-seen grouping: *items* partitioned by ``key(item)``, with the
+    groups in the order their first members appear and each group's members
+    in input order.  ``NULL`` groups with ``NULL``, as in SQL's GROUP BY."""
+    groups: dict[Hashable, list[T]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups

@@ -11,11 +11,19 @@ so that accidental propagation of ``None`` from unrelated code is caught
 early, and so that ``NULL`` can participate in sorting and hashing with a
 well-defined order (it sorts before every other value, matching the bounded
 checker's canonicalisation needs).
+
+Two row operations of the reference semantics are defined here, once, for
+the Cypher and SQL evaluators and the partition gather alike:
+:func:`compare` (the six comparison operators in 3VL) and
+:func:`order_rows` (``ORDER BY`` with ``LIMIT``).  DISTINCT, grouping and
+the aggregate folds are in :mod:`repro.common.aggregates`.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
+
+from repro.common.errors import SemanticsError
 
 
 class Null:
@@ -114,13 +122,29 @@ def value_lt(left: Value, right: Value) -> Truth:
     """3VL less-than.  Mixed numeric types compare numerically; ordering
     values from different domains raises a catchable
     :class:`~repro.common.errors.SemanticsError`."""
-    from repro.common.errors import SemanticsError
-
     if is_null(left) or is_null(right):
         return NULL
     if _comparable(left, right):
         return left < right  # type: ignore[operator]
     raise SemanticsError(f"cannot order {left!r} and {right!r}")
+
+
+def compare(op: str, left: Value, right: Value) -> Truth:
+    """3VL ``left op right`` for the comparison operators of both languages:
+    ``=``, ``<>``, ``<``, ``>``, ``<=`` and ``>=``."""
+    if op == "=":
+        return value_eq(left, right)
+    if op == "<>":
+        return sql_not(value_eq(left, right))
+    if op == "<":
+        return value_lt(left, right)
+    if op == ">":
+        return value_lt(right, left)
+    if op == "<=":
+        return sql_or(value_lt(left, right), value_eq(left, right))
+    if op == ">=":
+        return sql_or(value_lt(right, left), value_eq(left, right))
+    raise SemanticsError(f"unknown comparison operator {op!r}")
 
 
 def _comparable(left: Value, right: Value) -> bool:
@@ -145,3 +169,51 @@ def sort_key(value: Value) -> tuple:
     if isinstance(value, (int, float)):
         return (2, value)
     return (3, value)
+
+
+class _Descending:
+    """A :func:`sort_key` with its order inverted, so one ascending sort
+    serves DESC keys.
+
+    ``__eq__`` is needed: tuple comparison skips the elements that are equal
+    before it orders one, so without it a tied DESC key would stop the
+    comparison and hide every key after it.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Descending) and self.key == other.key
+
+
+T = TypeVar("T")
+
+
+def order_rows(
+    rows: Iterable[T],
+    keys: Callable[[T], Iterable[Value]],
+    ascending: Sequence[bool],
+    limit: int | None,
+) -> list[T]:
+    """``ORDER BY ... LIMIT``: *rows* sorted by the values ``keys(row)``,
+    one direction per key in *ascending*, then cut to the first *limit*.
+
+    Keys compare by :func:`sort_key`, so ``NULL`` sorts first ascending and
+    last descending, and equal numbers tie whatever their type.  The sort
+    is stable: rows whose keys all tie keep their input order.
+    """
+
+    def directed(row: T) -> tuple:
+        return tuple(
+            sort_key(value) if up else _Descending(sort_key(value))
+            for value, up in zip(keys(row), ascending)
+        )
+
+    ordered = sorted(rows, key=directed)
+    return ordered if limit is None else ordered[:limit]

@@ -25,18 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common import arithmetic
-from repro.common.aggregates import combine, count_rows
+from repro.common.aggregates import combine, count_rows, dedup, group_by
 from repro.common.errors import SemanticsError
 from repro.common.values import (
     NULL,
     Value,
+    compare,
     is_null,
-    sort_key,
+    order_rows,
     sql_and,
     sql_not,
     sql_or,
     value_eq,
-    value_lt,
 )
 from repro.cypher import ast
 from repro.cypher.analysis import (
@@ -117,24 +117,11 @@ def evaluate_query(query: ast.Query, graph: PropertyGraph) -> Table:
         return _eval_return(query, graph)
     if isinstance(query, ast.OrderBy):
         return _eval_order_by(query, graph)
-    if isinstance(query, ast.Union):
+    if isinstance(query, (ast.Union, ast.UnionAll)):
         left = evaluate_query(query.left, graph)
         right = evaluate_query(query.right, graph)
-        _check_union_arity(left, right)
-        return Table(left.attributes, _dedup_rows(list(left.rows) + list(right.rows)))
-    if isinstance(query, ast.UnionAll):
-        left = evaluate_query(query.left, graph)
-        right = evaluate_query(query.right, graph)
-        _check_union_arity(left, right)
-        return Table(left.attributes, list(left.rows) + list(right.rows))
+        return left.union(right, distinct=isinstance(query, ast.Union))
     raise SemanticsError(f"cannot evaluate query node {type(query).__name__}")
-
-
-def _check_union_arity(left: Table, right: Table) -> None:
-    if len(left.attributes) != len(right.attributes):
-        raise SemanticsError(
-            f"union arity mismatch: {len(left.attributes)} vs {len(right.attributes)}"
-        )
 
 
 def _eval_return(query: ast.Return, graph: PropertyGraph) -> Table:
@@ -148,7 +135,7 @@ def _eval_return(query: ast.Return, graph: PropertyGraph) -> Table:
     else:
         rows = _eval_aggregated_return(query, graph, bindings)
     if query.distinct:
-        rows = _dedup_rows(rows)
+        rows = dedup(rows)
     return Table(attributes, rows)
 
 
@@ -157,65 +144,25 @@ def _eval_aggregated_return(
 ) -> list[Row]:
     """Grouping per Appendix A: group by the non-aggregate expressions."""
     grouping = [e for e in query.expressions if not has_aggregate(e)]
-    groups: dict[tuple, list[Binding]] = {}
-    order: list[tuple] = []
-    for binding in bindings:
-        key = tuple(eval_expression(expr, graph, [binding]) for expr in grouping)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(binding)
-    rows: list[Row] = []
-    for key in order:
-        group = groups[key]
-        rows.append(
-            tuple(eval_expression(expr, graph, group) for expr in query.expressions)
-        )
-    return rows
+    groups = group_by(
+        bindings,
+        lambda binding: tuple(eval_expression(e, graph, [binding]) for e in grouping),
+    )
+    return [
+        tuple(eval_expression(expr, graph, group) for expr in query.expressions)
+        for group in groups.values()
+    ]
 
 
 def _eval_order_by(query: ast.OrderBy, graph: PropertyGraph) -> Table:
     inner = evaluate_query(query.query, graph)
-    decorated = []
-    for row in inner:
-        keys = []
-        for name, ascending in zip(query.keys, query.ascending):
-            value = inner.value(row, name)
-            keys.append(_directional_key(value, ascending))
-        decorated.append((tuple(keys), row))
-    decorated.sort(key=lambda pair: pair[0])
-    rows = [row for _, row in decorated]
-    if query.limit is not None:
-        rows = rows[: query.limit]
+    rows = order_rows(
+        inner.rows,
+        lambda row: [inner.value(row, name) for name in query.keys],
+        query.ascending,
+        query.limit,
+    )
     return Table(inner.attributes, rows, ordered=True)
-
-
-class _Descending:
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Descending) and self.key == other.key
-
-
-def _directional_key(value: Value, ascending: bool):
-    key = sort_key(value)
-    return key if ascending else _Descending(key)
-
-
-def _dedup_rows(rows: list[Row]) -> list[Row]:
-    seen: set[Row] = set()
-    out: list[Row] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +305,9 @@ def _match_step(
                     right.variable: right.label,
                 },
             )
-            if binding not in results:
-                results.append(binding)
-    return results
+            results.append(binding)
+    # A self-loop matched in both orientations binds the same subgraph twice.
+    return dedup(results)
 
 
 def _match_var_length(
@@ -502,7 +449,7 @@ def eval_predicate(
     if isinstance(predicate, ast.Comparison):
         left = eval_expression(predicate.left, graph, group)
         right = eval_expression(predicate.right, graph, group)
-        return _compare(predicate.op, left, right)
+        return compare(predicate.op, left, right)
     if isinstance(predicate, ast.IsNull):
         value = eval_expression(predicate.operand, graph, group)
         verdict = is_null(value)
@@ -555,19 +502,3 @@ def _eval_exists(predicate: ast.Exists, graph: PropertyGraph, group: list[Bindin
         if agrees:
             return True
     return False
-
-
-def _compare(op: str, left: Value, right: Value):
-    if op == "=":
-        return value_eq(left, right)
-    if op == "<>":
-        return sql_not(value_eq(left, right))
-    if op == "<":
-        return value_lt(left, right)
-    if op == ">":
-        return value_lt(right, left)
-    if op == "<=":
-        return sql_or(value_lt(left, right), value_eq(left, right))
-    if op == ">=":
-        return sql_or(value_lt(right, left), value_eq(left, right))
-    raise SemanticsError(f"unknown comparison operator {op!r}")

@@ -1,11 +1,13 @@
 """A metrics registry: counters, gauges, histograms, slow-query log.
 
-The :class:`MetricsRegistry` is the single source of truth for the
-serving stack's numeric telemetry.  The legacy surfaces —
-:class:`~repro.backends.service.CacheInfo`, per-query
-:class:`~repro.backends.service.QueryStat` percentiles, ``repro backends
---stats --json`` — remain as thin *views* over the registry's counters,
-so existing consumers keep working while new ones scrape one place.
+The :class:`MetricsRegistry` is the one place to scrape the serving
+stack's numeric telemetry.  The ``cache`` block of ``repro backends --stats
+--json`` is a compatibility *view* over its cache counters, kept so old
+consumers keep working.  Two surfaces keep their own accounting instead:
+:class:`~repro.backends.service.CacheInfo` holds the LRU's own hit and
+miss counts (the registry counts the same events separately), and the
+per-query :class:`~repro.backends.service.QueryStat` percentiles are
+per-text accounting (``query_stats()``) that no registry series holds.
 
 Design points (all stdlib):
 

@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.common.errors import SchemaError
+from repro.common.aggregates import dedup
+from repro.common.errors import SchemaError, SemanticsError
 from repro.common.values import Value, is_null
 from repro.relational.schema import RelationalSchema
 
@@ -68,6 +69,15 @@ class Table:
     def value(self, row: Row, attribute: str) -> Value:
         """``r.a`` — the value stored at *attribute* of *row*."""
         return row[self.column_index(attribute)]
+
+    def union(self, other: "Table", distinct: bool) -> "Table":
+        """``UNION ALL`` of two tables of one arity, or ``UNION`` (first
+        occurrences only) when *distinct*; the columns take *self*'s names."""
+        width, other_width = len(self.attributes), len(other.attributes)
+        if width != other_width:
+            raise SemanticsError(f"union arity mismatch: {width} vs {other_width}")
+        rows = self.rows + other.rows
+        return Table(self.attributes, dedup(rows) if distinct else rows)
 
     def __len__(self) -> int:
         return len(self.rows)

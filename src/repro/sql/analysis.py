@@ -33,22 +33,25 @@ def ast_size(node: object) -> int:
 
 
 def referenced_relations(query: ast.Query) -> set[str]:
-    """Base relations scanned anywhere in *query* (CTE names excluded)."""
+    """Base relations scanned anywhere in *query*.  A scan of a CTE's name
+    inside that CTE's scope (a ``WithQuery``'s body, a ``RecursiveQuery``'s
+    step and body) reads the binding, not a base relation."""
     names: set[str] = set()
-    cte_names: set[str] = set()
 
-    def walk(node: object) -> None:
+    def walk(node: object, bound: frozenset[str]) -> None:
         if isinstance(node, ast.Relation):
-            if node.name not in cte_names:
+            if node.name not in bound:
                 names.add(node.name)
             return
-        for child in ast.children(node):
-            walk(child)
-            if isinstance(node, (ast.WithQuery, ast.RecursiveQuery)):
-                # The name is bound once its definition (or base) is walked.
-                cte_names.add(node.name)
+        children = ast.children(node)
+        if isinstance(node, (ast.WithQuery, ast.RecursiveQuery)):
+            # The first child (definition or base) is outside the name's scope.
+            walk(children[0], bound)
+            children, bound = children[1:], bound | {node.name}
+        for child in children:
+            walk(child, bound)
 
-    walk(query)
+    walk(query, frozenset())
     return names
 
 

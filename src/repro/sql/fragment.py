@@ -23,9 +23,9 @@ gather step (:func:`merge_partials`) that combines the partials:
     (``Count``/``Sum``/``Min``/``Max``) or algebraic (``Avg``, decomposed
     into per-partition ``Sum`` + ``Count`` columns) over a single scanned
     relation.  Partitions compute partial aggregates per group; the
-    gather re-groups partials by the group-key columns and folds them.
-    The folds reproduce the paper's aggregate quirk exactly (see
-    :mod:`repro.common.aggregates`): a partial is ``NULL`` when the
+    gather re-groups partials by the group-key columns and folds them
+    with :func:`~repro.common.aggregates.combine` itself, so the paper's
+    aggregate quirk holds by construction: a partial is ``NULL`` when the
     group's argument was ``NULL`` on every row of that partition, and the
     merged value is ``NULL`` only when *every* partition's partial is
     ``NULL`` — including ``Count``.
@@ -43,17 +43,25 @@ gather step (:func:`merge_partials`) that combines the partials:
 Classification is a property of the plan alone — it does not depend on
 the partition count — so the serving layer computes it once per cache
 entry, when the partition gate prices that entry.
+
+The gather defines no row semantics of its own: DISTINCT, grouping, the
+folds and ``ORDER BY``/``LIMIT`` are the reference evaluators' operations
+from :mod:`repro.common`, and an ``ORDER BY`` key resolves by the SQL
+evaluator's name rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.values import NULL, Value, is_null, sort_key
+from repro.common.aggregates import combine, dedup, group_by
+from repro.common.errors import SemanticsError
+from repro.common.values import NULL, Value, is_null, order_rows
 from repro.relational.instance import Table
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
 from repro.sql.analysis import iter_nodes, output_attributes
+from repro.sql.semantics import attribute_index
 
 SHARD_LOCAL = "shard_local"
 MERGE_AGGREGABLE = "merge_aggregable"
@@ -212,24 +220,15 @@ def _peel_root_order(
     for key in query.keys:
         if not isinstance(key, ast.AttributeRef):
             return query, None, "ORDER BY key is not a plain column reference"
-        index = _resolve_attribute(key.name, inner_attributes)
+        try:
+            index = attribute_index(key.name, inner_attributes)
+        except SemanticsError as error:
+            return query, None, f"ORDER BY key: {error}"
         if index is None:
             return query, None, f"ORDER BY key {key.name!r} not found in output"
         indexes.append(index)
     spec = OrderSpec(tuple(indexes), tuple(query.ascending), query.limit)
     return query.query, spec, None
-
-
-def _resolve_attribute(name: str, attributes: tuple[str, ...]) -> int | None:
-    """Exact match first, then unique local-name match (SQL resolution)."""
-    if name in attributes:
-        return attributes.index(name)
-    matches = [
-        index
-        for index, attribute in enumerate(attributes)
-        if attribute.rsplit(".", 1)[-1] == name
-    ]
-    return matches[0] if len(matches) == 1 else None
 
 
 def _classify_group_by(
@@ -330,33 +329,37 @@ def merge_partials(plan: FragmentPlan, partials: list[Table]) -> Table:
     if not plan.fragmentable or plan.shard_query is None:
         raise ValueError("cannot merge partials of a non-fragmentable plan")
     assert plan.attributes is not None
-    if plan.kind == SHARD_LOCAL:
-        rows: list[tuple[Value, ...]] = []
-        for partial in partials:
-            rows.extend(partial.rows)
-        if plan.distinct:
-            rows = _dedup_rows(rows)
-    else:
-        rows = _merge_groups(plan, partials)
-    if plan.order is not None:
-        rows = _apply_order(rows, plan.order)
-    return Table(plan.attributes, rows, ordered=plan.order is not None)
-
-
-def _merge_groups(plan: FragmentPlan, partials: list[Table]) -> list[tuple]:
-    """Re-group partial aggregate rows by key tuple and fold each column.
-
-    The folds skip NULL partials and yield NULL only when every partial is
-    NULL — matching :func:`repro.common.aggregates.combine`, where an
-    aggregate (Count included) over an all-NULL argument is NULL.  A group
-    a partition has no rows for simply contributes no partial, which is also
-    how the reference's Cypher grouping treats empty input (no groups).
-    """
-    groups: dict[tuple, list[tuple]] = {}
+    rows: list[tuple] = []
     for partial in partials:
-        for row in partial.rows:
-            key = tuple(row[index] for index in plan.key_indexes)
-            groups.setdefault(key, []).append(row)
+        rows.extend(partial.rows)
+    if plan.kind == SHARD_LOCAL:
+        if plan.distinct:
+            rows = dedup(rows)
+    else:
+        rows = _merge_groups(plan, rows)
+    order = plan.order
+    if order is not None:
+        rows = order_rows(
+            rows,
+            lambda row: [row[index] for index in order.indexes],
+            order.ascending,
+            order.limit,
+        )
+    return Table(plan.attributes, rows, ordered=order is not None)
+
+
+def _merge_groups(plan: FragmentPlan, rows: list[tuple]) -> list[tuple]:
+    """Re-group the partitions' partial aggregate rows by key tuple and
+    fold each column.
+
+    Each fold is :func:`repro.common.aggregates.combine` over the partials:
+    it skips NULL partials and yields NULL only when every partial is NULL,
+    as an aggregate (Count included) over an all-NULL argument is NULL.  A
+    group a partition has no rows for simply contributes no partial, which
+    is also how the reference's Cypher grouping treats empty input (no
+    groups).
+    """
+    groups = group_by(rows, lambda row: tuple(row[index] for index in plan.key_indexes))
     merged: list[tuple] = []
     for group_rows in groups.values():
         out: list[Value] = []
@@ -366,73 +369,17 @@ def _merge_groups(plan: FragmentPlan, partials: list[Table]) -> list[tuple]:
                 out.append(partial_values[0])
             elif column.kind == "avg":
                 assert column.count_source is not None
-                total = _fold_sum(partial_values)
-                count = _fold_sum([row[column.count_source] for row in group_rows])
-                if is_null(count) or is_null(total):
-                    out.append(NULL)
-                else:
-                    out.append(total / count)
+                total = combine("Sum", partial_values)
+                count = combine("Sum", [row[column.count_source] for row in group_rows])
+                out.append(NULL if is_null(total) or is_null(count) else total / count)
             elif column.kind == "sum":
-                out.append(_fold_sum(partial_values))
+                out.append(combine("Sum", partial_values))
             elif column.kind == "min":
-                out.append(_fold_extremum(partial_values, min))
+                out.append(combine("Min", partial_values))
             else:
-                out.append(_fold_extremum(partial_values, max))
+                out.append(combine("Max", partial_values))
         merged.append(tuple(out))
     return merged
-
-
-def _fold_sum(values: list[Value]) -> Value:
-    present = [value for value in values if not is_null(value)]
-    if not present:
-        return NULL
-    total: Value = 0
-    for value in present:
-        total += value  # type: ignore[operator]
-    return total
-
-
-def _fold_extremum(values: list[Value], pick) -> Value:
-    present = [value for value in values if not is_null(value)]
-    return pick(present) if present else NULL
-
-
-def _dedup_rows(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    out: list[tuple] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
-
-
-class _Descending:
-    """Inverts comparisons so one ascending sort serves DESC keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-
-def _apply_order(rows: list[tuple], order: OrderSpec) -> list[tuple]:
-    """Sort (and limit) merged rows exactly like the reference ``OrderBy``."""
-
-    def decorate(row: tuple) -> tuple:
-        keys = []
-        for index, ascending in zip(order.indexes, order.ascending):
-            key = sort_key(row[index])
-            keys.append(key if ascending else _Descending(key))
-        return tuple(keys)
-
-    ordered = sorted(rows, key=decorate)
-    if order.limit is not None:
-        ordered = ordered[: order.limit]
-    return ordered
 
 
 __all__ = [

@@ -19,7 +19,6 @@ from dataclasses import replace
 from itertools import count
 
 from repro.common.errors import SemanticsError
-from repro.common.values import is_null
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
 from repro.sql.analysis import iter_nodes
@@ -837,15 +836,3 @@ class _JoinScope(_Scope):
                 if "ambiguous" in str(error):
                     raise
         raise SemanticsError(f"unknown attribute reference {name!r}")
-
-
-def _quote(identifier: str) -> str:
-    """Legacy helper: quote in the default (SQLite) dialect."""
-    return SQLITE.quote(identifier)
-
-
-def _literal(value) -> str:
-    """Legacy helper: render a literal in the default (SQLite) dialect."""
-    if is_null(value):
-        return SQLITE.null_literal
-    return SQLITE.literal(value)

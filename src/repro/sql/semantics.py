@@ -21,19 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.common import arithmetic
-from repro.common.aggregates import combine, count_rows
+from repro.common.aggregates import combine, count_rows, dedup, group_by
 from repro.common.budget import BudgetTracker, QueryBudget, as_tracker
 from repro.common.errors import SemanticsError
 from repro.common.values import (
     NULL,
     Value,
+    compare,
     is_null,
-    sort_key,
+    order_rows,
     sql_and,
     sql_not,
     sql_or,
     value_eq,
-    value_lt,
 )
 from repro.relational.instance import Database, Row, Table
 from repro.sql import ast
@@ -50,16 +50,27 @@ class _RowScope:
         """Resolve *name*; returns ``(found, value)``."""
         if name in self.attributes:
             return True, self.row[self.attributes.index(name)]
-        local_matches = [
-            index
-            for index, attribute in enumerate(self.attributes)
-            if attribute.rsplit(".", 1)[-1] == name
-        ]
-        if len(local_matches) == 1:
-            return True, self.row[local_matches[0]]
-        if len(local_matches) > 1:
-            raise SemanticsError(f"ambiguous attribute reference {name!r}")
-        return False, NULL
+        index = attribute_index(name, self.attributes)
+        if index is None:
+            return False, NULL
+        return True, self.row[index]
+
+
+def attribute_index(name: str, attributes: tuple[str, ...]) -> int | None:
+    """SQL name resolution in one scope: the position of the attribute named
+    exactly *name*, else of the one attribute whose local name (the part
+    after its last ``.``) is *name*, else ``None``.  Two or more local
+    matches raise :class:`SemanticsError` (an ambiguous reference)."""
+    if name in attributes:
+        return attributes.index(name)
+    matches = [
+        index
+        for index, attribute in enumerate(attributes)
+        if attribute.rsplit(".", 1)[-1] == name
+    ]
+    if len(matches) > 1:
+        raise SemanticsError(f"ambiguous attribute reference {name!r}")
+    return matches[0] if matches else None
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,7 @@ def _eval_projection(query: ast.Projection, ctx: _Context) -> Table:
             )
         )
     if query.distinct:
-        rows = _dedup_rows(rows)
+        rows = dedup(rows)
     return Table(attributes, rows)
 
 
@@ -219,35 +230,19 @@ def _eval_join(query: ast.Join, ctx: _Context) -> Table:
 
 
 def _eval_union(query: ast.UnionOp, ctx: _Context) -> Table:
-    left = _eval(query.left, ctx)
-    right = _eval(query.right, ctx)
-    if len(left.attributes) != len(right.attributes):
-        raise SemanticsError(
-            f"union arity mismatch: {len(left.attributes)} vs {len(right.attributes)}"
-        )
-    rows = list(left.rows) + list(right.rows)
-    if not query.all:
-        rows = _dedup_rows(rows)
-    return Table(left.attributes, rows)
+    return _eval(query.left, ctx).union(_eval(query.right, ctx), distinct=not query.all)
 
 
 def _eval_group_by(query: ast.GroupBy, ctx: _Context) -> Table:
     inner = _eval(query.query, ctx)
-    groups: dict[tuple, list[Row]] = {}
-    order: list[tuple] = []
-    for row in inner:
-        scope = _RowScope(inner.attributes, row)
-        key = tuple(
-            _eval_scalar(key_expr, (scope,) + ctx.outer, ctx) for key_expr in query.keys
-        )
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+
+    def key(row: Row) -> tuple:
+        scopes = (_RowScope(inner.attributes, row),) + ctx.outer
+        return tuple(_eval_scalar(key_expr, scopes, ctx) for key_expr in query.keys)
+
     attributes = tuple(column.alias for column in query.columns)
     rows: list[Row] = []
-    for key in order:
-        member_rows = groups[key]
+    for member_rows in group_by(inner.rows, key).values():
         if _eval_group_predicate(query.having, member_rows, inner.attributes, ctx) is not True:
             continue
         rows.append(
@@ -326,49 +321,13 @@ def _eval_recursive(query: ast.RecursiveQuery, ctx: _Context) -> Table:
 
 def _eval_order_by(query: ast.OrderBy, ctx: _Context) -> Table:
     inner = _eval(query.query, ctx)
-    decorated = []
-    for row in inner:
-        scope = _RowScope(inner.attributes, row)
-        keys = []
-        for key_expr, ascending in zip(query.keys, query.ascending):
-            value = _eval_scalar(key_expr, (scope,) + ctx.outer, ctx)
-            keys.append(_directional_key(value, ascending))
-        decorated.append((tuple(keys), row))
-    decorated.sort(key=lambda pair: pair[0])
-    rows = [row for _, row in decorated]
-    if query.limit is not None:
-        rows = rows[: query.limit]
+
+    def keys(row: Row) -> list[Value]:
+        scopes = (_RowScope(inner.attributes, row),) + ctx.outer
+        return [_eval_scalar(key_expr, scopes, ctx) for key_expr in query.keys]
+
+    rows = order_rows(inner.rows, keys, query.ascending, query.limit)
     return Table(inner.attributes, rows, ordered=True)
-
-
-class _Descending:
-    """Inverts comparisons so a single ascending sort handles DESC keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Descending) and self.key == other.key
-
-
-def _directional_key(value: Value, ascending: bool):
-    key = sort_key(value)
-    return key if ascending else _Descending(key)
-
-
-def _dedup_rows(rows: list[Row]) -> list[Row]:
-    seen: set[Row] = set()
-    out: list[Row] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +414,7 @@ def _eval_group_predicate(
     if isinstance(predicate, ast.Comparison):
         left = _eval_in_group(predicate.left, rows, attributes, ctx)
         right = _eval_in_group(predicate.right, rows, attributes, ctx)
-        return _compare(predicate.op, left, right)
+        return compare(predicate.op, left, right)
     if isinstance(predicate, ast.IsNull):
         value = _eval_in_group(predicate.operand, rows, attributes, ctx)
         verdict = is_null(value)
@@ -489,7 +448,7 @@ def _eval_predicate(
     if isinstance(predicate, ast.Comparison):
         left = _eval_scalar(predicate.left, scopes, ctx)
         right = _eval_scalar(predicate.right, scopes, ctx)
-        return _compare(predicate.op, left, right)
+        return compare(predicate.op, left, right)
     if isinstance(predicate, ast.IsNull):
         value = _eval_scalar(predicate.operand, scopes, ctx)
         verdict = is_null(value)
@@ -542,19 +501,3 @@ def _eval_in_query(
     if predicate.negated:
         return sql_not(verdict)
     return verdict
-
-
-def _compare(op: str, left: Value, right: Value):
-    if op == "=":
-        return value_eq(left, right)
-    if op == "<>":
-        return sql_not(value_eq(left, right))
-    if op == "<":
-        return value_lt(left, right)
-    if op == ">":
-        return value_lt(right, left)
-    if op == "<=":
-        return sql_or(value_lt(left, right), value_eq(left, right))
-    if op == ">=":
-        return sql_or(value_lt(right, left), value_eq(left, right))
-    raise SemanticsError(f"unknown comparison operator {op!r}")

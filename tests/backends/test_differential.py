@@ -79,6 +79,10 @@ COMPANY_WORKLOAD: dict[str, str] = {
         "MATCH (d:DEPT) OPTIONAL MATCH (e:EMP)-[w:WORK_AT]->(d:DEPT) "
         "RETURN d.dname, e.ename"
     ),
+    "order-desc-tie": (
+        "MATCH (e:EMP) RETURN e.salary % 2 AS parity, e.eid "
+        "ORDER BY parity DESC, e.eid DESC LIMIT 3"
+    ),
 }
 
 #: Variable-length traversals over SOCIAL's self-referential FOLLOWS edge.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.aggregates import combine, count_rows
+from repro.common.aggregates import combine, count_rows, dedup, group_by
 from repro.common.values import NULL, is_null
 
 
@@ -60,3 +60,16 @@ class TestMinMax:
 def test_unknown_function_rejected():
     with pytest.raises(ValueError):
         combine("Median", [1])
+
+
+def test_dedup_keeps_first_occurrences_in_order():
+    assert dedup([3, 1, 3, NULL, 2, 1, NULL]) == [3, 1, NULL, 2]
+    assert dedup([(1, NULL), (2, 0), (1, NULL)]) == [(1, NULL), (2, 0)]
+
+
+def test_group_by_keeps_first_seen_group_order():
+    rows = [("b", 1), ("a", 2), ("b", 3), (NULL, 4), ("a", 5), (NULL, 6)]
+    groups = group_by(rows, lambda row: row[0])
+    assert list(groups) == ["b", "a", NULL]
+    assert groups["b"] == [("b", 1), ("b", 3)]
+    assert groups[NULL] == [(NULL, 4), (NULL, 6)]

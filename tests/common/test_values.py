@@ -8,6 +8,7 @@ from repro.common.values import (
     NULL,
     Null,
     is_null,
+    order_rows,
     sort_key,
     sql_and,
     sql_not,
@@ -129,3 +130,35 @@ class TestSortKey:
         values = [NULL, False, True, -1, 0, 2.5, "x", "y"]
         ordered = sorted(values, key=sort_key)
         assert sorted(ordered, key=sort_key) == ordered
+
+
+class TestOrderRows:
+    """``ORDER BY ... LIMIT`` as both evaluators and the gather apply it."""
+
+    @staticmethod
+    def order(rows, ascending, limit=None):
+        return order_rows(rows, lambda row: row, ascending, limit)
+
+    def test_tied_desc_key_then_asc_key(self):
+        rows = [(1, 3), (2, 9), (1, 1), (1, 2)]
+        assert self.order(rows, (False, True)) == [(2, 9), (1, 1), (1, 2), (1, 3)]
+
+    def test_tied_desc_key_then_desc_key(self):
+        rows = [(1, 1), (2, 9), (1, 3), (1, 2)]
+        assert self.order(rows, (False, False)) == [(2, 9), (1, 3), (1, 2), (1, 1)]
+
+    def test_null_first_ascending_last_descending(self):
+        rows = [(2,), (NULL,), (1,)]
+        assert self.order(rows, (True,)) == [(NULL,), (1,), (2,)]
+        assert self.order(rows, (False,)) == [(2,), (1,), (NULL,)]
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_equal_int_and_float_tie(self, ascending):
+        rows = [(1.0, "a"), (1, "b")]
+        ordered = order_rows(rows, lambda row: row[:1], (ascending,), None)
+        assert ordered == rows  # tied, so the stable sort keeps input order
+
+    def test_limit(self):
+        rows = [(3,), (1,), (2,)]
+        assert self.order(rows, (True,), limit=2) == [(1,), (2,)]
+        assert self.order(rows, (True,), limit=0) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchmarks.universes import SOCIAL
 from repro.common.values import NULL, is_null
 from repro.cypher.parser import parse_cypher
 from repro.cypher.semantics import evaluate_query
@@ -35,6 +36,20 @@ class TestMatch:
             emp_dept_graph,
         )
         assert sorted(result.column("n.name")) == ["A", "B"]
+
+    def test_undirected_self_loop_matches_once(self):
+        builder = GraphBuilder(SOCIAL.graph_schema)
+        ann = builder.add_node("USER", uid=1, uname="ann", age=30)
+        bob = builder.add_node("USER", uid=2, uname="bob", age=40)
+        builder.add_edge("FOLLOWS", ann, ann, fid=1)
+        builder.add_edge("FOLLOWS", ann, bob, fid=2)
+        result = run(
+            "MATCH (a:USER)-[f:FOLLOWS]-(b:USER) RETURN a.uid, b.uid",
+            SOCIAL.graph_schema,
+            builder.build(),
+        )
+        # Both orientations of the self-loop bind one subgraph: one match.
+        assert sorted(result.rows) == [(1, 1), (1, 2), (2, 1)]
 
     def test_where_filter(self, emp_dept_schema, emp_dept_graph):
         result = run(

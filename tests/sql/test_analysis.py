@@ -31,6 +31,24 @@ class TestReferencedRelations:
         )
         assert referenced_relations(query) == {"emp"}
 
+    @pytest.mark.parametrize(
+        "scoped",
+        [
+            ast.WithQuery("emp", ast.Relation("dept"), ast.Relation("emp")),
+            ast.RecursiveQuery(
+                "emp",
+                ("x",),
+                ast.Relation("dept"),
+                ast.Relation("emp"),
+                ast.Relation("emp"),
+            ),
+        ],
+        ids=["with", "recursive"],
+    )
+    def test_cte_name_hides_only_the_scans_in_its_scope(self, scoped):
+        query = ast.Join(ast.JoinKind.CROSS, scoped, ast.Relation("emp"))
+        assert referenced_relations(query) == {"dept", "emp"}
+
 
 class TestFeatureDetection:
     def test_aggregation(self):

@@ -24,6 +24,7 @@ from repro.backends import GraphitiService
 from repro.benchmarks.universes import SOCIAL
 from repro.common.values import NULL
 from repro.relational.instance import Table
+from repro.sql import ast
 from repro.sql.fragment import (
     MERGE_AGGREGABLE,
     NON_FRAGMENTABLE,
@@ -84,6 +85,22 @@ class TestFragmentClassifier:
         plan = classify(social_service, cypher)
         assert plan.kind == kind
         assert plan.reason  # every verdict carries a human-readable reason
+
+    def test_ambiguous_order_key_is_not_fragmentable(self, social_service):
+        # The evaluator's name rule raises on an ambiguous name, so the
+        # gather must not pick one of the matching columns.
+        uid = ast.AttributeRef("uid")
+        query = ast.OrderBy(
+            ast.Projection(
+                ast.Renaming("u", ast.Relation("USER")),
+                (ast.OutputColumn("a.uid", uid), ast.OutputColumn("b.uid", uid)),
+            ),
+            (uid,),
+            (True,),
+        )
+        plan = fragment_query(query, social_service.sdt.schema)
+        assert plan.kind == NON_FRAGMENTABLE
+        assert "ambiguous" in plan.reason
 
     def test_avg_is_decomposed_into_sum_and_count(self, social_service):
         plan = classify(social_service, "MATCH (p:POST) RETURN Avg(p.score)")
@@ -194,18 +211,32 @@ class TestMergePartials:
         )
         assert sorted(merged.rows) == [(30,), (40,)]
 
-    def test_order_and_limit_reapplied_after_union(self):
+    @pytest.mark.parametrize(
+        ("attributes", "partials", "expected"),
+        [
+            (("pid",), [[(1,), (5,)], [(9,), (2,)]], [(9,), (5,), (2,)]),
+            # A tied DESC key: the second key must still order the tie.
+            (
+                ("age", "pid"),
+                [[(30, 1), (30, 5)], [(30, 9), (20, 2)]],
+                [(30, 9), (30, 5), (30, 1)],
+            ),
+        ],
+        ids=["one-key", "tied-desc-key"],
+    )
+    def test_order_and_limit_reapplied_after_union(self, attributes, partials, expected):
+        width = len(attributes)
         plan = FragmentPlan(
             kind=SHARD_LOCAL,
             reason="test",
             shard_query=object(),
-            attributes=("pid",),
-            order=OrderSpec(indexes=(0,), ascending=(False,), limit=3),
+            attributes=attributes,
+            order=OrderSpec(
+                indexes=tuple(range(width)), ascending=(False,) * width, limit=3
+            ),
         )
-        merged = merge_partials(
-            plan, [Table(("pid",), [(1,), (5,)]), Table(("pid",), [(9,), (2,)])]
-        )
-        assert merged.rows == [(9,), (5,), (2,)]
+        merged = merge_partials(plan, [Table(attributes, rows) for rows in partials])
+        assert merged.rows == expected
         assert merged.ordered
 
     def test_non_fragmentable_plans_cannot_merge(self):

@@ -7,7 +7,7 @@ from repro.common.values import NULL, is_null
 from repro.relational.instance import Database, Table
 from repro.relational.schema import Relation, RelationalSchema
 from repro.sql.parser import parse_sql
-from repro.sql.semantics import evaluate_query
+from repro.sql.semantics import attribute_index, evaluate_query
 
 
 @pytest.fixture
@@ -244,3 +244,22 @@ class TestRenamingSemantics:
         )
         with pytest.raises(SemanticsError, match="duplicate attribute"):
             evaluate_query(bad, db)
+
+
+class TestAttributeIndex:
+    """The name rule of the evaluator, which the partition gather shares."""
+
+    @pytest.mark.parametrize(
+        ("name", "attributes", "expected"),
+        [
+            ("id", ("e.id", "id"), 1),  # an exact name beats local names
+            ("name", ("e.id", "e.name"), 1),
+            ("salary", ("e.id", "e.name"), None),
+        ],
+    )
+    def test_resolves(self, name, attributes, expected):
+        assert attribute_index(name, attributes) == expected
+
+    def test_ambiguous_local_name_raises(self):
+        with pytest.raises(SemanticsError, match="ambiguous"):
+            attribute_index("id", ("d.id", "e.id"))
