@@ -41,7 +41,6 @@ from repro.relational.instance import Database, Table
 from repro.relational.schema import ForeignKey, RelationalSchema
 from repro.sql.dialect import SQLITE, SqlDialect
 from repro.sql.pretty import create_table_ddl
-from repro.sql.stats import TableStats, collect_stats
 
 
 class BackendUnavailable(RuntimeError):
@@ -58,22 +57,6 @@ class ExecutionBackend(ABC):
 
     def __init__(self, schema: RelationalSchema) -> None:
         self.schema = schema
-        self._table_stats: dict[str, TableStats] | None = None
-        self._stats_source: Database | None = None
-
-    @property
-    def table_stats(self) -> dict[str, TableStats] | None:
-        """Row-count + distinct-value statistics per loaded relation (fuel
-        for the level-2 optimizer's cardinality estimator).
-
-        ``None`` until data is loaded.  Collected lazily on first access
-        from the last bulk-loaded database — callers that never consult
-        statistics (one-shot benchmark loads) pay nothing for them.
-        """
-        if self._table_stats is None and self._stats_source is not None:
-            self._table_stats = collect_stats(self._stats_source)
-            self._stats_source = None
-        return self._table_stats
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -129,29 +112,12 @@ class ExecutionBackend(ABC):
         does to wrap a whole multi-table load in one commit).
         """
 
-    def bulk_load(
-        self,
-        database: Database,
-        batch_size: int = 1000,
-        stats: dict[str, TableStats] | None = None,
-    ) -> None:
+    def bulk_load(self, database: Database, batch_size: int = 1000) -> None:
         """Load every table of *database* (schemas must agree) in a single
-        transaction — one commit once every table is in.
-
-        Also makes per-table statistics (row counts, distinct values per
-        column) available through :attr:`table_stats` — collected lazily on
-        first access, so loads whose statistics nobody reads cost nothing
-        extra.  A caller that has already collected statistics for
-        *database* (the service does, at ``load_database`` time) passes
-        them as *stats*, so the same data is never scanned twice.  Every
-        call rebinds the statistics, which therefore describe the most
-        recently loaded database.
-        """
+        transaction — one commit once every table is in."""
         for name, table in database.tables.items():
             self.insert_rows(name, table.rows, batch_size=batch_size, commit_mode="none")
         self._commit_load()
-        self._table_stats = stats
-        self._stats_source = None if stats is not None else database
 
     def _commit_load(self) -> None:
         """Commit an in-flight bulk load (hook; no-op for autocommit engines)."""

@@ -83,12 +83,10 @@ class DuckDbBackend(DbApiBackend):
     def _column_types(self) -> dict[str, dict[str, str]] | None:
         return self._type_hints
 
-    def bulk_load(
-        self, database: Database, batch_size: int = 1000, stats=None
-    ) -> None:
+    def bulk_load(self, database: Database, batch_size: int = 1000) -> None:
         if not self._schema_created:
             self._type_hints = infer_column_types(database, self.dialect)
-        super().bulk_load(database, batch_size=batch_size, stats=stats)
+        super().bulk_load(database, batch_size=batch_size)
 
     def clone_for_pool(self):
         """Another connection into the same in-memory DuckDB database.
@@ -103,8 +101,6 @@ class DuckDbBackend(DbApiBackend):
         clone._type_hints = self._type_hints
         clone.connection = self.connection.cursor()
         clone._schema_created = True
-        clone._table_stats = self._table_stats
-        clone._stats_source = self._stats_source
         return clone
 
     def _install_budget_guard(self, tracker: BudgetTracker):

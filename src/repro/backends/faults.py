@@ -183,19 +183,13 @@ class FaultInjectingBackend(ExecutionBackend):
 
     # -- loading -----------------------------------------------------------
 
-    @property
-    def table_stats(self):
-        return self._inner.table_stats
-
     def insert_rows(self, relation, rows, batch_size=1000, commit_mode="end"):
         self._inner.insert_rows(
             relation, rows, batch_size=batch_size, commit_mode=commit_mode
         )
 
-    def bulk_load(
-        self, database: Database, batch_size: int = 1000, stats=None
-    ) -> None:
-        self._inner.bulk_load(database, batch_size=batch_size, stats=stats)
+    def bulk_load(self, database: Database, batch_size: int = 1000) -> None:
+        self._inner.bulk_load(database, batch_size=batch_size)
 
     def create_indexes(self) -> None:
         self._inner.create_indexes()

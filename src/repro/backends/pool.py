@@ -12,8 +12,8 @@ on the primary — extra read connections to a shared database file
 (``sqlite-file``) or extra cursors into a shared in-memory engine
 (``duckdb``) — and falls back to per-worker clone loading (a fresh
 bulk-loaded member, as ``sqlite-memory`` needs) when the engine cannot
-share storage.  Either way every member carries the same pre-collected
-table statistics; the pool never re-scans the source data.
+share storage.  Members carry no table statistics: the service that owns
+the pool plans with its own.
 
 Checkout/checkin follow the classic discipline: a member is used by at
 most one thread at a time, ``checkout`` blocks (with optional timeout)
@@ -37,7 +37,6 @@ from typing import Iterator
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NOOP_TRACER
 from repro.relational.instance import Database
-from repro.sql.stats import TableStats
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.registry import load_backend
@@ -159,7 +158,6 @@ class ConnectionPool:
         backend_name: str,
         database: Database,
         capacity: int = 4,
-        stats: dict[str, TableStats] | None = None,
         registry: MetricsRegistry | None = None,
         tracer=None,
         validate_on_checkout: bool = True,
@@ -181,7 +179,6 @@ class ConnectionPool:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._metrics: _PoolMetrics | None = None
         self._database = database
-        self._stats = stats
         self._capacity = capacity
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
@@ -507,7 +504,7 @@ class ConnectionPool:
     # -- internals ---------------------------------------------------------
 
     def _load_member(self) -> ExecutionBackend:
-        return load_backend(self.backend_name, self._database, stats=self._stats)
+        return load_backend(self.backend_name, self._database)
 
     def _spawn_reserved(self, checkout: bool = False) -> ExecutionBackend:
         """Create the member a caller reserved a slot for (``_spawning``)."""

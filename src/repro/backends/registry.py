@@ -87,20 +87,18 @@ def load_backend(
     database: Database,
     batch_size: int = 1000,
     indexes: bool = True,
-    stats: "dict | None" = None,
 ) -> ExecutionBackend:
     """Create, connect, and bulk-load a backend from *database*.
 
     The convenience path used by benchmarks and one-shot runs: schema DDL,
     batched loading, and (by default) PK/FK indexes in one call.  The caller
     owns the returned backend and must ``close()`` it (or use it as a
-    context manager).  *stats* short-circuits the backend's own statistics
-    pass when the caller already collected them for *database*.
+    context manager).
     """
     backend = create_backend(name, database.schema)
     backend.connect()
     try:
-        backend.bulk_load(database, batch_size=batch_size, stats=stats)
+        backend.bulk_load(database, batch_size=batch_size)
         if indexes:
             backend.create_indexes()
     except Exception:

@@ -1775,7 +1775,6 @@ class GraphitiService:
                     name,
                     self._database,
                     capacity=max(self.pool_size, min_capacity),
-                    stats=self._stats,
                     registry=self._registry,
                     tracer=self._tracer,
                 )

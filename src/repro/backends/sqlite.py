@@ -120,15 +120,11 @@ class SqliteFileBackend(_SqliteBackend):
         """Another read connection to the same database file.
 
         The clone does not own the file (the primary's ``close`` removes
-        it), skips DDL (the schema already exists on disk), and shares the
-        primary's already-collected table statistics instead of rescanning
-        the data.
+        it) and skips DDL (the schema already exists on disk).
         """
         clone = SqliteFileBackend(self.schema, path=self.path)
         clone.connect()
         clone._schema_created = True
-        clone._table_stats = self._table_stats
-        clone._stats_source = self._stats_source
         return clone
 
     def close(self) -> None:

@@ -58,11 +58,6 @@ class PathBuild:
         variable, node_map = self.node_vars[index]
         return f"{variable}.{key}", f"{variable}.{node_map.column(key)}"
 
-    def edge_ref(self, index: int, key: str) -> tuple[str, str]:
-        variable, edge_map = self.edge_vars[index]
-        assert isinstance(edge_map, EdgeTableMap), "merged edges carry no usable props"
-        return f"{variable}.{key}", f"{variable}.{edge_map.columns[key]}"
-
     @property
     def sql_from(self) -> str:
         return ", ".join(self.from_items)
@@ -693,24 +688,6 @@ def b_wrong_constant(universe: Universe, rng: random.Random) -> BuiltQuery:
     built.sql_text = built.sql_text.replace(f"= {constant}", f"= {constant + 1}", 1)
     built.expected_equivalent = False
     built.bug_class = "wrong-constant"
-    return built
-
-
-def b_missing_distinct(universe: Universe, rng: random.Random) -> BuiltQuery:
-    """Cypher deduplicates, SQL forgets DISTINCT."""
-    built = t_distinct(universe, rng)
-    built.sql_text = built.sql_text.replace("SELECT DISTINCT", "SELECT", 1)
-    built.expected_equivalent = False
-    built.bug_class = "missing-distinct"
-    return built
-
-
-def b_union_vs_union_all(universe: Universe, rng: random.Random) -> BuiltQuery:
-    """Cypher UNION (dedup) vs SQL UNION ALL."""
-    built = t_union(universe, rng, bag=False)
-    built.sql_text = built.sql_text.replace("UNION", "UNION ALL", 1)
-    built.expected_equivalent = False
-    built.bug_class = "union-vs-union-all"
     return built
 
 

@@ -26,10 +26,11 @@ import typing
 from dataclasses import dataclass, field
 from itertools import count
 
-from repro.common.errors import UnsupportedError
+from repro.common.errors import SemanticsError, UnsupportedError
 from repro.common.values import Value
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
+from repro.sql.analysis import resolve_attribute
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -164,14 +165,13 @@ class _Block:
     conditions: list[Condition]
 
     def resolve(self, name: str) -> HeadTerm:
-        if name in self.columns:
-            return self.head[self.columns.index(name)]
-        local = [i for i, c in enumerate(self.columns) if c.rsplit(".", 1)[-1] == name]
-        if len(local) == 1:
-            return self.head[local[0]]
-        if len(local) > 1:
-            raise UnsupportedError(f"ambiguous attribute {name!r} in tableau")
-        raise UnsupportedError(f"unknown attribute {name!r} in tableau")
+        try:
+            column = resolve_attribute(name, self.columns)
+        except SemanticsError:
+            raise UnsupportedError(f"ambiguous attribute {name!r} in tableau") from None
+        if column is None:
+            raise UnsupportedError(f"unknown attribute {name!r} in tableau")
+        return self.head[self.columns.index(column)]
 
 
 class Normalizer:
@@ -210,7 +210,7 @@ class Normalizer:
             blocks, distinct = self._query(query.query, ctes)
             renamed = [
                 _Block(
-                    columns=[f"{query.name}.{c.replace('.', '_')}" for c in b.columns],
+                    columns=[ast.qualify(query.name, c) for c in b.columns],
                     head=b.head,
                     atoms=b.atoms,
                     conditions=b.conditions,

@@ -42,7 +42,7 @@ def collect_constant_seeds(
     seeds: ConstantSeeds = {}
 
     def note(attribute: str, value: Value) -> None:
-        local = attribute.rsplit(".", 1)[-1]
+        local = sq.local_name(attribute)
         # Flattened names like ``c1_CID`` should also seed ``CID``.
         if "_" in local:
             suffix = local.rsplit("_", 1)[-1]

@@ -111,9 +111,6 @@ class VarLengthEdgePattern:
 #: ``(NP,)`` or ``(NP, EP, NP, EP, NP, ...)``.
 PathPattern = tuple[Union[NodePattern, EdgePattern, VarLengthEdgePattern], ...]
 
-#: Either edge-pattern kind (the odd positions of a path pattern).
-AnyEdgePattern = Union[EdgePattern, VarLengthEdgePattern]
-
 
 def path_pattern(*elements: NodePattern | EdgePattern | VarLengthEdgePattern) -> PathPattern:
     """Validate and build a path pattern from alternating node/edge patterns."""
@@ -132,28 +129,6 @@ def path_pattern(*elements: NodePattern | EdgePattern | VarLengthEdgePattern) ->
                 f"got {type(element).__name__}"
             )
     return tuple(elements)
-
-
-def pattern_nodes(pattern: PathPattern) -> tuple[NodePattern, ...]:
-    """The node patterns of *pattern* in order."""
-    return tuple(p for p in pattern if isinstance(p, NodePattern))
-
-
-def pattern_edges(pattern: PathPattern) -> tuple["AnyEdgePattern", ...]:
-    """The edge patterns of *pattern* in order (fixed- and variable-length)."""
-    return tuple(
-        p for p in pattern if isinstance(p, (EdgePattern, VarLengthEdgePattern))
-    )
-
-
-def pattern_head(pattern: PathPattern) -> NodePattern:
-    """``head(PP)`` — the first node pattern."""
-    return pattern[0]  # type: ignore[return-value]
-
-
-def pattern_last(pattern: PathPattern) -> NodePattern:
-    """``last(PP)`` — the final node pattern."""
-    return pattern[-1]  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +301,7 @@ class Exists:
     predicate: "Predicate" = TRUE
 
     def __str__(self) -> str:
-        return f"EXISTS({_pattern_str(self.pattern)} WHERE {self.predicate})"
+        return f"EXISTS({pattern_text(self.pattern)} WHERE {self.predicate})"
 
 
 @dataclass(frozen=True)
@@ -372,7 +347,7 @@ class Match:
     previous: "Clause | None" = None
 
     def __str__(self) -> str:
-        base = f"MATCH {_pattern_str(self.pattern)} WHERE {self.predicate}"
+        base = f"MATCH {pattern_text(self.pattern)} WHERE {self.predicate}"
         return f"{self.previous}\n{base}" if self.previous else base
 
 
@@ -385,7 +360,7 @@ class OptMatch:
     predicate: Predicate = TRUE
 
     def __str__(self) -> str:
-        return f"{self.previous}\nOPTIONAL MATCH {_pattern_str(self.pattern)} WHERE {self.predicate}"
+        return f"{self.previous}\nOPTIONAL MATCH {pattern_text(self.pattern)} WHERE {self.predicate}"
 
 
 @dataclass(frozen=True)
@@ -494,7 +469,7 @@ def pattern_text(pattern: PathPattern) -> str:
     """Render a path pattern in surface syntax, e.g. ``(n:EMP)-[e:WORK_AT]->(m:DEPT)``.
 
     The single rendering used by both the ``__str__`` forms here and the
-    pretty-printer (:func:`repro.cypher.pretty.pattern_text` delegates).
+    pretty-printer (:mod:`repro.cypher.pretty`).
     """
     chunks: list[str] = []
     for element in pattern:
@@ -510,6 +485,3 @@ def pattern_text(pattern: PathPattern) -> str:
             }[element.direction]
             chunks.append(arrow)
     return "".join(chunks)
-
-
-_pattern_str = pattern_text

@@ -45,12 +45,12 @@ def _return_line(query: ast.Return) -> str:
 
 def _clause(clause: ast.Clause) -> str:
     if isinstance(clause, ast.Match):
-        line = f"MATCH {pattern_text(clause.pattern)}{_where(clause.predicate)}"
+        line = f"MATCH {ast.pattern_text(clause.pattern)}{_where(clause.predicate)}"
         if clause.previous is not None:
             return f"{_clause(clause.previous)}\n{line}"
         return line
     if isinstance(clause, ast.OptMatch):
-        line = f"OPTIONAL MATCH {pattern_text(clause.pattern)}{_where(clause.predicate)}"
+        line = f"OPTIONAL MATCH {ast.pattern_text(clause.pattern)}{_where(clause.predicate)}"
         return f"{_clause(clause.previous)}\n{line}"
     if isinstance(clause, ast.With):
         items = ", ".join(
@@ -65,11 +65,6 @@ def _where(predicate: ast.Predicate) -> str:
     if predicate == ast.TRUE:
         return ""
     return f" WHERE {_predicate(predicate)}"
-
-
-def pattern_text(pattern: ast.PathPattern) -> str:
-    """Render a path pattern, e.g. ``(n:EMP)-[e:WORK_AT]->(m:DEPT)``."""
-    return ast.pattern_text(pattern)
 
 
 def _expression(expression: ast.Expression) -> str:
@@ -118,7 +113,7 @@ def _predicate(predicate: ast.Predicate) -> str:
             if predicate.predicate != ast.TRUE
             else ""
         )
-        return f"EXISTS {{ MATCH {pattern_text(predicate.pattern)}{where} }}"
+        return f"EXISTS {{ MATCH {ast.pattern_text(predicate.pattern)}{where} }}"
     if isinstance(predicate, ast.And):
         return f"({_predicate(predicate.left)} AND {_predicate(predicate.right)})"
     if isinstance(predicate, ast.Or):

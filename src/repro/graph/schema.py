@@ -141,9 +141,6 @@ class GraphSchema:
                 return kind
         raise SchemaError(f"unknown type label {label!r}")
 
-    def has_node_type(self, label: str) -> bool:
-        return any(node.label == label for node in self.node_types)
-
     def has_edge_type(self, label: str) -> bool:
         return any(edge.label == label for edge in self.edge_types)
 

@@ -5,6 +5,10 @@ rules' ``hasAgg(E)``; the ``uses_*`` predicates decide backend-fragment
 membership (the Mediator-style deductive verifier rejects aggregation and
 outer joins, matching the paper's Section 6.2).
 
+``resolve_attribute`` is the one SQL name lookup: the evaluator, the
+renderer, the optimizer, the planner, the partition gather and the CQ
+normalizer all find a referenced attribute through it.
+
 The walks that only need to reach every node (``ast_size``,
 ``referenced_relations``, ``iter_nodes`` and everything built on it) take
 a node's children from :func:`repro.sql.ast.children`, so no function here
@@ -16,7 +20,9 @@ it computes.
 from __future__ import annotations
 
 import typing
+from collections.abc import Collection
 
+from repro.common.errors import SemanticsError
 from repro.sql import ast
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,8 +79,8 @@ def output_attributes(
     """The output attribute tuple of *query*, or ``None`` when it cannot be
     determined statically (unknown relation, heterogeneous union, ...).
 
-    Mirrors the reference evaluator's naming exactly: scans expose the
-    relation's declared attributes, ``ρ_T`` prefixes and flattens them, and
+    Uses the reference evaluator's naming: scans expose the relation's
+    declared attributes, ``ρ_T`` names them with :func:`ast.qualify`, and
     projections/aggregations expose their column aliases.  The join planner
     and the column pruner both rely on this to reason about scopes without
     evaluating anything.
@@ -95,9 +101,7 @@ def output_attributes(
         inner = output_attributes(query.query, schema, ctes)
         if inner is None:
             return None
-        return tuple(
-            f"{query.name}.{ast.flatten_attribute(a)}" for a in inner
-        )
+        return tuple(ast.qualify(query.name, a) for a in inner)
     if isinstance(query, ast.Join):
         left = output_attributes(query.left, schema, ctes)
         right = output_attributes(query.right, schema, ctes)
@@ -120,6 +124,28 @@ def output_attributes(
         extended[query.name] = query.columns
         return output_attributes(query.body, schema, extended)
     return None
+
+
+def resolve_attribute(name: str, attributes: Collection[str]) -> str | None:
+    """SQL name resolution in one scope: the attribute named exactly *name*,
+    else the one attribute whose :func:`~repro.sql.ast.local_name` is
+    *name*, else ``None``.  Two or more local matches raise
+    :class:`SemanticsError` (an ambiguous reference).
+
+    *attributes* is any collection of names: a tuple of output attributes,
+    or the keys of a dict that maps each to its value, fragment or source.
+    """
+    if name in attributes:
+        return name
+    if "." in name:
+        return None  # a local name has no dot
+    found = None
+    for attribute in attributes:
+        if ast.local_name(attribute) == name:
+            if found is not None:
+                raise SemanticsError(f"ambiguous attribute reference {name!r}")
+            found = attribute
+    return found
 
 
 def join_count(query: ast.Query) -> int:

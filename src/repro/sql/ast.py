@@ -12,9 +12,12 @@ The grammar::
 
 Attribute naming convention: relation scans produce unqualified attributes;
 ``rho_T(Q)`` re-qualifies every output attribute to ``T.<flattened local
-name>`` (dots in the old name become underscores).  References resolve by
-exact match first, then by unique local-name match — mirroring SQL name
-resolution while keeping the algebra purely positional-free.
+name>`` (dots in the old name become underscores; :func:`qualify`).
+References resolve by exact match first, then by unique match of the
+:func:`local_name` — mirroring SQL name resolution while keeping the
+algebra purely positional-free (the lookup is
+:func:`repro.sql.analysis.resolve_attribute`).  Every module that names or
+finds an attribute calls these; none re-spells them.
 
 All nodes are frozen dataclasses; attribute lists and predicates reuse the
 same 3VL value domain as the Cypher side.
@@ -51,7 +54,7 @@ class AttributeRef:
     @property
     def local_name(self) -> str:
         """The unqualified trailing component of the reference."""
-        return self.name.rsplit(".", 1)[-1]
+        return local_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -668,9 +671,17 @@ def conjoin(predicates: typing.Iterable[Predicate]) -> Predicate:
     return TRUE if result is None else result
 
 
-def flatten_attribute(name: str) -> str:
-    """Flatten a qualified attribute into a legal local name (``a.b`` → ``a_b``)."""
-    return name.replace(".", "_")
+def local_name(attribute: str) -> str:
+    """The part of *attribute* after its last ``.`` (``T.c1_CID`` → ``c1_CID``):
+    the name a reference may use when no attribute is named exactly so."""
+    return attribute.rsplit(".", 1)[-1]
+
+
+def qualify(alias: str, attribute: str) -> str:
+    """The name ``ρ_alias`` gives *attribute*: ``alias.<attribute>`` with the
+    attribute's own dots flattened to ``_`` (``qualify("T", "c1.CID")`` →
+    ``T.c1_CID``), so the result has exactly one qualifier."""
+    return f"{alias}.{attribute.replace('.', '_')}"
 
 
 def columns_of(expressions: typing.Iterable[Expression], names: typing.Iterable[str]) -> tuple[OutputColumn, ...]:

@@ -94,16 +94,6 @@ class SqlDialect:
 
     # -- DDL ---------------------------------------------------------------
 
-    def type_for_value(self, value) -> str:
-        """The DDL type a sample *value* suggests for its column."""
-        if isinstance(value, bool) or isinstance(value, int):
-            return self.integer_type
-        if isinstance(value, float):
-            return self.real_type
-        if isinstance(value, str):
-            return self.text_type
-        return self.default_column_type
-
     def ddl_column(self, attribute: str, type_hint: str | None = None) -> str:
         """One column declaration for CREATE TABLE.
 

@@ -47,7 +47,7 @@ entry, when the partition gate prices that entry.
 The gather defines no row semantics of its own: DISTINCT, grouping, the
 folds and ``ORDER BY``/``LIMIT`` are the reference evaluators' operations
 from :mod:`repro.common`, and an ``ORDER BY`` key resolves by the SQL
-evaluator's name rule.
+name lookup, :func:`repro.sql.analysis.resolve_attribute`.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ from repro.common.values import NULL, Value, is_null, order_rows
 from repro.relational.instance import Table
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
-from repro.sql.analysis import iter_nodes, output_attributes
-from repro.sql.semantics import attribute_index
+from repro.sql.analysis import iter_nodes, output_attributes, resolve_attribute
 
 SHARD_LOCAL = "shard_local"
 MERGE_AGGREGABLE = "merge_aggregable"
@@ -221,12 +220,12 @@ def _peel_root_order(
         if not isinstance(key, ast.AttributeRef):
             return query, None, "ORDER BY key is not a plain column reference"
         try:
-            index = attribute_index(key.name, inner_attributes)
+            attribute = resolve_attribute(key.name, inner_attributes)
         except SemanticsError as error:
             return query, None, f"ORDER BY key: {error}"
-        if index is None:
+        if attribute is None:
             return query, None, f"ORDER BY key {key.name!r} not found in output"
-        indexes.append(index)
+        indexes.append(inner_attributes.index(attribute))
     spec = OrderSpec(tuple(indexes), tuple(query.ascending), query.limit)
     return query.query, spec, None
 

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import typing
 
+from repro.common.errors import SemanticsError
 from repro.sql import ast
-from repro.sql.analysis import has_aggregate
+from repro.sql.analysis import has_aggregate, resolve_attribute
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.schema import RelationalSchema
@@ -203,10 +204,7 @@ def _apply_rule(query: ast.Query) -> ast.Query | None:
         inner = query.query
         if isinstance(inner, ast.Projection) and not inner.distinct:
             renamed = tuple(
-                ast.OutputColumn(
-                    f"{query.name}.{column.alias.replace('.', '_')}",
-                    column.expression,
-                )
+                ast.OutputColumn(ast.qualify(query.name, column.alias), column.expression)
                 for column in inner.columns
             )
             return ast.Projection(inner.query, renamed)
@@ -242,26 +240,25 @@ def _all_pure(columns: tuple[ast.OutputColumn, ...]) -> bool:
     return all(not has_aggregate(c.expression) for c in columns)
 
 
-def _lookup(name: str, columns: tuple[ast.OutputColumn, ...]) -> ast.Expression | None:
-    exact = [c for c in columns if c.alias == name]
-    if len(exact) == 1:
-        return exact[0].expression
-    local = [c for c in columns if c.alias.rsplit(".", 1)[-1] == name]
-    if len(local) == 1:
-        return local[0].expression
-    return None
-
-
 def _substitute(
     node: ast.Expression | ast.Predicate, columns: tuple[ast.OutputColumn, ...]
 ) -> ast.Expression | ast.Predicate | None:
     """The expression or predicate *node* with every reference replaced by
     the inner projection column it names; ``None`` when a reference does
-    not resolve or a subquery is reached.  A subquery may be *correlated*
-    with the scope being rewritten, and moving it below a projection could
-    capture or lose references, so the enclosing rewrite is skipped, which
-    is always safe."""
-    return ast.map_refs(node, lambda ref: _lookup(ref.name, columns))
+    not resolve (or is ambiguous) or a subquery is reached.  A subquery may
+    be *correlated* with the scope being rewritten, and moving it below a
+    projection could capture or lose references, so the enclosing rewrite
+    is skipped, which is always safe."""
+    aliases = [column.alias for column in columns]
+
+    def lookup(ref: ast.AttributeRef) -> ast.Expression | None:
+        try:
+            alias = resolve_attribute(ref.name, aliases)
+        except SemanticsError:
+            return None
+        return None if alias is None else columns[aliases.index(alias)].expression
+
+    return ast.map_refs(node, lookup)
 
 
 def _substitute_columns(

@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
+from repro.common.errors import SemanticsError
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
-from repro.sql.analysis import ast_size, output_attributes
+from repro.sql.analysis import ast_size, output_attributes, resolve_attribute
 from repro.sql.stats import DatabaseStats
 
 #: Selinger-style fallbacks used when statistics are absent.
@@ -195,16 +197,9 @@ class CardinalityEstimator:
         """NDV of the attribute *name* resolves to, or ``None`` if unknown."""
         if self.stats is None:
             return None
-        source = provenance.get(name)
+        source = _source(name, provenance)
         if source is None:
-            matches = {
-                provenance[a]
-                for a in provenance
-                if a.rsplit(".", 1)[-1] == name
-            }
-            if len(matches) != 1:
-                return None
-            source = next(iter(matches))
+            return None
         relation, column = source
         table = self.stats.get(relation)
         if table is None:
@@ -263,7 +258,7 @@ class CardinalityEstimator:
             inner, provenance = self._estimate(query.query)
             attributes = output_attributes(query.query, self.schema) or ()
             renamed = {
-                f"{query.name}.{ast.flatten_attribute(a)}": provenance[a]
+                ast.qualify(query.name, a): provenance[a]
                 for a in attributes
                 if a in provenance
             }
@@ -384,14 +379,31 @@ def _projected_provenance(
     for column in columns:
         expression = column.expression
         if isinstance(expression, ast.AttributeRef):
-            source = inner.get(expression.name)
-            if source is None:
-                locals_ = [a for a in inner if a.rsplit(".", 1)[-1] == expression.name]
-                if len(locals_) == 1:
-                    source = inner[locals_[0]]
+            source = _source(expression.name, inner)
             if source is not None:
                 out[column.alias] = source
     return out
+
+
+def _resolved(name: str, attributes: Collection[str]) -> str | None:
+    """The attribute *name* resolves to among *attributes*, or ``None`` when
+    none does or the name is ambiguous (the rewrite then declines)."""
+    try:
+        return resolve_attribute(name, attributes)
+    except SemanticsError:
+        return None
+
+
+def _source(
+    name: str, provenance: dict[str, tuple[str, str]]
+) -> tuple[str, str] | None:
+    """The source of the attribute *name* resolves to in *provenance*."""
+    source = provenance.get(name)
+    if source is None:
+        attribute = _resolved(name, provenance)
+        if attribute is not None:
+            source = provenance[attribute]
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -792,28 +804,15 @@ class _Planner:
         if any(attrs is None for attrs in leaf_attrs):
             return self._rebuild_original(root, ctes)
 
-        exact: dict[str, int] = {}
-        local: dict[str, list[str]] = {}
-        ambiguous = False
+        # Attribute → index of the leaf that outputs it.
+        owner: dict[str, int] = {}
         for index, attrs in enumerate(leaf_attrs):
             for attribute in attrs:
-                if attribute in exact:
-                    ambiguous = True
-                exact[attribute] = index
-                local.setdefault(attribute.rsplit(".", 1)[-1], []).append(attribute)
-        if ambiguous:
-            return self._rebuild_original(root, ctes)
+                if attribute in owner:
+                    return self._rebuild_original(root, ctes)
+                owner[attribute] = index
 
         leaves = [self.plan(leaf, ctes) for leaf in leaves]
-
-        def resolve(name: str) -> str | None:
-            if name in exact:
-                return name
-            candidates = local.get(name, [])
-            if len(candidates) == 1:
-                return candidates[0]
-            return None
-
         pushed: list[list[ast.Predicate]] = [[] for _ in leaves]
         edges: dict[frozenset[int], list[ast.Predicate]] = {}
         filters: list[_Conjunct] = []
@@ -827,7 +826,7 @@ class _Planner:
             mapping: dict[str, str] = {}
             unresolved = False
             for name in refs:
-                resolved = resolve(name)
+                resolved = _resolved(name, owner)
                 if resolved is None:
                     unresolved = True
                     break
@@ -838,7 +837,7 @@ class _Planner:
             rewritten = ast.map_refs(
                 conjunct, lambda ref: ast.AttributeRef(mapping[ref.name])
             )
-            leaf_set = frozenset(exact[mapping[name]] for name in refs)
+            leaf_set = frozenset(owner[mapping[name]] for name in refs)
             if len(leaf_set) == 0:
                 residual.append(rewritten)
             elif len(leaf_set) == 1:
@@ -983,10 +982,6 @@ def prune_columns(query: ast.Query, schema: RelationalSchema) -> ast.Query:
     return _prune(query, None)
 
 
-def _needed(alias: str, required: set[str]) -> bool:
-    return alias in required or alias.rsplit(".", 1)[-1] in required
-
-
 def _columns_refs(columns: tuple[ast.OutputColumn, ...]) -> set[str] | None:
     out: set[str] = set()
     for column in columns:
@@ -1052,11 +1047,17 @@ def _prune(query: ast.Query, required: set[str] | None) -> ast.Query:
 def _kept_columns(
     columns: tuple[ast.OutputColumn, ...], required: set[str] | None
 ) -> tuple[ast.OutputColumn, ...]:
-    """The columns *required* names (at least the first one); *columns*
-    itself when all are kept or *required* is ``None`` (keep everything)."""
+    """The columns the names in *required* resolve to (at least the first
+    one); *columns* itself when all are kept, when *required* is ``None``
+    (keep everything) or when a name is ambiguous among them."""
     if required is None:
         return columns
-    kept = tuple(c for c in columns if _needed(c.alias, required))
+    aliases = [column.alias for column in columns]
+    try:
+        needed = {resolve_attribute(name, aliases) for name in required}
+    except SemanticsError:
+        return columns
+    kept = tuple(c for c in columns if c.alias in needed)
     if len(kept) == len(columns):
         return columns
     return kept or (columns[0],)
@@ -1147,15 +1148,7 @@ def _free_refs(query: ast.Query, schema: RelationalSchema) -> set[str] | None:
     def unresolved(refs: set[str] | None, attrs: tuple[str, ...] | None) -> set[str] | None:
         if refs is None or attrs is None:
             return None
-        locals_ = Counter(a.rsplit(".", 1)[-1] for a in attrs)
-        out = set()
-        for name in refs:
-            if name in attrs:
-                continue
-            if locals_.get(name, 0) == 1:
-                continue
-            out.add(name)
-        return out
+        return {name for name in refs if _resolved(name, attrs) is None}
 
     if isinstance(query, ast.Relation):
         try:

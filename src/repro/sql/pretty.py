@@ -7,9 +7,12 @@ examples for display.  Engine-specific spelling (identifier quoting,
 boolean/NULL literals, DDL types) is factored into
 :class:`repro.sql.dialect.SqlDialect`; the default dialect is SQLite.
 
-Column naming mirrors the reference evaluator exactly: qualified attribute
-names like ``T1.c1_CID`` become *quoted identifiers* (``"T1.c1_CID"``), so
-any attribute the evaluator can resolve has a well-defined rendering.  Each
+Column naming is the reference evaluator's because the renderer calls the
+same rules: a renaming names its columns with :func:`repro.sql.ast.qualify`
+and a reference finds its column with
+:func:`repro.sql.analysis.resolve_attribute`.  Qualified attribute names
+like ``T1.c1_CID`` become *quoted identifiers* (``"T1.c1_CID"``), so any
+attribute the evaluator can resolve has a well-defined rendering.  Each
 operator becomes one ``SELECT`` layer over aliased subqueries.
 """
 
@@ -21,7 +24,7 @@ from itertools import count
 from repro.common.errors import SemanticsError
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
-from repro.sql.analysis import iter_nodes
+from repro.sql.analysis import iter_nodes, resolve_attribute
 from repro.sql.dialect import SQLITE, SqlDialect, dialect_for
 
 
@@ -90,7 +93,7 @@ def to_cte_sql(
         return ast.Relation(cte_name)
 
     def hoist(node: ast.Query) -> ast.Query:
-        node = _hoist_children(node, hoist)
+        node = ast.map_children(node, hoist)
         if isinstance(node, ast.Join):
             return ast.Join(
                 node.kind,
@@ -127,10 +130,6 @@ def _fresh_cte_name(stem: str, used: set[str]) -> str:
         suffix += 1
         candidate = f"{stem}_{suffix}"
     return candidate
-
-
-def _hoist_children(node: ast.Query, hoist) -> ast.Query:
-    return ast.map_children(node, hoist)
 
 
 def create_table_ddl(
@@ -233,23 +232,21 @@ class _Binding(_Rendered):
 
 
 class _FromScope:
-    """Scope over a flattened FROM clause: column → rendered fragment."""
+    """Scope over a FROM clause: column → rendered fragment."""
 
     def __init__(self, fragments: dict[str, str]) -> None:
         self.fragments = fragments
         self.columns = list(fragments)
 
-    def resolve(self, name: str) -> str:
-        if name in self.fragments:
-            return self.fragments[name]
-        local_matches = [
-            c for c in self.fragments if c.rsplit(".", 1)[-1] == name
-        ]
-        if len(local_matches) == 1:
-            return self.fragments[local_matches[0]]
-        if len(local_matches) > 1:
-            raise SemanticsError(f"ambiguous attribute reference {name!r}")
-        raise SemanticsError(f"unknown attribute reference {name!r}")
+    def resolve(self, name: str) -> str | None:
+        """The fragment of the column *name* resolves to, or ``None``; an
+        ambiguous name raises :class:`SemanticsError`."""
+        fragment = self.fragments.get(name)
+        if fragment is None:
+            column = resolve_attribute(name, self.fragments)
+            if column is not None:
+                fragment = self.fragments[column]
+        return fragment
 
 
 class _Source:
@@ -293,20 +290,17 @@ class _Renderer:
         self._q = dialect.quote
         self._alias = count(1)
         #: Enclosing row scopes for correlated subqueries (innermost last).
-        self._outer: list["_Scope"] = []
+        self._outer: list[_FromScope] = []
 
     def _fresh(self) -> str:
         return f"sub{next(self._alias)}"
 
-    def _resolve(self, name: str, scope) -> str:
+    def _resolve(self, name: str, scope: _FromScope) -> str:
         """Resolve against *scope*, falling back to enclosing scopes."""
-        candidates = [scope] + list(reversed(self._outer))
-        for candidate in candidates:
-            try:
-                return candidate.resolve(name)
-            except SemanticsError as error:
-                if "ambiguous" in str(error):
-                    raise
+        for candidate in (scope, *reversed(self._outer)):
+            fragment = candidate.resolve(name)
+            if fragment is not None:
+                return fragment
         raise SemanticsError(f"unknown attribute reference {name!r}")
 
     # -- flattened FROM clauses ----------------------------------------------
@@ -355,7 +349,7 @@ class _Renderer:
             cte = ctes.get(query.query.name)
             if cte is not None:
                 fragments = {
-                    f"{query.name}.{column.replace('.', '_')}":
+                    ast.qualify(query.name, column):
                         f"{self._q(query.name)}.{self._q(attribute)}"
                     for column, attribute in zip(cte.columns, cte.physical)
                 }
@@ -363,7 +357,8 @@ class _Renderer:
                 return _Source(from_sql, _FromScope(fragments), self.dialect)
             relation = self.schema.relation(query.query.name)
             fragments = {
-                f"{query.name}.{attribute}": f"{self._q(query.name)}.{self._q(attribute)}"
+                ast.qualify(query.name, attribute):
+                    f"{self._q(query.name)}.{self._q(attribute)}"
                 for attribute in relation.attributes
             }
             from_sql = f"{self._q(query.query.name)} AS {self._q(query.name)}"
@@ -496,7 +491,7 @@ class _Renderer:
             # ρ_T over a CTE renders in one layer too: FROM cte AS T.  The
             # bare reference is mandatory for recursive self-references.
             cte = ctes[query.query.name]
-            new_columns = [f"{query.name}.{c.replace('.', '_')}" for c in cte.columns]
+            new_columns = [ast.qualify(query.name, c) for c in cte.columns]
             parts = [
                 f"{self._q(query.name)}.{self._q(old)} AS {self._q(new)}"
                 for old, new in zip(cte.physical, new_columns)
@@ -506,7 +501,7 @@ class _Renderer:
         if isinstance(query.query, ast.Relation) and query.query.name not in ctes:
             # ρ_T over a base relation renders in one layer: FROM t AS T.
             relation = self.schema.relation(query.query.name)
-            new_columns = [f"{query.name}.{a}" for a in relation.attributes]
+            new_columns = [ast.qualify(query.name, a) for a in relation.attributes]
             parts = [
                 f"{self._q(query.name)}.{self._q(old)} AS {self._q(new)}"
                 for old, new in zip(relation.attributes, new_columns)
@@ -518,7 +513,7 @@ class _Renderer:
             return _Rendered(text, new_columns)
         inner = self.render(query.query, ctes)
         alias = self._fresh()
-        new_columns = [f"{query.name}.{c.replace('.', '_')}" for c in inner.columns]
+        new_columns = [ast.qualify(query.name, c) for c in inner.columns]
         parts = [
             f"{alias}.{self._q(old)} AS {self._q(new)}"
             for old, new in zip(inner.columns, new_columns)
@@ -537,15 +532,15 @@ class _Renderer:
         right = self.render(query.right, ctes)
         left_alias = self._fresh()
         right_alias = self._fresh()
-        columns = left.columns + right.columns
-        scope = _JoinScope(
-            left_alias, left.columns, right_alias, right.columns, self.dialect
-        )
+        fragments = {c: f"{left_alias}.{self._q(c)}" for c in left.columns}
+        fragments.update((c, f"{right_alias}.{self._q(c)}") for c in right.columns)
+        if len(fragments) != len(left.columns) + len(right.columns):
+            raise SemanticsError(
+                "join would produce duplicate attribute names; rename the operands"
+            )
+        scope = _FromScope(fragments)
         select = ", ".join(
-            f"{left_alias}.{self._q(c)} AS {self._q(c)}" for c in left.columns
-        )
-        select += ", " + ", ".join(
-            f"{right_alias}.{self._q(c)} AS {self._q(c)}" for c in right.columns
+            f"{fragment} AS {self._q(c)}" for c, fragment in fragments.items()
         )
         if query.kind is ast.JoinKind.CROSS:
             join_sql = (
@@ -563,7 +558,7 @@ class _Renderer:
                 f"({left.text}) AS {left_alias} {keyword} ({right.text}) "
                 f"AS {right_alias} ON {predicate}"
             )
-        return _Rendered(f"SELECT {select} FROM {join_sql}", columns)
+        return _Rendered(f"SELECT {select} FROM {join_sql}", scope.columns)
 
     def _render_with(self, query: ast.WithQuery, ctes: dict[str, _Binding]) -> _Rendered:
         """``With(Q1, R, Q2)`` as a real ``WITH R AS (...)`` clause.
@@ -710,7 +705,7 @@ class _Renderer:
 
     # -- expressions ---------------------------------------------------------
 
-    def _expression(self, expression: ast.Expression, scope: "_Scope") -> str:
+    def _expression(self, expression: ast.Expression, scope: _FromScope) -> str:
         if isinstance(expression, ast.AttributeRef):
             return self._resolve(expression.name, scope)
         if isinstance(expression, ast.Literal):
@@ -738,7 +733,7 @@ class _Renderer:
         )
 
     def _predicate(
-        self, predicate: ast.Predicate, scope: "_Scope", ctes: dict[str, _Binding]
+        self, predicate: ast.Predicate, scope: _FromScope, ctes: dict[str, _Binding]
     ) -> str:
         if isinstance(predicate, ast.BoolLit):
             return self.dialect.boolean(predicate.value)
@@ -788,51 +783,3 @@ class _Renderer:
         raise SemanticsError(
             f"cannot render predicate node {type(predicate).__name__}"
         )
-
-
-class _Scope:
-    """Resolves attribute references to quoted, alias-qualified columns."""
-
-    def __init__(
-        self, alias: str, columns: list[str], dialect: SqlDialect = SQLITE
-    ) -> None:
-        self.alias = alias
-        self.columns = columns
-        self.dialect = dialect
-
-    def resolve(self, name: str) -> str:
-        if name in self.columns:
-            return f"{self.alias}.{self.dialect.quote(name)}"
-        local_matches = [c for c in self.columns if c.rsplit(".", 1)[-1] == name]
-        if len(local_matches) == 1:
-            return f"{self.alias}.{self.dialect.quote(local_matches[0])}"
-        if len(local_matches) > 1:
-            raise SemanticsError(f"ambiguous attribute reference {name!r}")
-        raise SemanticsError(f"unknown attribute reference {name!r}")
-
-
-class _JoinScope(_Scope):
-    """Two-sided scope for join predicates."""
-
-    def __init__(
-        self,
-        left_alias: str,
-        left_columns: list[str],
-        right_alias: str,
-        right_columns: list[str],
-        dialect: SqlDialect = SQLITE,
-    ) -> None:
-        self.left = _Scope(left_alias, left_columns, dialect)
-        self.right = _Scope(right_alias, right_columns, dialect)
-        self.columns = left_columns + right_columns
-        self.alias = left_alias
-        self.dialect = dialect
-
-    def resolve(self, name: str) -> str:
-        for side in (self.left, self.right):
-            try:
-                return side.resolve(name)
-            except SemanticsError as error:
-                if "ambiguous" in str(error):
-                    raise
-        raise SemanticsError(f"unknown attribute reference {name!r}")

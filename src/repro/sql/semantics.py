@@ -37,6 +37,7 @@ from repro.common.values import (
 )
 from repro.relational.instance import Database, Row, Table
 from repro.sql import ast
+from repro.sql.analysis import resolve_attribute
 
 
 @dataclass(frozen=True)
@@ -48,29 +49,11 @@ class _RowScope:
 
     def lookup(self, name: str) -> tuple[bool, Value]:
         """Resolve *name*; returns ``(found, value)``."""
-        if name in self.attributes:
-            return True, self.row[self.attributes.index(name)]
-        index = attribute_index(name, self.attributes)
-        if index is None:
-            return False, NULL
-        return True, self.row[index]
-
-
-def attribute_index(name: str, attributes: tuple[str, ...]) -> int | None:
-    """SQL name resolution in one scope: the position of the attribute named
-    exactly *name*, else of the one attribute whose local name (the part
-    after its last ``.``) is *name*, else ``None``.  Two or more local
-    matches raise :class:`SemanticsError` (an ambiguous reference)."""
-    if name in attributes:
-        return attributes.index(name)
-    matches = [
-        index
-        for index, attribute in enumerate(attributes)
-        if attribute.rsplit(".", 1)[-1] == name
-    ]
-    if len(matches) > 1:
-        raise SemanticsError(f"ambiguous attribute reference {name!r}")
-    return matches[0] if matches else None
+        if name not in self.attributes:
+            name = resolve_attribute(name, self.attributes)
+            if name is None:
+                return False, NULL
+        return True, self.row[self.attributes.index(name)]
 
 
 @dataclass(frozen=True)
@@ -184,9 +167,7 @@ def _eval_selection(query: ast.Selection, ctx: _Context) -> Table:
 
 def _eval_renaming(query: ast.Renaming, ctx: _Context) -> Table:
     inner = _eval(query.query, ctx)
-    attributes = tuple(
-        f"{query.name}.{attribute.replace('.', '_')}" for attribute in inner.attributes
-    )
+    attributes = tuple(ast.qualify(query.name, a) for a in inner.attributes)
     return Table(attributes, list(inner.rows))
 
 

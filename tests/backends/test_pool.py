@@ -12,7 +12,6 @@ from repro.backends import ConnectionPool, PoolClosed, PoolTimeout, available_ba
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
 from repro.observability.metrics import MetricsRegistry
-from repro.sql.stats import collect_stats
 
 
 @pytest.fixture
@@ -105,20 +104,6 @@ class TestGrowthAndWarm:
             assert pool.capacity == 5
             pool.grow_to(1)  # never shrinks
             assert pool.capacity == 5
-
-    def test_members_share_precollected_stats(self, emp_dept_db):
-        stats = collect_stats(emp_dept_db)
-        with ConnectionPool(
-            "sqlite-memory", emp_dept_db, capacity=2, stats=stats
-        ) as pool:
-            pool.warm(2)
-            first = pool.checkout()
-            second = pool.checkout()
-            # Same mapping object: nobody re-scanned the database.
-            assert first.table_stats is stats
-            assert second.table_stats is stats
-            pool.checkin(first)
-            pool.checkin(second)
 
 
 class TestSharedStorageClones:

@@ -179,18 +179,6 @@ class TestStatistics:
             assert stats["EMP"].row_count == 25
             assert stats["EMP"].distinct_of("id") == 25
 
-    def test_bulk_load_records_table_stats(self, emp_dept_schema):
-        from repro.backends import load_backend
-
-        with GraphitiService(emp_dept_schema) as svc:
-            svc.load_mock(12)
-            backend = load_backend("sqlite-memory", svc.database)
-            try:
-                assert backend.table_stats is not None
-                assert backend.table_stats["DEPT"].row_count == 12
-            finally:
-                backend.close()
-
 
 class TestQueryStats:
     def test_run_and_time_are_recorded(self, service):

@@ -52,6 +52,15 @@ class TestCteNormalization:
             )
 
 
+class TestNameResolution:
+    def test_ambiguous_name_unsupported(self):
+        # ``a`` is the local name of both ``x.a`` and ``y.a``.
+        with pytest.raises(UnsupportedError, match="ambiguous attribute 'a'"):
+            Normalizer(schema()).normalize(
+                parse_sql("SELECT a FROM r AS x, r AS y")
+            )
+
+
 class TestViewUnfolding:
     def test_constant_head_filters(self):
         # rule: R'(x, y) -> v(x, 5): the view's second column is constant.

@@ -6,8 +6,10 @@ from repro.common.errors import SemanticsError
 from repro.common.values import NULL, is_null
 from repro.relational.instance import Database, Table
 from repro.relational.schema import Relation, RelationalSchema
+from repro.sql import ast
+from repro.sql.analysis import resolve_attribute
 from repro.sql.parser import parse_sql
-from repro.sql.semantics import attribute_index, evaluate_query
+from repro.sql.semantics import evaluate_query
 
 
 @pytest.fixture
@@ -140,8 +142,6 @@ class TestAggregation:
         assert len(result) == 0
 
     def test_aggregate_outside_group_by_rejected(self, db):
-        from repro.sql import ast
-
         bad = ast.Projection(
             ast.Relation("emp"),
             (ast.OutputColumn("c", ast.Aggregate("Count", None)),),
@@ -230,15 +230,11 @@ class TestOrdering:
 
 class TestRenamingSemantics:
     def test_renaming_qualifies_attributes(self, db):
-        from repro.sql import ast
-
         renamed = ast.Renaming("T", ast.Renaming("e", ast.Relation("emp")))
         result = evaluate_query(renamed, db)
         assert result.attributes == ("T.e_id", "T.e_name", "T.e_dept")
 
     def test_join_attribute_collision_rejected(self, db):
-        from repro.sql import ast
-
         bad = ast.Join(
             ast.JoinKind.CROSS, ast.Relation("emp"), ast.Relation("emp")
         )
@@ -247,7 +243,9 @@ class TestRenamingSemantics:
 
 
 class TestAttributeIndex:
-    """The name rule of the evaluator, which the partition gather shares."""
+    """The one name lookup (``analysis.resolve_attribute``), which the
+    evaluator, the renderer, the optimizer, the planner, the partition
+    gather and the CQ normalizer share."""
 
     @pytest.mark.parametrize(
         ("name", "attributes", "expected"),
@@ -258,8 +256,32 @@ class TestAttributeIndex:
         ],
     )
     def test_resolves(self, name, attributes, expected):
-        assert attribute_index(name, attributes) == expected
+        """*expected* is the position of the attribute *name* resolves to."""
+        found = resolve_attribute(name, attributes)
+        assert found == (None if expected is None else attributes[expected])
 
     def test_ambiguous_local_name_raises(self):
         with pytest.raises(SemanticsError, match="ambiguous"):
-            attribute_index("id", ("d.id", "e.id"))
+            resolve_attribute("id", ("d.id", "e.id"))
+
+    def test_unknown_qualified_name_resolves_to_nothing(self):
+        # A local name has no dot, so a qualified name matches only exactly.
+        assert resolve_attribute("d.id", ("e.id", "id")) is None
+        assert resolve_attribute("e.id.x", ("e.id", "x")) is None
+
+    def test_exact_name_beats_a_local_one_across_join_sides(self):
+        # The scope of ``Π_{e.id := id}(emp) ⋈ dept``: dept's ``id`` wins
+        # over the left operand's local match, whichever side comes first.
+        assert resolve_attribute("id", ("e.id", "id", "dname")) == "id"
+        assert resolve_attribute("id", ("id", "dname", "e.id")) == "id"
+
+    def test_resolves_among_dict_keys(self):
+        fragments = {"e.id": '"e"."id"', "d.dname": '"d"."dname"'}
+        assert resolve_attribute("dname", fragments) == "d.dname"
+        assert resolve_attribute("salary", fragments) is None
+
+    def test_qualify_flattens_an_inner_dot(self):
+        assert ast.qualify("T", "c1.CID") == "T.c1_CID"
+        assert ast.qualify("T", "CID") == "T.CID"
+        assert ast.local_name("T.c1_CID") == "c1_CID"
+        assert resolve_attribute("c1_CID", (ast.qualify("T", "c1.CID"),)) == "T.c1_CID"

@@ -8,15 +8,19 @@ and predicates and gives up at a subquery.  ``children`` lists the child
 fields of every node kind, so ``iter_nodes`` and ``ast_size`` reach every
 node.  The level-1 normalizer runs in one bottom-up pass, so its
 output must be a normal form: no level-1 rule fires at any node of an
-optimized plan.
+optimized plan.  Like the child fields, the two attribute-naming rules
+(``local_name`` and ``qualify``) are spelled in ``sql/ast.py`` only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.backends import GraphitiService
 from repro.benchmarks.suite import benchmark_suite
 from repro.sql import ast
@@ -375,6 +379,29 @@ class TestChildren:
         assert sorted(map(id, visited)) == sorted(map(id, made))
         # Each value of an IN list counts as one node of the Table-1 metric.
         assert ast_size(tree) == len(made) + 2
+
+
+#: Inline spellings of the two naming rules: the local name (a split at
+#: the last ``.``) and a renaming's flattening (``.`` replaced by ``_``).
+NAMING_SPELLINGS = {
+    "local_name": re.compile(r"""\.r(?:split|partition)\(\s*(['"])\.\1"""),
+    "qualify": re.compile(r"""\.replace\(\s*(['"])\.\1\s*,\s*(['"])_\2\s*\)"""),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(NAMING_SPELLINGS))
+def test_naming_rule_is_spelled_only_in_sql_ast(rule):
+    """Every other module calls ``ast.local_name``/``ast.qualify`` (and
+    ``analysis.resolve_attribute`` to find an attribute) instead of
+    re-spelling them; a copy is where a drifted rule would hide."""
+    package = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(package).as_posix()}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if NAMING_SPELLINGS[rule].search(line)
+    ]
+    assert [where.split(":")[0] for where in found] == ["sql/ast.py"], found
 
 
 #: One subquery-free instance of every expression and predicate kind.
