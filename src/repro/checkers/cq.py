@@ -124,7 +124,7 @@ class ConjunctiveQuery:
             if isinstance(condition.right, Var):
                 seen.add(condition.right)
         for term in self.head:
-            seen.update(_expr_vars(term))
+            seen.update(expr_vars(term))
         return seen
 
     def __str__(self) -> str:
@@ -139,13 +139,13 @@ class ConjunctiveQuery:
         return " ".join(parts)
 
 
-def _expr_vars(term: HeadTerm) -> set[Var]:
+def expr_vars(term: HeadTerm) -> set[Var]:
     if isinstance(term, Var):
         return {term}
     if isinstance(term, Expr):
         out: set[Var] = set()
         for operand in term.operands:
-            out |= _expr_vars(operand)
+            out |= expr_vars(operand)
         return out
     return set()
 
@@ -305,6 +305,11 @@ class Normalizer:
         out: list[_Block] = []
         for left in left_blocks:
             for right in right_blocks:
+                if not set(left.columns).isdisjoint(right.columns):
+                    # The reference semantics (``_eval_join``) reject it.
+                    raise UnsupportedError(
+                        "join would produce duplicate attribute names"
+                    )
                 combined = _Block(
                     columns=left.columns + right.columns,
                     head=left.head + right.head,

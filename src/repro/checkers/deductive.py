@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import count, permutations
+from math import factorial
 
 from repro.checkers.base import CheckOutcome, CheckRequest, Verdict
 from repro.checkers.cq import (
@@ -40,6 +41,7 @@ from repro.checkers.cq import (
     Normalizer,
     Term,
     Var,
+    expr_vars,
 )
 from repro.common.errors import UnsupportedError
 from repro.relational.schema import RelationalSchema
@@ -386,20 +388,9 @@ def _variable_occurrences(cq: ConjunctiveQuery) -> dict[Var, int]:
         if condition.right is not None:
             bump(condition.right)
     for head_term in cq.head:
-        for variable in _head_vars(head_term):
+        for variable in expr_vars(head_term):
             bump(variable)
     return counts
-
-
-def _head_vars(term: HeadTerm) -> set[Var]:
-    if isinstance(term, Var):
-        return {term}
-    if isinstance(term, Expr):
-        out: set[Var] = set()
-        for operand in term.operands:
-            out |= _head_vars(operand)
-        return out
-    return set()
 
 
 def _dedup_conditions(cq: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -433,7 +424,7 @@ def decide_ucq_equivalence(
     head_positions = list(range(arity))
     candidate_permutations = (
         permutations(head_positions)
-        if _factorial(arity) <= _MAX_HEAD_PERMUTATIONS
+        if factorial(arity) <= _MAX_HEAD_PERMUTATIONS
         else iter([tuple(head_positions)])
     )
     for permutation in candidate_permutations:
@@ -698,10 +689,3 @@ def _hom_conditions_match(
         if candidate not in available:
             return False
     return True
-
-
-def _factorial(n: int) -> int:
-    result = 1
-    for i in range(2, n + 1):
-        result *= i
-    return result

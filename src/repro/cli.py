@@ -381,23 +381,23 @@ def _load_graph_schema(arguments) -> GraphSchema:
 def _command_transpile(arguments) -> int:
     from repro.common.errors import GraphitiError
     from repro.sql.dialect import dialect_for
+    from repro.sql.optimize import optimize
 
     try:
         dialect = dialect_for(arguments.dialect)
+        schema = _load_graph_schema(arguments)
+        query = parse_cypher(arguments.cypher, schema)
+        sdt = infer_sdt(schema)
+        translated = optimize(
+            transpile(query, schema, sdt), level=arguments.opt, schema=sdt.schema
+        )
+        sql = to_sql_text(translated, sdt.schema, optimized=False, dialect=dialect)
     except GraphitiError as error:
         raise SystemExit(str(error))
-    from repro.sql.optimize import optimize
-
-    schema = _load_graph_schema(arguments)
-    query = parse_cypher(arguments.cypher, schema)
-    sdt = infer_sdt(schema)
-    translated = optimize(
-        transpile(query, schema, sdt), level=arguments.opt, schema=sdt.schema
-    )
     print("-- induced relational schema")
     for relation in sdt.schema.relations:
         print(f"--   {relation}")
-    print(to_sql_text(translated, sdt.schema, optimized=False, dialect=dialect))
+    print(sql)
     return 0
 
 
@@ -690,6 +690,17 @@ def _collect_backend_stats(rows_per_table: int, echo: bool = True) -> dict:
 
 
 def _command_check(arguments) -> int:
+    from repro.common.errors import GraphitiError
+
+    try:
+        return _check(arguments)
+    except GraphitiError as error:
+        # Exit 1 is the verdict "not-equivalent"; an unusable input is 2.
+        print(str(error), file=sys.stderr)
+        return 2
+
+
+def _check(arguments) -> int:
     if arguments.benchmark:
         from repro.benchmarks.suite import benchmark_suite
 

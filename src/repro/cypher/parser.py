@@ -15,6 +15,12 @@ Sugar handled by the parser (desugared into the Figure-9 core):
 * node patterns without labels are inferred from adjacent edge types when a
   graph schema is supplied (the paper's Appendix C example needs this);
 * ``EXISTS { MATCH ... }`` and ``EXISTS(...)`` both parse to ``Exists``.
+
+Expressions and predicates come from the grammar both parsers share
+(:class:`repro.cypher.lexer.ExpressionGrammar`); this parser overrides only
+what Cypher writes its own way: a reference is ``n.key``, ``IN`` also takes
+``[...]``, ``EXISTS`` opens a pattern, ``Count(n)`` counts a variable, and an
+aggregate stands only in a RETURN or ORDER BY item.
 """
 
 from __future__ import annotations
@@ -22,19 +28,17 @@ from __future__ import annotations
 from itertools import count
 
 from repro.common.errors import ParseError
-from repro.common.values import NULL, Value
 from repro.cypher import ast
 from repro.cypher.lexer import (
+    AGGREGATES,
     CYPHER_SYNTAX,
+    ExpressionGrammar,
     Token,
     TokenStream,
     number_value,
-    string_value,
     tokenize,
 )
 from repro.graph.schema import GraphSchema
-
-_AGGREGATES = {"COUNT": "Count", "SUM": "Sum", "AVG": "Avg", "MIN": "Min", "MAX": "Max"}
 
 _KEYWORDS = {
     "MATCH", "OPTIONAL", "WHERE", "WITH", "AS", "RETURN", "DISTINCT",
@@ -53,7 +57,11 @@ def parse_cypher(source: str, schema: GraphSchema | None = None) -> ast.Query:
     return query
 
 
-class _Parser:
+class _Parser(ExpressionGrammar):
+    ast = ast
+    #: Aggregates stand only in RETURN and ORDER BY items.
+    NESTED_AGGREGATES = False
+
     def __init__(self, stream: TokenStream, schema: GraphSchema | None) -> None:
         self.stream = stream
         self.schema = schema
@@ -112,7 +120,7 @@ class _Parser:
         if (
             token.kind == "ident"
             and token.keyword not in _KEYWORDS
-            and token.keyword not in _AGGREGATES
+            and token.keyword not in AGGREGATES
             and not self.stream.peek(1).is_op(".")
         ):
             self.stream.advance()
@@ -121,7 +129,7 @@ class _Parser:
             raise self.stream.error(
                 f"ORDER BY key {token.text!r} does not name a RETURN column"
             )
-        expression = self._parse_expression(allow_aggregates=True)
+        expression = self._parse_expression()
         from repro.cypher.pretty import _expression as render
 
         rendered = render(expression)
@@ -322,29 +330,6 @@ class _Parser:
         self.stream.expect_op("}")
         return constraints
 
-    def _parse_literal_value(self) -> Value:
-        token = self.stream.peek()
-        if token.kind == "number":
-            self.stream.advance()
-            return number_value(token)
-        if token.kind == "string":
-            self.stream.advance()
-            return string_value(token)
-        if token.is_keyword("TRUE"):
-            self.stream.advance()
-            return True
-        if token.is_keyword("FALSE"):
-            self.stream.advance()
-            return False
-        if token.is_keyword("NULL"):
-            self.stream.advance()
-            return NULL
-        if token.is_op("-"):
-            self.stream.advance()
-            number = self._expect_number()
-            return -number_value(number)
-        raise self.stream.error(f"expected a literal, found {token.text!r}")
-
     def _infer_labels(
         self, elements: list[ast.NodePattern | ast.EdgePattern]
     ) -> list[ast.NodePattern | ast.EdgePattern]:
@@ -451,7 +436,7 @@ class _Parser:
 
         while True:
             token = self.stream.peek()
-            expression = self._parse_expression(allow_aggregates=True)
+            expression = self._parse_expression()
             name = render(expression)
             if self.stream.take_keyword("AS"):
                 token = self.stream.expect_ident("output name")
@@ -469,78 +454,25 @@ class _Parser:
                 break
         return ast.Return(clause, tuple(expressions), tuple(names), distinct)
 
-    # -- predicates --------------------------------------------------------
+    # -- expression forms Cypher writes its own way ---------------------------
 
-    def _parse_predicate(self) -> ast.Predicate:
-        return self._parse_or()
+    def _parse_reference(self, token: Token) -> ast.Expression:
+        if token.keyword in AGGREGATES:
+            raise self.stream.error(f"{token.text} must be called like a function")
+        if self.stream.take_op("."):
+            key = self.stream.expect_ident("property key").text
+            return ast.PropertyRef(token.text, key)
+        raise self.stream.error(
+            f"bare variable {token.text!r} in expression position; "
+            f"reference a property like {token.text}.key"
+        )
 
-    def _parse_or(self) -> ast.Predicate:
-        left = self._parse_and()
-        while self.stream.take_keyword("OR"):
-            left = ast.Or(left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> ast.Predicate:
-        left = self._parse_not()
-        while self.stream.take_keyword("AND"):
-            left = ast.And(left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> ast.Predicate:
-        if self.stream.take_keyword("NOT"):
-            return ast.Not(self._parse_not())
-        return self._parse_atom_predicate()
-
-    def _parse_atom_predicate(self) -> ast.Predicate:
-        if self.stream.at_keyword("EXISTS"):
-            return self._parse_exists()
-        if self.stream.at_keyword("TRUE"):
-            self.stream.advance()
-            return ast.TRUE
-        if self.stream.at_keyword("FALSE"):
-            self.stream.advance()
-            return ast.FALSE
-        if self.stream.at_op("(") and self._parenthesised_predicate_ahead():
-            self.stream.expect_op("(")
-            inner = self._parse_predicate()
-            self.stream.expect_op(")")
-            return inner
-        left = self._parse_expression(allow_aggregates=False)
-        return self._parse_predicate_tail(left)
-
-    def _parse_predicate_tail(self, left: ast.Expression) -> ast.Predicate:
-        token = self.stream.peek()
-        if token.is_op("=", "<>", "!=", "<", "<=", ">", ">="):
-            self.stream.advance()
-            op = "<>" if token.text == "!=" else token.text
-            right = self._parse_expression(allow_aggregates=False)
-            return ast.Comparison(op, left, right)
-        if token.is_keyword("IS"):
-            self.stream.advance()
-            negated = self.stream.take_keyword("NOT")
-            self.stream.expect_keyword("NULL")
-            return ast.IsNull(left, negated)
-        if token.is_keyword("IN"):
-            self.stream.advance()
-            return ast.InValues(left, self._parse_value_list())
-        if token.is_keyword("NOT"):
-            self.stream.advance()
-            self.stream.expect_keyword("IN")
-            return ast.Not(ast.InValues(left, self._parse_value_list()))
-        raise self.stream.error("expected a comparison, IS NULL, or IN")
-
-    def _parse_value_list(self) -> tuple[Value, ...]:
-        open_bracket = self.stream.take_op("[")
-        if not open_bracket:
-            self.stream.expect_op("(")
-        values = [self._parse_literal_value()]
-        while self.stream.take_op(","):
-            values.append(self._parse_literal_value())
-        self.stream.expect_op("]" if open_bracket else ")")
-        return tuple(values)
+    def _parse_in(self, left: ast.Expression, negated: bool) -> ast.Predicate:
+        if self.stream.take_op("["):
+            return self._parse_in_values(left, negated, "]")
+        return super()._parse_in(left, negated)
 
     def _parse_exists(self) -> ast.Predicate:
-        self.stream.expect_keyword("EXISTS")
         if self.stream.take_op("{"):
             self.stream.take_keyword("MATCH")
             pattern, inline = self._parse_path_pattern()
@@ -554,129 +486,25 @@ class _Parser:
         self.stream.expect_op(")")
         return ast.Exists(pattern, inline)
 
-    def _parenthesised_predicate_ahead(self) -> bool:
-        """Disambiguate ``(a.x + 1) > 2`` from ``(NOT p OR q)``.
-
-        Scan ahead for a boolean keyword before the matching close paren at
-        depth 1; comparisons inside also mark it as a predicate.
-        """
-        depth = 0
-        offset = 0
-        while True:
-            token = self.stream.peek(offset)
-            if token.kind == "eof":
-                return False
-            if token.is_op("("):
-                depth += 1
-            elif token.is_op(")"):
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif depth == 1 and (
-                token.is_keyword("AND", "OR", "NOT", "IN", "IS", "EXISTS")
-                or token.is_op("=", "<>", "!=", "<", "<=", ">", ">=")
-            ):
-                return True
-            offset += 1
-
-    # -- expressions ---------------------------------------------------------
-
-    def _parse_expression(self, allow_aggregates: bool) -> ast.Expression:
-        return self._parse_additive(allow_aggregates)
-
-    def _parse_additive(self, allow_aggregates: bool) -> ast.Expression:
-        left = self._parse_multiplicative(allow_aggregates)
-        while self.stream.at_op("+", "-"):
-            op = self.stream.advance().text
-            right = self._parse_multiplicative(allow_aggregates)
-            left = ast.BinaryOp(op, left, right)
-        return left
-
-    def _parse_multiplicative(self, allow_aggregates: bool) -> ast.Expression:
-        left = self._parse_unary(allow_aggregates)
-        while self.stream.at_op("*", "/", "%"):
-            op = self.stream.advance().text
-            right = self._parse_unary(allow_aggregates)
-            left = ast.BinaryOp(op, left, right)
-        return left
-
-    def _parse_unary(self, allow_aggregates: bool) -> ast.Expression:
-        if self.stream.at_op("-"):
-            self.stream.advance()
-            operand = self._parse_unary(allow_aggregates)
-            if isinstance(operand, ast.Literal) and isinstance(operand.value, (int, float)):
-                return ast.Literal(-operand.value)
-            return ast.BinaryOp("-", ast.Literal(0), operand)
-        return self._parse_primary(allow_aggregates)
-
-    def _parse_primary(self, allow_aggregates: bool) -> ast.Expression:
-        token = self.stream.peek()
-        if token.kind == "number":
-            self.stream.advance()
-            return ast.Literal(number_value(token))
-        if token.kind == "string":
-            self.stream.advance()
-            return ast.Literal(string_value(token))
-        if token.is_keyword("NULL"):
-            self.stream.advance()
-            return ast.Literal(NULL)
-        if token.is_keyword("TRUE"):
-            self.stream.advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self.stream.advance()
-            return ast.Literal(False)
-        if token.kind == "ident" and token.keyword in _AGGREGATES:
-            return self._parse_aggregate(allow_aggregates)
-        if token.kind == "ident":
-            self.stream.advance()
-            if self.stream.take_op("."):
-                key = self.stream.expect_ident("property key").text
-                return ast.PropertyRef(token.text, key)
-            raise self.stream.error(
-                f"bare variable {token.text!r} in expression position; "
-                "reference a property like {token.text}.key"
-            )
-        if token.is_op("("):
-            self.stream.advance()
-            inner = self._parse_expression(allow_aggregates)
-            self.stream.expect_op(")")
-            return inner
-        raise self.stream.error(f"expected an expression, found {token.text!r}")
-
-    def _parse_aggregate(self, allow_aggregates: bool) -> ast.Expression:
-        token = self.stream.advance()
-        function = _AGGREGATES[token.keyword]
-        if not self.stream.at_op("("):
-            raise self.stream.error(f"{token.text} must be called like a function")
-        if not allow_aggregates:
-            raise self.stream.error("aggregates are not allowed here")
-        self.stream.expect_op("(")
-        distinct = self.stream.take_keyword("DISTINCT")
-        if self.stream.take_op("*"):
-            self.stream.expect_op(")")
-            return ast.Aggregate("Count", None, distinct)
+    def _parse_aggregate_argument(self, function: str) -> ast.Expression:
         token = self.stream.peek()
         if (
             token.kind == "ident"
             and token.keyword not in _KEYWORDS
-            and token.keyword not in _AGGREGATES
-            and not self.stream.peek(1).is_op(".")
+            and token.keyword not in AGGREGATES
             and self.stream.peek(1).is_op(")")
         ):
             # ``Count(n)`` — a bare variable aggregates the element's
             # identity (its default property key), NULL for unmatched
             # optional bindings.
-            self.stream.advance()
-            self.stream.expect_op(")")
+            self.stream.advance()  # the variable
+            self.stream.advance()  # its ")"
             if function != "Count":
                 raise self.stream.error(
                     f"{function} needs a property expression argument"
                 )
-            return ast.Aggregate("Count", ast.VariableRef(token.text), distinct)
-        argument = self._parse_expression(allow_aggregates=False)
-        self.stream.expect_op(")")
-        return ast.Aggregate(function, argument, distinct)
+            return ast.VariableRef(token.text)
+        return super()._parse_aggregate_argument(function)
 
 
 def _conjoin(left: ast.Predicate, right: ast.Predicate) -> ast.Predicate:

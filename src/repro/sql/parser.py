@@ -16,24 +16,25 @@ The parser lowers directly into the relational algebra of
 :mod:`repro.sql.ast`: every FROM item is wrapped in a renaming ``ρ_alias`` so
 attribute references are always qualified, comma-separated items become
 cross joins, and ``WHERE`` becomes a selection.
+
+Expressions and predicates come from the grammar both parsers share
+(:class:`repro.cypher.lexer.ExpressionGrammar`); this parser overrides only
+what SQL writes its own way: a reference is an attribute name, and ``IN``
+and ``EXISTS`` take a subquery.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ParseError
-from repro.common.values import NULL, Value
 from repro.cypher.lexer import (
     SQL_SYNTAX,
+    ExpressionGrammar,
     Token,
     TokenStream,
     number_value,
-    string_value,
     tokenize,
 )
 from repro.sql import ast
 from repro.sql.analysis import has_aggregate
-
-_AGGREGATES = {"COUNT": "Count", "SUM": "Sum", "AVG": "Avg", "MIN": "Min", "MAX": "Max"}
 
 _KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
@@ -53,7 +54,10 @@ def parse_sql(source: str) -> ast.Query:
     return query
 
 
-class _Parser:
+class _Parser(ExpressionGrammar):
+    ast = ast
+    SUBQUERY_KEYWORDS = ("SELECT", "WITH")
+
     def __init__(self, stream: TokenStream) -> None:
         self.stream = stream
 
@@ -267,207 +271,28 @@ class _Parser:
             alias = self.stream.advance().text
         return ast.Renaming(alias, ast.Relation(name))
 
-    # -- predicates -----------------------------------------------------------
+    # -- expression forms SQL writes its own way -------------------------------
 
-    def _parse_predicate(self) -> ast.Predicate:
-        return self._parse_or()
+    def _parse_reference(self, token: Token) -> ast.Expression:
+        if self.stream.take_op("."):
+            attribute = self.stream.expect_ident("attribute name").text
+            return ast.AttributeRef(f"{token.text}.{attribute}")
+        return ast.AttributeRef(token.text)
 
-    def _parse_or(self) -> ast.Predicate:
-        left = self._parse_and()
-        while self.stream.take_keyword("OR"):
-            left = ast.Or(left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> ast.Predicate:
-        left = self._parse_not()
-        while self.stream.take_keyword("AND"):
-            left = ast.And(left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> ast.Predicate:
-        if self.stream.take_keyword("NOT"):
-            return ast.Not(self._parse_not())
-        return self._parse_atom_predicate()
-
-    def _parse_atom_predicate(self) -> ast.Predicate:
-        token = self.stream.peek()
-        if token.is_keyword("EXISTS"):
-            self.stream.advance()
-            self.stream.expect_op("(")
+    def _parse_in(self, left: ast.Expression, negated: bool) -> ast.Predicate:
+        stream = self.stream
+        if stream.at_op("(") and stream.peek(1).keyword in self.SUBQUERY_KEYWORDS:
+            stream.advance()
             subquery = self.parse_query()
-            self.stream.expect_op(")")
-            return ast.ExistsQuery(subquery)
-        if token.is_keyword("TRUE"):
-            self.stream.advance()
-            return ast.TRUE
-        if token.is_keyword("FALSE"):
-            self.stream.advance()
-            return ast.FALSE
-        if token.is_op("(") and self._parenthesised_predicate_ahead():
-            self.stream.expect_op("(")
-            inner = self._parse_predicate()
-            self.stream.expect_op(")")
-            return inner
-        left = self._parse_expression()
-        return self._parse_predicate_tail(left)
-
-    def _parse_predicate_tail(self, left: ast.Expression) -> ast.Predicate:
-        token = self.stream.peek()
-        if token.is_op("=", "<>", "!=", "<", "<=", ">", ">="):
-            self.stream.advance()
-            op = "<>" if token.text == "!=" else token.text
-            right = self._parse_expression()
-            return ast.Comparison(op, left, right)
-        if token.is_keyword("IS"):
-            self.stream.advance()
-            negated = self.stream.take_keyword("NOT")
-            self.stream.expect_keyword("NULL")
-            return ast.IsNull(left, negated)
-        if token.is_keyword("IN"):
-            self.stream.advance()
-            return self._parse_in_tail(left, negated=False)
-        if token.is_keyword("NOT"):
-            self.stream.advance()
-            self.stream.expect_keyword("IN")
-            return self._parse_in_tail(left, negated=True)
-        raise self.stream.error("expected a comparison, IS NULL, IN, or EXISTS")
-
-    def _parse_in_tail(self, left: ast.Expression, negated: bool) -> ast.Predicate:
-        self.stream.expect_op("(")
-        if self.stream.at_keyword("SELECT", "WITH"):
-            subquery = self.parse_query()
-            self.stream.expect_op(")")
+            stream.expect_op(")")
             return ast.InQuery((left,), subquery, negated)
-        values = [self._parse_literal_value()]
-        while self.stream.take_op(","):
-            values.append(self._parse_literal_value())
-        self.stream.expect_op(")")
-        membership: ast.Predicate = ast.InValues(left, tuple(values))
-        return ast.Not(membership) if negated else membership
+        return super()._parse_in(left, negated)
 
-    def _parenthesised_predicate_ahead(self) -> bool:
-        depth = 0
-        offset = 0
-        while True:
-            token = self.stream.peek(offset)
-            if token.kind == "eof":
-                return False
-            if token.is_op("("):
-                depth += 1
-            elif token.is_op(")"):
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif depth == 1 and token.is_keyword("SELECT", "WITH"):
-                return False  # a subquery, not a predicate group
-            elif depth == 1 and (
-                token.is_keyword("AND", "OR", "NOT", "IN", "IS", "EXISTS")
-                or token.is_op("=", "<>", "!=", "<", "<=", ">", ">=")
-            ):
-                return True
-            offset += 1
-
-    # -- expressions ---------------------------------------------------------
-
-    def _parse_expression(self) -> ast.Expression:
-        return self._parse_additive()
-
-    def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
-        while self.stream.at_op("+", "-"):
-            op = self.stream.advance().text
-            left = ast.BinaryOp(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while self.stream.at_op("*", "/", "%"):
-            op = self.stream.advance().text
-            left = ast.BinaryOp(op, left, self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> ast.Expression:
-        if self.stream.at_op("-"):
-            self.stream.advance()
-            operand = self._parse_unary()
-            if isinstance(operand, ast.Literal) and isinstance(
-                operand.value, (int, float)
-            ):
-                return ast.Literal(-operand.value)
-            return ast.BinaryOp("-", ast.Literal(0), operand)
-        return self._parse_primary()
-
-    def _parse_primary(self) -> ast.Expression:
-        token = self.stream.peek()
-        if token.kind == "number":
-            self.stream.advance()
-            return ast.Literal(number_value(token))
-        if token.kind == "string":
-            self.stream.advance()
-            return ast.Literal(string_value(token))
-        if token.is_keyword("NULL"):
-            self.stream.advance()
-            return ast.Literal(NULL)
-        if token.is_keyword("TRUE"):
-            self.stream.advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self.stream.advance()
-            return ast.Literal(False)
-        if token.kind == "ident" and token.keyword in _AGGREGATES:
-            if self.stream.peek(1).is_op("("):
-                return self._parse_aggregate()
-        if token.kind == "ident":
-            self.stream.advance()
-            name = token.text
-            if self.stream.take_op("."):
-                attribute = self.stream.expect_ident("attribute name").text
-                return ast.AttributeRef(f"{name}.{attribute}")
-            return ast.AttributeRef(name)
-        if token.is_op("("):
-            self.stream.advance()
-            inner = self._parse_expression()
-            self.stream.expect_op(")")
-            return inner
-        raise self.stream.error(f"expected an expression, found {token.text!r}")
-
-    def _parse_aggregate(self) -> ast.Expression:
-        token = self.stream.advance()
-        function = _AGGREGATES[token.keyword]
+    def _parse_exists(self) -> ast.Predicate:
         self.stream.expect_op("(")
-        distinct = self.stream.take_keyword("DISTINCT")
-        if self.stream.take_op("*"):
-            self.stream.expect_op(")")
-            return ast.Aggregate("Count", None, distinct)
-        argument = self._parse_expression()
+        subquery = self.parse_query()
         self.stream.expect_op(")")
-        return ast.Aggregate(function, argument, distinct)
-
-    def _parse_literal_value(self) -> Value:
-        token = self.stream.peek()
-        if token.kind == "number":
-            self.stream.advance()
-            return number_value(token)
-        if token.kind == "string":
-            self.stream.advance()
-            return string_value(token)
-        if token.is_keyword("TRUE"):
-            self.stream.advance()
-            return True
-        if token.is_keyword("FALSE"):
-            self.stream.advance()
-            return False
-        if token.is_keyword("NULL"):
-            self.stream.advance()
-            return NULL
-        if token.is_op("-"):
-            self.stream.advance()
-            number = self.stream.peek()
-            if number.kind != "number":
-                raise self.stream.error("expected a number after '-'")
-            self.stream.advance()
-            return -number_value(number)
-        raise self.stream.error(f"expected a literal, found {token.text!r}")
+        return ast.ExistsQuery(subquery)
 
 
 def _default_name(expression: ast.Expression) -> str:

@@ -60,6 +60,12 @@ class TestNameResolution:
                 parse_sql("SELECT a FROM r AS x, r AS y")
             )
 
+    def test_join_with_a_shared_name_unsupported(self):
+        # Both operands name their attributes ``r.a`` and ``r.b``; the
+        # reference evaluator rejects the join, so the checker declines it.
+        with pytest.raises(UnsupportedError, match="duplicate attribute names"):
+            Normalizer(schema()).normalize(parse_sql("SELECT r.a FROM r, r"))
+
 
 class TestViewUnfolding:
     def test_constant_head_filters(self):

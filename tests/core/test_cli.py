@@ -35,6 +35,26 @@ class TestTranspile:
         with pytest.raises(SystemExit):
             main(["transpile", "--cypher", "MATCH (a:A) RETURN a.x"])
 
+    @pytest.mark.parametrize(
+        ("cypher", "message"),
+        [
+            (
+                "MATCH (n:USER) WHERE n = 1 RETURN n.uname",
+                "reference a property like n.key (at line 1, column 24)",
+            ),
+            (
+                "MATCH (n:USER) WITH m RETURN n.uname",
+                "WITH references unbound variable 'm'",
+            ),
+        ],
+    )
+    def test_error_in_the_query_is_one_line(self, cypher, message):
+        """A ParseError or TranspileError exits with its message, not a traceback."""
+        with pytest.raises(SystemExit) as caught:
+            main(["transpile", "--example", "social", "--cypher", cypher])
+        assert message in caught.value.code
+        assert "\n" not in caught.value.code
+
 
 class TestCheck:
     def test_benchmark_deductive(self, capsys):
@@ -103,6 +123,39 @@ class TestCheck:
         )
         assert code == 0
         assert "equivalent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("cypher", "message"),
+        [
+            (
+                "MATCH (n:EMP) WHERE n = 1 RETURN n.name",
+                "reference a property like n.key (at line 1, column 23)",
+            ),
+            (
+                "MATCH (n:EMP) WITH m RETURN n.name",
+                "WITH references unbound variable 'm'",
+            ),
+        ],
+    )
+    def test_error_in_the_query_exits_2(self, tmp_path, capsys, cypher, message):
+        """Exit 1 means not-equivalent, so an unusable query exits 2."""
+        (tmp_path / "g.txt").write_text("node EMP(id, name)\n")
+        (tmp_path / "r.txt").write_text("table emp(id, name)\n")
+        (tmp_path / "t.txt").write_text("EMP(id, name) -> emp(id, name)\n")
+        code = main(
+            [
+                "check",
+                "--graph-schema", str(tmp_path / "g.txt"),
+                "--relational-schema", str(tmp_path / "r.txt"),
+                "--transformer", str(tmp_path / "t.txt"),
+                "--cypher", cypher,
+                "--sql", "SELECT e.name FROM emp AS e",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
 
 
 class TestMisc:

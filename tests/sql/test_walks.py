@@ -9,7 +9,9 @@ fields of every node kind, so ``iter_nodes`` and ``ast_size`` reach every
 node.  The level-1 normalizer runs in one bottom-up pass, so its
 output must be a normal form: no level-1 rule fires at any node of an
 optimized plan.  Like the child fields, the two attribute-naming rules
-(``local_name`` and ``qualify``) are spelled in ``sql/ast.py`` only.
+(``local_name`` and ``qualify``) are spelled in ``sql/ast.py`` only, and
+the expression grammar both parsers read SQL and Cypher with is defined
+in one module.
 """
 
 from __future__ import annotations
@@ -402,6 +404,40 @@ def test_naming_rule_is_spelled_only_in_sql_ast(rule):
         if NAMING_SPELLINGS[rule].search(line)
     ]
     assert [where.split(":")[0] for where in found] == ["sql/ast.py"], found
+
+
+#: The levels of the expression and predicate grammar both surface parsers
+#: share, and the aggregate-name table (``"COUNT": "Count"``, ...).
+GRAMMAR_DEFINITIONS = {
+    **{
+        name: re.compile(rf"^\s*def {name}\(")
+        for name in (
+            "_parse_predicate", "_parse_and", "_parse_not",
+            "_parse_atom_predicate", "_parse_in_values",
+            "_parenthesised_predicate_ahead", "_parse_expression",
+            "_parse_multiplicative", "_parse_unary", "_parse_primary",
+            "_parse_aggregate", "_parse_literal_value",
+        )
+    },
+    "aggregate table": re.compile(r"""(['"])COUNT\1\s*:"""),
+}
+
+
+@pytest.mark.parametrize("definition", sorted(GRAMMAR_DEFINITIONS))
+def test_grammar_is_defined_in_one_module(definition):
+    """The Cypher and SQL parsers subclass one ``ExpressionGrammar`` and
+    override only the forms their languages write differently; a second
+    copy of a grammar level is where the two front ends would drift."""
+    package = Path(repro.__file__).parent
+    modules = sorted(
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if any(
+            GRAMMAR_DEFINITIONS[definition].search(line)
+            for line in path.read_text().splitlines()
+        )
+    )
+    assert len(modules) == 1, modules
 
 
 #: One subquery-free instance of every expression and predicate kind.
