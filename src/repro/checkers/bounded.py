@@ -11,7 +11,11 @@ reference evaluator, and comparing result tables under Definition 4.4.
 The contract matches VeriEQL's: a ``NOT_EQUIVALENT`` verdict carries a
 concrete counterexample (which the pipeline lifts to a property graph), and
 the absence of a counterexample up to the reached bound is reported as
-``BOUNDED_EQUIVALENT`` together with that bound.
+``BOUNDED_EQUIVALENT`` together with that bound.  An instance on which
+either query raises (an ill-typed or ill-formed query) is evidence of
+neither: when any instance raised and none refuted, the verdict is
+``UNKNOWN``, and its detail counts the instances that raised and quotes the
+first error.
 
 Counterexamples are shrunk greedily (row removal while the disagreement and
 the integrity constraints persist) so the witnesses match the paper's tiny
@@ -63,42 +67,38 @@ class BoundedChecker:
         generator.rng.seed(self.seed)
         checked = 0
         reached_bound = 0
+        raised = 0
+        first_error = ""
         for bound in range(1, self.max_bound + 1):
             for _ in range(self.samples_per_bound):
                 if time.monotonic() - started > self.time_budget_seconds:
-                    return CheckOutcome(
-                        Verdict.BOUNDED_EQUIVALENT,
-                        checked_bound=reached_bound,
-                        instances_checked=checked,
-                        elapsed_seconds=time.monotonic() - started,
-                        detail="time budget exhausted",
+                    return _unrefuted(
+                        reached_bound, checked, started, raised, first_error,
+                        "time budget exhausted",
                     )
                 induced = generator.random_instance(bound)
-                outcome = self._try_instance(request, induced, bound, checked, started)
                 checked += 1
-                if outcome is not None:
-                    return outcome
+                try:
+                    disagrees = self._disagree(request, induced)
+                except GraphitiError as error:
+                    raised += 1
+                    first_error = first_error or str(error)
+                    continue
+                if disagrees:
+                    return self._refutation(request, induced, bound, checked, started)
             reached_bound = bound
-        return CheckOutcome(
-            Verdict.BOUNDED_EQUIVALENT,
-            checked_bound=reached_bound,
-            instances_checked=checked,
-            elapsed_seconds=time.monotonic() - started,
-        )
+        return _unrefuted(reached_bound, checked, started, raised, first_error)
 
     # -- single-instance check ------------------------------------------------
 
-    def _try_instance(
+    def _refutation(
         self,
         request: CheckRequest,
         induced: Database,
         bound: int,
         checked: int,
         started: float,
-    ) -> CheckOutcome | None:
-        disagreement = self._disagree(request, induced)
-        if disagreement is None:
-            return None
+    ) -> CheckOutcome:
         induced_small = self._shrink(request, induced) if self.enable_shrinking else induced
         target_small = transform_database(
             request.residual, induced_small, request.target_schema
@@ -108,30 +108,27 @@ class BoundedChecker:
             induced_witness=induced_small,
             target_witness=target_small,
             checked_bound=bound,
-            instances_checked=checked + 1,
+            instances_checked=checked,
             elapsed_seconds=time.monotonic() - started,
         )
 
-    def _disagree(self, request: CheckRequest, induced: Database) -> bool | None:
-        """Return True-ish if the queries disagree on *induced* (else None)."""
+    def _disagree(self, request: CheckRequest, induced: Database) -> bool:
+        """Whether the queries disagree on *induced*, a legal instance whose
+        target image is legal too (any other instance agrees).  An error
+        evaluating either query propagates."""
         if induced.constraint_violation() is not None:
-            return None
+            return False
         try:
             target = transform_database(
                 request.residual, induced, request.target_schema
             )
         except GraphitiError:
-            return None
+            return False
         if target.constraint_violation() is not None:
-            return None
-        try:
-            left = evaluate_query(request.induced_query, induced)
-            right = evaluate_query(request.target_query, target)
-        except GraphitiError:
-            return None
-        if tables_equivalent(left, right):
-            return None
-        return True
+            return False
+        left = evaluate_query(request.induced_query, induced)
+        right = evaluate_query(request.target_query, target)
+        return not tables_equivalent(left, right)
 
     # -- shrinking --------------------------------------------------------------
 
@@ -147,13 +144,41 @@ class BoundedChecker:
                     candidate = _without_row(current, relation.name, index)
                     if candidate.constraint_violation() is not None:
                         continue
-                    if self._disagree(request, candidate):
+                    try:
+                        disagrees = self._disagree(request, candidate)
+                    except GraphitiError:
+                        continue  # a smaller instance that raises witnesses nothing
+                    if disagrees:
                         current = candidate
                         improved = True
                         break
                 if improved:
                     break
         return current
+
+
+def _unrefuted(
+    bound: int,
+    checked: int,
+    started: float,
+    raised: int,
+    first_error: str,
+    detail: str = "",
+) -> CheckOutcome:
+    """The verdict when no instance refuted: ``BOUNDED_EQUIVALENT`` up to
+    *bound*, or ``UNKNOWN`` when *raised* of the *checked* instances raised."""
+    verdict = Verdict.BOUNDED_EQUIVALENT
+    if raised:
+        verdict = Verdict.UNKNOWN
+        errors = f"{raised} of {checked} instances raised: {first_error}"
+        detail = f"{errors}; {detail}" if detail else errors
+    return CheckOutcome(
+        verdict,
+        checked_bound=bound,
+        instances_checked=checked,
+        elapsed_seconds=time.monotonic() - started,
+        detail=detail,
+    )
 
 
 def _without_row(database: Database, relation_name: str, index: int) -> Database:

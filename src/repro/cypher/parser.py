@@ -389,6 +389,8 @@ class _Parser(ExpressionGrammar):
             edge = elements[edge_index]
             if not isinstance(edge, ast.EdgePattern) or not edge.label:
                 continue
+            if not self.schema.has_edge_type(edge.label):
+                raise self.stream.error(f"unknown edge type {edge.label!r}")
             edge_type = self.schema.edge_type(edge.label)
             left_of_edge = edge_index == index + 1
             if edge.direction is ast.Direction.OUT:
@@ -497,12 +499,12 @@ class _Parser(ExpressionGrammar):
             # ``Count(n)`` — a bare variable aggregates the element's
             # identity (its default property key), NULL for unmatched
             # optional bindings.
-            self.stream.advance()  # the variable
-            self.stream.advance()  # its ")"
             if function != "Count":
                 raise self.stream.error(
                     f"{function} needs a property expression argument"
                 )
+            self.stream.advance()  # the variable
+            self.stream.advance()  # its ")"
             return ast.VariableRef(token.text)
         return super()._parse_aggregate_argument(function)
 

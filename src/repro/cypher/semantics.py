@@ -7,6 +7,12 @@ paper's "subgraph with variable-indexed property map": the paper's
 ``(N, E, P, T)`` subgraphs key their property map by ``(X, k)`` pairs, which
 is exactly a variable binding.
 
+Expressions and predicates follow the rules both reference evaluators share
+(:class:`repro.common.semantics.ExpressionSemantics`), per binding in
+``WHERE`` and grouping keys, and over the group in an aggregating
+``RETURN``.  This module supplies only what Cypher does its own way: a
+reference reads an element of a binding, and ``EXISTS`` matches a pattern.
+
 Two places where this implementation resolves ambiguities in the paper's
 formalization (both resolved in favour of the SQL translation, whose
 soundness theorem fixes the intended meaning — and both matching Neo4j):
@@ -24,20 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common import arithmetic
-from repro.common.aggregates import combine, count_rows, dedup, group_by
+from repro.common.aggregates import dedup, group_by
 from repro.common.errors import SemanticsError
-from repro.common.values import (
-    NULL,
-    Value,
-    compare,
-    is_null,
-    order_rows,
-    sql_and,
-    sql_not,
-    sql_or,
-    value_eq,
-)
+from repro.common.semantics import ExpressionSemantics
+from repro.common.values import NULL, Truth, Value, order_rows
 from repro.cypher import ast
 from repro.cypher.analysis import (
     has_aggregate,
@@ -125,31 +121,32 @@ def evaluate_query(query: ast.Query, graph: PropertyGraph) -> Table:
 
 
 def _eval_return(query: ast.Return, graph: PropertyGraph) -> Table:
-    bindings = evaluate_clause(query.clause, graph)
+    rules = _Semantics(graph)
+    bindings = evaluate_clause(query.clause, rules)
     attributes = tuple(query.names)
     if not any(has_aggregate(e) for e in query.expressions):
         rows = [
-            tuple(eval_expression(expr, graph, [binding]) for expr in query.expressions)
+            tuple(rules.expression(expr, binding) for expr in query.expressions)
             for binding in bindings
         ]
     else:
-        rows = _eval_aggregated_return(query, graph, bindings)
+        rows = _eval_aggregated_return(query, rules, bindings)
     if query.distinct:
         rows = dedup(rows)
     return Table(attributes, rows)
 
 
 def _eval_aggregated_return(
-    query: ast.Return, graph: PropertyGraph, bindings: list[Binding]
+    query: ast.Return, rules: _Semantics, bindings: list[Binding]
 ) -> list[Row]:
     """Grouping per Appendix A: group by the non-aggregate expressions."""
     grouping = [e for e in query.expressions if not has_aggregate(e)]
     groups = group_by(
         bindings,
-        lambda binding: tuple(eval_expression(e, graph, [binding]) for e in grouping),
+        lambda binding: tuple(rules.expression(e, binding) for e in grouping),
     )
     return [
-        tuple(eval_expression(expr, graph, group) for expr in query.expressions)
+        tuple(rules.expression(expr, group[0], group) for expr in query.expressions)
         for group in groups.values()
     ]
 
@@ -170,23 +167,24 @@ def _eval_order_by(query: ast.OrderBy, graph: PropertyGraph) -> Table:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_clause(clause: ast.Clause, graph: PropertyGraph) -> list[Binding]:
-    """``⟦C⟧_G`` — a clause maps the graph to a list of bindings."""
+def evaluate_clause(clause: ast.Clause, rules: _Semantics) -> list[Binding]:
+    """``⟦C⟧_G`` — a clause maps the graph (``rules.graph``) to a list of
+    bindings."""
     if isinstance(clause, ast.Match):
-        return _eval_match(clause, graph)
+        return _eval_match(clause, rules)
     if isinstance(clause, ast.OptMatch):
-        return _eval_opt_match(clause, graph)
+        return _eval_opt_match(clause, rules)
     if isinstance(clause, ast.With):
-        return _eval_with(clause, graph)
+        return _eval_with(clause, rules)
     raise SemanticsError(f"cannot evaluate clause node {type(clause).__name__}")
 
 
-def _eval_match(clause: ast.Match, graph: PropertyGraph) -> list[Binding]:
-    pattern_matches = match_pattern(clause.pattern, graph)
+def _eval_match(clause: ast.Match, rules: _Semantics) -> list[Binding]:
+    pattern_matches = match_pattern(clause.pattern, rules.graph)
     if clause.previous is None:
         candidates = pattern_matches
     else:
-        previous = evaluate_clause(clause.previous, graph)
+        previous = evaluate_clause(clause.previous, rules)
         candidates = []
         for left in previous:
             for right in pattern_matches:
@@ -196,13 +194,13 @@ def _eval_match(clause: ast.Match, graph: PropertyGraph) -> list[Binding]:
     return [
         binding
         for binding in candidates
-        if eval_predicate(clause.predicate, graph, [binding]) is True
+        if rules.predicate(clause.predicate, binding) is True
     ]
 
 
-def _eval_opt_match(clause: ast.OptMatch, graph: PropertyGraph) -> list[Binding]:
-    previous = evaluate_clause(clause.previous, graph)
-    pattern_matches = match_pattern(clause.pattern, graph)
+def _eval_opt_match(clause: ast.OptMatch, rules: _Semantics) -> list[Binding]:
+    previous = evaluate_clause(clause.previous, rules)
+    pattern_matches = match_pattern(clause.pattern, rules.graph)
     # A variable-length edge variable is not bindable, so OPTIONAL MATCH
     # does not nullify it.
     pattern_vars = pattern_bindable_variables(clause.pattern)
@@ -211,7 +209,7 @@ def _eval_opt_match(clause: ast.OptMatch, graph: PropertyGraph) -> list[Binding]
         matched: list[Binding] = []
         for right in pattern_matches:
             merged = merge_bindings(left, right)
-            if merged is not None and eval_predicate(clause.predicate, graph, [merged]) is True:
+            if merged is not None and rules.predicate(clause.predicate, merged) is True:
                 matched.append(merged)
         if matched:
             results.extend(matched)
@@ -226,8 +224,8 @@ def _eval_opt_match(clause: ast.OptMatch, graph: PropertyGraph) -> list[Binding]
     return results
 
 
-def _eval_with(clause: ast.With, graph: PropertyGraph) -> list[Binding]:
-    previous = evaluate_clause(clause.previous, graph)
+def _eval_with(clause: ast.With, rules: _Semantics) -> list[Binding]:
+    previous = evaluate_clause(clause.previous, rules)
     results = []
     for binding in previous:
         elements: dict[str, Element | None] = {}
@@ -385,120 +383,53 @@ def _reachable_uids(
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Expressions and predicates
 # ---------------------------------------------------------------------------
 
 
-def eval_expression(
-    expression: ast.Expression, graph: PropertyGraph, group: list[Binding]
-) -> Value:
-    """``⟦E⟧_{G, gs}`` — evaluate over a group of bindings.
+class _Semantics(ExpressionSemantics):
+    """The shared E and φ rules over *graph*: a row is a :class:`Binding`,
+    and ``EXISTS`` matches a pattern."""
 
-    Non-aggregate expressions read the head of the group (the paper
-    guarantees singleton groups in non-aggregate position).
-    """
-    if isinstance(expression, ast.PropertyRef):
-        element = group[0].get(expression.variable)
+    ast = ast
+    REFERENCES = (ast.PropertyRef, ast.VariableRef)
+
+    def __init__(self, graph: PropertyGraph) -> None:
+        self.graph = graph
+
+    def reference(self, node: ast.PropertyRef | ast.VariableRef, binding: Binding) -> Value:
+        """``X.k``, or a bare ``X`` read as its default property key; NULL for
+        an unmatched optional binding."""
+        element = binding.get(node.variable)
         if element is None:
             return NULL
-        return element.value(expression.key)
-    if isinstance(expression, ast.VariableRef):
-        element = group[0].get(expression.variable)
-        if element is None:
-            return NULL
-        default_key = graph.type_of(element).default_key
-        return element.value(default_key)
-    if isinstance(expression, ast.Literal):
-        return expression.value
-    if isinstance(expression, ast.Aggregate):
-        return _eval_aggregate(expression, graph, group)
-    if isinstance(expression, ast.BinaryOp):
-        left = eval_expression(expression.left, graph, group)
-        right = eval_expression(expression.right, graph, group)
-        return arithmetic.apply_binary(expression.op, left, right)
-    if isinstance(expression, ast.CastPredicate):
-        verdict = eval_predicate(expression.predicate, graph, group)
-        if is_null(verdict):
-            return NULL
-        return 1 if verdict else 0
-    raise SemanticsError(f"cannot evaluate expression node {type(expression).__name__}")
+        if isinstance(node, ast.PropertyRef):
+            return element.value(node.key)
+        return element.value(self.graph.type_of(element).default_key)
 
-
-def _eval_aggregate(
-    aggregate: ast.Aggregate, graph: PropertyGraph, group: list[Binding]
-) -> Value:
-    if aggregate.argument is None:
-        return count_rows(len(group))
-    values = [
-        eval_expression(aggregate.argument, graph, [binding]) for binding in group
-    ]
-    return combine(aggregate.function, values, aggregate.distinct)
-
-
-# ---------------------------------------------------------------------------
-# Predicate evaluation (3VL)
-# ---------------------------------------------------------------------------
-
-
-def eval_predicate(
-    predicate: ast.Predicate, graph: PropertyGraph, group: list[Binding]
-):
-    """``⟦φ⟧_{G, gs}`` — three-valued predicate evaluation."""
-    if isinstance(predicate, ast.BoolLit):
-        return predicate.value
-    if isinstance(predicate, ast.Comparison):
-        left = eval_expression(predicate.left, graph, group)
-        right = eval_expression(predicate.right, graph, group)
-        return compare(predicate.op, left, right)
-    if isinstance(predicate, ast.IsNull):
-        value = eval_expression(predicate.operand, graph, group)
-        verdict = is_null(value)
-        return (not verdict) if predicate.negated else verdict
-    if isinstance(predicate, ast.InValues):
-        operand = eval_expression(predicate.operand, graph, group)
-        verdict = False
-        for candidate in predicate.values:
-            verdict = sql_or(verdict, value_eq(operand, candidate))
-        return verdict
-    if isinstance(predicate, ast.Exists):
-        return _eval_exists(predicate, graph, group)
-    if isinstance(predicate, ast.And):
-        return sql_and(
-            eval_predicate(predicate.left, graph, group),
-            eval_predicate(predicate.right, graph, group),
-        )
-    if isinstance(predicate, ast.Or):
-        return sql_or(
-            eval_predicate(predicate.left, graph, group),
-            eval_predicate(predicate.right, graph, group),
-        )
-    if isinstance(predicate, ast.Not):
-        return sql_not(eval_predicate(predicate.operand, graph, group))
-    raise SemanticsError(f"cannot evaluate predicate node {type(predicate).__name__}")
-
-
-def _eval_exists(predicate: ast.Exists, graph: PropertyGraph, group: list[Binding]) -> bool:
-    """``Exists(PP)``: some pattern match agrees with the current binding on
-    every shared variable (by element identity)."""
-    outer = group[0]
-    shared = [
-        element.variable
-        for element in predicate.pattern
-        if outer.has(element.variable)
-    ]
-    for match in match_pattern(predicate.pattern, graph):
-        if eval_predicate(predicate.predicate, graph, [match]) is not True:
-            continue
-        agrees = True
-        for variable in shared:
-            outer_element = outer.get(variable)
-            inner_element = match.get(variable)
-            if outer_element is None or inner_element is None:
-                agrees = outer_element is inner_element
-            else:
-                agrees = outer_element.uid == inner_element.uid
-            if not agrees:
-                break
-        if agrees:
-            return True
-    return False
+    def subquery(self, node: ast.Predicate, binding: Binding, group: list | None) -> Truth:
+        """``Exists(PP)``: some pattern match agrees with *binding* on every
+        shared variable (by element identity)."""
+        if not isinstance(node, ast.Exists):
+            return super().subquery(node, binding, group)
+        shared = [
+            element.variable
+            for element in node.pattern
+            if binding.has(element.variable)
+        ]
+        for match in match_pattern(node.pattern, self.graph):
+            if self.predicate(node.predicate, match) is not True:
+                continue
+            agrees = True
+            for variable in shared:
+                outer_element = binding.get(variable)
+                inner_element = match.get(variable)
+                if outer_element is None or inner_element is None:
+                    agrees = outer_element is inner_element
+                else:
+                    agrees = outer_element.uid == inner_element.uid
+                if not agrees:
+                    break
+            if agrees:
+                return True
+        return False

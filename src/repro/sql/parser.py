@@ -275,6 +275,11 @@ class _Parser(ExpressionGrammar):
 
     def _parse_reference(self, token: Token) -> ast.Expression:
         if self.stream.take_op("."):
+            if self.stream.peek().keyword in _KEYWORDS:
+                raise self.stream.error(
+                    f"expected attribute name after '{token.text}.', "
+                    f"found keyword {self.stream.peek().text!r}"
+                )
             attribute = self.stream.expect_ident("attribute name").text
             return ast.AttributeRef(f"{token.text}.{attribute}")
         return ast.AttributeRef(token.text)

@@ -10,6 +10,13 @@ The evaluator supports correlated subqueries: ``IN (SELECT ...)`` and
 Resolution is innermost-scope-first, falling back outward — SQL's standard
 name resolution.
 
+Expressions and predicates follow the rules both reference evaluators share
+(:class:`repro.common.semantics.ExpressionSemantics`), per row in
+projections, selections, joins and sort and grouping keys, and over the
+group in a grouped output list and ``HAVING``.  This module supplies only
+what SQL does its own way: an ``AttributeRef`` reads the scopes, and an
+``IN``/``EXISTS`` subquery runs with them as its outer rows.
+
 This interpreter is the semantic ground truth for the whole library: the
 bounded model checker executes candidate counterexamples with it, the
 property tests validate the transpiler against it, and the execution
@@ -20,49 +27,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.common import arithmetic
-from repro.common.aggregates import combine, count_rows, dedup, group_by
+from repro.common.aggregates import dedup, group_by
 from repro.common.budget import BudgetTracker, QueryBudget, as_tracker
 from repro.common.errors import SemanticsError
-from repro.common.values import (
-    NULL,
-    Value,
-    compare,
-    is_null,
-    order_rows,
-    sql_and,
-    sql_not,
-    sql_or,
-    value_eq,
-)
+from repro.common.semantics import ExpressionSemantics, membership
+from repro.common.values import NULL, Truth, Value, order_rows
 from repro.relational.instance import Database, Row, Table
 from repro.sql import ast
 from repro.sql.analysis import resolve_attribute
 
-
-@dataclass(frozen=True)
-class _RowScope:
-    """One visible row during predicate/expression evaluation."""
-
-    attributes: tuple[str, ...]
-    row: Row
-
-    def lookup(self, name: str) -> tuple[bool, Value]:
-        """Resolve *name*; returns ``(found, value)``."""
-        if name not in self.attributes:
-            name = resolve_attribute(name, self.attributes)
-            if name is None:
-                return False, NULL
-        return True, self.row[self.attributes.index(name)]
+#: One visible row: its attribute names and its values.  A row as a
+#: reference reads it is a tuple of scopes, innermost first.
+_Scope = tuple[tuple[str, ...], Row]
 
 
 @dataclass(frozen=True)
-class _Context:
-    """Evaluation context: the database, CTE bindings, and outer row scopes."""
+class _Context(ExpressionSemantics):
+    """Evaluation context: the database, CTE bindings, and outer row scopes.
+
+    It evaluates expressions and predicates with the shared rules, reading
+    an ``AttributeRef`` through the scopes and ``IN``/``EXISTS`` subqueries
+    with the scopes as their outer rows.
+    """
+
+    ast = ast
+    REFERENCES = ast.AttributeRef
 
     database: Database
     ctes: tuple[tuple[str, Table], ...] = ()
-    outer: tuple[_RowScope, ...] = ()
+    outer: tuple[_Scope, ...] = ()
     budget: BudgetTracker | None = None
 
     def cte(self, name: str) -> Table | None:
@@ -74,8 +67,36 @@ class _Context:
     def with_cte(self, name: str, table: Table) -> "_Context":
         return replace(self, ctes=self.ctes + ((name, table),))
 
-    def with_outer(self, scopes: tuple[_RowScope, ...]) -> "_Context":
+    def with_outer(self, scopes: tuple[_Scope, ...]) -> "_Context":
         return replace(self, outer=scopes)
+
+    def reference(self, node: ast.AttributeRef, scopes: tuple[_Scope, ...]) -> Value:
+        """Innermost scope first, falling back outward: SQL's name resolution."""
+        name = node.name
+        for attributes, row in scopes:
+            if name in attributes:
+                return row[attributes.index(name)]
+            resolved = resolve_attribute(name, attributes)
+            if resolved is not None:
+                return row[attributes.index(resolved)]
+        raise SemanticsError(f"unknown attribute reference {name!r}")
+
+    def subquery(
+        self, node: ast.Predicate, scopes: tuple[_Scope, ...], group: list | None
+    ) -> Truth:
+        if isinstance(node, ast.InQuery):
+            operands = tuple(self.expression(e, scopes, group) for e in node.operands)
+            result = _eval(node.query, self.with_outer(scopes))
+            if len(result.attributes) != len(operands):
+                raise SemanticsError(
+                    f"IN subquery arity {len(result.attributes)} does not match "
+                    f"left-hand tuple arity {len(operands)}"
+                )
+            return membership(operands, result.rows, node.negated)
+        if isinstance(node, ast.ExistsQuery):
+            verdict = len(_eval(node.query, self.with_outer(scopes)).rows) > 0
+            return (not verdict) if node.negated else verdict
+        return super().subquery(node, scopes, group)
 
 
 def evaluate_query(
@@ -143,12 +164,9 @@ def _eval_projection(query: ast.Projection, ctx: _Context) -> Table:
     attributes = tuple(column.alias for column in query.columns)
     rows: list[Row] = []
     for row in inner:
-        scope = _RowScope(inner.attributes, row)
+        scopes = ((inner.attributes, row),) + ctx.outer
         rows.append(
-            tuple(
-                _eval_scalar(column.expression, (scope,) + ctx.outer, ctx)
-                for column in query.columns
-            )
+            tuple(ctx.expression(column.expression, scopes) for column in query.columns)
         )
     if query.distinct:
         rows = dedup(rows)
@@ -159,8 +177,8 @@ def _eval_selection(query: ast.Selection, ctx: _Context) -> Table:
     inner = _eval(query.query, ctx)
     rows = []
     for row in inner:
-        scope = _RowScope(inner.attributes, row)
-        if _eval_predicate(query.predicate, (scope,) + ctx.outer, ctx) is True:
+        scopes = ((inner.attributes, row),) + ctx.outer
+        if ctx.predicate(query.predicate, scopes) is True:
             rows.append(row)
     return Table(inner.attributes, rows)
 
@@ -193,8 +211,8 @@ def _eval_join(query: ast.Join, ctx: _Context) -> Table:
         matched = False
         for right_index, right_row in enumerate(right):
             combined = left_row + right_row
-            scope = _RowScope(attributes, combined)
-            if _eval_predicate(query.predicate, (scope,) + ctx.outer, ctx) is True:
+            scopes = ((attributes, combined),) + ctx.outer
+            if ctx.predicate(query.predicate, scopes) is True:
                 rows.append(combined)
                 matched = True
                 matched_right.add(right_index)
@@ -217,20 +235,18 @@ def _eval_union(query: ast.UnionOp, ctx: _Context) -> Table:
 def _eval_group_by(query: ast.GroupBy, ctx: _Context) -> Table:
     inner = _eval(query.query, ctx)
 
-    def key(row: Row) -> tuple:
-        scopes = (_RowScope(inner.attributes, row),) + ctx.outer
-        return tuple(_eval_scalar(key_expr, scopes, ctx) for key_expr in query.keys)
+    def key(scopes: tuple[_Scope, ...]) -> tuple:
+        return tuple(ctx.expression(key_expr, scopes) for key_expr in query.keys)
 
     attributes = tuple(column.alias for column in query.columns)
     rows: list[Row] = []
-    for member_rows in group_by(inner.rows, key).values():
-        if _eval_group_predicate(query.having, member_rows, inner.attributes, ctx) is not True:
+    scoped = [((inner.attributes, row),) + ctx.outer for row in inner]
+    for group in group_by(scoped, key).values():
+        head = group[0]
+        if ctx.predicate(query.having, head, group) is not True:
             continue
         rows.append(
-            tuple(
-                _eval_in_group(column.expression, member_rows, inner.attributes, ctx)
-                for column in query.columns
-            )
+            tuple(ctx.expression(column.expression, head, group) for column in query.columns)
         )
     return Table(attributes, rows)
 
@@ -304,181 +320,8 @@ def _eval_order_by(query: ast.OrderBy, ctx: _Context) -> Table:
     inner = _eval(query.query, ctx)
 
     def keys(row: Row) -> list[Value]:
-        scopes = (_RowScope(inner.attributes, row),) + ctx.outer
-        return [_eval_scalar(key_expr, scopes, ctx) for key_expr in query.keys]
+        scopes = ((inner.attributes, row),) + ctx.outer
+        return [ctx.expression(key_expr, scopes) for key_expr in query.keys]
 
     rows = order_rows(inner.rows, keys, query.ascending, query.limit)
     return Table(inner.attributes, rows, ordered=True)
-
-
-# ---------------------------------------------------------------------------
-# Scalar expression evaluation (no aggregates)
-# ---------------------------------------------------------------------------
-
-
-def _eval_scalar(
-    expression: ast.Expression, scopes: tuple[_RowScope, ...], ctx: _Context
-) -> Value:
-    if isinstance(expression, ast.AttributeRef):
-        return _resolve(expression.name, scopes)
-    if isinstance(expression, ast.Literal):
-        return expression.value
-    if isinstance(expression, ast.BinaryOp):
-        left = _eval_scalar(expression.left, scopes, ctx)
-        right = _eval_scalar(expression.right, scopes, ctx)
-        return arithmetic.apply_binary(expression.op, left, right)
-    if isinstance(expression, ast.CastPredicate):
-        verdict = _eval_predicate(expression.predicate, scopes, ctx)
-        if is_null(verdict):
-            return NULL
-        return 1 if verdict else 0
-    if isinstance(expression, ast.Aggregate):
-        raise SemanticsError(
-            f"aggregate {expression} outside a GROUP BY output list"
-        )
-    raise SemanticsError(f"cannot evaluate expression node {type(expression).__name__}")
-
-
-def _resolve(name: str, scopes: tuple[_RowScope, ...]) -> Value:
-    for scope in scopes:
-        found, value = scope.lookup(name)
-        if found:
-            return value
-    raise SemanticsError(f"unknown attribute reference {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Group-mode evaluation (aggregates allowed)
-# ---------------------------------------------------------------------------
-
-
-def _eval_in_group(
-    expression: ast.Expression,
-    rows: list[Row],
-    attributes: tuple[str, ...],
-    ctx: _Context,
-) -> Value:
-    if isinstance(expression, ast.Aggregate):
-        return _eval_aggregate(expression, rows, attributes, ctx)
-    if isinstance(expression, ast.BinaryOp):
-        left = _eval_in_group(expression.left, rows, attributes, ctx)
-        right = _eval_in_group(expression.right, rows, attributes, ctx)
-        return arithmetic.apply_binary(expression.op, left, right)
-    head_scope = _RowScope(attributes, rows[0])
-    return _eval_scalar(expression, (head_scope,) + ctx.outer, ctx)
-
-
-def _eval_aggregate(
-    aggregate: ast.Aggregate,
-    rows: list[Row],
-    attributes: tuple[str, ...],
-    ctx: _Context,
-) -> Value:
-    if aggregate.argument is None:
-        return count_rows(len(rows))
-    values = []
-    for row in rows:
-        scope = _RowScope(attributes, row)
-        values.append(_eval_scalar(aggregate.argument, (scope,) + ctx.outer, ctx))
-    return combine(aggregate.function, values, aggregate.distinct)
-
-
-def _eval_group_predicate(
-    predicate: ast.Predicate,
-    rows: list[Row],
-    attributes: tuple[str, ...],
-    ctx: _Context,
-):
-    """3VL predicate over a whole group (for HAVING)."""
-    if isinstance(predicate, ast.BoolLit):
-        return predicate.value
-    if isinstance(predicate, ast.Comparison):
-        left = _eval_in_group(predicate.left, rows, attributes, ctx)
-        right = _eval_in_group(predicate.right, rows, attributes, ctx)
-        return compare(predicate.op, left, right)
-    if isinstance(predicate, ast.IsNull):
-        value = _eval_in_group(predicate.operand, rows, attributes, ctx)
-        verdict = is_null(value)
-        return (not verdict) if predicate.negated else verdict
-    if isinstance(predicate, ast.And):
-        return sql_and(
-            _eval_group_predicate(predicate.left, rows, attributes, ctx),
-            _eval_group_predicate(predicate.right, rows, attributes, ctx),
-        )
-    if isinstance(predicate, ast.Or):
-        return sql_or(
-            _eval_group_predicate(predicate.left, rows, attributes, ctx),
-            _eval_group_predicate(predicate.right, rows, attributes, ctx),
-        )
-    if isinstance(predicate, ast.Not):
-        return sql_not(_eval_group_predicate(predicate.operand, rows, attributes, ctx))
-    head_scope = _RowScope(attributes, rows[0])
-    return _eval_predicate(predicate, (head_scope,) + ctx.outer, ctx)
-
-
-# ---------------------------------------------------------------------------
-# Predicate evaluation (3VL)
-# ---------------------------------------------------------------------------
-
-
-def _eval_predicate(
-    predicate: ast.Predicate, scopes: tuple[_RowScope, ...], ctx: _Context
-):
-    if isinstance(predicate, ast.BoolLit):
-        return predicate.value
-    if isinstance(predicate, ast.Comparison):
-        left = _eval_scalar(predicate.left, scopes, ctx)
-        right = _eval_scalar(predicate.right, scopes, ctx)
-        return compare(predicate.op, left, right)
-    if isinstance(predicate, ast.IsNull):
-        value = _eval_scalar(predicate.operand, scopes, ctx)
-        verdict = is_null(value)
-        return (not verdict) if predicate.negated else verdict
-    if isinstance(predicate, ast.InValues):
-        operand = _eval_scalar(predicate.operand, scopes, ctx)
-        verdict = False
-        for candidate in predicate.values:
-            verdict = sql_or(verdict, value_eq(operand, candidate))
-        return verdict
-    if isinstance(predicate, ast.InQuery):
-        return _eval_in_query(predicate, scopes, ctx)
-    if isinstance(predicate, ast.ExistsQuery):
-        subquery_ctx = ctx.with_outer(scopes)
-        result = _eval(predicate.query, subquery_ctx)
-        verdict = len(result.rows) > 0
-        return (not verdict) if predicate.negated else verdict
-    if isinstance(predicate, ast.And):
-        return sql_and(
-            _eval_predicate(predicate.left, scopes, ctx),
-            _eval_predicate(predicate.right, scopes, ctx),
-        )
-    if isinstance(predicate, ast.Or):
-        return sql_or(
-            _eval_predicate(predicate.left, scopes, ctx),
-            _eval_predicate(predicate.right, scopes, ctx),
-        )
-    if isinstance(predicate, ast.Not):
-        return sql_not(_eval_predicate(predicate.operand, scopes, ctx))
-    raise SemanticsError(f"cannot evaluate predicate node {type(predicate).__name__}")
-
-
-def _eval_in_query(
-    predicate: ast.InQuery, scopes: tuple[_RowScope, ...], ctx: _Context
-):
-    operands = tuple(_eval_scalar(e, scopes, ctx) for e in predicate.operands)
-    subquery_ctx = ctx.with_outer(scopes)
-    result = _eval(predicate.query, subquery_ctx)
-    if len(result.attributes) != len(operands):
-        raise SemanticsError(
-            f"IN subquery arity {len(result.attributes)} does not match "
-            f"left-hand tuple arity {len(operands)}"
-        )
-    verdict = False
-    for row in result:
-        row_match = True
-        for operand, cell in zip(operands, row):
-            row_match = sql_and(row_match, value_eq(operand, cell))
-        verdict = sql_or(verdict, row_match)
-    if predicate.negated:
-        return sql_not(verdict)
-    return verdict

@@ -1,15 +1,21 @@
 """Bounded model checker: generation, refutation, shrinking."""
 
+import re
+
 import pytest
 
+from repro.checkers import bounded
 from repro.checkers.base import CheckRequest, Verdict
 from repro.checkers.bounded import BoundedChecker
 from repro.checkers.generation import InstanceGenerator, collect_constant_seeds
 from repro.checkers.random_testing import RandomTester
 from repro.core.equivalence import check_equivalence
 from repro.cypher.parser import parse_cypher
+from repro.graph.parser import parse_graph_schema
+from repro.relational.parser import parse_relational_schema
 from repro.sql import ast as sq
 from repro.sql.parser import parse_sql
+from repro.transformer.parser import parse_transformer
 
 
 class TestGeneration:
@@ -143,6 +149,79 @@ class TestVerdicts:
         assert graph_relational_equivalent(
             merged_transformer, cex.graph, cex.target_database
         )
+
+
+class TestInstancesThatRaise:
+    """An instance on which a query raises is evidence of neither verdict."""
+
+    GRAPH = "node EMP(id, dept)\n"
+    TABLES = "table emp(id, dept)\npk emp.id\n"
+    TRANSFORMER = "EMP(id, dept) -> emp(id, dept)\n"
+
+    def _check(self, sql_text, seed=5, **settings):
+        schema = parse_graph_schema(self.GRAPH)
+        return check_equivalence(
+            schema,
+            parse_cypher("MATCH (n:EMP) RETURN n.dept", schema),
+            parse_relational_schema(self.TABLES),
+            parse_sql(sql_text),
+            parse_transformer(self.TRANSFORMER),
+            BoundedChecker(seed=seed, **settings),
+        )
+
+    def test_unknown_when_the_bound_is_exhausted(self):
+        result = self._check(
+            "SELECT e.dept FROM emp AS e WHERE Count(*) > 1",
+            max_bound=2,
+            samples_per_bound=20,
+        )
+        assert result.verdict is Verdict.UNKNOWN
+        assert re.fullmatch(
+            r"\d+ of 40 instances raised: aggregate Count\(\*\) outside a GROUP BY "
+            r"output list",
+            result.outcome.detail,
+        )
+
+    def test_unknown_when_the_time_budget_is_exhausted(self, monkeypatch):
+        class Clock:
+            """Each reading is one second after the last."""
+
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+        monkeypatch.setattr(bounded, "time", Clock())
+        result = self._check(
+            "SELECT e.dept FROM emp AS e WHERE Count(*) > 1",
+            time_budget_seconds=30.0,
+        )
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.outcome.detail.endswith("; time budget exhausted")
+        assert "instances raised: aggregate Count(*)" in result.outcome.detail
+
+    def test_a_counterexample_on_another_instance_refutes(self, monkeypatch):
+        """``e.dept < 'a'`` raises on an integer department and refutes on
+        a department ``'a'``, which the Cypher query returns."""
+        verdicts = []  # per instance tried: True, False, or None if it raised
+        disagree = BoundedChecker._disagree
+
+        def recording(checker, request, induced):
+            verdicts.append(None)
+            verdicts[-1] = disagree(checker, request, induced)
+            return verdicts[-1]
+
+        monkeypatch.setattr(BoundedChecker, "_disagree", recording)
+        result = self._check(
+            "SELECT e.dept FROM emp AS e WHERE e.dept < 'a'",
+            seed=3,
+            max_bound=2,
+            samples_per_bound=50,
+        )
+        assert result.verdict is Verdict.NOT_EQUIVALENT
+        assert result.counterexample is not None
+        assert None in verdicts[: verdicts.index(True)]
 
 
 class TestRandomTester:

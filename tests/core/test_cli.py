@@ -157,6 +157,51 @@ class TestCheck:
         assert message in err
         assert err.count("\n") == 1
 
+    @staticmethod
+    def _check_emp(tmp_path, cypher, sql):
+        """``repro check --backend bounded`` over ``node EMP(id, dept)``
+        stored as ``emp(id, dept)``."""
+        (tmp_path / "g.txt").write_text("node EMP(id, dept)\n")
+        (tmp_path / "r.txt").write_text("table emp(id, dept)\npk emp.id\n")
+        (tmp_path / "t.txt").write_text("EMP(id, dept) -> emp(id, dept)\n")
+        return main(
+            [
+                "check",
+                "--graph-schema", str(tmp_path / "g.txt"),
+                "--relational-schema", str(tmp_path / "r.txt"),
+                "--transformer", str(tmp_path / "t.txt"),
+                "--cypher", cypher,
+                "--sql", sql,
+                "--backend", "bounded",
+            ]
+        )
+
+    def test_aggregate_under_in_in_having_is_refuted(self, tmp_path, capsys):
+        code = self._check_emp(
+            tmp_path,
+            "MATCH (n:EMP) RETURN n.dept, Count(*)",
+            "SELECT e.dept, Count(*) FROM emp AS e GROUP BY e.dept "
+            "HAVING Count(*) IN (1, 2)",
+        )
+        assert code == 1
+        assert "verdict: not-equivalent" in capsys.readouterr().out
+
+    def test_instances_that_raise_leave_the_verdict_unknown(self, tmp_path, capsys):
+        """The reference and SQLite both refuse an aggregate in WHERE: an
+        instance on which a query raises is no evidence of equivalence."""
+        code = self._check_emp(
+            tmp_path,
+            "MATCH (n:EMP) RETURN n.dept",
+            "SELECT e.dept FROM emp AS e WHERE Count(*) > 1",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict: unknown" in out
+        assert (
+            "instances raised: aggregate Count(*) outside a GROUP BY output list"
+            in out
+        )
+
 
 class TestMisc:
     def test_suite_listing(self, capsys):

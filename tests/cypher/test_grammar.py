@@ -185,7 +185,7 @@ CYPHER_PINS = [
     ("MATCH (n:EMP) RETURN Sum(Count(*))", Rejected("aggregates are not allowed here", 31)),
     (
         "MATCH (n:EMP) RETURN Sum(n) AS s",
-        Rejected("Sum needs a property expression argument", 29),
+        Rejected("Sum needs a property expression argument", 26),
     ),
     (
         "MATCH (n:EMP) WHERE n.id IN [1, - x] RETURN n.name",
@@ -366,6 +366,10 @@ SQL_PINS = [
         Rejected("expected NULL, found '1'", 36),
     ),
     ("SELECT Count(* FROM r", Rejected("expected ')', found 'FROM'", 16)),
+    (
+        "SELECT r. FROM r",
+        Rejected("expected attribute name after 'r.', found keyword 'FROM'", 11),
+    ),
 ]
 
 

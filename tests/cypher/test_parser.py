@@ -50,6 +50,13 @@ class TestPatterns:
         with pytest.raises(ParseError, match="cannot infer"):
             parse_cypher("MATCH (n) RETURN n.name", emp_dept_schema)
 
+    def test_unknown_edge_type_next_to_an_unlabelled_node_rejected(
+        self, emp_dept_schema
+    ):
+        with pytest.raises(ParseError, match="unknown edge type 'NOPE'") as caught:
+            parse_cypher("MATCH (a)-[r:NOPE]->(d:DEPT) RETURN d.dname", emp_dept_schema)
+        assert (caught.value.line, caught.value.column) == (1, 30)
+
     def test_inline_properties_desugar_to_where(self, emp_dept_schema):
         query = parse_cypher("MATCH (n:EMP {id: 3}) RETURN n.name", emp_dept_schema)
         predicate = query.clause.predicate

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.backends import available_backends, load_backend
 from repro.common.errors import SemanticsError
 from repro.common.values import NULL, is_null
-from repro.relational.instance import Database, Table
+from repro.relational.instance import Database, Table, tables_equivalent
 from repro.relational.schema import Relation, RelationalSchema
 from repro.sql import ast
 from repro.sql.analysis import resolve_attribute
@@ -148,6 +149,62 @@ class TestAggregation:
         )
         with pytest.raises(SemanticsError, match="aggregate"):
             evaluate_query(bad, db)
+
+
+#: ``emp(id, dept)``: two rows in department 10, one in department 20.
+GROUPED = Database.of(
+    RelationalSchema.of([Relation("emp", ("id", "dept"))]),
+    emp=[(1, 10), (2, 10), (3, 20)],
+)
+
+
+class TestAggregatesInGroupPredicates:
+    """An aggregate folds over its group wherever it stands in a HAVING
+    predicate, ``IN`` included, and the engine answers with the same bag;
+    outside a grouped output list or HAVING it raises, as the engine
+    refuses it."""
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [
+            (
+                "SELECT e.dept, Count(*) AS c FROM emp AS e GROUP BY e.dept "
+                "HAVING Count(*) IN (1, 2)",
+                [(10, 2), (20, 1)],
+            ),
+            (
+                "SELECT e.dept FROM emp AS e GROUP BY e.dept "
+                "HAVING Count(*) + 1 IN (3)",
+                [(10,)],
+            ),
+            (
+                "SELECT e.dept FROM emp AS e GROUP BY e.dept "
+                "HAVING Count(*) IN (SELECT f.id FROM emp AS f)",
+                [(10,), (20,)],
+            ),
+        ],
+    )
+    def test_aggregate_under_in_matches_the_engine(self, text, expected, backend_name):
+        result = run(text, GROUPED)
+        assert sorted(result.rows) == expected
+        with load_backend(backend_name, GROUPED) as backend:
+            assert tables_equivalent(backend.execute(text), result)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT e.dept, Sum(Count(*)) FROM emp AS e GROUP BY e.dept",
+            "SELECT e.dept FROM emp AS e WHERE Count(*) > 1",
+        ],
+    )
+    def test_nested_or_ungrouped_aggregate_raises(self, text, backend_name):
+        with pytest.raises(SemanticsError, match=r"aggregate Count\(\*\) outside"):
+            run(text, GROUPED)
+        with load_backend(backend_name, GROUPED) as backend:
+            with pytest.raises(Exception):  # each engine has its own error type
+                backend.execute(text)
 
 
 class TestSubqueries:

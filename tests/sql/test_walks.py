@@ -11,7 +11,8 @@ output must be a normal form: no level-1 rule fires at any node of an
 optimized plan.  Like the child fields, the two attribute-naming rules
 (``local_name`` and ``qualify``) are spelled in ``sql/ast.py`` only, and
 the expression grammar both parsers read SQL and Cypher with is defined
-in one module.
+in one module, and the expression and predicate rules both reference
+evaluators apply are evaluated in ``common/``.
 """
 
 from __future__ import annotations
@@ -438,6 +439,30 @@ def test_grammar_is_defined_in_one_module(definition):
         )
     )
     assert len(modules) == 1, modules
+
+
+#: The three-valued connectives and the arithmetic that the shared
+#: expression and predicate rules (``common/semantics.py``) apply.
+RULE_CALLS = ("sql_and", "sql_or", "sql_not", "apply_binary")
+
+
+@pytest.mark.parametrize("function", RULE_CALLS)
+def test_expression_rules_are_evaluated_in_common(function):
+    """Both reference evaluators subclass one ``ExpressionSemantics`` and
+    override only how a reference reads a row and what a subquery means; a
+    module outside ``common/`` that calls a connective or the arithmetic
+    holds a copy of a rule, and a copy is where the per-group evaluation of
+    ``HAVING`` once drifted."""
+    package = Path(repro.__file__).parent
+    call = re.compile(rf"\b{function}\(")
+    found = [
+        f"{path.relative_to(package).as_posix()}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        if path.relative_to(package).parts[0] != "common"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if call.search(line)
+    ]
+    assert found == [], found
 
 
 #: One subquery-free instance of every expression and predicate kind.
