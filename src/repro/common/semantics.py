@@ -1,14 +1,13 @@
 """The expression and predicate rules of both reference semantics.
 
 Featherweight Cypher and Featherweight SQL share their expression (E) and
-predicate (φ) forms, and the transpiler maps each one onto the SQL node of
-the same name (paper Figures 21–22).  :class:`ExpressionSemantics` evaluates
-them once, for both reference evaluators: literals, arithmetic, aggregates,
-``Cast``, comparisons, ``IS [NOT] NULL``, ``IN``, and ``AND``/``OR``/``NOT``
-in three-valued logic.  It reads nodes through :attr:`~ExpressionSemantics.ast`,
-the subclass's AST module; both modules give these forms the same class
-names and fields.  Each evaluator subclasses it and overrides only what its
-language does its own way: how a reference reads a row
+predicate (φ) forms, defined once in :mod:`repro.common.expressions`, and
+the transpiler maps each one onto itself (paper Figures 21–22).
+:class:`ExpressionSemantics` evaluates them once, for both reference
+evaluators: literals, arithmetic, aggregates, ``Cast``, comparisons,
+``IS [NOT] NULL``, ``IN``, and ``AND``/``OR``/``NOT`` in three-valued logic.
+Each evaluator subclasses it and overrides only what its language does its
+own way: how a reference reads a row
 (:meth:`~ExpressionSemantics.reference`) and what a subquery means
 (:meth:`~ExpressionSemantics.subquery`).
 
@@ -19,12 +18,24 @@ list of tuples.  ``E IN (v, ...)`` is its one-column case and SQL's
 
 from __future__ import annotations
 
-from types import ModuleType
 from typing import Any, Iterable, Sequence
 
 from repro.common.aggregates import combine, count_rows
 from repro.common.arithmetic import apply_binary
 from repro.common.errors import SemanticsError
+from repro.common.expressions import (
+    Aggregate,
+    And,
+    BinaryOp,
+    BoolLit,
+    CastPredicate,
+    Comparison,
+    InValues,
+    IsNull,
+    Literal,
+    Not,
+    Or,
+)
 from repro.common.values import (
     NULL,
     Truth,
@@ -68,8 +79,6 @@ class ExpressionSemantics:
     ``OR`` evaluate both operands, so an error on either side surfaces.
     """
 
-    #: The AST module of the subclass's language.
-    ast: ModuleType
     #: The reference node class (or classes) that :meth:`reference` reads;
     #: tested first, since references are the most frequent leaf.
     REFERENCES: type | tuple[type, ...]
@@ -90,21 +99,20 @@ class ExpressionSemantics:
         """``⟦E⟧``: the value of the expression *node* on *row* (and *group*)."""
         if isinstance(node, self.REFERENCES):
             return self.reference(node, row)
-        ast = self.ast
-        if isinstance(node, ast.Literal):
+        if isinstance(node, Literal):
             return node.value
-        if isinstance(node, ast.BinaryOp):
+        if isinstance(node, BinaryOp):
             left = self.expression(node.left, row, group)
             right = self.expression(node.right, row, group)
             return apply_binary(node.op, left, right)
-        if isinstance(node, ast.Aggregate):
+        if isinstance(node, Aggregate):
             if group is None:
                 raise SemanticsError(f"aggregate {node} outside a GROUP BY output list")
             if node.argument is None:
                 return count_rows(len(group))
             values = [self.expression(node.argument, member) for member in group]
             return combine(node.function, values, node.distinct)
-        if isinstance(node, ast.CastPredicate):
+        if isinstance(node, CastPredicate):
             verdict = self.predicate(node.predicate, row, group)
             if is_null(verdict):
                 return NULL
@@ -113,29 +121,28 @@ class ExpressionSemantics:
 
     def predicate(self, node: Any, row: Any, group: list | None = None) -> Truth:
         """``⟦φ⟧``: the 3VL truth of the predicate *node* on *row* (and *group*)."""
-        ast = self.ast
-        if isinstance(node, ast.BoolLit):
+        if isinstance(node, BoolLit):
             return node.value
-        if isinstance(node, ast.Comparison):
+        if isinstance(node, Comparison):
             left = self.expression(node.left, row, group)
             right = self.expression(node.right, row, group)
             return compare(node.op, left, right)
-        if isinstance(node, ast.IsNull):
+        if isinstance(node, IsNull):
             verdict = is_null(self.expression(node.operand, row, group))
             return (not verdict) if node.negated else verdict
-        if isinstance(node, ast.InValues):
+        if isinstance(node, InValues):
             operand = self.expression(node.operand, row, group)
             return membership((operand,), zip(node.values))
-        if isinstance(node, ast.And):
+        if isinstance(node, And):
             return sql_and(
                 self.predicate(node.left, row, group),
                 self.predicate(node.right, row, group),
             )
-        if isinstance(node, ast.Or):
+        if isinstance(node, Or):
             return sql_or(
                 self.predicate(node.left, row, group),
                 self.predicate(node.right, row, group),
             )
-        if isinstance(node, ast.Not):
+        if isinstance(node, Not):
             return sql_not(self.predicate(node.operand, row, group))
         return self.subquery(node, row, group)

@@ -7,8 +7,13 @@ The judgment forms map onto functions:
 * ``Φsdt, Ψ_R ⊢ Q  --query-->   Q'``   →  :func:`transpile`
 * ``Φsdt, Ψ_R ⊢ C  --clause-->  X, Q`` →  :func:`_translate_clause`
 * ``Φsdt, Ψ_R ⊢ PP --pattern--> X, Q`` →  :func:`_translate_pattern`
-* ``Φsdt, Ψ_R ⊢ E  --expr-->    E'``   →  :func:`_translate_expression`
-* ``Φsdt, Ψ_R ⊢ φ  --pred-->    φ'``   →  :func:`_translate_predicate`
+* ``Φsdt, Ψ_R ⊢ E  --expr-->    E'``   →  :func:`_translate_node`
+* ``Φsdt, Ψ_R ⊢ φ  --pred-->    φ'``   →  :func:`_translate_node`
+
+Figures 21-22 translate each expression and predicate form the two
+languages share (:mod:`repro.common.expressions`) into itself, so
+:func:`_translate_node` rebuilds a node and translates only its references
+and ``Exists``.
 
 Attribute-naming invariant: every translated clause produces a SQL query
 whose output attributes are exactly the *flattened* names ``{X}_{K}`` for
@@ -42,9 +47,10 @@ from itertools import count
 from typing import Callable
 
 from repro.common.errors import TranspileError
+from repro.common.expressions import has_aggregate, rebuild
 from repro.core.sdt import SOURCE_ATTRIBUTE, TARGET_ATTRIBUTE, SdtResult
 from repro.cypher import ast as cy
-from repro.cypher.analysis import has_aggregate, var_length_step_error
+from repro.cypher.analysis import var_length_step_error
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
 from repro.sql import ast as sq
 
@@ -105,7 +111,7 @@ class Transpiler:
         clause = self.translate_clause(query.clause)
         naming = self._flat_naming(clause.variables)
         expressions = [
-            self._translate_expression(expr, naming, clause.variables)
+            self._translate_node(expr, naming, clause.variables)
             for expr in query.expressions
         ]
         columns = sq.columns_of(expressions, query.names)
@@ -147,7 +153,7 @@ class Transpiler:
         """C-Match1: ``σ_φ'(Q_PP)``."""
         pattern = self._translate_pattern(clause.pattern)
         naming = self._flat_naming(pattern.variables)
-        predicate = self._translate_predicate(clause.predicate, naming, pattern.variables)
+        predicate = self._translate_node(clause.predicate, naming, pattern.variables)
         return ClauseOutput(pattern.variables, sq.Selection(pattern.query, predicate))
 
     def _translate_chained_match(
@@ -179,7 +185,7 @@ class Transpiler:
 
         merged_vars = dict(left.variables)
         merged_vars.update(right.variables)
-        join_predicate = self._translate_predicate(predicate, joined_naming, merged_vars)
+        join_predicate = self._translate_node(predicate, joined_naming, merged_vars)
         for variable in shared:
             pk = self._primary_key_of(left.variables[variable])
             equality = sq.Comparison(
@@ -572,80 +578,32 @@ class Transpiler:
         )
         return sq.WithQuery(hop_name, self._hop_pairs(edge, edge_table), fixpoint)
 
-    # -- expressions (Figure 21) ----------------------------------------------
+    # -- expressions and predicates (Figures 21-22) ----------------------------
 
-    def _translate_expression(
-        self, expression: cy.Expression, naming: Naming, variables: dict[str, str]
-    ) -> sq.Expression:
-        if isinstance(expression, cy.PropertyRef):
-            self._check_property(expression, variables)
-            return sq.AttributeRef(naming(expression.variable, expression.key))
-        if isinstance(expression, cy.VariableRef):
-            if expression.variable not in variables:
-                raise TranspileError(f"unbound variable {expression.variable!r}")
-            pk = self._primary_key_of(variables[expression.variable])
-            return sq.AttributeRef(naming(expression.variable, pk))
-        if isinstance(expression, cy.Literal):
-            return sq.Literal(expression.value)
-        if isinstance(expression, cy.Aggregate):
-            if expression.argument is None:
-                return sq.Aggregate("Count", None, expression.distinct)
-            argument = self._translate_expression(expression.argument, naming, variables)
-            return sq.Aggregate(expression.function, argument, expression.distinct)
-        if isinstance(expression, cy.BinaryOp):
-            return sq.BinaryOp(
-                expression.op,
-                self._translate_expression(expression.left, naming, variables),
-                self._translate_expression(expression.right, naming, variables),
-            )
-        if isinstance(expression, cy.CastPredicate):
-            return sq.CastPredicate(
-                self._translate_predicate(expression.predicate, naming, variables)
-            )
-        raise TranspileError(
-            f"cannot transpile expression node {type(expression).__name__}"
-        )
+    def _translate_node(
+        self, node: cy.Expression | cy.Predicate, naming: Naming, variables: dict[str, str]
+    ) -> sq.Expression | sq.Predicate:
+        """``E --expr--> E'`` and ``φ --pred--> φ'``: every form the two
+        languages share translates to itself (:func:`rebuild`), a reference
+        to the attribute *naming* gives its property, and ``Exists`` to a
+        subquery (P-Exists)."""
 
-    # -- predicates (Figure 22) -------------------------------------------------
+        def leaf(node: cy.Expression | cy.Predicate) -> sq.Expression | sq.Predicate:
+            if isinstance(node, cy.PropertyRef):
+                self._check_property(node, variables)
+                return sq.AttributeRef(naming(node.variable, node.key))
+            if isinstance(node, cy.VariableRef):
+                if node.variable not in variables:
+                    raise TranspileError(f"unbound variable {node.variable!r}")
+                pk = self._primary_key_of(variables[node.variable])
+                return sq.AttributeRef(naming(node.variable, pk))
+            if isinstance(node, cy.Exists):
+                return self._translate_exists(node, naming, variables)
+            raise TranspileError(
+                f"cannot transpile expression or predicate node {type(node).__name__}"
+            )
 
-    def _translate_predicate(
-        self, predicate: cy.Predicate, naming: Naming, variables: dict[str, str]
-    ) -> sq.Predicate:
-        if isinstance(predicate, cy.BoolLit):
-            return sq.BoolLit(predicate.value)
-        if isinstance(predicate, cy.Comparison):
-            return sq.Comparison(
-                predicate.op,
-                self._translate_expression(predicate.left, naming, variables),
-                self._translate_expression(predicate.right, naming, variables),
-            )
-        if isinstance(predicate, cy.IsNull):
-            return sq.IsNull(
-                self._translate_expression(predicate.operand, naming, variables),
-                predicate.negated,
-            )
-        if isinstance(predicate, cy.InValues):
-            return sq.InValues(
-                self._translate_expression(predicate.operand, naming, variables),
-                predicate.values,
-            )
-        if isinstance(predicate, cy.Exists):
-            return self._translate_exists(predicate, naming, variables)
-        if isinstance(predicate, cy.And):
-            return sq.And(
-                self._translate_predicate(predicate.left, naming, variables),
-                self._translate_predicate(predicate.right, naming, variables),
-            )
-        if isinstance(predicate, cy.Or):
-            return sq.Or(
-                self._translate_predicate(predicate.left, naming, variables),
-                self._translate_predicate(predicate.right, naming, variables),
-            )
-        if isinstance(predicate, cy.Not):
-            return sq.Not(self._translate_predicate(predicate.operand, naming, variables))
-        raise TranspileError(
-            f"cannot transpile predicate node {type(predicate).__name__}"
-        )
+        return rebuild(node, leaf)
 
     def _translate_exists(
         self, predicate: cy.Exists, naming: Naming, variables: dict[str, str]
@@ -658,7 +616,7 @@ class Transpiler:
         """
         inner = self._translate_pattern(predicate.pattern)
         inner_naming = self._flat_naming(inner.variables)
-        inner_predicate = self._translate_predicate(
+        inner_predicate = self._translate_node(
             predicate.predicate, inner_naming, inner.variables
         )
         subquery: sq.Query = (

@@ -1,7 +1,8 @@
 """Static analysis over Featherweight Cypher ASTs.
 
 ``ast_size`` counts AST nodes (the metric of the paper's Table 1);
-``collect_variables`` and ``has_aggregate`` support the transpiler and the
+``collect_variables`` and ``has_aggregate`` (defined once, in
+:mod:`repro.common.expressions`) support the transpiler and the
 benchmark infrastructure; ``var_length_step_error`` is the shared semantic
 check for variable-length relationship patterns (both the reference
 evaluator and the transpiler consult it so they reject exactly the same
@@ -10,6 +11,7 @@ ill-typed traversals).
 
 from __future__ import annotations
 
+from repro.common.expressions import CHILDREN, has_aggregate
 from repro.cypher import ast
 from repro.graph.schema import GraphSchema
 
@@ -33,27 +35,16 @@ def ast_size(node: object) -> int:
         return 1 + ast_size(node.previous) + len(node.old_names)
     if isinstance(node, ast.PropertyRef):
         return 2  # variable + key
-    if isinstance(node, (ast.VariableRef, ast.Literal, ast.BoolLit)):
+    if isinstance(node, ast.VariableRef):
         return 1
-    if isinstance(node, ast.Aggregate):
-        return 1 + (ast_size(node.argument) if node.argument is not None else 0)
-    if isinstance(node, ast.BinaryOp):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.CastPredicate):
-        return 1 + ast_size(node.predicate)
-    if isinstance(node, ast.Comparison):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.IsNull):
-        return 1 + ast_size(node.operand)
-    if isinstance(node, ast.InValues):
-        return 1 + ast_size(node.operand) + len(node.values)
     if isinstance(node, ast.Exists):
         return 1 + _pattern_size(node.pattern) + ast_size(node.predicate)
-    if isinstance(node, (ast.And, ast.Or)):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, ast.Not):
-        return 1 + ast_size(node.operand)
-    raise TypeError(f"not a Cypher AST node: {type(node).__name__}")
+    children = CHILDREN.get(type(node))
+    if children is None:
+        raise TypeError(f"not a Cypher AST node: {type(node).__name__}")
+    # Each value of an ``IN`` list counts as one node, as on the SQL side.
+    size = 1 + sum(map(ast_size, children(node)))
+    return size + len(node.values) if isinstance(node, ast.InValues) else size
 
 
 def _pattern_size(pattern: ast.PathPattern) -> int:
@@ -106,15 +97,6 @@ def collect_variables(clause: ast.Clause) -> dict[str, str]:
             for old, new in zip(clause.old_names, clause.new_names)
         }
     raise TypeError(f"not a Cypher clause: {type(clause).__name__}")
-
-
-def has_aggregate(expression: ast.Expression) -> bool:
-    """``hasAgg(E)`` from the translation rules."""
-    if isinstance(expression, ast.Aggregate):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return has_aggregate(expression.left) or has_aggregate(expression.right)
-    return False
 
 
 def query_clause(query: ast.Query) -> ast.Clause:

@@ -20,6 +20,11 @@ Design notes:
   share a label (``c1``/``c2`` in the motivating example).
 * ``Count(*)`` is ``Aggregate("Count", None)``.
 * Directions follow the paper's ``d ∈ {→, ←, ↔}`` as :class:`Direction`.
+* The expression and predicate forms SQL shares (literals, aggregates,
+  arithmetic, ``Cast``, Boolean literals, comparisons, ``IsNull``, ``IN``
+  lists and the connectives) are defined once, in
+  :mod:`repro.common.expressions`, and imported here; this module defines
+  only the forms Cypher alone has: the references and ``Exists``.
 
 All nodes are frozen dataclasses so queries hash and compare structurally,
 which the checkers and benchmark infrastructure rely on.
@@ -31,7 +36,21 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from repro.common.values import Value
+from repro.common.expressions import (  # noqa: F401  (re-exported)
+    FALSE,
+    TRUE,
+    Aggregate,
+    And,
+    BinaryOp,
+    BoolLit,
+    CastPredicate,
+    Comparison,
+    InValues,
+    IsNull,
+    Literal,
+    Not,
+    Or,
+)
 
 # ---------------------------------------------------------------------------
 # Patterns
@@ -162,132 +181,12 @@ class VariableRef:
         return self.variable
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A constant value ``v``."""
-
-    value: Value
-
-    def __str__(self) -> str:
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    """``Agg(E)`` with ``Agg ∈ {Count, Avg, Sum, Min, Max}``.
-
-    ``argument is None`` encodes ``Count(*)``.
-    ``distinct`` covers Cypher's ``Count(DISTINCT e)`` used by tutorials.
-    """
-
-    function: str
-    argument: "Expression | None"
-    distinct: bool = False
-
-    VALID = ("Count", "Avg", "Sum", "Min", "Max")
-
-    def __post_init__(self) -> None:
-        if self.function not in self.VALID:
-            raise ValueError(f"unknown aggregate {self.function!r}")
-        if self.argument is None and self.function != "Count":
-            raise ValueError(f"{self.function}(*) is not well-formed")
-
-    def __str__(self) -> str:
-        inner = "*" if self.argument is None else str(self.argument)
-        if self.distinct:
-            inner = f"DISTINCT {inner}"
-        return f"{self.function}({inner})"
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    """Arithmetic ``E ⊕ E`` with ``⊕ ∈ {+, -, *, /, %}``."""
-
-    op: str
-    left: "Expression"
-    right: "Expression"
-
-    VALID = ("+", "-", "*", "/", "%")
-
-    def __post_init__(self) -> None:
-        if self.op not in self.VALID:
-            raise ValueError(f"unknown arithmetic operator {self.op!r}")
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
-
-@dataclass(frozen=True)
-class CastPredicate:
-    """``Cast(φ)``: coerce a predicate to 1 / 0 / NULL."""
-
-    predicate: "Predicate"
-
-    def __str__(self) -> str:
-        return f"Cast({self.predicate})"
-
-
 Expression = Union[PropertyRef, VariableRef, Literal, Aggregate, BinaryOp, CastPredicate]
 
 
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    """``⊤`` or ``⊥``."""
-
-    value: bool
-
-    def __str__(self) -> str:
-        return "TRUE" if self.value else "FALSE"
-
-
-TRUE = BoolLit(True)
-FALSE = BoolLit(False)
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """``E ⊙ E`` with ``⊙ ∈ {=, <>, <, <=, >, >=}``."""
-
-    op: str
-    left: Expression
-    right: Expression
-
-    VALID = ("=", "<>", "<", "<=", ">", ">=")
-
-    def __post_init__(self) -> None:
-        if self.op not in self.VALID:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
-
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
-
-@dataclass(frozen=True)
-class IsNull:
-    """``IsNull(E)``."""
-
-    operand: Expression
-    negated: bool = False
-
-    def __str__(self) -> str:
-        suffix = "IS NOT NULL" if self.negated else "IS NULL"
-        return f"{self.operand} {suffix}"
-
-
-@dataclass(frozen=True)
-class InValues:
-    """``E ∈ v̄`` — membership in a literal list."""
-
-    operand: Expression
-    values: tuple[Value, ...]
-
-    def __str__(self) -> str:
-        return f"{self.operand} IN {list(self.values)!r}"
 
 
 @dataclass(frozen=True)
@@ -302,32 +201,6 @@ class Exists:
 
     def __str__(self) -> str:
         return f"EXISTS({pattern_text(self.pattern)} WHERE {self.predicate})"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Predicate"
-    right: "Predicate"
-
-    def __str__(self) -> str:
-        return f"({self.left} AND {self.right})"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Predicate"
-    right: "Predicate"
-
-    def __str__(self) -> str:
-        return f"({self.left} OR {self.right})"
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: "Predicate"
-
-    def __str__(self) -> str:
-        return f"(NOT {self.operand})"
 
 
 Predicate = Union[BoolLit, Comparison, IsNull, InValues, Exists, And, Or, Not]

@@ -13,17 +13,30 @@ token pattern (:data:`CYPHER_SYNTAX`, :data:`SQL_SYNTAX`).
 
 Both languages also write expressions and predicates alike (arithmetic,
 comparisons, ``IS [NOT] NULL``, ``IN`` lists, ``AND``/``OR``/``NOT``, aggregate
-calls), and the transpiler maps each such form onto the SQL node of the same
-name.  :class:`ExpressionGrammar` parses them once; each parser subclasses it
-and overrides only the forms its language writes its own way.
+calls), and both ASTs hold them as the same nodes, those of
+:mod:`repro.common.expressions`.  :class:`ExpressionGrammar` parses them once;
+each parser subclasses it and overrides only the forms its language writes
+its own way.
 """
 
 from __future__ import annotations
 
 import re
-from types import ModuleType
 
 from repro.common.errors import ParseError
+from repro.common.expressions import (
+    FALSE,
+    TRUE,
+    Aggregate,
+    And,
+    BinaryOp,
+    Comparison,
+    InValues,
+    IsNull,
+    Literal,
+    Not,
+    Or,
+)
 from repro.common.values import NULL, Value
 
 
@@ -207,17 +220,14 @@ class ExpressionGrammar:
     (``TRUE``/``FALSE``, a parenthesised predicate, ``EXISTS``, or an
     expression followed by a comparison, ``IS [NOT] NULL`` or ``[NOT] IN``),
     then ``+``/``-``, ``*``/``/``/``%``, unary minus (folded into a numeric
-    literal) and a primary.  Nodes are built from :attr:`ast`, the
-    subclass's AST module; both modules give these forms the same class
-    names and fields.  A subclass sets :attr:`stream` and overrides the
-    hooks for what its language writes its own way: what an identifier
-    denotes (:meth:`_parse_reference`), what follows ``IN``
+    literal) and a primary.  It builds the shared nodes of
+    :mod:`repro.common.expressions`.  A subclass sets :attr:`stream` and
+    overrides the hooks for what its language writes its own way: what an
+    identifier denotes (:meth:`_parse_reference`), what follows ``IN``
     (:meth:`_parse_in`) and ``EXISTS`` (:meth:`_parse_exists`), and an
     aggregate's argument (:meth:`_parse_aggregate_argument`).
     """
 
-    #: The AST module of the subclass's language.
-    ast: ModuleType
     stream: TokenStream
     #: Keywords that open a subquery right after a ``(``.
     SUBQUERY_KEYWORDS: tuple[str, ...] = ()
@@ -251,18 +261,18 @@ class ExpressionGrammar:
     def _parse_predicate(self):
         left = self._parse_and()
         while self.stream.take_keyword("OR"):
-            left = self.ast.Or(left, self._parse_and())
+            left = Or(left, self._parse_and())
         return left
 
     def _parse_and(self):
         left = self._parse_not()
         while self.stream.take_keyword("AND"):
-            left = self.ast.And(left, self._parse_not())
+            left = And(left, self._parse_not())
         return left
 
     def _parse_not(self):
         if self.stream.take_keyword("NOT"):
-            return self.ast.Not(self._parse_not())
+            return Not(self._parse_not())
         return self._parse_atom_predicate()
 
     def _parse_atom_predicate(self):
@@ -273,10 +283,10 @@ class ExpressionGrammar:
             return self._parse_exists()
         if token.is_keyword("TRUE"):
             stream.advance()
-            return self.ast.TRUE
+            return TRUE
         if token.is_keyword("FALSE"):
             stream.advance()
-            return self.ast.FALSE
+            return FALSE
         if token.is_op("(") and self._parenthesised_predicate_ahead():
             stream.advance()
             inner = self._parse_predicate()
@@ -288,12 +298,12 @@ class ExpressionGrammar:
             stream.advance()
             op = "<>" if token.text == "!=" else token.text
             right = self._parse_expression(self.NESTED_AGGREGATES)
-            return self.ast.Comparison(op, left, right)
+            return Comparison(op, left, right)
         if token.is_keyword("IS"):
             stream.advance()
             negated = stream.take_keyword("NOT")
             stream.expect_keyword("NULL")
-            return self.ast.IsNull(left, negated)
+            return IsNull(left, negated)
         if token.is_keyword("IN"):
             stream.advance()
             return self._parse_in(left, negated=False)
@@ -309,8 +319,8 @@ class ExpressionGrammar:
         while self.stream.take_op(","):
             values.append(self._parse_literal_value())
         self.stream.expect_op(close)
-        membership = self.ast.InValues(left, tuple(values))
-        return self.ast.Not(membership) if negated else membership
+        membership = InValues(left, tuple(values))
+        return Not(membership) if negated else membership
 
     def _parenthesised_predicate_ahead(self) -> bool:
         """Disambiguate ``(a.x + 1) > 2`` from ``(NOT p OR q)``.
@@ -346,7 +356,7 @@ class ExpressionGrammar:
         while self.stream.at_op("+", "-"):
             op = self.stream.advance().text
             right = self._parse_multiplicative(allow_aggregates)
-            left = self.ast.BinaryOp(op, left, right)
+            left = BinaryOp(op, left, right)
         return left
 
     def _parse_multiplicative(self, allow_aggregates: bool):
@@ -354,23 +364,23 @@ class ExpressionGrammar:
         while self.stream.at_op("*", "/", "%"):
             op = self.stream.advance().text
             right = self._parse_unary(allow_aggregates)
-            left = self.ast.BinaryOp(op, left, right)
+            left = BinaryOp(op, left, right)
         return left
 
     def _parse_unary(self, allow_aggregates: bool):
         if self.stream.take_op("-"):
             operand = self._parse_unary(allow_aggregates)
-            if isinstance(operand, self.ast.Literal) and isinstance(
+            if isinstance(operand, Literal) and isinstance(
                 operand.value, (int, float)
             ):
-                return self.ast.Literal(-operand.value)
-            return self.ast.BinaryOp("-", self.ast.Literal(0), operand)
+                return Literal(-operand.value)
+            return BinaryOp("-", Literal(0), operand)
         return self._parse_primary(allow_aggregates)
 
     def _parse_primary(self, allow_aggregates: bool):
         token = self.stream.peek()
         if token.kind in ("number", "string") or token.keyword in _LITERAL_WORDS:
-            return self.ast.Literal(self._parse_literal_value())
+            return Literal(self._parse_literal_value())
         if token.kind == "ident":
             if token.keyword in AGGREGATES and self.stream.peek(1).is_op("("):
                 return self._parse_aggregate(allow_aggregates)
@@ -392,9 +402,9 @@ class ExpressionGrammar:
         distinct = self.stream.take_keyword("DISTINCT")
         if self.stream.take_op("*"):
             self.stream.expect_op(")")
-            return self.ast.Aggregate("Count", None, distinct)
+            return Aggregate("Count", None, distinct)
         argument = self._parse_aggregate_argument(function)
-        return self.ast.Aggregate(function, argument, distinct)
+        return Aggregate(function, argument, distinct)
 
     def _parse_literal_value(self) -> Value:
         """A constant: a number, a string, ``TRUE``/``FALSE``/``NULL``, or ``-n``."""

@@ -58,7 +58,6 @@ def parse_cypher(source: str, schema: GraphSchema | None = None) -> ast.Query:
 
 
 class _Parser(ExpressionGrammar):
-    ast = ast
     #: Aggregates stand only in RETURN and ORDER BY items.
     NESTED_AGGREGATES = False
 

@@ -7,6 +7,8 @@ naming.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from repro.common.values import is_null
 from repro.cypher import ast
 
@@ -87,12 +89,18 @@ def _expression(expression: ast.Expression) -> str:
 
 
 def _literal(value) -> str:
+    """*value* as the lexer reads it back: a string with ``\\`` and ``'``
+    escaped, a float positionally (the number token has no exponent)."""
     if is_null(value):
         return "NULL"
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
     if isinstance(value, str):
-        return f"'{value}'"
+        escaped = value.replace("\\", "\\\\").replace("'", "\\'")
+        return f"'{escaped}'"
+    if isinstance(value, float):
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else f"{text}.0"
     return repr(value)
 
 

@@ -28,8 +28,6 @@ soundness theorem fixes the intended meaning — and both matching Neo4j):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.aggregates import dedup, group_by
 from repro.common.errors import SemanticsError
 from repro.common.semantics import ExpressionSemantics
@@ -46,37 +44,38 @@ from repro.relational.instance import Row, Table
 Element = Node | Edge
 
 
-@dataclass(frozen=True)
 class Binding:
-    """One match result: variable → element (or NULL), variable → label."""
+    """One match result: variable → element (or NULL), variable → label.
 
-    elements: tuple[tuple[str, Element | None], ...]
-    labels: tuple[tuple[str, str], ...]
+    The two maps are dicts that no one changes once the binding is built.
+    Two bindings are equal when their maps are, in whatever order their
+    variables were bound.
+    """
 
-    @classmethod
-    def of(cls, elements: dict[str, Element | None], labels: dict[str, str]) -> "Binding":
-        return cls(tuple(sorted(elements.items(), key=lambda kv: kv[0])),
-                   tuple(sorted(labels.items(), key=lambda kv: kv[0])))
+    __slots__ = ("elements", "labels")
 
-    @property
-    def element_map(self) -> dict[str, Element | None]:
-        return dict(self.elements)
+    def __init__(self, elements: dict[str, Element | None], labels: dict[str, str]) -> None:
+        self.elements = elements
+        self.labels = labels
 
-    @property
-    def label_map(self) -> dict[str, str]:
-        return dict(self.labels)
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Binding)
+            and self.elements == other.elements
+            and self.labels == other.labels
+        )
 
-    def variables(self) -> set[str]:
-        return {name for name, _ in self.elements}
+    def __hash__(self) -> int:
+        return hash(frozenset(self.elements.items()))
 
     def get(self, variable: str) -> Element | None:
-        for name, element in self.elements:
-            if name == variable:
-                return element
-        raise SemanticsError(f"unbound pattern variable {variable!r}")
+        try:
+            return self.elements[variable]
+        except KeyError:
+            raise SemanticsError(f"unbound pattern variable {variable!r}") from None
 
     def has(self, variable: str) -> bool:
-        return any(name == variable for name, _ in self.elements)
+        return variable in self.elements
 
 
 def merge_bindings(left: Binding, right: Binding) -> Binding | None:
@@ -85,21 +84,17 @@ def merge_bindings(left: Binding, right: Binding) -> Binding | None:
     Agreement is element identity (uid); a NULL binding only agrees with
     another NULL binding of the same variable.
     """
-    left_map = left.element_map
-    merged_elements = dict(left_map)
-    merged_labels = left.label_map
-    for name, element in right.elements:
-        if name in left_map:
-            existing = left_map[name]
+    left_elements = left.elements
+    for name, element in right.elements.items():
+        if name in left_elements:
+            existing = left_elements[name]
             if existing is None or element is None:
                 if existing is not element:
                     return None
             elif existing.uid != element.uid:
                 return None
-        else:
-            merged_elements[name] = element
-    merged_labels.update(right.label_map)
-    return Binding.of(merged_elements, merged_labels)
+    # A shared variable keeps the left element, and the right label.
+    return Binding({**right.elements, **left_elements}, {**left.labels, **right.labels})
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +209,13 @@ def _eval_opt_match(clause: ast.OptMatch, rules: _Semantics) -> list[Binding]:
         if matched:
             results.extend(matched)
         else:
-            nullified_elements = left.element_map
-            nullified_labels = left.label_map
+            nullified_elements = dict(left.elements)
+            nullified_labels = dict(left.labels)
             for variable, label in pattern_vars.items():
                 if variable not in nullified_elements:
                     nullified_elements[variable] = None
                     nullified_labels[variable] = label
-            results.append(Binding.of(nullified_elements, nullified_labels))
+            results.append(Binding(nullified_elements, nullified_labels))
     return results
 
 
@@ -230,11 +225,10 @@ def _eval_with(clause: ast.With, rules: _Semantics) -> list[Binding]:
     for binding in previous:
         elements: dict[str, Element | None] = {}
         labels: dict[str, str] = {}
-        label_map = binding.label_map
         for old, new in zip(clause.old_names, clause.new_names):
             elements[new] = binding.get(old)
-            labels[new] = label_map[old]
-        results.append(Binding.of(elements, labels))
+            labels[new] = binding.labels[old]
+        results.append(Binding(elements, labels))
     return results
 
 
@@ -249,7 +243,7 @@ def match_pattern(pattern: ast.PathPattern, graph: PropertyGraph) -> list[Bindin
         node_pattern = pattern[0]
         assert isinstance(node_pattern, ast.NodePattern)
         return [
-            Binding.of({node_pattern.variable: node}, {node_pattern.variable: node_pattern.label})
+            Binding({node_pattern.variable: node}, {node_pattern.variable: node_pattern.label})
             for node in graph.nodes_with_label(node_pattern.label)
         ]
     first, edge, *rest = pattern
@@ -291,7 +285,7 @@ def _match_step(
         for left_node, right_node in orientations:
             if left_node.label != left.label or right_node.label != right.label:
                 continue
-            binding = Binding.of(
+            binding = Binding(
                 {
                     left.variable: left_node,
                     edge.variable: candidate,
@@ -345,7 +339,7 @@ def _match_var_length(
             else:
                 elements = {left.variable: start, right.variable: target}
                 labels = {left.variable: left.label, right.variable: right.label}
-            results.append(Binding.of(elements, labels))
+            results.append(Binding(elements, labels))
     return results
 
 
@@ -391,7 +385,6 @@ class _Semantics(ExpressionSemantics):
     """The shared E and φ rules over *graph*: a row is a :class:`Binding`,
     and ``EXISTS`` matches a pattern."""
 
-    ast = ast
     REFERENCES = (ast.PropertyRef, ast.VariableRef)
 
     def __init__(self, graph: PropertyGraph) -> None:

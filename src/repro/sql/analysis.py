@@ -1,9 +1,8 @@
 """Static analysis over Featherweight SQL ASTs.
 
-``ast_size`` is the Table-1 metric; ``has_aggregate`` is the translation
-rules' ``hasAgg(E)``; the ``uses_*`` predicates decide backend-fragment
-membership (the Mediator-style deductive verifier rejects aggregation and
-outer joins, matching the paper's Section 6.2).
+``ast_size`` is the Table-1 metric; the ``uses_*`` predicates decide
+backend-fragment membership (the Mediator-style deductive verifier rejects
+aggregation and outer joins, matching the paper's Section 6.2).
 
 ``resolve_attribute`` is the one SQL name lookup: the evaluator, the
 renderer, the optimizer, the planner, the partition gather and the CQ
@@ -59,16 +58,6 @@ def referenced_relations(query: ast.Query) -> set[str]:
 
     walk(query, frozenset())
     return names
-
-
-def has_aggregate(expression: ast.Expression) -> bool:
-    """``hasAgg(E)`` from the translation rules: an aggregate reached through
-    arithmetic alone (a ``Cast`` predicate is not looked into)."""
-    if isinstance(expression, ast.Aggregate):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return has_aggregate(expression.left) or has_aggregate(expression.right)
-    return False
 
 
 def output_attributes(

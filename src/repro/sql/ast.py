@@ -19,13 +19,19 @@ algebra purely positional-free (the lookup is
 :func:`repro.sql.analysis.resolve_attribute`).  Every module that names or
 finds an attribute calls these; none re-spells them.
 
-All nodes are frozen dataclasses; attribute lists and predicates reuse the
-same 3VL value domain as the Cypher side.
+All nodes are frozen dataclasses.  The expression and predicate forms
+Cypher shares (literals, aggregates, arithmetic, ``Cast``, Boolean
+literals, comparisons, ``IsNull``, ``IN`` lists and the connectives) are
+defined once, in :mod:`repro.common.expressions`, and imported here; this
+module defines only the forms SQL alone has: ``AttributeRef`` and the
+``InQuery``/``ExistsQuery`` subqueries.
 
 Which fields of a node are its children is written down in this module
-only: :func:`map_children` and :func:`map_predicate` rebuild queries,
+only (in :mod:`repro.common.expressions` for the shared forms):
+:func:`map_children` and :func:`map_predicate` rebuild queries,
 :func:`map_refs` rebuilds expressions and predicates around their
-attribute references, and :func:`children` reads the children of any node.
+attribute references (the shared ``rebuild`` with a leaf for the SQL-only
+forms), and :func:`children` reads the children of any node.
 """
 
 from __future__ import annotations
@@ -35,7 +41,23 @@ import functools
 import typing
 from dataclasses import dataclass
 
-from repro.common.values import Value
+from repro.common.expressions import (  # noqa: F401  (re-exported)
+    CHILDREN,
+    FALSE,
+    TRUE,
+    Aggregate,
+    And,
+    BinaryOp,
+    BoolLit,
+    CastPredicate,
+    Comparison,
+    InValues,
+    IsNull,
+    Literal,
+    Not,
+    Or,
+    rebuild,
+)
 
 # ---------------------------------------------------------------------------
 # Attribute expressions
@@ -57,69 +79,6 @@ class AttributeRef:
         return local_name(self.name)
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A constant value ``v``."""
-
-    value: Value
-
-    def __str__(self) -> str:
-        if isinstance(self.value, str):
-            return f"'{self.value}'"
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    """``Agg(E)``; ``argument is None`` encodes ``Count(*)``."""
-
-    function: str
-    argument: "Expression | None"
-    distinct: bool = False
-
-    VALID = ("Count", "Avg", "Sum", "Min", "Max")
-
-    def __post_init__(self) -> None:
-        if self.function not in self.VALID:
-            raise ValueError(f"unknown aggregate {self.function!r}")
-        if self.argument is None and self.function != "Count":
-            raise ValueError(f"{self.function}(*) is not well-formed")
-
-    def __str__(self) -> str:
-        inner = "*" if self.argument is None else str(self.argument)
-        if self.distinct:
-            inner = f"DISTINCT {inner}"
-        return f"{self.function}({inner})"
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    """Arithmetic ``E ⊕ E``."""
-
-    op: str
-    left: "Expression"
-    right: "Expression"
-
-    VALID = ("+", "-", "*", "/", "%")
-
-    def __post_init__(self) -> None:
-        if self.op not in self.VALID:
-            raise ValueError(f"unknown arithmetic operator {self.op!r}")
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
-
-@dataclass(frozen=True)
-class CastPredicate:
-    """``Cast(φ)`` — predicate as 1 / 0 / NULL."""
-
-    predicate: "Predicate"
-
-    def __str__(self) -> str:
-        return f"Cast({self.predicate})"
-
-
 Expression = typing.Union[AttributeRef, Literal, Aggregate, BinaryOp, CastPredicate]
 
 
@@ -137,51 +96,6 @@ class OutputColumn:
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-
-    def __str__(self) -> str:
-        return "TRUE" if self.value else "FALSE"
-
-
-@dataclass(frozen=True)
-class Comparison:
-    op: str
-    left: Expression
-    right: Expression
-
-    VALID = ("=", "<>", "<", "<=", ">", ">=")
-
-    def __post_init__(self) -> None:
-        if self.op not in self.VALID:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
-
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
-
-@dataclass(frozen=True)
-class IsNull:
-    operand: Expression
-    negated: bool = False
-
-    def __str__(self) -> str:
-        suffix = "IS NOT NULL" if self.negated else "IS NULL"
-        return f"{self.operand} {suffix}"
-
-
-@dataclass(frozen=True)
-class InValues:
-    """``E ∈ v̄``."""
-
-    operand: Expression
-    values: tuple[Value, ...]
-
-    def __str__(self) -> str:
-        return f"{self.operand} IN {list(self.values)!r}"
 
 
 @dataclass(frozen=True)
@@ -215,38 +129,9 @@ class ExistsQuery:
         return f"{keyword} (<subquery>)"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Predicate"
-    right: "Predicate"
-
-    def __str__(self) -> str:
-        return f"({self.left} AND {self.right})"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Predicate"
-    right: "Predicate"
-
-    def __str__(self) -> str:
-        return f"({self.left} OR {self.right})"
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: "Predicate"
-
-    def __str__(self) -> str:
-        return f"(NOT {self.operand})"
-
-
 Predicate = typing.Union[
     BoolLit, Comparison, IsNull, InValues, InQuery, ExistsQuery, And, Or, Not
 ]
-
-TRUE = BoolLit(True)
-FALSE = BoolLit(False)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +328,12 @@ def map_children(
     can test for change with ``is``.  Leaf nodes (``Relation``) are returned
     unchanged.
 
-    The child fields of a node type are listed in this module only.  A new
-    node type needs an entry in ``_CHILDREN`` (read by :func:`children`),
-    plus a branch here when it is a ``Query``, or a branch in
-    :func:`map_refs` when it is an ``Expression`` or a ``Predicate``.
+    A new node type needs an entry in ``_CHILDREN`` (read by
+    :func:`children`), plus a branch here when it is a ``Query``; one only
+    SQL has that is an expression or a predicate is a leaf that
+    :func:`map_refs` handles.  A form both languages have is defined in
+    :mod:`repro.common.expressions`, with its ``CHILDREN`` entry and its
+    :func:`~repro.common.expressions.rebuild` step.
     """
     if isinstance(query, Relation):
         return query
@@ -548,14 +435,11 @@ def map_predicate(
     return predicate
 
 
-def _no_children(node: object) -> tuple:
-    return ()
-
-
 #: Node type → its direct child nodes, in field declaration order; the
 #: columns of a projection or aggregation contribute their expressions.
 _CHILDREN: dict[type, typing.Callable[[typing.Any], tuple]] = {
-    Relation: _no_children,
+    **CHILDREN,
+    Relation: lambda q: (),
     Projection: lambda q: (q.query, *[c.expression for c in q.columns]),
     Selection: lambda q: (q.query, q.predicate),
     Renaming: lambda q: (q.query,),
@@ -565,20 +449,9 @@ _CHILDREN: dict[type, typing.Callable[[typing.Any], tuple]] = {
     WithQuery: lambda q: (q.definition, q.body),
     OrderBy: lambda q: (q.query, *q.keys),
     RecursiveQuery: lambda q: (q.base, q.step, q.body),
-    AttributeRef: _no_children,
-    Literal: _no_children,
-    Aggregate: lambda e: () if e.argument is None else (e.argument,),
-    BinaryOp: lambda e: (e.left, e.right),
-    CastPredicate: lambda e: (e.predicate,),
-    BoolLit: _no_children,
-    Comparison: lambda p: (p.left, p.right),
-    IsNull: lambda p: (p.operand,),
-    InValues: lambda p: (p.operand,),
+    AttributeRef: lambda e: (),
     InQuery: lambda p: (*p.operands, p.query),
     ExistsQuery: lambda p: (p.query,),
-    And: lambda p: (p.left, p.right),
-    Or: lambda p: (p.left, p.right),
-    Not: lambda p: (p.operand,),
 }
 
 
@@ -610,48 +483,15 @@ def map_refs(
     reference under it did, so a *ref_fn* that records each reference and
     returns it collects references without allocating a node.
     """
-    if isinstance(node, AttributeRef):
-        return ref_fn(node)
-    if isinstance(node, (Literal, BoolLit)):
-        return node
-    if isinstance(node, (Comparison, BinaryOp, And, Or)):
-        left = map_refs(node.left, ref_fn)
-        right = None if left is None else map_refs(node.right, ref_fn)
-        if right is None:
+
+    def leaf(node: object) -> "Expression | None":
+        if isinstance(node, AttributeRef):
+            return ref_fn(node)
+        if isinstance(node, (InQuery, ExistsQuery)):
             return None
-        if left is node.left and right is node.right:
-            return node
-        if isinstance(node, (And, Or)):
-            return type(node)(left, right)
-        return type(node)(node.op, left, right)
-    if isinstance(node, (IsNull, InValues, Not)):
-        operand = map_refs(node.operand, ref_fn)
-        if operand is None:
-            return None
-        if operand is node.operand:
-            return node
-        if isinstance(node, IsNull):
-            return IsNull(operand, node.negated)
-        if isinstance(node, InValues):
-            return InValues(operand, node.values)
-        return Not(operand)
-    if isinstance(node, CastPredicate):
-        predicate = map_refs(node.predicate, ref_fn)
-        if predicate is None:
-            return None
-        return node if predicate is node.predicate else CastPredicate(predicate)
-    if isinstance(node, Aggregate):
-        if node.argument is None:
-            return node
-        argument = map_refs(node.argument, ref_fn)
-        if argument is None:
-            return None
-        if argument is node.argument:
-            return node
-        return Aggregate(node.function, argument, node.distinct)
-    if isinstance(node, (InQuery, ExistsQuery)):
-        return None
-    raise TypeError(f"not a SQL expression or predicate: {type(node).__name__}")
+        raise TypeError(f"not a SQL expression or predicate: {type(node).__name__}")
+
+    return rebuild(node, leaf)
 
 
 def conjuncts(predicate: Predicate) -> list[Predicate]:

@@ -47,8 +47,9 @@ from __future__ import annotations
 import typing
 
 from repro.common.errors import SemanticsError
+from repro.common.expressions import has_aggregate
 from repro.sql import ast
-from repro.sql.analysis import has_aggregate, resolve_attribute
+from repro.sql.analysis import resolve_attribute
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.schema import RelationalSchema

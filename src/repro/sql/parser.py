@@ -25,6 +25,7 @@ and ``EXISTS`` take a subquery.
 
 from __future__ import annotations
 
+from repro.common.expressions import has_aggregate
 from repro.cypher.lexer import (
     SQL_SYNTAX,
     ExpressionGrammar,
@@ -34,7 +35,6 @@ from repro.cypher.lexer import (
     tokenize,
 )
 from repro.sql import ast
-from repro.sql.analysis import has_aggregate
 
 _KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
@@ -55,7 +55,6 @@ def parse_sql(source: str) -> ast.Query:
 
 
 class _Parser(ExpressionGrammar):
-    ast = ast
     SUBQUERY_KEYWORDS = ("SELECT", "WITH")
 
     def __init__(self, stream: TokenStream) -> None:

@@ -50,7 +50,6 @@ class _Context(ExpressionSemantics):
     with the scopes as their outer rows.
     """
 
-    ast = ast
     REFERENCES = ast.AttributeRef
 
     database: Database

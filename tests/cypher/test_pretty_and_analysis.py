@@ -25,6 +25,12 @@ ROUND_TRIP_QUERIES = [
     "MATCH (n:EMP) RETURN n.name AS a UNION MATCH (m:EMP) RETURN m.name AS a",
     "MATCH (n:EMP) RETURN n.name AS w, n.id AS k ORDER BY k DESC LIMIT 2",
     "MATCH (n:EMP) WHERE EXISTS { MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) } RETURN n.id AS i",
+    # A string prints with its quotes and backslashes escaped, a float
+    # positionally: the number token has no exponent.
+    r"MATCH (n:EMP) WHERE n.name = 'it\'s' RETURN n.id AS i",
+    r"MATCH (n:EMP) WHERE n.name IN ['a\\b', '\\\'', 'say \"hi\"'] RETURN n.id AS i",
+    "MATCH (n:EMP) WHERE n.id > 0.00001 AND n.id < 100000000000000000000000.0 RETURN n.id AS i",
+    "MATCH (n:EMP) RETURN n.id * 0.00001",
 ]
 
 

@@ -11,8 +11,9 @@ output must be a normal form: no level-1 rule fires at any node of an
 optimized plan.  Like the child fields, the two attribute-naming rules
 (``local_name`` and ``qualify``) are spelled in ``sql/ast.py`` only, and
 the expression grammar both parsers read SQL and Cypher with is defined
-in one module, and the expression and predicate rules both reference
-evaluators apply are evaluated in ``common/``.
+in one module, the expression and predicate rules both reference
+evaluators apply are evaluated in ``common/``, and the expression and
+predicate forms both languages share are defined once, in ``common/``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 import repro
 from repro.backends import GraphitiService
 from repro.benchmarks.suite import benchmark_suite
+from repro.cypher import ast as cypher_ast
 from repro.sql import ast
 from repro.sql.analysis import ast_size, iter_nodes
 from repro.sql.optimize import _apply_rule, _normalize
@@ -463,6 +465,33 @@ def test_expression_rules_are_evaluated_in_common(function):
         if call.search(line)
     ]
     assert found == [], found
+
+
+#: The expression and predicate forms both languages share, and the two
+#: Boolean literals.
+SHARED_FORMS = (
+    "Literal", "Aggregate", "BinaryOp", "CastPredicate", "BoolLit", "Comparison",
+    "IsNull", "InValues", "And", "Or", "Not", "TRUE", "FALSE",
+)
+
+
+@pytest.mark.parametrize("name", SHARED_FORMS)
+def test_shared_forms_are_defined_once(name):
+    """Both AST modules import the shared forms from ``common/expressions.py``,
+    so the grammar, the evaluator and the transpiler's rebuild see one class
+    per form; a second definition is where the two languages would drift."""
+    assert getattr(cypher_ast, name) is getattr(ast, name)
+    if name in ("TRUE", "FALSE"):  # instances, not classes
+        return
+    package = Path(repro.__file__).parent
+    definition = re.compile(rf"^\s*class {name}\b")
+    found = [
+        f"{path.relative_to(package).as_posix()}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if definition.search(line)
+    ]
+    assert len(found) == 1, found
 
 
 #: One subquery-free instance of every expression and predicate kind.
