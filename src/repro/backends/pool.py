@@ -18,7 +18,11 @@ the pool plans with its own.
 Checkout/checkin follow the classic discipline: a member is used by at
 most one thread at a time, ``checkout`` blocks (with optional timeout)
 when all members are busy and the pool is at capacity, and the
-:meth:`connection` context manager guarantees checkin on all paths.
+:meth:`connection` context manager guarantees checkin on all paths.  A
+member checked in clean less than :data:`PING_AFTER_IDLE_SECONDS` ago is
+handed out again without a liveness ping; one that died inside that
+window fails its query, and the damaged checkin that follows pings and
+evicts it.
 Async callers use the same blocking ``checkout`` on an executor thread;
 a query the async service serves inline on its event loop takes an idle
 member with :meth:`ConnectionPool.take_idle`, which never waits or spawns.
@@ -43,6 +47,12 @@ from repro.backends.registry import load_backend
 
 #: Numbers each pool this process builds (:attr:`ConnectionPool.number`).
 _POOL_NUMBERS = itertools.count(1)
+
+#: Seconds a member checked in clean may sit idle and still be handed out
+#: without a liveness ping (HikariCP's alive-bypass window).  A member idle
+#: longer, one not checked in clean since it was spawned, and every damaged
+#: checkin are pinged.
+PING_AFTER_IDLE_SECONDS = 0.5
 
 
 class PoolClosed(RuntimeError):
@@ -168,7 +178,8 @@ class ConnectionPool:
         #: Unique among this process's pools: a timing tagged with it
         #: names the load it ran on, as a reload builds a new pool.
         self.number = next(_POOL_NUMBERS)
-        #: Liveness-probe idle members before handing them out; a member
+        #: Liveness-probe idle members before handing them out, except one
+        #: checked in clean within :data:`PING_AFTER_IDLE_SECONDS`; a member
         #: that fails is evicted and the checkout moves on to the next one
         #: (or spawns a replacement).  The probe is a single ``SELECT 1``;
         #: benchmarks may turn it off to measure its cost.
@@ -182,7 +193,10 @@ class ConnectionPool:
         self._capacity = capacity
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
-        self._idle: list[ExecutionBackend] = []
+        #: Idle members, each with the ``perf_counter`` time of its clean
+        #: checkin, or ``None`` when it has had none since it was spawned
+        #: or its last checkin was damaged: such a member is pinged.
+        self._idle: list[tuple[ExecutionBackend, float | None]] = []
         self._spawning = 0
         self._size = 0
         self._checked_out = 0
@@ -203,11 +217,11 @@ class ConnectionPool:
         if first_clone is None:
             self._template: ExecutionBackend | None = None
             self._size = 1
-            self._idle.append(primary)
+            self._idle.append((primary, None))
         else:
             self._template = primary
             self._size = 1
-            self._idle.append(first_clone)
+            self._idle.append((first_clone, None))
         # Bound once the primary has loaded, so the state gauges only ever
         # report a pool that is serviceable.
         if registry is not None:
@@ -266,11 +280,12 @@ class ConnectionPool:
         """A member for exclusive use; blocks while at capacity and busy.
 
         Idle members are liveness-probed before being handed out (see
-        ``validate_on_checkout``): a dead member — its engine connection
-        died while it sat idle — is evicted, freeing its capacity slot,
-        and the checkout retries with the next idle member or a fresh
-        spawn.  The probe runs outside the pool lock so a slow one never
-        serialises other checkouts.
+        ``validate_on_checkout``), unless checked in clean within
+        :data:`PING_AFTER_IDLE_SECONDS`: a dead member — its engine
+        connection died while it sat idle — is evicted, freeing its
+        capacity slot, and the checkout retries with the next idle member
+        or a fresh spawn.  The probe runs outside the pool lock so a slow
+        one never serialises other checkouts.
         """
         started = time.perf_counter()
         deadline = None if timeout is None else started + timeout
@@ -285,7 +300,7 @@ class ConnectionPool:
                                 f"pool for {self.backend_name!r} is closed"
                             )
                         if self._idle:
-                            member = self._idle.pop()
+                            member, checked_in = self._idle.pop()
                             self._checked_out += 1
                             break
                         if self._size + self._spawning < self._capacity:
@@ -310,7 +325,7 @@ class ConnectionPool:
                             self._blocked -= 1
                 if member is None:
                     member = self._spawn_reserved(checkout=True)
-                elif not self._admit(member):
+                elif not self._admit(member, checked_in):
                     continue  # dead member evicted; retry under the deadline
                 self._note_checkout(time.perf_counter() - started, span, spawned)
                 return member
@@ -319,18 +334,18 @@ class ConnectionPool:
         """An idle member for exclusive use, or ``None`` when getting one
         would mean waiting for a checkin or spawning a member (or the pool
         is closed).  Never blocks: the async service takes its inline
-        queries' members here.  A member it returns was liveness-probed
-        and counted exactly as :meth:`checkout` does; check it in the same
-        way."""
+        queries' members here.  A member it returns was admitted (pinged
+        unless inside the window) and counted exactly as :meth:`checkout`
+        does; check it in the same way."""
         started = time.perf_counter()
         with self.tracer.span("pool.checkout", backend=self.backend_name) as span:
             while True:
                 with self._lock:
                     if self._closed or not self._idle:
                         return None
-                    member = self._idle.pop()
+                    member, checked_in = self._idle.pop()
                     self._checked_out += 1
-                if self._admit(member):
+                if self._admit(member, checked_in):
                     self._note_checkout(time.perf_counter() - started, span, False)
                     return member
 
@@ -376,21 +391,28 @@ class ConnectionPool:
         """Return *member* to the idle set (closes it if the pool closed).
 
         *damaged* marks a member whose last use raised an engine exception:
-        it is liveness-probed before reuse, and one whose connection died
-        is evicted — closed, its capacity slot freed for a respawn —
-        instead of poisoning the next caller.  Returns ``True`` when the
-        member was retained, ``False`` when it was evicted.
+        it is liveness-probed now, and one whose connection died is evicted
+        — closed, its capacity slot freed for a respawn — instead of
+        poisoning the next caller; one that survives is pinged again at its
+        next checkout.  A clean checkin stamps the time, which lets a
+        checkout within :data:`PING_AFTER_IDLE_SECONDS` skip the ping.
+        Returns ``True`` when the member was retained, ``False`` when it
+        was evicted.
         """
-        if damaged and not self._member_alive(member):
-            self._discard_checked_out(member)
-            return False
+        if damaged:
+            if not self._member_alive(member):
+                self._discard_checked_out(member)
+                return False
+            checked_in = None
+        else:
+            checked_in = time.perf_counter()
         with self._lock:
             self._checked_out -= 1
             if self._closed:
                 self._size -= 1
                 closing = member
             else:
-                self._idle.append(member)
+                self._idle.append((member, checked_in))
                 closing = None
             # A waiter counts itself in _blocked under this lock before it
             # waits, so none can miss the wake-up skipped here.
@@ -429,9 +451,15 @@ class ConnectionPool:
             self._metrics.validation_failed()
         return alive
 
-    def _admit(self, member: ExecutionBackend) -> bool:
-        """Validate a just-checked-out idle member; evict if dead."""
-        if not self.validate_on_checkout:
+    def _admit(self, member: ExecutionBackend, checked_in: float | None) -> bool:
+        """Validate a just-checked-out idle member, last checked in clean
+        at *checked_in* (``None``: not since it was spawned, or its last
+        checkin was damaged); evict it if dead.  One checked in clean
+        within :data:`PING_AFTER_IDLE_SECONDS` is not pinged."""
+        if not self.validate_on_checkout or (
+            checked_in is not None
+            and time.perf_counter() - checked_in < PING_AFTER_IDLE_SECONDS
+        ):
             return True
         if self._member_alive(member):
             return True
@@ -470,7 +498,7 @@ class ConnectionPool:
             idle, self._idle = self._idle, []
             self._size -= len(idle)
             self._available.notify_all()
-        for member in idle:
+        for member, _ in idle:
             member.close()
         self._teardown_template_if_due()
 
@@ -536,7 +564,7 @@ class ConnectionPool:
                     if checkout:
                         self._checked_out += 1
                     else:
-                        self._idle.append(member)
+                        self._idle.append((member, None))
                         self._available.notify()
         if discard:
             member.close()

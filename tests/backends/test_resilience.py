@@ -29,8 +29,10 @@ from repro.backends import (
     available_backends,
     injected_faults,
 )
+from repro.backends import pool as pool_module
 from repro.backends import service as service_module
 from repro.backends.faults import active_plan
+from repro.backends.registry import backend_info
 from repro.common.budget import QueryBudget
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
@@ -565,7 +567,9 @@ class TestPoolSelfHealing:
         sdt = infer_sdt(emp_dept_schema)
         return MockDataGenerator(emp_dept_schema, sdt, seed=3).induced_instance(30)
 
-    def test_dead_idle_member_evicted_on_checkout(self, emp_dept_db):
+    def test_dead_idle_member_evicted_on_checkout(self, emp_dept_db, monkeypatch):
+        # Idle past the window (none at 0 s), so the checkout pings.
+        monkeypatch.setattr(pool_module, "PING_AFTER_IDLE_SECONDS", 0.0)
         registry = MetricsRegistry()
         with ConnectionPool(
             "sqlite-memory", emp_dept_db, capacity=2, registry=registry
@@ -635,6 +639,111 @@ class TestPoolSelfHealing:
             pool.checkin(member)
             member.connection.close()
             assert pool.checkout() is member  # handed out unprobed
+
+
+class TestPingWindow:
+    """A member checked in clean within PING_AFTER_IDLE_SECONDS is handed
+    out unpinged; every other idle member is pinged as before."""
+
+    @pytest.fixture
+    def emp_dept_db(self, emp_dept_schema):
+        sdt = infer_sdt(emp_dept_schema)
+        return MockDataGenerator(emp_dept_schema, sdt, seed=3).induced_instance(30)
+
+    @pytest.fixture
+    def pings(self, monkeypatch) -> list:
+        """Every ``ping`` of a ``sqlite-memory`` member, in order."""
+        calls = []
+        backend_class = backend_info("sqlite-memory").backend_class
+        ping = backend_class.ping
+
+        def counted(member):
+            calls.append(member)
+            return ping(member)
+
+        monkeypatch.setattr(backend_class, "ping", counted)
+        return calls
+
+    def test_clean_checkin_inside_the_window_is_not_pinged(self, emp_dept_db, pings):
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
+            member = pool.checkout()
+            assert pings == [member]  # never checked in clean: pinged
+            pool.checkin(member)
+            assert pool.checkout() is member
+            pool.checkin(member)
+            assert pool.take_idle() is member
+            pool.checkin(member)
+            assert pings == [member]
+
+    def test_member_idle_past_the_window_is_pinged(
+        self, emp_dept_db, pings, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "PING_AFTER_IDLE_SECONDS", 0.02)
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
+            member = pool.checkout()
+            pool.checkin(member)
+            time.sleep(0.05)
+            assert pool.checkout() is member
+            assert pings == [member, member]
+            pool.checkin(member)
+
+    def test_spawned_and_damaged_members_are_pinged(self, emp_dept_db, pings):
+        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
+            pool.warm(2)  # the second member joins the idle set unpinged
+            first = pool.checkout()
+            second = pool.checkout()
+            assert pings == [first, second]
+            pool.checkin(first)
+            pool.checkin(second, damaged=True)  # pinged now, and kept
+            assert pings == [first, second, second]
+            assert pool.checkout() is second  # and pinged again here
+            assert pings == [first, second, second, second]
+            pool.checkin(second)
+
+    def test_validation_off_never_pings_at_checkout(self, emp_dept_db, pings):
+        with ConnectionPool(
+            "sqlite-memory", emp_dept_db, capacity=2, validate_on_checkout=False
+        ) as pool:
+            member = pool.checkout()
+            pool.checkin(member, damaged=True)
+            assert pool.checkout() is member
+            assert pings == [member]  # the damaged checkin's ping only
+            pool.checkin(member)
+
+    def test_member_dead_inside_the_window_is_evicted_and_retried(
+        self, social_schema, monkeypatch
+    ):
+        """A member that dies after a clean checkin is handed out unpinged:
+        its query fails, the damaged checkin pings and evicts it, and the
+        service retries once on a fresh member, charging the breaker one
+        failure."""
+        with GraphitiService(social_schema) as svc:
+            svc.load_mock(20, seed=2)
+            svc._retry_sleep = lambda seconds: None
+            expected = svc.reference(SCAN)
+            svc.run(SCAN)
+            breaker = svc.breaker()
+            failures = []
+            record_failure = breaker.record_failure
+
+            def counted_failure():
+                failures.append(1)
+                record_failure()
+
+            monkeypatch.setattr(breaker, "record_failure", counted_failure)
+            pool = svc.pool()
+            member = pool.checkout()
+            pool.checkin(member)
+            member.connection.close()  # dies inside the window
+            table = svc.run(SCAN)
+            assert tables_equivalent(table, expected)
+            metrics = svc.metrics
+            assert metrics.counter("repro_query_retries_total").total() == 1
+            assert metrics.counter("repro_pool_evictions_total").total() == 1
+            assert metrics.counter("repro_pool_validation_failures_total").total() == 1
+            assert failures == [1]
+            assert breaker.state == CircuitBreaker.CLOSED
+            assert pool.snapshot()["in_use"] == 0
 
 
 class TestAsyncCancellation:
