@@ -228,6 +228,10 @@ class ExecutionFeedback:
     #: A call on another pool starts over, so a reload's new pool starts
     #: untimed; each update replaces the tuple whole.
     timings: dict[str, tuple[int, int, float]] = field(default_factory=dict)
+    #: The number of the pool this entry's feedback settled on (see
+    #: :meth:`GraphitiService.observe_execution`), or ``None``.  A plain
+    #: default, so an entry pickled before the field existed still loads.
+    settled_pool: int | None = None
 
     def observe(self, rows: int) -> None:
         self.executions += 1
@@ -243,6 +247,7 @@ class ExecutionFeedback:
             "executions": self.executions,
             "last_rows": self.last_rows,
             "mean_rows": round(self.mean_rows, 1),
+            "settled": self.settled_pool is not None,
         }
 
 
@@ -1037,7 +1042,7 @@ class GraphitiService:
                     result = self._run_prepared(
                         pool, name, prepared, tracker, on_loop=on_loop, attempt=attempt
                     )
-                self.observe_execution(prepared, len(result.rows), name)
+                self.observe_execution(prepared, len(result.rows), name, pool)
                 return result, prepared
             except PoolClosed:
                 # A reload closed the pool after this query read the map,
@@ -1290,6 +1295,7 @@ class GraphitiService:
         prepared: PreparedQuery,
         actual_rows: int,
         backend: str | None = None,
+        pool: ConnectionPool | None = None,
     ) -> None:
         """Feed one execution's actual row count back to the planner.
 
@@ -1301,14 +1307,35 @@ class GraphitiService:
         (see :meth:`_replan`).  A depth-capped plan is a budget variant:
         the cap truncates its rows, so they are recorded on its entry and
         compared with nothing.  Called by the serving paths (sync and
-        async); harmless to call directly.
+        async), which pass the *pool* the query ran on; harmless to call
+        directly.
+
+        An entry *settles* on that pool once it has run there
+        :data:`FEEDBACK_MIN_OBSERVATIONS` times, its running mean is
+        exactly the row count it returned, and that count's q-error is
+        inside ``feedback_ratio``.  Its row count depends only on its plan
+        and the pool's data, which only :meth:`load_database` changes (with
+        new pools), and a changed statistics digest re-keys it: its mean
+        cannot move, so this check could never re-plan it.  Until the entry
+        serves on another pool, each call just adds its rows.  A call
+        without *pool* checks the backend's current pool and never settles
+        an entry.
         """
         name = backend or self.default_backend
+        feedback = prepared.feedback
+        current = pool if pool is not None else self._pools.get(name)
+        if current is not None and feedback.settled_pool == current.number:
+            with self._lock:
+                feedback.observe(actual_rows)
+            return
         plan = prepared.plan
         with self._lock:
-            prepared.feedback.observe(actual_rows)
-            executions = prepared.feedback.executions
-            mean_rows = prepared.feedback.mean_rows
+            feedback.observe(actual_rows)
+            # Rows from another pool (a straggler that a reload overtook)
+            # may move the mean: check again until the entry re-settles.
+            feedback.settled_pool = None
+            executions = feedback.executions
+            mean_rows = feedback.mean_rows
             state = self._query_states.get(prepared.cypher_text)
             decision = state.feedback if state is not None else None
             current_epoch = decision.epoch if decision is not None else 0
@@ -1324,14 +1351,24 @@ class GraphitiService:
                 return
         estimate = max(float(plan.estimated_rows), 1.0)
         actual = max(float(actual_rows), 1.0)
-        self._series_for(name).estimate_error.observe(
-            max(actual / estimate, estimate / actual)
-        )
+        error = max(actual / estimate, estimate / actual)
+        self._series_for(name).estimate_error.observe(error)
         if executions < FEEDBACK_MIN_OBSERVATIONS:
             return
         running = max(mean_rows, 1.0)
         divergence = max(running / estimate, estimate / running)
         if divergence < self.feedback_ratio:
+            timing = feedback.timings.get(name)
+            if (
+                pool is not None
+                and error < self.feedback_ratio
+                and timing is not None
+                and timing[0] == pool.number
+                and timing[1] >= FEEDBACK_MIN_OBSERVATIONS
+            ):
+                with self._lock:  # no other pool's rows landed meanwhile
+                    if feedback.total_rows == feedback.executions * actual_rows:
+                        feedback.settled_pool = pool.number
             return
         if prepared.feedback_epoch != current_epoch:
             # A newer plan already exists; this entry is a superseded

@@ -8,6 +8,8 @@ itself is corrected (forced recursive traversal / scaled base rows) under
 a bumped feedback epoch that re-keys exactly that query's cache entries.
 """
 
+import pickle
+
 import pytest
 
 from repro.backends import GraphitiService, QueryBudget
@@ -227,6 +229,81 @@ class TestReplan:
             for entry in series
         )
         assert snapshot["repro_estimate_error"]["series"]
+
+
+def estimate_errors(service) -> int:
+    """Observations in ``repro_estimate_error`` so far."""
+    metric = service.metrics.snapshot().get("repro_estimate_error")
+    return sum(series["count"] for series in metric["series"]) if metric else 0
+
+
+class TestSettledFeedback:
+    """An entry settled on a pool skips the estimate-error observation and
+    the divergence check there; its rows still accumulate."""
+
+    def test_settles_on_the_pool_it_served_on(self, service):
+        for _ in range(service_module.FEEDBACK_MIN_OBSERVATIONS):
+            _, prepared = service.serve(SCAN_QUERY)
+        assert prepared.feedback.settled_pool == service.pool().number
+        checked = estimate_errors(service)
+        for _ in range(3):
+            service.serve(SCAN_QUERY)
+        assert estimate_errors(service) == checked
+        assert prepared.feedback.executions == 5
+
+    def test_diverging_entry_never_settles(self, emp_dept_schema, monkeypatch):
+        # Statistics of a far smaller load: every execution is off by more
+        # than the ratio, and with no re-plan allowed it stays that way.
+        monkeypatch.setattr(service_module, "MAX_REPLANS", 0)
+        sdt = infer_sdt(emp_dept_schema)
+        generator = MockDataGenerator(emp_dept_schema, sdt, seed=3)
+        stale = collect_stats(generator.induced_instance(2))
+        with GraphitiService(emp_dept_schema) as svc:
+            svc.load_database(generator.induced_instance(200), stats=stale)
+            for served in range(1, 6):
+                _, prepared = svc.serve(SCAN_QUERY)
+                assert prepared.feedback.settled_pool is None
+                assert estimate_errors(svc) == served
+
+    def test_settled_entry_rearms_after_a_reload(self, service, emp_dept_graph):
+        for _ in range(3):
+            _, prepared = service.serve(SCAN_QUERY)
+        settled_on = prepared.feedback.settled_pool
+        assert settled_on is not None
+        checked = estimate_errors(service)
+        service.load_graph(emp_dept_graph)  # the same data: the same digest
+        result, again = service.serve(SCAN_QUERY)
+        assert again is prepared
+        assert tables_equivalent(result, service.reference(SCAN_QUERY))
+        assert estimate_errors(service) == checked + 1
+        assert prepared.feedback.settled_pool is None
+        service.serve(SCAN_QUERY)
+        assert prepared.feedback.settled_pool == service.pool().number != settled_on
+
+    def test_direct_call_on_an_unsettled_entry_still_replans(self, service):
+        _, prepared = service.serve(SCAN_QUERY)
+        for _ in range(2):
+            service.observe_execution(prepared, 1_000_000)
+        assert prepared.feedback.settled_pool is None
+        state = service.feedback_state(SCAN_QUERY)
+        assert (state["epoch"], state["replans"]) == (1, 1)
+
+    def test_direct_call_checks_the_current_pool_and_never_settles(self, service):
+        result, prepared = service.serve(SCAN_QUERY)
+        for _ in range(3):
+            service.observe_execution(prepared, len(result.rows))
+        assert prepared.feedback.settled_pool is None
+        service.serve(SCAN_QUERY)
+        checked = estimate_errors(service)
+        service.observe_execution(prepared, len(result.rows))
+        assert estimate_errors(service) == checked  # settled: skipped
+
+    def test_an_entry_pickled_without_the_field_loads_unsettled(self):
+        feedback = service_module.ExecutionFeedback(executions=2, total_rows=4)
+        del feedback.__dict__["settled_pool"]  # as pickled before the field
+        loaded = pickle.loads(pickle.dumps(feedback))
+        assert loaded.settled_pool is None
+        assert loaded.to_dict()["settled"] is False
 
 
 class TestDepthCappedVariants:
