@@ -69,11 +69,13 @@ class ExplainReport:
     #: :class:`~repro.backends.service.ExecutionFeedback` — the truthful
     #: counterpart to the plan's estimate, even on a pure cache hit.
     observed: dict | None = None
+    #: The service's ``feedback_ratio``, which a settled entry is inside.
+    feedback_ratio: float | None = None
 
     def render(self, show_sql: bool = True) -> list[str]:
         lines = [f"== trace ({self.backend}, opt level {self.opt_level}) =="]
         lines.extend(render_span_tree(self.trace))
-        plan_lines = _render_plan(self.plan, self.observed)
+        plan_lines = _render_plan(self.plan, self.observed, self.feedback_ratio)
         if plan_lines:
             lines.append("")
             lines.append("== plan ==")
@@ -102,7 +104,9 @@ class ExplainReport:
 
 
 def _render_plan(
-    plan: object | None, observed: dict | None = None
+    plan: object | None,
+    observed: dict | None = None,
+    feedback_ratio: float | None = None,
 ) -> list[str]:
     if plan is None:
         return []
@@ -142,6 +146,19 @@ def _render_plan(
             f"mean {observed['mean_rows']} over "
             f"{observed['executions']} execution(s)"
         )
+        if (
+            observed.get("settled")
+            and estimated is not None
+            and feedback_ratio is not None
+        ):
+            estimate = max(float(estimated), 1.0)
+            actual = max(float(observed["mean_rows"]), 1.0)
+            lines.append(
+                f"feedback settled: q-error "
+                f"{max(actual / estimate, estimate / actual):.1f} inside "
+                f"ratio {feedback_ratio:g} on this data load; re-checked "
+                f"after the next load"
+            )
     feedback = getattr(plan, "feedback", None)
     if feedback:
         corrections = []
@@ -218,4 +235,5 @@ def explain_query(
         rows=len(result.rows),
         metrics=service.metrics.snapshot(),
         observed=feedback.to_dict() if feedback is not None else None,
+        feedback_ratio=service.feedback_ratio,
     )

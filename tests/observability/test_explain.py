@@ -80,6 +80,23 @@ class TestExplainQuery:
         ]
 
 
+class TestSettledFeedback:
+    def test_settled_line_lasts_for_one_data_load(self, service):
+        for _ in range(3):
+            service.run(SCAN)
+        settled = "feedback settled: q-error 1.0 inside ratio 8 on this data load"
+        report = explain_query(service, SCAN)
+        assert settled in "\n".join(report.render())
+        decoded = json.loads(json.dumps(report.to_dict()))
+        assert decoded["observed"]["settled"] is True
+        # The same data again: the digest and the entry stay, the pool is
+        # new, so the entry is checked again before it settles there.
+        service.load_mock(30, seed=7)
+        report = explain_query(service, SCAN)
+        assert "feedback settled" not in "\n".join(report.render())
+        assert report.to_dict()["observed"]["settled"] is False
+
+
 class TestRendering:
     def test_render_span_tree_shows_stages_and_timings(self, service):
         report = explain_query(service, VAR_LENGTH)
