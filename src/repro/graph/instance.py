@@ -55,6 +55,10 @@ class Node:
                 return value
         return NULL
 
+    def __hash__(self) -> int:
+        # The uid identifies the node; equality still compares every field.
+        return hash(self.uid)
+
     def __str__(self) -> str:
         props = ", ".join(f"{k}: {v!r}" for k, v in self.properties)
         return f"(:{self.label} {{{props}}})"
@@ -94,6 +98,10 @@ class Edge:
             if name == key:
                 return value
         return NULL
+
+    def __hash__(self) -> int:
+        # The uid identifies the edge; equality still compares every field.
+        return hash(self.uid)
 
     def __str__(self) -> str:
         props = ", ".join(f"{k}: {v!r}" for k, v in self.properties)

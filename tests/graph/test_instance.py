@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import SchemaError
 from repro.common.values import NULL, is_null
 from repro.graph.builder import GraphBuilder
-from repro.graph.instance import Node, PropertyGraph
+from repro.graph.instance import Edge, Node, PropertyGraph
 
 
 class TestNodeAndEdge:
@@ -22,6 +22,17 @@ class TestNodeAndEdge:
         first = Node.of("EMP", {"id": 1})
         second = Node.of("EMP", {"id": 1})
         assert first.uid != second.uid
+
+    def test_elements_hash_by_uid(self):
+        # An unhashable property value does not stop the element hashing.
+        node = Node.of("EMP", {"tags": ["a", "b"]}, uid=7)
+        edge = Edge.of("WORK_AT", node, node, {"since": [2020]}, uid=8)
+        assert hash(node) == hash(7) and hash(edge) == hash(8)
+        # Equality still compares every field; equal elements hash alike.
+        same = Node.of("EMP", {"tags": ["a", "b"]}, uid=7)
+        assert node == same and hash(node) == hash(same)
+        assert node != Node.of("EMP", {"tags": ["c"]}, uid=7)
+        assert len({node, same, edge}) == 2
 
 
 class TestGraphLookups:
