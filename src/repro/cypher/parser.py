@@ -18,9 +18,10 @@ Sugar handled by the parser (desugared into the Figure-9 core):
 
 Expressions and predicates come from the grammar both parsers share
 (:class:`repro.cypher.lexer.ExpressionGrammar`); this parser overrides only
-what Cypher writes its own way: a reference is ``n.key``, ``IN`` also takes
-``[...]``, ``EXISTS`` opens a pattern, ``Count(n)`` counts a variable, and an
-aggregate stands only in a RETURN or ORDER BY item.
+what Cypher writes its own way: a reference is ``n.key``, ``toInteger(φ)``
+is the cast ``Cast(φ)`` of a predicate, ``IN`` also takes ``[...]``,
+``EXISTS`` opens a pattern, ``Count(n)`` counts a variable, and an aggregate
+stands only in a RETURN or ORDER BY item.
 """
 
 from __future__ import annotations
@@ -463,6 +464,10 @@ class _Parser(ExpressionGrammar):
         if self.stream.take_op("."):
             key = self.stream.expect_ident("property key").text
             return ast.PropertyRef(token.text, key)
+        if token.keyword == "TOINTEGER" and self.stream.take_op("("):
+            predicate = self._parse_predicate()
+            self.stream.expect_op(")")
+            return ast.CastPredicate(predicate)
         raise self.stream.error(
             f"bare variable {token.text!r} in expression position; "
             f"reference a property like {token.text}.key"

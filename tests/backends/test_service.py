@@ -92,6 +92,17 @@ class TestExecution:
     def test_run_matches_reference(self, service):
         assert tables_equivalent(service.run(JOIN_QUERY), service.reference(JOIN_QUERY))
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_cast_of_a_predicate_matches_reference(self, service, level):
+        for text in (
+            "MATCH (n:EMP) RETURN toInteger(n.id > 3) AS c",
+            "MATCH (n:EMP) WHERE toInteger(n.id > 3) = 0 RETURN n.name",
+        ):
+            assert tables_equivalent(
+                service.run(text, opt_level=level),
+                service.reference(text, opt_level=level),
+            )
+
     def test_identical_results_on_two_backends(self, service):
         names = service.backends()
         assert len(names) >= 2, "expected at least two registered backends"

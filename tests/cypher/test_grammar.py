@@ -166,6 +166,24 @@ CYPHER_PINS = [
         ),
     ),
     (
+        "MATCH (n:EMP) WHERE tointeger(n.id > 3) = 1 RETURN toInteger(TRUE) AS t",
+        cy.Return(
+            _match(
+                cy.Comparison(
+                    "=",
+                    cy.CastPredicate(cy.Comparison(">", _N_ID, cy.Literal(3))),
+                    cy.Literal(1),
+                )
+            ),
+            (cy.CastPredicate(cy.TRUE),),
+            ("t",),
+        ),
+    ),
+    (
+        "MATCH (n:EMP) RETURN toInteger(n.id) AS c",
+        Rejected("expected a comparison, IS NULL", 36),
+    ),
+    (
         "MATCH (n:EMP) WHERE n = 1 RETURN n.name",
         Rejected("bare variable 'n' in expression position", 23),
     ),

@@ -31,6 +31,8 @@ ROUND_TRIP_QUERIES = [
     r"MATCH (n:EMP) WHERE n.name IN ['a\\b', '\\\'', 'say \"hi\"'] RETURN n.id AS i",
     "MATCH (n:EMP) WHERE n.id > 0.00001 AND n.id < 100000000000000000000000.0 RETURN n.id AS i",
     "MATCH (n:EMP) RETURN n.id * 0.00001",
+    # Cast(φ) prints as toInteger(φ), which parses back to the cast.
+    "MATCH (n:EMP) RETURN toInteger(n.id > 3) AS c",
 ]
 
 
