@@ -391,21 +391,17 @@ class ConnectionPool:
         """Return *member* to the idle set (closes it if the pool closed).
 
         *damaged* marks a member whose last use raised an engine exception:
-        it is liveness-probed now, and one whose connection died is evicted
-        — closed, its capacity slot freed for a respawn — instead of
-        poisoning the next caller; one that survives is pinged again at its
-        next checkout.  A clean checkin stamps the time, which lets a
-        checkout within :data:`PING_AFTER_IDLE_SECONDS` skip the ping.
-        Returns ``True`` when the member was retained, ``False`` when it
-        was evicted.
+        it is liveness-probed before reuse, and one whose connection died
+        is evicted — closed, its capacity slot freed for a respawn —
+        instead of poisoning the next caller.  Returns ``True`` when the
+        member was retained, ``False`` when it was evicted.  Only a clean
+        checkin lets the next checkout skip its ping, inside
+        :data:`PING_AFTER_IDLE_SECONDS`.
         """
-        if damaged:
-            if not self._member_alive(member):
-                self._discard_checked_out(member)
-                return False
-            checked_in = None
-        else:
-            checked_in = time.perf_counter()
+        if damaged and not self._member_alive(member):
+            self._discard_checked_out(member)
+            return False
+        checked_in = None if damaged else time.perf_counter()
         with self._lock:
             self._checked_out -= 1
             if self._closed:

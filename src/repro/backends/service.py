@@ -1311,9 +1311,10 @@ class GraphitiService:
         directly.
 
         An entry *settles* on that pool once it has run there
-        :data:`FEEDBACK_MIN_OBSERVATIONS` times, its running mean is
-        exactly the row count it returned, and that count's q-error is
-        inside ``feedback_ratio``.  Its row count depends only on its plan
+        :data:`FEEDBACK_MIN_OBSERVATIONS` times (counted by its timing on
+        the pool, which a partition-parallel entry does not keep, so it
+        never settles), its running mean is exactly the row count it
+        returned, and that count's q-error is inside ``feedback_ratio``.  Its row count depends only on its plan
         and the pool's data, which only :meth:`load_database` changes (with
         new pools), and a changed statistics digest re-keys it: its mean
         cannot move, so this check could never re-plan it.  Until the entry
@@ -1331,8 +1332,9 @@ class GraphitiService:
         plan = prepared.plan
         with self._lock:
             feedback.observe(actual_rows)
-            # Rows from another pool (a straggler that a reload overtook)
-            # may move the mean: check again until the entry re-settles.
+            # These rows did not come from the pool the entry settled on
+            # (a reload, or a straggler one overtook), so they may move the
+            # mean: check every execution until it settles again.
             feedback.settled_pool = None
             executions = feedback.executions
             mean_rows = feedback.mean_rows

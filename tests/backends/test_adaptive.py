@@ -9,6 +9,8 @@ a bumped feedback epoch that re-keys exactly that query's cache entries.
 """
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -297,6 +299,34 @@ class TestSettledFeedback:
         checked = estimate_errors(service)
         service.observe_execution(prepared, len(result.rows))
         assert estimate_errors(service) == checked  # settled: skipped
+
+    def test_concurrent_serves_lose_no_execution(self, service):
+        """Serves racing on one entry, settled or not, each add their rows."""
+        threads, serves = 8, 150
+        errors = []
+
+        def serve():
+            try:
+                for _ in range(serves):
+                    service.run(SCAN_QUERY)
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=serve) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        feedback = service.prepare(SCAN_QUERY).feedback
+        assert feedback.executions == threads * serves
+        assert feedback.settled_pool == service.pool().number
 
     def test_an_entry_pickled_without_the_field_loads_unsettled(self):
         feedback = service_module.ExecutionFeedback(executions=2, total_rows=4)
