@@ -1314,13 +1314,13 @@ class GraphitiService:
         :data:`FEEDBACK_MIN_OBSERVATIONS` times (counted by its timing on
         the pool, which a partition-parallel entry does not keep, so it
         never settles), its running mean is exactly the row count it
-        returned, and that count's q-error is inside ``feedback_ratio``.  Its row count depends only on its plan
-        and the pool's data, which only :meth:`load_database` changes (with
-        new pools), and a changed statistics digest re-keys it: its mean
-        cannot move, so this check could never re-plan it.  Until the entry
-        serves on another pool, each call just adds its rows.  A call
-        without *pool* checks the backend's current pool and never settles
-        an entry.
+        returned, and that count's q-error is inside ``feedback_ratio``.
+        Its row count depends only on its plan and the pool's data, which
+        only :meth:`load_database` changes (with new pools), and a changed
+        statistics digest re-keys it: its mean cannot move, so this check
+        could never re-plan it.  Until the entry serves on another pool,
+        each call just adds its rows.  A call without *pool* checks the
+        backend's current pool and never settles an entry.
         """
         name = backend or self.default_backend
         feedback = prepared.feedback
@@ -1332,9 +1332,9 @@ class GraphitiService:
         plan = prepared.plan
         with self._lock:
             feedback.observe(actual_rows)
-            # These rows did not come from the pool the entry settled on
-            # (a reload, or a straggler one overtook), so they may move the
-            # mean: check every execution until it settles again.
+            # Not the pool the entry settled on, if any (a reload, or a
+            # straggler one overtook): these rows may move the mean, so
+            # check every execution until the entry settles again.
             feedback.settled_pool = None
             executions = feedback.executions
             mean_rows = feedback.mean_rows

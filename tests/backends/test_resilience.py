@@ -640,15 +640,8 @@ class TestPoolSelfHealing:
             member.connection.close()
             assert pool.checkout() is member  # handed out unprobed
 
-
-class TestPingWindow:
-    """A member checked in clean within PING_AFTER_IDLE_SECONDS is handed
-    out unpinged; every other idle member is pinged as before."""
-
-    @pytest.fixture
-    def emp_dept_db(self, emp_dept_schema):
-        sdt = infer_sdt(emp_dept_schema)
-        return MockDataGenerator(emp_dept_schema, sdt, seed=3).induced_instance(30)
+    # A member checked in clean within PING_AFTER_IDLE_SECONDS is handed
+    # out unpinged; every other idle member is pinged as before.
 
     @pytest.fixture
     def pings(self, monkeypatch) -> list:
