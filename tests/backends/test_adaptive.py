@@ -267,6 +267,15 @@ class TestSettledFeedback:
                 assert prepared.feedback.settled_pool is None
                 assert estimate_errors(svc) == served
 
+    def test_a_mean_off_the_pool_count_never_settles(self, service):
+        """Rows from elsewhere keep the mean off this pool's count, so the
+        mean could still move: the entry is checked on every serve."""
+        result, prepared = service.serve(SCAN_QUERY)
+        service.observe_execution(prepared, len(result.rows) + 1)
+        for _ in range(4):
+            service.serve(SCAN_QUERY)
+            assert prepared.feedback.settled_pool is None
+
     def test_settled_entry_rearms_after_a_reload(self, service, emp_dept_graph):
         for _ in range(3):
             _, prepared = service.serve(SCAN_QUERY)
@@ -291,14 +300,15 @@ class TestSettledFeedback:
         assert (state["epoch"], state["replans"]) == (1, 1)
 
     def test_direct_call_checks_the_current_pool_and_never_settles(self, service):
-        result, prepared = service.serve(SCAN_QUERY)
-        for _ in range(3):
-            service.observe_execution(prepared, len(result.rows))
-        assert prepared.feedback.settled_pool is None
-        service.serve(SCAN_QUERY)
+        for _ in range(2):
+            result, prepared = service.serve(SCAN_QUERY)
         checked = estimate_errors(service)
         service.observe_execution(prepared, len(result.rows))
-        assert estimate_errors(service) == checked  # settled: skipped
+        assert estimate_errors(service) == checked  # settled here: skipped
+        prepared.feedback.settled_pool = None  # every condition holds but the pool
+        service.observe_execution(prepared, len(result.rows))
+        assert estimate_errors(service) == checked + 1
+        assert prepared.feedback.settled_pool is None
 
     def test_concurrent_serves_lose_no_execution(self, service):
         """Serves racing on one entry, settled or not, each add their rows."""

@@ -31,8 +31,8 @@ from repro.backends import (
 )
 from repro.backends import pool as pool_module
 from repro.backends import service as service_module
+from repro.backends.base import DbApiBackend
 from repro.backends.faults import active_plan
-from repro.backends.registry import backend_info
 from repro.common.budget import QueryBudget
 from repro.core.sdt import infer_sdt
 from repro.execution.datagen import MockDataGenerator
@@ -645,16 +645,15 @@ class TestPoolSelfHealing:
 
     @pytest.fixture
     def pings(self, monkeypatch) -> list:
-        """Every ``ping`` of a ``sqlite-memory`` member, in order."""
+        """Every ``ping`` of a SQLite member, in order."""
         calls = []
-        backend_class = backend_info("sqlite-memory").backend_class
-        ping = backend_class.ping
+        ping = DbApiBackend.ping
 
         def counted(member):
             calls.append(member)
             return ping(member)
 
-        monkeypatch.setattr(backend_class, "ping", counted)
+        monkeypatch.setattr(DbApiBackend, "ping", counted)
         return calls
 
     def test_clean_checkin_inside_the_window_is_not_pinged(self, emp_dept_db, pings):
@@ -680,8 +679,11 @@ class TestPoolSelfHealing:
             assert pings == [member, member]
             pool.checkin(member)
 
-    def test_spawned_and_damaged_members_are_pinged(self, emp_dept_db, pings):
-        with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
+    @pytest.mark.parametrize("backend", ["sqlite-memory", "sqlite-file"])
+    def test_spawned_and_damaged_members_are_pinged(
+        self, emp_dept_db, pings, backend
+    ):
+        with ConnectionPool(backend, emp_dept_db, capacity=2) as pool:
             pool.warm(2)  # the second member joins the idle set unpinged
             first = pool.checkout()
             second = pool.checkout()
