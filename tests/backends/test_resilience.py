@@ -656,7 +656,11 @@ class TestPoolSelfHealing:
         monkeypatch.setattr(DbApiBackend, "ping", counted)
         return calls
 
-    def test_clean_checkin_inside_the_window_is_not_pinged(self, emp_dept_db, pings):
+    def test_clean_checkin_inside_the_window_is_not_pinged(
+        self, emp_dept_db, pings, monkeypatch
+    ):
+        # A wide window, so a stalled test host still checks out inside it.
+        monkeypatch.setattr(pool_module, "PING_AFTER_IDLE_SECONDS", 60.0)
         with ConnectionPool("sqlite-memory", emp_dept_db, capacity=2) as pool:
             member = pool.checkout()
             assert pings == [member]  # never checked in clean: pinged
@@ -712,6 +716,7 @@ class TestPoolSelfHealing:
         its query fails, the damaged checkin pings and evicts it, and the
         service retries once on a fresh member, charging the breaker one
         failure."""
+        monkeypatch.setattr(pool_module, "PING_AFTER_IDLE_SECONDS", 60.0)
         with GraphitiService(social_schema) as svc:
             svc.load_mock(20, seed=2)
             svc._retry_sleep = lambda seconds: None
