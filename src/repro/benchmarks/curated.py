@@ -17,27 +17,16 @@
 
 from __future__ import annotations
 
-from repro.benchmarks.spec import Benchmark, EdgeTableMap, MergedEdgeMap, NodeMap, Universe
-from repro.graph.schema import EdgeType, GraphSchema, NodeType
-from repro.relational.schema import (
-    ForeignKey,
-    IntegrityConstraints,
-    NotNull,
-    PrimaryKey,
-    Relation,
-    RelationalSchema,
+from repro.benchmarks.spec import (
+    Benchmark,
+    EdgeTableMap,
+    MergedEdgeMap,
+    NodeMap,
+    Universe,
+    schema_of,
 )
-
-
-def _schema(relations, pks, fks=(), nns=()):
-    return RelationalSchema.of(
-        relations,
-        IntegrityConstraints(
-            tuple(PrimaryKey(r, a) for r, a in pks),
-            tuple(ForeignKey(r, a, r2, a2) for r, a, r2, a2 in fks),
-            tuple(NotNull(r, a) for r, a in nns),
-        ),
-    )
+from repro.graph.schema import EdgeType, GraphSchema, NodeType
+from repro.relational.schema import Relation
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +46,7 @@ SEMMED = Universe(
             EdgeType("SP", "PA", "SENTENCE", ("SPID",)),
         ],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("Concept", ("CID", "NAME")),
             Relation("Cs", ("CSID", "CsCID", "CsPID")),
@@ -142,7 +131,7 @@ NORTHWIND = Universe(
             EdgeType("ORDERDETAILS", "ORD", "PROD", ("OdID", "UnitPrice", "Quantity")),
         ],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("Customers", ("CustomerID", "CompanyName")),
             Relation("Orders", ("OrderID", "Freight", "OCustomerID")),
@@ -219,7 +208,7 @@ VERIEQL_EMP = Universe(
         ],
         [EdgeType("WORK_AT", "EMP", "DEPT", ("WaID",))],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("EMPT", ("EmpNo", "EName", "DeptNo")),
             Relation("DEPTT", ("DDeptNo", "DName")),
@@ -265,7 +254,7 @@ EMP_DEPT = Universe(
         ],
         [EdgeType("WORK_AT", "EMP", "DEPT", ("wid",))],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("emp", ("id", "name")),
             Relation("work_at", ("wid", "SRC_", "TGT_")),

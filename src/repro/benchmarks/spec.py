@@ -18,7 +18,13 @@ from functools import cached_property
 from repro.cypher import ast as cy
 from repro.cypher.parser import parse_cypher
 from repro.graph.schema import GraphSchema
-from repro.relational.schema import RelationalSchema
+from repro.relational.schema import (
+    ForeignKey,
+    IntegrityConstraints,
+    NotNull,
+    PrimaryKey,
+    RelationalSchema,
+)
 from repro.sql import ast as sq
 from repro.sql.parser import parse_sql
 from repro.transformer.dsl import Transformer
@@ -62,6 +68,21 @@ class MergedEdgeMap:
     label: str
     fk_side: str  # "source" | "target"
     fk_column: str
+
+
+def schema_of(relations, pks, fks=(), nns=()) -> RelationalSchema:
+    """A relational schema over *relations*, its constraints given as tuples:
+    ``(relation, attribute)`` for primary keys and not-nulls, and
+    ``(relation, attribute, referenced, referenced_attribute)`` for foreign
+    keys."""
+    return RelationalSchema.of(
+        relations,
+        IntegrityConstraints(
+            tuple(PrimaryKey(r, a) for r, a in pks),
+            tuple(ForeignKey(r, a, r2, a2) for r, a, r2, a2 in fks),
+            tuple(NotNull(r, a) for r, a in nns),
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -10,27 +10,9 @@ non-trivial residual transformers.
 
 from __future__ import annotations
 
-from repro.benchmarks.spec import EdgeTableMap, MergedEdgeMap, NodeMap, Universe
+from repro.benchmarks.spec import EdgeTableMap, MergedEdgeMap, NodeMap, Universe, schema_of
 from repro.graph.schema import EdgeType, GraphSchema, NodeType
-from repro.relational.schema import (
-    ForeignKey,
-    IntegrityConstraints,
-    NotNull,
-    PrimaryKey,
-    Relation,
-    RelationalSchema,
-)
-
-
-def _schema(relations, pks, fks=(), nns=()):
-    return RelationalSchema.of(
-        relations,
-        IntegrityConstraints(
-            tuple(PrimaryKey(r, a) for r, a in pks),
-            tuple(ForeignKey(r, a, r2, a2) for r, a, r2, a2 in fks),
-            tuple(NotNull(r, a) for r, a in nns),
-        ),
-    )
+from repro.relational.schema import Relation
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +28,7 @@ COMPANY = Universe(
         ],
         [EdgeType("WORK_AT", "EMP", "DEPT", ("wid",))],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("emp", ("emp_id", "emp_name", "emp_salary")),
             Relation("dept", ("dept_no", "dept_name", "dept_budget")),
@@ -87,7 +69,7 @@ COMPANY_MERGED = Universe(
         ],
         [EdgeType("BELONGS_TO", "WORKER", "UNIT", ("bid",))],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             # Keyed by the *edge* id so parallel BELONGS_TO edges keep their
             # multiplicity (the transformer derives a set of facts; keying on
@@ -137,7 +119,7 @@ SOCIAL = Universe(
             EdgeType("LIKES", "USER", "POST", ("lkid",)),
         ],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("users", ("u_id", "u_name", "u_age")),
             Relation("posts", ("p_id", "p_title", "p_score")),
@@ -205,7 +187,7 @@ STORE = Universe(
             EdgeType("CONTAINS", "ORDER_", "PRODUCT", ("ctid", "qty")),
         ],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("customers", ("c_id", "c_name", "c_region")),
             Relation("orders", ("o_id", "o_total", "o_year")),
@@ -277,7 +259,7 @@ MOVIES = Universe(
             EdgeType("DIRECTS", "DIRECTOR", "MOVIE", ("dirid",)),
         ],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("actors", ("a_id", "a_name", "a_awards")),
             Relation("movies", ("m_id", "m_title", "m_year")),
@@ -343,7 +325,7 @@ UNIVERSITY = Universe(
         ],
         [EdgeType("ENROLLED", "STUDENT", "COURSE", ("enid", "grade"))],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("students", ("s_id", "s_name", "s_gpa")),
             Relation("courses", ("crs_id", "crs_name", "crs_credits")),
@@ -394,7 +376,7 @@ LIBRARY = Universe(
             EdgeType("HELD_AT", "BOOK", "BRANCH", ("haid",)),
         ],
     ),
-    relational_schema=_schema(
+    relational_schema=schema_of(
         [
             Relation("readers", ("rd_id", "rd_name", "rd_fines")),
             Relation("books", ("bk_id", "bk_title", "bk_pages")),

@@ -23,7 +23,7 @@ paper reports Mediator's fragment (196 of 410 benchmarks supported).
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import count
 
 from repro.common.errors import SemanticsError, UnsupportedError
@@ -91,13 +91,20 @@ class Condition:
 
     ``op`` ∈ {"<", "<=", "<>", "isnull", "isnotnull"}; ``right`` is ``None``
     for the unary null tests.  ``<``/``<=`` orient left-to-right; ``>`` and
-    ``>=`` are normalised by swapping.  ``<>`` orders its operands by a
-    canonical key so the pair is direction-insensitive.
+    ``>=`` are normalised by swapping.  ``<>`` keeps the operand order it
+    was written in; :meth:`key` reads its operands as an unordered pair, so
+    compare conditions through it.
     """
 
     op: str
     left: Term
     right: Term | None = None
+
+    def key(self) -> tuple:
+        """Equal for two conditions that state the same constraint."""
+        if self.op == "<>":
+            return (self.op, frozenset((self.left, self.right)))
+        return (self.op, self.left, self.right)
 
     def __str__(self) -> str:
         if self.right is None:
@@ -113,19 +120,6 @@ class ConjunctiveQuery:
     conditions: list[Condition]
     head: list[HeadTerm]
     distinct: bool = False
-
-    def variables(self) -> set[Var]:
-        seen: set[Var] = set()
-        for atom in self.atoms:
-            seen.update(t for t in atom.terms if isinstance(t, Var))
-        for condition in self.conditions:
-            if isinstance(condition.left, Var):
-                seen.add(condition.left)
-            if isinstance(condition.right, Var):
-                seen.add(condition.right)
-        for term in self.head:
-            seen.update(expr_vars(term))
-        return seen
 
     def __str__(self) -> str:
         atoms = ", ".join(str(a) for a in self.atoms)
@@ -209,12 +203,7 @@ class Normalizer:
         if isinstance(query, ast.Renaming):
             blocks, distinct = self._query(query.query, ctes)
             renamed = [
-                _Block(
-                    columns=[ast.qualify(query.name, c) for c in b.columns],
-                    head=b.head,
-                    atoms=b.atoms,
-                    conditions=b.conditions,
-                )
+                replace(b, columns=[ast.qualify(query.name, c) for c in b.columns])
                 for b in blocks
             ]
             return renamed, distinct
@@ -267,31 +256,14 @@ class Normalizer:
 
     def _instantiate(self, block: _Block) -> _Block:
         """Copy a block with fresh variables (CTE reuse safety)."""
-        mapping: dict[Var, Var] = {}
+        renamed: dict[Var, Var] = {}
 
-        def remap_term(term: Term) -> Term:
-            if isinstance(term, Var):
-                if term not in mapping:
-                    mapping[term] = self.fresh()
-                return mapping[term]
-            return term
+        def rename(variable: Var) -> Var:
+            if variable not in renamed:
+                renamed[variable] = self.fresh()
+            return renamed[variable]
 
-        def remap_head(term: HeadTerm) -> HeadTerm:
-            if isinstance(term, Expr):
-                return Expr(term.op, tuple(remap_head(o) for o in term.operands))
-            return remap_term(term)  # type: ignore[arg-type]
-
-        atoms = [Atom(a.relation, tuple(remap_term(t) for t in a.terms)) for a in block.atoms]
-        conditions = [
-            Condition(
-                c.op,
-                remap_term(c.left),
-                remap_term(c.right) if c.right is not None else None,
-            )
-            for c in block.conditions
-        ]
-        head = [remap_head(t) for t in block.head]
-        return _Block(list(block.columns), head, atoms, conditions)
+        return map_terms(block, rename)
 
     def _join(
         self, query: ast.Join, ctes: dict[str, tuple[list[_Block], bool]]
@@ -323,17 +295,12 @@ class Normalizer:
 
     def _project(self, block: _Block, columns: tuple[ast.OutputColumn, ...]) -> _Block:
         head = [self._expression(c.expression, block) for c in columns]
-        return _Block(
-            columns=[c.alias for c in columns],
-            head=head,
-            atoms=block.atoms,
-            conditions=block.conditions,
-        )
+        return replace(block, columns=[c.alias for c in columns], head=head)
 
     # -- predicates ----------------------------------------------------------
 
     def _apply_predicate(self, block: _Block, predicate: ast.Predicate) -> _Block:
-        for conjunct in _conjuncts(predicate):
+        for conjunct in ast.conjuncts(predicate):
             block = self._apply_atomic(block, conjunct)
         return block
 
@@ -382,8 +349,6 @@ class Normalizer:
         if op in (">", ">="):
             op = "<" if op == ">" else "<="
             left_term, right_term = right_term, left_term
-        if op == "<>":
-            left_term, right_term = _ordered(left_term, right_term)
         if isinstance(left_term, Expr) or isinstance(right_term, Expr):
             raise UnsupportedError("inequalities over arithmetic are outside the fragment")
         return _with_condition(block, Condition(op, left_term, right_term))
@@ -418,19 +383,8 @@ class Normalizer:
 # ---------------------------------------------------------------------------
 
 
-def _conjuncts(predicate: ast.Predicate) -> list[ast.Predicate]:
-    if isinstance(predicate, ast.And):
-        return _conjuncts(predicate.left) + _conjuncts(predicate.right)
-    return [predicate]
-
-
 def _negate_comparison(op: str) -> str:
     return {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}[op]
-
-
-def _ordered(left: HeadTerm, right: HeadTerm) -> tuple:
-    key = lambda t: str(t)  # noqa: E731 - canonical, direction-insensitive order
-    return (left, right) if key(left) <= key(right) else (right, left)
 
 
 def _unify(block: _Block, left: Term, right: Term) -> _Block:
@@ -441,35 +395,50 @@ def _unify(block: _Block, left: Term, right: Term) -> _Block:
     if isinstance(left, Const):
         left, right = right, left
     assert isinstance(left, Var)
-    return _substitute(block, left, right)
-
-
-def _substitute(block: _Block, old: Var, new: Term) -> _Block:
-    def sub_term(term: Term) -> Term:
-        return new if term == old else term
-
-    def sub_head(term: HeadTerm) -> HeadTerm:
-        if isinstance(term, Expr):
-            return Expr(term.op, tuple(sub_head(o) for o in term.operands))
-        return sub_term(term)  # type: ignore[arg-type]
-
-    atoms = [Atom(a.relation, tuple(sub_term(t) for t in a.terms)) for a in block.atoms]
-    conditions = [
-        Condition(
-            c.op,
-            sub_term(c.left),
-            sub_term(c.right) if c.right is not None else None,
-        )
-        for c in block.conditions
-    ]
-    head = [sub_head(t) for t in block.head]
-    return _Block(list(block.columns), head, atoms, conditions)
+    return substitute(block, left, right)
 
 
 def _with_condition(block: _Block, condition: Condition) -> _Block:
-    return _Block(
-        list(block.columns),
-        list(block.head),
-        list(block.atoms),
-        block.conditions + [condition],
+    return replace(block, conditions=block.conditions + [condition])
+
+
+# ---------------------------------------------------------------------------
+# Renaming
+# ---------------------------------------------------------------------------
+
+Tableau = typing.TypeVar("Tableau", ConjunctiveQuery, _Block)
+
+
+def map_terms(
+    tableau: Tableau, variable: typing.Callable[[Var], Term | None]
+) -> Tableau | None:
+    """A copy of *tableau* with each variable ``v`` of its atoms, conditions
+    and head (through ``Expr``) replaced by ``variable(v)``; ``None`` when
+    ``variable`` returns ``None`` for any of them."""
+    unmapped = False
+
+    def term(t: HeadTerm) -> HeadTerm:
+        nonlocal unmapped
+        if isinstance(t, Var):
+            mapped = variable(t)
+            unmapped = unmapped or mapped is None
+            return mapped
+        if isinstance(t, Expr):
+            return Expr(t.op, tuple(map(term, t.operands)))
+        return t
+
+    copy = replace(
+        tableau,
+        atoms=[Atom(a.relation, tuple(map(term, a.terms))) for a in tableau.atoms],
+        conditions=[
+            Condition(c.op, term(c.left), None if c.right is None else term(c.right))
+            for c in tableau.conditions
+        ],
+        head=[term(t) for t in tableau.head],
     )
+    return None if unmapped else copy
+
+
+def substitute(tableau: Tableau, old: Var, new: Term) -> Tableau:
+    """A copy of *tableau* with every occurrence of *old* replaced by *new*."""
+    return map_terms(tableau, lambda v: new if v == old else v)

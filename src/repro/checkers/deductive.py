@@ -26,7 +26,8 @@ refutes: like Mediator, it cannot produce counterexamples.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import count, permutations
 from math import factorial
 
@@ -36,12 +37,12 @@ from repro.checkers.cq import (
     Condition,
     ConjunctiveQuery,
     Const,
-    Expr,
-    HeadTerm,
     Normalizer,
     Term,
     Var,
     expr_vars,
+    map_terms,
+    substitute,
 )
 from repro.common.errors import UnsupportedError
 from repro.relational.schema import RelationalSchema
@@ -109,7 +110,7 @@ def _outcome(verdict: Verdict, started: float, detail: str) -> CheckOutcome:
 
 
 class _Budget(Exception):
-    """Raised when the isomorphism search exceeds its node budget."""
+    """Raised when the homomorphism search exceeds its node budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +203,7 @@ def _replace_atom(
                     variable_map[term.name] = bound
                 terms.append(bound)
         body_atoms.append(Atom(body.name, tuple(terms)))
-    atoms = cq.atoms[:index] + body_atoms + cq.atoms[index + 1 :]
-    result = ConjunctiveQuery(atoms, list(cq.conditions), list(cq.head), cq.distinct)
+    result = replace(cq, atoms=cq.atoms[:index] + body_atoms + cq.atoms[index + 1 :])
     for old, new in substitutions:
         if isinstance(old, Const):
             if isinstance(new, Const):
@@ -211,28 +211,8 @@ def _replace_atom(
                     return None
                 continue
             old, new = new, old
-        result = _substitute_cq(result, old, new)  # type: ignore[arg-type]
+        result = substitute(result, old, new)  # type: ignore[arg-type]
     return result
-
-
-def _substitute_cq(cq: ConjunctiveQuery, old: Var, new: Term) -> ConjunctiveQuery:
-    def sub(term: Term) -> Term:
-        return new if term == old else term
-
-    def sub_head(term: HeadTerm) -> HeadTerm:
-        if isinstance(term, Expr):
-            return Expr(term.op, tuple(sub_head(o) for o in term.operands))
-        return sub(term)  # type: ignore[arg-type]
-
-    return ConjunctiveQuery(
-        atoms=[Atom(a.relation, tuple(sub(t) for t in a.terms)) for a in cq.atoms],
-        conditions=[
-            Condition(c.op, sub(c.left), sub(c.right) if c.right is not None else None)
-            for c in cq.conditions
-        ],
-        head=[sub_head(t) for t in cq.head],
-        distinct=cq.distinct,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +262,14 @@ def _collapse_pk_self_join(
             if first.terms[pk_index] != second.terms[pk_index]:
                 continue
             # Same relation, same primary key ⇒ same row: merge.
-            merged = ConjunctiveQuery(
-                cq.atoms[:j] + cq.atoms[j + 1 :],
-                list(cq.conditions),
-                list(cq.head),
-                cq.distinct,
-            )
+            merged = replace(cq, atoms=cq.atoms[:j] + cq.atoms[j + 1 :])
             for left, right in zip(first.terms, second.terms):
                 if left == right:
                     continue
                 if isinstance(right, Var):
-                    merged = _substitute_cq(merged, right, left)
+                    merged = substitute(merged, right, left)
                 elif isinstance(left, Var):
-                    merged = _substitute_cq(merged, left, right)
+                    merged = substitute(merged, left, right)
                 elif left.value != right.value:  # contradictory constants
                     return None
             return merged
@@ -332,8 +307,7 @@ def _prune_fk_lookup(
             continue
         if not _pk_var_guarded(cq, schema, atom, index, pk_term):
             continue
-        remaining = cq.atoms[:index] + cq.atoms[index + 1 :]
-        return ConjunctiveQuery(remaining, list(cq.conditions), list(cq.head), cq.distinct)
+        return replace(cq, atoms=cq.atoms[:index] + cq.atoms[index + 1 :])
     return None
 
 
@@ -394,11 +368,10 @@ def _variable_occurrences(cq: ConjunctiveQuery) -> dict[Var, int]:
 
 
 def _dedup_conditions(cq: ConjunctiveQuery) -> ConjunctiveQuery:
-    seen = []
+    kept: dict[tuple, Condition] = {}
     for condition in cq.conditions:
-        if condition not in seen:
-            seen.append(condition)
-    return ConjunctiveQuery(list(cq.atoms), seen, list(cq.head), cq.distinct)
+        kept.setdefault(condition.key(), condition)
+    return replace(cq, conditions=list(kept.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +414,7 @@ def decide_ucq_equivalence(
 
 
 def _permute_head(cq: ConjunctiveQuery, permutation: tuple[int, ...]) -> ConjunctiveQuery:
-    head = [cq.head[p] for p in permutation]
-    return ConjunctiveQuery(list(cq.atoms), list(cq.conditions), head, cq.distinct)
+    return replace(cq, head=[cq.head[p] for p in permutation])
 
 
 def _bag_equivalent(
@@ -488,72 +460,13 @@ def isomorphic(
 ) -> bool:
     """Tableau isomorphism: a variable bijection mapping atoms bijectively,
     preserving conditions (as a multiset) and the head exactly."""
-    if len(cq1.atoms) != len(cq2.atoms):
+    if sorted(a.relation for a in cq1.atoms) != sorted(a.relation for a in cq2.atoms):
         return False
     if len(cq1.conditions) != len(cq2.conditions):
         return False
     if len(cq1.head) != len(cq2.head):
         return False
-    by_relation_1 = _group_by_relation(cq1.atoms)
-    by_relation_2 = _group_by_relation(cq2.atoms)
-    if set(by_relation_1) != set(by_relation_2):
-        return False
-    if any(len(by_relation_1[r]) != len(by_relation_2[r]) for r in by_relation_1):
-        return False
-    budget = [_SEARCH_NODE_BUDGET]
-    mapping: dict[Var, Var] = {}
-    reverse: dict[Var, Var] = {}
-    order = sorted(by_relation_1, key=lambda r: len(by_relation_1[r]))
-    atoms1 = [atom for relation in order for atom in by_relation_1[relation]]
-
-    def try_map(term1: Term, term2: Term) -> tuple[bool, list[Var]]:
-        if isinstance(term1, Const) or isinstance(term2, Const):
-            return (term1 == term2, [])
-        bound = mapping.get(term1)
-        if bound is not None:
-            return (bound == term2, [])
-        if term2 in reverse:
-            return (False, [])
-        mapping[term1] = term2
-        reverse[term2] = term1
-        return (True, [term1])
-
-    def undo(added: list[Var]) -> None:
-        for variable in added:
-            partner = mapping.pop(variable)
-            reverse.pop(partner)
-
-    used: set[int] = set()
-
-    def search(index: int) -> bool:
-        budget[0] -= 1
-        if budget[0] <= 0 or time.monotonic() > deadline:
-            raise _Budget()
-        if index == len(atoms1):
-            return _heads_match(cq1, cq2, mapping) and _conditions_match(
-                cq1, cq2, mapping
-            )
-        atom1 = atoms1[index]
-        for j, atom2 in enumerate(cq2.atoms):
-            if j in used or atom2.relation != atom1.relation:
-                continue
-            added: list[Var] = []
-            ok = True
-            for term1, term2 in zip(atom1.terms, atom2.terms):
-                matched, new = try_map(term1, term2)
-                added.extend(new)
-                if not matched:
-                    ok = False
-                    break
-            if ok:
-                used.add(j)
-                if search(index + 1):
-                    return True
-                used.remove(j)
-            undo(added)
-        return False
-
-    return search(0)
+    return _maps_onto(cq1, cq2, deadline, bijective=True)
 
 
 def contained_in(
@@ -566,126 +479,79 @@ def contained_in(
     """
     if len(sub.head) != len(sup.head):
         return False
-    budget = [_SEARCH_NODE_BUDGET]
+    return _maps_onto(sup, sub, deadline, bijective=False)
+
+
+def _maps_onto(
+    source: ConjunctiveQuery,
+    target: ConjunctiveQuery,
+    deadline: float,
+    bijective: bool,
+) -> bool:
+    """Backtracking search for a variable mapping that takes every atom of
+    *source* to an atom of *target*, the head to *target*'s head exactly,
+    and the conditions into *target*'s (as a subset).
+
+    *bijective* asks for an isomorphism instead: variables map one-to-one
+    onto variables, each target atom is the image of one source atom, and
+    the conditions map onto *target*'s as a multiset.
+    """
+    groups: dict[str, list[Atom]] = {}
+    for atom in source.atoms:
+        groups.setdefault(atom.relation, []).append(atom)
+    atoms = [atom for group in sorted(groups.values(), key=len) for atom in group]
+    wanted = Counter(condition.key() for condition in target.conditions)
+    # The search maps the atoms; the leaves map the head and conditions.
+    unmatched = replace(source, atoms=[])
     mapping: dict[Var, Term] = {}
+    images: set[Term] = set()  # the mapping's values, when bijective
+    used: set[int] = set()
+    budget = [_SEARCH_NODE_BUDGET]
 
-    def try_map(term_sup: Term, term_sub: Term) -> tuple[bool, list[Var]]:
-        if isinstance(term_sup, Const):
-            return (term_sup == term_sub, [])
-        bound = mapping.get(term_sup)
-        if bound is not None:
-            return (bound == term_sub, [])
-        mapping[term_sup] = term_sub
-        return (True, [term_sup])
+    def bind(atom: Atom, image: Atom, added: list[Var]) -> bool:
+        for term, onto in zip(atom.terms, image.terms):
+            if isinstance(term, Const) or (bijective and isinstance(onto, Const)):
+                if term != onto:
+                    return False
+                continue
+            bound = mapping.get(term)
+            if bound is not None:
+                if bound != onto:
+                    return False
+                continue
+            if bijective:
+                if onto in images:
+                    return False
+                images.add(onto)
+            mapping[term] = onto
+            added.append(term)
+        return True
 
-    def undo(added: list[Var]) -> None:
-        for variable in added:
-            mapping.pop(variable)
-
-    atoms_sup = list(sup.atoms)
+    def image_matches() -> bool:
+        image = map_terms(unmatched, mapping.get)
+        if image is None or image.head != target.head:
+            return False
+        mapped = Counter(condition.key() for condition in image.conditions)
+        return mapped == wanted if bijective else mapped.keys() <= wanted.keys()
 
     def search(index: int) -> bool:
         budget[0] -= 1
         if budget[0] <= 0 or time.monotonic() > deadline:
             raise _Budget()
-        if index == len(atoms_sup):
-            return _hom_head_match(sub, sup, mapping) and _hom_conditions_match(
-                sub, sup, mapping
-            )
-        atom_sup = atoms_sup[index]
-        for atom_sub in sub.atoms:
-            if atom_sub.relation != atom_sup.relation:
+        if index == len(atoms):
+            return image_matches()
+        for j, candidate in enumerate(target.atoms):
+            if candidate.relation != atoms[index].relation or j in used:
                 continue
             added: list[Var] = []
-            ok = True
-            for term_sup, term_sub in zip(atom_sup.terms, atom_sub.terms):
-                matched, new = try_map(term_sup, term_sub)
-                added.extend(new)
-                if not matched:
-                    ok = False
-                    break
-            if ok and search(index + 1):
-                return True
-            undo(added)
+            if bind(atoms[index], candidate, added):
+                if bijective:
+                    used.add(j)
+                if search(index + 1):
+                    return True
+                used.discard(j)
+            for variable in added:
+                images.discard(mapping.pop(variable))
         return False
 
     return search(0)
-
-
-def _group_by_relation(atoms: list[Atom]) -> dict[str, list[Atom]]:
-    groups: dict[str, list[Atom]] = {}
-    for atom in atoms:
-        groups.setdefault(atom.relation, []).append(atom)
-    return groups
-
-
-def _map_head_term(term: HeadTerm, mapping: dict[Var, Term]) -> HeadTerm | None:
-    if isinstance(term, Var):
-        return mapping.get(term)
-    if isinstance(term, Expr):
-        operands = []
-        for operand in term.operands:
-            mapped = _map_head_term(operand, mapping)
-            if mapped is None:
-                return None
-            operands.append(mapped)
-        return Expr(term.op, tuple(operands))
-    return term
-
-
-def _heads_match(
-    cq1: ConjunctiveQuery, cq2: ConjunctiveQuery, mapping: dict[Var, Var]
-) -> bool:
-    for term1, term2 in zip(cq1.head, cq2.head):
-        if _map_head_term(term1, mapping) != term2:
-            return False
-    return True
-
-
-def _conditions_match(
-    cq1: ConjunctiveQuery, cq2: ConjunctiveQuery, mapping: dict[Var, Var]
-) -> bool:
-    mapped = []
-    for condition in cq1.conditions:
-        left = _map_head_term(condition.left, mapping)
-        right = (
-            _map_head_term(condition.right, mapping)
-            if condition.right is not None
-            else None
-        )
-        if left is None or (condition.right is not None and right is None):
-            return False
-        mapped.append(Condition(condition.op, left, right))  # type: ignore[arg-type]
-    remaining = list(cq2.conditions)
-    for condition in mapped:
-        if condition in remaining:
-            remaining.remove(condition)
-        else:
-            return False
-    return not remaining
-
-
-def _hom_head_match(
-    sub: ConjunctiveQuery, sup: ConjunctiveQuery, mapping: dict[Var, Term]
-) -> bool:
-    for term_sub, term_sup in zip(sub.head, sup.head):
-        if _map_head_term(term_sup, mapping) != term_sub:
-            return False
-    return True
-
-
-def _hom_conditions_match(
-    sub: ConjunctiveQuery, sup: ConjunctiveQuery, mapping: dict[Var, Term]
-) -> bool:
-    available = list(sub.conditions)
-    for condition in sup.conditions:
-        left = _map_head_term(condition.left, mapping)
-        right = (
-            _map_head_term(condition.right, mapping)
-            if condition.right is not None
-            else None
-        )
-        candidate = Condition(condition.op, left, right)  # type: ignore[arg-type]
-        if candidate not in available:
-            return False
-    return True

@@ -223,6 +223,24 @@ def has_aggregate(expression: Expression) -> bool:
     return False
 
 
+def conjuncts(predicate: Predicate) -> list[Predicate]:
+    """Flatten a conjunction into its list of conjuncts, dropping ``TRUE``
+    (``TRUE`` → ``[]``)."""
+    if isinstance(predicate, And):
+        return conjuncts(predicate.left) + conjuncts(predicate.right)
+    return [] if predicate == TRUE else [predicate]
+
+
+def conjoin(predicates: typing.Iterable[Predicate]) -> Predicate:
+    """Left-deep conjunction of *predicates*, dropping ``TRUE`` operands
+    (none left → ``TRUE``)."""
+    result = TRUE
+    for predicate in predicates:
+        if predicate != TRUE:
+            result = predicate if result == TRUE else And(result, predicate)
+    return result
+
+
 Leaf = typing.Callable[[typing.Any], typing.Any]
 
 

@@ -47,7 +47,7 @@ from itertools import count
 from typing import Callable
 
 from repro.common.errors import TranspileError
-from repro.common.expressions import has_aggregate, rebuild
+from repro.common.expressions import conjoin, has_aggregate, rebuild
 from repro.core.sdt import SOURCE_ATTRIBUTE, TARGET_ATTRIBUTE, SdtResult
 from repro.cypher import ast as cy
 from repro.cypher.analysis import var_length_step_error
@@ -185,22 +185,21 @@ class Transpiler:
 
         merged_vars = dict(left.variables)
         merged_vars.update(right.variables)
-        join_predicate = self._translate_node(predicate, joined_naming, merged_vars)
+        join_conjuncts = [self._translate_node(predicate, joined_naming, merged_vars)]
         for variable in shared:
             pk = self._primary_key_of(left.variables[variable])
-            equality = sq.Comparison(
-                "=",
-                sq.AttributeRef(f"{t1}.{flat(variable, pk)}"),
-                sq.AttributeRef(f"{t2}.{flat(variable, pk)}"),
-            )
-            join_predicate = (
-                equality if join_predicate == sq.TRUE else sq.And(join_predicate, equality)
+            join_conjuncts.append(
+                sq.Comparison(
+                    "=",
+                    sq.AttributeRef(f"{t1}.{flat(variable, pk)}"),
+                    sq.AttributeRef(f"{t2}.{flat(variable, pk)}"),
+                )
             )
         join = sq.Join(
             kind,
             sq.Renaming(t1, left.query),
             sq.Renaming(t2, right.query),
-            join_predicate,
+            conjoin(join_conjuncts),
         )
         # Re-establish the flat-attribute invariant: shared variables read
         # from the left (non-null) side, pattern-only variables from the right.
@@ -336,7 +335,7 @@ class Transpiler:
             )
 
         assert query is not None
-        predicate = _conjoin(connection_predicates + duplicate_constraints)
+        predicate = conjoin(connection_predicates + duplicate_constraints)
         if predicate != sq.TRUE:
             query = sq.Selection(query, predicate)
 
@@ -672,13 +671,6 @@ class Transpiler:
 
     def _fresh_table(self, stem: str) -> str:
         return f"{stem}{next(self._fresh)}"
-
-
-def _conjoin(predicates: list[sq.Predicate]) -> sq.Predicate:
-    result: sq.Predicate = sq.TRUE
-    for predicate in predicates:
-        result = predicate if result == sq.TRUE else sq.And(result, predicate)
-    return result
 
 
 def transpile(query: cy.Query, graph_schema: GraphSchema, sdt: SdtResult) -> sq.Query:

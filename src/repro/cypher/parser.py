@@ -29,6 +29,7 @@ from __future__ import annotations
 from itertools import count
 
 from repro.common.errors import ParseError
+from repro.common.expressions import conjoin
 from repro.cypher import ast
 from repro.cypher.lexer import (
     AGGREGATES,
@@ -184,7 +185,7 @@ class _Parser(ExpressionGrammar):
         clause = previous
         for index, (pattern, inline) in enumerate(patterns):
             last = index == len(patterns) - 1
-            predicate = _conjoin(inline, where if last else ast.TRUE)
+            predicate = conjoin((inline, where)) if last else inline
             if optional:
                 if clause is None:  # pragma: no cover - guarded by caller
                     raise self.stream.error("OPTIONAL MATCH cannot open a query")
@@ -240,7 +241,7 @@ class _Parser(ExpressionGrammar):
         resolved = self._infer_labels(elements)
         # Inline constraints were parsed before inference; rebuild them now
         # that every node variable has a label.
-        return ast.path_pattern(*resolved), _conjoin_all(constraints)
+        return ast.path_pattern(*resolved), conjoin(constraints)
 
     def _parse_node_pattern(self) -> tuple[ast.NodePattern, list[ast.Predicate]]:
         self.stream.expect_op("(")
@@ -484,7 +485,7 @@ class _Parser(ExpressionGrammar):
             pattern, inline = self._parse_path_pattern()
             predicate: ast.Predicate = inline
             if self.stream.take_keyword("WHERE"):
-                predicate = _conjoin(predicate, self._parse_predicate())
+                predicate = conjoin((predicate, self._parse_predicate()))
             self.stream.expect_op("}")
             return ast.Exists(pattern, predicate)
         self.stream.expect_op("(")
@@ -511,18 +512,3 @@ class _Parser(ExpressionGrammar):
             self.stream.advance()  # its ")"
             return ast.VariableRef(token.text)
         return super()._parse_aggregate_argument(function)
-
-
-def _conjoin(left: ast.Predicate, right: ast.Predicate) -> ast.Predicate:
-    if left == ast.TRUE:
-        return right
-    if right == ast.TRUE:
-        return left
-    return ast.And(left, right)
-
-
-def _conjoin_all(predicates: list[ast.Predicate]) -> ast.Predicate:
-    result: ast.Predicate = ast.TRUE
-    for predicate in predicates:
-        result = _conjoin(result, predicate)
-    return result

@@ -56,6 +56,8 @@ from repro.common.expressions import (  # noqa: F401  (re-exported)
     Literal,
     Not,
     Or,
+    conjoin,
+    conjuncts,
     rebuild,
 )
 
@@ -492,23 +494,6 @@ def map_refs(
         raise TypeError(f"not a SQL expression or predicate: {type(node).__name__}")
 
     return rebuild(node, leaf)
-
-
-def conjuncts(predicate: Predicate) -> list[Predicate]:
-    """Flatten a conjunction into its list of conjuncts (``TRUE`` → ``[]``)."""
-    if isinstance(predicate, And):
-        return conjuncts(predicate.left) + conjuncts(predicate.right)
-    if predicate == TRUE:
-        return []
-    return [predicate]
-
-
-def conjoin(predicates: typing.Iterable[Predicate]) -> Predicate:
-    """Left-deep conjunction of *predicates* (empty → ``TRUE``)."""
-    result: Predicate | None = None
-    for predicate in predicates:
-        result = predicate if result is None else And(result, predicate)
-    return TRUE if result is None else result
 
 
 def local_name(attribute: str) -> str:

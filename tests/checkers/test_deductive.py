@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.checkers.base import CheckRequest, Verdict
-from repro.checkers.cq import Atom, ConjunctiveQuery, Const, Normalizer, Var
+from repro.checkers.cq import Atom, Condition, ConjunctiveQuery, Const, Normalizer, Var
 from repro.checkers.deductive import (
     DeductiveChecker,
     contained_in,
@@ -15,6 +15,7 @@ from repro.checkers.deductive import (
     unfold_views,
 )
 from repro.common.errors import UnsupportedError
+from repro.graph.schema import GraphSchema, NodeType
 from repro.relational.schema import (
     ForeignKey,
     IntegrityConstraints,
@@ -24,6 +25,7 @@ from repro.relational.schema import (
     RelationalSchema,
 )
 from repro.sql.parser import parse_sql
+from repro.transformer.parser import parse_transformer
 
 DEADLINE = time.monotonic() + 10_000
 
@@ -36,6 +38,17 @@ def simple_schema():
             (ForeignKey("r", "b", "s", "c"),),
             (NotNull("r", "b"),),
         ),
+    )
+
+
+def swapped_pair(op):
+    """``r(x1, x2)`` and ``r(x2, x1)``, each with the condition ``x1 op x2``,
+    heads ``x1`` and ``x2``: the one renaming between them swaps x1 and x2,
+    so they are isomorphic exactly when ``op`` is symmetric."""
+    condition = Condition(op, Var(1), Var(2))
+    return (
+        ConjunctiveQuery([Atom("r", (Var(1), Var(2)))], [condition], [Var(1)]),
+        ConjunctiveQuery([Atom("r", (Var(2), Var(1)))], [condition], [Var(2)]),
     )
 
 
@@ -124,6 +137,14 @@ class TestIsomorphism:
         )
         assert isomorphic(cq1, cq2, DEADLINE)
 
+    def test_inequality_matches_either_way_round(self):
+        cq1, cq2 = swapped_pair("<>")
+        assert isomorphic(cq1, cq2, DEADLINE)
+
+    def test_less_than_keeps_its_orientation(self):
+        cq1, cq2 = swapped_pair("<")
+        assert not isomorphic(cq1, cq2, DEADLINE)
+
     def test_atom_count_must_match(self):
         cq1 = ConjunctiveQuery([Atom("r", (Var(1), Var(2)))], [], [Var(1)])
         cq2 = ConjunctiveQuery(
@@ -145,6 +166,11 @@ class TestContainment:
         sup = ConjunctiveQuery([Atom("r", (Var(10), Var(11)))], [], [Var(10)])
         assert contained_in(sub, sup, DEADLINE)
         assert not contained_in(sup, sub, DEADLINE)
+
+    def test_inequality_matches_either_way_round(self):
+        cq1, cq2 = swapped_pair("<>")
+        assert contained_in(cq1, cq2, DEADLINE)
+        assert contained_in(cq2, cq1, DEADLINE)
 
 
 class TestSimplification:
@@ -179,6 +205,14 @@ class TestSimplification:
         )
         simplified = simplify(cq, schema)
         assert len(simplified.atoms) == 2
+
+    def test_inequality_deduplicated_either_way_round(self):
+        cq = ConjunctiveQuery(
+            [Atom("r", (Var(1), Var(2)))],
+            [Condition("<>", Var(1), Var(2)), Condition("<>", Var(2), Var(1))],
+            [Var(1)],
+        )
+        assert len(simplify(cq, simple_schema()).conditions) == 1
 
     def test_constant_guarded_lookup_not_pruned(self):
         schema = simple_schema()
@@ -278,3 +312,30 @@ class TestEndToEnd:
             DeductiveChecker(),
         )
         assert result.verdict is Verdict.UNSUPPORTED
+
+    @pytest.mark.parametrize("distinct", ["", "DISTINCT "])
+    def test_inequality_proved_either_way_round(self, distinct):
+        from repro.core.equivalence import check_equivalence
+        from repro.cypher.parser import parse_cypher
+
+        graph_schema = GraphSchema.of([NodeType("EMP", ("id", "boss"))], [])
+        target_schema = RelationalSchema.of(
+            [Relation("emp", ("id", "boss"))],
+            IntegrityConstraints((PrimaryKey("emp", "id"),), (), ()),
+        )
+        cypher = parse_cypher(
+            f"MATCH (m:EMP) MATCH (n:EMP) WHERE n.boss <> m.id RETURN {distinct}n.id",
+            graph_schema,
+        )
+        sql = parse_sql(
+            f"SELECT {distinct}e1.id FROM emp AS e1, emp AS e2 WHERE e1.boss <> e2.id"
+        )
+        result = check_equivalence(
+            graph_schema,
+            cypher,
+            target_schema,
+            sql,
+            parse_transformer("EMP(id, boss) -> emp(id, boss)"),
+            DeductiveChecker(),
+        )
+        assert result.verdict is Verdict.EQUIVALENT
