@@ -6,9 +6,10 @@ the span tree has the expected shape — a ``query`` root with
 ``query.prepare`` (containing ``cache.lookup``), ``pool.checkout``, and
 ``execute`` stages, every span closed, every child inside its parent's
 time bounds — round-trips the trace through JSON, checks the Prometheus
-exposition renders, and writes the metrics snapshot artifact
-(``METRICS_observability.json``) that CI uploads next to the perf
-baselines.
+exposition renders with each counter read from a histogram's count
+present per backend and equal to that ``_count``, and writes the metrics
+snapshot artifact (``METRICS_observability.json``) that CI uploads next
+to the perf baselines.
 
 Run::
 
@@ -32,6 +33,12 @@ from repro.observability.explain import explain_query  # noqa: E402
 from repro.observability.tracing import span_from_dict  # noqa: E402
 
 QUERY = "MATCH (a:USER)-[:FOLLOWS*1..2]->(b:USER) RETURN b.uname"
+
+#: Each counter the registry reports from a histogram's counts.
+COUNTED = (
+    ("repro_queries_total", "repro_query_seconds"),
+    ("repro_pool_checkouts_total", "repro_pool_checkout_wait_seconds"),
+)
 
 
 def fail(message: str) -> None:
@@ -63,6 +70,28 @@ def check_span_tree(trace, backend: str) -> None:
                 fail(
                     f"[{backend}] child {child.name!r} outside parent "
                     f"{span.name!r} bounds"
+                )
+
+
+def check_counted_once(exposition: str, backends) -> None:
+    """Each counter of :data:`COUNTED` has a sample per backend, equal to
+    its histogram's ``_count`` sample."""
+    samples = {}
+    for line in exposition.splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = value
+    for backend in backends:
+        labels = f'{{backend="{backend}"}}'
+        for counter, histogram in COUNTED:
+            value = samples.get(counter + labels)
+            if value is None:
+                fail(f"[{backend}] {counter} is missing from the exposition")
+            count = samples.get(f"{histogram}_count{labels}")
+            if value != count:
+                fail(
+                    f"[{backend}] {counter} reads {value}, "
+                    f"but {histogram}_count reads {count}"
                 )
 
 
@@ -110,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         exposition = service.metrics.to_prometheus()
         if "# TYPE repro_queries_total counter" not in exposition:
             fail("Prometheus exposition is missing the query counter")
+        check_counted_once(exposition, backends)
         artifact = {
             "query": QUERY,
             "rows_per_table": arguments.rows,

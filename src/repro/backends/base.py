@@ -332,8 +332,9 @@ class DbApiBackend(ExecutionBackend):
         sql_text: str,
         budget: "QueryBudget | BudgetTracker | None" = None,
     ) -> Table:
-        self._ensure_connected()
-        tracker = as_tracker(budget)
+        if self.connection is None or not self._schema_created:
+            self._ensure_connected()
+        tracker = None if budget is None else as_tracker(budget)
         if tracker is None:
             cursor = self.connection.execute(sql_text)
             attributes = tuple(map(itemgetter(0), cursor.description or ()))

@@ -91,30 +91,32 @@ class PoolTimeout(RuntimeError):
 class _PoolMetrics:
     """The pool's registry instruments, labelled by backend name.
 
-    The checkout counter and wait histogram are bound once, because every
-    query updates them.  The state gauges (size, in use, waiters) are not
-    updated at all: they read the pool when the registry is scraped,
-    through a weak reference, so a registry that outlives the pool (a
-    shared registry, a data reload) never keeps it or its loaded members
-    alive, and reads 0 once the pool is gone.  When two pools share a
-    registry and a backend name, the gauges report the last one created.
+    The wait histogram is bound once, because every query updates it; the
+    checkout counter reads its counts, so a checkout is one update.  The
+    state gauges (size, in use, waiters) are not updated at all: they read
+    the pool when the registry is scraped, through a weak reference, so a
+    registry that outlives the pool (a shared registry, a data reload)
+    never keeps it or its loaded members alive, and reads 0 once the pool
+    is gone.  When two pools share a registry and a backend name, the
+    gauges report the last one created.
     """
 
     def __init__(self, registry: MetricsRegistry, pool: "ConnectionPool") -> None:
         self.backend = pool.backend_name
-        self.checkouts = registry.counter(
-            "repro_pool_checkouts_total", "Pool checkouts completed."
-        ).labels(backend=self.backend)
+        wait_seconds = registry.histogram(
+            "repro_pool_checkout_wait_seconds",
+            "Seconds a checkout waited for an exclusive member.",
+        )
+        registry.counter_of(
+            "repro_pool_checkouts_total", "Pool checkouts completed.", wait_seconds
+        )
+        self.wait_seconds = wait_seconds.labels(backend=self.backend)
         self.timeouts = registry.counter(
             "repro_pool_timeouts_total", "Pool checkouts that timed out."
         )
         self.spawns = registry.counter(
             "repro_pool_spawns_total", "Pool members created."
         )
-        self.wait_seconds = registry.histogram(
-            "repro_pool_checkout_wait_seconds",
-            "Seconds a checkout waited for an exclusive member.",
-        ).labels(backend=self.backend)
         self.validation_failures = registry.counter(
             "repro_pool_validation_failures_total",
             "Members that failed a liveness probe (checkout or damaged checkin).",
@@ -132,10 +134,6 @@ class _PoolMetrics:
             registry.gauge(name, help_text).set_function(
                 partial(_pool_state, ref, attribute), backend=self.backend
             )
-
-    def checkout(self, waited_seconds: float) -> None:
-        self.checkouts.inc()
-        self.wait_seconds.observe(waited_seconds)
 
     def timeout(self) -> None:
         self.timeouts.inc(backend=self.backend)
@@ -355,7 +353,7 @@ class ConnectionPool:
             span.set("waited_ms", round(waited * 1000.0, 3))
             span.set("spawned", spawned)
         if self._metrics is not None:
-            self._metrics.checkout(waited)
+            self._metrics.wait_seconds.observe(waited)
 
     def _timeout_locked(self, timeout: float | None, waited: float) -> PoolTimeout:
         """The diagnostic timeout error; caller holds the pool lock."""

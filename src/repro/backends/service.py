@@ -67,7 +67,6 @@ from repro.execution.datagen import MockDataGenerator
 from repro.graph.schema import GraphSchema
 from repro.observability.metrics import (
     RATIO_BUCKETS,
-    CounterChild,
     HistogramChild,
     MetricsRegistry,
     SlowQueryLog,
@@ -251,7 +250,7 @@ class ExecutionFeedback:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FeedbackDecision:
     """Per-Cypher-text adaptive-execution state (service-internal).
 
@@ -261,6 +260,10 @@ class _FeedbackDecision:
     invalidates exactly this query's entries (both tiers) without touching
     anything else.  ``last`` summarises the most recent re-plan for
     ``repro explain``.
+
+    Frozen: a re-plan publishes a new decision under the service lock, so
+    a reader that goes without the lock (:meth:`GraphitiService._plan_key`)
+    sees one whole decision.
     """
 
     epoch: int = 0
@@ -352,7 +355,9 @@ class _QueryState:
     """What the service keeps for one Cypher text: the running accounting
     behind its :class:`QueryStat` (:meth:`freeze` takes the snapshot) and
     its feedback decision.  What derives from one plan lives on its cache
-    entry.  Mutated in place under the service lock."""
+    entry.  Mutated in place under the service lock; the decision is
+    replaced whole, and :meth:`GraphitiService._plan_key` reads it without
+    the lock."""
 
     __slots__ = (
         "order", "executions", "total_seconds", "last_seconds", "samples",
@@ -391,7 +396,6 @@ class _QueryState:
 class _BackendSeries(NamedTuple):
     """The per-query metric series of one backend, bound once."""
 
-    queries: CounterChild
     seconds: HistogramChild
     estimate_error: HistogramChild
 
@@ -424,6 +428,16 @@ class _LruCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+
+    def put_if_absent(self, key: object, value: object) -> object:
+        """Store *value* under *key* unless an entry is there already;
+        either way, the entry the cache keeps (marked most recently used)."""
+        with self._lock:
+            kept = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+            return kept
 
     def clear(self) -> None:
         with self._lock:
@@ -502,7 +516,8 @@ class GraphitiService:
         self._stats_digest = ""
         #: Guards the loaded data swap, the per-text records, and every
         #: change to the pool and breaker maps (their readers go lock-free:
-        #: under the GIL one dict read is atomic).
+        #: under the GIL one dict read is atomic).  A warm serve takes it
+        #: once, in :meth:`_record`.
         self._lock = threading.RLock()
         self._pools: dict[str, ConnectionPool] = {}
         #: Set by :meth:`close`: from then on :meth:`_pool` makes no pool.
@@ -518,11 +533,14 @@ class GraphitiService:
         self._registry = registry if registry is not None else MetricsRegistry()
         self._tracer = NOOP_TRACER
         self.slow_queries = SlowQueryLog()
-        self._queries_total = self._registry.counter(
-            "repro_queries_total", "Query executions recorded, by backend."
-        )
         self._query_seconds = self._registry.histogram(
             "repro_query_seconds", "Engine execution seconds per query."
+        )
+        # Every recorded execution is one observation of the histogram.
+        self._registry.counter_of(
+            "repro_queries_total",
+            "Query executions recorded, by backend.",
+            self._query_seconds,
         )
         self._cache_lookups = self._registry.counter(
             "repro_transpile_cache_total",
@@ -651,10 +669,11 @@ class GraphitiService:
             self._stats = stats
             self._stats_digest = stats_digest(stats)
             # Fresh data: divergence verdicts reached on the old data no
-            # longer mean anything.  The decision is detached, not reset in
-            # place, so a re-plan that holds it across its stats refresh
-            # corrects an orphan.  A new digest re-keys every entry the
-            # partition gate priced, and the new pools time entries anew.
+            # longer mean anything.  The decision is detached, so a re-plan
+            # that holds it across its stats refresh finds it is no longer
+            # the text's and drops its correction.  A new digest re-keys
+            # every entry the partition gate priced, and the new pools time
+            # entries anew.
             for state in self._query_states.values():
                 state.feedback = None
 
@@ -729,19 +748,24 @@ class GraphitiService:
         trip.  At level 2 the text's feedback decision joins the key, so
         bumping its epoch re-keys exactly this text's entries.  The
         statistics digest joins it wherever the entry reads statistics:
-        at level 2, and at a partition degree of 2 or more."""
+        at level 2, and at a partition degree of 2 or more.
+
+        Lock-free: a load replaces the digest whole and a re-plan publishes
+        a whole frozen decision.  A key built across a reload may pair one
+        load's digest with the other's decision; its entry answers
+        correctly, as every plan does, under a key later serves no longer
+        build."""
         level = self.opt_level if opt_level is None else opt_level
         if level not in OPT_LEVELS:
             raise ValueError(f"unknown optimization level {level!r}")
         digest, epoch, row_scale = "", 0, 1.0
         if level >= 2:
-            with self._lock:  # loads and re-plans change these under it
-                digest = self._stats_digest
-                state = self._query_states.get(text)
-                decision = state.feedback if state is not None else None
-                if decision is not None:
-                    epoch, row_scale = decision.epoch, decision.row_scale
-                    force_recursive = force_recursive or decision.force_recursive
+            digest = self._stats_digest
+            state = self._query_states.get(text)
+            decision = state.feedback if state is not None else None
+            if decision is not None:
+                epoch, row_scale = decision.epoch, decision.row_scale
+                force_recursive = force_recursive or decision.force_recursive
         elif self.parallelism >= 2:
             digest = self._stats_digest  # for the partition gate
         depth_cap = None
@@ -863,7 +887,11 @@ class GraphitiService:
         ``PlanReport.parallelism`` (``repro explain`` shows it), and an
         open gate gives the entry the executor that scatters it.  The
         store never sees that executor: it is written before this runs,
-        so no serve changes an entry while it is pickled."""
+        so no serve changes an entry while it is pickled.
+
+        When threads that missed one key race here, the first entry stored
+        is the one every one of them serves, so no serve records its
+        execution on an entry the key no longer reaches."""
         if key.parallelism >= 2:
             dialect = dialect_for(key.dialect)
             fragment = fragment_query(prepared.sql_ast, self.sdt.schema)
@@ -889,7 +917,7 @@ class GraphitiService:
                 )
                 prepared = replace(prepared, runner=runner)
         if keyed:
-            self._cache.put(key, prepared)
+            return self._cache.put_if_absent(key, prepared)
         return prepared
 
     def transpile_to_sql(
@@ -1017,7 +1045,10 @@ class GraphitiService:
         service does so when ``run`` is awaited, so time queued for an
         executor thread counts against the timeout.  Each pool checkout
         waits at most :data:`CHECKOUT_TIMEOUT` seconds, capped further by
-        the budget's remaining clock.
+        the budget's remaining clock.  A serial execution is recorded in
+        one service-lock section (:meth:`_record`), which also adds the
+        rows of an entry settled on the pool; an unsettled entry's rows go
+        through :meth:`observe_execution`'s full check.
 
         The async service's hooks: *prepared* is the entry the caller
         already looked up, so the lookup is not repeated.  *on_loop*
@@ -1039,9 +1070,14 @@ class GraphitiService:
                         raise _OffLoop()
                     result = self._run_parallel(pool, name, prepared, runner, tracker)
                 else:
-                    result = self._run_prepared(
+                    result, seconds = self._run_prepared(
                         pool, name, prepared, tracker, on_loop=on_loop, attempt=attempt
                     )
+                    if self._record(
+                        prepared.cypher_text, seconds, name, prepared, pool,
+                        len(result.rows),
+                    ):
+                        return result, prepared
                 self.observe_execution(prepared, len(result.rows), name, pool)
                 return result, prepared
             except PoolClosed:
@@ -1098,10 +1134,12 @@ class GraphitiService:
                 )
             )
             try:
-                return self._run_prepared(pool, name, downgraded, tracker), downgraded
+                result, seconds = self._run_prepared(pool, name, downgraded, tracker)
             except QueryBudgetExceeded as final:
                 final.attempted_downgrade = True
                 raise
+            self._record(downgraded.cypher_text, seconds, name, downgraded, pool)
+            return result, downgraded
 
     def _run_prepared(
         self,
@@ -1109,17 +1147,17 @@ class GraphitiService:
         name: str,
         prepared: PreparedQuery,
         tracker: BudgetTracker | None,
-        record: bool = True,
         on_loop: bool = False,
         attempt: int = 1,
-    ) -> Table:
+    ) -> tuple[Table, float]:
         """One plan's pooled execution: breaker gate, checkout (bounded by
         :data:`CHECKOUT_TIMEOUT` and the budget's remaining time), engine
         guards, damage-aware checkin, and bounded backoff retry when the
-        member turns out to be dead or cannot be spawned.
+        member turns out to be dead or cannot be spawned.  Returns the
+        table and the engine call's seconds, and records nothing: the
+        caller records a serve (a partition records nothing; the parallel
+        runner accounts the query's wall clock once).
 
-        *record* is off for partition executions — the parallel runner
-        accounts the query's wall clock once, not per partition.
         *on_loop* takes only an idle member and raises :class:`_OffLoop`
         where a checkout would wait or spawn, or a retry would back off.
         *attempt* above 1 resumes the retries: its backoff is slept first."""
@@ -1206,11 +1244,7 @@ class GraphitiService:
                 else:
                     pool.checkin(member)
                     breaker.record_success()
-                    if record:
-                        self._record(
-                            prepared.cypher_text, elapsed, name, prepared, pool
-                        )
-                    return result
+                    return result, elapsed
             finally:
                 breaker.release_probe(probe)
 
@@ -1269,9 +1303,7 @@ class GraphitiService:
                     backend=name,
                     index=index,
                 ) as span:
-                    partial = self._run_prepared(
-                        pool, name, partition, tracker, record=False
-                    )
+                    partial, _ = self._run_prepared(pool, name, partition, tracker)
                     span.set("rows", len(partial.rows))
                     return partial
 
@@ -1307,8 +1339,9 @@ class GraphitiService:
         (see :meth:`_replan`).  A depth-capped plan is a budget variant:
         the cap truncates its rows, so they are recorded on its entry and
         compared with nothing.  Called by the serving paths (sync and
-        async), which pass the *pool* the query ran on; harmless to call
-        directly.
+        async), which pass the *pool* the query ran on, for an entry not
+        settled there (:meth:`_record` adds a settled entry's rows);
+        harmless to call directly.
 
         An entry *settles* on that pool once it has run there
         :data:`FEEDBACK_MIN_OBSERVATIONS` times (counted by its timing on
@@ -1417,14 +1450,16 @@ class GraphitiService:
         ) as span:
             stats_changed = self.refresh_stats()
             with self._lock:
-                if decision.epoch != prepared.feedback_epoch:
+                # Not the decision read above: another thread re-planned
+                # first, or a reload detached it, and a correction learned
+                # on the old data must not land on the new.
+                if state.feedback is not decision:
                     return
-                decision.epoch += 1
-                decision.replans += 1
+                force_recursive = decision.force_recursive
+                row_scale = decision.row_scale
                 if stats_changed:
                     # Fresh statistics take precedence over blind nudges.
-                    decision.force_recursive = False
-                    decision.row_scale = 1.0
+                    force_recursive, row_scale = False, 1.0
                 elif any(
                     traversal.choice == "unrolled"
                     for traversal in plan.traversals
@@ -1438,22 +1473,28 @@ class GraphitiService:
                     # No row-scale here: a correction computed against the
                     # unrolled plan's estimate is meaningless for the
                     # recursive plan it is about to produce.
-                    decision.force_recursive = True
+                    force_recursive = True
                 else:
                     ratio = observed_rows / estimate
-                    decision.row_scale = min(
-                        max(decision.row_scale * ratio, 1.0 / 1024), 1024.0
-                    )
-                decision.last = {
-                    "epoch": decision.epoch,
-                    "reason": reason,
-                    "divergence": round(divergence, 2),
-                    "observed_rows": round(observed_rows, 1),
-                    "previous_estimate": round(estimate, 1),
-                    "stats_refreshed": stats_changed,
-                    "force_recursive": decision.force_recursive,
-                    "row_scale": round(decision.row_scale, 4),
-                }
+                    row_scale = min(max(row_scale * ratio, 1.0 / 1024), 1024.0)
+                epoch = decision.epoch + 1
+                decision = state.feedback = replace(
+                    decision,
+                    epoch=epoch,
+                    replans=decision.replans + 1,
+                    force_recursive=force_recursive,
+                    row_scale=row_scale,
+                    last={
+                        "epoch": epoch,
+                        "reason": reason,
+                        "divergence": round(divergence, 2),
+                        "observed_rows": round(observed_rows, 1),
+                        "previous_estimate": round(estimate, 1),
+                        "stats_refreshed": stats_changed,
+                        "force_recursive": force_recursive,
+                        "row_scale": round(row_scale, 4),
+                    },
+                )
             self._replans_total.inc(backend=backend, reason=reason)
             span.set("epoch", decision.epoch)
             span.set("stats_refreshed", stats_changed)
@@ -1686,26 +1727,34 @@ class GraphitiService:
         name: str,
         prepared: PreparedQuery | None = None,
         pool: ConnectionPool | None = None,
-    ) -> None:
-        """:meth:`record_execution`; *prepared* is the entry whose engine
-        call on *name*, on a member of *pool*, took *seconds*, which also
-        feeds the entry's timing on that pool."""
-        series = self._series_for(name)
-        series.queries.inc()
-        series.seconds.observe(seconds)
+        rows: int | None = None,
+    ) -> bool:
+        """:meth:`record_execution`, in one service-lock section; *prepared*
+        is the entry whose engine call on *name*, on a member of *pool*,
+        took *seconds*, which also feeds the entry's timing on that pool.
+        The same section adds the call's *rows* to the entry's feedback
+        when the entry has settled on *pool*, and says so: on ``False``
+        the caller passes them to :meth:`observe_execution`."""
+        self._series_for(name).seconds.observe(seconds)
         self.slow_queries.record(cypher_text, name, seconds)
         with self._lock:
             state = self._query_state(cypher_text)
             if state.order is None:
                 state.order = next(self._query_order)
             state.add(seconds)
-            if prepared is not None:
-                assert pool is not None
-                timings = prepared.feedback.timings
-                timing = timings.get(name)
-                if timing is None or timing[0] != pool.number:
-                    timing = (pool.number, 0, 0.0)
-                timings[name] = (pool.number, timing[1] + 1, timing[2] + seconds)
+            if prepared is None:
+                return False
+            assert pool is not None
+            feedback = prepared.feedback
+            number = pool.number
+            timing = feedback.timings.get(name)
+            if timing is None or timing[0] != number:
+                timing = (number, 0, 0.0)
+            feedback.timings[name] = (number, timing[1] + 1, timing[2] + seconds)
+            if rows is None or feedback.settled_pool != number:
+                return False
+            feedback.observe(rows)
+            return True
 
     def _engine_seconds(self, prepared: PreparedQuery, name: str) -> float | None:
         """Mean engine seconds of *prepared* on backend *name*'s current
@@ -1739,7 +1788,6 @@ class GraphitiService:
         series = self._backend_series.get(name)
         if series is None:
             series = self._backend_series[name] = _BackendSeries(
-                self._queries_total.labels(backend=name),
                 self._query_seconds.labels(backend=name),
                 self._estimate_error.labels(backend=name),
             )

@@ -171,23 +171,9 @@ def _replace_atom(
         raise UnsupportedError(
             f"rule head arity does not match atom {atom.relation!r}"
         )
-    variable_map: dict[str, Term] = {}
-    substitutions: list[tuple[Term, Term]] = []
-    for head_term, atom_term in zip(rule.head.terms, atom.terms):
-        if isinstance(head_term, Constant):
-            if isinstance(atom_term, Const):
-                if atom_term.value != head_term.value:
-                    return None
-            else:
-                substitutions.append((atom_term, Const(head_term.value)))
-        elif isinstance(head_term, Variable):
-            bound = variable_map.get(head_term.name)
-            if bound is None:
-                variable_map[head_term.name] = atom_term
-            elif bound != atom_term:
-                substitutions.append((atom_term, bound))
-        else:  # pragma: no cover - heads cannot hold wildcards
-            raise UnsupportedError("wildcard in rule head")
+    unifier = _head_unifier(rule.head.terms, atom.terms)
+    if unifier is None:
+        return None
     body_atoms: list[Atom] = []
     for body in rule.body:
         terms: list[Term] = []
@@ -197,22 +183,54 @@ def _replace_atom(
             elif isinstance(term, Wildcard):
                 terms.append(Var(next(fresh)))
             else:
-                bound = variable_map.get(term.name)
+                bound = unifier.get(term)
                 if bound is None:
-                    bound = Var(next(fresh))
-                    variable_map[term.name] = bound
+                    bound = unifier[term] = Var(next(fresh))
                 terms.append(bound)
         body_atoms.append(Atom(body.name, tuple(terms)))
     result = replace(cq, atoms=cq.atoms[:index] + body_atoms + cq.atoms[index + 1 :])
-    for old, new in substitutions:
-        if isinstance(old, Const):
-            if isinstance(new, Const):
-                if old.value != new.value:
-                    return None
-                continue
-            old, new = new, old
-        result = substitute(result, old, new)  # type: ignore[arg-type]
-    return result
+    return map_terms(result, lambda v: unifier.get(v, v))
+
+
+def _head_unifier(
+    head: tuple, terms: tuple[Term, ...]
+) -> dict[object, Term] | None:
+    """The most general unifier of a rule *head*'s terms with an atom's
+    *terms*: each rule variable and each unified tableau variable mapped to
+    its class's constant, or else to the class's first tableau variable.
+    ``None`` when a class holds two different constants (the atom cannot
+    match the head, so the disjunct is empty).  It is applied in one step,
+    so no pair of terms can bring back a variable another pair replaced,
+    whatever order the terms come in."""
+    parent: dict[object, object] = {}
+
+    def find(term: object) -> object:
+        root = parent.setdefault(term, term)
+        while root != parent[root]:
+            root = parent[root]
+        return root
+
+    for head_term, atom_term in zip(head, terms):
+        if isinstance(head_term, Constant):
+            head_term = Const(head_term.value)
+        elif not isinstance(head_term, Variable):  # pragma: no cover
+            raise UnsupportedError("wildcard in rule head")
+        parent[find(head_term)] = find(atom_term)
+    classes: dict[object, list] = {}
+    for term in parent:
+        classes.setdefault(find(term), []).append(term)
+    unifier: dict[object, Term] = {}
+    for members in classes.values():
+        constants = {member for member in members if isinstance(member, Const)}
+        if len(constants) > 1:
+            return None
+        if constants:
+            (representative,) = constants
+        else:
+            representative = next(m for m in members if isinstance(m, Var))
+        for member in members:
+            unifier[member] = representative
+    return unifier
 
 
 # ---------------------------------------------------------------------------

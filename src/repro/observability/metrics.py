@@ -20,6 +20,13 @@ Design points (all stdlib):
   exports on its first update, exactly as a keyword update would add it;
 * a gauge series can be computed when it is read
   (:meth:`Gauge.set_function`) instead of being set on every change;
+* a counter of events that a histogram observes one each of is read from
+  that histogram's per-label-set counts when it is scraped
+  (:meth:`MetricsRegistry.counter_of`, a :class:`HistogramCount`), so each
+  event costs one update: ``repro_queries_total`` reads
+  ``repro_query_seconds``, and ``repro_pool_checkouts_total`` reads
+  ``repro_pool_checkout_wait_seconds``.  Its series appear with the
+  histogram's, and read as any counter's;
 * metrics are created idempotently through the registry
   (:meth:`MetricsRegistry.counter` returns the existing metric on a
   repeat call, and raises if the name is already taken by another type);
@@ -170,6 +177,32 @@ class Counter(_Metric):
     def series(self) -> list[tuple[_LabelKey, float]]:
         with self._lock:
             return sorted(self._values.items())
+
+
+class HistogramCount(Counter):
+    """A counter whose series are *histogram*'s per-label-set observation
+    counts, read when it is read: for an event that is always observed
+    once in *histogram*, so the event is not counted twice.  It cannot be
+    incremented; observe the histogram instead."""
+
+    def __init__(self, name: str, help_text: str, histogram: "Histogram") -> None:
+        super().__init__(name, help_text)
+        self.histogram = histogram
+
+    def labels(self, **labels: object) -> CounterChild:
+        raise TypeError(
+            f"counter {self.name!r} reads the counts of histogram "
+            f"{self.histogram.name!r}: observe that histogram instead"
+        )
+
+    def value(self, **labels: object) -> float:
+        return float(self.histogram.count(**labels))
+
+    def total(self) -> float:
+        return float(sum(value for _, value in self.series()))
+
+    def series(self) -> list[tuple[_LabelKey, float]]:
+        return [(key, float(count)) for key, (_, count, _) in self.histogram.series()]
 
 
 class Gauge(_Metric):
@@ -372,6 +405,26 @@ class MetricsRegistry:
                     )
                 return existing
             metric = Histogram(name, help_text, buckets)
+            self._metrics[name] = metric
+            return metric
+
+    def counter_of(
+        self, name: str, help_text: str, histogram: Histogram
+    ) -> HistogramCount:
+        """The counter *name* whose series are *histogram*'s per-label-set
+        counts (see :class:`HistogramCount`); a repeat call returns it."""
+        with self._lock:
+            existing = self._metrics.get(name)
+            if existing is not None:
+                if (
+                    not isinstance(existing, HistogramCount)
+                    or existing.histogram is not histogram
+                ):
+                    raise ValueError(
+                        f"metric {name!r} already registered as {existing.kind}"
+                    )
+                return existing
+            metric = HistogramCount(name, help_text, histogram)
             self._metrics[name] = metric
             return metric
 

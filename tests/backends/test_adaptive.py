@@ -8,6 +8,7 @@ itself is corrected (forced recursive traversal / scaled base rows) under
 a bumped feedback epoch that re-keys exactly that query's cache entries.
 """
 
+import dataclasses
 import pickle
 import sys
 import threading
@@ -183,6 +184,24 @@ class TestReplan:
         assert service.feedback_state(SCAN_QUERY) is None
         assert service.prepare(SCAN_QUERY).feedback_epoch == 0
 
+    def test_a_replan_publishes_a_new_decision(self, service):
+        """A re-plan replaces the text's decision whole and leaves the one
+        it replaces as it was, so a reader without the lock never sees half
+        of a re-plan."""
+        self.trigger(service)
+        first = service._query_states[SCAN_QUERY].feedback
+        assert (first.epoch, first.replans) == (1, 1)
+        corrected = service.prepare(SCAN_QUERY)
+        for _ in range(2):
+            service.observe_execution(corrected, 1)
+        second = service._query_states[SCAN_QUERY].feedback
+        assert second is not first
+        assert (second.epoch, second.replans) == (2, 2)
+        assert (first.epoch, first.replans) == (1, 1)
+        assert first.last["epoch"] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.epoch = 3
+
     def test_per_text_state_is_bounded(self, service, monkeypatch):
         """A stream of distinct re-planning texts keeps at most
         MAX_TRACKED_QUERIES records; an evicted text falls back to epoch 0,
@@ -337,6 +356,36 @@ class TestSettledFeedback:
         feedback = service.prepare(SCAN_QUERY).feedback
         assert feedback.executions == threads * serves
         assert feedback.settled_pool == service.pool().number
+
+    def test_concurrent_first_misses_serve_one_entry(self, service, monkeypatch):
+        """Two serves that miss one key both run the pipeline; both serve
+        the entry stored first, so neither execution lands on an entry the
+        key no longer reaches."""
+        barrier = threading.Barrier(2, timeout=30)
+        optimize = service_module.optimize
+
+        def together(*args, **kwargs):
+            barrier.wait()  # both threads are inside the pipeline at once
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "optimize", together)
+        served, errors = [], []
+
+        def serve():
+            try:
+                served.append(service.serve(SCAN_QUERY)[1])
+            except Exception as error:
+                errors.append(error)
+
+        workers = [threading.Thread(target=serve) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert errors == []
+        first, second = served
+        assert first is second
+        assert service.prepare(SCAN_QUERY).feedback.executions == 2
 
     def test_an_entry_pickled_without_the_field_loads_unsettled(self):
         feedback = service_module.ExecutionFeedback(executions=2, total_rows=4)

@@ -108,6 +108,21 @@ class TestNormalization:
             Normalizer(simple_schema()).normalize(parse_sql(sql))
 
 
+class TestViewUnfolding:
+    @pytest.mark.parametrize(
+        "terms",
+        [(Var(1), Const(5), Var(2)), (Var(1), Var(2), Const(5))],
+        ids=["constant-in-the-middle", "constant-last"],
+    )
+    def test_a_repeated_head_variable_unifies_in_any_term_order(self, terms):
+        """``T(x) -> R(x, x, x)`` equates all three terms of ``R``'s atom
+        with one constant, wherever the constant stands."""
+        rdt = parse_transformer("T(x) -> R(x, x, x)")
+        cq = ConjunctiveQuery([Atom("R", terms)], [], [Var(1), Var(2)])
+        (unfolded,) = unfold_views([cq], rdt)
+        assert str(unfolded) == "head(5, 5) :- T(5)"
+
+
 class TestIsomorphism:
     def test_renamed_variables_are_isomorphic(self):
         cq1 = ConjunctiveQuery([Atom("r", (Var(1), Var(2)))], [], [Var(1)])

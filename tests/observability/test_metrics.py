@@ -237,6 +237,58 @@ class TestBoundChildren:
         assert registry.snapshot()["h"]["series"] == []
 
 
+class TestHistogramCount:
+    """A counter that reports a histogram's per-label-set counts."""
+
+    def test_reads_the_histogram_counts_as_a_counter(self):
+        registry = MetricsRegistry()
+        seconds = registry.histogram("h_seconds", buckets=(0.1, 1.0))
+        registry.counter_of("h_total", "Events.", seconds)
+        for value, backend in ((0.05, "a"), (0.5, "a"), (5.0, "b")):
+            seconds.labels(backend=backend).observe(value)
+        counter = registry.counter("h_total")  # the same family
+        assert counter.value(backend="a") == 2.0
+        assert counter.value(backend="c") == 0.0
+        assert counter.total() == 3.0
+        snapshot = registry.snapshot()
+        assert snapshot["h_total"] == {
+            "type": "counter",
+            "help": "Events.",
+            "series": [
+                {"labels": {"backend": "a"}, "value": 2.0},
+                {"labels": {"backend": "b"}, "value": 1.0},
+            ],
+        }
+        text = registry.to_prometheus()
+        assert "# TYPE h_total counter" in text
+        assert 'h_total{backend="a"} 2\n' in text
+        assert 'h_seconds_count{backend="a"} 2\n' in text
+
+    def test_a_series_appears_with_the_histograms(self):
+        registry = MetricsRegistry()
+        seconds = registry.histogram("h_seconds")
+        registry.counter_of("h_total", "", seconds)
+        seconds.labels(backend="a")  # bound, never observed
+        assert registry.snapshot()["h_total"]["series"] == []
+
+    def test_creation_is_idempotent_and_guarded(self):
+        registry = MetricsRegistry()
+        seconds = registry.histogram("h_seconds")
+        counter = registry.counter_of("h_total", "", seconds)
+        assert registry.counter_of("h_total", "", seconds) is counter
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter_of("h_total", "", registry.histogram("other"))
+        registry.counter("plain")
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.counter_of("plain", "", seconds)
+
+    def test_cannot_be_incremented(self):
+        registry = MetricsRegistry()
+        counter = registry.counter_of("h_total", "", registry.histogram("h"))
+        with pytest.raises(TypeError, match="observe that histogram"):
+            counter.inc(backend="a")
+
+
 class TestRegistry:
     def test_idempotent_creation_returns_same_metric(self):
         registry = MetricsRegistry()
