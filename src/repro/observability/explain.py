@@ -134,9 +134,6 @@ def _render_plan(
             f"(pushed {join.pushed_predicates} predicate(s), "
             f"{join.join_edges} equi-join edge(s))"
         )
-    ctes = getattr(plan, "cte_names", ())
-    if ctes:
-        lines.append(f"shared subplans: {', '.join(ctes)}")
     estimated = getattr(plan, "estimated_rows", None)
     if estimated is not None:
         lines.append(f"estimated result rows: {estimated:.0f}")

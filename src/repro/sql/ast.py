@@ -324,7 +324,7 @@ def map_children(
     (and *predicate_fn*, when given, to each attached predicate).
 
     The structural-recursion helper behind the optimizer's rewrite,
-    planning, pruning, and CSE passes.  When every child (and attached
+    planning, and pruning passes.  When every child (and attached
     predicate) comes back as the very same object, *query* itself is
     returned, so a walk that changes nothing allocates nothing and callers
     can test for change with ``is``.  Leaf nodes (``Relation``) are returned

@@ -12,10 +12,10 @@ levels:
   traversals become UNIONs of k-hop join chains when statistics say the
   unrolled plan is cheap), join-graph extraction with predicate pushdown
   (cross products become equi-joins), greedy join reordering driven by
-  table statistics, dead-column projection pruning, and common-subplan
-  elimination.  Level 2 needs the relational *schema* (to reason about
-  scopes) and optionally :mod:`repro.sql.stats` table statistics (to rank
-  join orders by estimated cardinality).
+  table statistics, and dead-column projection pruning.  Level 2 needs
+  the relational *schema* (to reason about scopes) and optionally
+  :mod:`repro.sql.stats` table statistics (to rank join orders by
+  estimated cardinality).
 
 Level-1 rewrites:
 
@@ -26,7 +26,6 @@ Level-1 rewrites:
 * ``ρ_T(Π_M(Q)) → Π_{rename(M)}(Q)``     (renaming as projection)
 * ``ρ_T(ρ_S(Q)) → Π(...)``               (via the rule above)
 * ``GroupBy(Π_M(Q), ...) → GroupBy(Q, ...)`` with substituted keys/columns
-* identity projections are dropped.
 
 Substitution only fires when the inner projection's expressions are pure
 (aggregate-free) and every reference resolves; otherwise the tree is left
@@ -82,8 +81,7 @@ def optimize(
 
     *report*, when given, is a :class:`~repro.sql.planner.PlanReport` the
     level-2 passes fill with their decisions (recursive-vs-unrolled
-    traversal choices, join orders, hoisted CTEs, the final cardinality
-    estimate) — the introspection seam ``repro explain`` renders.
+    traversal choices, join orders, the final cardinality estimate) — the introspection seam ``repro explain`` renders.
 
     The serving layer's query budgets reach the planner through two knobs:
     *force_recursive* keeps every traversal fixpoint as a recursive CTE
@@ -113,24 +111,23 @@ def optimize(
 
     from repro.sql.planner import (
         CardinalityEstimator,
-        common_subplans,
         expand_recursions,
         plan_joins,
         prune_columns,
     )
 
     estimator = CardinalityEstimator(schema, stats, row_scale=row_scale)
-    # A pass that returns its input (``is``) leaves the tree normal.
-    expanded = expand_recursions(
+    # No level-1 rule fires at or above an unrolled chain (a distinct
+    # projection over joins of renamed scans, or a union of them), and
+    # the normalize after ``plan_joins`` covers the whole tree.
+    query = expand_recursions(
         query, estimator, report=report, force_recursive=force_recursive
     )
-    if expanded is not query:
-        query = _normalize(expanded)
     query = _normalize(plan_joins(query, schema, estimator, report=report))
+    # A pass that returns its input (``is``) leaves the tree normal.
     pruned = prune_columns(query, schema)
     if pruned is not query:
         query = _normalize(pruned)
-    query = common_subplans(query, schema, report=report)
     if report is not None:
         try:
             report.estimated_rows = estimator.cardinality(query)

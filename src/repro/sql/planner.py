@@ -16,9 +16,6 @@ module implements the optimizer's *level-2* passes on top:
 * **Dead-column pruning** (:func:`prune_columns`) — top-down removal of
   projection columns no ancestor references, so intermediate results only
   marshal attributes the query actually consumes.
-* **Common-subplan elimination** (:func:`common_subplans`) — repeated
-  self-contained subtrees are hash-consed into a ``WithQuery`` binding so
-  they are evaluated once (the renderer emits a real ``WITH`` CTE).
 * **Recursion unrolling** (:func:`expand_recursions`) — a variable-length
   traversal fixpoint (a :class:`~repro.sql.ast.RecursiveQuery` carrying
   :class:`~repro.sql.ast.ReachInfo`) whose upper hop bound is small is
@@ -37,14 +34,13 @@ correlated subqueries in the wrong place) leave the tree untouched.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.common.errors import SemanticsError
 from repro.relational.schema import RelationalSchema
 from repro.sql import ast
-from repro.sql.analysis import ast_size, output_attributes, resolve_attribute
+from repro.sql.analysis import output_attributes, resolve_attribute
 from repro.sql.stats import DatabaseStats
 
 #: Selinger-style fallbacks used when statistics are absent.
@@ -55,9 +51,6 @@ NOT_EQUAL_SELECTIVITY = 0.9
 NULL_SELECTIVITY = 0.1
 SUBQUERY_SELECTIVITY = 0.5
 DEFAULT_SELECTIVITY = 0.25
-
-#: Smallest subtree worth hoisting into a CTE (AST nodes).
-CSE_MIN_SIZE = 9
 
 #: Bounds for unrolling a bounded traversal into k-hop join chains.
 UNROLL_MAX_HOPS = 4
@@ -116,14 +109,14 @@ class PlanReport:
     (:class:`~repro.backends.service.PreparedQuery`), so ``repro explain``
     shows the planner's reasoning even when the trace itself was all cache
     hits.  ``estimated_rows`` is the optimizer's final cardinality
-    estimate — the ``execute`` span pairs it with the *actual* row count,
-    which is the feedback seam runtime re-planning will consume.
+    estimate: a recording ``query`` span carries it next to the *actual*
+    ``rows``, and :meth:`~repro.backends.service.GraphitiService
+    .observe_execution` compares the two to decide on a re-plan.
     """
 
     level: int = 0
     traversals: list[TraversalPlan] = field(default_factory=list)
     joins: list[JoinPlan] = field(default_factory=list)
-    cte_names: list[str] = field(default_factory=list)
     estimated_rows: float | None = None
     #: Adaptive-execution decision that produced this plan, filled in by
     #: the serving layer when estimate-vs-actual feedback triggered a
@@ -153,7 +146,6 @@ class PlanReport:
             "level": self.level,
             "traversals": [traversal.to_dict() for traversal in self.traversals],
             "joins": [join.to_dict() for join in self.joins],
-            "cte_names": list(self.cte_names),
             "estimated_rows": self.estimated_rows,
             "traversal_choice": self.traversal_choice,
             "feedback": self.feedback,
@@ -1061,139 +1053,3 @@ def _kept_columns(
     if len(kept) == len(columns):
         return columns
     return kept or (columns[0],)
-
-
-# ---------------------------------------------------------------------------
-# Common-subplan elimination (hash-consing into CTEs)
-# ---------------------------------------------------------------------------
-
-
-def common_subplans(
-    query: ast.Query,
-    schema: RelationalSchema,
-    max_rounds: int = 3,
-    report: PlanReport | None = None,
-) -> ast.Query:
-    """Hoist repeated self-contained subtrees into ``WithQuery`` bindings.
-
-    Fires on undirected-edge expansions and multi-pattern queries where the
-    transpiler emits the same scan/filter subtree several times; every
-    occurrence is replaced by a reference to one shared CTE, so the
-    reference evaluator computes it once and engines see a single ``WITH``
-    definition.
-    """
-    used_names = {relation.name for relation in schema.relations}
-    for node in _spine_nodes(query):
-        if isinstance(node, ast.WithQuery):
-            used_names.add(node.name)
-    for round_index in range(max_rounds):
-        candidate = _best_repeated_subtree(query, schema)
-        if candidate is None:
-            return query
-        name = _fresh_name("cse", used_names)
-        used_names.add(name)
-        if report is not None:
-            report.cte_names.append(name)
-        query = ast.WithQuery(name, candidate, _replace(query, candidate, name))
-    return query
-
-
-def _fresh_name(stem: str, used: set[str]) -> str:
-    counter = 1
-    while f"{stem}{counter}" in used:
-        counter += 1
-    return f"{stem}{counter}"
-
-
-def _spine_nodes(query: ast.Query):
-    """Query nodes of the main tree, excluding subquery-predicate bodies."""
-    yield query
-    if isinstance(query, (ast.Projection, ast.Selection, ast.Renaming, ast.OrderBy, ast.GroupBy)):
-        yield from _spine_nodes(query.query)
-    elif isinstance(query, (ast.Join, ast.UnionOp)):
-        yield from _spine_nodes(query.left)
-        yield from _spine_nodes(query.right)
-    elif isinstance(query, ast.WithQuery):
-        yield from _spine_nodes(query.definition)
-        yield from _spine_nodes(query.body)
-
-
-def _best_repeated_subtree(
-    query: ast.Query, schema: RelationalSchema
-) -> ast.Query | None:
-    counts = Counter(_spine_nodes(query))
-    candidates = [
-        node
-        for node, count in counts.items()
-        if count >= 2
-        and not isinstance(node, ast.Relation)
-        and ast_size(node) >= CSE_MIN_SIZE
-        and _self_contained(node, schema)
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=ast_size)
-
-
-def _self_contained(query: ast.Query, schema: RelationalSchema) -> bool:
-    """Whether every reference inside *query* resolves within it — the
-    condition for hoisting it to the top without capturing/losing names."""
-    free = _free_refs(query, schema)
-    return free is not None and not free
-
-
-def _free_refs(query: ast.Query, schema: RelationalSchema) -> set[str] | None:
-    """References escaping *query*'s own scope; ``None`` = unknowable."""
-
-    def unresolved(refs: set[str] | None, attrs: tuple[str, ...] | None) -> set[str] | None:
-        if refs is None or attrs is None:
-            return None
-        return {name for name in refs if _resolved(name, attrs) is None}
-
-    if isinstance(query, ast.Relation):
-        try:
-            schema.relation(query.name)
-        except Exception:
-            return None  # CTE reference — binding would be left behind
-        return set()
-    if isinstance(query, ast.Projection):
-        inner = _free_refs(query.query, schema)
-        attrs = output_attributes(query.query, schema)
-        own = unresolved(_columns_refs(query.columns), attrs)
-        return _union(inner, own)
-    if isinstance(query, ast.Selection):
-        inner = _free_refs(query.query, schema)
-        attrs = output_attributes(query.query, schema)
-        own = unresolved(_refs(query.predicate), attrs)
-        return _union(inner, own)
-    if isinstance(query, ast.Renaming):
-        return _free_refs(query.query, schema)
-    if isinstance(query, ast.Join):
-        left = _free_refs(query.left, schema)
-        right = _free_refs(query.right, schema)
-        attrs = output_attributes(query, schema)
-        own = unresolved(_refs(query.predicate), attrs)
-        return _union(left, right, own)
-    if isinstance(query, ast.UnionOp):
-        return _union(_free_refs(query.left, schema), _free_refs(query.right, schema))
-    if isinstance(query, ast.GroupBy):
-        inner = _free_refs(query.query, schema)
-        attrs = output_attributes(query.query, schema)
-        key_refs = _union(*map(_refs, query.keys))
-        own = unresolved(
-            _union(key_refs, _columns_refs(query.columns), _refs(query.having)),
-            attrs,
-        )
-        return _union(inner, own)
-    if isinstance(query, ast.OrderBy):
-        inner = _free_refs(query.query, schema)
-        attrs = output_attributes(query.query, schema)
-        own = unresolved(_union(*map(_refs, query.keys)), attrs)
-        return _union(inner, own)
-    return None  # WithQuery bindings and unknown nodes: be conservative
-
-
-def _replace(query: ast.Query, target: ast.Query, name: str) -> ast.Query:
-    if query == target:
-        return ast.Relation(name)
-    return ast.map_children(query, lambda q: _replace(q, target, name))

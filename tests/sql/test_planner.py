@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.backends import GraphitiService, available_backends
+from repro.benchmarks.universes import SOCIAL
 from repro.common.values import NULL
 from repro.core.transpile import transpile
 from repro.cypher.parser import parse_cypher
@@ -10,7 +12,7 @@ from repro.relational.schema import Relation, RelationalSchema
 from repro.sql import ast
 from repro.sql.analysis import iter_nodes
 from repro.sql.optimize import optimize
-from repro.sql.planner import CardinalityEstimator, common_subplans
+from repro.sql.planner import CardinalityEstimator
 from repro.sql.semantics import evaluate_query
 from repro.sql.stats import TableStats, collect_stats
 
@@ -175,47 +177,24 @@ class TestColumnPruning:
         )
 
 
-class TestCommonSubplans:
-    def _repeated_branch(self) -> ast.Query:
-        return ast.Projection(
-            ast.Selection(
-                ast.Renaming("x", ast.Relation("r")),
-                ast.Comparison("=", ast.AttributeRef("x.b"), ast.Literal(10)),
-            ),
-            (
-                ast.OutputColumn("a", ast.AttributeRef("x.a")),
-                ast.OutputColumn("b", ast.AttributeRef("x.b")),
-            ),
-        )
-
-    def test_repeated_union_branch_hoisted_into_cte(self, db):
-        query = ast.UnionOp(self._repeated_branch(), self._repeated_branch(), all=True)
-        hoisted = common_subplans(query, db.schema)
-        assert isinstance(hoisted, ast.WithQuery)
-        references = [
-            n
-            for n in iter_nodes(hoisted.body)
-            if isinstance(n, ast.Relation) and n.name == hoisted.name
-        ]
-        assert len(references) == 2
-        assert tables_equivalent(
-            evaluate_query(query, db), evaluate_query(hoisted, db)
-        )
-
-    def test_correlated_subtree_not_hoisted(self, db):
-        # x.c never resolves inside the branch — hoisting would break scoping.
-        correlated = ast.Projection(
-            ast.Selection(
-                ast.Renaming("x", ast.Relation("r")),
-                ast.Comparison("=", ast.AttributeRef("outer.c"), ast.Literal(10)),
-            ),
-            (
-                ast.OutputColumn("a", ast.AttributeRef("x.a")),
-                ast.OutputColumn("b", ast.AttributeRef("x.b")),
-            ),
-        )
-        query = ast.UnionOp(correlated, correlated, all=True)
-        assert common_subplans(query, db.schema) == query
+def test_identical_union_branches_are_planned_apart():
+    """Translation renames each clause apart, so a plan almost never holds
+    two equal subtrees; a UNION of two identical join branches is the one
+    shape that does.  Level 2 plans each branch on its own, with no shared
+    ``WITH`` binding, and every engine answers with the reference's bag."""
+    text = (
+        "MATCH (a:USER)-[f:FOLLOWS]->(b:USER) RETURN a.uname UNION ALL "
+        "MATCH (a:USER)-[f:FOLLOWS]->(b:USER) RETURN a.uname"
+    )
+    with GraphitiService(SOCIAL.graph_schema) as service:
+        service.load_mock(15, seed=7)
+        assert "WITH" not in service.prepare(text, opt_level=2).sql_text
+        expected = service.reference(text)
+        assert expected.rows
+        for backend in available_backends():
+            assert tables_equivalent(
+                expected, service.run(text, backend=backend, opt_level=2)
+            ), backend
 
 
 class TestEstimator:
