@@ -89,6 +89,7 @@ from repro.common.budget import QueryBudget
 from repro.graph.schema import GraphSchema
 from repro.observability.metrics import CounterChild
 from repro.relational.instance import Database, Table
+from repro.sql.stats import DatabaseStats
 
 from repro.backends.executor import HopClock
 from repro.backends.service import (
@@ -330,8 +331,10 @@ class AsyncGraphitiService:
         """Eagerly spawn pool members without stalling the event loop."""
         await asyncio.to_thread(self._service.warm_pool, backend, members)
 
-    async def load_database(self, database: Database) -> None:
-        await asyncio.to_thread(self._service.load_database, database)
+    async def load_database(
+        self, database: Database, stats: DatabaseStats | None = None
+    ) -> None:
+        await asyncio.to_thread(self._service.load_database, database, stats)
 
     async def load_graph(self, graph: object) -> None:
         await asyncio.to_thread(self._service.load_graph, graph)

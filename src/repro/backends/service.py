@@ -422,13 +422,6 @@ class _LruCache:
             self.hits += 1
             return value
 
-    def put(self, key: object, value: object) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
     def put_if_absent(self, key: object, value: object) -> object:
         """Store *value* under *key* unless an entry is there already;
         either way, the entry the cache keeps (marked most recently used)."""

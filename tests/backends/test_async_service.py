@@ -540,6 +540,22 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             asyncio.run(svc.run(SCAN))
 
+    def test_load_database_takes_precomputed_stats(self, emp_dept_schema):
+        """Statistics handed to the async load reach the planner, as they
+        do through the sync one: stale ones say 2 rows where 60 serve."""
+        from repro.execution.datagen import MockDataGenerator
+        from repro.sql.stats import collect_stats
+
+        async def main():
+            async with AsyncGraphitiService(emp_dept_schema) as svc:
+                generator = MockDataGenerator(emp_dept_schema, svc.service.sdt, seed=4)
+                stale = collect_stats(generator.induced_instance(2))
+                await svc.load_database(generator.induced_instance(60), stats=stale)
+                estimate = svc.service.prepare(SCAN, opt_level=2).plan.estimated_rows
+                return estimate, len(await svc.run(SCAN))
+
+        assert asyncio.run(main()) == (2.0, 60)
+
     def test_wrapping_does_not_close_shared_service(self, service):
         async def main():
             async with AsyncGraphitiService(service) as svc:

@@ -9,58 +9,51 @@ class TestLruBasics:
     def test_miss_then_hit(self):
         cache = _LruCache(maxsize=4)
         assert cache.get("a") is None
-        cache.put("a", 1)
+        cache.put_if_absent("a", 1)
         assert cache.get("a") == 1
         info = cache.info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
-    def test_put_overwrites(self):
-        cache = _LruCache(maxsize=4)
-        cache.put("a", 1)
-        cache.put("a", 2)
-        assert cache.get("a") == 2
-        assert cache.info().currsize == 1
-
     def test_evicts_least_recently_used(self):
         cache = _LruCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a"
+        cache.put_if_absent("a", 1)
+        cache.put_if_absent("b", 2)
+        cache.put_if_absent("c", 3)  # evicts "a"
         assert cache.get("a") is None
         assert cache.get("b") == 2
         assert cache.get("c") == 3
 
     def test_get_refreshes_recency(self):
         cache = _LruCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        cache.put_if_absent("a", 1)
+        cache.put_if_absent("b", 2)
         assert cache.get("a") == 1  # "a" is now most recent
-        cache.put("c", 3)  # evicts "b", not "a"
+        cache.put_if_absent("c", 3)  # evicts "b", not "a"
         assert cache.get("a") == 1
         assert cache.get("b") is None
 
     def test_put_refreshes_recency(self):
         cache = _LruCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # re-put: "a" most recent
-        cache.put("c", 3)  # evicts "b"
+        cache.put_if_absent("a", 1)
+        cache.put_if_absent("b", 2)
+        assert cache.put_if_absent("a", 10) == 1  # keeps 1: "a" most recent
+        cache.put_if_absent("c", 3)  # evicts "b"
         assert cache.get("b") is None
-        assert cache.get("a") == 10
+        assert cache.get("a") == 1
 
     def test_eviction_is_fifo_among_untouched(self):
         cache = _LruCache(maxsize=3)
         for key in "abc":
-            cache.put(key, key)
-        cache.put("d", "d")
-        cache.put("e", "e")
+            cache.put_if_absent(key, key)
+        cache.put_if_absent("d", "d")
+        cache.put_if_absent("e", "e")
         assert cache.get("a") is None
         assert cache.get("b") is None
         assert [cache.get(k) for k in "cde"] == ["c", "d", "e"]
 
     def test_clear_resets_entries_and_counters(self):
         cache = _LruCache(maxsize=4)
-        cache.put("a", 1)
+        cache.put_if_absent("a", 1)
         cache.get("a")
         cache.get("zzz")
         cache.clear()
@@ -81,7 +74,7 @@ class TestLruThreadSafety:
             try:
                 for i in range(300):
                     key = (worker_id * 7 + i) % 24
-                    cache.put(key, key)
+                    cache.put_if_absent(key, key)
                     value = cache.get(key)
                     assert value is None or value == key
             except Exception as error:  # pragma: no cover - failure path

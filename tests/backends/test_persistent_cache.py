@@ -227,8 +227,8 @@ class TestPlanKey:
         variant = PLAIN._replace(**{field: OTHER[field]})
         assert cache_key(*variant) != cache_key(*PLAIN)
         memory = _LruCache(maxsize=4)
-        memory.put(PLAIN, "plain")
-        memory.put(variant, "variant")
+        memory.put_if_absent(PLAIN, "plain")
+        memory.put_if_absent(variant, "variant")
         assert memory.get(PLAIN) == "plain"
         assert memory.get(variant) == "variant"
         assert memory.info().currsize == 2
