@@ -81,7 +81,8 @@ def optimize(
 
     *report*, when given, is a :class:`~repro.sql.planner.PlanReport` the
     level-2 passes fill with their decisions (recursive-vs-unrolled
-    traversal choices, join orders, the final cardinality estimate) — the introspection seam ``repro explain`` renders.
+    traversal choices, join orders, the final cardinality estimate) —
+    the introspection seam ``repro explain`` renders.
 
     The serving layer's query budgets reach the planner through two knobs:
     *force_recursive* keeps every traversal fixpoint as a recursive CTE
@@ -117,9 +118,9 @@ def optimize(
     )
 
     estimator = CardinalityEstimator(schema, stats, row_scale=row_scale)
-    # No level-1 rule fires at or above an unrolled chain (a distinct
-    # projection over joins of renamed scans, or a union of them), and
-    # the normalize after ``plan_joins`` covers the whole tree.
+    # No normalize here: no level-1 rule fires at or above an unrolled
+    # chain (a distinct projection over joins of renamed scans, or a union
+    # of them), and the one after ``plan_joins`` covers the whole tree.
     query = expand_recursions(
         query, estimator, report=report, force_recursive=force_recursive
     )
