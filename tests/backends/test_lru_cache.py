@@ -14,6 +14,14 @@ class TestLruBasics:
         info = cache.info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
+    def test_put_if_absent_keeps_the_first_entry(self):
+        cache = _LruCache(maxsize=4)
+        assert cache.put_if_absent("a", 1) == 1
+        assert cache.put_if_absent("a", 2) == 1  # no overwrite: the kept entry
+        assert cache.get("a") == 1
+        info = cache.info()
+        assert (info.hits, info.misses, info.currsize) == (1, 0, 1)
+
     def test_evicts_least_recently_used(self):
         cache = _LruCache(maxsize=2)
         cache.put_if_absent("a", 1)
@@ -89,3 +97,21 @@ class TestLruThreadSafety:
         info = cache.info()
         assert info.currsize <= 16
         assert info.hits + info.misses == 8 * 300
+
+    def test_racing_stores_of_one_key_all_get_the_first(self):
+        cache = _LruCache(maxsize=4)
+        start = threading.Barrier(8)
+        kept = [None] * 8
+
+        def worker(worker_id: int) -> None:
+            start.wait()
+            kept[worker_id] = cache.put_if_absent("k", object())
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(value is kept[0] for value in kept)
+        assert cache.get("k") is kept[0]
+        assert cache.info().currsize == 1
