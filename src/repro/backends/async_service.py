@@ -4,7 +4,8 @@ There is one serving pipeline — :meth:`GraphitiService._serve
 <repro.backends.service.GraphitiService._serve>` — and every guard and
 recovery step of serving lives there; this module adds none.  Each awaited
 :meth:`~AsyncGraphitiService.run` opens its ``query`` span on the event
-loop and then calls that pipeline in one of two places.
+loop, when the tracer records, and then calls that pipeline in one of two
+places.
 
 **Inline, on the loop**, when the executor hop would cost more than the
 query.  A thread round trip costs tens of microseconds, and a warm point
@@ -85,9 +86,10 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Sequence, TypeVar
 
-from repro.common.budget import QueryBudget
+from repro.common.budget import BudgetTracker, QueryBudget
 from repro.graph.schema import GraphSchema
 from repro.observability.metrics import CounterChild
+from repro.observability.tracing import NOOP_SPAN
 from repro.relational.instance import Database, Table
 from repro.sql.stats import DatabaseStats
 
@@ -201,43 +203,63 @@ class AsyncGraphitiService:
         budget: QueryBudget | None,
         **attributes: object,
     ) -> Table:
+        """One awaited query under its ``query`` span, which opens only
+        when the tracer records."""
         if self._closed:
             raise RuntimeError("AsyncGraphitiService is closed")
         service = self._service
         # The budget's clock starts now, so time queued for an executor
         # thread counts against its timeout.
         tracker = service._start_budget(budget)
-        with service.tracer.span("query", backend=name, **attributes) as span:
-            served = None
-            key = service._plan_key(
-                cypher_text, service.dialect_of(name), opt_level, tracker
+        tracer = service._tracer
+        if not tracer.enabled:
+            served = await self._place(cypher_text, name, opt_level, tracker, NOOP_SPAN)
+            return served[0]
+        with tracer.span("query", backend=name, **attributes) as span:
+            result, prepared = await self._place(
+                cypher_text, name, opt_level, tracker, span
             )
-            hop = self._hop.seconds
-            entry = None if hop is None else service._prepare(key, memory_only=True)
-            serve = partial(service._serve, key, name, tracker, entry)
-            inline = entry is not None and self._fits_inline(entry, name, hop)
-            if inline:
-                # One turn for every other ready task first: back-to-back
-                # inline queries would otherwise starve them.
-                await asyncio.sleep(0)
-                if self._closed:
-                    raise RuntimeError("AsyncGraphitiService is closed")
-            try:
-                if inline:
-                    try:
-                        served = serve(on_loop=True)
-                    except _OffLoop as leave:
-                        serve, inline = leave.resume, False
-                if served is None:
-                    served = await self._offload(serve)
-            finally:
-                self._placement_series(name)[0 if inline else 1].inc()
-                if span.recording:
-                    span.set("placement", "inline" if inline else "executor")
-            result, prepared = served
-            if span.recording:
-                _note_served(span, result, prepared)
+            _note_served(span, result, prepared)
         return result
+
+    async def _place(
+        self,
+        cypher_text: str,
+        name: str,
+        opt_level: int | None,
+        tracker: BudgetTracker | None,
+        span,
+    ) -> tuple[Table, PreparedQuery]:
+        """Serve inline or on the executor (see the module docstring), and
+        count the placement, also on *span* when it records."""
+        service = self._service
+        served = None
+        key = service._plan_key(
+            cypher_text, service.dialect_of(name), opt_level, tracker
+        )
+        hop = self._hop.seconds
+        entry = None if hop is None else service._prepare(key, memory_only=True)
+        serve = partial(service._serve, key, name, tracker, entry)
+        inline = entry is not None and self._fits_inline(entry, name, hop)
+        if inline:
+            # One turn for every other ready task first: back-to-back
+            # inline queries would otherwise starve them.
+            await asyncio.sleep(0)
+            if self._closed:
+                raise RuntimeError("AsyncGraphitiService is closed")
+        try:
+            if inline:
+                try:
+                    served = serve(on_loop=True)
+                except _OffLoop as leave:
+                    serve, inline = leave.resume, False
+            if served is None:
+                served = await self._offload(serve)
+        finally:
+            self._placement_series(name)[0 if inline else 1].inc()
+            if span.recording:
+                span.set("placement", "inline" if inline else "executor")
+        return served
 
     def _fits_inline(self, entry: PreparedQuery, name: str, hop: float) -> bool:
         """Gate conditions 3 and 4 (see the module docstring); the cache

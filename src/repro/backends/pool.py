@@ -39,7 +39,7 @@ from functools import partial
 from typing import Iterator
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import NOOP_TRACER
+from repro.observability.tracing import NOOP_SPAN, NOOP_TRACER
 from repro.relational.instance import Database
 
 from repro.backends.base import ExecutionBackend
@@ -283,50 +283,58 @@ class ConnectionPool:
         connection died while it sat idle — is evicted, freeing its
         capacity slot, and the checkout retries with the next idle member
         or a fresh spawn.  The probe runs outside the pool lock so a slow
-        one never serialises other checkouts.
+        one never serialises other checkouts.  The ``pool.checkout`` span
+        opens only when the tracer records.
         """
         started = time.perf_counter()
+        tracer = self.tracer
+        if not tracer.enabled:
+            return self._checkout(started, timeout, NOOP_SPAN)
+        with tracer.span("pool.checkout", backend=self.backend_name) as span:
+            return self._checkout(started, timeout, span)
+
+    def _checkout(
+        self, started: float, timeout: float | None, span
+    ) -> ExecutionBackend:
+        """:meth:`checkout` from *started* on, under *span*."""
         deadline = None if timeout is None else started + timeout
-        with self.tracer.span("pool.checkout", backend=self.backend_name) as span:
-            spawned = False
-            while True:
-                member = None
-                with self._lock:
-                    while True:
-                        if self._closed:
-                            raise PoolClosed(
-                                f"pool for {self.backend_name!r} is closed"
-                            )
-                        if self._idle:
-                            member, checked_in = self._idle.pop()
-                            self._checked_out += 1
-                            break
-                        if self._size + self._spawning < self._capacity:
-                            self._spawning += 1
-                            spawned = True
-                            break
-                        # A real deadline, not a per-wakeup timeout: a waiter
-                        # that keeps being notified but loses the race to a
-                        # faster thread must still time out after *timeout*
-                        # seconds total.
-                        remaining = (
-                            None if deadline is None else deadline - time.perf_counter()
+        spawned = False
+        while True:
+            member = None
+            with self._lock:
+                while True:
+                    if self._closed:
+                        raise PoolClosed(f"pool for {self.backend_name!r} is closed")
+                    if self._idle:
+                        member, checked_in = self._idle.pop()
+                        self._checked_out += 1
+                        break
+                    if self._size + self._spawning < self._capacity:
+                        self._spawning += 1
+                        spawned = True
+                        break
+                    # A real deadline, not a per-wakeup timeout: a waiter
+                    # that keeps being notified but loses the race to a
+                    # faster thread must still time out after *timeout*
+                    # seconds total.
+                    remaining = (
+                        None if deadline is None else deadline - time.perf_counter()
+                    )
+                    if remaining is not None and remaining <= 0:
+                        raise self._timeout_locked(
+                            timeout, time.perf_counter() - started
                         )
-                        if remaining is not None and remaining <= 0:
-                            raise self._timeout_locked(
-                                timeout, time.perf_counter() - started
-                            )
-                        self._blocked += 1
-                        try:
-                            self._available.wait(remaining)
-                        finally:
-                            self._blocked -= 1
-                if member is None:
-                    member = self._spawn_reserved(checkout=True)
-                elif not self._admit(member, checked_in):
-                    continue  # dead member evicted; retry under the deadline
-                self._note_checkout(time.perf_counter() - started, span, spawned)
-                return member
+                    self._blocked += 1
+                    try:
+                        self._available.wait(remaining)
+                    finally:
+                        self._blocked -= 1
+            if member is None:
+                member = self._spawn_reserved(checkout=True)
+            elif not self._admit(member, checked_in):
+                continue  # dead member evicted; retry under the deadline
+            self._note_checkout(time.perf_counter() - started, span, spawned)
+            return member
 
     def take_idle(self) -> ExecutionBackend | None:
         """An idle member for exclusive use, or ``None`` when getting one
@@ -334,21 +342,30 @@ class ConnectionPool:
         is closed).  Never blocks: the async service takes its inline
         queries' members here.  A member it returns was admitted (pinged
         unless inside the window) and counted exactly as :meth:`checkout`
-        does; check it in the same way."""
+        does, under the same span; check it in the same way."""
         started = time.perf_counter()
-        with self.tracer.span("pool.checkout", backend=self.backend_name) as span:
-            while True:
-                with self._lock:
-                    if self._closed or not self._idle:
-                        return None
-                    member, checked_in = self._idle.pop()
-                    self._checked_out += 1
-                if self._admit(member, checked_in):
-                    self._note_checkout(time.perf_counter() - started, span, False)
-                    return member
+        tracer = self.tracer
+        if not tracer.enabled:
+            return self._take_idle(started, NOOP_SPAN)
+        with tracer.span("pool.checkout", backend=self.backend_name) as span:
+            return self._take_idle(started, span)
+
+    def _take_idle(self, started: float, span) -> ExecutionBackend | None:
+        """:meth:`take_idle` from *started* on, under *span*."""
+        while True:
+            with self._lock:
+                if self._closed or not self._idle:
+                    return None
+                member, checked_in = self._idle.pop()
+                self._checked_out += 1
+            if self._admit(member, checked_in):
+                self._note_checkout(time.perf_counter() - started, span, False)
+                return member
 
     def _note_checkout(self, waited: float, span, spawned: bool) -> None:
-        """Account one successful checkout (metrics + span attributes)."""
+        """Account one successful checkout: the wait histogram, and the
+        attributes of *span* when it records (the no-op span when the
+        tracer does not)."""
         if span.recording:
             span.set("waited_ms", round(waited * 1000.0, 3))
             span.set("spawned", spawned)

@@ -71,7 +71,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     SlowQueryLog,
 )
-from repro.observability.tracing import NOOP_TRACER
+from repro.observability.tracing import NOOP_SPAN, NOOP_TRACER
 from repro.relational.instance import Database, Table
 from repro.sql import ast as sq
 from repro.sql.dialect import SqlDialect, dialect_for
@@ -155,7 +155,7 @@ def _checkout_timeout(tracker: BudgetTracker) -> float:
 
 def _note_served(span, result: Table, prepared: "PreparedQuery") -> None:
     """The attributes of a recording ``query`` span once *prepared* has
-    served *result* (sync and async alike)."""
+    served *result* (sync and async, single and batched alike)."""
     span.set("opt_level", prepared.opt_level)
     span.set("rows", len(result.rows))
     plan = prepared.plan
@@ -520,9 +520,9 @@ class GraphitiService:
         self._query_states: OrderedDict[str, _QueryState] = OrderedDict()
         self._query_order = itertools.count()
         # Telemetry: a metrics registry (shared if the caller passes one), a
-        # slow-query ring buffer, and the no-op tracer — instrumentation is
-        # always on, and costs ~nothing until :meth:`set_tracer` attaches a
-        # real Tracer (``repro explain``, the smoke script).
+        # slow-query ring buffer, and the no-op tracer — a warm serve opens
+        # no span until :meth:`set_tracer` attaches a real Tracer (``repro
+        # explain``, the smoke script).
         self._registry = registry if registry is not None else MetricsRegistry()
         self._tracer = NOOP_TRACER
         self.slow_queries = SlowQueryLog()
@@ -781,90 +781,107 @@ class GraphitiService:
         With *memory_only*, ``None`` on a memory-tier miss instead of the
         disk tier and the pipeline.  That miss is not counted: the full
         prepare that follows counts the lookup, so every served query
-        counts one (the async service's placement lookup)."""
+        counts one (the async service's placement lookup).
+
+        The ``query.prepare`` and ``cache.lookup`` spans open only when
+        the tracer records; otherwise the lookup runs bare."""
         tracer = self._tracer
+        if not tracer.enabled:
+            cached = self._cache.get(key, count_miss=not memory_only)
+            if cached is not None:
+                assert isinstance(cached, PreparedQuery)
+                self._memory_hits.inc()
+                return cached
+            if memory_only:
+                return None
+            return self._prepare_missed(key, NOOP_SPAN)
         with tracer.span(
             "query.prepare", dialect=key.dialect, opt_level=key.level
         ) as prepare_span:
             with tracer.span("cache.lookup", tier="memory") as span:
                 cached = self._cache.get(key, count_miss=not memory_only)
-                if span.recording:
-                    span.set("hit", cached is not None)
+                span.set("hit", cached is not None)
             if cached is not None:
                 assert isinstance(cached, PreparedQuery)
                 self._memory_hits.inc()
-                if prepare_span.recording:
-                    prepare_span.set("cached", "memory")
+                prepare_span.set("cached", "memory")
                 return cached
             if memory_only:
-                if prepare_span.recording:
-                    prepare_span.set("cached", "deferred")
+                prepare_span.set("cached", "deferred")
                 return None
-            self._memory_misses.inc()
-            dialect = dialect_for(key.dialect)
-            with self._lock:  # one load's statistics with their digest
-                stats, digest = self._stats, self._stats_digest
-                state = self._query_states.get(key.text)
-                decision = state.feedback if state is not None else None
-            # A reload since the key was built replaced the statistics its
-            # digest names: the entry serves this query but is keyed nowhere.
-            keyed = digest == key.stats_digest or (
-                key.level < 2 and key.parallelism < 2
+            return self._prepare_missed(key, prepare_span)
+
+    def _prepare_missed(self, key: PlanKey, prepare_span) -> PreparedQuery:
+        """*key*'s entry after a memory-tier miss: from the persistent
+        store (when enabled) or the pipeline, each stage under its own
+        span, with the tier that answered set on *prepare_span* (the
+        no-op span when the tracer does not record)."""
+        tracer = self._tracer
+        self._memory_misses.inc()
+        dialect = dialect_for(key.dialect)
+        with self._lock:  # one load's statistics with their digest
+            stats, digest = self._stats, self._stats_digest
+            state = self._query_states.get(key.text)
+            decision = state.feedback if state is not None else None
+        # A reload since the key was built replaced the statistics its
+        # digest names: the entry serves this query but is keyed nowhere.
+        keyed = digest == key.stats_digest or (
+            key.level < 2 and key.parallelism < 2
+        )
+        if self._persistent is not None:
+            disk_key = cache_key(*key)
+            with tracer.span("cache.lookup", tier="disk") as span:
+                stored = self._persistent.get(disk_key)
+                span.set("hit", isinstance(stored, PreparedQuery))
+            self._cache_lookups.inc(
+                tier="disk",
+                result="hit" if isinstance(stored, PreparedQuery) else "miss",
             )
-            if self._persistent is not None:
-                disk_key = cache_key(*key)
-                with tracer.span("cache.lookup", tier="disk") as span:
-                    stored = self._persistent.get(disk_key)
-                    span.set("hit", isinstance(stored, PreparedQuery))
-                self._cache_lookups.inc(
-                    tier="disk",
-                    result="hit" if isinstance(stored, PreparedQuery) else "miss",
-                )
-                if isinstance(stored, PreparedQuery):
-                    prepare_span.set("cached", "disk")
-                    return self._admit(key, stored, stats, keyed)
-            prepare_span.set("cached", "no")
-            with tracer.span("query.parse"):
-                query = parse_cypher(key.text, self.graph_schema)
-            with tracer.span("query.transpile"):
-                raw = transpile(query, self.graph_schema, self.sdt)
-            report = PlanReport()
-            with tracer.span("optimize.planner", opt_level=key.level) as span:
-                translated = optimize(
-                    raw,
-                    level=key.level,
-                    schema=self.sdt.schema,
-                    stats=stats,
-                    report=report,
-                    force_recursive=key.force_recursive,
-                    depth_cap=key.depth_cap,
-                    row_scale=key.row_scale,
-                )
-                if decision is not None and decision.epoch == key.feedback_epoch:
-                    if decision.last is not None:
-                        report.feedback = dict(decision.last)
-                if report.traversal_choice is not None:
-                    span.set("traversals", report.traversal_choice)
-                span.set("joins_planned", len(report.joins))
-                if report.estimated_rows is not None:
-                    span.set("estimated_rows", round(report.estimated_rows, 1))
-            with tracer.span("query.render", dialect=key.dialect):
-                rendered = to_sql_text(
-                    translated, self.sdt.schema, optimized=False, dialect=dialect
-                )
-            prepared = PreparedQuery(
-                key.text,
-                translated,
-                rendered,
-                key.dialect,
-                key.fingerprint,
-                key.level,
-                report,
-                feedback_epoch=key.feedback_epoch,
+            if isinstance(stored, PreparedQuery):
+                prepare_span.set("cached", "disk")
+                return self._admit(key, stored, stats, keyed)
+        prepare_span.set("cached", "no")
+        with tracer.span("query.parse"):
+            query = parse_cypher(key.text, self.graph_schema)
+        with tracer.span("query.transpile"):
+            raw = transpile(query, self.graph_schema, self.sdt)
+        report = PlanReport()
+        with tracer.span("optimize.planner", opt_level=key.level) as span:
+            translated = optimize(
+                raw,
+                level=key.level,
+                schema=self.sdt.schema,
+                stats=stats,
+                report=report,
+                force_recursive=key.force_recursive,
+                depth_cap=key.depth_cap,
+                row_scale=key.row_scale,
             )
-            if keyed and self._persistent is not None:
-                self._persistent.put(disk_key, key.text, prepared)
-            return self._admit(key, prepared, stats, keyed)
+            if decision is not None and decision.epoch == key.feedback_epoch:
+                if decision.last is not None:
+                    report.feedback = dict(decision.last)
+            if report.traversal_choice is not None:
+                span.set("traversals", report.traversal_choice)
+            span.set("joins_planned", len(report.joins))
+            if report.estimated_rows is not None:
+                span.set("estimated_rows", round(report.estimated_rows, 1))
+        with tracer.span("query.render", dialect=key.dialect):
+            rendered = to_sql_text(
+                translated, self.sdt.schema, optimized=False, dialect=dialect
+            )
+        prepared = PreparedQuery(
+            key.text,
+            translated,
+            rendered,
+            key.dialect,
+            key.fingerprint,
+            key.level,
+            report,
+            feedback_epoch=key.feedback_epoch,
+        )
+        if keyed and self._persistent is not None:
+            self._persistent.put(disk_key, key.text, prepared)
+        return self._admit(key, prepared, stats, keyed)
 
     def _admit(
         self,
@@ -980,14 +997,20 @@ class GraphitiService:
         that actually served the execution — the entry whose plan and
         observed-feedback history describe *this* result, even when the
         adaptive layer re-planned the query right after it ran (``repro
-        explain`` relies on this to stay truthful)."""
+        explain`` relies on this to stay truthful).
+
+        The ``query`` span opens only when the tracer records."""
         name = backend or self.default_backend
-        with self._tracer.span("query", backend=name, cypher=cypher_text) as span:
+        tracer = self._tracer
+        if not tracer.enabled:
+            tracker = self._start_budget(budget)
+            key = self._plan_key(cypher_text, self.dialect_of(name), opt_level, tracker)
+            return self._serve(key, name, tracker)
+        with tracer.span("query", backend=name, cypher=cypher_text) as span:
             tracker = self._start_budget(budget)
             key = self._plan_key(cypher_text, self.dialect_of(name), opt_level, tracker)
             result, prepared = self._serve(key, name, tracker)
-            if span.recording:
-                _note_served(span, result, prepared)
+            _note_served(span, result, prepared)
         return result, prepared
 
     def _start_budget(self, budget: QueryBudget | None) -> BudgetTracker | None:
@@ -1193,18 +1216,28 @@ class GraphitiService:
                             attempt += 1
                             continue
                         raise
+                # budget= only when bounded: keeps stubbed/monkeypatched
+                # engines with the pre-budget signature working.  The
+                # ``execute`` span opens only when the tracer records.
                 try:
-                    with self._tracer.span("execute", backend=name) as exec_span:
+                    tracer = self._tracer
+                    if not tracer.enabled:
                         start = time.perf_counter()
-                        # budget= only when bounded: keeps stubbed/monkeypatched
-                        # engines with the pre-budget signature working.
                         result = (
                             member.execute(prepared.sql_text)
                             if tracker is None
                             else member.execute(prepared.sql_text, budget=tracker)
                         )
                         elapsed = time.perf_counter() - start
-                        if exec_span.recording:
+                    else:
+                        with tracer.span("execute", backend=name) as exec_span:
+                            start = time.perf_counter()
+                            result = (
+                                member.execute(prepared.sql_text)
+                                if tracker is None
+                                else member.execute(prepared.sql_text, budget=tracker)
+                            )
+                            elapsed = time.perf_counter() - start
                             exec_span.set("rows", len(result.rows))
                 except QueryBudgetExceeded as error:
                     # The guard aborted the statement, not the connection —
@@ -1551,19 +1584,25 @@ class GraphitiService:
 
             def execute_one(index: int) -> None:
                 text = texts[index]
+                tracer = self._tracer
+                if not tracer.enabled:
+                    tracker = self._start_budget(budget)
+                    key = self._plan_key(text, dialect, opt_level, tracker)
+                    results[index] = self._serve(key, name, tracker)[0]
+                    return
                 # parent= crosses the thread boundary explicitly: each
                 # worker's subtree hangs off the batch span, and the spans
                 # it opens inside (pool.checkout, execute) parent under the
                 # worker's own per-query span via the context variable —
                 # never under another worker's.
-                with self._tracer.span(
+                with tracer.span(
                     "query", parent=batch_span, backend=name, index=index
                 ) as span:
                     tracker = self._start_budget(budget)
                     key = self._plan_key(text, dialect, opt_level, tracker)
-                    table, _ = self._serve(key, name, tracker)
+                    table, prepared = self._serve(key, name, tracker)
                     results[index] = table
-                    span.set("rows", len(table.rows))
+                    _note_served(span, table, prepared)
 
             run_indexed(
                 len(texts),

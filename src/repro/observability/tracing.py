@@ -17,14 +17,28 @@ Parenting works two ways, and both are concurrency-correct:
   batch span across the thread/task boundary, so each branch's spans
   parent under the batch root without interleaving into one another.
 
-The cost discipline: instrumented code always calls ``tracer.span(...)``,
-but the default tracer is :data:`NOOP_TRACER`, whose ``span`` returns one
-shared, attribute-dropping context manager — no allocation, no clock
-reads, no lock.  Attributes computed after a span opens are guarded by
-the span's ``recording`` flag (``if span.recording: span.set(...)``), so
-the no-op span does not even pay for working them out.  The throughput
-benchmark's traced-vs-untraced lane keeps this honest (see
-``BENCH_throughput.json`` → ``tracing_overhead``).
+The cost discipline: the default tracer is :data:`NOOP_TRACER`, whose
+``span`` returns one shared, attribute-dropping context manager — no
+allocation, no clock reads, no lock.  Even so, a ``with`` statement makes
+three Python-level calls (``span``, ``__enter__``, ``__exit__``) and
+builds its keyword dict whatever the span does, so the rule has two
+parts:
+
+* a span site on the warm serving path — ``query``, ``query.prepare``,
+  ``cache.lookup`` (memory tier), ``pool.checkout`` and ``execute`` —
+  opens its span only when ``tracer.enabled``, and otherwise makes the
+  call the span wraps directly;
+* every other site (a batch, a partition scatter, a downgrade, a
+  re-plan, the stages of a cache miss) may call ``tracer.span``
+  unconditionally.
+
+A helper that serves both kinds of caller takes the span, the no-op one
+included, and guards attributes it would work out by the span's
+``recording`` flag (``if span.recording: span.set(...)``).  The
+throughput benchmark's traced-vs-untraced lane keeps this honest (see
+``BENCH_throughput.json`` → ``tracing_overhead``), and
+``tests/backends/test_hot_path.py`` checks that an untraced warm serve
+makes no call into this module.
 """
 
 from __future__ import annotations
@@ -218,6 +232,7 @@ class Tracer:
     cheap to create — ``repro explain`` makes a fresh one per query.
     """
 
+    #: Read by the warm serving path's span sites: ``True`` opens the span.
     enabled = True
 
     def __init__(self, max_traces: int = 256) -> None:
@@ -280,10 +295,12 @@ class NoopTracer:
     """The always-off tracer: ``span()`` returns the one shared no-op span.
 
     This is the default everywhere, which is what makes instrumentation
-    safe to leave always-on: the hot path pays one attribute lookup and
-    one call returning a singleton — no clock, no allocation, no lock.
+    safe to leave always-on: the warm serving path reads ``enabled`` and
+    opens no span at all, and every other site pays one call returning a
+    singleton — no clock, no allocation, no lock.
     """
 
+    #: Read by the warm serving path's span sites: ``False`` skips the span.
     enabled = False
 
     def span(self, name: str, parent=_UNSET, **attributes: object) -> _NoopSpan:

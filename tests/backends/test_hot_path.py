@@ -4,7 +4,8 @@ A warm point lookup spends a few microseconds in SQLite; the rest of its
 serve is the service's own Python.  ``sys.setprofile`` counts the
 Python-level calls into frames under ``src/repro`` for one warm
 ``GraphitiService.run`` of a ``point-hot`` text, and for one
-``AsyncGraphitiService.run`` served inline on the event loop.  Unlike a
+``AsyncGraphitiService.run`` served inline on the event loop, both under
+the default no-op tracer, whose spans they must not open.  Unlike a
 timing, the count repeats exactly from one serve to the next, so work that
 creeps back onto the hot path shows here as a count over the ceiling, with
 the per-function table naming where it went.
@@ -35,9 +36,14 @@ POINT = "MATCH (n:USER) WHERE n.uid = 7 RETURN n.uname, n.age"
 #: 3.11 (78 sync and 87 inline async before the hot path was trimmed, 59
 #: and 66 while every checkout pinged and every serve checked feedback, 54
 #: and 61 while a serve took the service lock three times and counted each
-#: execution and checkout twice).
-SYNC_CEILING = 48
-ASYNC_CEILING = 55
+#: execution and checkout twice, 48 and 55 while it entered and left five
+#: no-op spans).
+SYNC_CEILING = 34
+ASYNC_CEILING = 42
+
+#: The module an untraced serve must not call into: its span sites read
+#: ``tracer.enabled`` and open no span.
+TRACING = os.path.join("observability", "tracing.py") + ":"
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
@@ -80,6 +86,9 @@ def assert_within(counts: list[CallCounter], ceiling: int) -> None:
     first, again = counts
     assert first.calls == again.calls, (
         "the count did not repeat:\n" + first.table() + "\n--\n" + again.table()
+    )
+    assert not [where for where in first.calls if where.startswith(TRACING)], (
+        "an untraced serve called into the tracer:\n" + first.table()
     )
     assert first.total <= ceiling, (
         f"{first.total} calls into repro, over the ceiling of {ceiling}:\n"

@@ -137,6 +137,26 @@ class TestThreadedSpanParenting:
             assert child.find("execute") is not None
         assert_balanced(batch_span)
 
+    def test_batch_query_spans_carry_the_plan_attributes(self, service):
+        """Each query span of a sync batch carries what a single serve's
+        does: the rows, the plan's opt level and its estimate."""
+        tracer = Tracer()
+        service.set_tracer(tracer)
+        try:
+            tables = service.run_many([JOIN, SCAN], workers=2)
+        finally:
+            service.set_tracer(None)
+        queries = {
+            child.attributes["index"]: child.attributes
+            for child in tracer.last_trace().children
+            if child.name == "query"
+        }
+        for index, text in enumerate([JOIN, SCAN]):
+            estimate = service.prepare(text).plan.estimated_rows
+            assert queries[index]["rows"] == len(tables[index].rows)
+            assert queries[index]["opt_level"] == 2
+            assert queries[index]["estimated_rows"] == round(estimate, 1)
+
     def test_no_interleaving_across_roots(self, service):
         """Two sequential batches yield two disjoint roots, not a tangle."""
         tracer = Tracer()
@@ -207,10 +227,11 @@ class TestAsyncSpanParenting:
 
 
 class TestRecordingSpanAttributes:
-    """The serving path works out a span's attributes only when the span
-    records (``span.recording``): the no-op span never pays for them, and
-    a real tracer still gets every one — on a warm sync serve, and on a
-    warm async serve run inline on the event loop."""
+    """The warm serving path opens its spans only when the tracer records
+    (``tracer.enabled``): the no-op tracer never pays for them, and a real
+    tracer still gets every span and attribute — on a warm sync serve, and
+    on a warm async serve run inline on the event loop or offloaded to the
+    executor."""
 
     def assert_recorded(self, root, service, rows: int) -> None:
         estimate = service.prepare(JOIN).plan.estimated_rows
@@ -250,6 +271,21 @@ class TestRecordingSpanAttributes:
             async_svc.close()
         root = tracer.last_trace()
         assert root.attributes["placement"] == "inline"
+        self.assert_recorded(root, service, len(result.rows))
+
+    def test_offloaded_async_serve(self, service):
+        service.run(JOIN)
+        async_svc = AsyncGraphitiService(service, max_concurrency=2)
+        async_svc._hop.seconds = 0.0  # no engine call is cheaper: offload
+        tracer = Tracer()
+        service.set_tracer(tracer)
+        try:
+            result = asyncio.run(async_svc.run(JOIN))
+        finally:
+            service.set_tracer(None)
+            async_svc.close()
+        root = tracer.last_trace()
+        assert root.attributes["placement"] == "executor"
         self.assert_recorded(root, service, len(result.rows))
 
 
