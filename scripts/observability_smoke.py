@@ -9,7 +9,8 @@ time bounds — round-trips the trace through JSON, checks the Prometheus
 exposition renders with each counter read from a histogram's count
 present per backend and equal to that ``_count``, and writes the metrics
 snapshot artifact (``METRICS_observability.json``) that CI uploads next
-to the perf baselines.
+to the perf baselines.  ``tests/observability/test_metrics_artifact.py``
+checks the tracked artifact against :func:`write_artifact`.
 
 Run::
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -106,22 +108,16 @@ def check_json_round_trip(report, backend: str) -> dict:
     return document
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=200, help="mock rows per table")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "METRICS_observability.json",
-        help="metrics artifact path",
-    )
-    arguments = parser.parse_args(argv)
-    backends = available_backends()
-    if not backends:
-        fail("no execution backends available")
+def write_artifact(rows: int, backends: Sequence[str], out: Path) -> None:
+    """Run :data:`QUERY` once under a real tracer on each of *backends*, in
+    order, over one service loaded with *rows* mock rows per table; check
+    every trace, its JSON round trip and the exposition's counted series;
+    and write the metrics artifact to *out*.  The order matters: the first
+    backend's run prepares the plan, and the feedback re-plan lands on the
+    run that observes its second execution."""
     per_backend: dict[str, dict] = {}
     with GraphitiService(SOCIAL.graph_schema) as service:
-        service.load_mock(arguments.rows)
+        service.load_mock(rows)
         for name in backends:
             report = explain_query(service, QUERY, backend=name)
             check_span_tree(report.trace, name)
@@ -142,12 +138,28 @@ def main(argv: list[str] | None = None) -> int:
         check_counted_once(exposition, backends)
         artifact = {
             "query": QUERY,
-            "rows_per_table": arguments.rows,
+            "rows_per_table": rows,
             "backends": per_backend,
             "metrics": service.metrics.snapshot(),
             "prometheus_lines": len(exposition.splitlines()),
         }
-    arguments.out.write_text(json.dumps(artifact, indent=2) + "\n")
+    out.write_text(json.dumps(artifact, indent=2) + "\n")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rows", type=int, default=200, help="mock rows per table")
+    parser.add_argument(
+        "--out",
+        type=Path,
+        default=REPO_ROOT / "METRICS_observability.json",
+        help="metrics artifact path",
+    )
+    arguments = parser.parse_args(argv)
+    backends = available_backends()
+    if not backends:
+        fail("no execution backends available")
+    write_artifact(arguments.rows, backends, arguments.out)
     print(f"wrote {arguments.out}")
     return 0
 
