@@ -57,7 +57,13 @@ from repro.execution.datagen import MockDataGenerator, build_skewed_database
 from repro.relational.instance import tables_equivalent
 from repro.sql.stats import collect_stats
 
-from common import build_batch, load_and_warm, measure_overhead, time_serial_batch
+from common import (
+    available_cpus,
+    build_batch,
+    load_and_warm,
+    measure_overhead,
+    time_serial_batch,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_adaptive.json"
@@ -223,6 +229,7 @@ def run_bench(
             ),
             "universe": SOCIAL.name,
             "backend": backend,
+            "cpu_count": available_cpus(),
             "users": users,
             "hubs": hubs,
             "hub_edges": hub_edges,

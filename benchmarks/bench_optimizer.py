@@ -39,6 +39,8 @@ from repro.benchmarks.universes import SOCIAL
 from repro.relational.instance import tables_equivalent
 from repro.sql.analysis import join_count
 
+from common import available_cpus
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_optimizer.json"
 
@@ -215,6 +217,7 @@ def run_bench(
             "rows_per_table": rows_per_table,
             "repeats": repeats,
             "backends": list(available_backends()),
+            "cpu_count": available_cpus(),
             "universe": SOCIAL.name,
             "elapsed_seconds": round(time.time() - started, 1),
             "regression_rule": f"opt2 > opt1 * 1.10 + {REGRESSION_EPSILON_MS} ms",

@@ -49,6 +49,8 @@ from repro.sql.optimize import optimize
 from repro.sql.planner import CardinalityEstimator, expand_recursions
 from repro.sql.pretty import to_sql_text
 
+from common import available_cpus
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_traversal.json"
 
@@ -225,6 +227,7 @@ def run_bench(
             "rows_per_table": rows_per_table,
             "repeats": repeats,
             "backends": list(available_backends()),
+            "cpu_count": available_cpus(),
             "universe": SOCIAL.name,
             "elapsed_seconds": round(time.time() - started, 1),
         },

@@ -12,8 +12,11 @@ Usage::
 
     python scripts/bench_summary.py [--dir REPO_ROOT] [ files... ]
 
-Exits non-zero only when a named file is unreadable — a missing optional
-baseline is skipped, because not every CI job regenerates every lane.
+Exits non-zero when a named file is unreadable, and when a report's
+``meta`` records no ``cpu_count``: a tracked number that does not say
+how many CPUs produced it cannot be told apart from a host change.  A
+missing optional baseline is skipped, because not every CI job
+regenerates every lane.
 """
 
 from __future__ import annotations
@@ -45,13 +48,13 @@ def _scalar(value: object) -> str | None:
     return None
 
 
-def summarize_file(path: Path) -> list[str]:
-    report = json.loads(path.read_text())
+def summarize(name: str, report: dict) -> list[str]:
+    """The trajectory block of *report*, tracked as file *name*."""
     meta = report.get("meta", {})
     context = "  ".join(
         f"{key}={meta[key]}" for key in META_KEYS if key in meta
     )
-    lines = [f"== {path.name} ==", f"   {context}" if context else "   (no meta)"]
+    lines = [f"== {name} ==", f"   {context}" if context else "   (no meta)"]
     summary = report.get("summary")
     if not isinstance(summary, dict):
         lines.append("   (no summary block)")
@@ -87,13 +90,19 @@ def main(argv: list[str] | None = None) -> int:
     blocks: list[str] = []
     for path in paths:
         try:
-            blocks.append("\n".join(summarize_file(path)))
+            report = json.loads(path.read_text())
         except FileNotFoundError:
             if arguments.files:
                 print(f"missing report: {path}", file=sys.stderr)
                 status = 1
+            continue
         except (OSError, json.JSONDecodeError) as error:
             print(f"unreadable report {path}: {error}", file=sys.stderr)
+            status = 1
+            continue
+        blocks.append("\n".join(summarize(path.name, report)))
+        if "cpu_count" not in report.get("meta", {}):
+            print(f"{path.name}: meta records no cpu_count", file=sys.stderr)
             status = 1
     print(f"=== benchmark trajectory ({len(blocks)} tracked lane(s)) ===")
     print("\n\n".join(blocks))
