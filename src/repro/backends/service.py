@@ -1216,27 +1216,24 @@ class GraphitiService:
                             attempt += 1
                             continue
                         raise
-                # budget= only when bounded: keeps stubbed/monkeypatched
-                # engines with the pre-budget signature working.  The
-                # ``execute`` span opens only when the tracer records.
                 try:
+                    # budget= only when bounded: keeps stubbed/monkeypatched
+                    # engines with the pre-budget signature working.
+                    execute = (
+                        member.execute
+                        if tracker is None
+                        else partial(member.execute, budget=tracker)
+                    )
+                    # The ``execute`` span opens only when the tracer records.
                     tracer = self._tracer
                     if not tracer.enabled:
                         start = time.perf_counter()
-                        result = (
-                            member.execute(prepared.sql_text)
-                            if tracker is None
-                            else member.execute(prepared.sql_text, budget=tracker)
-                        )
+                        result = execute(prepared.sql_text)
                         elapsed = time.perf_counter() - start
                     else:
                         with tracer.span("execute", backend=name) as exec_span:
                             start = time.perf_counter()
-                            result = (
-                                member.execute(prepared.sql_text)
-                                if tracker is None
-                                else member.execute(prepared.sql_text, budget=tracker)
-                            )
+                            result = execute(prepared.sql_text)
                             elapsed = time.perf_counter() - start
                             exec_span.set("rows", len(result.rows))
                 except QueryBudgetExceeded as error:
