@@ -44,9 +44,8 @@ def written(tmp_path_factory) -> dict:
     return json.loads(out.read_text())
 
 
-def test_same_query_and_backends(written):
-    assert written["query"] == TRACKED["query"]
-    assert list(written["backends"]) == list(TRACKED["backends"])
+def test_same_query(written):
+    assert written["query"] == TRACKED["query"], REGENERATE
 
 
 @pytest.mark.parametrize("backend", list(TRACKED["backends"]))
