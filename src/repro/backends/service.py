@@ -1581,25 +1581,20 @@ class GraphitiService:
 
             def execute_one(index: int) -> None:
                 text = texts[index]
-                tracer = self._tracer
-                if not tracer.enabled:
-                    tracker = self._start_budget(budget)
-                    key = self._plan_key(text, dialect, opt_level, tracker)
-                    results[index] = self._serve(key, name, tracker)[0]
-                    return
                 # parent= crosses the thread boundary explicitly: each
                 # worker's subtree hangs off the batch span, and the spans
                 # it opens inside (pool.checkout, execute) parent under the
                 # worker's own per-query span via the context variable —
                 # never under another worker's.
-                with tracer.span(
+                with self._tracer.span(
                     "query", parent=batch_span, backend=name, index=index
                 ) as span:
                     tracker = self._start_budget(budget)
                     key = self._plan_key(text, dialect, opt_level, tracker)
                     table, prepared = self._serve(key, name, tracker)
                     results[index] = table
-                    _note_served(span, table, prepared)
+                    if span.recording:
+                        _note_served(span, table, prepared)
 
             run_indexed(
                 len(texts),

@@ -10,8 +10,9 @@ timing, the count repeats exactly from one serve to the next, so work that
 creeps back onto the hot path shows here as a count over the ceiling, with
 the per-function table naming where it went.
 
-The ceilings hold on CPython 3.10-3.12: 3.12 inlines comprehensions and
-counts one call fewer.
+The ceilings are the counts measured on CPython 3.11.  Earlier ceilings
+counted the same on 3.10 and one call fewer on 3.12, which inlines
+comprehensions; the present ones have not been measured on either.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.benchmarks.universes import SOCIAL
 #: The ``point-hot`` template of ``servebench/workloads.py``.
 POINT = "MATCH (n:USER) WHERE n.uid = 7 RETURN n.uname, n.age"
 
-#: Calls into ``repro`` per warm serve: the counts on CPython 3.10 and
+#: Calls into ``repro`` per warm serve: the counts measured on CPython
 #: 3.11 (78 sync and 87 inline async before the hot path was trimmed, 59
 #: and 66 while every checkout pinged and every serve checked feedback, 54
 #: and 61 while a serve took the service lock three times and counted each
