@@ -90,6 +90,8 @@ def output_attributes(
         inner = output_attributes(query.query, schema, ctes)
         if inner is None:
             return None
+        if isinstance(query.query, ast.Relation) and query.query.name not in ctes:
+            return ast.qualify_all(query.name, inner)  # a scan: the schema's names
         return tuple(ast.qualify(query.name, a) for a in inner)
     if isinstance(query, ast.Join):
         left = output_attributes(query.left, schema, ctes)

@@ -509,6 +509,21 @@ def qualify(alias: str, attribute: str) -> str:
     return f"{alias}.{attribute.replace('.', '_')}"
 
 
+#: ``(alias, attributes)`` pairs :func:`qualify_all` keeps.  An alias is a
+#: query variable, so the cache is bounded: texts keep bringing new ones.
+QUALIFY_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=QUALIFY_CACHE_SIZE)
+def qualify_all(alias: str, attributes: tuple[str, ...]) -> tuple[str, ...]:
+    """:func:`qualify` of each of *attributes*, in order: what ``ρ_alias``
+    outputs over a scan of a relation with *attributes*.  Those names
+    follow from the variable and the schema alone, so they are computed
+    once per pair, not once per node that reads them.  Callers pass a
+    relation's declared attributes only, so no key holds a literal."""
+    return tuple([qualify(alias, attribute) for attribute in attributes])
+
+
 def columns_of(expressions: typing.Iterable[Expression], names: typing.Iterable[str]) -> tuple[OutputColumn, ...]:
     """Zip expressions and aliases into projection columns."""
     return tuple(OutputColumn(alias, expr) for alias, expr in zip(names, expressions))

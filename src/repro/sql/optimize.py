@@ -110,22 +110,17 @@ def optimize(
     if level == 1 or schema is None:
         return query
 
-    from repro.sql.planner import (
-        CardinalityEstimator,
-        expand_recursions,
-        plan_joins,
-        prune_columns,
-    )
+    from repro.sql.planner import CardinalityEstimator, plan_joins, prune_columns
 
+    # One estimator per call: it estimates each subtree once, for the
+    # traversal and join choices and the final estimate alike.
     estimator = CardinalityEstimator(schema, stats, row_scale=row_scale)
-    # No normalize here: no level-1 rule fires at or above an unrolled
-    # chain (a distinct projection over joins of renamed scans, or a union
-    # of them), and the one after ``plan_joins`` covers the whole tree.
-    query = expand_recursions(
-        query, estimator, report=report, force_recursive=force_recursive
-    )
-    query = _normalize(plan_joins(query, schema, estimator, report=report))
     # A pass that returns its input (``is``) leaves the tree normal.
+    planned = plan_joins(
+        query, schema, estimator, report=report, force_recursive=force_recursive
+    )
+    if planned is not query:
+        query = _normalize(planned)
     pruned = prune_columns(query, schema)
     if pruned is not query:
         query = _normalize(pruned)
@@ -137,14 +132,28 @@ def optimize(
     return query
 
 
+#: The node types a level-1 rule rewrites; no rule fires at any other.
+_RULE_HEADS = (ast.Selection, ast.Projection, ast.Renaming, ast.GroupBy)
+
+#: The predicate forms with a predicate or a subquery under them.
+_COMPOUND_PREDICATES = (ast.And, ast.Or, ast.Not, ast.InQuery, ast.ExistsQuery)
+
+
 def _normalize(query: ast.Query) -> ast.Query:
     """The level-1 normal form of *query* in one bottom-up pass: normalize
     the children (and attached predicates) first, then settle the node."""
-    return _settle(ast.map_children(query, _normalize, _normalize_predicate))
+    if isinstance(query, ast.Relation) or (
+        isinstance(query, ast.Renaming) and isinstance(query.query, ast.Relation)
+    ):
+        return query  # no rule rewrites a scan, renamed or not
+    query = ast.map_children(query, _normalize, _normalize_predicate)
+    return _settle(query) if isinstance(query, _RULE_HEADS) else query
 
 
 def _normalize_predicate(predicate: ast.Predicate) -> ast.Predicate:
     """Normalize every subquery under *predicate* and drop ``TRUE`` conjuncts."""
+    if not isinstance(predicate, _COMPOUND_PREDICATES):
+        return predicate
     predicate = ast.map_predicate(predicate, _normalize, _normalize_predicate)
     if isinstance(predicate, ast.And):
         if predicate.left == ast.TRUE:
@@ -236,7 +245,14 @@ def _apply_rule(query: ast.Query) -> ast.Query | None:
 
 
 def _all_pure(columns: tuple[ast.OutputColumn, ...]) -> bool:
-    return all(not has_aggregate(c.expression) for c in columns)
+    for column in columns:
+        expression = column.expression
+        # Only an aggregate or arithmetic can hold an aggregate.
+        if isinstance(expression, (ast.Aggregate, ast.BinaryOp)) and has_aggregate(
+            expression
+        ):
+            return False
+    return True
 
 
 def _substitute(

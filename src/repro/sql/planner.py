@@ -23,6 +23,15 @@ module implements the optimizer's *level-2* passes on top:
   which engines can reorder and index freely; the choice is cost-based —
   estimated chain growth (edge rows × per-hop fan-out from NDV statistics)
   must stay under :data:`UNROLL_ROW_LIMIT`, else the recursive CTE stays.
+  :func:`plan_joins` makes this choice in its own walk, so a level-2
+  prepare walks the tree once for both.
+
+A planning fact derived from the schema or the statistics is computed
+once per prepare: the estimator keeps each subtree's estimate and a join
+region prices each edge once.  What outlives a prepare is only the
+bounded cache of :func:`repro.sql.ast.qualify_all`, keyed by a variable
+name and a scan's attributes; nothing is kept by query text, literal or
+plan.
 
 Every pass is semantics-preserving under the reference bag semantics; the
 benchmark harness cross-validates level-2 plans against the reference
@@ -165,6 +174,14 @@ class CardinalityEstimator:
     *provenance* maps — attribute name → ``(relation, column)`` — let the
     estimator look up distinct-value counts for renamed attributes like
     ``n.uid`` (scan of ``USER`` under ``ρ_n``).
+
+    One estimator estimates each subtree once: it remembers every node it
+    was asked about, by identity, with its rows and provenance, so the
+    planner's leaf estimates, its join ordering and the final estimate of
+    the plan share one walk.  A returned provenance map is shared with the
+    estimator's memo and with every later answer about that node: callers
+    read it and never change it.  An estimator lives for one
+    :func:`~repro.sql.optimize.optimize` call.
     """
 
     schema: RelationalSchema
@@ -173,6 +190,11 @@ class CardinalityEstimator:
     #: the adaptive-execution layer sets this from observed actual rows
     #: when the stats digest did not change but estimates keep diverging.
     row_scale: float = 1.0
+    #: ``id(node)`` → ``(node, rows, provenance)``; holding the node keeps
+    #: its id from being reused by another node while the memo lives.
+    _memo: dict[int, tuple[ast.Query, float, dict[str, tuple[str, str]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- relation-level statistics ------------------------------------------
 
@@ -189,14 +211,16 @@ class CardinalityEstimator:
         """NDV of the attribute *name* resolves to, or ``None`` if unknown."""
         if self.stats is None:
             return None
-        source = _source(name, provenance)
+        source = provenance.get(name)
         if source is None:
-            return None
+            source = _source(name, provenance)  # by local name
+            if source is None:
+                return None
         relation, column = source
         table = self.stats.get(relation)
         if table is None:
             return None
-        count = table.distinct_of(column)
+        count = table.distinct.get(column)
         return float(max(count, 1)) if count is not None else None
 
     # -- cardinalities ------------------------------------------------------
@@ -216,13 +240,16 @@ class CardinalityEstimator:
         return self._estimate(query)[1]
 
     def _estimate(self, query: ast.Query) -> tuple[float, dict[str, tuple[str, str]]]:
-        """:meth:`cardinality` and :meth:`provenance` of *query* from one
-        bottom-up walk: every subtree's rows and provenance are computed
-        once, and the rows are clamped at every level."""
+        """:meth:`cardinality` and :meth:`provenance` of *query*: every
+        subtree's rows and provenance are computed once per estimator, and
+        the rows are clamped at every level."""
+        known = self._memo.get(id(query))
+        if known is not None:
+            return known[1], known[2]
         estimate, provenance = self._estimate_node(query)
-        if math.isnan(estimate):
-            return DEFAULT_ROW_COUNT, provenance
-        return max(estimate, 1.0), provenance
+        rows = DEFAULT_ROW_COUNT if math.isnan(estimate) else max(estimate, 1.0)
+        self._memo[id(query)] = (query, rows, provenance)
+        return rows, provenance
 
     def _estimate_node(
         self, query: ast.Query
@@ -248,6 +275,10 @@ class CardinalityEstimator:
             return (max(inner * 0.5, 1.0) if query.distinct else inner), projected
         if isinstance(query, ast.Renaming):
             inner, provenance = self._estimate(query.query)
+            if isinstance(query.query, ast.Relation):
+                # A scan's provenance names every attribute it outputs, in order.
+                names = ast.qualify_all(query.name, tuple(provenance))
+                return inner, dict(zip(names, provenance.values()))
             attributes = output_attributes(query.query, self.schema) or ()
             renamed = {
                 ast.qualify(query.name, a): provenance[a]
@@ -256,10 +287,9 @@ class CardinalityEstimator:
             }
             return inner, renamed
         if isinstance(query, ast.Join):
-            left, provenance = self._estimate(query.left)
+            left, left_provenance = self._estimate(query.left)
             right, right_provenance = self._estimate(query.right)
-            # Each subtree's map has this node as its only reader.
-            provenance.update(right_provenance)
+            provenance = {**left_provenance, **right_provenance}
             if query.kind is ast.JoinKind.CROSS:
                 return left * right, provenance
             joined = left * right * self.selectivity(query.predicate, provenance)
@@ -345,10 +375,9 @@ class CardinalityEstimator:
             ):
                 ndv_left = self.distinct_values(left.name, provenance)
                 ndv_right = self.distinct_values(right.name, provenance)
-                known = [n for n in (ndv_left, ndv_right) if n is not None]
-                if known:
-                    return 1.0 / max(known)
-                return EQUALITY_SELECTIVITY
+                # A known NDV is at least 1, so 0 stands for both unknown.
+                known = max(ndv_left or 0.0, ndv_right or 0.0)
+                return 1.0 / known if known else EQUALITY_SELECTIVITY
             if isinstance(left, ast.AttributeRef) or isinstance(
                 right, ast.AttributeRef
             ):
@@ -444,28 +473,47 @@ def expand_recursions(
     cost — the serving layer's budget downgrade: an unrolled plan whose
     join chains blew a query budget is re-planned this way, trading the
     engine-friendly shape for the fixpoint's incremental frontier.
+
+    :func:`plan_joins` makes the same choice inside its own walk; this
+    walk serves callers that unroll without planning joins.
     """
 
     def visit(rebuilt: ast.RecursiveQuery) -> ast.Query:
-        if force_recursive:
-            unrolled: ast.Query | None = None
-            reason, estimate = "forced recursive (budget downgrade)", None
-        else:
-            unrolled, reason, estimate = _unroll_reach(rebuilt, estimator)
-        if report is not None and rebuilt.reach is not None:
-            report.traversals.append(
-                TraversalPlan(
-                    name=rebuilt.name,
-                    choice="unrolled" if unrolled is not None else "recursive",
-                    min_hops=rebuilt.reach.min_hops,
-                    max_hops=rebuilt.reach.max_hops,
-                    estimated_rows=estimate,
-                    reason=reason,
-                )
-            )
+        unrolled, reason, estimate = _unroll_choice(rebuilt, estimator, force_recursive)
+        _note_traversal(report, rebuilt, unrolled, reason, estimate)
         return unrolled if unrolled is not None else rebuilt
 
     return _rewrite_recursions(query, visit)
+
+
+def _unroll_choice(
+    node: ast.RecursiveQuery, estimator: CardinalityEstimator, force_recursive: bool
+) -> tuple[ast.Query | None, str, float | None]:
+    """:func:`_unroll_reach` of *node*, or no unrolling when *force_recursive*."""
+    if force_recursive:
+        return None, "forced recursive (budget downgrade)", None
+    return _unroll_reach(node, estimator)
+
+
+def _note_traversal(
+    report: PlanReport | None,
+    node: ast.RecursiveQuery,
+    unrolled: ast.Query | None,
+    reason: str,
+    estimate: float | None,
+) -> None:
+    """Record the recursive-vs-unrolled choice for *node* on *report*."""
+    if report is not None and node.reach is not None:
+        report.traversals.append(
+            TraversalPlan(
+                name=node.name,
+                choice="unrolled" if unrolled is not None else "recursive",
+                min_hops=node.reach.min_hops,
+                max_hops=node.reach.max_hops,
+                estimated_rows=estimate,
+                reason=reason,
+            )
+        )
 
 
 def cap_recursions(
@@ -697,10 +745,13 @@ def plan_joins(
     schema: RelationalSchema,
     estimator: CardinalityEstimator,
     report: PlanReport | None = None,
+    force_recursive: bool = False,
 ) -> ast.Query:
     """Rewrite every CROSS/INNER join region of *query* into a pushed-down,
-    greedily ordered equi-join tree (see the module docstring)."""
-    return _Planner(schema, estimator, report).plan(query, {})
+    greedily ordered equi-join tree (see the module docstring), unrolling
+    each bounded traversal on the way as :func:`expand_recursions` would
+    (*force_recursive* as there), so one walk does both."""
+    return _Planner(schema, estimator, report, force_recursive).plan(query, {})
 
 
 def _leaf_label(leaf: ast.Query) -> str:
@@ -712,31 +763,36 @@ def _leaf_label(leaf: ast.Query) -> str:
     return type(leaf).__name__.lower()
 
 
+#: The join kinds a join region flattens.
+_REGION_KINDS = (ast.JoinKind.CROSS, ast.JoinKind.INNER)
+
+
 class _Planner:
     def __init__(
         self,
         schema: RelationalSchema,
         estimator: CardinalityEstimator,
         report: PlanReport | None = None,
+        force_recursive: bool = False,
     ):
         self.schema = schema
         self.estimator = estimator
         self.report = report
+        self.force_recursive = force_recursive
 
     # -- traversal ----------------------------------------------------------
 
     def plan(self, query: ast.Query, ctes: dict[str, tuple[str, ...]]) -> ast.Query:
-        if isinstance(query, ast.Selection) and self._is_region(query.query):
+        if isinstance(query, ast.Relation) or (
+            isinstance(query, ast.Renaming) and isinstance(query.query, ast.Relation)
+        ):
+            return query  # a scan, renamed or not, holds nothing to plan
+        top = query.query if isinstance(query, ast.Selection) else query
+        if isinstance(top, ast.Join) and top.kind in _REGION_KINDS:
             return self._plan_region(query, ctes)
-        if self._is_region(query):
-            return self._plan_region(query, ctes)
+        if isinstance(query, ast.RecursiveQuery):
+            return self._plan_recursion(query, ctes)
         return self._plan_children(query, ctes)
-
-    def _is_region(self, query: ast.Query) -> bool:
-        return isinstance(query, ast.Join) and query.kind in (
-            ast.JoinKind.CROSS,
-            ast.JoinKind.INNER,
-        )
 
     def _plan_children(
         self, query: ast.Query, ctes: dict[str, tuple[str, ...]]
@@ -760,6 +816,22 @@ class _Planner:
     ) -> ast.Predicate:
         return ast.map_predicate(predicate, lambda q: self.plan(q, ctes))
 
+    def _plan_recursion(
+        self, query: ast.RecursiveQuery, ctes: dict[str, tuple[str, ...]]
+    ) -> ast.Query:
+        """The join chains that replace *query* when it unrolls, planned;
+        else *query* with its operands planned.  An unrolled fixpoint's
+        operands are dropped unplanned."""
+        unrolled, reason, estimate = _unroll_choice(
+            query, self.estimator, self.force_recursive
+        )
+        if unrolled is not None:
+            _note_traversal(self.report, query, unrolled, reason, estimate)
+            return self.plan(unrolled, ctes)
+        planned = self._plan_children(query, ctes)
+        _note_traversal(self.report, query, None, reason, estimate)
+        return planned
+
     # -- one region ---------------------------------------------------------
 
     def _plan_region(
@@ -776,7 +848,7 @@ class _Planner:
         inner_conjuncts: list[ast.Predicate] = []
 
         def collect(node: ast.Query) -> None:
-            if self._is_region(node):
+            if isinstance(node, ast.Join) and node.kind in _REGION_KINDS:
                 collect(node.left)
                 collect(node.right)
                 if node.kind is ast.JoinKind.INNER:
@@ -789,11 +861,13 @@ class _Planner:
         # Hoisting an inner-join predicate that embeds a subquery to the
         # region top could change what its (correlated) references capture;
         # leave such regions untouched (shape preserved, leaves still planned).
-        if any(_refs(c) is None for c in inner_conjuncts):
-            return self._rebuild_original(root, ctes)
+        inner_refs = [(conjunct, _refs(conjunct)) for conjunct in inner_conjuncts]
+        for _, refs in inner_refs:
+            if refs is None:
+                return self._rebuild_original(root, ctes)
 
         leaf_attrs = [output_attributes(leaf, self.schema, ctes) for leaf in leaves]
-        if any(attrs is None for attrs in leaf_attrs):
+        if None in leaf_attrs:
             return self._rebuild_original(root, ctes)
 
         # Attribute → index of the leaf that outputs it.
@@ -810,26 +884,39 @@ class _Planner:
         filters: list[_Conjunct] = []
         residual: list[ast.Predicate] = []
 
-        for conjunct in top_conjuncts + inner_conjuncts:
-            refs = _refs(conjunct)
+        top_refs = [(conjunct, _refs(conjunct)) for conjunct in top_conjuncts]
+        for conjunct, refs in top_refs + inner_refs:
             if refs is None:
-                residual.append(conjunct)
+                # A region-top conjunct with a subquery stays where it is;
+                # only the traversals under it unroll.
+                residual.append(self._unroll_subqueries(conjunct))
                 continue
-            mapping: dict[str, str] = {}
+            renames: dict[str, str] = {}
+            read: set[int] = set()
             unresolved = False
             for name in refs:
-                resolved = _resolved(name, owner)
-                if resolved is None:
-                    unresolved = True
-                    break
-                mapping[name] = resolved
+                index = owner.get(name)
+                if index is None:
+                    resolved = _resolved(name, owner)
+                    if resolved is None:
+                        unresolved = True
+                        break
+                    renames[name] = resolved
+                    index = owner[resolved]
+                read.add(index)
             if unresolved:
                 residual.append(conjunct)
                 continue
-            rewritten = ast.map_refs(
-                conjunct, lambda ref: ast.AttributeRef(mapping[ref.name])
-            )
-            leaf_set = frozenset(owner[mapping[name]] for name in refs)
+            # Only a reference that resolves to another name is rebuilt.
+            rewritten = conjunct
+            if renames:
+                rewritten = ast.map_refs(
+                    conjunct,
+                    lambda ref: ast.AttributeRef(renames[ref.name])
+                    if ref.name in renames
+                    else ref,
+                )
+            leaf_set = frozenset(read)
             if len(leaf_set) == 0:
                 residual.append(rewritten)
             elif len(leaf_set) == 1:
@@ -849,29 +936,44 @@ class _Planner:
             ast.Selection(leaf, ast.conjoin(preds)) if preds else leaf
             for leaf, preds in zip(leaves, pushed)
         ]
-        cardinalities = [self.estimator.cardinality(leaf) for leaf in filtered_leaves]
+        estimate = self.estimator._estimate
+        cardinalities: list[float] = []
         provenance: dict[str, tuple[str, str]] = {}
-        for leaf in leaves:
-            provenance.update(self.estimator.provenance(leaf))
+        for leaf, filtered in zip(leaves, filtered_leaves):
+            cardinalities.append(estimate(filtered)[0])
+            provenance.update(estimate(leaf)[1])
 
-        order = self._greedy_order(cardinalities, edges, provenance)
+        # Each leaf's edges, in the order they were found, with the leaf at
+        # the other end and the selectivity of each of the edge's conjuncts
+        # (priced once per region).
+        incident: list[list[tuple[int, list[ast.Predicate], list[float]]]] = [
+            [] for _ in leaves
+        ]
+        selectivity = self.estimator.selectivity
+        for pair, conjuncts_ in edges.items():
+            factors = [selectivity(conjunct, provenance) for conjunct in conjuncts_]
+            first, second = pair
+            incident[first].append((second, conjuncts_, factors))
+            incident[second].append((first, conjuncts_, factors))
+
+        order = _greedy_order(cardinalities, incident)
 
         if self.report is not None and len(leaves) > 1:
             self.report.joins.append(
                 JoinPlan(
-                    order=tuple(_leaf_label(leaves[index]) for index in order),
-                    pushed_predicates=sum(len(preds) for preds in pushed),
-                    join_edges=sum(len(conjs) for conjs in edges.values()),
+                    order=tuple([_leaf_label(leaves[index]) for index in order]),
+                    pushed_predicates=sum(map(len, pushed)),
+                    join_edges=sum(map(len, edges.values())),
                 )
             )
 
         joined = filtered_leaves[order[0]]
         placed = {order[0]}
-        remaining_filters = list(filters)
+        remaining_filters = filters
         for index in order[1:]:
             join_preds: list[ast.Predicate] = []
-            for pair, conjuncts_ in edges.items():
-                if index in pair and (pair - {index}) <= placed:
+            for other, conjuncts_, _ in incident[index]:
+                if other in placed:
                     join_preds.extend(conjuncts_)
             placed.add(index)
             still_pending: list[_Conjunct] = []
@@ -906,42 +1008,15 @@ class _Planner:
             )
         return result
 
-    def _greedy_order(
-        self,
-        cardinalities: list[float],
-        edges: dict[frozenset[int], list[ast.Predicate]],
-        provenance: dict[str, tuple[str, str]],
-    ) -> list[int]:
-        """Left-deep greedy ordering: cheapest start, then the connected leaf
-        minimizing the estimated intermediate result at each step."""
-        count = len(cardinalities)
-        remaining = set(range(count))
-        start = min(remaining, key=lambda i: (cardinalities[i], i))
-        order = [start]
-        remaining.remove(start)
-        accumulated = cardinalities[start]
-        while remaining:
-            best: tuple[bool, float, int] | None = None
-            for candidate in remaining:
-                selectivity = 1.0
-                connected = False
-                for pair, conjuncts_ in edges.items():
-                    if candidate in pair and (pair - {candidate}) <= set(order):
-                        connected = True
-                        for conjunct in conjuncts_:
-                            selectivity *= self.estimator.selectivity(
-                                conjunct, provenance
-                            )
-                estimate = accumulated * cardinalities[candidate] * selectivity
-                key = (not connected, estimate, candidate)
-                if best is None or key < best:
-                    best = key
-            assert best is not None
-            _, accumulated, chosen = best
-            accumulated = max(accumulated, 1.0)
-            order.append(chosen)
-            remaining.remove(chosen)
-        return order
+    def _unroll_subqueries(self, predicate: ast.Predicate) -> ast.Predicate:
+        """*predicate* with every traversal under its subqueries unrolled as
+        :func:`expand_recursions` would, and no join planned there."""
+        return ast.map_predicate(
+            predicate,
+            lambda query: expand_recursions(
+                query, self.estimator, self.report, self.force_recursive
+            ),
+        )
 
     def _rebuild_original(
         self, node: ast.Query, ctes: dict[str, tuple[str, ...]]
@@ -949,13 +1024,51 @@ class _Planner:
         """Fallback when a region cannot be analysed: keep its exact shape
         (every predicate stays where it was) while still planning the
         non-join subtrees underneath."""
-        if isinstance(node, ast.Selection) or self._is_region(node):
+        if isinstance(node, ast.Selection) or (
+            isinstance(node, ast.Join) and node.kind in _REGION_KINDS
+        ):
             return ast.map_children(
                 node,
                 lambda q: self._rebuild_original(q, ctes),
                 lambda p: self._plan_predicate(p, ctes),
             )
         return self.plan(node, ctes)
+
+
+def _greedy_order(
+    cardinalities: list[float],
+    incident: list[list[tuple[int, list[ast.Predicate], list[float]]]],
+) -> list[int]:
+    """Left-deep greedy ordering: cheapest start, then the connected leaf
+    minimizing the estimated intermediate result at each step.  *incident*
+    lists each leaf's edges as ``(other leaf, conjuncts, selectivities)``."""
+    remaining = set(range(len(cardinalities)))
+    start = min(remaining, key=lambda i: (cardinalities[i], i))
+    order = [start]
+    placed = {start}
+    remaining.remove(start)
+    accumulated = cardinalities[start]
+    while remaining:
+        best: tuple[bool, float, int] | None = None
+        for candidate in remaining:
+            selectivity = 1.0
+            connected = False
+            for other, _, factors in incident[candidate]:
+                if other in placed:
+                    connected = True
+                    for factor in factors:
+                        selectivity *= factor
+            estimate = accumulated * cardinalities[candidate] * selectivity
+            key = (not connected, estimate, candidate)
+            if best is None or key < best:
+                best = key
+        assert best is not None
+        _, accumulated, chosen = best
+        accumulated = max(accumulated, 1.0)
+        order.append(chosen)
+        placed.add(chosen)
+        remaining.remove(chosen)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -1013,8 +1126,12 @@ def _prune(query: ast.Query, required: set[str] | None) -> ast.Query:
             return query
         return ast.GroupBy(child, query.keys, kept, query.having)
     if isinstance(query, (ast.Selection, ast.Join)):
-        child_required = _union(required, _refs(query.predicate))
+        child_required = (
+            None if required is None else _union(required, _refs(query.predicate))
+        )
         return ast.map_children(query, lambda q: _prune(q, child_required))
+    if isinstance(query, ast.Renaming) and isinstance(query.query, ast.Relation):
+        return query  # a renamed scan has no column to narrow
     if isinstance(query, (ast.Renaming, ast.UnionOp)):
         # Bag union is positional; pruning either side independently would
         # misalign columns, so both sides (like a renaming's input) keep

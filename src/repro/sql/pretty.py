@@ -297,6 +297,9 @@ class _Renderer:
 
     def _resolve(self, name: str, scope: _FromScope) -> str:
         """Resolve against *scope*, falling back to enclosing scopes."""
+        fragment = scope.fragments.get(name)  # an exact name needs no search
+        if fragment is not None:
+            return fragment
         for candidate in (scope, *reversed(self._outer)):
             fragment = candidate.resolve(name)
             if fragment is not None:
@@ -355,13 +358,15 @@ class _Renderer:
                 }
                 from_sql = cte.from_sql(query.name)
                 return _Source(from_sql, _FromScope(fragments), self.dialect)
-            relation = self.schema.relation(query.query.name)
-            fragments = {
-                ast.qualify(query.name, attribute):
-                    f"{self._q(query.name)}.{self._q(attribute)}"
-                for attribute in relation.attributes
-            }
-            from_sql = f"{self._q(query.query.name)} AS {self._q(query.name)}"
+            attributes = self.schema.relation(query.query.name).attributes
+            alias = self._q(query.name)
+            fragments = dict(
+                zip(
+                    ast.qualify_all(query.name, attributes),
+                    [f"{alias}.{self._q(attribute)}" for attribute in attributes],
+                )
+            )
+            from_sql = f"{self._q(query.query.name)} AS {alias}"
             return _Source(from_sql, _FromScope(fragments), self.dialect)
         if isinstance(query, ast.Join) and query.kind in (
             ast.JoinKind.CROSS,

@@ -1,5 +1,8 @@
 """Golden tests for the cost-based planner: specific rewrites must fire."""
 
+import random
+import typing
+
 import pytest
 
 from repro.backends import GraphitiService, available_backends
@@ -12,7 +15,7 @@ from repro.relational.schema import Relation, RelationalSchema
 from repro.sql import ast
 from repro.sql.analysis import iter_nodes
 from repro.sql.optimize import optimize
-from repro.sql.planner import CardinalityEstimator
+from repro.sql.planner import CardinalityEstimator, PlanReport
 from repro.sql.semantics import evaluate_query
 from repro.sql.stats import TableStats, collect_stats
 
@@ -246,3 +249,98 @@ class TestLevels:
         )
         once = optimize(raw, level=1)
         assert optimize(once, level=1) == once
+
+
+#: Every node class an estimator can be asked about.
+QUERY_NODES = typing.get_args(ast.Query)
+
+
+def _level_two_plans(service: GraphitiService, texts, force_recursive=False):
+    """``(level-2 plan, PlanReport, statistics)`` of each of *texts*."""
+    stats = collect_stats(service.database)
+    schema = service.sdt.schema
+    for text in texts:
+        raw = transpiled(text, service.graph_schema, service.sdt)
+        report = PlanReport()
+        plan = optimize(
+            raw,
+            level=2,
+            schema=schema,
+            stats=stats,
+            report=report,
+            force_recursive=force_recursive,
+        )
+        yield plan, report, stats
+
+
+class TestEstimatorMemo:
+    """One estimator remembers each subtree it estimated, by identity; its
+    answers must be the answers a fresh estimator gives, whatever order it
+    is asked in, and a map it handed out must never change afterwards."""
+
+    def test_any_order_twice_gives_fresh_answers(self):
+        from tests.backends.test_differential import SOCIAL_WORKLOAD, TRAVERSAL_WORKLOAD
+
+        texts = [*SOCIAL_WORKLOAD.values(), *TRAVERSAL_WORKLOAD.values()]
+        with GraphitiService(SOCIAL.graph_schema) as service:
+            service.load_mock(20, seed=7)
+            schema = service.sdt.schema
+            for plan, _, stats in _level_two_plans(service, texts):
+                nodes = [n for n in iter_nodes(plan) if isinstance(n, QUERY_NODES)]
+                fresh = {
+                    id(node): (
+                        CardinalityEstimator(schema, stats).cardinality(node),
+                        CardinalityEstimator(schema, stats).provenance(node),
+                    )
+                    for node in nodes
+                }
+                shuffled = list(nodes)
+                random.Random(len(nodes)).shuffle(shuffled)
+                for order in (nodes, nodes[::-1], shuffled):
+                    estimator = CardinalityEstimator(schema, stats)
+                    handed_out = []
+                    for node in order + order:
+                        rows = estimator.cardinality(node)
+                        provenance = estimator.provenance(node)
+                        assert (rows, provenance) == fresh[id(node)]
+                        handed_out.append((provenance, dict(provenance)))
+                    for provenance, copy in handed_out:
+                        assert provenance == copy
+
+    def test_a_join_leaves_its_childrens_maps_alone(self, db):
+        stats = collect_stats(db)
+        left = ast.Renaming("x", ast.Relation("r"))
+        right = ast.Renaming("y", ast.Relation("s"))
+        join = ast.Join(
+            ast.JoinKind.INNER,
+            left,
+            right,
+            ast.Comparison("=", ast.AttributeRef("x.b"), ast.AttributeRef("y.c")),
+        )
+        estimator = CardinalityEstimator(db.schema, stats)
+        before = estimator.provenance(left)
+        assert set(estimator.provenance(join)) == {"x.a", "x.b", "y.c", "y.d"}
+        assert set(before) == {"x.a", "x.b"}
+        assert estimator.provenance(left) == before
+
+    @pytest.mark.parametrize("force_recursive", [False, True])
+    def test_report_estimate_is_a_fresh_estimate_of_the_plan(self, force_recursive):
+        import importlib.util
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parents[2] / "scripts" / "plan_snapshots.py"
+        spec = importlib.util.spec_from_file_location("plan_snapshots", script)
+        snapshots = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(snapshots)
+        checked = 0
+        for cases in snapshots.snapshot_cases().values():
+            with GraphitiService(cases[0][1]) as service:
+                service.load_mock(snapshots.ROWS_PER_TABLE, seed=snapshots.SEED)
+                texts = [text for _, _, text in cases]
+                for plan, report, stats in _level_two_plans(
+                    service, texts, force_recursive
+                ):
+                    fresh = CardinalityEstimator(service.sdt.schema, stats)
+                    assert report.estimated_rows == fresh.cardinality(plan)
+                    checked += 1
+        assert checked > 400

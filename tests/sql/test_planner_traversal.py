@@ -119,3 +119,29 @@ class TestPlanChoice:
             "RETURN a.uid"
         )
         assert not uses_recursion(planned)
+
+    def test_traversals_under_a_join_regions_subquery_unroll_too(self):
+        # A subquery conjunct directly over a join region stays where it is
+        # (join planning does not move it), and the traversal under it
+        # still unrolls.  Cypher's WHERE puts a projection in between, so
+        # the tree is built by hand.
+        reach = transpile(
+            parse_cypher("MATCH (x:USER)-[:FOLLOWS*1..2]->(y:USER) RETURN x.uid", SCHEMA),
+            SCHEMA,
+            SDT,
+        )
+        region = ast.Selection(
+            ast.Join(
+                ast.JoinKind.CROSS,
+                ast.Renaming("a", ast.Relation("USER")),
+                ast.Renaming("b", ast.Relation("USER")),
+            ),
+            ast.And(
+                ast.Comparison("=", ast.AttributeRef("a.uid"), ast.AttributeRef("b.uid")),
+                ast.ExistsQuery(reach),
+            ),
+        )
+        assert uses_recursion(region)
+        planned = optimize(region, level=2, schema=SDT.schema)
+        assert not uses_recursion(planned)
+        assert any(isinstance(node, ast.ExistsQuery) for node in iter_nodes(planned))
