@@ -117,7 +117,11 @@ def tokenize(source: str, syntax: re.Pattern[str] = CYPHER_SYNTAX) -> list[Token
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over a token list with the usual peek/expect helpers.
+
+    Each helper reads the token under the cursor itself and moves the
+    cursor itself, without calling another helper: a parse makes one of
+    these calls per token it tests."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
@@ -138,50 +142,55 @@ class TokenStream:
         return self.tokens[self.position].keyword in words
 
     def take_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.advance()
+        # A keyword is an identifier, never the eof token.
+        if self.tokens[self.position].keyword in words:
+            self.position += 1
             return True
         return False
 
     def expect_keyword(self, word: str) -> Token:
-        token = self.peek()
-        if not token.is_keyword(word):
+        token = self.tokens[self.position]
+        if token.keyword != word:
             raise ParseError(
                 f"expected {word}, found {token.text or 'end of input'!r}",
                 line=token.line,
                 column=token.column,
             )
-        return self.advance()
+        self.position += 1
+        return token
 
     def at_op(self, *ops: str) -> bool:
         token = self.tokens[self.position]
         return token.kind == "op" and token.text in ops
 
     def take_op(self, *ops: str) -> bool:
-        if self.at_op(*ops):
-            self.advance()
+        token = self.tokens[self.position]
+        if token.kind == "op" and token.text in ops:
+            self.position += 1
             return True
         return False
 
     def expect_op(self, op: str) -> Token:
-        token = self.peek()
-        if not token.is_op(op):
+        token = self.tokens[self.position]
+        if token.kind != "op" or token.text != op:
             raise ParseError(
                 f"expected {op!r}, found {token.text or 'end of input'!r}",
                 line=token.line,
                 column=token.column,
             )
-        return self.advance()
+        self.position += 1
+        return token
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        token = self.peek()
+        token = self.tokens[self.position]
         if token.kind != "ident":
             raise ParseError(
                 f"expected {what}, found {token.text or 'end of input'!r}",
                 line=token.line,
                 column=token.column,
             )
-        return self.advance()
+        self.position += 1
+        return token
 
     def at_end(self) -> bool:
         token = self.tokens[self.position]
@@ -211,6 +220,8 @@ AGGREGATES = {"COUNT": "Count", "SUM": "Sum", "AVG": "Avg", "MIN": "Min", "MAX":
 _LITERAL_WORDS = {"NULL": NULL, "TRUE": True, "FALSE": False}
 _COMPARISONS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 _PREDICATE_WORDS = ("AND", "OR", "NOT", "IN", "IS", "EXISTS")
+_ADDITIVE = ("+", "-")
+_MULTIPLICATIVE = ("*", "/", "%")
 
 
 class ExpressionGrammar:
@@ -226,6 +237,11 @@ class ExpressionGrammar:
     identifier denotes (:meth:`_parse_reference`), what follows ``IN``
     (:meth:`_parse_in`) and ``EXISTS`` (:meth:`_parse_exists`), and an
     aggregate's argument (:meth:`_parse_aggregate_argument`).
+
+    A level looks at the token after an operand as
+    ``stream.tokens[stream.position]`` and steps past an operator by
+    moving ``stream.position``: the token each level tests costs it an
+    index, not a call into the stream.
     """
 
     stream: TokenStream
@@ -260,55 +276,63 @@ class ExpressionGrammar:
 
     def _parse_predicate(self):
         left = self._parse_and()
-        while self.stream.take_keyword("OR"):
+        stream = self.stream
+        while stream.tokens[stream.position].keyword == "OR":
+            stream.position += 1
             left = Or(left, self._parse_and())
         return left
 
     def _parse_and(self):
         left = self._parse_not()
-        while self.stream.take_keyword("AND"):
+        stream = self.stream
+        while stream.tokens[stream.position].keyword == "AND":
+            stream.position += 1
             left = And(left, self._parse_not())
         return left
 
     def _parse_not(self):
-        if self.stream.take_keyword("NOT"):
+        stream = self.stream
+        if stream.tokens[stream.position].keyword == "NOT":
+            stream.position += 1
             return Not(self._parse_not())
         return self._parse_atom_predicate()
 
     def _parse_atom_predicate(self):
         stream = self.stream
-        token = stream.peek()
-        if token.is_keyword("EXISTS"):
-            stream.advance()
+        token = stream.tokens[stream.position]
+        keyword = token.keyword
+        if keyword == "EXISTS":
+            stream.position += 1
             return self._parse_exists()
-        if token.is_keyword("TRUE"):
-            stream.advance()
+        if keyword == "TRUE":
+            stream.position += 1
             return TRUE
-        if token.is_keyword("FALSE"):
-            stream.advance()
+        if keyword == "FALSE":
+            stream.position += 1
             return FALSE
-        if token.is_op("(") and self._parenthesised_predicate_ahead():
-            stream.advance()
+        if token.kind == "op" and token.text == "(" and self._parenthesised_predicate_ahead():
+            stream.position += 1
             inner = self._parse_predicate()
             stream.expect_op(")")
             return inner
         left = self._parse_expression(self.NESTED_AGGREGATES)
-        token = stream.peek()
-        if token.is_op(*_COMPARISONS):
-            stream.advance()
+        token = stream.tokens[stream.position]
+        if token.kind == "op" and token.text in _COMPARISONS:
+            stream.position += 1
             op = "<>" if token.text == "!=" else token.text
             right = self._parse_expression(self.NESTED_AGGREGATES)
             return Comparison(op, left, right)
-        if token.is_keyword("IS"):
-            stream.advance()
+        keyword = token.keyword
+        if keyword == "IS":
+            stream.position += 1
             negated = stream.take_keyword("NOT")
             stream.expect_keyword("NULL")
             return IsNull(left, negated)
-        if token.is_keyword("IN"):
-            stream.advance()
+        if keyword == "IN":
+            stream.position += 1
             return self._parse_in(left, negated=False)
-        if token.is_keyword("NOT"):
-            stream.advance()
+        if keyword == "NOT":
+            stream.position += 1
             stream.expect_keyword("IN")
             return self._parse_in(left, negated=True)
         raise stream.error("expected a comparison, IS NULL, or IN")
@@ -353,22 +377,31 @@ class ExpressionGrammar:
 
     def _parse_expression(self, allow_aggregates: bool = True):
         left = self._parse_multiplicative(allow_aggregates)
-        while self.stream.at_op("+", "-"):
-            op = self.stream.advance().text
+        stream = self.stream
+        token = stream.tokens[stream.position]
+        while token.kind == "op" and token.text in _ADDITIVE:
+            stream.position += 1
             right = self._parse_multiplicative(allow_aggregates)
-            left = BinaryOp(op, left, right)
+            left = BinaryOp(token.text, left, right)
+            token = stream.tokens[stream.position]
         return left
 
     def _parse_multiplicative(self, allow_aggregates: bool):
         left = self._parse_unary(allow_aggregates)
-        while self.stream.at_op("*", "/", "%"):
-            op = self.stream.advance().text
+        stream = self.stream
+        token = stream.tokens[stream.position]
+        while token.kind == "op" and token.text in _MULTIPLICATIVE:
+            stream.position += 1
             right = self._parse_unary(allow_aggregates)
-            left = BinaryOp(op, left, right)
+            left = BinaryOp(token.text, left, right)
+            token = stream.tokens[stream.position]
         return left
 
     def _parse_unary(self, allow_aggregates: bool):
-        if self.stream.take_op("-"):
+        stream = self.stream
+        token = stream.tokens[stream.position]
+        if token.kind == "op" and token.text == "-":
+            stream.position += 1
             operand = self._parse_unary(allow_aggregates)
             if isinstance(operand, Literal) and isinstance(
                 operand.value, (int, float)
@@ -378,20 +411,21 @@ class ExpressionGrammar:
         return self._parse_primary(allow_aggregates)
 
     def _parse_primary(self, allow_aggregates: bool):
-        token = self.stream.peek()
+        stream = self.stream
+        token = stream.tokens[stream.position]
         if token.kind in ("number", "string") or token.keyword in _LITERAL_WORDS:
             return Literal(self._parse_literal_value())
         if token.kind == "ident":
-            if token.keyword in AGGREGATES and self.stream.peek(1).is_op("("):
+            if token.keyword in AGGREGATES and stream.peek(1).is_op("("):
                 return self._parse_aggregate(allow_aggregates)
-            self.stream.advance()
+            stream.position += 1
             return self._parse_reference(token)
-        if token.is_op("("):
-            self.stream.advance()
+        if token.kind == "op" and token.text == "(":
+            stream.position += 1
             inner = self._parse_expression(allow_aggregates)
-            self.stream.expect_op(")")
+            stream.expect_op(")")
             return inner
-        raise self.stream.error(f"expected an expression, found {token.text!r}")
+        raise stream.error(f"expected an expression, found {token.text!r}")
 
     def _parse_aggregate(self, allow_aggregates: bool):
         """``F([DISTINCT] E)``; ``F([DISTINCT] *)`` is ``Count`` whatever ``F`` is."""
@@ -409,18 +443,18 @@ class ExpressionGrammar:
     def _parse_literal_value(self) -> Value:
         """A constant: a number, a string, ``TRUE``/``FALSE``/``NULL``, or ``-n``."""
         stream = self.stream
-        token = stream.peek()
+        token = stream.tokens[stream.position]
         if token.kind == "number":
-            stream.advance()
+            stream.position += 1
             return number_value(token)
         if token.kind == "string":
-            stream.advance()
+            stream.position += 1
             return string_value(token)
         if token.keyword in _LITERAL_WORDS:
-            stream.advance()
+            stream.position += 1
             return _LITERAL_WORDS[token.keyword]
-        if token.is_op("-"):
-            stream.advance()
+        if token.kind == "op" and token.text == "-":
+            stream.position += 1
             number = stream.peek()
             if number.kind != "number":
                 raise stream.error("expected a number after '-'")

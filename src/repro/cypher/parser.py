@@ -247,7 +247,7 @@ class _Parser(ExpressionGrammar):
         self.stream.expect_op("(")
         variable = None
         label = ""
-        if self.stream.peek().kind == "ident" and not self.stream.at_op(":"):
+        if self.stream.peek().kind == "ident":
             variable = self.stream.advance().text
         if self.stream.take_op(":"):
             label = self.stream.expect_ident("node label").text
@@ -266,7 +266,7 @@ class _Parser(ExpressionGrammar):
         label = ""
         hops: tuple[int, int | None] | None = None
         if self.stream.take_op("["):
-            if self.stream.peek().kind == "ident" and not self.stream.at_op(":"):
+            if self.stream.peek().kind == "ident":
                 variable = self.stream.advance().text
             if self.stream.take_op(":"):
                 label = self.stream.expect_ident("edge label").text

@@ -83,6 +83,11 @@ class GraphSchema:
 
     node_types: tuple[NodeType, ...]
     edge_types: tuple[EdgeType, ...] = field(default=())
+    #: Label → its node or edge type, built once: a transpile resolves a
+    #: label for every scan, key check and join it emits.
+    _types: dict[str, NodeType | EdgeType] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         labels = [t.label for t in self.node_types] + [t.label for t in self.edge_types]
@@ -108,6 +113,8 @@ class GraphSchema:
                 "property keys must be unique across the schema; "
                 f"clashing keys: {sorted(clashing)}"
             )
+        types = {kind.label: kind for kind in (*self.node_types, *self.edge_types)}
+        object.__setattr__(self, "_types", types)
 
     @classmethod
     def of(
@@ -122,24 +129,24 @@ class GraphSchema:
 
     def node_type(self, label: str) -> NodeType:
         """Resolve a node label; raises :class:`SchemaError` if unknown."""
-        for node in self.node_types:
-            if node.label == label:
-                return node
+        kind = self._types.get(label)
+        if isinstance(kind, NodeType):
+            return kind
         raise SchemaError(f"unknown node type {label!r}")
 
     def edge_type(self, label: str) -> EdgeType:
         """Resolve an edge label; raises :class:`SchemaError` if unknown."""
-        for edge in self.edge_types:
-            if edge.label == label:
-                return edge
+        kind = self._types.get(label)
+        if isinstance(kind, EdgeType):
+            return kind
         raise SchemaError(f"unknown edge type {label!r}")
 
     def type_of(self, label: str) -> NodeType | EdgeType:
         """Resolve a label of either kind."""
-        for kind in (*self.node_types, *self.edge_types):
-            if kind.label == label:
-                return kind
-        raise SchemaError(f"unknown type label {label!r}")
+        kind = self._types.get(label)
+        if kind is None:
+            raise SchemaError(f"unknown type label {label!r}")
+        return kind
 
     def has_edge_type(self, label: str) -> bool:
         return any(edge.label == label for edge in self.edge_types)
