@@ -1,34 +1,31 @@
 """A call budget for the warm serve.
 
 A warm point lookup spends a few microseconds in SQLite; the rest of its
-serve is the service's own Python.  ``sys.setprofile`` counts the
-Python-level calls into frames under ``src/repro`` for one warm
-``GraphitiService.run`` of a ``point-hot`` text, and for one
-``AsyncGraphitiService.run`` served inline on the event loop, both under
-the default no-op tracer, whose spans they must not open.  Unlike a
-timing, the count repeats exactly from one serve to the next, so work that
-creeps back onto the hot path shows here as a count over the ceiling, with
-the per-function table naming where it went.
+serve is the service's own Python.  The counter of
+``tests/backends/call_counter.py`` counts the Python-level calls into
+frames under ``src/repro`` for one warm ``GraphitiService.run`` of a
+``point-hot`` text, and for one ``AsyncGraphitiService.run`` served inline
+on the event loop, both under the default no-op tracer, whose spans they
+must not open.  Unlike a timing, the count repeats exactly from one serve
+to the next, so work that creeps back onto the hot path shows here as a
+count over the ceiling, with the per-function table naming where it went.
 
-The ceilings are the counts measured on CPython 3.11.  Earlier ceilings
-counted the same on 3.10 and one call fewer on 3.12, which inlines
-comprehensions; the present ones have not been measured on either.
+The ceilings are the counts measured on CPython 3.11.7: 34 sync and 42
+inline async calls.  CPython 3.10.13 counts the same, and 3.12.1, which
+inlines comprehensions, one call fewer (33 and 41).
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
 import os
-import sys
-from collections import Counter
 
 import pytest
 
-import repro
 from repro.backends import AsyncGraphitiService, GraphitiService
 from repro.backends import service as service_module
 from repro.benchmarks.universes import SOCIAL
+from tests.backends.call_counter import CallCounter, assert_repeats_within
 
 #: The ``point-hot`` template of ``servebench/workloads.py``.
 POINT = "MATCH (n:USER) WHERE n.uid = 7 RETURN n.uname, n.age"
@@ -46,55 +43,12 @@ ASYNC_CEILING = 42
 #: ``tracer.enabled`` and open no span.
 TRACING = os.path.join("observability", "tracing.py") + ":"
 
-PACKAGE = os.path.dirname(repro.__file__) + os.sep
-
-
-class CallCounter:
-    """Counts ``call`` profile events whose frame runs code under
-    ``repro`` — function entries, plus each resumption of a generator or
-    coroutine — by ``file:function``."""
-
-    def __init__(self) -> None:
-        self.calls: Counter[str] = Counter()
-
-    def __call__(self, frame, event, arg) -> None:
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(PACKAGE):
-                where = os.path.relpath(code.co_filename, PACKAGE)
-                self.calls[f"{where}:{code.co_name}"] += 1
-
-    def __enter__(self) -> "CallCounter":
-        gc.disable()  # no collection may run a finalizer mid-count
-        sys.setprofile(self)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        sys.setprofile(None)
-        gc.enable()
-
-    @property
-    def total(self) -> int:
-        return sum(self.calls.values())
-
-    def table(self) -> str:
-        return "\n".join(
-            f"{count:4d}  {where}" for where, count in self.calls.most_common()
-        )
-
 
 def assert_within(counts: list[CallCounter], ceiling: int) -> None:
-    first, again = counts
-    assert first.calls == again.calls, (
-        "the count did not repeat:\n" + first.table() + "\n--\n" + again.table()
+    assert not [where for where in counts[0].calls if where.startswith(TRACING)], (
+        "an untraced serve called into the tracer:\n" + counts[0].table()
     )
-    assert not [where for where in first.calls if where.startswith(TRACING)], (
-        "an untraced serve called into the tracer:\n" + first.table()
-    )
-    assert first.total <= ceiling, (
-        f"{first.total} calls into repro, over the ceiling of {ceiling}:\n"
-        + first.table()
-    )
+    assert_repeats_within(counts, ceiling)
 
 
 @pytest.fixture
