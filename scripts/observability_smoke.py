@@ -108,6 +108,22 @@ def check_json_round_trip(report, backend: str) -> dict:
     return document
 
 
+def span_paths(trace) -> list[str]:
+    """Each span of *trace*, depth first, named by its path from the root
+    (``query/query.prepare/cache.lookup``), so a span that moves to another
+    parent changes the list even where the walk's order of names does not."""
+    paths: list[str] = []
+
+    def visit(span, prefix: str) -> None:
+        path = prefix + span.name
+        paths.append(path)
+        for child in span.children:
+            visit(child, path + "/")
+
+    visit(trace, "")
+    return paths
+
+
 def write_artifact(rows: int, backends: Sequence[str], out: Path) -> None:
     """Run :data:`QUERY` once under a real tracer on each of *backends*, in
     order, over one service loaded with *rows* mock rows per table; check
@@ -124,7 +140,7 @@ def write_artifact(rows: int, backends: Sequence[str], out: Path) -> None:
             document = check_json_round_trip(report, name)
             per_backend[name] = {
                 "rows": report.rows,
-                "span_names": [span.name for span in report.trace.walk()],
+                "span_names": span_paths(report.trace),
                 "trace_ms": round(report.trace.duration_ms, 3),
                 "plan": document["plan"],
             }

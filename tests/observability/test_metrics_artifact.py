@@ -6,8 +6,10 @@ first run prepares the plan through every miss stage, and a later one
 triggers a feedback re-plan, so the span names cover the miss path, the
 cache hit and the re-plan under a real tracer.  The test reruns it over
 exactly the backends the tracked file lists, in its order, because which
-run re-plans depends on the order, and compares per backend the span
-names, the rows and the plan, then the metric families and their types.
+run re-plans depends on the order, and compares per backend the spans,
+each named by its path from the root (so a span that moved to another
+parent shows), the rows and the plan, then the metric families and their
+types.
 Timings, the series of other backends and the exposition's line count are
 left out: they move with the host and with the engines installed.
 """
