@@ -116,11 +116,7 @@ def measure(
         service.load_mock(rows_per_table, seed=seed)
         for name in names:
             for label, text in WORKLOAD.items():
-                timings = {}
-                for level in OPT_LEVELS:
-                    timings[level] = service.time(
-                        text, backend=name, repeats=repeats, opt_level=level
-                    )
+                timings = interleaved_medians(service, text, name, repeats)
                 plan = service.prepare(text, opt_level=2).sql_ast
                 joins = join_count(plan)
                 rows = len(service.run(text, backend=name, opt_level=2))
@@ -144,6 +140,26 @@ def measure(
                     }
                 )
     return results
+
+
+def interleaved_medians(
+    service: GraphitiService, text: str, backend: str, repeats: int
+) -> dict[int, float]:
+    """Level → median execution seconds of *text* on *backend* over
+    *repeats* rounds.  Each round times every level once, the first level
+    rotating from round to round, so host drift between rounds spreads over
+    all levels instead of landing on the one timed in a slower stretch."""
+    samples: dict[int, list[float]] = {level: [] for level in OPT_LEVELS}
+    for round_ in range(repeats):
+        shift = round_ % len(OPT_LEVELS)
+        for level in OPT_LEVELS[shift:] + OPT_LEVELS[:shift]:
+            samples[level].append(
+                service.time(text, backend=backend, repeats=1, opt_level=level)
+            )
+    # The median convention of ``service.time``: the upper one of an even count.
+    return {
+        level: sorted(seconds)[len(seconds) // 2] for level, seconds in samples.items()
+    }
 
 
 def validate_suite(rows_per_table: int = 6, sample: int | None = None) -> dict:
