@@ -183,7 +183,8 @@ def _settle(query: ast.Query) -> ast.Query:
 
 def _apply_rule(query: ast.Query) -> ast.Query | None:
     """The first level-1 rule that fires at *query*, applied; ``None`` when
-    none does."""
+    none does.  A rule at a new node type adds the type to
+    :data:`_RULE_HEADS`, or :func:`_normalize` never tries it."""
     if isinstance(query, ast.Selection):
         if query.predicate == ast.TRUE:
             return query.query
